@@ -283,3 +283,39 @@ func TestAuditSample(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAuditSampleCollisionText: a same-level collision names the earlier
+// sampled flat address, the later one and the shared device location, also
+// when the two sampled subblocks are far apart.
+func TestAuditSampleCollisionText(t *testing.T) {
+	nmCap, fmCap := uint64(2048), uint64(8192)
+	cases := []struct {
+		m      map[uint64]Location
+		stride uint64
+		want   string
+	}{
+		{map[uint64]Location{0: {Level: stats.NM, DevAddr: 64}}, 1,
+			"audit: flat 0x0 and 0x40 collide at NM 0x40"},
+		{map[uint64]Location{0xc0: {Level: stats.FM, DevAddr: 0x1780}}, 3,
+			"audit: flat 0xc0 and 0x1f80 collide at FM 0x1780"},
+	}
+	for _, c := range cases {
+		err := AuditSample(&fakeCtl{m: c.m}, nmCap, fmCap, c.stride)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("AuditSample = %v, want %q", err, c.want)
+		}
+	}
+}
+
+// TestAuditSampleLevelsAreSeparate: the same device address on NM and FM is
+// two locations, not a collision.
+func TestAuditSampleLevelsAreSeparate(t *testing.T) {
+	nmCap, fmCap := uint64(2048), uint64(8192)
+	swapped := &fakeCtl{m: map[uint64]Location{
+		0x40:  {Level: stats.FM, DevAddr: 0x40},
+		0x840: {Level: stats.NM, DevAddr: 0x40},
+	}}
+	if err := AuditSample(swapped, nmCap, fmCap, 1); err != nil {
+		t.Fatalf("NM 0x40 and FM 0x40 reported as a collision: %v", err)
+	}
+}
