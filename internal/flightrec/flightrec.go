@@ -48,10 +48,10 @@ const (
 	// bound; later epochs are counted as dropped.
 	DefaultMaxCaptureEpochs = 256
 
-	// offenderTableSlots is the per-epoch offender hash table capacity.
-	// First-come-keeps-slot with linear probing: the profiled set is a
+	// offenderTableMax bounds the distinct blocks the per-epoch offender
+	// table holds. First-come-keeps-slot: the profiled set is a
 	// deterministic function of the access stream, overflow is counted.
-	offenderTableSlots = 1024
+	offenderTableMax = 1024
 )
 
 // Config tunes the recorder's windows and bounds. The zero value means
@@ -101,8 +101,8 @@ func (c Config) withDefaults() Config {
 	if c.TopK <= 0 {
 		c.TopK = DefaultTopK
 	}
-	if c.TopK > offenderTableSlots {
-		c.TopK = offenderTableSlots
+	if c.TopK > offenderTableMax {
+		c.TopK = offenderTableMax
 	}
 	if c.MaxBundles <= 0 {
 		c.MaxBundles = DefaultMaxBundles
@@ -139,10 +139,8 @@ var eventKindNames = [...]string{
 	evBypass: "bypass", evMispredict: "mispredict",
 }
 
-// offSlot is one offender-table entry: key+1 keyed (0 = empty), cleared
-// each epoch.
-type offSlot struct {
-	key     uint64 // flat block index + 1
+// offCount is one offender-table value, keyed by flat block index.
+type offCount struct {
 	demands uint64
 	lat     uint64
 }
@@ -193,9 +191,7 @@ type Recorder struct {
 	prevAttr stats.Attribution
 
 	// Offender table for the current epoch.
-	offTable   [offenderTableSlots]offSlot
-	offUsed    int
-	offDropped uint64
+	off *stats.BoundedTable[offCount]
 
 	cap          *capture
 	bundles      []*Bundle
@@ -233,6 +229,7 @@ func New(cfg Config, sys *mem.System, fingerprint, run string) *Recorder {
 		fingerprint: fingerprint,
 		run:         run,
 		kinds:       health.Kinds(),
+		off:         stats.NewBoundedTable[offCount](offenderTableMax),
 	}
 	r.kindIdx = make(map[string]int, len(r.kinds))
 	for i, k := range r.kinds {
@@ -300,7 +297,10 @@ func (r *Recorder) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint
 	if r == nil {
 		return
 	}
-	r.bump(uint64(memunits.BlockOf(a.PAddr)), lat)
+	if c := r.off.Get(memunits.BlockOf(a.PAddr)); c != nil {
+		c.demands++
+		c.lat += lat
+	}
 	switch path {
 	case stats.PathBypass:
 		r.push(event{cycle: r.eng.Now(), kind: evBypass,
@@ -330,34 +330,6 @@ func (r *Recorder) push(ev event) {
 			c.evDropped++
 		}
 	}
-}
-
-// bump charges one demand completion to flat block b in the per-epoch
-// offender table: open addressing, linear probe, first-come-keeps-slot.
-func (r *Recorder) bump(b, lat uint64) {
-	key := b + 1
-	// Fibonacci hash of the block index into the fixed table.
-	i := int((b * 0x9e3779b97f4a7c15) >> 54 % offenderTableSlots)
-	for probes := 0; probes < offenderTableSlots; probes++ {
-		s := &r.offTable[i]
-		if s.key == key {
-			s.demands++
-			s.lat += lat
-			return
-		}
-		if s.key == 0 {
-			s.key = key
-			s.demands = 1
-			s.lat = lat
-			r.offUsed++
-			return
-		}
-		i++
-		if i == offenderTableSlots {
-			i = 0
-		}
-	}
-	r.offDropped++
 }
 
 // Observe feeds one telemetry epoch boundary: the sample (with gauges), the
@@ -450,18 +422,13 @@ func (r *Recorder) fillSlot(slot *epochSlot, st telemetry.EpochState, hs health.
 	// Offender top-K: deterministic selection (count desc, block asc) over
 	// the table, then clear it for the next epoch.
 	slot.nOff = 0
-	slot.offTotal = r.offUsed
-	slot.offDropped = r.offDropped
-	for i := range r.offTable {
-		s := &r.offTable[i]
-		if s.key == 0 {
-			continue
-		}
-		r.rankOffender(slot, Offender{Block: s.key - 1, Demands: s.demands, LatCycles: s.lat})
-		s.key = 0
+	slot.offTotal = r.off.Len()
+	slot.offDropped = r.off.Dropped()
+	vals := r.off.Values()
+	for i, b := range r.off.Keys() {
+		r.rankOffender(slot, Offender{Block: b, Demands: vals[i].demands, LatCycles: vals[i].lat})
 	}
-	r.offUsed = 0
-	r.offDropped = 0
+	r.off.Reset()
 }
 
 // rankOffender insertion-sorts o into slot's fixed top-K array.

@@ -468,3 +468,97 @@ func TestHarnessBundleByteDeterminism(t *testing.T) {
 		t.Errorf("recorder changed memory counters:\non  %+v\noff %+v", a.Mem, c.Mem)
 	}
 }
+
+// TestOffenderTableSaturation: an epoch touching 1500 distinct blocks keeps
+// the first 1024, counts every demand to a later block as dropped (repeat
+// hits included), ranks only the kept blocks, and the next epoch starts
+// from an empty table.
+func TestOffenderTableSaturation(t *testing.T) {
+	r := newRec(t, flightrec.Config{HistoryEpochs: 2, TailEpochs: 1, TopK: 4})
+	hit := func(block, times uint64) {
+		a := &mem.Access{PAddr: block << 11}
+		for i := uint64(0); i < times; i++ {
+			r.DemandComplete(a, stats.PathNMHit, 10)
+		}
+	}
+	for b := uint64(0); b < 1500; b++ {
+		hit(b, 1)
+	}
+	hit(5, 7)
+	hit(1, 3)
+	hit(1023, 3)
+	hit(0, 3)
+	hit(1200, 9) // not kept: 9 more drops
+	trigger(r, health.KindSwapThrash, 0)
+	hit(1499, 1)
+	r.Observe(epochState(1), health.Status{})
+	b := r.Bundles()[0]
+
+	ep0 := b.Epochs[0]
+	if ep0.OffenderBlocks != 1024 {
+		t.Errorf("OffenderBlocks = %d, want 1024", ep0.OffenderBlocks)
+	}
+	if want := uint64(1500 - 1024 + 9); ep0.OffendersDropped != want {
+		t.Errorf("OffendersDropped = %d, want %d", ep0.OffendersDropped, want)
+	}
+	want := []flightrec.Offender{
+		{Block: 5, Demands: 8, LatCycles: 80},
+		{Block: 0, Demands: 4, LatCycles: 40},
+		{Block: 1, Demands: 4, LatCycles: 40},
+		{Block: 1023, Demands: 4, LatCycles: 40},
+	}
+	if len(ep0.Offenders) != len(want) {
+		t.Fatalf("offenders = %+v, want %+v", ep0.Offenders, want)
+	}
+	for i := range want {
+		if ep0.Offenders[i] != want[i] {
+			t.Errorf("offender %d = %+v, want %+v", i, ep0.Offenders[i], want[i])
+		}
+	}
+
+	ep1 := b.Epochs[1]
+	if ep1.OffenderBlocks != 1 || ep1.OffendersDropped != 0 ||
+		len(ep1.Offenders) != 1 || ep1.Offenders[0] != (flightrec.Offender{Block: 1499, Demands: 1, LatCycles: 10}) {
+		t.Errorf("epoch after saturation = %d blocks, %d dropped, %+v; want only block 1499",
+			ep1.OffenderBlocks, ep1.OffendersDropped, ep1.Offenders)
+	}
+}
+
+// TestSaturatedEpochDoesNotAllocate: a whole epoch that saturates the
+// offender table — hits, drops, then the ranking and reset at the boundary
+// — is allocation-free once the table has been full once.
+func TestSaturatedEpochDoesNotAllocate(t *testing.T) {
+	r := newRec(t, flightrec.Config{})
+	st := epochState(0)
+	a := &mem.Access{}
+	avg := testing.AllocsPerRun(20, func() {
+		for b := uint64(0); b < 1500; b++ {
+			a.PAddr = b << 11
+			r.DemandComplete(a, stats.PathNMHit, 10)
+			r.DemandComplete(a, stats.PathNMHit, 10)
+		}
+		st.Sample.Epoch++
+		r.Observe(st, health.Status{})
+	})
+	if avg != 0 {
+		t.Errorf("saturated epoch allocates %.1f objects, want 0", avg)
+	}
+}
+
+// BenchmarkRecorderBumpSaturated: per-demand cost with the offender table
+// full, on a stream of 4096 distinct blocks (a quarter kept, the rest
+// dropped).
+func BenchmarkRecorderBumpSaturated(b *testing.B) {
+	r := flightrec.New(flightrec.Config{}, &mem.System{Eng: sim.NewEngine()}, "bench", "bench/run")
+	a := &mem.Access{}
+	for blk := uint64(0); blk < 1024; blk++ {
+		a.PAddr = blk << 11
+		r.DemandComplete(a, stats.PathNMHit, 10)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.PAddr = uint64(i%4096) << 11
+		r.DemandComplete(a, stats.PathNMHit, 10)
+	}
+}

@@ -795,16 +795,17 @@ func Audit(ctl Controller, nmCap, fmCap uint64) error {
 
 // AuditSample is a cheaper spot-check over a stride of subblocks, for
 // larger configurations: it verifies alignment and range, and injectivity
-// among the sampled set.
+// among the sampled set. Sampled device locations are marked in one bitset
+// per level; only a collision rescans the sample for the earlier flat
+// address it names.
 func AuditSample(ctl Controller, nmCap, fmCap uint64, stride uint64) error {
 	if stride == 0 {
 		stride = 1
 	}
-	type key struct {
-		level stats.MemLevel
-		addr  uint64
+	bitset := func(cap uint64) []uint64 {
+		return make([]uint64, (memunits.SubblocksIn(cap+memunits.SubblockSize-1)+63)/64)
 	}
-	seen := make(map[key]uint64)
+	seen := [2][]uint64{stats.NM: bitset(nmCap), stats.FM: bitset(fmCap)}
 	totalSubs := memunits.SubblocksIn(nmCap + fmCap)
 	for sb := uint64(0); sb < totalSubs; sb += stride {
 		pa := memunits.SubblockBase(sb)
@@ -812,18 +813,24 @@ func AuditSample(ctl Controller, nmCap, fmCap uint64, stride uint64) error {
 		if loc.DevAddr%memunits.SubblockSize != 0 {
 			return fmt.Errorf("audit: unaligned %s address %#x", loc.Level, loc.DevAddr)
 		}
-		cap := nmCap
+		lv, cap := stats.NM, nmCap
 		if loc.Level == stats.FM {
-			cap = fmCap
+			lv, cap = stats.FM, fmCap
 		}
 		if loc.DevAddr >= cap {
 			return fmt.Errorf("audit: %s address %#x beyond capacity %#x", loc.Level, loc.DevAddr, cap)
 		}
-		k := key{loc.Level, loc.DevAddr}
-		if prev, dup := seen[k]; dup {
-			return fmt.Errorf("audit: flat %#x and %#x collide at %s %#x", prev, pa, loc.Level, loc.DevAddr)
+		idx := loc.DevAddr / memunits.SubblockSize
+		word, bit := &seen[lv][idx/64], uint64(1)<<(idx%64)
+		if *word&bit != 0 {
+			for prev := uint64(0); prev < sb; prev += stride {
+				if ctl.Locate(memunits.SubblockBase(prev)) == loc {
+					return fmt.Errorf("audit: flat %#x and %#x collide at %s %#x",
+						memunits.SubblockBase(prev), pa, loc.Level, loc.DevAddr)
+				}
+			}
 		}
-		seen[k] = pa
+		*word |= bit
 	}
 	return nil
 }

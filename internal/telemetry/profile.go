@@ -12,7 +12,7 @@ import (
 	"silcfm/internal/stats"
 )
 
-// DefaultProfileMaxEntries bounds each profile map (blocks, PCs) when
+// DefaultProfileMaxEntries bounds each profile table (blocks, PCs) when
 // Config.ProfileMaxEntries is zero. New keys arriving at the cap are counted
 // as dropped rather than evicting old ones, so the set of profiled keys is a
 // deterministic function of the access stream.
@@ -61,10 +61,8 @@ type PCProfile struct {
 type Profiler struct {
 	nmBlocks uint64 // NM capacity in 2 KB blocks; FM home block b lives at flat block nmBlocks+b
 
-	max     int
-	blocks  map[uint64]*BlockProfile
-	pcs     map[uint64]*PCProfile
-	dropped [2]uint64 // [0] block keys, [1] PC keys rejected at the cap
+	blocks *stats.BoundedTable[BlockProfile]
+	pcs    *stats.BoundedTable[PCProfile]
 }
 
 // NewProfiler builds a profiler over sys's geometry holding at most
@@ -75,38 +73,9 @@ func NewProfiler(sys *mem.System, maxEntries int) *Profiler {
 	}
 	return &Profiler{
 		nmBlocks: memunits.BlocksIn(sys.NMCap),
-		max:      maxEntries,
-		blocks:   make(map[uint64]*BlockProfile),
-		pcs:      make(map[uint64]*PCProfile),
+		blocks:   stats.NewBoundedTable[BlockProfile](maxEntries),
+		pcs:      stats.NewBoundedTable[PCProfile](maxEntries),
 	}
-}
-
-// block returns the profile for flat block b, or nil once the map is full.
-func (p *Profiler) block(b uint64) *BlockProfile {
-	if bp, ok := p.blocks[b]; ok {
-		return bp
-	}
-	if len(p.blocks) >= p.max {
-		p.dropped[0]++
-		return nil
-	}
-	bp := &BlockProfile{Block: b}
-	p.blocks[b] = bp
-	return bp
-}
-
-// pc returns the profile for program counter v, or nil once the map is full.
-func (p *Profiler) pc(v uint64) *PCProfile {
-	if pp, ok := p.pcs[v]; ok {
-		return pp
-	}
-	if len(p.pcs) >= p.max {
-		p.dropped[1]++
-		return nil
-	}
-	pp := &PCProfile{PC: v}
-	p.pcs[v] = pp
-	return pp
 }
 
 // fmHomeBlock keys a transfer by its FM endpoint's flat home block.
@@ -120,13 +89,13 @@ func (p *Profiler) fmHomeBlock(loc mem.Location) (uint64, bool) {
 // churn charges one delivered subblock moving src -> dst.
 func (p *Profiler) churn(src, dst mem.Location) {
 	if b, ok := p.fmHomeBlock(src); ok && dst.Level == stats.NM {
-		if bp := p.block(b); bp != nil {
+		if bp := p.blocks.Get(b); bp != nil {
 			bp.SwapsIn++
 		}
 		return
 	}
 	if b, ok := p.fmHomeBlock(dst); ok && src.Level == stats.NM {
-		if bp := p.block(b); bp != nil {
+		if bp := p.blocks.Get(b); bp != nil {
 			bp.SwapsOut++
 		}
 	}
@@ -151,21 +120,21 @@ func (p *Profiler) Swap(a, b mem.Location) {}
 
 // Lock implements mem.SchemeObserver.
 func (p *Profiler) Lock(frame, block uint64, home bool) {
-	if bp := p.block(block); bp != nil {
+	if bp := p.blocks.Get(block); bp != nil {
 		bp.Locks++
 	}
 }
 
 // Unlock implements mem.SchemeObserver.
 func (p *Profiler) Unlock(frame, block uint64) {
-	if bp := p.block(block); bp != nil {
+	if bp := p.blocks.Get(block); bp != nil {
 		bp.Unlocks++
 	}
 }
 
 // DemandComplete implements mem.DemandObserver.
 func (p *Profiler) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint64) {
-	if bp := p.block(memunits.BlockOf(a.PAddr)); bp != nil {
+	if bp := p.blocks.Get(memunits.BlockOf(a.PAddr)); bp != nil {
 		bp.Demands++
 		bp.LatSum += lat
 		if a.Write {
@@ -178,7 +147,7 @@ func (p *Profiler) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint
 			bp.Mispred++
 		}
 	}
-	if pp := p.pc(a.PC); pp != nil {
+	if pp := p.pcs.Get(a.PC); pp != nil {
 		pp.Demands++
 		pp.LatSum += lat
 		if a.Write {
@@ -197,22 +166,30 @@ func (p *Profiler) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint
 
 // Counts reports (blocks, pcs, droppedBlocks, droppedPCs).
 func (p *Profiler) Counts() (blocks, pcs int, droppedBlocks, droppedPCs uint64) {
-	return len(p.blocks), len(p.pcs), p.dropped[0], p.dropped[1]
+	return p.blocks.Len(), p.pcs.Len(), p.blocks.Dropped(), p.pcs.Dropped()
 }
 
+// sortedBlocks returns the block profiles, key ascending. The table's
+// values carry no key until here, where Block is filled in from it.
 func (p *Profiler) sortedBlocks() []*BlockProfile {
-	out := make([]*BlockProfile, 0, len(p.blocks))
-	for _, bp := range p.blocks {
-		out = append(out, bp)
+	vals := p.blocks.Values()
+	out := make([]*BlockProfile, len(vals))
+	for i, b := range p.blocks.Keys() {
+		vals[i].Block = b
+		out[i] = &vals[i]
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Block < out[j].Block })
 	return out
 }
 
+// sortedPCs returns the PC profiles, key ascending, PC filled in as for
+// sortedBlocks.
 func (p *Profiler) sortedPCs() []*PCProfile {
-	out := make([]*PCProfile, 0, len(p.pcs))
-	for _, pp := range p.pcs {
-		out = append(out, pp)
+	vals := p.pcs.Values()
+	out := make([]*PCProfile, len(vals))
+	for i, pc := range p.pcs.Keys() {
+		vals[i].PC = pc
+		out[i] = &vals[i]
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
 	return out
@@ -245,7 +222,7 @@ func (p *Profiler) WriteJSONL(w io.Writer) error {
 		PCs           int    `json:"pcs"`
 		DroppedBlocks uint64 `json:"dropped_blocks"`
 		DroppedPCs    uint64 `json:"dropped_pcs"`
-	}{"summary", len(p.blocks), len(p.pcs), p.dropped[0], p.dropped[1]})
+	}{"summary", p.blocks.Len(), p.pcs.Len(), p.blocks.Dropped(), p.pcs.Dropped()})
 }
 
 // hotter orders profiles for the top-offender tables: demand count
@@ -282,7 +259,7 @@ func (p *Profiler) TopOffenders(k int) string {
 		blocks = blocks[:k]
 	}
 	bt := &stats.Table{
-		Title:   fmt.Sprintf("top %d blocks by demand (of %d profiled, %d dropped)", len(blocks), len(p.blocks), p.dropped[0]),
+		Title:   fmt.Sprintf("top %d blocks by demand (of %d profiled, %d dropped)", len(blocks), p.blocks.Len(), p.blocks.Dropped()),
 		Columns: []string{"block", "demands", "writes", "mean_lat", "swaps_in", "swaps_out", "locks", "unlocks", "bypass", "mispred"},
 	}
 	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
@@ -300,7 +277,7 @@ func (p *Profiler) TopOffenders(k int) string {
 		pcs = pcs[:k]
 	}
 	pt := &stats.Table{
-		Title:   fmt.Sprintf("top %d PCs by demand (of %d profiled, %d dropped)", len(pcs), len(p.pcs), p.dropped[1]),
+		Title:   fmt.Sprintf("top %d PCs by demand (of %d profiled, %d dropped)", len(pcs), p.pcs.Len(), p.pcs.Dropped()),
 		Columns: []string{"pc", "demands", "writes", "mean_lat", "swaps", "bypass", "mispred"},
 	}
 	for _, c := range pcs {

@@ -9,7 +9,7 @@
 // sampler pump schedules zero-work events on the engine (which never change
 // the relative order of real events, see sim.Engine's (when, seq) ordering),
 // the tracer only appends to a ring buffer, and the profiler only bumps
-// counters in bounded maps. Enabling telemetry therefore cannot change
+// counters in bounded tables. Enabling telemetry therefore cannot change
 // Cycles or any counter, and all output is byte-deterministic for a fixed
 // seed.
 package telemetry
@@ -47,7 +47,7 @@ type Config struct {
 	// Profile collects the hotness profile without writing it (for callers
 	// that only render TopOffenders); implied by ProfileW != nil.
 	Profile bool
-	// ProfileMaxEntries bounds each profile map (default 1<<15 blocks and
+	// ProfileMaxEntries bounds each profile table (default 1<<15 blocks and
 	// 1<<15 PCs; new keys past the cap are counted as dropped).
 	ProfileMaxEntries int
 	// OnEpoch, when non-nil, receives every epoch sample in memory — the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"silcfm/internal/mem"
 	"silcfm/internal/sim"
@@ -153,16 +154,10 @@ func (t *Tracer) AddSpan(track, name string, start, dur uint64, args map[string]
 	t.spans = append(t.spans, spanEvent{track: tid, name: name, start: start, dur: dur, args: args})
 }
 
-func locStr(l mem.Location) string {
-	lv := "NM"
-	if l.Level == stats.FM {
-		lv = "FM"
-	}
-	return fmt.Sprintf("%s:0x%x", lv, l.DevAddr)
-}
-
-// traceEvent is the Chrome trace-event JSON shape (instant and complete
-// events).
+// traceEvent is the Chrome trace-event JSON shape of an injected duration
+// span ("X" complete event). Its args are caller-supplied, so spans go
+// through encoding/json; the fixed-shape events are appended by hand below
+// in the same field order and escaping.
 type traceEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
@@ -174,80 +169,130 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// argsOf renders an event's payload. Map keys per kind are fixed, and
-// encoding/json sorts map keys, so output stays byte-deterministic.
-func argsOf(e *event) map[string]any {
+// appendLoc appends a location as the JSON string "NM:0x<addr>" or
+// "FM:0x<addr>".
+func appendLoc(buf []byte, l mem.Location) []byte {
+	if l.Level == stats.FM {
+		buf = append(buf, `"FM:0x`...)
+	} else {
+		buf = append(buf, `"NM:0x`...)
+	}
+	buf = strconv.AppendUint(buf, l.DevAddr, 16)
+	return append(buf, '"')
+}
+
+// appendThreadName appends the metadata event naming track tid.
+func appendThreadName(buf []byte, tid int, name string) []byte {
+	buf = append(buf, `{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":`...)
+	buf = strconv.AppendInt(buf, int64(tid), 10)
+	buf = append(buf, `,"args":{"name":`...)
+	quoted, _ := json.Marshal(name) // a string always marshals
+	buf = append(buf, quoted...)
+	return append(buf, "}}"...)
+}
+
+// appendInstant appends one ring event as an instant event on its kind's
+// track. Arg keys per kind are fixed and written in sorted order.
+func appendInstant(buf []byte, e *event) []byte {
+	buf = append(buf, `{"name":"`...)
+	buf = append(buf, evNames[e.kind]...)
+	buf = append(buf, `","ph":"i","ts":`...)
+	buf = strconv.AppendUint(buf, e.cycle, 10)
+	buf = append(buf, `,"pid":0,"tid":`...)
+	buf = strconv.AppendInt(buf, int64(e.kind), 10)
+	buf = append(buf, `,"s":"t","args":{`...)
 	switch e.kind {
 	case evDemand:
-		op := "read"
+		buf = append(buf, `"loc":`...)
+		buf = appendLoc(buf, e.a)
 		if e.write {
-			op = "write"
+			buf = append(buf, `,"op":"write","pa":"0x`...)
+		} else {
+			buf = append(buf, `,"op":"read","pa":"0x`...)
 		}
-		return map[string]any{"pa": fmt.Sprintf("0x%x", e.pa), "loc": locStr(e.a), "op": op}
+		buf = strconv.AppendUint(buf, e.pa, 16)
+		buf = append(buf, '"')
 	case evCapture:
-		return map[string]any{"loc": locStr(e.a)}
+		buf = append(buf, `"loc":`...)
+		buf = appendLoc(buf, e.a)
 	case evDeliver, evRelocate:
-		return map[string]any{"src": locStr(e.a), "dst": locStr(e.b)}
+		buf = append(buf, `"dst":`...)
+		buf = appendLoc(buf, e.b)
+		buf = append(buf, `,"src":`...)
+		buf = appendLoc(buf, e.a)
 	case evSwap:
-		return map[string]any{"a": locStr(e.a), "b": locStr(e.b)}
-	case evLock:
-		kind := "interleaved"
-		if e.write {
-			kind = "home"
+		buf = append(buf, `"a":`...)
+		buf = appendLoc(buf, e.a)
+		buf = append(buf, `,"b":`...)
+		buf = appendLoc(buf, e.b)
+	default: // evLock, evUnlock
+		buf = append(buf, `"block":`...)
+		buf = strconv.AppendUint(buf, e.pa, 10)
+		buf = append(buf, `,"frame":`...)
+		buf = strconv.AppendUint(buf, e.a.DevAddr, 10)
+		if e.kind == evLock {
+			if e.write {
+				buf = append(buf, `,"kind":"home"`...)
+			} else {
+				buf = append(buf, `,"kind":"interleaved"`...)
+			}
 		}
-		return map[string]any{"frame": e.a.DevAddr, "block": e.pa, "kind": kind}
-	default: // evUnlock
-		return map[string]any{"frame": e.a.DevAddr, "block": e.pa}
 	}
+	return append(buf, "}}"...)
 }
+
+// traceFlushBytes is the buffered output size at which Write hands the
+// buffer to the writer.
+const traceFlushBytes = 64 << 10
 
 // Write serializes the ring (oldest first) as a Chrome trace JSON object.
 func (t *Tracer) Write(w io.Writer) error {
 	bw := &errWriter{w: w}
-	io.WriteString(bw, `{"displayTimeUnit":"ms","traceEvents":[`)
+	buf := make([]byte, 0, traceFlushBytes+1024)
+	buf = append(buf, `{"displayTimeUnit":"ms","traceEvents":[`...)
 	first := true
-	emit := func(ev *traceEvent) {
+	next := func() { // separate events and flush a full buffer
 		if !first {
-			io.WriteString(bw, ",\n")
-		} else {
-			io.WriteString(bw, "\n")
-			first = false
+			buf = append(buf, ',')
 		}
-		b, err := json.Marshal(ev)
-		if err != nil {
-			bw.err = err
-			return
+		first = false
+		buf = append(buf, '\n')
+		if len(buf) >= traceFlushBytes {
+			bw.Write(buf)
+			buf = buf[:0]
 		}
-		bw.Write(b)
 	}
 	// Name the per-kind tracks.
 	for k := 0; k < numEvKinds; k++ {
-		emit(&traceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: k,
-			Args: map[string]any{"name": evNames[k]}})
+		next()
+		buf = appendThreadName(buf, k, evNames[k])
 	}
 	// Name the injected span tracks, after the per-kind tids.
 	for i, tr := range t.spanTracks {
-		emit(&traceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: numEvKinds + i,
-			Args: map[string]any{"name": tr}})
+		next()
+		buf = appendThreadName(buf, numEvKinds+i, tr)
 	}
 	// Ring in arrival order: [next, len) then [0, next) once wrapped.
 	for i := 0; i < t.n; i++ {
-		e := &t.ring[(t.next+i)%len(t.ring)]
-		emit(&traceEvent{
-			Name: evNames[e.kind], Ph: "i", Ts: e.cycle, Pid: 0, Tid: int(e.kind),
-			S: "t", Args: argsOf(e),
-		})
+		next()
+		buf = appendInstant(buf, &t.ring[(t.next+i)%len(t.ring)])
 	}
 	// Injected duration spans, in insertion order.
 	for i := range t.spans {
 		sp := &t.spans[i]
-		emit(&traceEvent{
+		next()
+		b, err := json.Marshal(&traceEvent{
 			Name: sp.name, Ph: "X", Ts: sp.start, Dur: sp.dur, Pid: 0,
 			Tid: numEvKinds + sp.track, Args: sp.args,
 		})
+		if err != nil {
+			return err
+		}
+		buf = append(buf, b...)
 	}
-	fmt.Fprintf(bw, "\n],\"otherData\":{\"events\":%d,\"dropped\":%d,\"spans\":%d,\"spans_dropped\":%d}}\n",
+	buf = fmt.Appendf(buf, "\n],\"otherData\":{\"events\":%d,\"dropped\":%d,\"spans\":%d,\"spans_dropped\":%d}}\n",
 		t.total, t.dropped, len(t.spans), t.spanDropped)
+	bw.Write(buf)
 	return bw.err
 }
 
