@@ -3,14 +3,42 @@
 # live-observability endpoint checks, and the test suite under the race
 # detector. Run from the repo root.
 #
-#   ./ci.sh          # everything
+#   ./ci.sh          # every stage below, each once, in this order
+#   ./ci.sh fast     # only gofmt, vet, build and the race-tested fast-fail packages
 #   ./ci.sh bench    # only the bench-smoke + manifest-diff stage
 #   ./ci.sh perf     # only the perf-regression stage (speed/alloc bands)
 #   ./ci.sh live     # only the live-server endpoint + inertness stage
 #   ./ci.sh postmortem # only the flight-recorder capture/determinism/inertness stage
 #   ./ci.sh exemplars # only the tail-exemplar capture/determinism/inertness stage
 #   ./ci.sh history  # only the cross-PR trajectory-report stage
+#   ./ci.sh test     # only the race-detector suite outside the fast-fail packages
 set -eu
+
+# The observability packages (stats counters, memory-system attribution,
+# manifest encoding, telemetry writers, health detector, live server) gate
+# everything downstream and their tests are quick.
+fast_pkgs="./internal/stats ./internal/mem ./internal/telemetry ./internal/manifest
+./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar"
+
+# Fast-fail stage: formatting, vet and build over the whole module, then the
+# fast-fail packages under the race detector, so broken instrumentation
+# fails in seconds, not after the full sweep-driven suite.
+fast_gate() {
+	fmt=$(gofmt -l .)
+	if [ -n "$fmt" ]; then
+		echo "gofmt: files need formatting:" >&2
+		echo "$fmt" >&2
+		exit 1
+	fi
+	go vet ./...
+	go build ./...
+	go test -race $fast_pkgs
+}
+
+# Race-detector stage: every package the fast-fail stage did not test.
+race_rest() {
+	go test -race $(go list ./... | grep -vxF "$(go list $fast_pkgs)")
+}
 
 # Bench-smoke stage: rerun the short manifest suite and diff its
 # deterministic counters against the committed trajectory baseline. Any
@@ -185,54 +213,27 @@ history_smoke() {
 	diff -u TRAJECTORY.md /tmp/trajectory_explicit.md
 }
 
-if [ "${1:-}" = "bench" ]; then
+case "${1:-}" in
+fast) fast_gate ;;
+bench) bench_smoke ;;
+perf) perf_gate ;;
+live) live_smoke ;;
+postmortem) postmortem_smoke ;;
+exemplars) exemplars_smoke ;;
+history) history_smoke ;;
+test) race_rest ;;
+"")
+	fast_gate
 	bench_smoke
-	exit 0
-fi
-if [ "${1:-}" = "perf" ]; then
 	perf_gate
-	exit 0
-fi
-if [ "${1:-}" = "live" ]; then
 	live_smoke
-	exit 0
-fi
-if [ "${1:-}" = "postmortem" ]; then
 	postmortem_smoke
-	exit 0
-fi
-if [ "${1:-}" = "exemplars" ]; then
 	exemplars_smoke
-	exit 0
-fi
-if [ "${1:-}" = "history" ]; then
 	history_smoke
-	exit 0
-fi
-
-fmt=$(gofmt -l .)
-if [ -n "$fmt" ]; then
-	echo "gofmt: files need formatting:" >&2
-	echo "$fmt" >&2
-	exit 1
-fi
-
-# Fast-fail stage: the observability packages (stats counters, memory-system
-# attribution, manifest encoding, telemetry writers, health detector, live
-# server) gate everything downstream and their tests are quick — vet and
-# race-test them first so broken instrumentation fails in seconds, not after
-# the full sweep-driven suite.
-go vet ./internal/stats ./internal/mem ./internal/telemetry ./internal/manifest \
-	./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar
-go test -race ./internal/stats ./internal/mem ./internal/telemetry ./internal/manifest \
-	./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar
-
-go vet ./...
-go build ./...
-bench_smoke
-perf_gate
-live_smoke
-postmortem_smoke
-exemplars_smoke
-history_smoke
-go test -race ./...
+	race_rest
+	;;
+*)
+	echo "ci.sh: unknown stage $1" >&2
+	exit 2
+	;;
+esac

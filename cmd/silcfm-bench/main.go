@@ -196,26 +196,19 @@ func runCell(id string, spec harness.Spec, reps int, srv *live.Server) (*manifes
 	var best *manifest.Entry
 	var bestRes *harness.Result
 	for rep := 0; rep < reps; rep++ {
-		// Each rep republished under the same id: the server shows the
-		// latest, and Done stamps the final incident list.
-		spec.Publish = srv.Hook(id)
+		// Each rep republishes under the same id: the hub shows the latest,
+		// and done stamps the final incident list.
+		done := harness.AttachLive(&spec, srv.Registry(), id)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res, err := harness.Run(spec)
 		runtime.ReadMemStats(&after)
-		if res != nil {
-			srv.Done(id, res.Health)
+		done(res)
+		if err == nil {
+			err = res.Err()
 		}
 		if err != nil {
 			return nil, nil, err
-		}
-		for _, audit := range []struct {
-			name string
-			err  error
-		}{{"data-integrity audit", res.AuditErr}, {"shadow check", res.ShadowErr}, {"counter conservation", res.ConservationErr}} {
-			if audit.err != nil {
-				return nil, nil, fmt.Errorf("%s failed: %w", audit.name, audit.err)
-			}
 		}
 		e := manifest.FromResult(id, res)
 		e.Host.AllocObjects = after.Mallocs - before.Mallocs

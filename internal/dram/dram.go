@@ -44,8 +44,10 @@ type Stats struct {
 	BytesRead, BytesWritten uint64
 	// BytesMeta counts metadata carried in extended bursts (Request.
 	// MetaBytes); kept apart so BytesRead/BytesWritten stay payload-only.
-	BytesMeta          uint64
-	RowHits, RowMisses uint64 // row-buffer outcome per access
+	BytesMeta uint64
+	// RowHits/RowMisses are the row-buffer outcome per access, derived by
+	// Stats from the per-bank ledger (conflicts count as misses).
+	RowHits, RowMisses uint64
 	Activations        uint64
 	Refreshes          uint64 // periodic all-bank refreshes applied
 	BusBusyCycles      uint64 // sum of burst occupancy over channels
@@ -78,11 +80,12 @@ func (l *LatencySummary) Mean() float64 {
 }
 
 // BankCounters is the cumulative microarchitectural ledger of one bank.
-// RowHits/RowMisses/RowConflicts split the aggregate Stats.RowHits/RowMisses
-// pair by bank and by outcome (RowMisses here counts closed-bank misses
-// only; the aggregate folds conflicts in). BusyCycles sums the cycles the
-// bank spent executing commands (precharge/activate/column/burst/recovery);
-// RefreshCloses counts rows force-closed by periodic refresh.
+// RowHits/RowMisses/RowConflicts count row-buffer outcomes by bank; Stats
+// sums them into the device's RowHits/RowMisses pair (RowMisses here counts
+// closed-bank misses only; the aggregate folds conflicts in). BusyCycles
+// sums the cycles the bank spent executing commands (precharge/activate/
+// column/burst/recovery); RefreshCloses counts rows force-closed by
+// periodic refresh.
 type BankCounters struct {
 	RowHits       uint64
 	RowMisses     uint64 // closed-bank activates
@@ -288,8 +291,13 @@ func New(cfg config.DRAMConfig, eng *sim.Engine) *Device {
 	return d
 }
 
-// Stats returns the accumulated counters.
-func (d *Device) Stats() *Stats { return &d.stats }
+// Stats returns the accumulated counters, first refreshing RowHits/
+// RowMisses from the per-bank ledger, their one source.
+func (d *Device) Stats() *Stats {
+	t := d.TotalBankCounters()
+	d.stats.RowHits, d.stats.RowMisses = t.RowHits, t.RowMisses+t.RowConflicts
+	return &d.stats
+}
 
 // Geometry reports the device's channel/bank shape, the index space of
 // BankCounters and ChannelCounters.
@@ -498,12 +506,10 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	switch {
 	case b.openRow >= 0 && uint64(b.openRow) == o.row:
 		// Row hit: column command only.
-		d.stats.RowHits++
 		bc.RowHits++
 		colAt = start
 	case b.openRow < 0:
 		// Closed: activate then column.
-		d.stats.RowMisses++
 		d.stats.Activations++
 		d.stats.DynamicEnergyPJ += d.Cfg.ActivateEnergyPJ
 		bc.RowMisses++
@@ -513,7 +519,6 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 		b.openRow = int64(o.row)
 	default:
 		// Conflict: precharge (respecting tRAS), activate, column.
-		d.stats.RowMisses++
 		d.stats.Activations++
 		d.stats.DynamicEnergyPJ += d.Cfg.ActivateEnergyPJ
 		bc.RowConflicts++

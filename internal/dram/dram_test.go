@@ -31,8 +31,8 @@ func TestSingleReadLatency(t *testing.T) {
 	if done != want {
 		t.Fatalf("read completed at %d, want %d", done, want)
 	}
-	if d.stats.RowMisses != 1 || d.stats.RowHits != 0 {
-		t.Fatalf("row stats: hits=%d misses=%d", d.stats.RowHits, d.stats.RowMisses)
+	if d.Stats().RowMisses != 1 || d.Stats().RowHits != 0 {
+		t.Fatalf("row stats: hits=%d misses=%d", d.Stats().RowHits, d.Stats().RowMisses)
 	}
 }
 
@@ -48,8 +48,8 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 	if lat2 >= t1 {
 		t.Fatalf("row hit latency %d !< row miss latency %d", lat2, t1)
 	}
-	if d.stats.RowHits != 1 {
-		t.Fatalf("expected a row hit, got %d", d.stats.RowHits)
+	if d.Stats().RowHits != 1 {
+		t.Fatalf("expected a row hit, got %d", d.Stats().RowHits)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestStreamingRowHitRate(t *testing.T) {
 		d.Submit(Request{Addr: uint64(i) * 64})
 	}
 	eng.Run()
-	hitRate := float64(d.stats.RowHits) / float64(d.stats.RowHits+d.stats.RowMisses)
+	hitRate := float64(d.Stats().RowHits) / float64(d.Stats().RowHits+d.Stats().RowMisses)
 	if hitRate < 0.9 {
 		t.Fatalf("streaming row hit rate = %.3f, want > 0.9 (open-page policy)", hitRate)
 	}
@@ -325,8 +325,8 @@ func TestRefreshAppliesPeriodically(t *testing.T) {
 	}
 	// The row was closed by refresh, so the second access to the same
 	// address is a row miss, not a hit.
-	if d.stats.RowHits != 0 {
-		t.Fatalf("row survived refresh: hits=%d", d.stats.RowHits)
+	if d.Stats().RowHits != 0 {
+		t.Fatalf("row survived refresh: hits=%d", d.Stats().RowHits)
 	}
 }
 
@@ -383,8 +383,8 @@ func TestClosedPagePolicy(t *testing.T) {
 		d.Submit(Request{Addr: 0})
 		eng.Run()
 	}
-	if d.stats.RowHits != 0 {
-		t.Fatalf("closed page produced %d row hits", d.stats.RowHits)
+	if d.Stats().RowHits != 0 {
+		t.Fatalf("closed page produced %d row hits", d.Stats().RowHits)
 	}
 	// But also no conflict penalty: alternating rows costs the same as
 	// repeating one row (every access activates from precharged).
@@ -700,12 +700,12 @@ func TestIntrospectionLedgersReconcile(t *testing.T) {
 
 	bt := d.TotalBankCounters()
 	ct := d.TotalChannelCounters()
-	if bt.RowHits != d.stats.RowHits {
-		t.Fatalf("per-bank hits %d != aggregate %d", bt.RowHits, d.stats.RowHits)
+	if bt.RowHits != d.Stats().RowHits {
+		t.Fatalf("per-bank hits %d != aggregate %d", bt.RowHits, d.Stats().RowHits)
 	}
-	if bt.RowMisses+bt.RowConflicts != d.stats.RowMisses {
+	if bt.RowMisses+bt.RowConflicts != d.Stats().RowMisses {
 		t.Fatalf("per-bank misses %d + conflicts %d != aggregate misses %d",
-			bt.RowMisses, bt.RowConflicts, d.stats.RowMisses)
+			bt.RowMisses, bt.RowConflicts, d.Stats().RowMisses)
 	}
 	if bt.RowConflicts == 0 {
 		t.Fatal("conflict stride produced no per-bank conflicts")

@@ -183,10 +183,9 @@ type Recorder struct {
 	n    int
 
 	// Movement-event ring.
-	events  []event
-	evHead  int
-	evN     int
-	evTotal uint64 // lifetime count, for drop accounting
+	events []event
+	evHead int
+	evN    int
 
 	prevAttr stats.Attribution
 
@@ -314,7 +313,6 @@ func (r *Recorder) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint
 // push appends ev to the event ring (overwriting the oldest when full) and,
 // during a capture, to the capture's bounded event list.
 func (r *Recorder) push(ev event) {
-	r.evTotal++
 	r.events[r.evHead] = ev
 	r.evHead++
 	if r.evHead == len(r.events) {
@@ -522,14 +520,6 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 		}
 		c.events = append(c.events, jsonEvent(ev))
 	}
-	// Events that fell off the ring before the capture opened are part of
-	// the window but unrecoverable; account for them.
-	if r.evTotal > uint64(r.evN) && r.n == len(r.ring) {
-		// Unknown how many of the overwritten events fall inside the
-		// window; the excerpt is best-effort by construction. Only the
-		// explicit skips above are counted.
-		_ = firstCycle
-	}
 	r.cap = c
 }
 
@@ -580,7 +570,7 @@ func (r *Recorder) finalize(forced bool) {
 // that fired anywhere in the window.
 func (r *Recorder) ruleTraces(epochs []EpochRecord) []RuleTrace {
 	var out []RuleTrace
-	for i, kind := range r.kinds {
+	for _, kind := range r.kinds {
 		tr := RuleTrace{Kind: kind}
 		for e := range epochs {
 			for _, rs := range epochs[e].Rules {
@@ -600,7 +590,6 @@ func (r *Recorder) ruleTraces(epochs []EpochRecord) []RuleTrace {
 		if tr.OpenEpochs == 0 {
 			continue
 		}
-		_ = i
 		out = append(out, tr)
 	}
 	return out

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"silcfm/internal/config"
-	"silcfm/internal/health"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/live"
@@ -31,8 +30,7 @@ type ExpConfig struct {
 	// io.Closer are closed when the run finishes; return nil to skip a run.
 	Telemetry func(label, wl string) *telemetry.Config
 	// Live, when non-nil, attaches every run in the sweep to a live
-	// observability server; each run publishes under "<label>/<workload>"
-	// and is marked done (with its incidents) as it completes.
+	// observability server through AttachLive, under "<label>/<workload>".
 	Live *live.Server
 	// Progress, when non-nil, receives one completion line per finished run.
 	Progress io.Writer
@@ -208,8 +206,7 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 			if cfg.Telemetry != nil {
 				tcfg = cfg.Telemetry(label, j.wl)
 			}
-			runID := label + "/" + j.wl
-			r, err := Run(Spec{
+			spec := Spec{
 				Machine:           j.mach,
 				Workload:          j.wl,
 				InstrPerCore:      cfg.InstrPerCore,
@@ -218,14 +215,16 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 				FootScaleDen:      cfg.FootScaleDen,
 				ShadowCheck:       cfg.ShadowCheck,
 				Telemetry:         tcfg,
-				Publish:           cfg.Live.Hook(runID),
-			})
-			closeTelemetry(tcfg)
-			var final []health.Incident
-			if r != nil {
-				final = r.Health
 			}
-			cfg.Live.Done(runID, final)
+			done := AttachLive(&spec, cfg.Live.Registry(), label+"/"+j.wl)
+			r, err := Run(spec)
+			if cerr := closeTelemetry(tcfg); err == nil && cerr != nil {
+				err = fmt.Errorf("telemetry output: %w", cerr)
+			}
+			done(r)
+			if err == nil {
+				err = r.Err()
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			if cfg.Progress != nil {
@@ -239,18 +238,6 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("%s/%s: %w", j.label, j.wl, err)
 				}
-				return
-			}
-			if r.AuditErr != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%s/%s: %w", j.label, j.wl, r.AuditErr)
-				return
-			}
-			if r.ShadowErr != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%s/%s: %w", j.label, j.wl, r.ShadowErr)
-				return
-			}
-			if r.ConservationErr != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%s/%s: %w", j.label, j.wl, r.ConservationErr)
 				return
 			}
 			if j.label == "" {
@@ -376,11 +363,14 @@ func TableIII(cfg ExpConfig) (*stats.Table, map[string]*Result, error) {
 			r, err := Run(Spec{Machine: m, Workload: wl, InstrPerCore: cfg.InstrPerCore,
 				ScaleInstrByClass: true,
 				FootScaleNum:      cfg.FootScaleNum, FootScaleDen: cfg.FootScaleDen})
+			if err == nil {
+				err = r.Err()
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
 				if firstErr == nil {
-					firstErr = err
+					firstErr = fmt.Errorf("%s: %w", wl, err)
 				}
 				return
 			}
@@ -478,16 +468,22 @@ func (h Headline) String() string {
 }
 
 // closeTelemetry closes any per-run telemetry writers that are closable
-// (Sweep owns their lifecycle; single runs close their own files).
-func closeTelemetry(tcfg *telemetry.Config) {
+// (Sweep owns their lifecycle; single runs close their own files) and
+// returns the first close error: a writer that failed to flush left its
+// output truncated.
+func closeTelemetry(tcfg *telemetry.Config) error {
 	if tcfg == nil {
-		return
+		return nil
 	}
+	var first error
 	for _, w := range []io.Writer{tcfg.MetricsW, tcfg.TraceW, tcfg.ProgressW, tcfg.ProfileW} {
 		if c, ok := w.(io.Closer); ok {
-			c.Close()
+			if err := c.Close(); err != nil && first == nil {
+				first = err
+			}
 		}
 	}
+	return first
 }
 
 func variantLabels(vs []Variant) []string {

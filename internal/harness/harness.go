@@ -27,6 +27,7 @@ import (
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/exemplar"
+	"silcfm/internal/telemetry/live"
 	"silcfm/internal/vm"
 	"silcfm/internal/workload"
 )
@@ -130,6 +131,60 @@ type Result struct {
 	// SimCyclesPerSec is simulated cycles per host second of the event
 	// loop alone — the simulator's throughput figure of merit.
 	SimCyclesPerSec float64
+}
+
+// Err is the run's audit verdict: the data-integrity audit failure, then
+// the shadow-checker violation, then the counter-conservation failure,
+// whichever comes first; nil when every audit passed.
+func (r *Result) Err() error {
+	switch {
+	case r.AuditErr != nil:
+		return fmt.Errorf("data-integrity audit failed: %w", r.AuditErr)
+	case r.ShadowErr != nil:
+		return fmt.Errorf("shadow integrity check failed: %w", r.ShadowErr)
+	case r.ConservationErr != nil:
+		return fmt.Errorf("counter-conservation audit failed: %w", r.ConservationErr)
+	}
+	return nil
+}
+
+// AttachLive attaches spec's run to the live observability hub reg under
+// run id: every telemetry epoch publishes through Spec.Publish, the flight
+// recorder streams each finalized bundle into the hub's incident store and
+// the exemplar recorder each epoch's snapshot into its exemplar store (both
+// skipped when the caller set Disabled). The returned callback marks the
+// run done with its final incidents; call it once Run returns, with its
+// Result (nil on error). A nil reg leaves spec untouched.
+func AttachLive(spec *Spec, reg *live.Registry, id string) (done func(*Result)) {
+	if reg == nil {
+		return func(*Result) {}
+	}
+	spec.Publish = reg.Hook(id)
+	// Bundles and exemplar snapshots are immutable once handed over, so
+	// sharing them with the hub's goroutines is race-free.
+	if spec.Flightrec == nil || !spec.Flightrec.Disabled {
+		fcfg := flightrec.Config{}
+		if spec.Flightrec != nil {
+			fcfg = *spec.Flightrec
+		}
+		fcfg.OnBundle = func(b *flightrec.Bundle) { reg.AddBundle(id, b) }
+		spec.Flightrec = &fcfg
+	}
+	if spec.Exemplars == nil || !spec.Exemplars.Disabled {
+		ecfg := exemplar.Config{}
+		if spec.Exemplars != nil {
+			ecfg = *spec.Exemplars
+		}
+		ecfg.OnSnapshot = func(es []exemplar.Exemplar) { reg.SetExemplars(id, es) }
+		spec.Exemplars = &ecfg
+	}
+	return func(res *Result) {
+		var final []health.Incident
+		if res != nil {
+			final = res.Health
+		}
+		reg.Done(id, final)
+	}
 }
 
 // placementFor returns the first-touch allocation policy each scheme
@@ -394,14 +449,14 @@ func Run(spec Spec) (*Result, error) {
 	res.Scheme = ctl.Name()
 	res.Cycles = cx.ExecutionCycles()
 	res.Mem = *sys.Stats
-	res.Mem.RowHits = [2]uint64{sys.NM.Stats().RowHits, sys.FM.Stats().RowHits}
-	res.Mem.RowMisses = [2]uint64{sys.NM.Stats().RowMisses, sys.FM.Stats().RowMisses}
 	// DRAM introspection totals: reduce each device's per-bank/per-channel
 	// ledgers to the device-level counters stats.Memory (and the manifest)
-	// carry.
+	// carry. Row conflicts count as row misses, as in dram.Stats.
 	for lv, dev := range [2]*dram.Device{sys.NM, sys.FM} {
 		bt := dev.TotalBankCounters()
 		ct := dev.TotalChannelCounters()
+		res.Mem.RowHits[lv] = bt.RowHits
+		res.Mem.RowMisses[lv] = bt.RowMisses + bt.RowConflicts
 		res.Mem.RowConflicts[lv] = bt.RowConflicts
 		res.Mem.RefreshCloses[lv] = bt.RefreshCloses
 		res.Mem.BankBusyCycles[lv] = bt.BusyCycles

@@ -100,32 +100,32 @@ type Config struct {
 // Sim holds every deterministic simulation metric. Given the same code and
 // the same Config, every field is reproduced exactly on any host.
 type Sim struct {
-	Cycles           uint64        `json:"cycles"`
-	Instructions     uint64        `json:"instructions"`
-	FootprintPages   uint64        `json:"footprint_pages"`
-	LLCMisses        uint64        `json:"llc_misses"`
-	ServicedNM       uint64        `json:"serviced_nm"`
-	ServicedFM       uint64        `json:"serviced_fm"`
-	BytesNM          ClassBytes    `json:"bytes_nm"`
-	BytesFM          ClassBytes    `json:"bytes_fm"`
-	SwapsIn          uint64        `json:"swaps_in"`
-	SwapsOut         uint64        `json:"swaps_out"`
-	Locks            uint64        `json:"locks"`
-	Unlocks          uint64        `json:"unlocks"`
-	Migrations       uint64        `json:"migrations"`
-	BypassedAccesses uint64        `json:"bypassed_accesses"`
-	PredictorHits    uint64        `json:"predictor_hits"`
-	PredictorMisses  uint64        `json:"predictor_misses"`
-	RowHitsNM        uint64        `json:"row_hits_nm"`
-	RowMissesNM      uint64        `json:"row_misses_nm"`
-	RowHitsFM        uint64        `json:"row_hits_fm"`
-	RowMissesFM      uint64        `json:"row_misses_fm"`
-	DramNM           DramSim       `json:"dram_nm"`
-	DramFM           DramSim       `json:"dram_fm"`
-	OSOverheadCycles uint64        `json:"os_overhead_cycles"`
-	Energy           Energy        `json:"energy"`
-	Latency          []PathLatency `json:"latency,omitempty"`
-	Attribution      []PathSpans   `json:"attribution,omitempty"`
+	Cycles           uint64            `json:"cycles"`
+	Instructions     uint64            `json:"instructions"`
+	FootprintPages   uint64            `json:"footprint_pages"`
+	LLCMisses        uint64            `json:"llc_misses"`
+	ServicedNM       uint64            `json:"serviced_nm"`
+	ServicedFM       uint64            `json:"serviced_fm"`
+	BytesNM          ClassBytes        `json:"bytes_nm"`
+	BytesFM          ClassBytes        `json:"bytes_fm"`
+	SwapsIn          uint64            `json:"swaps_in"`
+	SwapsOut         uint64            `json:"swaps_out"`
+	Locks            uint64            `json:"locks"`
+	Unlocks          uint64            `json:"unlocks"`
+	Migrations       uint64            `json:"migrations"`
+	BypassedAccesses uint64            `json:"bypassed_accesses"`
+	PredictorHits    uint64            `json:"predictor_hits"`
+	PredictorMisses  uint64            `json:"predictor_misses"`
+	RowHitsNM        uint64            `json:"row_hits_nm"`
+	RowMissesNM      uint64            `json:"row_misses_nm"`
+	RowHitsFM        uint64            `json:"row_hits_fm"`
+	RowMissesFM      uint64            `json:"row_misses_fm"`
+	DramNM           DramSim           `json:"dram_nm"`
+	DramFM           DramSim           `json:"dram_fm"`
+	OSOverheadCycles uint64            `json:"os_overhead_cycles"`
+	Energy           Energy            `json:"energy"`
+	Latency          []PathLatency     `json:"latency,omitempty"`
+	Attribution      []stats.PathSpans `json:"attribution,omitempty"`
 	// Incidents are the run's closed health incidents (internal/health).
 	// They are a pure function of the simulated machine and seed, so they
 	// diff sim-exact like every counter above: a thrash incident appearing
@@ -179,19 +179,6 @@ type PathLatency struct {
 	P50   uint64 `json:"p50"`
 	P95   uint64 `json:"p95"`
 	P99   uint64 `json:"p99"`
-}
-
-// PathSpans is one demand path's span-attribution sums in cycles.
-type PathSpans struct {
-	Path       string `json:"path"`
-	Count      uint64 `json:"count"`
-	Total      uint64 `json:"total"`
-	Queue      uint64 `json:"queue"`
-	Service    uint64 `json:"service"`
-	MetaFetch  uint64 `json:"meta_fetch"`
-	SwapSerial uint64 `json:"swap_serial"`
-	Mispredict uint64 `json:"mispredict"`
-	Other      uint64 `json:"other"`
 }
 
 // Host holds the machine-dependent cost of producing the run. Diff compares
@@ -298,21 +285,7 @@ func FromResult(id string, res *harness.Result) Entry {
 	}
 	e.Sim.Incidents = append([]health.Incident(nil), res.Health...)
 	e.Sim.Exemplars = exemplar.Summarize(res.Exemplars)
-	if res.Attr != nil {
-		for _, s := range res.Attr.Summaries() {
-			e.Sim.Attribution = append(e.Sim.Attribution, PathSpans{
-				Path:       s.Path,
-				Count:      s.Count,
-				Total:      s.Total,
-				Queue:      s.Spans[stats.SpanQueue],
-				Service:    s.Spans[stats.SpanService],
-				MetaFetch:  s.Spans[stats.SpanMetaFetch],
-				SwapSerial: s.Spans[stats.SpanSwapSerial],
-				Mispredict: s.Spans[stats.SpanMispredict],
-				Other:      s.Spans[stats.SpanOther],
-			})
-		}
-	}
+	e.Sim.Attribution = res.Attr.Summaries()
 	return e
 }
 

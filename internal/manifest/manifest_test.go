@@ -393,8 +393,8 @@ func TestRealRunManifestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.AuditErr != nil || res.ConservationErr != nil {
-			t.Fatal(res.AuditErr, res.ConservationErr)
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
 		}
 		if res.WallSeconds <= 0 || res.SimCyclesPerSec <= 0 {
 			t.Fatalf("host metrics not stamped: wall=%v cps=%v", res.WallSeconds, res.SimCyclesPerSec)

@@ -84,27 +84,43 @@ func (a *Attribution) PathTotal(p DemandPath) uint64 {
 	return t
 }
 
-// SpanBreakdown is the reduced form of one path's span decomposition.
-type SpanBreakdown struct {
-	Path  string
-	Count uint64
-	Total uint64
-	Spans [NumSpans]uint64
+// PathSpans is one path's span decomposition in cycles summed over all its
+// completions: the attribution row of run manifests and silcfm-sim's -json
+// report.
+type PathSpans struct {
+	Path       string `json:"path"`
+	Count      uint64 `json:"count"`
+	Total      uint64 `json:"total"`
+	Queue      uint64 `json:"queue"`
+	Service    uint64 `json:"service"`
+	MetaFetch  uint64 `json:"meta_fetch"`
+	SwapSerial uint64 `json:"swap_serial"`
+	Mispredict uint64 `json:"mispredict"`
+	Other      uint64 `json:"other"`
 }
 
 // Summaries reduces every populated path, in DemandPath order
-// (deterministic).
-func (a *Attribution) Summaries() []SpanBreakdown {
-	var out []SpanBreakdown
+// (deterministic). Nil-safe: a nil receiver has no paths.
+func (a *Attribution) Summaries() []PathSpans {
+	if a == nil {
+		return nil
+	}
+	var out []PathSpans
 	for p := DemandPath(0); p < NumDemandPaths; p++ {
 		if a.Count[p] == 0 {
 			continue
 		}
-		out = append(out, SpanBreakdown{
-			Path:  p.String(),
-			Count: a.Count[p],
-			Total: a.PathTotal(p),
-			Spans: a.Spans[p],
+		sp := &a.Spans[p]
+		out = append(out, PathSpans{
+			Path:       p.String(),
+			Count:      a.Count[p],
+			Total:      a.PathTotal(p),
+			Queue:      sp[SpanQueue],
+			Service:    sp[SpanService],
+			MetaFetch:  sp[SpanMetaFetch],
+			SwapSerial: sp[SpanSwapSerial],
+			Mispredict: sp[SpanMispredict],
+			Other:      sp[SpanOther],
 		})
 	}
 	return out

@@ -48,7 +48,7 @@ func TestAttributionObserveAndSummaries(t *testing.T) {
 	if sums[0].Path != "nm-hit" || sums[0].Count != 1 || sums[0].Total != 42 {
 		t.Errorf("unexpected nm-hit summary: %+v", sums[0])
 	}
-	if sums[1].Path != "mispredict" || sums[1].Spans[SpanMetaFetch] != 50 {
+	if sums[1].Path != "mispredict" || sums[1].MetaFetch != 50 {
 		t.Errorf("unexpected mispredict summary: %+v", sums[1])
 	}
 }

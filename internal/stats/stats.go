@@ -403,20 +403,27 @@ func (p *PathLatencies) Observe(path DemandPath, lat uint64) {
 	p.Hist[path].Add(lat)
 }
 
-// PathSummary is the reduced form of one path's latency histogram.
+// PathSummary is the reduced form of one path's latency histogram. The json
+// tags define the demand_latency rows of silcfm-sim's -json report.
 type PathSummary struct {
-	Path          string
-	Count         uint64
-	Mean          float64
-	P50, P95, P99 uint64
+	Path  string  `json:"path"`
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean"`
+	// P50/P95/P99 are percentile bounds in cycles (bucket upper edges).
+	P50 uint64 `json:"p50"`
+	P95 uint64 `json:"p95"`
+	P99 uint64 `json:"p99"`
 	// Max is the exact worst observed latency (not a bucket bound); the tail
 	// exemplars reference it, so reports print it alongside the percentiles.
-	Max uint64
+	Max uint64 `json:"max"`
 }
 
 // Summaries reduces every populated path to count/mean/p50/p95/p99/max, in
-// DemandPath order (deterministic).
+// DemandPath order (deterministic). Nil-safe: a nil receiver has no paths.
 func (p *PathLatencies) Summaries() []PathSummary {
+	if p == nil {
+		return nil
+	}
 	var out []PathSummary
 	for i := DemandPath(0); i < NumDemandPaths; i++ {
 		h := &p.Hist[i]

@@ -71,17 +71,14 @@ func TestIncidentsAPI(t *testing.T) {
 
 	const id = "thrash/milc"
 	spec := thrashSpec()
-	spec.Publish = srv.Hook(id)
-	spec.Flightrec = &flightrec.Config{
-		OnBundle: func(b *flightrec.Bundle) { srv.AddBundle(id, b) },
-	}
+	done := harness.AttachLive(&spec, srv.Registry(), id)
 	res, err := harness.Run(spec)
+	done(res)
 	close(stop)
 	<-scraped
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	srv.Done(id, res.Health)
 	if len(res.Bundles) == 0 {
 		t.Fatal("thrash config captured no bundles")
 	}
@@ -166,7 +163,7 @@ func TestHealthzRuleMetadata(t *testing.T) {
 		t.Fatalf("live.New: %v", err)
 	}
 	defer srv.Close()
-	publishState(srv.Hook("meta"), 1000, nil)
+	publishState(srv.Registry().Hook("meta"), 1000, nil)
 
 	_, body := get(t, srv.URL()+"/healthz")
 	var hz live.Healthz

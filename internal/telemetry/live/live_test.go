@@ -53,11 +53,11 @@ func TestServerEndpointsAfterRealRun(t *testing.T) {
 	defer srv.Close()
 
 	const id = "small/milc"
-	res, err := harness.Run(tinySpec(srv.Hook(id)))
+	res, err := harness.Run(tinySpec(srv.Registry().Hook(id)))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	srv.Done(id, res.Health)
+	srv.Registry().Done(id, res.Health)
 
 	// /metrics: valid exposition, and the cumulative counters match the
 	// run's final totals (Done comes after the final partial epoch flush,
@@ -142,7 +142,7 @@ func TestHealthzGoesUnhealthyWhileIncidentOpen(t *testing.T) {
 	}
 	defer srv.Close()
 
-	hook := srv.Hook("stress")
+	hook := srv.Registry().Hook("stress")
 	inc := health.Incident{Kind: health.KindSwapThrash, FirstEpoch: 3, LastEpoch: 5, PeakSeverity: 2.5}
 	publishState(hook, 10_000, []health.Incident{inc})
 
@@ -171,7 +171,7 @@ func TestHealthzGoesUnhealthyWhileIncidentOpen(t *testing.T) {
 	}
 
 	// A late publish after Done must not resurrect the run.
-	srv.Done("stress", nil)
+	srv.Registry().Done("stress", nil)
 	publishState(hook, 30_000, []health.Incident{inc})
 	if code, _ := get(t, srv.URL()+"/healthz"); code != http.StatusOK {
 		t.Errorf("/healthz after Done: status %d, want 200 (late publish ignored)", code)
@@ -208,7 +208,7 @@ func TestServerDoesNotPerturbSimulation(t *testing.T) {
 		}
 	}()
 
-	with, err := harness.Run(tinySpec(srv.Hook("perturb")))
+	with, err := harness.Run(tinySpec(srv.Registry().Hook("perturb")))
 	close(stop)
 	if err != nil {
 		t.Fatalf("run with server: %v", err)

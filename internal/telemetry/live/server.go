@@ -11,9 +11,7 @@ import (
 	"strings"
 	"time"
 
-	"silcfm/internal/flightrec"
 	"silcfm/internal/health"
-	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/exemplar"
 )
 
@@ -89,42 +87,6 @@ func (s *Server) Close() error {
 		return s.srv.Close()
 	}
 	return nil
-}
-
-// Hook registers run id on the registry and returns the per-epoch publish
-// callback to install as harness.Spec.Publish. Nil-safe: a nil server
-// returns a nil hook, which the harness treats as "no publisher".
-func (s *Server) Hook(id string) func(telemetry.EpochState, health.Status) {
-	if s == nil {
-		return nil
-	}
-	return s.reg.Hook(id)
-}
-
-// Done marks run id complete with its final incident list.
-func (s *Server) Done(id string, final []health.Incident) {
-	if s == nil {
-		return
-	}
-	s.reg.Done(id, final)
-}
-
-// AddBundle stores one finalized postmortem bundle under hub run id run
-// (the flightrec.Config.OnBundle attachment point; see Registry.AddBundle).
-func (s *Server) AddBundle(run string, b *flightrec.Bundle) {
-	if s == nil {
-		return
-	}
-	s.reg.AddBundle(run, b)
-}
-
-// SetExemplars replaces hub run id run's tail-exemplar snapshot (the
-// exemplar.Config.OnSnapshot attachment point; see Registry.SetExemplars).
-func (s *Server) SetExemplars(run string, es []exemplar.Exemplar) {
-	if s == nil {
-		return
-	}
-	s.reg.SetExemplars(run, es)
 }
 
 func (s *Server) handleExemplars(w http.ResponseWriter, r *http.Request) {

@@ -213,7 +213,7 @@ func TestMetricsEscapesHardLabelValues(t *testing.T) {
 		t.Fatalf("live.New: %v", err)
 	}
 	defer srv.Close()
-	hook := srv.Hook(`run"with\specials`)
+	hook := srv.Registry().Hook(`run"with\specials`)
 	hook(telemetry.EpochState{
 		Sample: &telemetry.Sample{
 			Cycle:  1000,
@@ -243,7 +243,7 @@ func TestCloseIsGracefulWithSlowClient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("live.New: %v", err)
 	}
-	hook := srv.Hook("cell")
+	hook := srv.Registry().Hook("cell")
 	publishState(hook, 1000, nil)
 
 	// A slow client: opens the SSE stream and never reads another byte.

@@ -170,10 +170,8 @@ func (s *sampler) dramDelta(lv int, dev *dram.Device, span uint64) (conflicts ui
 func (s *sampler) sample() (*Sample, error) {
 	now := s.sys.Eng.Now()
 	cur := *s.sys.Stats
-	row := [2][2]uint64{
-		{s.sys.NM.Stats().RowHits, s.sys.NM.Stats().RowMisses},
-		{s.sys.FM.Stats().RowHits, s.sys.FM.Stats().RowMisses},
-	}
+	nm, fm := s.sys.NM.Stats(), s.sys.FM.Stats()
+	row := [2][2]uint64{{nm.RowHits, nm.RowMisses}, {fm.RowHits, fm.RowMisses}}
 
 	sm := Sample{
 		Epoch:      s.epoch,

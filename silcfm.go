@@ -286,72 +286,26 @@ type Report struct {
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
 }
 
+// PathLatency summarizes one service path's demand latency distribution:
+// count, mean, P50/P95/P99 bucket bounds and the exact Max, in cycles.
+type PathLatency = stats.PathSummary
+
 // PathSpans is one service path's latency attribution, in cycles summed
-// over all completions on that path.
-type PathSpans struct {
-	Path       string `json:"path"`
-	Count      uint64 `json:"count"`
-	Total      uint64 `json:"total"`
-	Queue      uint64 `json:"queue"`
-	Service    uint64 `json:"service"`
-	MetaFetch  uint64 `json:"meta_fetch"`
-	SwapSerial uint64 `json:"swap_serial"`
-	Mispredict uint64 `json:"mispredict"`
-	Other      uint64 `json:"other"`
-}
+// over all completions on that path (the manifest's attribution row).
+type PathSpans = stats.PathSpans
 
 // HealthIncident is one detected anomaly: a window of consecutive epochs
 // during which one pathology condition held (see internal/health for the
 // trigger definitions).
-type HealthIncident struct {
-	Kind         string         `json:"kind"`
-	FirstEpoch   uint64         `json:"first_epoch"`
-	LastEpoch    uint64         `json:"last_epoch"`
-	FirstCycle   uint64         `json:"first_cycle"`
-	LastCycle    uint64         `json:"last_cycle"`
-	Epochs       uint64         `json:"epochs"`
-	PeakSeverity float64        `json:"peak_severity"`
-	Evidence     HealthEvidence `json:"evidence"`
-}
+type HealthIncident = health.Incident
 
 // HealthEvidence carries the counters accumulated while an incident was
 // firing; only the fields relevant to the incident's kind are set.
-type HealthEvidence struct {
-	SwapBytes       uint64 `json:"swap_bytes,omitempty"`
-	DemandBytes     uint64 `json:"demand_bytes,omitempty"`
-	Crossings       uint64 `json:"crossings,omitempty"`
-	BypassToggles   uint64 `json:"bypass_toggles,omitempty"`
-	Locks           uint64 `json:"locks,omitempty"`
-	Unlocks         uint64 `json:"unlocks,omitempty"`
-	PeakQueueNM     int    `json:"peak_queue_nm,omitempty"`
-	PeakQueueFM     int    `json:"peak_queue_fm,omitempty"`
-	PredictorHits   uint64 `json:"predictor_hits,omitempty"`
-	PredictorMisses uint64 `json:"predictor_misses,omitempty"`
-}
-
-// PathLatency summarizes one service path's demand latency distribution.
-type PathLatency struct {
-	Path  string  `json:"path"`
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	// P50/P95/P99 are percentile bounds in cycles (bucket upper edges);
-	// Max is the exact worst observed latency.
-	P50 uint64 `json:"p50"`
-	P95 uint64 `json:"p95"`
-	P99 uint64 `json:"p99"`
-	Max uint64 `json:"max"`
-}
+type HealthEvidence = health.Evidence
 
 // ExemplarSummary is one service path's tail-exemplar reservoir reduced to
 // its manifest leaf: occupancy plus the slowest access's identity.
-type ExemplarSummary struct {
-	Path         string `json:"path"`
-	Count        int    `json:"count"`
-	WorstLatency uint64 `json:"worst_latency"`
-	WorstStart   uint64 `json:"worst_start"`
-	WorstBlock   uint64 `json:"worst_block"`
-	WorstSpan    string `json:"worst_span"`
-}
+type ExemplarSummary = exemplar.PathSummary
 
 // SpeedupOver returns base.Cycles / r.Cycles, the paper's figure of merit.
 func (r *Report) SpeedupOver(base *Report) float64 {
@@ -471,40 +425,13 @@ func runResult(o Options) (*harness.Result, error) {
 	if o.DisableExemplars {
 		spec.Exemplars = &exemplar.Config{Disabled: true}
 	}
-	var res *harness.Result
-	if o.Live != nil {
-		id := o.RunID
-		if id == "" {
-			id = string(m.Scheme) + "/" + wl
-		}
-		spec.Publish = o.Live.Hook(id)
-		if !o.DisableFlightrec {
-			// Stream finalized bundles into the hub's incident store as they
-			// are emitted; bundles are immutable, so sharing the pointer
-			// across goroutines is race-free.
-			hub := o.Live
-			spec.Flightrec = &flightrec.Config{
-				OnBundle: func(b *flightrec.Bundle) { hub.AddBundle(id, b) },
-			}
-		}
-		if !o.DisableExemplars {
-			// Publish each epoch's tail-exemplar snapshot into the hub's
-			// store; snapshots are freshly built and immutable, so sharing
-			// them across goroutines is race-free.
-			hub := o.Live
-			spec.Exemplars = &exemplar.Config{
-				OnSnapshot: func(es []exemplar.Exemplar) { hub.SetExemplars(id, es) },
-			}
-		}
-		defer func() {
-			var final []health.Incident
-			if res != nil {
-				final = res.Health
-			}
-			o.Live.Done(id, final)
-		}()
+	id := o.RunID
+	if id == "" {
+		id = string(m.Scheme) + "/" + wl
 	}
-	res, err = harness.Run(spec)
+	done := harness.AttachLive(&spec, o.Live.Registry(), id)
+	res, err := harness.Run(spec)
+	done(res)
 	if cerr := cleanup(); err == nil && cerr != nil {
 		err = fmt.Errorf("silcfm: telemetry output: %w", cerr)
 	}
@@ -526,14 +453,8 @@ func runResult(o Options) (*harness.Result, error) {
 			return nil, eerr
 		}
 	}
-	if res.AuditErr != nil {
-		return nil, fmt.Errorf("silcfm: data-integrity audit failed: %w", res.AuditErr)
-	}
-	if res.ShadowErr != nil {
-		return nil, fmt.Errorf("silcfm: shadow integrity check failed: %w", res.ShadowErr)
-	}
-	if res.ConservationErr != nil {
-		return nil, fmt.Errorf("silcfm: counter-conservation audit failed: %w", res.ConservationErr)
+	if err := res.Err(); err != nil {
+		return nil, fmt.Errorf("silcfm: %w", err)
 	}
 	return res, nil
 }
@@ -630,34 +551,6 @@ func writeHealthOut(path string, incidents []health.Incident) error {
 	return nil
 }
 
-func healthIncidents(res *harness.Result) []HealthIncident {
-	var out []HealthIncident
-	for _, in := range res.Health {
-		out = append(out, HealthIncident{
-			Kind:         in.Kind,
-			FirstEpoch:   in.FirstEpoch,
-			LastEpoch:    in.LastEpoch,
-			FirstCycle:   in.FirstCycle,
-			LastCycle:    in.LastCycle,
-			Epochs:       in.Epochs,
-			PeakSeverity: in.PeakSeverity,
-			Evidence: HealthEvidence{
-				SwapBytes:       in.Evidence.SwapBytes,
-				DemandBytes:     in.Evidence.DemandBytes,
-				Crossings:       in.Evidence.Crossings,
-				BypassToggles:   in.Evidence.BypassToggles,
-				Locks:           in.Evidence.Locks,
-				Unlocks:         in.Evidence.Unlocks,
-				PeakQueueNM:     in.Evidence.PeakQueueNM,
-				PeakQueueFM:     in.Evidence.PeakQueueFM,
-				PredictorHits:   in.Evidence.PredictorHits,
-				PredictorMisses: in.Evidence.PredictorMisses,
-			},
-		})
-	}
-	return out
-}
-
 func reportOf(res *harness.Result, topK int) *Report {
 	r := &Report{
 		Workload:          res.Workload,
@@ -678,9 +571,9 @@ func reportOf(res *harness.Result, topK int) *Report {
 		SwapsOut:          res.Mem.SwapsOut,
 		BypassedAccesses:  res.Mem.BypassedAccesses,
 		PredictorAccuracy: res.Mem.PredictorAccuracy(),
-		DemandLatency:     pathLatencies(res),
-		Attribution:       pathSpans(res),
-		Health:            healthIncidents(res),
+		DemandLatency:     res.Lat.Summaries(),
+		Attribution:       res.Attr.Summaries(),
+		Health:            res.Health,
 		WallSeconds:       res.WallSeconds,
 		SimCyclesPerSec:   res.SimCyclesPerSec,
 	}
@@ -688,16 +581,7 @@ func reportOf(res *harness.Result, topK int) *Report {
 		r.TopOffenders = res.Profile.TopOffenders(topK)
 	}
 	if len(res.Exemplars) > 0 {
-		for _, s := range exemplar.Summarize(res.Exemplars) {
-			r.Exemplars = append(r.Exemplars, ExemplarSummary{
-				Path:         s.Path,
-				Count:        s.Count,
-				WorstLatency: s.WorstLatency,
-				WorstStart:   s.WorstStart,
-				WorstBlock:   s.WorstBlock,
-				WorstSpan:    s.WorstSpan,
-			})
-		}
+		r.Exemplars = exemplar.Summarize(res.Exemplars)
 		var b strings.Builder
 		exemplar.RenderWaterfall(&b, res.Exemplars, reportWaterfallTop)
 		r.TailExemplars = b.String()
@@ -708,38 +592,3 @@ func reportOf(res *harness.Result, topK int) *Report {
 // reportWaterfallTop bounds the exemplars rendered per path in
 // Report.TailExemplars; the full reservoirs go to Options.ExemplarsOut.
 const reportWaterfallTop = 4
-
-func pathSpans(res *harness.Result) []PathSpans {
-	if res.Attr == nil {
-		return nil
-	}
-	var out []PathSpans
-	for _, s := range res.Attr.Summaries() {
-		out = append(out, PathSpans{
-			Path:       s.Path,
-			Count:      s.Count,
-			Total:      s.Total,
-			Queue:      s.Spans[stats.SpanQueue],
-			Service:    s.Spans[stats.SpanService],
-			MetaFetch:  s.Spans[stats.SpanMetaFetch],
-			SwapSerial: s.Spans[stats.SpanSwapSerial],
-			Mispredict: s.Spans[stats.SpanMispredict],
-			Other:      s.Spans[stats.SpanOther],
-		})
-	}
-	return out
-}
-
-func pathLatencies(res *harness.Result) []PathLatency {
-	if res.Lat == nil {
-		return nil
-	}
-	var out []PathLatency
-	for _, s := range res.Lat.Summaries() {
-		out = append(out, PathLatency{
-			Path: s.Path, Count: s.Count, Mean: s.Mean,
-			P50: s.P50, P95: s.P95, P99: s.P99, Max: s.Max,
-		})
-	}
-	return out
-}

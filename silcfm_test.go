@@ -3,6 +3,10 @@ package silcfm
 import (
 	"strings"
 	"testing"
+
+	"silcfm/internal/harness"
+	"silcfm/internal/health"
+	"silcfm/internal/manifest"
 )
 
 // tiny returns laptop-scale options that still exercise the full pipeline:
@@ -221,5 +225,25 @@ func TestFigure6AndFigure9Wrappers(t *testing.T) {
 	}
 	if len(f9.Rows) != 3 {
 		t.Fatalf("Figure9 rows: %d", len(f9.Rows))
+	}
+}
+
+// TestReportKeepsRowThrashEvidence: the -json report's health rows carry
+// the row-thrash evidence (row conflicts, row operations, bank imbalance)
+// the detector recorded, not just the fields of the older incident kinds.
+func TestReportKeepsRowThrashEvidence(t *testing.T) {
+	res := &harness.Result{Health: []health.Incident{{
+		Kind:     health.KindRowThrash,
+		Epochs:   3,
+		Evidence: health.Evidence{RowConflicts: 41, RowOps: 97, BankImbalance: 2.5},
+	}}}
+	b, err := manifest.Canonical(reportOf(res, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"row_conflicts": 41`, `"row_ops": 97`, `"bank_imbalance": 2.5`} {
+		if !strings.Contains(string(b), want) {
+			t.Errorf("report JSON missing %s:\n%s", want, b)
+		}
 	}
 }
