@@ -16,26 +16,27 @@ import (
 	"silcfm/internal/config"
 )
 
-// Cache is a single set-associative cache level. Line metadata is kept in
-// parallel arrays (structure-of-arrays), with the valid bit folded into the
-// stored tag word (tag<<1 | 1; 0 = invalid), so the per-access way scan is
-// a single equality compare over one contiguous array — a 16-way lookup
-// touches two cache lines of tags instead of eight lines of per-way
-// structs.
+// Cache is a single set-associative cache level of at most 16 ways. Each
+// set keeps its ways' tags contiguously as 32-bit words (tag+1; 0 =
+// invalid), so the per-access way scan is one equality compare over 64
+// bytes at 16 ways. Recency is a per-set stack of 4-bit way indices packed
+// into one uint64, most recently used way in the low nibble: a hit or fill
+// rotates its way to the front, and the true-LRU victim is the nibble at
+// depth ways-1. The stack always holds a permutation of all 16 nibbles;
+// the top ways positions are a permutation of the set's ways and the
+// positions beyond never move. Dirty bits are a per-set 16-bit mask.
 type Cache struct {
 	name     string
 	sets     uint64
 	ways     int
 	lineSize uint64
 	latency  uint64
-	tags     []uint64 // sets*ways, row-major by set; tag<<1|1, 0 = invalid
-	dirty    []bool   // sets*ways
-	lru      []uint64 // larger = more recently used
-	mru      []uint8  // per-set most-recently-touched way, probed first
-	clock    uint64   // LRU timestamp source
+	tags     []uint32 // sets*ways, row-major by set; tag+1, 0 = invalid
+	stack    []uint64 // per-set recency stack, MRU way in the low nibble
+	dirty    []uint16 // per-set dirty mask, bit w = way w
 
 	// lineShift/setShift/setMask are the shift-and-mask forms of the
-	// lineSize/sets divisions (both enforced powers of two): index() runs
+	// lineSize/sets divisions (both enforced powers of two): lookup() runs
 	// once per reference per level, and hardware divides dominate it
 	// otherwise.
 	lineShift uint
@@ -45,8 +46,22 @@ type Cache struct {
 	Hits, Misses, Writebacks uint64
 }
 
-// New builds a cache from its configuration.
+// identityStack is the initial recency stack: nibble k holds way k.
+const identityStack uint64 = 0xFEDCBA9876543210
+
+// nibbleOnes has a 1 in every nibble; nibbleHighs the high bit of each.
+const (
+	nibbleOnes  uint64 = 0x1111111111111111
+	nibbleHighs uint64 = 0x8888888888888888
+)
+
+// New builds a cache from its configuration. It panics on a geometry the
+// packed layout cannot represent; config.Machine.Validate rejects those
+// first.
 func New(name string, cfg config.CacheConfig) *Cache {
+	if cfg.Ways < 1 || cfg.Ways > 16 {
+		panic(fmt.Sprintf("cache %s: %d ways outside 1..16", name, cfg.Ways))
+	}
 	sets := cfg.Size / (cfg.LineSize * uint64(cfg.Ways))
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, sets))
@@ -54,24 +69,23 @@ func New(name string, cfg config.CacheConfig) *Cache {
 	if cfg.LineSize == 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
 		panic(fmt.Sprintf("cache %s: line size %d not a power of two", name, cfg.LineSize))
 	}
-	if cfg.Ways > 256 {
-		panic(fmt.Sprintf("cache %s: %d ways overflows the uint8 MRU index", name, cfg.Ways))
-	}
-	n := sets * uint64(cfg.Ways)
-	return &Cache{
+	c := &Cache{
 		name:      name,
 		sets:      sets,
 		ways:      cfg.Ways,
 		lineSize:  cfg.LineSize,
 		latency:   cfg.LatencyCyc,
-		tags:      make([]uint64, n),
-		dirty:     make([]bool, n),
-		lru:       make([]uint64, n),
-		mru:       make([]uint8, sets),
+		tags:      make([]uint32, sets*uint64(cfg.Ways)),
+		stack:     make([]uint64, sets),
+		dirty:     make([]uint16, sets),
 		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
 		setShift:  uint(bits.TrailingZeros64(sets)),
 		setMask:   sets - 1,
 	}
+	for i := range c.stack {
+		c.stack[i] = identityStack
+	}
+	return c
 }
 
 // Latency returns the hit latency in CPU cycles.
@@ -80,97 +94,109 @@ func (c *Cache) Latency() uint64 { return c.latency }
 // Sets returns the number of sets (for tests).
 func (c *Cache) Sets() uint64 { return c.sets }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// lookup returns addr's set and its tag word (tag+1), widened to 64 bits
+// so that a tag too large for the stored 32-bit word matches no way and
+// reaches the fill path, which rejects it.
+func (c *Cache) lookup(addr uint64) (set, want uint64) {
 	blk := addr >> c.lineShift
-	return blk & c.setMask, blk >> c.setShift
+	return blk & c.setMask, blk>>c.setShift + 1
+}
+
+// setTags returns the tag words of set.
+func (c *Cache) setTags(set uint64) []uint32 {
+	base := set * uint64(c.ways)
+	return c.tags[base : base+uint64(c.ways)]
+}
+
+// touch moves way w to the front of recency stack st. The stack holds each
+// nibble value once, so the lowest zero nibble of st^(w*nibbleOnes) is w's
+// depth (the borrow trick is exact for the lowest zero nibble).
+func touch(st uint64, w int) uint64 {
+	x := st ^ uint64(w)*nibbleOnes
+	shift := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHighs)) &^ 3
+	below := st & (1<<shift - 1)
+	above := st &^ (1<<(shift+4) - 1)
+	return above | below<<4 | uint64(w)
 }
 
 // Access performs a read or write lookup. On a miss it allocates the line,
-// evicting the LRU way. It returns hit, and for misses the evicted victim:
-// wbAddr/wbDirty describe a valid victim line that must be written back if
-// dirty.
+// evicting the first invalid way, else the LRU way. It returns hit, and for
+// misses the evicted victim: victimAddr/victimDirty describe a valid victim
+// line that must be written back if dirty.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victimAddr uint64, victimValid, victimDirty bool) {
-	set, tag := c.index(addr)
-	base := set * uint64(c.ways)
-	c.clock++
-	want := tag<<1 | 1
+	set, want := c.lookup(addr)
+	tags := c.setTags(set)
+	st := c.stack[set]
 
-	// Lookup: probe the set's most-recently-touched way first. Hit streams
-	// are heavily biased toward it (temporal locality), so the common case
-	// is one compare instead of a way scan; a wrong guess just falls
-	// through to the full scan below.
-	if i := base + uint64(c.mru[set]); c.tags[i] == want {
-		c.Hits++
-		c.lru[i] = c.clock
-		if write {
-			c.dirty[i] = true
-		}
-		return true, 0, false, false
-	}
-	for i := base; i < base+uint64(c.ways); i++ {
-		if c.tags[i] == want {
+	// Lookup: one scan over the set's tag words, which also notes the
+	// first invalid way for victim selection. The recency stack is loaded
+	// alongside, independent of the scan, and written only when the hit
+	// way was not already the most recent.
+	victim := -1
+	for w, t := range tags {
+		if uint64(t) == want {
 			c.Hits++
-			c.lru[i] = c.clock
-			c.mru[set] = uint8(i - base)
+			if int(st&0xF) != w {
+				c.stack[set] = touch(st, w)
+			}
 			if write {
-				c.dirty[i] = true
+				c.dirty[set] |= 1 << w
 			}
 			return true, 0, false, false
+		}
+		if t == 0 && victim < 0 {
+			victim = w
 		}
 	}
 	c.Misses++
 
-	// Victim selection: invalid way first, else LRU.
-	victim := base
-	var oldest uint64 = ^uint64(0)
-	for i := base; i < base+uint64(c.ways); i++ {
-		if c.tags[i] == 0 {
-			victim = i
-			oldest = 0
-			break
-		}
-		if c.lru[i] < oldest {
-			oldest = c.lru[i]
-			victim = i
-		}
-	}
-	victimValid = c.tags[victim] != 0
-	victimDirty = victimValid && c.dirty[victim]
-	if victimValid {
-		victimAddr = ((c.tags[victim]>>1)*c.sets + set) * c.lineSize
+	if victim < 0 {
+		victim = int(st>>(4*uint(c.ways-1))) & 0xF
+		victimValid = true
+		victimDirty = c.dirty[set]>>victim&1 != 0
+		victimAddr = ((uint64(tags[victim]-1)<<c.setShift | set) << c.lineShift)
 		if victimDirty {
 			c.Writebacks++
 		}
 	}
-	c.tags[victim] = want
-	c.dirty[victim] = write
-	c.lru[victim] = c.clock
-	c.mru[set] = uint8(victim - base)
+	if want > 1<<32-1 {
+		panic(fmt.Sprintf("cache %s: address %#x overflows the 32-bit tag", c.name, addr))
+	}
+	tags[victim] = uint32(want)
+	bit := uint16(1) << victim
+	if write {
+		c.dirty[set] |= bit
+	} else {
+		c.dirty[set] &^= bit
+	}
+	c.stack[set] = touch(st, victim)
 	return false, victimAddr, victimValid, victimDirty
 }
 
 // Probe reports whether addr is present without updating state.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	base := set * uint64(c.ways)
-	for i := base; i < base+uint64(c.ways); i++ {
-		if c.tags[i] == tag<<1|1 {
+	set, want := c.lookup(addr)
+	for _, t := range c.setTags(set) {
+		if uint64(t) == want {
 			return true
 		}
 	}
 	return false
 }
 
-// Invalidate drops addr if present, returning whether it was dirty.
+// Invalidate drops addr if present, returning whether it was dirty. The
+// way keeps its recency position: an invalid way is refilled before any
+// LRU eviction, and the refill moves it to the front.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	base := set * uint64(c.ways)
-	for i := base; i < base+uint64(c.ways); i++ {
-		if c.tags[i] == tag<<1|1 {
-			d := c.dirty[i]
-			c.tags[i] = 0
-			c.dirty[i] = false
-			return true, d
+	set, want := c.lookup(addr)
+	tags := c.setTags(set)
+	for w, t := range tags {
+		if uint64(t) == want {
+			bit := uint16(1) << w
+			dirty = c.dirty[set]&bit != 0
+			tags[w] = 0
+			c.dirty[set] &^= bit
+			return true, dirty
 		}
 	}
 	return false, false

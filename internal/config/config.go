@@ -314,6 +314,9 @@ func (m Machine) Validate() error {
 	if m.NM.Capacity%memunits.BlockSize != 0 || m.FM.Capacity%memunits.BlockSize != 0 {
 		return fmt.Errorf("config: capacities must be multiples of %d", memunits.BlockSize)
 	}
+	if m.NM.Capacity == 0 {
+		return fmt.Errorf("config: NM capacity must be positive")
+	}
 	if m.FM.Capacity%m.NM.Capacity != 0 {
 		return fmt.Errorf("config: FM capacity %d not a multiple of NM capacity %d", m.FM.Capacity, m.NM.Capacity)
 	}
@@ -330,9 +333,50 @@ func (m Machine) Validate() error {
 		if c.LineSize != memunits.SubblockSize {
 			return fmt.Errorf("config: cache line size %d != subblock size", c.LineSize)
 		}
+		// The cache keeps a 4-bit recency stack per set, and indexes
+		// sets with a mask.
+		if c.Ways < 1 || c.Ways > 16 {
+			return fmt.Errorf("config: cache ways %d outside 1..16", c.Ways)
+		}
 		if c.Size%(c.LineSize*uint64(c.Ways)) != 0 {
 			return fmt.Errorf("config: cache size %d not divisible into %d ways", c.Size, c.Ways)
+		}
+		if sets := c.Size / (c.LineSize * uint64(c.Ways)); !isPow2(sets) {
+			return fmt.Errorf("config: cache set count %d not a power of two", sets)
+		}
+	}
+	for _, d := range []DRAMConfig{m.NM, m.FM} {
+		if err := d.validate(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
+
+// validate checks the device geometry the DRAM model decodes addresses
+// with (shifts and masks, so every factor a power of two) and the bus
+// parameters it divides by.
+func (d DRAMConfig) validate() error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"channels", d.Channels},
+		{"ranks per channel", d.RanksPerChan},
+		{"banks per rank", d.BanksPerRank},
+		{"row-buffer blocks", int(d.RowBufferSize / 64)},
+	} {
+		if f.n <= 0 || !isPow2(uint64(f.n)) {
+			return fmt.Errorf("config: %s %s %d is not a positive power of two", d.Name, f.name, f.n)
+		}
+	}
+	if d.RowBufferSize%64 != 0 {
+		return fmt.Errorf("config: %s row buffer %d bytes not a whole number of 64-byte blocks", d.Name, d.RowBufferSize)
+	}
+	if d.BusMHz == 0 || d.BusWidthBits == 0 {
+		return fmt.Errorf("config: %s bus %d MHz x %d bits must be nonzero", d.Name, d.BusMHz, d.BusWidthBits)
+	}
+	return nil
+}
+
+func isPow2(n uint64) bool { return n != 0 && n&(n-1) == 0 }

@@ -107,6 +107,7 @@ func TestValidateRejections(t *testing.T) {
 		{"bad core", func(m *Machine) { m.Core.MSHRs = 0 }},
 		{"bad line size", func(m *Machine) { m.L1D.LineSize = 32 }},
 		{"indivisible cache", func(m *Machine) { m.L2.Size = 1<<20 + 64 }},
+		{"zero NM capacity", func(m *Machine) { m.NM.Capacity = 0 }},
 	}
 	for _, c := range cases {
 		m := Default()
@@ -121,5 +122,38 @@ func TestEnergyOrdering(t *testing.T) {
 	nm, fm := HBM(1), DDR3(1)
 	if nm.ReadEnergyPJPerBit >= fm.ReadEnergyPJPerBit {
 		t.Fatal("HBM access energy must be below DDR3 (paper: die-stacked DRAM's low energy)")
+	}
+}
+
+// TestValidateRejectsPanickingGeometry pins one case per geometry that used
+// to pass Validate and then panic while the machine was built: each must
+// now come back as an error, and Validate itself must not panic.
+func TestValidateRejectsPanickingGeometry(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Machine)
+	}{
+		{"L2 set count not a power of two", func(m *Machine) { m.L2.Size = 12 << 20 }},
+		{"L1 zero ways", func(m *Machine) { m.L1D.Ways = 0 }},
+		{"L2 17 ways", func(m *Machine) { m.L2.Ways = 17; m.L2.Size = 17 * 64 * 8192 }},
+		{"L2 negative ways", func(m *Machine) { m.L2.Ways = -4 }},
+		{"FM zero channels", func(m *Machine) { m.FM.Channels = 0 }},
+		{"NM three channels", func(m *Machine) { m.NM.Channels = 3 }},
+		{"FM zero ranks", func(m *Machine) { m.FM.RanksPerChan = 0 }},
+		{"NM zero banks", func(m *Machine) { m.NM.BanksPerRank = 0 }},
+		{"FM six banks", func(m *Machine) { m.FM.BanksPerRank = 6 }},
+		{"NM row buffer under one block", func(m *Machine) { m.NM.RowBufferSize = 32 }},
+		{"FM row buffer of 96 blocks", func(m *Machine) { m.FM.RowBufferSize = 96 * 64 }},
+		{"FM zero bus clock", func(m *Machine) { m.FM.BusMHz = 0 }},
+		{"NM zero bus width", func(m *Machine) { m.NM.BusWidthBits = 0 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := Default()
+			c.mut(&m)
+			if err := m.Validate(); err == nil {
+				t.Fatal("Validate accepted a geometry the simulator cannot build")
+			}
+		})
 	}
 }

@@ -39,7 +39,8 @@ type Core struct {
 	blockedAt   sim.Cycle
 	finished    bool
 
-	// runFn is c.run bound once, so rescheduling the core never allocates.
+	// runFn is c.runTop bound once, so rescheduling the core never
+	// allocates.
 	runFn func()
 	// ref is the reference-stream scratch slot. It lives on the core (not
 	// the run loop's stack) because its address crosses the Generator
@@ -84,7 +85,7 @@ func NewCore(id int, cfg config.CoreConfig, eng *sim.Engine, gen workload.Genera
 		id: id, cfg: cfg, eng: eng, gen: gen, hier: hier,
 		xlate: xlate, ctl: ctl, target: target,
 	}
-	c.runFn = c.run
+	c.runFn = c.runTop
 	return c
 }
 
@@ -94,9 +95,14 @@ func (c *Core) Start() { c.eng.At(0, c.runFn) }
 // Done reports whether the core has retired its target.
 func (c *Core) Done() bool { return c.finished }
 
+// runTop is the core's scheduled event: run at top level of the engine's
+// dispatch.
+func (c *Core) runTop() { c.run(true) }
+
 // run executes references until the core must wait for simulated time or
-// for a miss to complete.
-func (c *Core) run() {
+// for a miss to complete. top reports that run is the engine's top-level
+// event callback, the only place it may advance the clock itself.
+func (c *Core) run(top bool) {
 	if c.finished {
 		return
 	}
@@ -121,8 +127,12 @@ func (c *Core) run() {
 			return
 		}
 		// The core's logical clock has outrun the simulation: yield and
-		// resume when the engine catches up.
-		if c.clock > c.eng.Now() {
+		// resume when the engine catches up. At top level, when nothing
+		// else is due by then, the wakeup would be the very next event,
+		// so the core advances the clock and keeps going instead. A
+		// nested run (resumed inside a miss completion) must schedule:
+		// its caller still runs after it at the completion's cycle.
+		if c.clock > c.eng.Now() && !(top && c.eng.AdvanceTo(c.clock)) {
 			c.eng.At(c.clock, c.runFn)
 			return
 		}
@@ -182,7 +192,7 @@ func (c *Core) completeMiss(instrAt uint64) {
 		if c.clock < c.eng.Now() {
 			c.clock = c.eng.Now()
 		}
-		c.run()
+		c.run(false)
 	}
 }
 

@@ -191,3 +191,54 @@ func TestWritebacksFlowToMemory(t *testing.T) {
 	}
 	_ = cx
 }
+
+// delayCtl completes every access a fixed delay after Handle, from its own
+// engine event, and checks that the clock has not moved when the access's
+// completion callback returns — the position of a DRAM channel re-kick,
+// which runs after the completion and reads the clock.
+type delayCtl struct {
+	t       *testing.T
+	eng     *sim.Engine
+	delay   sim.Cycle
+	handled int
+}
+
+func (d *delayCtl) Name() string                  { return "delay" }
+func (d *delayCtl) Locate(pa uint64) mem.Location { return mem.Location{DevAddr: pa} }
+func (d *delayCtl) Handle(a *mem.Access) {
+	d.handled++
+	done := a.Done
+	d.eng.After(d.delay, func() {
+		at := d.eng.Now()
+		done()
+		if now := d.eng.Now(); now != at {
+			d.t.Fatalf("completion callback moved the clock %d -> %d", at, now)
+		}
+	})
+}
+
+// TestNestedResumeKeepsClock pins that a core resumed inside a miss
+// completion schedules its next step instead of advancing the clock
+// itself. Misses 200 instructions apart stall the 128-entry ROB, so every
+// completion resumes the core nested; the L1 hit that follows each miss
+// then puts the core's clock ahead of the engine.
+func TestNestedResumeKeepsClock(t *testing.T) {
+	refs := make([]workload.Ref, 1024)
+	for i := range refs {
+		va := uint64(i/2) * 4096
+		refs[i] = workload.Ref{PC: 1, VAddr: va, Gap: 8}
+		if i%2 == 0 {
+			refs[i].Gap = 192
+		}
+	}
+	m := config.Small()
+	m.Cores = 1
+	eng := sim.NewEngine()
+	ctl := &delayCtl{t: t, eng: eng, delay: 300}
+	cx := NewComplex(m, eng, []workload.Generator{&fixedGen{refs: refs}}, ident, ctl, 50_000)
+	cx.Start()
+	eng.Run()
+	if !cx.AllDone() || ctl.handled == 0 {
+		t.Fatalf("done=%v after %d misses", cx.AllDone(), ctl.handled)
+	}
+}

@@ -11,6 +11,9 @@
 package dram
 
 import (
+	"fmt"
+	"math/bits"
+
 	"silcfm/internal/config"
 	"silcfm/internal/sim"
 )
@@ -118,47 +121,37 @@ type bankState struct {
 	readyAt sim.Cycle // earliest start of the next command on this bank
 }
 
-// opQueue is a FIFO of ops with a consumed-prefix head index. FR-FCFS only
-// ever removes from within the bounded scheduling window at the front, so
-// removal shifts the short live prefix [0, pick) right by one — O(window) —
-// instead of shifting the unbounded tail left, which dominated the
-// scheduler's cost on long write queues.
+// opQueue is a FIFO of indices into the device's op arena, with a
+// consumed-prefix head index. FR-FCFS only ever removes from within the
+// bounded scheduling window at the front, so removal shifts the short live
+// prefix [0, pick) right by one — O(window) 4-byte moves — instead of
+// shifting the unbounded tail left. The ops themselves never move: they
+// stay in their arena slot from submit to issue.
 type opQueue struct {
-	ops  []op
+	idx  []int32
 	head int
 }
 
-// pushSlot appends a zeroed op and returns it for in-place fill, avoiding
-// a pass-by-value copy of the wide op struct.
-func (q *opQueue) pushSlot() *op {
-	q.ops = append(q.ops, op{})
-	return &q.ops[len(q.ops)-1]
-}
+func (q *opQueue) len() int         { return len(q.idx) - q.head }
+func (q *opQueue) slot(i int) int32 { return q.idx[q.head+i] }
 
-func (q *opQueue) len() int     { return len(q.ops) - q.head }
-func (q *opQueue) at(i int) *op { return &q.ops[q.head+i] }
-
-// drop discards the op at live position i, preserving the FIFO order of the
-// remainder exactly. The caller must be done with any pointer obtained from
-// at(): the shift invalidates it.
-func (q *opQueue) drop(i int) {
+// remove discards the entry at live position i, preserving the FIFO order
+// of the remainder exactly, and returns its arena slot.
+func (q *opQueue) remove(i int) int32 {
 	p := q.head + i
-	copy(q.ops[q.head+1:p+1], q.ops[q.head:p])
-	q.ops[q.head] = op{} // release Done/Trace references
+	s := q.idx[p]
+	copy(q.idx[q.head+1:p+1], q.idx[q.head:p])
 	q.head++
-	if q.head == len(q.ops) {
-		q.ops = q.ops[:0]
+	if q.head == len(q.idx) {
+		q.idx = q.idx[:0]
 		q.head = 0
 	} else if q.head >= 1024 {
 		// A queue that never fully drains would otherwise grow its dead
 		// prefix without bound; compact it occasionally.
-		n := copy(q.ops, q.ops[q.head:])
-		for j := n; j < len(q.ops); j++ {
-			q.ops[j] = op{}
-		}
-		q.ops = q.ops[:n]
+		q.idx = q.idx[:copy(q.idx, q.idx[q.head:])]
 		q.head = 0
 	}
+	return s
 }
 
 type channel struct {
@@ -230,6 +223,12 @@ type Device struct {
 	// freeComp is the completion free list (see completion).
 	freeComp *completion
 
+	// ops is the arena every queued op lives in, from Submit until issue;
+	// the channel queues hold indices into it. freeOps lists the vacant
+	// slots, so the arena stops growing at the peak queued count.
+	ops     []op
+	freeOps []int32
+
 	// queued mirrors QueueDepth() incrementally (ops submitted but not
 	// yet issued, across all channels); peakQueued is its high-water mark
 	// since the last TakePeakQueueDepth, for the telemetry epoch sampler.
@@ -242,13 +241,20 @@ type Device struct {
 	bankCtr []BankCounters
 	chanCtr []ChannelCounters
 	// bankQueued mirrors, per bank, the ops submitted but not yet issued —
-	// the O(1) backing for BankLoad.
+	// the O(1) backing for BankState.
 	bankQueued []int32
 
-	// geometry, precomputed
+	// geometry, precomputed; every factor is a power of two (config.
+	// Machine.Validate), so mapAddr decodes with shifts and masks.
 	nChan        uint64
 	banksPerChan uint64
-	blocksPerRow uint64
+	chanShift    uint
+	bankShift    uint
+	rowShift     uint
+
+	// burst64 is the bus occupancy of one 64-byte transfer, the size of
+	// almost every request.
+	burst64 sim.Cycle
 
 	// timing in CPU cycles, precomputed
 	tCAS, tRCD, tRP, tRAS, tWR sim.Cycle
@@ -259,14 +265,26 @@ type Device struct {
 	maxInflight int
 }
 
-// New builds a device on the given engine.
+// log2 returns the exponent of the power of two n, panicking otherwise.
+func log2(n uint64) uint {
+	if n == 0 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("dram: geometry factor %d is not a power of two", n))
+	}
+	return uint(bits.TrailingZeros64(n))
+}
+
+// New builds a device on the given engine. Channels, banks per channel and
+// 64-byte blocks per row must be powers of two.
 func New(cfg config.DRAMConfig, eng *sim.Engine) *Device {
 	d := &Device{
 		Cfg:          cfg,
 		eng:          eng,
 		nChan:        uint64(cfg.Channels),
 		banksPerChan: uint64(cfg.RanksPerChan * cfg.BanksPerRank),
-		blocksPerRow: cfg.RowBufferSize / 64,
+		chanShift:    log2(uint64(cfg.Channels)),
+		bankShift:    log2(uint64(cfg.RanksPerChan * cfg.BanksPerRank)),
+		rowShift:     log2(cfg.RowBufferSize / 64),
+		burst64:      cfg.BurstCPUCycles(64),
 		tCAS:         cfg.MemCyclesToCPU(cfg.Timing.TCAS),
 		tRCD:         cfg.MemCyclesToCPU(cfg.Timing.TRCD),
 		tRP:          cfg.MemCyclesToCPU(cfg.Timing.TRP),
@@ -341,23 +359,18 @@ func (d *Device) TotalChannelCounters() ChannelCounters {
 	return t
 }
 
-// RowOpen reports whether the row holding addr is currently open in its
-// bank's row buffer — the locality query a row-buffer-aware placement
-// scheme asks before steering an access. O(1); allocation-free. Refreshes
-// are applied lazily at issue time, so a row reported open here may still
-// be closed by a pending refresh before the next access issues.
-func (d *Device) RowOpen(addr uint64) bool {
+// BankState reports, with one address decode, whether the row holding
+// addr is currently open in its bank's row buffer and how many requests
+// are queued (submitted, not yet issued) for that bank — the locality and
+// contention signals a row-buffer- or occupancy-aware steering policy
+// asks for. O(1); allocation-free. Refreshes are applied lazily at issue
+// time, so a row reported open here may still be closed by a pending
+// refresh before the next access issues.
+func (d *Device) BankState(addr uint64) (rowOpen bool, load int) {
 	ch, bank, row := d.mapAddr(addr)
 	b := &d.chans[ch].banks[bank]
-	return b.openRow >= 0 && uint64(b.openRow) == row
-}
-
-// BankLoad reports how many requests are queued (submitted, not yet
-// issued) for the bank holding addr — the contention signal for
-// bank-occupancy-aware steering. O(1); allocation-free.
-func (d *Device) BankLoad(addr uint64) int {
-	ch, bank, _ := d.mapAddr(addr)
-	return int(d.bankQueued[ch*int(d.banksPerChan)+bank])
+	return b.openRow >= 0 && uint64(b.openRow) == row,
+		int(d.bankQueued[ch*int(d.banksPerChan)+bank])
 }
 
 // mapAddr decomposes a device address: 64B blocks interleave across
@@ -365,11 +378,10 @@ func (d *Device) BankLoad(addr uint64) int {
 // 8KB row buffer wraps, so streaming accesses enjoy row hits.
 func (d *Device) mapAddr(addr uint64) (ch int, bank int, row uint64) {
 	blk := addr >> 6
-	ch = int(blk % d.nChan)
-	bc := blk / d.nChan
-	bank = int(bc % d.banksPerChan)
-	bcb := bc / d.banksPerChan
-	row = bcb / d.blocksPerRow
+	ch = int(blk & (d.nChan - 1))
+	bc := blk >> d.chanShift
+	bank = int(bc & (d.banksPerChan - 1))
+	row = bc >> d.bankShift >> d.rowShift
 	return
 }
 
@@ -386,7 +398,7 @@ func (d *Device) Submit(r Request) {
 	if r.Write || r.Background {
 		q = &c.writeQ
 	}
-	s := q.pushSlot()
+	s := d.pushSlot(q)
 	s.req = r
 	s.bank = bank
 	s.row = row
@@ -397,6 +409,22 @@ func (d *Device) Submit(r Request) {
 		d.peakQueued = d.queued
 	}
 	d.kick(ch)
+}
+
+// pushSlot appends a zeroed arena op to q and returns it for in-place
+// fill, avoiding a pass-by-value copy of the wide op struct. The pointer
+// is valid until the next pushSlot.
+func (d *Device) pushSlot(q *opQueue) *op {
+	var i int32
+	if n := len(d.freeOps); n > 0 {
+		i = d.freeOps[n-1]
+		d.freeOps = d.freeOps[:n-1]
+	} else {
+		d.ops = append(d.ops, op{})
+		i = int32(len(d.ops) - 1)
+	}
+	q.idx = append(q.idx, i)
+	return &d.ops[i]
 }
 
 // kick issues as many ops as the inflight bound allows on channel ch.
@@ -414,7 +442,7 @@ func (d *Device) kick(ch int) {
 // selectOp implements FR-FCFS with write draining over the bounded
 // scheduling windows. It returns the queue and live position of the chosen
 // op (nil when nothing is queued); the caller consumes the op in place and
-// drops it, so selection never copies the wide op struct.
+// removes it, so selection never copies the wide op struct.
 func (d *Device) selectOp(c *channel) (*opQueue, int) {
 	// Enter drain mode when the write queue saturates its window; drain a
 	// small batch so waiting reads are not starved. Reads otherwise have
@@ -445,7 +473,7 @@ func (d *Device) selectOp(c *channel) (*opQueue, int) {
 	// First ready (row hit) within the window, else oldest.
 	pick := 0
 	for i := 0; i < window; i++ {
-		o := q.at(i)
+		o := &d.ops[q.slot(i)]
 		b := &c.banks[o.bank]
 		if b.openRow >= 0 && uint64(b.openRow) == o.row {
 			pick = i
@@ -487,9 +515,11 @@ func (d *Device) refreshCatchup(ch int, c *channel, now sim.Cycle) {
 }
 
 // issue computes the timing of the op at live position pick of q, reserves
-// bank and bus, schedules its completion, and drops the op from the queue.
+// bank and bus, schedules its completion, and returns the op's arena slot
+// to the free list.
 func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
-	o := q.at(pick)
+	slot := q.remove(pick)
+	o := &d.ops[slot]
 	b := &c.banks[o.bank]
 	bc := &d.bankCtr[ch*int(d.banksPerChan)+o.bank]
 	cc := &d.chanCtr[ch]
@@ -533,7 +563,10 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 		b.openRow = int64(o.row)
 	}
 
-	burst := d.Cfg.BurstCPUCycles(o.req.Bytes + o.req.MetaBytes)
+	burst := d.burst64
+	if n := o.req.Bytes + o.req.MetaBytes; n != 64 {
+		burst = d.Cfg.BurstCPUCycles(n)
+	}
 	var dataAt sim.Cycle
 	if o.req.Write {
 		// Write data moves over the bus at the column command.
@@ -607,9 +640,9 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	comp.isRead = !o.req.Write
 	comp.cb = o.req.Done
 	comp.tr = o.req.Trace
-	bank := o.bank
-	q.drop(pick) // o is dead past this point
-	d.bankQueued[ch*int(d.banksPerChan)+bank]--
+	d.bankQueued[ch*int(d.banksPerChan)+o.bank]--
+	*o = op{} // release Done/Trace references
+	d.freeOps = append(d.freeOps, slot)
 	d.queued--
 	d.eng.At(done, comp.fireFn)
 }
@@ -622,8 +655,8 @@ func (d *Device) PendingBytes() uint64 {
 	var n uint64
 	for i := range d.chans {
 		for _, q := range []*opQueue{&d.chans[i].readQ, &d.chans[i].writeQ} {
-			for _, o := range q.ops[q.head:] {
-				n += o.req.Bytes + o.req.MetaBytes
+			for _, i := range q.idx[q.head:] {
+				n += d.ops[i].req.Bytes + d.ops[i].req.MetaBytes
 			}
 		}
 	}
@@ -656,7 +689,7 @@ func (d *Device) QueueDepth() int {
 // UnloadedReadLatency returns the CPU-cycle latency of an isolated read that
 // misses the row buffer on an idle device (activate + column + burst).
 func (d *Device) UnloadedReadLatency() sim.Cycle {
-	return d.tRCD + d.tCAS + d.Cfg.BurstCPUCycles(64)
+	return d.tRCD + d.tCAS + d.burst64
 }
 
 // Join returns a callback that invokes fn after being called n times. It is

@@ -102,8 +102,9 @@ func TestMapAddrInjective(t *testing.T) {
 		cy, by, ry := d.mapAddr(y)
 		// Same (channel,bank,row) is allowed only for different columns;
 		// reconstruct column block to check full injectivity.
-		colx := (x >> 6) / d.nChan / d.banksPerChan % d.blocksPerRow
-		coly := (y >> 6) / d.nChan / d.banksPerChan % d.blocksPerRow
+		blocksPerRow := d.Cfg.RowBufferSize / 64
+		colx := (x >> 6) / d.nChan / d.banksPerChan % blocksPerRow
+		coly := (y >> 6) / d.nChan / d.banksPerChan % blocksPerRow
 		return !(cx == cy && bx == by && rx == ry && colx == coly)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -618,16 +619,17 @@ func TestMapAddrPartitionProperty(t *testing.T) {
 	// interleave turn) stays in one row for exactly blocksPerRow steps, then
 	// advances to the next row.
 	stride := uint64(nCh*nBk) * 64
-	steps := 3 * d.blocksPerRow
+	blocksPerRow := d.Cfg.RowBufferSize / 64
+	steps := 3 * blocksPerRow
 	ch0, bk0, _ := d.mapAddr(0)
 	for s := uint64(0); s < steps; s++ {
 		ch, bank, row := d.mapAddr(s * stride)
 		if ch != ch0 || bank != bk0 {
 			t.Fatalf("step %d left the bank: (%d,%d), want (%d,%d)", s, ch, bank, ch0, bk0)
 		}
-		if want := s / d.blocksPerRow; row != want {
+		if want := s / blocksPerRow; row != want {
 			t.Fatalf("step %d row = %d, want %d (row must wrap every %d same-bank blocks)",
-				s, row, want, d.blocksPerRow)
+				s, row, want, blocksPerRow)
 		}
 	}
 }
@@ -640,7 +642,7 @@ func TestSelectOpFRFCFS(t *testing.T) {
 	_, d := newFM(t)
 	c := &d.chans[0]
 	push := func(bank int, row uint64) {
-		s := c.readQ.pushSlot()
+		s := d.pushSlot(&c.readQ)
 		s.bank = bank
 		s.row = row
 	}
@@ -662,7 +664,7 @@ func TestSelectOpFRFCFS(t *testing.T) {
 
 	// A row hit parked beyond the scheduling window must not be selected.
 	c.banks[0].openRow = 5
-	c.readQ.ops = c.readQ.ops[:0]
+	c.readQ.idx = c.readQ.idx[:0]
 	c.readQ.head = 0
 	for i := 0; i < d.Cfg.ReadQueueLen; i++ {
 		push(0, 7) // in-window: all conflicts
@@ -675,7 +677,7 @@ func TestSelectOpFRFCFS(t *testing.T) {
 
 // TestIntrospectionLedgersReconcile drives a mixed load and checks the
 // per-bank/per-channel ledgers against the aggregate Stats they refine,
-// plus the RowOpen/BankLoad query API.
+// plus the BankState query API.
 func TestIntrospectionLedgersReconcile(t *testing.T) {
 	eng, d := newFM(t)
 	// Conflict pair: same channel+bank, different rows.
@@ -726,32 +728,32 @@ func TestIntrospectionLedgersReconcile(t *testing.T) {
 	// the conflicting row in the same bank reads as closed.
 	d.Submit(Request{Addr: 0})
 	eng.Run()
-	if !d.RowOpen(0) {
-		t.Fatal("RowOpen(0) = false immediately after a read")
+	if open, _ := d.BankState(0); !open {
+		t.Fatal("BankState(0) reports the row closed immediately after a read")
 	}
-	if d.RowOpen(confStride) {
-		t.Fatal("RowOpen reports the conflicting row open")
+	if open, _ := d.BankState(confStride); open {
+		t.Fatal("BankState reports the conflicting row open")
 	}
 
 	// Bank load: flood one bank without draining; every queued op targets it.
 	for i := 0; i < 40; i++ {
 		d.Submit(Request{Addr: 0})
 	}
-	if got, want := d.BankLoad(0), d.QueueDepth(); got != want {
-		t.Fatalf("BankLoad = %d, want queued depth %d", got, want)
+	if _, got := d.BankState(0); got != d.QueueDepth() {
+		t.Fatalf("bank load = %d, want queued depth %d", got, d.QueueDepth())
 	}
-	if d.BankLoad(64) != 0 { // next channel's bank is idle
-		t.Fatalf("BankLoad(64) = %d, want 0", d.BankLoad(64))
+	if _, got := d.BankState(64); got != 0 { // next channel's bank is idle
+		t.Fatalf("BankState(64) load = %d, want 0", got)
 	}
 	eng.Run()
-	if d.BankLoad(0) != 0 {
-		t.Fatalf("drained BankLoad = %d, want 0", d.BankLoad(0))
+	if _, got := d.BankState(0); got != 0 {
+		t.Fatalf("drained bank load = %d, want 0", got)
 	}
 }
 
 // TestIntrospectionAllocFree extends the steady-state allocation pin to the
 // new counter paths and the query API: per-bank/per-channel accounting,
-// RowOpen/BankLoad and ledger snapshots must all be allocation-free.
+// BankState and ledger snapshots must all be allocation-free.
 func TestIntrospectionAllocFree(t *testing.T) {
 	eng, d := newFM(t)
 	done := func() {}
@@ -765,10 +767,11 @@ func TestIntrospectionAllocFree(t *testing.T) {
 	avg := testing.AllocsPerRun(500, func() {
 		d.Submit(Request{Addr: 4096, Done: done})
 		d.Submit(Request{Addr: 8192, Write: true, Done: done})
-		if d.RowOpen(4096) {
+		open, load := d.BankState(4096)
+		if open {
 			sink++
 		}
-		sink += uint64(d.BankLoad(4096))
+		sink += uint64(load)
 		eng.Run()
 		sink += d.TotalBankCounters().RowHits + d.TotalChannelCounters().BusBusyCycles
 	})

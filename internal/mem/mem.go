@@ -43,6 +43,13 @@ type Access struct {
 	sys  *System
 	path stats.DemandPath
 
+	// Issue is the context an issue observer (the exemplar recorder)
+	// sampled when the demand was dispatched; HasIssue reports whether one
+	// did. Reset clears both, so a pooled access never carries a previous
+	// demand's context.
+	Issue    DemandContext
+	HasIssue bool
+
 	// traceFn/completeFn are this access's callbacks (SpanTrace and the
 	// DemandDone completion), bound lazily on first use and then reused —
 	// a pooled access recycled through Reset never allocates them again.
@@ -59,6 +66,7 @@ func (a *Access) Reset(core int, pc, paddr uint64, write bool, start uint64, don
 	a.sys = nil
 	a.path = 0
 	a.spans = [stats.NumSpans]uint64{}
+	a.Issue, a.HasIssue = DemandContext{}, false
 }
 
 // AddSpan charges cycles of this access's latency to span s.
@@ -89,6 +97,18 @@ func (a *Access) SpanTrace() func(queue, service uint64) {
 type Location struct {
 	Level   stats.MemLevel
 	DevAddr uint64 // subblock-aligned device-local address
+}
+
+// DemandContext is the instantaneous system state sampled around one
+// demand access: where its subblock sat, the scheme's lock state for its
+// block (LockProbe) and the target DRAM bank's row-buffer and queue state.
+type DemandContext struct {
+	Cycle    uint64
+	Loc      Location
+	Locked   bool
+	LockHome bool
+	RowOpen  bool
+	BankLoad int
 }
 
 // Controller is a flat-memory organization scheme.

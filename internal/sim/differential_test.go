@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -12,6 +13,7 @@ type sched interface {
 	Now() Cycle
 	At(when Cycle, fn func())
 	Step() bool
+	AdvanceTo(t Cycle) bool
 }
 
 // refSched is a deliberately simple reference scheduler: one flat event
@@ -33,6 +35,11 @@ func (r *refSched) At(when Cycle, fn func()) {
 	r.seq++
 	r.evs = append(r.evs, event{when: when, seq: r.seq, fn: fn})
 }
+
+// AdvanceTo never advances: the reference always takes the long way and
+// schedules the continuation, which is what a successful AdvanceTo must be
+// indistinguishable from.
+func (r *refSched) AdvanceTo(Cycle) bool { return false }
 
 func (r *refSched) Step() bool {
 	if len(r.evs) == 0 {
@@ -61,48 +68,72 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// dispatch is one dispatch record: the event's ID and the clock it ran at.
+type dispatch struct {
+	id  int
+	now Cycle
+}
+
 // scriptedRun drives s with a deterministic event program: roots scheduled
 // from seed, and every fired event re-entrantly scheduling 0-3 children at
 // offsets that exercise same-cycle ties (0), short delays (wheel), past
-// times (clamp), and far-future delays (heap fallback). It returns the
-// dispatch order as event IDs.
-func scriptedRun(s sched, seed uint64, roots, maxEvents int) []int {
-	var order []int
+// times (clamp), and far-future delays (heap fallback). With yields set,
+// an event may also end by continuing itself at a later time the way a
+// core does: AdvanceTo the target and run the continuation inline, or
+// schedule it when AdvanceTo refuses. drain runs the scheduler to
+// completion (nil: Step until empty). It returns the dispatch records.
+func scriptedRun(s sched, seed uint64, roots, maxEvents int, yields bool, drain func()) []dispatch {
+	var order []dispatch
 	nextID := 0
 	total := 0
+
+	// offset picks a target time from hc: same cycle, past, short,
+	// anywhere in the wheel, or beyond the wheel horizon.
+	offset := func(hc uint64) Cycle {
+		switch hc % 5 {
+		case 0:
+			return s.Now() // same-cycle tie with anything pending
+		case 1:
+			// Past time: must clamp to now and dispatch after
+			// already-pending same-cycle events.
+			back := Cycle(hc >> 8 % 100)
+			if back > s.Now() {
+				back = s.Now()
+			}
+			return s.Now() - back
+		case 2:
+			return s.Now() + Cycle(hc>>8%8) // short: wheel path
+		case 3:
+			return s.Now() + Cycle(hc>>8%(wheelSize-1)) + 1
+		default:
+			// Far future: beyond the wheel horizon, heap path.
+			return s.Now() + wheelSize + Cycle(hc>>8%5000)
+		}
+	}
 
 	var fire func(id int) func()
 	fire = func(id int) func() {
 		return func() {
-			order = append(order, id)
+			order = append(order, dispatch{id, s.Now()})
 			h := splitmix64(seed ^ uint64(id)*0x9e3779b9)
 			children := int(h % 4) // 0..3
 			for c := 0; c < children && total < maxEvents; c++ {
-				hc := splitmix64(h + uint64(c))
-				var when Cycle
-				switch hc % 5 {
-				case 0:
-					when = s.Now() // same-cycle tie with anything pending
-				case 1:
-					// Past time: must clamp to now and dispatch after
-					// already-pending same-cycle events.
-					back := Cycle(hc >> 8 % 100)
-					if back > s.Now() {
-						back = s.Now()
-					}
-					when = s.Now() - back
-				case 2:
-					when = s.Now() + Cycle(hc>>8%8) // short: wheel path
-				case 3:
-					when = s.Now() + Cycle(hc>>8%(wheelSize-1)) + 1
-				default:
-					// Far future: beyond the wheel horizon, heap path.
-					when = s.Now() + wheelSize + Cycle(hc>>8%5000)
-				}
 				id := nextID
 				nextID++
 				total++
-				s.At(when, fire(id))
+				s.At(offset(splitmix64(h+uint64(c))), fire(id))
+			}
+			if hy := splitmix64(h ^ 0x5eed); yields && hy%3 == 0 && total < maxEvents {
+				id := nextID
+				nextID++
+				total++
+				// Nothing follows the continuation in this callback, so
+				// running it inline is a top-level continuation.
+				if t := offset(hy >> 2); s.AdvanceTo(t) {
+					fire(id)()
+				} else {
+					s.At(t, fire(id))
+				}
 			}
 		}
 	}
@@ -115,9 +146,28 @@ func scriptedRun(s sched, seed uint64, roots, maxEvents int) []int {
 		when := Cycle(rng.Intn(3 * wheelSize))
 		s.At(when, fire(id))
 	}
-	for s.Step() {
+	if drain == nil {
+		drain = func() {
+			for s.Step() {
+			}
+		}
 	}
+	drain()
 	return order
+}
+
+// sameOrder fails t at the first dispatch where got and want differ.
+func sameOrder(t *testing.T, label string, got, want []dispatch) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: dispatched %d events, reference dispatched %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: dispatch diverges at position %d: engine=%+v reference=%+v",
+				label, i, got[i], want[i])
+		}
+	}
 }
 
 // TestDifferentialWheelVsHeap runs the production Engine against the
@@ -125,18 +175,83 @@ func scriptedRun(s sched, seed uint64, roots, maxEvents int) []int {
 // identical dispatch order, event for event.
 func TestDifferentialWheelVsHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
-		got := scriptedRun(NewEngine(), seed, 40, 4000)
-		want := scriptedRun(&refSched{}, seed, 40, 4000)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: dispatched %d events, reference dispatched %d",
-				seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: dispatch order diverges at position %d: engine=%d reference=%d",
-					seed, i, got[i], want[i])
+		got := scriptedRun(NewEngine(), seed, 40, 4000, false, nil)
+		want := scriptedRun(&refSched{}, seed, 40, 4000, false, nil)
+		sameOrder(t, fmt.Sprintf("seed %d", seed), got, want)
+	}
+}
+
+// TestDifferentialAdvanceTo runs event programs whose events continue
+// themselves through AdvanceTo — into same-cycle ties, past times, the
+// wheel and beyond it, where far-heap events may already be due — and
+// requires the engine to match the reference, which always schedules the
+// continuation, event for event and clock for clock. The programs run
+// under Step and under RunUntil in short chunks, whose limit AdvanceTo
+// must respect.
+func TestDifferentialAdvanceTo(t *testing.T) {
+	advanced := 0
+	for seed := uint64(1); seed <= 60; seed++ {
+		want := scriptedRun(&refSched{}, seed, 40, 4000, true, nil)
+		e := NewEngine()
+		got := scriptedRun(e, seed, 40, 4000, true, nil)
+		sameOrder(t, fmt.Sprintf("seed %d, Step", seed), got, want)
+		advanced += len(got) - int(e.seq)
+
+		e = NewEngine()
+		chunk := Cycle(1 + seed*37%700)
+		got = scriptedRun(e, seed, 40, 4000, true, func() {
+			for e.Pending() > 0 {
+				e.RunUntil(e.Now() + chunk)
 			}
+		})
+		sameOrder(t, fmt.Sprintf("seed %d, RunUntil chunk %d", seed, chunk), got, want)
+	}
+	// Every dispatch record without a scheduled event was an inline
+	// continuation: the programs must actually exercise the fast path.
+	if advanced == 0 {
+		t.Fatal("no AdvanceTo call succeeded; the test exercises nothing")
+	}
+}
+
+// TestAdvanceToRefusals pins AdvanceTo's guards directly: it refuses when
+// a wheel or far-heap event is due at or before the target (including a
+// same-cycle tie) or when the target passes the running dispatch's limit,
+// and leaves the clock untouched when it refuses.
+func TestAdvanceToRefusals(t *testing.T) {
+	e := NewEngine()
+	var res []bool
+	probe := func(target Cycle) func() {
+		return func() {
+			before := e.Now()
+			ok := e.AdvanceTo(target)
+			if !ok && e.Now() != before {
+				t.Errorf("refused AdvanceTo(%d) moved the clock %d -> %d", target, before, e.Now())
+			}
+			if ok && e.Now() != max(target, before) {
+				t.Errorf("AdvanceTo(%d) left the clock at %d", target, e.Now())
+			}
+			res = append(res, ok)
 		}
+	}
+	e.At(10, probe(50))    // wheel event at 50 pending: tie refuses
+	e.At(50, func() {})    //
+	e.At(60, probe(99))    // nothing due by 99: advances
+	e.At(100, probe(2000)) // far event at 1500 due first: refuses
+	e.At(1500, func() {})
+	e.At(1600, probe(1700)) // nothing due by 1700: advances
+	e.At(1800, probe(1800)) // same cycle, nothing else pending: succeeds
+	e.Run()
+	want := []bool{false, true, false, true, true}
+	if fmt.Sprint(res) != fmt.Sprint(want) {
+		t.Fatalf("AdvanceTo results %v, want %v", res, want)
+	}
+
+	e = NewEngine()
+	res = res[:0]
+	e.At(5, probe(40))
+	e.RunUntil(20) // limit 20: advancing to 40 would pass it
+	if len(res) != 1 || res[0] || e.Now() != 20 {
+		t.Fatalf("AdvanceTo past the RunUntil limit: result %v, clock %d", res, e.Now())
 	}
 }
 

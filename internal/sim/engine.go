@@ -16,7 +16,30 @@
 // hand-rolled min-heap. Dispatch merges the two sources by exact
 // (when, seq) order, so the hybrid is observably identical — event for
 // event — to a single priority queue.
+//
+// A 1024-bit occupancy bitmap, one bit per wheel bucket, finds the next
+// occupied bucket: dispatch masks off the buckets before now and takes
+// TrailingZeros64 of the first nonzero word, wrapping once around the
+// wheel, so a sparse wheel costs at most 17 word tests instead of a
+// bucket-by-bucket scan.
+//
+// AdvanceTo(t) moves the clock forward to t without dispatching, and only
+// when no pending event is due at or before t and t lies within the limit
+// of the dispatch in progress. A component running as a top-level event
+// uses it to keep running where it would otherwise schedule a wakeup at t
+// and return: that wakeup would carry the newest sequence number and so
+// dispatch right after every event due at or before t, which is none, and
+// nothing can run in between. The merge is only exact at top level. Code
+// running nested inside another event's callback must schedule instead,
+// since the enclosing callback still runs after it and would see the
+// advanced clock: a core resumed by a DRAM completion, for example,
+// returns into the device, which re-kicks its channel at Now(). The merge
+// also skips the RunWhile condition check that would have preceded the
+// wakeup; the harness condition (every core done) cannot flip while a core
+// is still running.
 package sim
+
+import "math/bits"
 
 // Cycle is a point in simulated time, measured in CPU clock cycles.
 type Cycle = uint64
@@ -31,6 +54,8 @@ const (
 	wheelBits = 10
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
+
+	wheelWords = wheelSize / 64
 )
 
 type event struct {
@@ -48,17 +73,15 @@ type Engine struct {
 	// [now, now+wheelSize), in seq (FIFO) order. heads[i] is the consume
 	// index into buckets[i]: drained prefixes are skipped rather than
 	// shifted, and a fully drained bucket resets to len 0 keeping its
-	// capacity. wheelCount totals the undispatched wheel events.
+	// capacity. occ has bit i set while buckets[i] holds undispatched
+	// events; wheelCount totals them.
 	buckets    [][]event
 	heads      []int
+	occ        [wheelWords]uint64
 	wheelCount int
 
-	// scanMin is a lower bound on the earliest occupied wheel cycle: every
-	// bucket for a cycle < scanMin is known empty. Dispatch resumes its
-	// bucket scan here instead of rescanning from now each call (the scan
-	// is the dispatch hot loop when events are sparse); At lowers it when
-	// an insert lands earlier.
-	scanMin Cycle
+	// limit is the bound of the dispatch in progress (see AdvanceTo).
+	limit Cycle
 
 	// far is a hand-rolled min-heap ordered by (when, seq) for events at
 	// least wheelSize cycles out. Events are popped directly from it when
@@ -93,10 +116,8 @@ func (e *Engine) At(when Cycle, fn func()) {
 		}
 		b := int(when & wheelMask)
 		e.buckets[b] = append(e.buckets[b], event{when: when, seq: e.seq, fn: fn})
+		e.occ[b>>6] |= 1 << (b & 63)
 		e.wheelCount++
-		if when < e.scanMin {
-			e.scanMin = when
-		}
 		return
 	}
 	e.farPush(event{when: when, seq: e.seq, fn: fn})
@@ -111,50 +132,46 @@ func (e *Engine) Step() bool {
 	return e.dispatchUpTo(^Cycle(0))
 }
 
+// nextWheel returns the earliest cycle holding a wheel event, if any. The
+// wheel only holds [now, now+wheelSize), so the first occupied bucket in
+// circular order from now's bucket is the earliest.
+func (e *Engine) nextWheel() (Cycle, bool) {
+	if e.wheelCount == 0 {
+		return 0, false
+	}
+	start := int(e.now & wheelMask)
+	w := start >> 6
+	word := e.occ[w] &^ (1<<(start&63) - 1)
+	// wheelWords+1 probes: the start word's bits below start (the cycles a
+	// full revolution away) are tested again last.
+	for i := 0; i <= wheelWords; i++ {
+		if word != 0 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			return e.now + Cycle((b-start)&wheelMask), true
+		}
+		w = (w + 1) & (wheelWords - 1)
+		word = e.occ[w]
+	}
+	panic("sim: wheel count and occupancy bitmap disagree")
+}
+
 // dispatchUpTo dispatches the single earliest pending event if its time is
 // <= limit, advancing the clock to it. The earliest event is the (when, seq)
 // minimum across the wheel and the far heap.
 func (e *Engine) dispatchUpTo(limit Cycle) bool {
-	farOK := len(e.far) > 0
-	var farWhen Cycle
-	if farOK {
-		farWhen = e.far[0].when
-	}
-
-	if e.wheelCount > 0 {
-		// Scan buckets upward from now (or from scanMin, which skips the
-		// prefix already proven empty). Every event in bucket t&wheelMask
-		// has when == t exactly (the wheel only holds [now, now+wheelSize)),
-		// so the first nonempty bucket is the earliest wheel event, already
-		// in seq order.
-		t := e.now
-		if e.scanMin > t {
-			t = e.scanMin
-		}
-		for ; t-e.now < wheelSize; t++ {
-			if farOK && farWhen < t {
-				// A far event is due strictly before the next wheel event.
-				e.scanMin = t
-				break
-			}
-			b := int(t & wheelMask)
-			if e.heads[b] >= len(e.buckets[b]) {
-				continue
-			}
-			e.scanMin = t
-			if t > limit {
-				return false
-			}
-			if farOK && farWhen == t && e.far[0].seq < e.buckets[b][e.heads[b]].seq {
-				// Same-cycle tie: the far event was scheduled first.
-				break
-			}
+	e.limit = limit
+	t, wheelOK := e.nextWheel()
+	if wheelOK && t <= limit {
+		b := int(t & wheelMask)
+		if len(e.far) == 0 || t < e.far[0].when ||
+			(t == e.far[0].when && e.buckets[b][e.heads[b]].seq < e.far[0].seq) {
 			ev := e.buckets[b][e.heads[b]]
 			e.buckets[b][e.heads[b]] = event{} // release the fn reference
 			e.heads[b]++
 			if e.heads[b] == len(e.buckets[b]) {
 				e.buckets[b] = e.buckets[b][:0]
 				e.heads[b] = 0
+				e.occ[b>>6] &^= 1 << (b & 63)
 			}
 			e.wheelCount--
 			e.now = ev.when
@@ -162,12 +179,34 @@ func (e *Engine) dispatchUpTo(limit Cycle) bool {
 			return true
 		}
 	}
-	if !farOK || farWhen > limit {
+	if len(e.far) == 0 || e.far[0].when > limit {
 		return false
 	}
 	ev := e.farPop()
 	e.now = ev.when
 	ev.fn()
+	return true
+}
+
+// AdvanceTo moves the clock to t and reports true when no pending event is
+// due at or before t and t is within the limit of the dispatch in
+// progress; otherwise it changes nothing and reports false. A t in the
+// past means Now, as in At. Only a top-level event callback may use it in
+// place of scheduling its own continuation at t (see the package comment).
+func (e *Engine) AdvanceTo(t Cycle) bool {
+	if t < e.now {
+		t = e.now
+	}
+	if t > e.limit {
+		return false
+	}
+	if w, ok := e.nextWheel(); ok && w <= t {
+		return false
+	}
+	if len(e.far) > 0 && e.far[0].when <= t {
+		return false
+	}
+	e.now = t
 	return true
 }
 

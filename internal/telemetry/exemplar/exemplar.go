@@ -112,16 +112,6 @@ type Exemplar struct {
 	Gauges        []mem.Gauge `json:"gauges,omitempty"`
 }
 
-// pointCtx is the compact in-reservoir form of a PointContext.
-type pointCtx struct {
-	cycle    uint64
-	loc      mem.Location
-	locked   bool
-	lockHome bool
-	rowOpen  bool
-	bankLoad int
-}
-
 // slot is one reservoir entry. The openKinds and gauges buffers are
 // allocated once per slot and reused across evictions, so steady-state
 // admission never allocates.
@@ -136,8 +126,8 @@ type slot struct {
 	lat      uint64
 	spans    [stats.NumSpans]uint64
 	hasIssue bool
-	issue    pointCtx
-	done     pointCtx
+	issue    mem.DemandContext
+	done     mem.DemandContext
 	epoch    uint64
 	open     []bool // health.Kinds() order
 	gauges   []mem.Gauge
@@ -210,12 +200,6 @@ type Recorder struct {
 	res [stats.NumDemandPaths]reservoir
 	seq uint64
 
-	// inflight holds issue-time context keyed by the access pointer
-	// (pooled accesses are stable for the life of one demand). Entries
-	// are removed at completion; the map reaches the peak in-flight count
-	// and then stops growing, so steady state allocates nothing.
-	inflight map[*mem.Access]pointCtx
-
 	// Epoch context as of the last Observe: copied into slots at
 	// admission via per-slot buffers.
 	epoch       uint64
@@ -232,12 +216,11 @@ func New(cfg Config, sys *mem.System, ctl mem.Controller) *Recorder {
 		return nil
 	}
 	r := &Recorder{
-		cfg:      cfg.withDefaults(),
-		eng:      sys.Eng,
-		sys:      sys,
-		ctl:      ctl,
-		kinds:    health.Kinds(),
-		inflight: make(map[*mem.Access]pointCtx),
+		cfg:   cfg.withDefaults(),
+		eng:   sys.Eng,
+		sys:   sys,
+		ctl:   ctl,
+		kinds: health.Kinds(),
 	}
 	r.lp, _ = ctl.(mem.LockProbe)
 	r.kindIdx = make(map[string]int, len(r.kinds))
@@ -275,16 +258,11 @@ func (r *Recorder) Relocate(src, dst mem.Location)                 {}
 
 // pointAt samples the instantaneous context of flat address pa serviced at
 // loc: lock state plus the target bank's open-row and queue-load state.
-func (r *Recorder) pointAt(pa uint64, loc mem.Location) pointCtx {
-	dev := r.sys.Device(loc.Level)
-	p := pointCtx{
-		cycle:    r.eng.Now(),
-		loc:      loc,
-		rowOpen:  dev.RowOpen(loc.DevAddr),
-		bankLoad: dev.BankLoad(loc.DevAddr),
-	}
+func (r *Recorder) pointAt(pa uint64, loc mem.Location) mem.DemandContext {
+	p := mem.DemandContext{Cycle: r.eng.Now(), Loc: loc}
+	p.RowOpen, p.BankLoad = r.sys.Device(loc.Level).BankState(loc.DevAddr)
 	if r.lp != nil {
-		p.locked, p.lockHome = r.lp.LockState(pa)
+		p.Locked, p.LockHome = r.lp.LockState(pa)
 	}
 	return p
 }
@@ -292,12 +270,13 @@ func (r *Recorder) pointAt(pa uint64, loc mem.Location) pointCtx {
 // --- mem.DemandIssueObserver ------------------------------------------
 
 // DemandIssue captures issue-time context for a demand dispatched through
-// ServiceAccess/SwapAccess, before any synchronous completion can fire.
+// ServiceAccess/SwapAccess, before any synchronous completion can fire. The
+// context rides on the access itself (mem.Access.Issue) until completion.
 func (r *Recorder) DemandIssue(a *mem.Access, path stats.DemandPath, loc mem.Location) {
 	if r == nil {
 		return
 	}
-	r.inflight[a] = r.pointAt(a.PAddr, loc)
+	a.Issue, a.HasIssue = r.pointAt(a.PAddr, loc), true
 }
 
 // --- mem.DemandObserver -----------------------------------------------
@@ -311,17 +290,13 @@ func (r *Recorder) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint
 		return
 	}
 	r.seq++
-	ic, hasIssue := r.inflight[a]
-	if hasIssue {
-		delete(r.inflight, a)
-	}
 	if path < 0 || path >= stats.NumDemandPaths {
 		return
 	}
 	rv := &r.res[path]
 	if rv.n < len(rv.slots) {
 		s := &rv.slots[rv.n]
-		r.fill(s, a, lat, ic, hasIssue)
+		r.fill(s, a, lat)
 		rv.n++
 		rv.siftUp(rv.n - 1)
 		return
@@ -333,20 +308,20 @@ func (r *Recorder) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint
 	if lat < root.lat || (lat == root.lat && a.Start > root.start) || (lat == root.lat && a.Start == root.start) {
 		return
 	}
-	r.fill(root, a, lat, ic, hasIssue)
+	r.fill(root, a, lat)
 	rv.siftDown(0)
 }
 
 // fill overwrites s with the completed access, reusing s's buffers.
-func (r *Recorder) fill(s *slot, a *mem.Access, lat uint64, ic pointCtx, hasIssue bool) {
+func (r *Recorder) fill(s *slot, a *mem.Access, lat uint64) {
 	s.seq = r.seq
 	s.core, s.pc, s.paddr, s.write = a.Core, a.PC, a.PAddr, a.Write
 	s.start = a.Start
 	s.complete = r.eng.Now()
 	s.lat = lat
 	s.spans = a.Spans()
-	s.hasIssue = hasIssue
-	s.issue = ic
+	s.hasIssue = a.HasIssue
+	s.issue = a.Issue
 	loc := r.sys.HomeLocation(a.PAddr)
 	if r.ctl != nil {
 		loc = r.ctl.Locate(a.PAddr)
@@ -416,15 +391,15 @@ func (r *Recorder) exemplarOf(s *slot, path stats.DemandPath) Exemplar {
 	return e
 }
 
-func jsonPoint(p *pointCtx) PointContext {
+func jsonPoint(p *mem.DemandContext) PointContext {
 	return PointContext{
-		Cycle:    p.cycle,
-		Level:    p.loc.Level.String(),
-		DevAddr:  p.loc.DevAddr,
-		Locked:   p.locked,
-		LockHome: p.lockHome,
-		RowOpen:  p.rowOpen,
-		BankLoad: p.bankLoad,
+		Cycle:    p.Cycle,
+		Level:    p.Loc.Level.String(),
+		DevAddr:  p.Loc.DevAddr,
+		Locked:   p.Locked,
+		LockHome: p.LockHome,
+		RowOpen:  p.RowOpen,
+		BankLoad: p.BankLoad,
 	}
 }
 

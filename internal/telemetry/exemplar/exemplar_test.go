@@ -226,7 +226,7 @@ func TestSteadyStateAdmissionDoesNotAllocate(t *testing.T) {
 	loc := sys.HomeLocation(64)
 	a := &mem.Access{}
 	lat := uint64(100)
-	// Warm up: fill the reservoir and reach the peak in-flight map size.
+	// Warm up: fill the reservoir.
 	for i := 0; i < 8; i++ {
 		lat++
 		a.Reset(0, 0, 64, false, 0, nil)
@@ -245,6 +245,46 @@ func TestSteadyStateAdmissionDoesNotAllocate(t *testing.T) {
 		t.Fatalf("steady-state admission allocates %.1f per access, want 0", allocs)
 	}
 	_ = eng
+}
+
+// TestIssueContextRidesOnPooledAccess pins where issue-time context lives:
+// on the access itself. A pool of accesses, all in flight at once, issues
+// and completes with no allocation from the very first round (there is no
+// side table to grow), and a pooled access reused through Reset without a
+// new DemandIssue carries no stale context into its next exemplar.
+func TestIssueContextRidesOnPooledAccess(t *testing.T) {
+	_, sys, r := newRecorder(t, 4)
+	pool := make([]mem.Access, 64)
+	lat := uint64(1000)
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := range pool {
+			pool[i].Reset(i%4, 0, uint64(i)*64, false, 0, nil)
+			r.DemandIssue(&pool[i], stats.PathNMHit, sys.HomeLocation(uint64(i)*64))
+		}
+		for i := range pool {
+			lat++
+			r.DemandComplete(&pool[i], stats.PathNMHit, lat)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("issue+complete over %d in-flight pooled accesses allocates %.1f per round, want 0",
+			len(pool), allocs)
+	}
+	for _, e := range r.Snapshot() {
+		if e.Issue == nil {
+			t.Fatalf("exemplar seq %d lost its issue context", e.Seq)
+		}
+	}
+
+	a := &pool[0]
+	a.Reset(0, 0, 64, false, 0, nil)
+	if a.HasIssue {
+		t.Fatal("Reset kept the previous demand's issue context")
+	}
+	r.DemandComplete(a, stats.PathFM, 1)
+	if es := r.Finish(); len(es) == 0 || es[len(es)-1].Path != stats.PathFM.String() || es[len(es)-1].Issue != nil {
+		t.Fatal("a reused access completing without DemandIssue must record no issue context")
+	}
 }
 
 func TestSummarizeCountsAndWorst(t *testing.T) {

@@ -64,6 +64,19 @@ type AddressSpace struct {
 // well under 1 MiB.
 const tlbSize = 32768
 
+// tlbCoreStride spreads cores across the translation cache: CoreVA puts
+// the core above bit coreShift, far above the index bits, so without it
+// one VA on every core would share a slot. Core c's pages are offset by
+// c*tlbCoreStride slots, giving 16 cores disjoint 2048-page regions.
+const tlbCoreStride = tlbSize / 16
+
+// coreShift is the VA bit where CoreVA places the core ID; pageShift is
+// log2 of the 2 KB page.
+const (
+	coreShift = 44
+	pageShift = 11
+)
+
 type tlbEntry struct {
 	vpage uint64
 	pf    uint64
@@ -118,17 +131,24 @@ func NewAddressSpace(nmBytes, fmBytes uint64, policy Policy, seed int64) *Addres
 // CoreVA embeds a core ID into a virtual address so multiprogrammed
 // instances never share pages.
 func CoreVA(core int, va uint64) uint64 {
-	return uint64(core)<<44 | va&(1<<44-1)
+	return uint64(core)<<coreShift | va&(1<<coreShift-1)
+}
+
+// tlbSlot returns the translation-cache index of vpage, with the core bits
+// folded in (see tlbCoreStride).
+func tlbSlot(vpage uint64) uint64 {
+	core := vpage >> (coreShift - pageShift)
+	return (vpage ^ core*tlbCoreStride) & (tlbSize - 1)
 }
 
 // Translate maps a virtual address to a flat physical address, allocating a
 // frame on first touch. It returns an error when physical memory is
 // exhausted.
 func (a *AddressSpace) Translate(va uint64) (uint64, error) {
-	vpage := va >> 11
-	e := &a.tlb[vpage&(tlbSize-1)]
+	vpage := va >> pageShift
+	e := &a.tlb[tlbSlot(vpage)]
 	if e.ok && e.vpage == vpage {
-		return e.pf<<11 | va&(memunits.BlockSize-1), nil
+		return e.pf<<pageShift | va&(memunits.BlockSize-1), nil
 	}
 	pf, ok := a.pageTable[vpage]
 	if !ok {
@@ -141,7 +161,7 @@ func (a *AddressSpace) Translate(va uint64) (uint64, error) {
 		a.pagesTouched++
 	}
 	*e = tlbEntry{vpage: vpage, pf: pf, ok: true}
-	return pf<<11 | va&(memunits.BlockSize-1), nil
+	return pf<<pageShift | va&(memunits.BlockSize-1), nil
 }
 
 // MustTranslate is Translate for callers that have pre-sized memory.

@@ -153,3 +153,28 @@ func TestPolicyString(t *testing.T) {
 		t.Fatal("policy names")
 	}
 }
+
+// TestTranslationCacheSpreadsCores pins the core fold of the translation
+// cache index: one page's CoreVA aliases on 16 cores must land in 16
+// distinct slots, and translation stays correct through the cache.
+func TestTranslationCacheSpreadsCores(t *testing.T) {
+	const va = 0x123456
+	seen := map[uint64]int{}
+	for core := 0; core < 16; core++ {
+		slot := tlbSlot(CoreVA(core, va) >> pageShift)
+		if prev, dup := seen[slot]; dup {
+			t.Fatalf("cores %d and %d share translation-cache slot %d", prev, core, slot)
+		}
+		seen[slot] = core
+	}
+	a := NewAddressSpace(1<<20, 4<<20, PolicyInterleaved, 1)
+	first := make([]uint64, 16)
+	for core := range first {
+		first[core] = a.MustTranslate(CoreVA(core, va))
+	}
+	for core := range first {
+		if pa := a.MustTranslate(CoreVA(core, va)); pa != first[core] {
+			t.Fatalf("core %d: cached translation %#x, first touch %#x", core, pa, first[core])
+		}
+	}
+}
