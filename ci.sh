@@ -4,7 +4,7 @@
 # detector. Run from the repo root.
 #
 #   ./ci.sh          # every stage below, each once, in this order
-#   ./ci.sh fast     # only gofmt, vet, build and the race-tested fast-fail packages
+#   ./ci.sh fast     # only gofmt, vet, build, the perfbench module and the race-tested fast-fail packages
 #   ./ci.sh bench    # only the bench-smoke + manifest-diff stage
 #   ./ci.sh perf     # only the perf-regression stage (speed/alloc bands)
 #   ./ci.sh live     # only the live-server endpoint + inertness stage
@@ -20,7 +20,9 @@ set -eu
 fast_pkgs="./internal/stats ./internal/mem ./internal/telemetry ./internal/manifest
 ./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar"
 
-# Fast-fail stage: formatting, vet and build over the whole module, then the
+# Fast-fail stage: formatting, vet and build over the whole module, vet and
+# tests of the nested perfbench module (the root ./... patterns skip it, and
+# it compiles against the simulator's plane constructors), then the
 # fast-fail packages under the race detector, so broken instrumentation
 # fails in seconds, not after the full sweep-driven suite.
 fast_gate() {
@@ -32,6 +34,8 @@ fast_gate() {
 	fi
 	go vet ./...
 	go build ./...
+	go -C perfbench vet .
+	go -C perfbench test .
 	go test -race $fast_pkgs
 }
 

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -180,48 +181,31 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		cfg.Telemetry = func(label, wl string) *telemetry.Config {
+		// A file that cannot be created fails its run (and the driver);
+		// Sweep closes the files already opened into tc.
+		cfg.Telemetry = func(label, wl string) (*telemetry.Config, error) {
 			tc := &telemetry.Config{EpochCycles: *metricsEpoch, TraceLimit: *traceLimit}
 			name := label + "_" + wl
-			if *metricsDir != "" {
-				path := filepath.Join(*metricsDir, name+".jsonl")
+			for _, out := range []struct {
+				dir, suffix, kind string
+				w                 *io.Writer
+			}{
+				{*metricsDir, ".jsonl", "metrics", &tc.MetricsW},
+				{*traceDir, ".json", "trace", &tc.TraceW},
+				{*profileDir, ".profile.jsonl", "profile", &tc.ProfileW},
+			} {
+				if out.dir == "" {
+					continue
+				}
+				path := filepath.Join(out.dir, name+out.suffix)
 				f, err := os.Create(path)
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "silcfm-experiments:", err)
-					return nil
+					return tc, err
 				}
-				tc.MetricsW = f
-				files.add(label, wl, "metrics", path)
+				*out.w = f
+				files.add(label, wl, out.kind, path)
 			}
-			if *traceDir != "" {
-				path := filepath.Join(*traceDir, name+".json")
-				f, err := os.Create(path)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "silcfm-experiments:", err)
-					if c, ok := tc.MetricsW.(*os.File); ok {
-						c.Close()
-					}
-					return nil
-				}
-				tc.TraceW = f
-				files.add(label, wl, "trace", path)
-			}
-			if *profileDir != "" {
-				path := filepath.Join(*profileDir, name+".profile.jsonl")
-				f, err := os.Create(path)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "silcfm-experiments:", err)
-					for _, w := range []any{tc.MetricsW, tc.TraceW} {
-						if c, ok := w.(*os.File); ok {
-							c.Close()
-						}
-					}
-					return nil
-				}
-				tc.ProfileW = f
-				files.add(label, wl, "profile", path)
-			}
-			return tc
+			return tc, nil
 		}
 	}
 
@@ -277,7 +261,7 @@ func main() {
 				if *manifestOut != "" {
 					man.Add(manifest.FromResult("table3/base/"+wl, r))
 				}
-				writeCell("base", wl, r)
+				writeCell("baseline", wl, r)
 			}
 		})
 	}

@@ -222,21 +222,11 @@ func (t *wbToken) fire() {
 	t.cx.freeWB = t
 }
 
-// NewComplex builds n cores running the given per-core generators against a
-// shared hierarchy and controller, all retiring the same instruction
-// target. Dirty LLC victims are written back through the controller.
-func NewComplex(m config.Machine, eng *sim.Engine, gens []workload.Generator,
-	xlate Translate, ctl mem.Controller, targetInstr uint64) *Complex {
-	targets := make([]uint64, len(gens))
-	for i := range targets {
-		targets[i] = targetInstr
-	}
-	return NewComplexTargets(m, eng, gens, xlate, ctl, targets)
-}
-
-// NewComplexTargets is NewComplex with per-core instruction targets, for
-// heterogeneous multiprogrammed mixes where each instance runs a different
-// benchmark (and so a different class-scaled target).
+// NewComplexTargets builds one core per generator against a shared
+// hierarchy and controller; core i retires targets[i] instructions (per-core
+// targets serve heterogeneous multiprogrammed mixes, where each instance
+// runs a different benchmark and so a different class-scaled target). Dirty
+// LLC victims are written back through the controller.
 func NewComplexTargets(m config.Machine, eng *sim.Engine, gens []workload.Generator,
 	xlate Translate, ctl mem.Controller, targets []uint64) *Complex {
 	hier := cache.NewHierarchy(len(gens), m.L1D, m.L2)
@@ -282,6 +272,3 @@ func (cx *Complex) ExecutionCycles() sim.Cycle {
 	}
 	return max
 }
-
-// OutstandingLen reports in-flight LLC misses (instrumentation).
-func (c *Core) OutstandingLen() int { return len(c.outstanding) }

@@ -25,6 +25,15 @@ func (g *fixedGen) Next(r *workload.Ref) {
 
 func ident(core int, va uint64) uint64 { return va }
 
+// sameTargets gives each of n cores the same instruction target.
+func sameTargets(n int, target uint64) []uint64 {
+	targets := make([]uint64, n)
+	for i := range targets {
+		targets[i] = target
+	}
+	return targets
+}
+
 func newComplex(t *testing.T, gens []workload.Generator, target uint64) (*sim.Engine, *Complex, *mem.System) {
 	t.Helper()
 	m := config.Small()
@@ -32,7 +41,7 @@ func newComplex(t *testing.T, gens []workload.Generator, target uint64) (*sim.En
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
 	ctl := flat.NewStatic(sys)
-	cx := NewComplex(m, eng, gens, ident, ctl, target)
+	cx := NewComplexTargets(m, eng, gens, ident, ctl, sameTargets(len(gens), target))
 	return eng, cx, sys
 }
 
@@ -235,7 +244,7 @@ func TestNestedResumeKeepsClock(t *testing.T) {
 	m.Cores = 1
 	eng := sim.NewEngine()
 	ctl := &delayCtl{t: t, eng: eng, delay: 300}
-	cx := NewComplex(m, eng, []workload.Generator{&fixedGen{refs: refs}}, ident, ctl, 50_000)
+	cx := NewComplexTargets(m, eng, []workload.Generator{&fixedGen{refs: refs}}, ident, ctl, []uint64{50_000})
 	cx.Start()
 	eng.Run()
 	if !cx.AllDone() || ctl.handled == 0 {

@@ -25,28 +25,28 @@ import (
 	"silcfm/internal/telemetry/exemplar"
 )
 
-// Defaults for the zero Config.
+// The recorder's windows and bounds.
 const (
-	// DefaultHistoryEpochs is the pre-trigger epoch window kept in the
-	// history ring.
-	DefaultHistoryEpochs = 16
-	// DefaultTailEpochs is how many quiet epochs are captured after the
-	// last incident of a capture closes.
-	DefaultTailEpochs = 4
-	// DefaultEventRing bounds the movement-event ring (pre-trigger events).
-	DefaultEventRing = 4096
-	// DefaultMaxBundleEvents bounds the events captured while an incident
-	// is open (the ring excerpt plus live capture); overflow is counted.
-	DefaultMaxBundleEvents = 2048
-	// DefaultTopK is how many offender blocks each epoch snapshot keeps.
-	DefaultTopK = 8
-	// DefaultMaxBundles bounds bundles per run; captures past the cap are
-	// counted as dropped.
-	DefaultMaxBundles = 8
-	// DefaultMaxCaptureEpochs bounds one capture's epoch record (pre-window
+	// historyEpochs is the pre-trigger epoch window kept in the history
+	// ring.
+	historyEpochs = 16
+	// tailEpochs is how many quiet epochs are captured after the last
+	// incident of a capture closes.
+	tailEpochs = 4
+	// eventRing bounds the movement-event ring (pre-trigger events).
+	eventRing = 4096
+	// maxBundleEvents bounds the events captured while an incident is open
+	// (the ring excerpt plus live capture); overflow is counted.
+	maxBundleEvents = 2048
+	// topK is how many offender blocks each epoch snapshot keeps.
+	topK = 8
+	// maxBundles bounds bundles per run; captures past the cap are counted
+	// as dropped.
+	maxBundles = 8
+	// maxCaptureEpochs bounds one capture's epoch record (pre-window
 	// included) so a never-closing incident cannot grow a bundle without
 	// bound; later epochs are counted as dropped.
-	DefaultMaxCaptureEpochs = 256
+	maxCaptureEpochs = 256
 
 	// offenderTableMax bounds the distinct blocks the per-epoch offender
 	// table holds. First-come-keeps-slot: the profiled set is a
@@ -54,26 +54,11 @@ const (
 	offenderTableMax = 1024
 )
 
-// Config tunes the recorder's windows and bounds. The zero value means
-// "defaults"; harness.Run attaches a recorder to every run unless Disabled
-// is set.
+// Config wires the recorder into a run. harness.Run attaches a recorder to
+// every run unless Disabled is set.
 type Config struct {
 	// Disabled turns the recorder off entirely.
 	Disabled bool
-	// HistoryEpochs is the pre-trigger window length (default 16).
-	HistoryEpochs int
-	// TailEpochs is the post-close capture tail (default 4).
-	TailEpochs int
-	// EventRing bounds the movement-event ring (default 4096).
-	EventRing int
-	// MaxBundleEvents bounds one bundle's event excerpt (default 2048).
-	MaxBundleEvents int
-	// TopK is the per-epoch offender table depth (default 8).
-	TopK int
-	// MaxBundles bounds bundles per run (default 8).
-	MaxBundles int
-	// MaxCaptureEpochs bounds one capture's epoch window (default 256).
-	MaxCaptureEpochs int
 	// OnBundle, when set, receives each finalized bundle on the simulation
 	// goroutine (the live registry attaches here). Bundles are immutable
 	// once emitted, so the callback may retain and share them freely.
@@ -83,37 +68,6 @@ type Config struct {
 	// it to the exemplar recorder's Snapshot). The returned slice must be
 	// immutable.
 	Exemplars func() []exemplar.Exemplar
-}
-
-func (c Config) withDefaults() Config {
-	if c.HistoryEpochs <= 0 {
-		c.HistoryEpochs = DefaultHistoryEpochs
-	}
-	if c.TailEpochs <= 0 {
-		c.TailEpochs = DefaultTailEpochs
-	}
-	if c.EventRing <= 0 {
-		c.EventRing = DefaultEventRing
-	}
-	if c.MaxBundleEvents <= 0 {
-		c.MaxBundleEvents = DefaultMaxBundleEvents
-	}
-	if c.TopK <= 0 {
-		c.TopK = DefaultTopK
-	}
-	if c.TopK > offenderTableMax {
-		c.TopK = offenderTableMax
-	}
-	if c.MaxBundles <= 0 {
-		c.MaxBundles = DefaultMaxBundles
-	}
-	if c.MaxCaptureEpochs <= c.HistoryEpochs {
-		c.MaxCaptureEpochs = DefaultMaxCaptureEpochs
-		if c.MaxCaptureEpochs <= c.HistoryEpochs {
-			c.MaxCaptureEpochs = 2 * c.HistoryEpochs
-		}
-	}
-	return c
 }
 
 // event is the compact fixed-size ring form of one movement event.
@@ -153,9 +107,9 @@ type epochSlot struct {
 	sample     telemetry.Sample
 	gaugeBuf   []mem.Gauge
 	attr       stats.Attribution // per-epoch delta, not cumulative
-	ruleOpen   []bool            // health.Kinds() order
-	ruleSev    []float64
-	off        []Offender // top-K, count desc then block asc
+	ruleOpen   [health.NumKinds]bool
+	ruleSev    [health.NumKinds]float64
+	off        [topK]Offender // count desc then block asc
 	nOff       int
 	offTotal   int    // distinct blocks seen this epoch
 	offDropped uint64 // table-overflow demands not attributed to a block
@@ -173,17 +127,16 @@ type Recorder struct {
 	fingerprint string
 	run         string
 
-	kinds   []string // health.Kinds(), index-aligned with slot rule traces
-	kindIdx map[string]int
+	kinds []string // health.Kinds(), index-aligned with slot rule traces
 
-	// Epoch history ring: last HistoryEpochs epochs, oldest at (head) when
-	// full. head is the next write position; n <= HistoryEpochs.
-	ring []epochSlot
+	// Epoch history ring: last historyEpochs epochs, oldest at (head) when
+	// full. head is the next write position; n <= historyEpochs.
+	ring [historyEpochs]epochSlot
 	head int
 	n    int
 
 	// Movement-event ring.
-	events []event
+	events [eventRing]event
 	evHead int
 	evN    int
 
@@ -194,7 +147,7 @@ type Recorder struct {
 
 	cap          *capture
 	bundles      []*Bundle
-	dropped      int // captures refused past MaxBundles
+	dropped      int // captures refused past maxBundles
 	bundleAllocs int // monotone bundle sequence
 }
 
@@ -208,13 +161,20 @@ type capture struct {
 	evDropped  uint64
 	epDropped  uint64
 	incidents  []health.Incident // closes observed during the capture
-	openKinds  map[string]bool
+	openKinds  [health.NumKinds]bool
 	quiet      int                 // consecutive all-closed epochs (tail countdown)
 	exemplars  []exemplar.Exemplar // tail reservoirs frozen at open
 }
 
-// New builds a recorder over sys with cfg's bounds (zero fields take the
-// documented defaults). fingerprint is the run's config fingerprint
+// setOpen marks kind open or closed in the capture's open set.
+func (c *capture) setOpen(kind string, open bool) {
+	if k := health.KindIndex(kind); k >= 0 {
+		c.openKinds[k] = open
+	}
+}
+
+// New builds a recorder over sys. fingerprint is the run's config
+// fingerprint
 // (harness.Spec.Fingerprint) and run its "<scheme>/<workload>" label; both
 // are stamped into every bundle. Returns nil when cfg.Disabled is set; all
 // Recorder methods are nil-safe.
@@ -222,26 +182,14 @@ func New(cfg Config, sys *mem.System, fingerprint, run string) *Recorder {
 	if cfg.Disabled {
 		return nil
 	}
-	r := &Recorder{
-		cfg:         cfg.withDefaults(),
+	return &Recorder{
+		cfg:         cfg,
 		eng:         sys.Eng,
 		fingerprint: fingerprint,
 		run:         run,
 		kinds:       health.Kinds(),
 		off:         stats.NewBoundedTable[offCount](offenderTableMax),
 	}
-	r.kindIdx = make(map[string]int, len(r.kinds))
-	for i, k := range r.kinds {
-		r.kindIdx[k] = i
-	}
-	r.ring = make([]epochSlot, r.cfg.HistoryEpochs)
-	for i := range r.ring {
-		r.ring[i].ruleOpen = make([]bool, len(r.kinds))
-		r.ring[i].ruleSev = make([]float64, len(r.kinds))
-		r.ring[i].off = make([]Offender, r.cfg.TopK)
-	}
-	r.events = make([]event, r.cfg.EventRing)
-	return r
 }
 
 // --- mem.Observer -----------------------------------------------------
@@ -322,7 +270,7 @@ func (r *Recorder) push(ev event) {
 		r.evN++
 	}
 	if c := r.cap; c != nil {
-		if len(c.events) < r.cfg.MaxBundleEvents {
+		if len(c.events) < maxBundleEvents {
 			c.events = append(c.events, jsonEvent(&ev))
 		} else {
 			c.evDropped++
@@ -350,21 +298,21 @@ func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 
 	// Advance the capture state machine.
 	if c := r.cap; c != nil {
-		if len(c.epochs) < r.cfg.MaxCaptureEpochs {
-			c.epochs = append(c.epochs, recordOf(slot))
+		if len(c.epochs) < maxCaptureEpochs {
+			c.epochs = append(c.epochs, r.recordOf(slot))
 		} else {
 			c.epDropped++
 		}
 		c.incidents = append(c.incidents, hs.Closed...)
 		for _, in := range hs.Opened {
-			c.openKinds[in.Kind] = true
+			c.setOpen(in.Kind, true)
 		}
 		for _, in := range hs.Closed {
-			delete(c.openKinds, in.Kind)
+			c.setOpen(in.Kind, false)
 		}
 		if len(hs.Open) == 0 {
 			c.quiet++
-			if c.quiet >= r.cfg.TailEpochs {
+			if c.quiet >= tailEpochs {
 				r.finalize(false)
 			}
 		} else {
@@ -373,7 +321,7 @@ func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 		return
 	}
 	if len(hs.Opened) > 0 {
-		if len(r.bundles) >= r.cfg.MaxBundles {
+		if len(r.bundles) >= maxBundles {
 			r.dropped++
 			return
 		}
@@ -406,12 +354,10 @@ func (r *Recorder) fillSlot(slot *epochSlot, st telemetry.EpochState, hs health.
 
 	// Per-rule trace: which kinds are open at this boundary, and the open
 	// incident's running peak severity.
-	for i := range slot.ruleOpen {
-		slot.ruleOpen[i] = false
-		slot.ruleSev[i] = 0
-	}
+	slot.ruleOpen = [health.NumKinds]bool{}
+	slot.ruleSev = [health.NumKinds]float64{}
 	for i := range hs.Open {
-		if k, ok := r.kindIdx[hs.Open[i].Kind]; ok {
+		if k := health.KindIndex(hs.Open[i].Kind); k >= 0 {
 			slot.ruleOpen[k] = true
 			slot.ruleSev[k] = hs.Open[i].PeakSeverity
 		}
@@ -456,10 +402,7 @@ func (r *Recorder) rankOffender(slot *epochSlot, o Offender) {
 // recording. The triggering epoch is already in the ring, so it becomes the
 // first "during" record; everything older is the pre-window.
 func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
-	c := &capture{
-		trigger:   hs.Opened[0].Kind,
-		openKinds: make(map[string]bool, len(r.kinds)),
-	}
+	c := &capture{trigger: hs.Opened[0].Kind}
 	// Freeze the tail-exemplar reservoirs as they stood when the incident
 	// opened: the slow accesses that led INTO the incident, not the ones
 	// that followed it.
@@ -467,10 +410,10 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 		c.exemplars = r.cfg.Exemplars()
 	}
 	for _, in := range hs.Open {
-		c.openKinds[in.Kind] = true
+		c.setOpen(in.Kind, true)
 	}
 	c.preEpochs = r.n - 1
-	c.epochs = make([]EpochRecord, 0, r.n+r.cfg.TailEpochs+4)
+	c.epochs = make([]EpochRecord, 0, r.n+tailEpochs+4)
 	// Oldest-first walk of the ring.
 	start := r.head - r.n
 	if start < 0 {
@@ -481,7 +424,7 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 		if j >= len(r.ring) {
 			j -= len(r.ring)
 		}
-		c.epochs = append(c.epochs, recordOf(&r.ring[j]))
+		c.epochs = append(c.epochs, r.recordOf(&r.ring[j]))
 	}
 	if len(c.epochs) > 0 {
 		c.firstEpoch = c.epochs[0].Sample.Epoch
@@ -489,20 +432,20 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 		c.firstEpoch = epoch
 	}
 	// Pre-trigger events: the ring excerpt inside the pre-window's cycle
-	// span, oldest first, bounded by MaxBundleEvents (newest kept — the
+	// span, oldest first, bounded by maxBundleEvents (newest kept — the
 	// events nearest the trigger explain it best).
 	var firstCycle uint64
 	if len(c.epochs) > 0 {
 		firstCycle = c.epochs[0].Sample.Cycle - c.epochs[0].Sample.SpanCycles
 	}
-	c.events = make([]EventRecord, 0, r.cfg.MaxBundleEvents)
+	c.events = make([]EventRecord, 0, maxBundleEvents)
 	evStart := r.evHead - r.evN
 	if evStart < 0 {
 		evStart += len(r.events)
 	}
 	skip := 0
-	if r.evN > r.cfg.MaxBundleEvents {
-		skip = r.evN - r.cfg.MaxBundleEvents
+	if r.evN > maxBundleEvents {
+		skip = r.evN - maxBundleEvents
 	}
 	for i := 0; i < r.evN; i++ {
 		j := evStart + i
@@ -553,13 +496,13 @@ func (r *Recorder) finalize(forced bool) {
 		b.FirstCycle, b.LastCycle = first.Cycle-first.SpanCycles, last.Cycle
 	}
 	// Open kinds at finalize, in detector order (forced flushes only).
-	for _, k := range r.kinds {
-		if c.openKinds[k] {
+	for i, k := range r.kinds {
+		if c.openKinds[i] {
 			b.OpenKinds = append(b.OpenKinds, k)
 		}
 	}
 	b.Rules = r.ruleTraces(c.epochs)
-	b.Offenders = aggregateOffenders(c.epochs, r.cfg.TopK)
+	b.Offenders = aggregateOffenders(c.epochs, topK)
 	r.bundles = append(r.bundles, b)
 	if r.cfg.OnBundle != nil {
 		r.cfg.OnBundle(b)
@@ -637,7 +580,7 @@ func sortOffenders(out []Offender) {
 
 // recordOf converts a ring slot into the bundle's JSON-friendly epoch form
 // (fresh copies: bundles outlive the ring).
-func recordOf(slot *epochSlot) EpochRecord {
+func (r *Recorder) recordOf(slot *epochSlot) EpochRecord {
 	rec := EpochRecord{Sample: slot.sample}
 	rec.Sample.Gauges = append([]mem.Gauge(nil), slot.sample.Gauges...)
 	for p := stats.DemandPath(0); p < stats.NumDemandPaths; p++ {
@@ -655,12 +598,10 @@ func recordOf(slot *epochSlot) EpochRecord {
 			Other:      slot.attr.Spans[p][stats.SpanOther],
 		})
 	}
-	kinds := health.Kinds()
-	for i := range slot.ruleOpen {
-		if !slot.ruleOpen[i] {
-			continue
+	for i, open := range slot.ruleOpen {
+		if open {
+			rec.Rules = append(rec.Rules, RuleState{Kind: r.kinds[i], Severity: slot.ruleSev[i]})
 		}
-		rec.Rules = append(rec.Rules, RuleState{Kind: kinds[i], Severity: slot.ruleSev[i]})
 	}
 	rec.Offenders = append(rec.Offenders, slot.off[:slot.nOff]...)
 	rec.OffenderBlocks = slot.offTotal
@@ -703,7 +644,7 @@ func (r *Recorder) Bundles() []*Bundle {
 	return append([]*Bundle(nil), r.bundles...)
 }
 
-// DroppedCaptures reports incident opens refused because MaxBundles was
+// DroppedCaptures reports incident opens refused because maxBundles was
 // already reached.
 func (r *Recorder) DroppedCaptures() int {
 	if r == nil {

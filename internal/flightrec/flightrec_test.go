@@ -15,11 +15,20 @@ import (
 	"silcfm/internal/telemetry"
 )
 
+// The recorder's fixed bounds, as the tests below exercise them.
+const (
+	historyEpochs   = 16
+	tailEpochs      = 4
+	maxBundleEvents = 2048
+	topK            = 8
+	maxBundles      = 8
+)
+
 // newRec builds a recorder over a bare system (engine only — the synthetic
 // tests feed Observe/DemandComplete directly, no simulation runs).
-func newRec(t *testing.T, cfg flightrec.Config) *flightrec.Recorder {
+func newRec(t *testing.T) *flightrec.Recorder {
 	t.Helper()
-	r := flightrec.New(cfg, &mem.System{Eng: sim.NewEngine()}, "test-fp", "test/run")
+	r := flightrec.New(flightrec.Config{}, &mem.System{Eng: sim.NewEngine()}, "test-fp", "test/run")
 	if r == nil {
 		t.Fatal("New returned nil for an enabled config")
 	}
@@ -91,16 +100,20 @@ func TestDisabledConfigReturnsNil(t *testing.T) {
 // incident opens (freezing the ring as the pre-window), stays open, closes,
 // and the tail countdown finalizes an unforced bundle.
 func TestCaptureLifecycle(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 4, TailEpochs: 2})
-	feed(r, 0, 5) // ring now holds epochs 1-4
-	trigger(r, health.KindSwapThrash, 5)
-	// Open through epoch 6, closed at 7, quiet 7 and 8 -> finalize at 8.
-	open := incident(health.KindSwapThrash, 5)
-	r.Observe(epochState(6), health.Status{Open: []health.Incident{open}})
+	r := newRec(t)
+	feed(r, 0, 17) // ring now holds epochs 1-16
+	trigger(r, health.KindSwapThrash, 17)
+	// Open through epoch 18, closed at 19, quiet 19-22 -> finalize at 22.
+	open := incident(health.KindSwapThrash, 17)
+	r.Observe(epochState(18), health.Status{Open: []health.Incident{open}})
 	closed := open
-	closed.LastEpoch = 7
-	r.Observe(epochState(7), health.Status{Closed: []health.Incident{closed}})
-	r.Observe(epochState(8), health.Status{})
+	closed.LastEpoch = 19
+	r.Observe(epochState(19), health.Status{Closed: []health.Incident{closed}})
+	feed(r, 20, 22)
+	if n := len(r.Bundles()); n != 0 {
+		t.Fatalf("finalized after %d quiet epochs, want %d", tailEpochs-1, tailEpochs)
+	}
+	r.Observe(epochState(22), health.Status{})
 
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
@@ -110,20 +123,20 @@ func TestCaptureLifecycle(t *testing.T) {
 	if b.Trigger != health.KindSwapThrash || b.Forced {
 		t.Errorf("trigger=%q forced=%v, want %q unforced", b.Trigger, b.Forced, health.KindSwapThrash)
 	}
-	// Ring held epochs 2-5 at trigger time (capacity 4, trigger included).
-	if b.PreEpochs != 3 || b.FirstEpoch != 2 || b.LastEpoch != 8 {
-		t.Errorf("window pre=%d epochs %d-%d, want pre=3 epochs 2-8", b.PreEpochs, b.FirstEpoch, b.LastEpoch)
+	// Ring held epochs 2-17 at trigger time (capacity 16, trigger included).
+	if b.PreEpochs != historyEpochs-1 || b.FirstEpoch != 2 || b.LastEpoch != 22 {
+		t.Errorf("window pre=%d epochs %d-%d, want pre=15 epochs 2-22", b.PreEpochs, b.FirstEpoch, b.LastEpoch)
 	}
-	if b.FirstCycle != 2000 || b.LastCycle != 9000 {
-		t.Errorf("cycles %d-%d, want 2000-9000", b.FirstCycle, b.LastCycle)
+	if b.FirstCycle != 2000 || b.LastCycle != 23000 {
+		t.Errorf("cycles %d-%d, want 2000-23000", b.FirstCycle, b.LastCycle)
 	}
-	if len(b.Epochs) != 7 {
-		t.Errorf("captured %d epochs, want 7 (4 ring + 6,7,8)", len(b.Epochs))
+	if len(b.Epochs) != 21 {
+		t.Errorf("captured %d epochs, want 21 (16 ring + 18-22)", len(b.Epochs))
 	}
-	if b.Epochs[b.PreEpochs].Sample.Epoch != 5 {
-		t.Errorf("trigger record is epoch %d, want 5", b.Epochs[b.PreEpochs].Sample.Epoch)
+	if b.Epochs[b.PreEpochs].Sample.Epoch != 17 {
+		t.Errorf("trigger record is epoch %d, want 17", b.Epochs[b.PreEpochs].Sample.Epoch)
 	}
-	if len(b.Incidents) != 1 || b.Incidents[0].LastEpoch != 7 {
+	if len(b.Incidents) != 1 || b.Incidents[0].LastEpoch != 19 {
 		t.Errorf("incidents = %+v, want the one closed record", b.Incidents)
 	}
 	if len(b.OpenKinds) != 0 {
@@ -138,44 +151,44 @@ func TestCaptureLifecycle(t *testing.T) {
 	}
 }
 
-// TestRingCapacityOne is the tightest boundary: a one-slot history ring
-// means the trigger epoch is the whole window and there is no pre-history.
-func TestRingCapacityOne(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 1, TailEpochs: 1})
-	feed(r, 0, 5)
-	trigger(r, health.KindLockChurn, 5)
-	r.Observe(epochState(6), health.Status{})
+// TestTriggerAtFirstEpochHasNoPreHistory is the tightest boundary: an
+// incident opening at the run's first epoch finds an empty ring, so the
+// trigger epoch starts the window and there is no pre-history.
+func TestTriggerAtFirstEpochHasNoPreHistory(t *testing.T) {
+	r := newRec(t)
+	trigger(r, health.KindLockChurn, 0)
+	feed(r, 1, 1+tailEpochs)
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
 	b := bundles[0]
-	if b.PreEpochs != 0 || b.FirstEpoch != 5 {
-		t.Errorf("pre=%d first=%d, want pre=0 first=5", b.PreEpochs, b.FirstEpoch)
+	if b.PreEpochs != 0 || b.FirstEpoch != 0 {
+		t.Errorf("pre=%d first=%d, want pre=0 first=0", b.PreEpochs, b.FirstEpoch)
 	}
-	if len(b.Epochs) != 2 || b.Epochs[0].Sample.Epoch != 5 {
-		t.Errorf("epochs = %d starting at %d, want 2 starting at 5", len(b.Epochs), b.Epochs[0].Sample.Epoch)
+	if len(b.Epochs) != 1+tailEpochs || b.Epochs[0].Sample.Epoch != 0 {
+		t.Errorf("epochs = %d starting at %d, want %d starting at 0", len(b.Epochs), b.Epochs[0].Sample.Epoch, 1+tailEpochs)
 	}
 }
 
 // TestPreWindowShorterThanHistory: an incident in the run's first epochs
 // must capture only what exists, not a full ring of stale slots.
 func TestPreWindowShorterThanHistory(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 16, TailEpochs: 1})
+	r := newRec(t)
 	feed(r, 0, 2)
 	trigger(r, health.KindQueueSaturation, 2)
-	r.Observe(epochState(3), health.Status{})
+	feed(r, 3, 3+tailEpochs)
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
 	b := bundles[0]
-	if b.PreEpochs != 2 || b.FirstEpoch != 0 || len(b.Epochs) != 4 {
-		t.Errorf("pre=%d first=%d n=%d, want pre=2 first=0 n=4", b.PreEpochs, b.FirstEpoch, len(b.Epochs))
+	if b.PreEpochs != 2 || b.FirstEpoch != 0 || len(b.Epochs) != 3+tailEpochs {
+		t.Errorf("pre=%d first=%d n=%d, want pre=2 first=0 n=%d", b.PreEpochs, b.FirstEpoch, len(b.Epochs), 3+tailEpochs)
 	}
 	for i := range b.Epochs {
 		if b.Epochs[i].Sample.Epoch != uint64(i) {
-			t.Fatalf("epoch record %d holds epoch %d, want oldest-first 0,1,2,3", i, b.Epochs[i].Sample.Epoch)
+			t.Fatalf("epoch record %d holds epoch %d, want oldest-first from 0", i, b.Epochs[i].Sample.Epoch)
 		}
 	}
 }
@@ -184,19 +197,20 @@ func TestPreWindowShorterThanHistory(t *testing.T) {
 // triggering, so head has wrapped back to zero: the oldest-first walk must
 // still produce strictly increasing epochs.
 func TestRingExactWrap(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 4, TailEpochs: 1})
-	feed(r, 0, 8) // two full revolutions; head back at slot 0
-	trigger(r, health.KindSwapThrash, 8)
-	r.Observe(epochState(9), health.Status{})
+	r := newRec(t)
+	feed(r, 0, 2*historyEpochs) // two full revolutions; head back at slot 0
+	trigger(r, health.KindSwapThrash, 2*historyEpochs)
+	feed(r, 2*historyEpochs+1, 2*historyEpochs+1+tailEpochs)
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
 	b := bundles[0]
-	if b.PreEpochs != 3 || b.FirstEpoch != 5 {
-		t.Errorf("pre=%d first=%d, want pre=3 first=5", b.PreEpochs, b.FirstEpoch)
+	first := uint64(historyEpochs + 1)
+	if b.PreEpochs != historyEpochs-1 || b.FirstEpoch != first {
+		t.Errorf("pre=%d first=%d, want pre=%d first=%d", b.PreEpochs, b.FirstEpoch, historyEpochs-1, first)
 	}
-	want := uint64(5)
+	want := first
 	for i := range b.Epochs {
 		if b.Epochs[i].Sample.Epoch != want {
 			t.Fatalf("epoch record %d holds epoch %d, want %d", i, b.Epochs[i].Sample.Epoch, want)
@@ -205,16 +219,16 @@ func TestRingExactWrap(t *testing.T) {
 	}
 	// Each record owns its gauges: ring reuse after capture must not reach
 	// into an emitted bundle.
-	feed(r, 10, 20)
-	if g := b.Epochs[0].Sample.Gauges[0].Value; g != 5 {
-		t.Errorf("bundle gauge mutated to %v after ring reuse, want 5", g)
+	feed(r, want, want+2*historyEpochs)
+	if g := b.Epochs[0].Sample.Gauges[0].Value; g != float64(first) {
+		t.Errorf("bundle gauge mutated to %v after ring reuse, want %d", g, first)
 	}
 }
 
 // TestForcedFlushAtFinish: a capture still in flight at end of run becomes
 // a forced bundle naming the still-open kinds in detector order.
 func TestForcedFlushAtFinish(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 4})
+	r := newRec(t)
 	feed(r, 0, 3)
 	trigger(r, health.KindSwapThrash, 3)
 	open := []health.Incident{incident(health.KindSwapThrash, 3), incident(health.KindQueueSaturation, 4)}
@@ -236,13 +250,15 @@ func TestForcedFlushAtFinish(t *testing.T) {
 // TestMaxBundlesDropsLaterCaptures: opens past the bundle cap are refused
 // and counted, never silently captured.
 func TestMaxBundlesDropsLaterCaptures(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 2, TailEpochs: 1, MaxBundles: 1})
-	trigger(r, health.KindSwapThrash, 0)
-	r.Observe(epochState(1), health.Status{}) // tail -> bundle 0
-	trigger(r, health.KindSwapThrash, 2)      // refused: cap reached
-	r.Observe(epochState(3), health.Status{})
-	if n := len(r.Bundles()); n != 1 {
-		t.Errorf("got %d bundles, want 1", n)
+	r := newRec(t)
+	var e uint64
+	for i := 0; i <= maxBundles; i++ {
+		trigger(r, health.KindSwapThrash, e)
+		feed(r, e+1, e+1+tailEpochs) // tail -> bundle i, or nothing past the cap
+		e += 1 + tailEpochs
+	}
+	if n := len(r.Bundles()); n != maxBundles {
+		t.Errorf("got %d bundles, want %d", n, maxBundles)
 	}
 	if d := r.DroppedCaptures(); d != 1 {
 		t.Errorf("DroppedCaptures = %d, want 1", d)
@@ -250,30 +266,31 @@ func TestMaxBundlesDropsLaterCaptures(t *testing.T) {
 }
 
 // TestEventExcerptBounds: the pre-trigger excerpt keeps the newest events
-// when the ring holds more than MaxBundleEvents, and during-capture
-// overflow is counted rather than grown.
+// when the ring holds more than the bundle's event bound, and
+// during-capture overflow is counted rather than grown.
 func TestEventExcerptBounds(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 2, TailEpochs: 1, MaxBundleEvents: 4})
-	for i := uint64(0); i < 10; i++ {
+	r := newRec(t)
+	const pre = maxBundleEvents + 6
+	for i := uint64(0); i < pre; i++ {
 		r.Lock(i, 100+i, false) // engine never advances: all at cycle 0
 	}
 	trigger(r, health.KindLockChurn, 0) // epoch 0 spans cycle 0: all in window
 	for i := uint64(0); i < 3; i++ {
 		r.Unlock(i, 100+i) // during capture, but the excerpt is already full
 	}
-	r.Observe(epochState(1), health.Status{})
+	feed(r, 1, 1+tailEpochs)
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
 	b := bundles[0]
-	if len(b.Events) != 4 {
-		t.Fatalf("excerpt holds %d events, want 4", len(b.Events))
+	if len(b.Events) != maxBundleEvents {
+		t.Fatalf("excerpt holds %d events, want %d", len(b.Events), maxBundleEvents)
 	}
-	// Newest pre-trigger events kept: locks of frames 6-9.
+	// Newest pre-trigger events kept: locks of frames 6 onward.
 	for i, ev := range b.Events {
 		if ev.Kind != "lock" || ev.Src != uint64(6+i) {
-			t.Errorf("event %d = %+v, want lock frame %d", i, ev, 6+i)
+			t.Fatalf("event %d = %+v, want lock frame %d", i, ev, 6+i)
 		}
 	}
 	if b.EventsDropped != 9 { // 6 older pre-trigger + 3 during-capture
@@ -284,7 +301,7 @@ func TestEventExcerptBounds(t *testing.T) {
 // TestOffenderTopK: per-epoch top-K selection is count desc then block asc,
 // and the table resets between epochs.
 func TestOffenderTopK(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 2, TailEpochs: 1, TopK: 3})
+	r := newRec(t)
 	hit := func(block, times uint64) {
 		a := &mem.Access{PAddr: block << 11}
 		for i := uint64(0); i < times; i++ {
@@ -294,10 +311,13 @@ func TestOffenderTopK(t *testing.T) {
 	hit(7, 5)
 	hit(3, 5) // ties block 7 on count; lower block ranks first
 	hit(9, 9)
-	hit(1, 1) // squeezed out of the top 3
+	for b := uint64(15); b >= 10; b-- {
+		hit(b, 2) // six-way tie at the cutoff: block 15 ranks last, out
+	}
+	hit(1, 1) // squeezed out of the top K
 	trigger(r, health.KindSwapThrash, 0)
 	hit(42, 2) // next epoch's table starts clean
-	r.Observe(epochState(1), health.Status{})
+	feed(r, 1, 1+tailEpochs)
 	bundles := r.Bundles()
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
@@ -309,7 +329,10 @@ func TestOffenderTopK(t *testing.T) {
 		{Block: 3, Demands: 5, LatCycles: 500},
 		{Block: 7, Demands: 5, LatCycles: 500},
 	}
-	if len(ep0.Offenders) != len(want) {
+	for blk := uint64(10); blk <= 14; blk++ {
+		want = append(want, flightrec.Offender{Block: blk, Demands: 2, LatCycles: 200})
+	}
+	if len(want) != topK || len(ep0.Offenders) != len(want) {
 		t.Fatalf("epoch 0 offenders = %+v, want %+v", ep0.Offenders, want)
 	}
 	for i := range want {
@@ -317,8 +340,8 @@ func TestOffenderTopK(t *testing.T) {
 			t.Errorf("epoch 0 offender %d = %+v, want %+v", i, ep0.Offenders[i], want[i])
 		}
 	}
-	if ep0.OffenderBlocks != 4 {
-		t.Errorf("epoch 0 distinct blocks = %d, want 4", ep0.OffenderBlocks)
+	if ep0.OffenderBlocks != 10 {
+		t.Errorf("epoch 0 distinct blocks = %d, want 10", ep0.OffenderBlocks)
 	}
 	ep1 := b.Epochs[1]
 	if len(ep1.Offenders) != 1 || ep1.Offenders[0].Block != 42 {
@@ -335,7 +358,7 @@ func TestOffenderTopK(t *testing.T) {
 // buffers have warmed up — the recorder is always on, so its steady state
 // rides the simulation inner loop.
 func TestSteadyStateObserveDoesNotAllocate(t *testing.T) {
-	r := newRec(t, flightrec.Config{})
+	r := newRec(t)
 	st := epochState(0)
 	attr := &stats.Attribution{}
 	st.Attr = attr
@@ -365,7 +388,7 @@ func TestSteadyStateObserveDoesNotAllocate(t *testing.T) {
 // byte-identical bundles, and the encoding round-trips through Decode.
 func TestSyntheticBundleDeterminism(t *testing.T) {
 	mk := func() *flightrec.Bundle {
-		r := newRec(t, flightrec.Config{HistoryEpochs: 4, TailEpochs: 2})
+		r := newRec(t)
 		for i := uint64(0); i < 6; i++ {
 			r.Lock(i, 200+i, i%2 == 0)
 			r.DemandComplete(&mem.Access{PAddr: (300 + i) << 11}, stats.PathFM, 80+i)
@@ -474,7 +497,7 @@ func TestHarnessBundleByteDeterminism(t *testing.T) {
 // hits included), ranks only the kept blocks, and the next epoch starts
 // from an empty table.
 func TestOffenderTableSaturation(t *testing.T) {
-	r := newRec(t, flightrec.Config{HistoryEpochs: 2, TailEpochs: 1, TopK: 4})
+	r := newRec(t)
 	hit := func(block, times uint64) {
 		a := &mem.Access{PAddr: block << 11}
 		for i := uint64(0); i < times; i++ {
@@ -491,7 +514,7 @@ func TestOffenderTableSaturation(t *testing.T) {
 	hit(1200, 9) // not kept: 9 more drops
 	trigger(r, health.KindSwapThrash, 0)
 	hit(1499, 1)
-	r.Observe(epochState(1), health.Status{})
+	feed(r, 1, 1+tailEpochs)
 	b := r.Bundles()[0]
 
 	ep0 := b.Epochs[0]
@@ -506,6 +529,10 @@ func TestOffenderTableSaturation(t *testing.T) {
 		{Block: 0, Demands: 4, LatCycles: 40},
 		{Block: 1, Demands: 4, LatCycles: 40},
 		{Block: 1023, Demands: 4, LatCycles: 40},
+		{Block: 2, Demands: 1, LatCycles: 10},
+		{Block: 3, Demands: 1, LatCycles: 10},
+		{Block: 4, Demands: 1, LatCycles: 10},
+		{Block: 6, Demands: 1, LatCycles: 10},
 	}
 	if len(ep0.Offenders) != len(want) {
 		t.Fatalf("offenders = %+v, want %+v", ep0.Offenders, want)
@@ -528,7 +555,7 @@ func TestOffenderTableSaturation(t *testing.T) {
 // offender table — hits, drops, then the ranking and reset at the boundary
 // — is allocation-free once the table has been full once.
 func TestSaturatedEpochDoesNotAllocate(t *testing.T) {
-	r := newRec(t, flightrec.Config{})
+	r := newRec(t)
 	st := epochState(0)
 	a := &mem.Access{}
 	avg := testing.AllocsPerRun(20, func() {

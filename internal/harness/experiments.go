@@ -26,9 +26,11 @@ type ExpConfig struct {
 	// ShadowCheck enables the continuous integrity checker on every run.
 	ShadowCheck bool
 	// Telemetry, when non-nil, builds a per-run telemetry config (the
-	// baseline leg gets label "baseline"). Returned writers implementing
-	// io.Closer are closed when the run finishes; return nil to skip a run.
-	Telemetry func(label, wl string) *telemetry.Config
+	// baseline leg gets label "baseline"). Writers in the returned config
+	// that implement io.Closer are closed when the run finishes, or at once
+	// when the factory also returns an error; that error fails the run
+	// without simulating it.
+	Telemetry func(label, wl string) (*telemetry.Config, error)
 	// Live, when non-nil, attaches every run in the sweep to a live
 	// observability server through AttachLive, under "<label>/<workload>".
 	Live *live.Server
@@ -202,26 +204,7 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 			if label == "" {
 				label = "baseline"
 			}
-			var tcfg *telemetry.Config
-			if cfg.Telemetry != nil {
-				tcfg = cfg.Telemetry(label, j.wl)
-			}
-			spec := Spec{
-				Machine:           j.mach,
-				Workload:          j.wl,
-				InstrPerCore:      cfg.InstrPerCore,
-				ScaleInstrByClass: true,
-				FootScaleNum:      cfg.FootScaleNum,
-				FootScaleDen:      cfg.FootScaleDen,
-				ShadowCheck:       cfg.ShadowCheck,
-				Telemetry:         tcfg,
-			}
-			done := AttachLive(&spec, cfg.Live.Registry(), label+"/"+j.wl)
-			r, err := Run(spec)
-			if cerr := closeTelemetry(tcfg); err == nil && cerr != nil {
-				err = fmt.Errorf("telemetry output: %w", cerr)
-			}
-			done(r)
+			r, err := runCell(cfg, label, j.wl, j.mach)
 			if err == nil {
 				err = r.Err()
 			}
@@ -236,7 +219,7 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 			}
 			if err != nil {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("%s/%s: %w", j.label, j.wl, err)
+					firstErr = fmt.Errorf("%s/%s: %w", label, j.wl, err)
 				}
 				return
 			}
@@ -253,6 +236,36 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 	}
 	res.WallSeconds = time.Since(sweepStart).Seconds()
 	return res, nil
+}
+
+// runCell runs one sweep cell on machine m with its per-run telemetry
+// outputs, attached to the live hub under "<label>/<wl>".
+func runCell(cfg ExpConfig, label, wl string, m config.Machine) (*Result, error) {
+	var tcfg *telemetry.Config
+	if cfg.Telemetry != nil {
+		var err error
+		if tcfg, err = cfg.Telemetry(label, wl); err != nil {
+			closeTelemetry(tcfg)
+			return nil, fmt.Errorf("telemetry output: %w", err)
+		}
+	}
+	spec := Spec{
+		Machine:           m,
+		Workload:          wl,
+		InstrPerCore:      cfg.InstrPerCore,
+		ScaleInstrByClass: true,
+		FootScaleNum:      cfg.FootScaleNum,
+		FootScaleDen:      cfg.FootScaleDen,
+		ShadowCheck:       cfg.ShadowCheck,
+		Telemetry:         tcfg,
+	}
+	done := AttachLive(&spec, cfg.Live.Registry(), label+"/"+wl)
+	r, err := Run(spec)
+	if cerr := closeTelemetry(tcfg); err == nil && cerr != nil {
+		err = fmt.Errorf("telemetry output: %w", cerr)
+	}
+	done(r)
+	return r, err
 }
 
 // Figure6 regenerates the feature-breakdown figure: per-workload speedup of
@@ -340,54 +353,25 @@ func Figure9(cfg ExpConfig) (*stats.Table, map[uint64]map[string]float64, error)
 }
 
 // TableIII reports each workload's measured per-core MPKI and footprint
-// through the cache hierarchy, using the baseline machine.
+// through the cache hierarchy, using the baseline machine: a Sweep with no
+// variants, so its runs are the "baseline" legs of every other sweep and
+// honour the same per-run options.
 func TableIII(cfg ExpConfig) (*stats.Table, map[string]*Result, error) {
+	sw, err := Sweep(cfg, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	t := &stats.Table{
 		Title:   "Table III: workload characteristics (measured)",
 		Columns: []string{"benchmark", "class", "MPKI/core", "footprint MB"},
 	}
-	out := map[string]*Result{}
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, cfg.parallelism())
-	var wg sync.WaitGroup
-	for _, wl := range cfg.workloads() {
-		wl := wl
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			m := cfg.Machine
-			m.Scheme = config.SchemeBaseline
-			r, err := Run(Spec{Machine: m, Workload: wl, InstrPerCore: cfg.InstrPerCore,
-				ScaleInstrByClass: true,
-				FootScaleNum:      cfg.FootScaleNum, FootScaleDen: cfg.FootScaleDen})
-			if err == nil {
-				err = r.Err()
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", wl, err)
-				}
-				return
-			}
-			out[wl] = r
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
 	for _, wl := range cfg.workloads() {
 		p, _ := workload.Spec(wl)
-		r := out[wl]
+		r := sw.Baseline[wl]
 		t.AddRow(wl, p.Class.String(), stats.F2(r.AvgMPKI()),
 			fmt.Sprintf("%.1f", float64(r.FootprintPages)*2048/(1<<20)))
 	}
-	return t, out, nil
+	return t, sw.Baseline, nil
 }
 
 // Headline summarizes the paper's abstract numbers from Figure 6/7 sweeps:

@@ -11,7 +11,7 @@ import (
 
 // fingerprintView is the hashed identity of a run: the full machine plus
 // every spec field that changes simulated behavior. ShadowCheck, Telemetry,
-// Health, Publish and Flightrec are deliberately absent — all of them are
+// Publish, Flightrec and Exemplars are deliberately absent — all of them are
 // provably inert.
 //
 // The view's field set, names and order are load-bearing: the fingerprint is

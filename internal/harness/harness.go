@@ -62,11 +62,6 @@ type Spec struct {
 	// internal/telemetry). Telemetry is read-only: it never changes Cycles
 	// or any counter.
 	Telemetry *telemetry.Config
-	// Health configures the online incident detector (internal/health).
-	// nil means enabled with defaults; set Disabled to opt out entirely.
-	// Queue capacities default to each device's channels × (read+write
-	// queue length). Like telemetry, the detector is read-only.
-	Health *health.Config
 	// Publish, when set, is called once per telemetry epoch on the
 	// simulation goroutine with that epoch's state and the health status:
 	// the incidents currently open plus the open/close transitions since
@@ -107,8 +102,7 @@ type Result struct {
 	// audit (stats.CheckConservation) found an invariant violation.
 	ConservationErr error
 	// Health holds the closed health incidents the online detector
-	// observed, in deterministic order (empty when none fired, nil when
-	// the detector was disabled).
+	// observed, in deterministic order (nil when none fired).
 	Health []health.Incident
 	// Bundles holds the flight recorder's postmortem evidence bundles in
 	// emission order (empty when no incident opened, nil when the recorder
@@ -241,7 +235,6 @@ func Run(spec Spec) (*Result, error) {
 	// the Telemetry pointer must not outlive its writers.
 	manifestSpec := spec
 	manifestSpec.Telemetry = nil
-	manifestSpec.Health = nil
 	manifestSpec.Publish = nil
 	manifestSpec.Flightrec = nil
 	manifestSpec.Exemplars = nil
@@ -338,20 +331,13 @@ func Run(spec Spec) (*Result, error) {
 	// observer fanout without displacing it; gauges come from the raw
 	// controller (the checker wrapper does not forward them).
 	//
-	// The health detector rides the telemetry epoch pump: the config is
-	// copied so the wrapped OnEpoch (detector feed, publisher, then the
-	// caller's own hook) never mutates the caller's struct.
-	hcfg := health.Config{}
-	if spec.Health != nil {
-		hcfg = *spec.Health
-	}
-	if hcfg.QueueCapNM == 0 {
-		hcfg.QueueCapNM = m.NM.Channels * (m.NM.ReadQueueLen + m.NM.WriteQueueLen)
-	}
-	if hcfg.QueueCapFM == 0 {
-		hcfg.QueueCapFM = m.FM.Channels * (m.FM.ReadQueueLen + m.FM.WriteQueueLen)
-	}
-	det := health.NewDetector(hcfg)
+	// The health detector rides the telemetry epoch pump, measuring queue
+	// saturation against each device's channels × (read+write queue
+	// length).
+	det := health.NewDetector(health.Config{
+		QueueCapNM: m.NM.Channels * (m.NM.ReadQueueLen + m.NM.WriteQueueLen),
+		QueueCapFM: m.FM.Channels * (m.FM.ReadQueueLen + m.FM.WriteQueueLen),
+	})
 	// The exemplar recorder joins the observer fanout for demand
 	// issue/completion events and the OnEpoch chain (below) for epoch
 	// context. It is created before the flight recorder so incident
@@ -376,34 +362,32 @@ func Run(spec Spec) (*Result, error) {
 	if rec != nil {
 		sys.AttachObserver(rec)
 	}
+	// The telemetry config is copied so the wrapped OnEpoch (detector
+	// feed, recorders, publisher, then the caller's own hook) never mutates
+	// the caller's struct.
 	tcfg := telemetry.Config{}
 	if spec.Telemetry != nil {
 		tcfg = *spec.Telemetry
 	}
-	if det != nil || spec.Publish != nil || rec != nil || exr != nil {
-		userEpoch := tcfg.OnEpoch
-		publish := spec.Publish
-		// prevOpen carries the previous epoch's open set so every publish
-		// reports the incident transitions that happened at its boundary.
-		// OnEpoch runs only on the simulation goroutine, so the closure
-		// state needs no lock.
-		var prevOpen []health.Incident
-		tcfg.OnEpoch = func(st telemetry.EpochState) {
-			det.Observe(st.Sample)
-			if publish != nil || rec != nil || exr != nil {
-				open := det.Open()
-				opened, closed := health.DiffOpen(prevOpen, open)
-				prevOpen = open
-				hs := health.Status{Open: open, Opened: opened, Closed: closed}
-				exr.Observe(st, hs)
-				rec.Observe(st, hs)
-				if publish != nil {
-					publish(st, hs)
-				}
-			}
-			if userEpoch != nil {
-				userEpoch(st)
-			}
+	userEpoch := tcfg.OnEpoch
+	publish := spec.Publish
+	// prevOpen carries the previous epoch's open set so every epoch reports
+	// the incident transitions that happened at its boundary. OnEpoch runs
+	// only on the simulation goroutine, so the closure state needs no lock.
+	var prevOpen []health.Incident
+	tcfg.OnEpoch = func(st telemetry.EpochState) {
+		det.Observe(st.Sample)
+		open := det.Open()
+		opened, closed := health.DiffOpen(prevOpen, open)
+		prevOpen = open
+		hs := health.Status{Open: open, Opened: opened, Closed: closed}
+		exr.Observe(st, hs)
+		rec.Observe(st, hs)
+		if publish != nil {
+			publish(st, hs)
+		}
+		if userEpoch != nil {
+			userEpoch(st)
 		}
 	}
 	tel := telemetry.Attach(&tcfg, sys, rawCtl)

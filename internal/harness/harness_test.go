@@ -504,8 +504,8 @@ func TestExemplarRecorderInertAndExact(t *testing.T) {
 		counts[e.Path]++
 	}
 	for path, n := range counts {
-		if n > exemplar.DefaultK {
-			t.Fatalf("path %s holds %d exemplars, K=%d", path, n, exemplar.DefaultK)
+		if n > exemplar.K {
+			t.Fatalf("path %s holds %d exemplars, K=%d", path, n, exemplar.K)
 		}
 	}
 	// The worst exemplar per path is the histogram's exact max.

@@ -118,12 +118,91 @@ func TestSweepReportsTelemetryCloseError(t *testing.T) {
 		FootScaleNum: 1,
 		FootScaleDen: 16,
 		Parallelism:  1,
-		Telemetry: func(label, wl string) *telemetry.Config {
-			return &telemetry.Config{MetricsW: failCloser{}}
+		Telemetry: func(label, wl string) (*telemetry.Config, error) {
+			return &telemetry.Config{MetricsW: failCloser{}}, nil
 		},
 	}
 	_, err := Sweep(cfg, []Variant{SchemeVariant(config.SchemeSILCFM)})
 	if !errors.Is(err, errFlush) || !strings.Contains(err.Error(), "telemetry output") {
 		t.Fatalf("Sweep error = %v, want a telemetry output error wrapping %v", err, errFlush)
+	}
+}
+
+// closeCounter is a telemetry writer that counts its writes and closes.
+type closeCounter struct{ writes, closes int }
+
+func (c *closeCounter) Write(p []byte) (int, error) { c.writes++; return len(p), nil }
+func (c *closeCounter) Close() error                { c.closes++; return nil }
+
+// TestSweepFailsCellWhoseOutputCannotBeCreated: a telemetry factory error
+// (a per-run output file that could not be created) fails that cell and
+// the sweep instead of running the cell without its outputs, and the
+// writers the factory had already opened are closed unwritten.
+func TestSweepFailsCellWhoseOutputCannotBeCreated(t *testing.T) {
+	errCreate := errors.New("create failed")
+	opened := map[string]*closeCounter{}
+	cfg := ExpConfig{
+		Machine:      config.Small(),
+		InstrPerCore: 20_000,
+		Workloads:    []string{"milc"},
+		FootScaleNum: 1,
+		FootScaleDen: 16,
+		Parallelism:  1,
+		Telemetry: func(label, wl string) (*telemetry.Config, error) {
+			w := &closeCounter{}
+			opened[label] = w
+			tc := &telemetry.Config{MetricsW: w}
+			if label == "baseline" {
+				return tc, errCreate
+			}
+			return tc, nil
+		},
+	}
+	_, err := Sweep(cfg, []Variant{SchemeVariant(config.SchemeSILCFM)})
+	if !errors.Is(err, errCreate) || !strings.Contains(err.Error(), "baseline/milc") {
+		t.Fatalf("Sweep error = %v, want the baseline/milc cell failing with %v", err, errCreate)
+	}
+	if w := opened["baseline"]; w == nil || w.closes != 1 || w.writes != 0 {
+		t.Fatalf("failed cell's writer = %+v, want closed once and never written", w)
+	}
+}
+
+// TestTableIIIHonoursPerRunOptions: Table III runs through Sweep, so every
+// workload gets its per-run telemetry outputs, progress line and live-hub
+// run, like any other sweep's baseline leg.
+func TestTableIIIHonoursPerRunOptions(t *testing.T) {
+	srv, err := live.New("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("live.New: %v", err)
+	}
+	defer srv.Close()
+	var progress strings.Builder
+	metrics := map[string]*closeCounter{}
+	cfg := tinyExp()
+	cfg.Parallelism = 1
+	cfg.Live = srv
+	cfg.Progress = &progress
+	cfg.Telemetry = func(label, wl string) (*telemetry.Config, error) {
+		w := &closeCounter{}
+		metrics[label+"/"+wl] = w
+		return &telemetry.Config{MetricsW: w}, nil
+	}
+	if _, _, err := TableIII(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, wl := range cfg.Workloads {
+		id := "baseline/" + wl
+		if w := metrics[id]; w == nil || w.writes == 0 || w.closes != 1 {
+			t.Errorf("%s metrics writer = %+v, want written and closed once", id, w)
+		}
+		if !strings.Contains(progress.String(), "done "+id+": ok") {
+			t.Errorf("progress %q lacks %s", progress.String(), id)
+		}
+	}
+	if len(metrics) != len(cfg.Workloads) {
+		t.Errorf("factory built %d configs, want one per workload (%d)", len(metrics), len(cfg.Workloads))
+	}
+	if runs := srv.Registry().Runs(); len(runs) != len(cfg.Workloads) {
+		t.Errorf("live hub saw %d runs, want %d", len(runs), len(cfg.Workloads))
 	}
 }

@@ -39,121 +39,82 @@ var kinds = [...]string{
 	KindQueueSaturation, KindPredictorCollapse, KindRowThrash,
 }
 
-const numKinds = len(kinds)
+// NumKinds is the number of incident kinds; KindIndex maps each onto
+// 0..NumKinds-1, so per-kind state can live in fixed [NumKinds] arrays.
+const NumKinds = len(kinds)
 
-// Config tunes the detector's sliding windows and thresholds. The zero
-// value means "defaults"; harness.Run enables the detector on every run
-// unless Disabled is set.
-type Config struct {
-	// Disabled turns the detector off entirely.
-	Disabled bool
-	// WindowEpochs is the sliding-window length every condition is
-	// evaluated over (default 8 epochs).
-	WindowEpochs int
-	// CloseAfter is how many consecutive quiet epochs close an open
-	// incident (default 2); a brief dip does not split one pathology into
-	// two records.
-	CloseAfter int
-
-	// SwapThrashRatio: swap-thrash fires when the window's swapped bytes
-	// (SwapsIn+SwapsOut subblocks) exceed this multiple of its demand
-	// bytes (default 1.0 — the scheme moved more data than it served).
-	SwapThrashRatio float64
-	// MinWindowMisses is the activity floor: windows with fewer LLC
-	// misses never fire swap-thrash (default 64).
-	MinWindowMisses uint64
-
-	// BypassTarget is the access-rate threshold whose repeated crossing
-	// signals governor oscillation (default 0.8, the paper's Eq. 1
-	// ceiling). MinCrossings is the crossings-per-window trigger
-	// (default 4); the scheme's bypass_toggles gauge, when present,
-	// counts toggles directly and uses the same trigger.
-	BypassTarget float64
-	MinCrossings uint64
-
-	// LockChurnMin: lock-churn fires when min(locks, unlocks) over the
-	// window reaches this (default 16 — blocks being locked and promptly
-	// unlocked instead of staying resident).
-	LockChurnMin uint64
-
-	// QueueSatFraction and QueueSatEpochs: queue-saturation fires when a
-	// device's per-epoch peak queue depth stays at or above
-	// QueueSatFraction of its capacity (default 0.75) for at least
-	// QueueSatEpochs epochs of the window (default WindowEpochs/2).
-	// QueueCapNM/FM are the device queue capacities in requests
-	// (channels x (read+write queue length)); zero disables the check
-	// for that device.
-	QueueSatFraction       float64
-	QueueSatEpochs         int
-	QueueCapNM, QueueCapFM int
-
-	// PredictorFloor and PredictorMinSamples: predictor-collapse fires
-	// when windowed predictor accuracy falls below the floor (default
-	// 0.5 — worse than a coin flip) with at least PredictorMinSamples
-	// predictions in the window (default 256).
-	PredictorFloor      float64
-	PredictorMinSamples uint64
-
-	// RowThrashConflictRatio: row-thrash fires when the window's
-	// row-buffer conflicts (either device) exceed this fraction of its row
-	// operations (default 0.5 — most activates tear down a still-hot row)
-	// AND the peak per-epoch bank imbalance reached RowThrashImbalance
-	// (default 4.0 — the conflicts concentrate on few banks rather than
-	// being uniform pressure). RowThrashMinOps is the activity floor per
-	// window (default 512 row operations).
-	RowThrashConflictRatio float64
-	RowThrashImbalance     float64
-	RowThrashMinOps        uint64
-}
-
-// withDefaults resolves zero fields to the documented defaults.
-func (c Config) withDefaults() Config {
-	if c.WindowEpochs <= 0 {
-		c.WindowEpochs = 8
-	}
-	if c.CloseAfter <= 0 {
-		c.CloseAfter = 2
-	}
-	if c.SwapThrashRatio <= 0 {
-		c.SwapThrashRatio = 1.0
-	}
-	if c.MinWindowMisses == 0 {
-		c.MinWindowMisses = 64
-	}
-	if c.BypassTarget <= 0 {
-		c.BypassTarget = 0.8
-	}
-	if c.MinCrossings == 0 {
-		c.MinCrossings = 4
-	}
-	if c.LockChurnMin == 0 {
-		c.LockChurnMin = 16
-	}
-	if c.QueueSatFraction <= 0 {
-		c.QueueSatFraction = 0.75
-	}
-	if c.QueueSatEpochs <= 0 {
-		c.QueueSatEpochs = c.WindowEpochs / 2
-		if c.QueueSatEpochs < 1 {
-			c.QueueSatEpochs = 1
+// KindIndex returns kind's position in detector evaluation order, or -1
+// for an unknown kind.
+func KindIndex(kind string) int {
+	for i, k := range kinds {
+		if k == kind {
+			return i
 		}
 	}
-	if c.PredictorFloor <= 0 {
-		c.PredictorFloor = 0.5
-	}
-	if c.PredictorMinSamples == 0 {
-		c.PredictorMinSamples = 256
-	}
-	if c.RowThrashConflictRatio <= 0 {
-		c.RowThrashConflictRatio = 0.5
-	}
-	if c.RowThrashImbalance <= 0 {
-		c.RowThrashImbalance = 4.0
-	}
-	if c.RowThrashMinOps == 0 {
-		c.RowThrashMinOps = 512
-	}
-	return c
+	return -1
+}
+
+// The detector's sliding window and rule thresholds. They are fixed design
+// constants, not settings: Rules renders exactly these values, so every
+// threshold the health report, /healthz and the postmortem print is the
+// one the detector ran.
+const (
+	// windowEpochs is the sliding-window length every condition is
+	// evaluated over.
+	windowEpochs = 8
+	// closeAfter is how many consecutive quiet epochs close an open
+	// incident; a brief dip does not split one pathology into two records.
+	closeAfter = 2
+
+	// swap-thrash fires when the window's swapped bytes (SwapsIn+SwapsOut
+	// subblocks) exceed swapThrashRatio times its demand bytes (the scheme
+	// moved more data than it served), in windows with at least
+	// minWindowMisses LLC misses.
+	swapThrashRatio float64 = 1.0
+	minWindowMisses uint64  = 64
+
+	// bypass-oscillation fires when the access rate crosses bypassTarget
+	// (the paper's Eq. 1 ceiling) at least minCrossings times per window;
+	// the scheme's bypass_toggles gauge, when present, counts toggles
+	// directly and uses the same trigger.
+	bypassTarget float64 = 0.8
+	minCrossings uint64  = 4
+
+	// lock-churn fires when min(locks, unlocks) over the window reaches
+	// lockChurnMin: blocks are locked and promptly unlocked instead of
+	// staying resident.
+	lockChurnMin uint64 = 16
+
+	// queue-saturation fires when a device's per-epoch peak queue depth
+	// stays at or above queueSatFraction of its capacity for at least
+	// queueSatEpochs epochs of the window.
+	queueSatFraction float64 = 0.75
+	queueSatEpochs           = windowEpochs / 2
+
+	// predictor-collapse fires when windowed predictor accuracy falls
+	// below predictorFloor (worse than a coin flip) with at least
+	// predictorMinSamples predictions in the window.
+	predictorFloor      float64 = 0.5
+	predictorMinSamples uint64  = 256
+
+	// row-thrash fires when the window's row-buffer conflicts (either
+	// device) exceed rowThrashConflictRatio of its row operations (most
+	// activates tear down a still-hot row) AND the peak per-epoch bank
+	// imbalance reached rowThrashImbalance (the conflicts concentrate on
+	// few banks rather than being uniform pressure), with at least
+	// rowThrashMinOps row operations in the window.
+	rowThrashConflictRatio float64 = 0.5
+	rowThrashImbalance     float64 = 4.0
+	rowThrashMinOps        uint64  = 512
+)
+
+// Config carries the per-machine inputs of the detector. harness.Run
+// derives it from the machine and runs the detector on every run.
+type Config struct {
+	// QueueCapNM/FM are the device queue capacities in requests (channels
+	// x (read+write queue length)) the queue-saturation rule measures peak
+	// depth against; zero disables the check for that device.
+	QueueCapNM, QueueCapFM int
 }
 
 // Evidence carries the counters that justified an incident, summed over
@@ -178,7 +139,7 @@ type Evidence struct {
 }
 
 // Incident is one detected pathology: a contiguous stretch of epochs
-// (quiet gaps up to CloseAfter included) during which a windowed
+// (quiet gaps up to closeAfter included) during which a windowed
 // condition held. Field order is fixed, so JSON encoding is
 // byte-deterministic.
 type Incident struct {
@@ -236,29 +197,24 @@ type tracker struct {
 // it from the simulation goroutine at epoch boundaries).
 type Detector struct {
 	cfg  Config
-	ring []obs // last WindowEpochs observations, oldest first
+	ring []obs // last windowEpochs observations, oldest first
 
 	prevRate      float64
 	prevRateValid bool
 	prevToggles   float64
 
-	track [numKinds]tracker
+	track [NumKinds]tracker
 	done  []Incident
 }
 
-// NewDetector builds a detector with cfg's thresholds (zero fields take
-// the documented defaults). Returns nil when cfg.Disabled is set; all
-// Detector methods are nil-safe.
+// NewDetector builds a detector for a machine with cfg's queue capacities.
 func NewDetector(cfg Config) *Detector {
-	if cfg.Disabled {
-		return nil
-	}
-	return &Detector{cfg: cfg.withDefaults()}
+	return &Detector{cfg: cfg}
 }
 
 // Observe feeds one epoch sample (deltas plus gauges) to every detector.
 func (d *Detector) Observe(s *telemetry.Sample) {
-	if d == nil || s == nil {
+	if s == nil {
 		return
 	}
 	o := obs{
@@ -286,7 +242,7 @@ func (d *Detector) Observe(s *telemetry.Sample) {
 	// not read as oscillation.
 	if s.LLCMisses > 0 {
 		if d.prevRateValid &&
-			(d.prevRate >= d.cfg.BypassTarget) != (s.AccessRate >= d.cfg.BypassTarget) {
+			(d.prevRate >= bypassTarget) != (s.AccessRate >= bypassTarget) {
 			o.crossings = 1
 		}
 		d.prevRate = s.AccessRate
@@ -304,7 +260,7 @@ func (d *Detector) Observe(s *telemetry.Sample) {
 	}
 
 	d.ring = append(d.ring, o)
-	if len(d.ring) > d.cfg.WindowEpochs {
+	if len(d.ring) > windowEpochs {
 		d.ring = d.ring[1:]
 	}
 	d.evaluate(&o)
@@ -342,17 +298,16 @@ func (d *Detector) window() obs {
 // evaluate runs every condition over the current window and advances the
 // per-kind incident state machines with this epoch's contribution o.
 func (d *Detector) evaluate(o *obs) {
-	c := &d.cfg
 	w := d.window()
 
 	// swap-thrash: the window moved more bytes between levels than it
 	// served to the cores.
 	{
-		fire := w.misses >= c.MinWindowMisses && w.demandBytes > 0 &&
-			float64(w.swapBytes) > c.SwapThrashRatio*float64(w.demandBytes)
+		fire := w.misses >= minWindowMisses && w.demandBytes > 0 &&
+			float64(w.swapBytes) > swapThrashRatio*float64(w.demandBytes)
 		sev := 0.0
 		if fire {
-			sev = float64(w.swapBytes) / float64(w.demandBytes) / c.SwapThrashRatio
+			sev = float64(w.swapBytes) / float64(w.demandBytes) / swapThrashRatio
 		}
 		d.step(KindSwapThrash, fire, sev, o, Evidence{
 			SwapBytes: o.swapBytes, DemandBytes: o.demandBytes,
@@ -365,8 +320,8 @@ func (d *Detector) evaluate(o *obs) {
 		if w.toggles > worst {
 			worst = w.toggles
 		}
-		fire := worst >= c.MinCrossings
-		sev := float64(worst) / float64(c.MinCrossings)
+		fire := worst >= minCrossings
+		sev := float64(worst) / float64(minCrossings)
 		if !fire {
 			sev = 0
 		}
@@ -381,8 +336,8 @@ func (d *Detector) evaluate(o *obs) {
 		if w.unlocks < churn {
 			churn = w.unlocks
 		}
-		fire := churn >= c.LockChurnMin
-		sev := float64(churn) / float64(c.LockChurnMin)
+		fire := churn >= lockChurnMin
+		sev := float64(churn) / float64(lockChurnMin)
 		if !fire {
 			sev = 0
 		}
@@ -397,7 +352,7 @@ func (d *Detector) evaluate(o *obs) {
 			if capacity <= 0 {
 				return 0, 0
 			}
-			limit := c.QueueSatFraction * float64(capacity)
+			limit := queueSatFraction * float64(capacity)
 			n, worst := 0, 0.0
 			for i := range d.ring {
 				p := peak(&d.ring[i])
@@ -410,9 +365,9 @@ func (d *Detector) evaluate(o *obs) {
 			}
 			return n, worst
 		}
-		nNM, sevNM := sat(c.QueueCapNM, func(o *obs) int { return o.peakNM })
-		nFM, sevFM := sat(c.QueueCapFM, func(o *obs) int { return o.peakFM })
-		fire := nNM >= c.QueueSatEpochs || nFM >= c.QueueSatEpochs
+		nNM, sevNM := sat(d.cfg.QueueCapNM, func(o *obs) int { return o.peakNM })
+		nFM, sevFM := sat(d.cfg.QueueCapFM, func(o *obs) int { return o.peakFM })
+		fire := nNM >= queueSatEpochs || nFM >= queueSatEpochs
 		sev := sevNM
 		if sevFM > sev {
 			sev = sevFM
@@ -432,7 +387,7 @@ func (d *Detector) evaluate(o *obs) {
 		if samples > 0 {
 			acc = float64(w.predHits) / float64(samples)
 		}
-		fire := samples >= c.PredictorMinSamples && acc < c.PredictorFloor
+		fire := samples >= predictorMinSamples && acc < predictorFloor
 		sev := 0.0
 		if fire {
 			sev = 1 - acc
@@ -450,12 +405,12 @@ func (d *Detector) evaluate(o *obs) {
 		if w.rowOps > 0 {
 			rate = float64(w.rowConf) / float64(w.rowOps)
 		}
-		fire := w.rowOps >= c.RowThrashMinOps &&
-			rate > c.RowThrashConflictRatio &&
-			w.imbalance >= c.RowThrashImbalance
+		fire := w.rowOps >= rowThrashMinOps &&
+			rate > rowThrashConflictRatio &&
+			w.imbalance >= rowThrashImbalance
 		sev := 0.0
 		if fire {
-			sev = rate / c.RowThrashConflictRatio
+			sev = rate / rowThrashConflictRatio
 		}
 		d.step(KindRowThrash, fire, sev, o, Evidence{
 			RowConflicts: o.rowConf, RowOps: o.rowOps, BankImbalance: o.imbalance,
@@ -464,13 +419,13 @@ func (d *Detector) evaluate(o *obs) {
 }
 
 // step advances one kind's state machine: open or extend on fire, close
-// after CloseAfter consecutive quiet evaluations.
+// after closeAfter consecutive quiet evaluations.
 func (d *Detector) step(kind string, fire bool, sev float64, o *obs, ev Evidence) {
-	t := &d.track[kindIndex(kind)]
+	t := &d.track[KindIndex(kind)]
 	if !fire {
 		if t.open != nil {
 			t.quiet++
-			if t.quiet >= d.cfg.CloseAfter {
+			if t.quiet >= closeAfter {
 				d.done = append(d.done, *t.open)
 				t.open = nil
 			}
@@ -513,21 +468,9 @@ func (d *Detector) step(kind string, fire bool, sev float64, o *obs, ev Evidence
 	}
 }
 
-func kindIndex(kind string) int {
-	for i, k := range kinds {
-		if k == kind {
-			return i
-		}
-	}
-	panic("health: unknown kind " + kind)
-}
-
 // Open returns copies of the incidents currently firing (or inside their
-// CloseAfter grace window), in kind order — the /healthz view.
+// closeAfter grace window), in kind order — the /healthz view.
 func (d *Detector) Open() []Incident {
-	if d == nil {
-		return nil
-	}
 	var out []Incident
 	for i := range d.track {
 		if in := d.track[i].open; in != nil {
@@ -581,9 +524,6 @@ func DiffOpen(prev, cur []Incident) (opened, closed []Incident) {
 // incident list, sorted by first epoch then kind. Call once, after the
 // final telemetry epoch (including the partial one Finish flushes).
 func (d *Detector) Finish() []Incident {
-	if d == nil {
-		return nil
-	}
 	for i := range d.track {
 		if in := d.track[i].open; in != nil {
 			d.done = append(d.done, *in)
@@ -594,7 +534,7 @@ func (d *Detector) Finish() []Incident {
 		if d.done[i].FirstEpoch != d.done[j].FirstEpoch {
 			return d.done[i].FirstEpoch < d.done[j].FirstEpoch
 		}
-		return kindIndex(d.done[i].Kind) < kindIndex(d.done[j].Kind)
+		return KindIndex(d.done[i].Kind) < KindIndex(d.done[j].Kind)
 	})
 	return append([]Incident(nil), d.done...)
 }

@@ -3,7 +3,9 @@ package health_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"silcfm/internal/config"
@@ -27,7 +29,7 @@ func feed(epoch uint64, mut func(*telemetry.Sample)) *telemetry.Sample {
 }
 
 func TestSwapThrashFiresAndCloses(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 4, CloseAfter: 2})
+	det := health.NewDetector(health.Config{})
 	// Epochs 0-5 thrash (swaps double the demand), 6+ are healthy; the
 	// incident must close after the window drains plus the grace epochs.
 	for e := uint64(0); e < 16; e++ {
@@ -56,11 +58,12 @@ func TestSwapThrashFiresAndCloses(t *testing.T) {
 	if in.FirstCycle != 0 || in.LastCycle == 0 {
 		t.Errorf("cycle range [%d, %d] not anchored", in.FirstCycle, in.LastCycle)
 	}
-	// The 4-epoch window still exceeds demand for a couple of epochs after
-	// the thrash stops, so the incident extends past epoch 5 but must have
-	// closed well before the run's end.
-	if in.LastEpoch < 5 || in.LastEpoch > 9 {
-		t.Errorf("last epoch = %d, want within (5, 9]", in.LastEpoch)
+	// Each thrash epoch swaps twice its demand, so the 8-epoch window
+	// still exceeds demand while more than half of it is thrash epochs:
+	// through epoch 8 (epochs 1-5 of 1-8). Then the incident closes, well
+	// before the run's end.
+	if in.LastEpoch != 8 {
+		t.Errorf("last epoch = %d, want 8", in.LastEpoch)
 	}
 	if in.PeakSeverity <= 1 {
 		t.Errorf("peak severity %.2f, want > 1 (threshold crossed)", in.PeakSeverity)
@@ -71,7 +74,7 @@ func TestSwapThrashFiresAndCloses(t *testing.T) {
 }
 
 func TestBypassOscillationCountsCrossingsNotIdleEpochs(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 8, MinCrossings: 4})
+	det := health.NewDetector(health.Config{})
 	// Rate alternates around 0.8 every active epoch, but idle epochs
 	// (zero misses, rate reported as 0) sit between them and must not
 	// count as crossings.
@@ -112,7 +115,7 @@ func TestBypassOscillationCountsCrossingsNotIdleEpochs(t *testing.T) {
 }
 
 func TestBypassToggleGaugeFires(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 4, MinCrossings: 4})
+	det := health.NewDetector(health.Config{})
 	// The governor gauge alone (cumulative toggle count) must trigger,
 	// even with a steady access rate.
 	toggles := []float64{2, 4, 6}
@@ -137,7 +140,7 @@ func TestBypassToggleGaugeFires(t *testing.T) {
 }
 
 func TestLockChurn(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 4, LockChurnMin: 16})
+	det := health.NewDetector(health.Config{})
 	for e := uint64(0); e < 4; e++ {
 		det.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 50
@@ -156,8 +159,7 @@ func TestLockChurn(t *testing.T) {
 }
 
 func TestQueueSaturationUsesPeaks(t *testing.T) {
-	cfg := health.Config{WindowEpochs: 4, QueueSatEpochs: 2, QueueCapNM: 100}
-	det := health.NewDetector(cfg)
+	det := health.NewDetector(health.Config{QueueCapNM: 100})
 	// Instantaneous depth at the boundary is low; the per-epoch peak is
 	// pinned at capacity. Only the peak should matter.
 	for e := uint64(0); e < 4; e++ {
@@ -175,7 +177,7 @@ func TestQueueSaturationUsesPeaks(t *testing.T) {
 		t.Errorf("evidence peak = %d, want 95", incidents[0].Evidence.PeakQueueNM)
 	}
 	// Same trace with saturation detection disabled (no capacity): silent.
-	det2 := health.NewDetector(health.Config{WindowEpochs: 4, QueueSatEpochs: 2})
+	det2 := health.NewDetector(health.Config{})
 	for e := uint64(0); e < 4; e++ {
 		det2.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 50
@@ -188,8 +190,10 @@ func TestQueueSaturationUsesPeaks(t *testing.T) {
 }
 
 func TestPredictorCollapse(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 4, PredictorMinSamples: 100})
-	for e := uint64(0); e < 4; e++ {
+	det := health.NewDetector(health.Config{})
+	// 50 predictions per epoch reach the 256-prediction floor on the
+	// sixth epoch.
+	for e := uint64(0); e < 8; e++ {
 		det.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 50
 			s.PredictorHits = 10
@@ -206,7 +210,7 @@ func TestPredictorCollapse(t *testing.T) {
 }
 
 func TestRowThrashFiresOnConflictStream(t *testing.T) {
-	det := health.NewDetector(health.Config{WindowEpochs: 4})
+	det := health.NewDetector(health.Config{})
 	// A synthetic conflict stream: nearly every FM row operation is a
 	// conflict and the pressure sits on one bank (imbalance far above the
 	// threshold). Epochs 6+ return to a healthy streaming mix.
@@ -251,7 +255,7 @@ func TestRowThrashFiresOnConflictStream(t *testing.T) {
 func TestRowThrashNeedsImbalance(t *testing.T) {
 	// The same conflict rate with uniform bank pressure is ordinary
 	// bandwidth saturation, not row thrash: it must stay quiet.
-	det := health.NewDetector(health.Config{WindowEpochs: 4})
+	det := health.NewDetector(health.Config{})
 	for e := uint64(0); e < 8; e++ {
 		det.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 300
@@ -265,7 +269,7 @@ func TestRowThrashNeedsImbalance(t *testing.T) {
 		t.Fatalf("uniform conflicts raised incidents: %+v", got)
 	}
 	// And below the activity floor nothing fires either.
-	det2 := health.NewDetector(health.Config{WindowEpochs: 4})
+	det2 := health.NewDetector(health.Config{})
 	for e := uint64(0); e < 8; e++ {
 		det2.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 10
@@ -280,22 +284,11 @@ func TestRowThrashNeedsImbalance(t *testing.T) {
 	}
 }
 
-func TestDisabledDetectorIsNil(t *testing.T) {
-	det := health.NewDetector(health.Config{Disabled: true})
-	if det != nil {
-		t.Fatal("Disabled config must return nil")
-	}
-	det.Observe(feed(0, nil)) // nil-safety
-	if det.Open() != nil || det.Finish() != nil {
-		t.Fatal("nil detector must stay silent")
-	}
-}
-
 // thrashFeed drives one deterministic synthetic mixture through a fresh
 // detector and returns the JSONL encoding of its incidents.
 func thrashFeed(t *testing.T) []byte {
 	t.Helper()
-	det := health.NewDetector(health.Config{WindowEpochs: 4})
+	det := health.NewDetector(health.Config{})
 	for e := uint64(0); e < 32; e++ {
 		det.Observe(feed(e, func(s *telemetry.Sample) {
 			s.LLCMisses = 100 + e
@@ -387,7 +380,7 @@ func runConflictScenario(t *testing.T, feats config.SILCFeatures) []health.Incid
 	sys := mem.NewSystem(m, eng)
 	ctl := core.New(sys, m.SILC)
 
-	det := health.NewDetector(health.Config{WindowEpochs: 4})
+	det := health.NewDetector(health.Config{})
 	tel := telemetry.Attach(&telemetry.Config{
 		EpochCycles: 5_000,
 		OnEpoch:     func(st telemetry.EpochState) { det.Observe(st.Sample) },
@@ -496,5 +489,201 @@ func TestDiffOpen(t *testing.T) {
 				t.Errorf("closed = %v, want %v", got, tc.wantClose)
 			}
 		})
+	}
+}
+
+// TestRuleBoundaries pins every rule's fixed thresholds: a window exactly
+// at a rule's inclusive bound fires, one unit short stays quiet (for a
+// strict bound, exactly at it stays quiet and one unit past fires), and
+// each bound is the number Rules() prints. Each sample repeats every epoch
+// unless the case varies it by epoch; windows hold 8 epochs.
+func TestRuleBoundaries(t *testing.T) {
+	type mut func(e uint64, s *telemetry.Sample)
+	// every sets a per-epoch sample; lastDiffers swaps in other for the
+	// final epoch, landing one unit short of a window total.
+	every := func(f func(s *telemetry.Sample)) mut { return func(_ uint64, s *telemetry.Sample) { f(s) } }
+	lastDiffers := func(epochs uint64, f, other func(s *telemetry.Sample)) mut {
+		return func(e uint64, s *telemetry.Sample) {
+			if e == epochs-1 {
+				other(s)
+			} else {
+				f(s)
+			}
+		}
+	}
+	// at sets f only at the listed epochs.
+	at := func(f func(s *telemetry.Sample), epochs ...uint64) mut {
+		return func(e uint64, s *telemetry.Sample) {
+			for _, x := range epochs {
+				if e == x {
+					f(s)
+				}
+			}
+		}
+	}
+	swap := func(misses, demandBytes uint64) func(s *telemetry.Sample) {
+		return func(s *telemetry.Sample) {
+			s.LLCMisses = misses
+			s.SwapsIn = 2 // 128 swapped bytes per epoch
+			s.DemandBytesNM = demandBytes
+		}
+	}
+	rate := func(hi, lo float64) mut {
+		return func(e uint64, s *telemetry.Sample) {
+			s.LLCMisses = 10
+			s.AccessRate = hi
+			if e%2 == 1 {
+				s.AccessRate = lo
+			}
+		}
+	}
+	locks := func(l, u uint64) func(s *telemetry.Sample) {
+		return func(s *telemetry.Sample) { s.Locks, s.Unlocks = l, u }
+	}
+	queue := func(peak int) func(s *telemetry.Sample) {
+		return func(s *telemetry.Sample) { s.PeakQueueNM = peak }
+	}
+	pred := func(hits, misses uint64) func(s *telemetry.Sample) {
+		return func(s *telemetry.Sample) { s.PredictorHits, s.PredictorMisses = hits, misses }
+	}
+	rows := func(hits, misses, conflicts uint64, imbalance float64) func(s *telemetry.Sample) {
+		return func(s *telemetry.Sample) {
+			s.RowHitsFM, s.RowMissesFM, s.RowConflictsFM = hits, misses, conflicts
+			s.BankImbalanceFM = imbalance
+		}
+	}
+	cases := []struct {
+		name   string
+		kind   string
+		epochs uint64
+		fire   mut
+		quiet  mut
+		text   []string // substrings of the rule's printed threshold
+	}{
+		// 8 epochs x 8 misses reach the 64-miss floor; 63 do not.
+		{"swap-thrash misses", health.KindSwapThrash, 8,
+			every(swap(8, 64)), lastDiffers(8, swap(8, 64), swap(7, 64)),
+			[]string{">= 64 LLC misses", "over 8 epochs"}},
+		// Swapped bytes must exceed 1.00 x demand: 1024 > 1023 fires,
+		// 1024 = 1024 does not.
+		{"swap-thrash ratio", health.KindSwapThrash, 8,
+			lastDiffers(8, swap(8, 128), swap(8, 127)), every(swap(8, 128)),
+			[]string{"> 1.00 x demand bytes"}},
+		// Rates alternating across 0.80 (inclusive above; the low rate is
+		// the next float below it) cross once per epoch after the first: 4
+		// crossings by epoch 4.
+		{"bypass-oscillation target", health.KindBypassOscillation, 5,
+			rate(0.8, math.Nextafter(0.8, 0)), rate(0.81, 0.8),
+			[]string{"crossings of 0.80", ">= 4 over 8 epochs"}},
+		{"bypass-oscillation crossings", health.KindBypassOscillation, 5,
+			rate(0.9, 0.7), func(e uint64, s *telemetry.Sample) {
+				rate(0.9, 0.7)(min(e, 3), s) // the fifth epoch repeats the fourth
+			},
+			[]string{">= 4 over 8 epochs"}},
+		// 8 epochs x 2 reach 16; one unlock short is 15.
+		{"lock-churn", health.KindLockChurn, 8,
+			every(locks(2, 2)), lastDiffers(8, locks(2, 2), locks(2, 1)),
+			[]string{">= 16 over 8 epochs"}},
+		// The window spans 8 epochs: epochs 0 and 7 share one, 0 and 8 do
+		// not.
+		{"lock-churn window", health.KindLockChurn, 9,
+			at(locks(8, 8), 0, 7), at(locks(8, 8), 0, 8),
+			[]string{"over 8 epochs"}},
+		// Capacity 100: a peak of 75 is saturated, 74 is not.
+		{"queue-saturation depth", health.KindQueueSaturation, 8,
+			at(queue(75), 0, 2, 4, 6), at(queue(74), 0, 2, 4, 6),
+			[]string{">= 75% of device capacity"}},
+		// 4 saturated epochs of the window fire; 3 do not.
+		{"queue-saturation epochs", health.KindQueueSaturation, 8,
+			at(queue(100), 0, 2, 4, 6), at(queue(100), 0, 2, 4),
+			[]string{"in >= 4 of 8 epochs"}},
+		// 8 epochs x 32 predictions reach 256 at 15/32 accuracy; 255 do
+		// not.
+		{"predictor-collapse samples", health.KindPredictorCollapse, 8,
+			every(pred(15, 17)), lastDiffers(8, pred(15, 17), pred(15, 16)),
+			[]string{">= 256 predictions over 8 epochs"}},
+		// Accuracy must fall below 0.50: 127/256 fires, 128/256 does not.
+		{"predictor-collapse floor", health.KindPredictorCollapse, 8,
+			lastDiffers(8, pred(16, 16), pred(15, 17)), every(pred(16, 16)),
+			[]string{"accuracy < 0.50"}},
+		// 8 epochs x 64 row ops reach 512 at 33/64 conflicts; 511 do not.
+		{"row-thrash ops", health.KindRowThrash, 8,
+			every(rows(31, 33, 33, 4)), lastDiffers(8, rows(31, 33, 33, 4), rows(30, 33, 33, 4)),
+			[]string{">= 512 row ops over 8 epochs"}},
+		// Conflicts must exceed 0.50 of row ops: 257/512 fires, 256 not.
+		{"row-thrash ratio", health.KindRowThrash, 8,
+			lastDiffers(8, rows(32, 32, 32, 4), rows(31, 33, 33, 4)), every(rows(32, 32, 32, 4)),
+			[]string{"> 0.50 x row ops"}},
+		// The peak bank imbalance must reach 4.0.
+		{"row-thrash imbalance", health.KindRowThrash, 8,
+			every(rows(31, 33, 33, 4)), every(rows(31, 33, 33, 3.99)),
+			[]string{"peak bank imbalance >= 4.0"}},
+	}
+	run := func(m mut, epochs uint64) []health.Incident {
+		det := health.NewDetector(health.Config{QueueCapNM: 100})
+		for e := uint64(0); e < epochs; e++ {
+			det.Observe(feed(e, func(s *telemetry.Sample) { m(e, s) }))
+		}
+		return det.Finish()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := run(tc.fire, tc.epochs); !hasKind(got, tc.kind) {
+				t.Errorf("window at the bound raised no %s: %+v", tc.kind, got)
+			}
+			if got := run(tc.quiet, tc.epochs); hasKind(got, tc.kind) {
+				t.Errorf("window one unit short raised %s: %+v", tc.kind, got)
+			}
+			info, ok := health.Info(tc.kind)
+			if !ok {
+				t.Fatalf("no rule metadata for %s", tc.kind)
+			}
+			for _, want := range tc.text {
+				if !strings.Contains(info.Threshold, want) {
+					t.Errorf("threshold %q does not print %q", info.Threshold, want)
+				}
+			}
+		})
+	}
+}
+
+// TestIncidentClosesAfterTwoQuietEpochs pins the close hysteresis: a
+// one-epoch quiet gap extends the open incident, a two-epoch gap closes it
+// and the next firing opens a second one. A lock-churn burst in one epoch
+// keeps the 8-epoch window firing through epoch 7 of it.
+func TestIncidentClosesAfterTwoQuietEpochs(t *testing.T) {
+	for _, tc := range []struct {
+		second uint64 // epoch of the second burst
+		want   int
+	}{
+		{9, 1},  // quiet at 8 only
+		{10, 2}, // quiet at 8 and 9: closed
+	} {
+		det := health.NewDetector(health.Config{})
+		for e := uint64(0); e <= tc.second+8; e++ {
+			det.Observe(feed(e, func(s *telemetry.Sample) {
+				if e == 0 || e == tc.second {
+					s.Locks, s.Unlocks = 16, 16
+				}
+			}))
+		}
+		if got := det.Finish(); len(got) != tc.want {
+			t.Errorf("bursts at 0 and %d: %d incidents, want %d: %+v", tc.second, len(got), tc.want, got)
+		}
+	}
+}
+
+func TestKindIndex(t *testing.T) {
+	kinds := health.Kinds()
+	if len(kinds) != health.NumKinds {
+		t.Fatalf("%d kinds, NumKinds = %d", len(kinds), health.NumKinds)
+	}
+	for i, k := range kinds {
+		if got := health.KindIndex(k); got != i {
+			t.Errorf("KindIndex(%q) = %d, want %d", k, got, i)
+		}
+	}
+	if got := health.KindIndex("no-such-kind"); got != -1 {
+		t.Errorf("KindIndex of an unknown kind = %d, want -1", got)
 	}
 }

@@ -193,7 +193,7 @@ func TestFanoutViaCompoundOps(t *testing.T) {
 	nm := Location{Level: stats.NM, DevAddr: 0}
 	fm := Location{Level: stats.FM, DevAddr: 128}
 	s.ExchangeSubblocks(nm, fm, nil)
-	s.SwapDemand(0x80, nm, fm, false, nil)
+	s.swapDemand(0x80, nm, fm, false, nil, nil)
 	eng.Run()
 
 	if len(a.events) == 0 {

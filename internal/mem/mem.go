@@ -252,7 +252,7 @@ type System struct {
 	obsDemand DemandObserver
 	obsIssue  DemandIssueObserver
 
-	// FaultInjectSwapOrder reintroduces the pre-fix SwapDemand write-path
+	// FaultInjectSwapOrder reintroduces the pre-fix swapDemand write-path
 	// ordering bug (demand write submitted before dst's old contents are
 	// read out, destroying them). Test-only: proves the shadow checker
 	// detects the hazard.
@@ -314,7 +314,7 @@ func (op *exchOp) writeDone() {
 	}
 }
 
-// swapOp is the pooled continuation of one read-path SwapDemand: the demand
+// swapOp is the pooled continuation of one read-path swapDemand: the demand
 // read's completion (chain done, then push src's new data to dst) and the
 // buffered migration read's completion (push dst's old data to src).
 type swapOp struct {
@@ -365,7 +365,7 @@ func (op *swapOp) release() {
 
 // relayOp is the pooled continuation of a read-then-write copy: when the
 // read completes, write n bytes to dst (migration class) with fin chained
-// to the write. Used by the SwapDemand write path and RelocateBlockDMA.
+// to the write. Used by the swapDemand write path and RelocateBlockDMA.
 type relayOp struct {
 	s   *System
 	dst Location
@@ -541,7 +541,7 @@ func (a *Access) complete() {
 // InflightDemands reports demand accesses serviced but not yet completed.
 func (s *System) InflightDemands() uint64 { return s.inflight }
 
-// ServiceAccess is ServiceDemand over a full Access, recording the demand
+// ServiceAccess is serviceDemand over a full Access, recording the demand
 // completion latency under path and attributing the device request's
 // queue/service time to the access. Issue observers fire before the demand
 // is dispatched (demand writes complete synchronously at submission, so
@@ -553,7 +553,7 @@ func (s *System) ServiceAccess(a *Access, loc Location, path stats.DemandPath) {
 	s.serviceDemand(a.PAddr, loc, a.Write, a.SpanTrace(), s.DemandDone(a, path))
 }
 
-// SwapAccess is SwapDemand over a full Access, recording the demand
+// SwapAccess is swapDemand over a full Access, recording the demand
 // completion latency under path and attributing the demand leg's
 // queue/service time to the access. Issue observers see the src side (where
 // the demand data currently resides) before dispatch.
@@ -621,14 +621,11 @@ func (s *System) AddBytesRideAlong(level stats.MemLevel, class stats.TrafficClas
 	s.RideAlong[level] += n
 }
 
-// ServiceDemand accounts a demand access of flat address pa satisfied at
+// serviceDemand accounts a demand access of flat address pa satisfied at
 // loc and performs it: reads invoke done at data return; writes complete
 // immediately after submission (write-release semantics at the memory
-// controller) while still occupying bandwidth.
-func (s *System) ServiceDemand(pa uint64, loc Location, write bool, done func()) {
-	s.serviceDemand(pa, loc, write, nil, done)
-}
-
+// controller) while still occupying bandwidth. trace (may be nil) receives
+// the device's queue/service time.
 func (s *System) serviceDemand(pa uint64, loc Location, write bool, trace func(queue, service uint64), done func()) {
 	if loc.Level == stats.NM {
 		s.Stats.ServicedNM++
@@ -664,7 +661,7 @@ func (s *System) ExchangeSubblocks(a, b Location, fin func()) {
 	s.Read(b, memunits.SubblockSize, stats.Migration, op.readBFn)
 }
 
-// SwapDemand services a demand access to flat address pa whose subblock
+// swapDemand services a demand access to flat address pa whose subblock
 // currently resides at src while exchanging it with dst's contents — the
 // interleaved swap of SILC-FM Figure 2, with the demand transfer doubling
 // as one of the migration transfers.
@@ -677,11 +674,8 @@ func (s *System) ExchangeSubblocks(a, b Location, fin func()) {
 // matters here — dst must be read out BEFORE the demand write lands, or
 // the only copy of dst's data is destroyed. The buffered read is submitted
 // first; FaultInjectSwapOrder reintroduces the reversed (buggy) order for
-// checker-validation tests.
-func (s *System) SwapDemand(pa uint64, src, dst Location, write bool, done func()) {
-	s.swapDemand(pa, src, dst, write, nil, done)
-}
-
+// checker-validation tests. trace (may be nil) receives the demand leg's
+// queue/service time.
 func (s *System) swapDemand(pa uint64, src, dst Location, write bool, trace func(queue, service uint64), done func()) {
 	s.NoteSwap(src, dst)
 	if src.Level == stats.NM {

@@ -62,8 +62,8 @@ func TestReadMetaAccountsBothClasses(t *testing.T) {
 func TestServiceDemandCounts(t *testing.T) {
 	eng, s := newSys()
 	reads := 0
-	s.ServiceDemand(0, Location{Level: stats.NM, DevAddr: 0}, false, func() { reads++ })
-	s.ServiceDemand(128<<10, Location{Level: stats.FM, DevAddr: 0}, true, func() { reads++ })
+	s.serviceDemand(0, Location{Level: stats.NM, DevAddr: 0}, false, nil, func() { reads++ })
+	s.serviceDemand(128<<10, Location{Level: stats.FM, DevAddr: 0}, true, nil, func() { reads++ })
 	eng.Run()
 	if reads != 2 {
 		t.Fatal("callbacks")
@@ -126,10 +126,10 @@ func eventsEqual(a, b []string) bool {
 func TestSwapDemandReadTraffic(t *testing.T) {
 	eng, s := newSys()
 	done := false
-	s.SwapDemand(128<<10,
+	s.swapDemand(128<<10,
 		Location{Level: stats.FM, DevAddr: 0},
 		Location{Level: stats.NM, DevAddr: 0},
-		false, func() { done = true })
+		false, nil, func() { done = true })
 	eng.Run()
 	if !done {
 		t.Fatal("demand callback missing")
@@ -156,7 +156,7 @@ func TestSwapDemandWriteOrdering(t *testing.T) {
 	s.AttachObserver(obs)
 	src := Location{Level: stats.FM, DevAddr: 0}
 	dst := Location{Level: stats.NM, DevAddr: 0}
-	s.SwapDemand(128<<10, src, dst, true, nil)
+	s.swapDemand(128<<10, src, dst, true, nil, nil)
 	eng.Run()
 	want := []string{"capture NM", "W demand NM", "deliver FM"}
 	if !eventsEqual(obs.events, want) {
@@ -172,7 +172,7 @@ func TestSwapDemandWriteOrdering(t *testing.T) {
 	obs2 := &recObs{}
 	s2.AttachObserver(obs2)
 	s2.FaultInjectSwapOrder = true
-	s2.SwapDemand(128<<10, src, dst, true, nil)
+	s2.swapDemand(128<<10, src, dst, true, nil, nil)
 	eng2.Run()
 	bad := []string{"W demand NM", "capture NM", "deliver FM"}
 	if !eventsEqual(obs2.events, bad) {

@@ -109,9 +109,6 @@ func (k *Checker) Name() string { return k.inner.Name() }
 // Locate implements mem.Controller.
 func (k *Checker) Locate(pa uint64) mem.Location { return k.inner.Locate(pa) }
 
-// Inner returns the wrapped controller.
-func (k *Checker) Inner() mem.Controller { return k.inner }
-
 // Handle implements mem.Controller: it forwards to the wrapped controller,
 // then verifies the access left the model consistent — every captured
 // subblock delivered, and Locate agreeing with the shadow placement for the

@@ -23,7 +23,7 @@ type StressOptions struct {
 	Seed   int64
 	// Ops is the number of demand accesses to drive (default 20000).
 	Ops int
-	// FaultInjectSwapOrder seeds the pre-fix SwapDemand write-ordering bug
+	// FaultInjectSwapOrder seeds the pre-fix swapDemand write-ordering bug
 	// so tests can prove the checker catches it.
 	FaultInjectSwapOrder bool
 }

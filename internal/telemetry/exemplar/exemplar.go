@@ -27,28 +27,19 @@ import (
 	"silcfm/internal/telemetry"
 )
 
-// DefaultK is the per-path reservoir depth.
-const DefaultK = 16
+// K is the per-path reservoir depth.
+const K = 16
 
-// Config tunes the recorder. The zero value means "defaults"; harness.Run
-// attaches a recorder to every run unless Disabled is set.
+// Config wires the recorder into a run. harness.Run attaches a recorder to
+// every run unless Disabled is set.
 type Config struct {
 	// Disabled turns the recorder off entirely.
 	Disabled bool
-	// K is the per-path reservoir depth (default 16).
-	K int
 	// OnSnapshot, when set, receives a fresh worst-first snapshot of every
 	// reservoir at each telemetry epoch boundary, on the simulation
 	// goroutine (the live registry attaches here). Snapshots are immutable
 	// once emitted, so the callback may retain and share them freely.
 	OnSnapshot func([]Exemplar)
-}
-
-func (c Config) withDefaults() Config {
-	if c.K <= 0 {
-		c.K = DefaultK
-	}
-	return c
 }
 
 // PointContext is the instantaneous system state sampled around one demand
@@ -112,9 +103,9 @@ type Exemplar struct {
 	Gauges        []mem.Gauge `json:"gauges,omitempty"`
 }
 
-// slot is one reservoir entry. The openKinds and gauges buffers are
-// allocated once per slot and reused across evictions, so steady-state
-// admission never allocates.
+// slot is one reservoir entry. The gauges buffer is allocated once per
+// slot and reused across evictions, so steady-state admission never
+// allocates.
 type slot struct {
 	seq      uint64
 	core     int
@@ -129,7 +120,7 @@ type slot struct {
 	issue    mem.DemandContext
 	done     mem.DemandContext
 	epoch    uint64
-	open     []bool // health.Kinds() order
+	open     [health.NumKinds]bool
 	gauges   []mem.Gauge
 }
 
@@ -137,7 +128,7 @@ type slot struct {
 // eviction order: the root is the entry closest to eviction (lowest
 // latency; among ties the latest issue, then the latest completion).
 type reservoir struct {
-	slots []slot
+	slots [K]slot
 	n     int
 }
 
@@ -194,8 +185,7 @@ type Recorder struct {
 	ctl mem.Controller
 	lp  mem.LockProbe // ctl's optional lock probe, resolved once
 
-	kinds   []string // health.Kinds(), index-aligned with slot.open
-	kindIdx map[string]int
+	kinds []string // health.Kinds(), index-aligned with slot.open
 
 	res [stats.NumDemandPaths]reservoir
 	seq uint64
@@ -203,12 +193,11 @@ type Recorder struct {
 	// Epoch context as of the last Observe: copied into slots at
 	// admission via per-slot buffers.
 	epoch       uint64
-	openNow     []bool
+	openNow     [health.NumKinds]bool
 	epochGauges []mem.Gauge
 }
 
-// New builds a recorder over sys with cfg's bounds (zero fields take the
-// documented defaults). ctl, when non-nil, provides completion-time
+// New builds a recorder over sys. ctl, when non-nil, provides completion-time
 // Locate and (if it implements mem.LockProbe) lock-state sampling.
 // Returns nil when cfg.Disabled is set; all Recorder methods are nil-safe.
 func New(cfg Config, sys *mem.System, ctl mem.Controller) *Recorder {
@@ -216,33 +205,14 @@ func New(cfg Config, sys *mem.System, ctl mem.Controller) *Recorder {
 		return nil
 	}
 	r := &Recorder{
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		eng:   sys.Eng,
 		sys:   sys,
 		ctl:   ctl,
 		kinds: health.Kinds(),
 	}
 	r.lp, _ = ctl.(mem.LockProbe)
-	r.kindIdx = make(map[string]int, len(r.kinds))
-	for i, k := range r.kinds {
-		r.kindIdx[k] = i
-	}
-	r.openNow = make([]bool, len(r.kinds))
-	for p := range r.res {
-		r.res[p].slots = make([]slot, r.cfg.K)
-		for i := range r.res[p].slots {
-			r.res[p].slots[i].open = make([]bool, len(r.kinds))
-		}
-	}
 	return r
-}
-
-// K returns the per-path reservoir depth.
-func (r *Recorder) K() int {
-	if r == nil {
-		return 0
-	}
-	return r.cfg.K
 }
 
 // --- mem.Observer -----------------------------------------------------
@@ -328,7 +298,7 @@ func (r *Recorder) fill(s *slot, a *mem.Access, lat uint64) {
 	}
 	s.done = r.pointAt(a.PAddr, loc)
 	s.epoch = r.epoch
-	copy(s.open, r.openNow)
+	s.open = r.openNow
 	s.gauges = append(s.gauges[:0], r.epochGauges...)
 }
 
@@ -342,11 +312,9 @@ func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 	}
 	r.epoch = st.Sample.Epoch
 	r.epochGauges = append(r.epochGauges[:0], st.Sample.Gauges...)
-	for i := range r.openNow {
-		r.openNow[i] = false
-	}
+	r.openNow = [health.NumKinds]bool{}
 	for i := range hs.Open {
-		if k, ok := r.kindIdx[hs.Open[i].Kind]; ok {
+		if k := health.KindIndex(hs.Open[i].Kind); k >= 0 {
 			r.openNow[k] = true
 		}
 	}

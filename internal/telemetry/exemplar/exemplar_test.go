@@ -2,22 +2,25 @@ package exemplar_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"silcfm/internal/config"
+	"silcfm/internal/health"
 	"silcfm/internal/mem"
 	"silcfm/internal/sim"
 	"silcfm/internal/stats"
+	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/exemplar"
 )
 
 // newRecorder builds a recorder over a bare idle system, so tests can feed
 // the observer hooks directly with hand-built accesses.
-func newRecorder(t *testing.T, k int) (*sim.Engine, *mem.System, *exemplar.Recorder) {
+func newRecorder(t *testing.T) (*sim.Engine, *mem.System, *exemplar.Recorder) {
 	t.Helper()
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(config.Small(), eng)
-	r := exemplar.New(exemplar.Config{K: k}, sys, nil)
+	r := exemplar.New(exemplar.Config{}, sys, nil)
 	if r == nil {
 		t.Fatal("New returned nil for an enabled config")
 	}
@@ -62,13 +65,10 @@ func TestDisabledIsNilAndNilSafe(t *testing.T) {
 	if got := r.Finish(); got != nil {
 		t.Fatalf("nil recorder Finish = %v, want nil", got)
 	}
-	if r.K() != 0 {
-		t.Fatalf("nil recorder K = %d, want 0", r.K())
-	}
 }
 
 func TestFewerThanKKeepsAll(t *testing.T) {
-	eng, sys, r := newRecorder(t, 16)
+	eng, sys, r := newRecorder(t)
 	for i, lat := range []uint64{30, 10, 20} {
 		feed(eng, sys, r, stats.PathNMHit, uint64(i)*64, 100+uint64(i)*100, lat)
 	}
@@ -85,47 +85,68 @@ func TestFewerThanKKeepsAll(t *testing.T) {
 	}
 }
 
-func TestK1KeepsOnlyTheWorst(t *testing.T) {
-	eng, sys, r := newRecorder(t, 1)
-	lats := []uint64{5, 90, 12, 90, 41}
+// TestFullReservoirKeepsOnlyTheWorstK: once K accesses fill a path's
+// reservoir, a later access enters only by outranking the least-bad
+// survivor, and on a latency tie the incumbent keeps its slot.
+func TestFullReservoirKeepsOnlyTheWorstK(t *testing.T) {
+	eng, sys, r := newRecorder(t)
+	var lats []uint64
+	for i := uint64(0); i < exemplar.K-1; i++ {
+		lats = append(lats, 100+i)
+	}
+	// 5 fills the reservoir; 90 evicts it; 12, the second 90 and 41 do
+	// not outrank the first 90.
+	lats = append(lats, 5, 90, 12, 90, 41)
 	for i, lat := range lats {
 		feed(eng, sys, r, stats.PathFM, uint64(i)*64, 100+uint64(i)*100, lat)
 	}
 	eng.Run()
 	es := r.Finish()
-	if len(es) != 1 {
-		t.Fatalf("K=1 reservoir holds %d exemplars, want 1", len(es))
+	if len(es) != exemplar.K {
+		t.Fatalf("full reservoir holds %d exemplars, want K=%d", len(es), exemplar.K)
 	}
-	if es[0].Latency != 90 {
-		t.Fatalf("kept latency %d, want 90", es[0].Latency)
+	for i, e := range es[:exemplar.K-1] {
+		if want := uint64(100 + exemplar.K - 2 - i); e.Latency != want {
+			t.Fatalf("snapshot latencies %v, want 100-%d worst-first then 90", latenciesOf(es), 100+exemplar.K-2)
+		}
 	}
-	// On the full-reservoir exact tie (the second 90), the incumbent keeps
-	// its slot: the survivor must be the first 90 (earlier start, earlier seq).
-	if es[0].StartCycle != 200-90 {
-		t.Fatalf("tie broke toward the later access: start=%d, want %d",
-			es[0].StartCycle, 200-90)
+	last := es[exemplar.K-1]
+	if last.Latency != 90 {
+		t.Fatalf("least-bad survivor latency %d, want 90", last.Latency)
+	}
+	// On the full-reservoir latency tie (the second 90), the incumbent
+	// keeps its slot: the survivor must be the first 90 (earlier start).
+	firstNinety := uint64(100+exemplar.K*100) - 90
+	if last.StartCycle != firstNinety {
+		t.Fatalf("tie broke toward the later access: start=%d, want %d", last.StartCycle, firstNinety)
 	}
 }
 
 func TestEvictionBoundary(t *testing.T) {
-	eng, sys, r := newRecorder(t, 2)
-	for i, lat := range []uint64{10, 20, 30} {
-		feed(eng, sys, r, stats.PathSwap, uint64(i)*64, 100+uint64(i)*100, lat)
+	eng, sys, r := newRecorder(t)
+	// K+1 accesses at 10, 20, ...: the last evicts 10, leaving 20 the root.
+	var i uint64
+	for ; i <= exemplar.K; i++ {
+		feed(eng, sys, r, stats.PathSwap, i*64, 100+i*100, 10*(i+1))
 	}
-	// Below the root: must be rejected. Above the root: must evict it.
-	feed(eng, sys, r, stats.PathSwap, 4*64, 500, 15)
-	feed(eng, sys, r, stats.PathSwap, 5*64, 600, 25)
+	// Above the root: must evict it, leaving 25 the root. Below the new
+	// root: must be rejected.
+	feed(eng, sys, r, stats.PathSwap, i*64, 100+i*100, 25)
+	feed(eng, sys, r, stats.PathSwap, (i+1)*64, 200+i*100, 15)
 	eng.Run()
-	es := r.Finish()
-	got := latenciesOf(es)
-	want := []uint64{30, 25}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+	got := latenciesOf(r.Finish())
+	var want []uint64
+	for lat := uint64(10 * (exemplar.K + 1)); lat >= 30; lat -= 10 {
+		want = append(want, lat)
+	}
+	want = append(want, 25)
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reservoir after boundary churn holds %v, want %v", got, want)
 	}
 }
 
 func TestExactTieOrderIsPinned(t *testing.T) {
-	eng, sys, r := newRecorder(t, 8)
+	eng, sys, r := newRecorder(t)
 	// Three accesses with identical latency, distinct start cycles, fed
 	// out of start order. Worst-first order pins start asc then seq asc.
 	for _, at := range []uint64{300, 100, 200} {
@@ -151,7 +172,7 @@ func TestExactTieOrderIsPinned(t *testing.T) {
 }
 
 func TestPathsAreIndependentAndGrouped(t *testing.T) {
-	eng, sys, r := newRecorder(t, 4)
+	eng, sys, r := newRecorder(t)
 	feed(eng, sys, r, stats.PathFM, 64, 100, 10)
 	feed(eng, sys, r, stats.PathNMHit, 128, 200, 99)
 	feed(eng, sys, r, stats.PathFM, 192, 300, 20)
@@ -172,8 +193,37 @@ func TestPathsAreIndependentAndGrouped(t *testing.T) {
 	}
 }
 
+// TestEpochContextStampsOpenIncidents: an admitted exemplar carries the
+// epoch index, gauges and open incident kinds (in detector order) of the
+// last epoch boundary before it completed, and a later boundary with
+// nothing open clears them.
+func TestEpochContextStampsOpenIncidents(t *testing.T) {
+	eng, sys, r := newRecorder(t)
+	open := []health.Incident{{Kind: health.KindRowThrash}, {Kind: health.KindSwapThrash}}
+	gauges := []mem.Gauge{{Name: "locked_frames", Value: 7}}
+	r.Observe(telemetry.EpochState{Sample: &telemetry.Sample{Epoch: 3, Gauges: gauges}}, health.Status{Open: open})
+	feed(eng, sys, r, stats.PathNMHit, 64, 100, 50)
+	eng.Run()
+	r.Observe(telemetry.EpochState{Sample: &telemetry.Sample{Epoch: 4}}, health.Status{})
+	feed(eng, sys, r, stats.PathFM, 128, 200, 60)
+	eng.Run()
+	es := r.Finish()
+	if len(es) != 2 {
+		t.Fatalf("captured %d, want 2", len(es))
+	}
+	wantOpen := []string{health.KindSwapThrash, health.KindRowThrash}
+	if e := es[0]; e.Epoch != 3 || !reflect.DeepEqual(e.OpenIncidents, wantOpen) || !reflect.DeepEqual(e.Gauges, gauges) {
+		t.Errorf("first exemplar context = epoch %d, open %v, gauges %v; want 3, %v, %v",
+			e.Epoch, e.OpenIncidents, e.Gauges, wantOpen, gauges)
+	}
+	if e := es[1]; e.Epoch != 4 || e.OpenIncidents != nil || e.Gauges != nil {
+		t.Errorf("second exemplar context = epoch %d, open %v, gauges %v; want 4 with none open",
+			e.Epoch, e.OpenIncidents, e.Gauges)
+	}
+}
+
 func TestSpanSumEqualsLatency(t *testing.T) {
-	eng, _, r := newRecorder(t, 8)
+	eng, _, r := newRecorder(t)
 	eng.At(100, func() {
 		a := &mem.Access{PAddr: 64, Start: 40}
 		a.AddSpan(stats.SpanQueue, 13)
@@ -201,7 +251,7 @@ func TestSpanSumEqualsLatency(t *testing.T) {
 
 func TestSnapshotJSONLIsByteDeterministic(t *testing.T) {
 	run := func() []byte {
-		eng, sys, r := newRecorder(t, 4)
+		eng, sys, r := newRecorder(t)
 		for i, lat := range []uint64{40, 40, 7, 93, 21, 40} {
 			feed(eng, sys, r, stats.DemandPath(i%3), uint64(i)*64, 100+uint64(i)*50, lat)
 		}
@@ -222,12 +272,12 @@ func TestSnapshotJSONLIsByteDeterministic(t *testing.T) {
 }
 
 func TestSteadyStateAdmissionDoesNotAllocate(t *testing.T) {
-	eng, sys, r := newRecorder(t, 4)
+	eng, sys, r := newRecorder(t)
 	loc := sys.HomeLocation(64)
 	a := &mem.Access{}
 	lat := uint64(100)
 	// Warm up: fill the reservoir.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 2*exemplar.K; i++ {
 		lat++
 		a.Reset(0, 0, 64, false, 0, nil)
 		r.DemandIssue(a, stats.PathSwap, loc)
@@ -253,7 +303,7 @@ func TestSteadyStateAdmissionDoesNotAllocate(t *testing.T) {
 // side table to grow), and a pooled access reused through Reset without a
 // new DemandIssue carries no stale context into its next exemplar.
 func TestIssueContextRidesOnPooledAccess(t *testing.T) {
-	_, sys, r := newRecorder(t, 4)
+	_, sys, r := newRecorder(t)
 	pool := make([]mem.Access, 64)
 	lat := uint64(1000)
 	allocs := testing.AllocsPerRun(50, func() {
@@ -288,7 +338,7 @@ func TestIssueContextRidesOnPooledAccess(t *testing.T) {
 }
 
 func TestSummarizeCountsAndWorst(t *testing.T) {
-	eng, sys, r := newRecorder(t, 8)
+	eng, sys, r := newRecorder(t)
 	feed(eng, sys, r, stats.PathNMHit, 64, 100, 10)
 	feed(eng, sys, r, stats.PathNMHit, 128, 200, 30)
 	feed(eng, sys, r, stats.PathBypass, 192, 300, 77)

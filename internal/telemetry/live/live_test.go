@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -180,9 +181,8 @@ func TestHealthzGoesUnhealthyWhileIncidentOpen(t *testing.T) {
 
 // TestServerDoesNotPerturbSimulation is the live-server leg of the
 // telemetry-inertness invariant: a run publishing every epoch to the HTTP
-// server (with the always-on health detector riding along) finishes at
-// exactly the same cycle with exactly the same counters as a run with no
-// server and the detector disabled.
+// server finishes at exactly the same cycle with exactly the same counters
+// and health incidents as the same run with no server.
 func TestServerDoesNotPerturbSimulation(t *testing.T) {
 	srv, err := live.New("127.0.0.1:0")
 	if err != nil {
@@ -214,10 +214,7 @@ func TestServerDoesNotPerturbSimulation(t *testing.T) {
 		t.Fatalf("run with server: %v", err)
 	}
 
-	bare := tinySpec(nil)
-	bare.Telemetry = nil
-	bare.Health = &health.Config{Disabled: true}
-	without, err := harness.Run(bare)
+	without, err := harness.Run(tinySpec(nil))
 	if err != nil {
 		t.Fatalf("run without server: %v", err)
 	}
@@ -228,10 +225,10 @@ func TestServerDoesNotPerturbSimulation(t *testing.T) {
 	if with.Mem != without.Mem {
 		t.Errorf("live server changed memory counters:\nwith    %+v\nwithout %+v", with.Mem, without.Mem)
 	}
-	if without.Health != nil {
-		t.Errorf("disabled detector produced incidents: %+v", without.Health)
+	if !reflect.DeepEqual(with.Health, without.Health) {
+		t.Errorf("live server changed health incidents:\nwith    %+v\nwithout %+v", with.Health, without.Health)
 	}
-	if with.Health == nil {
-		t.Errorf("default detector returned nil incident slice, want non-nil (possibly empty)")
+	if len(with.Health) == 0 {
+		t.Error("run raised no health incidents; the incident comparison is vacuous")
 	}
 }

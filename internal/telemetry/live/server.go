@@ -31,17 +31,11 @@ type Server struct {
 // New binds addr (host:port; ":0" picks a free port) and starts serving a
 // fresh registry.
 func New(addr string) (*Server, error) {
-	return NewWith(addr, NewRegistry())
-}
-
-// NewWith binds addr and serves an existing registry — the hub shape where
-// one process multiplexes many runs and the server is one view of them.
-func NewWith(addr string, reg *Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	s := &Server{ln: ln, reg: reg}
+	s := &Server{ln: ln, reg: NewRegistry()}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleDashboard)
 	mux.HandleFunc("/api/runs", s.handleRuns)
@@ -324,9 +318,10 @@ type HealthzRun struct {
 type Healthz struct {
 	Status string       `json:"status"` // "ok" or "incident"
 	Runs   []HealthzRun `json:"runs"`
-	// Rules is the detector's rule metadata at default thresholds: what
-	// each incident kind means, when it fires, and which counters to read
-	// first (the dashboard's tooltip source).
+	// Rules is the detector's rule metadata: what each incident kind
+	// means, the fixed threshold the detector fires it at (the same text
+	// the run report and silcfm-postmortem print), and which counters to
+	// read first (the dashboard's tooltip source).
 	Rules []health.RuleInfo `json:"rules"`
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"silcfm/internal/config"
 	"silcfm/internal/mem"
+	"silcfm/internal/memunits"
 	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
@@ -292,14 +293,19 @@ func TestProfileOutputIsDeterministicAndWellFormed(t *testing.T) {
 }
 
 func TestProfilerBoundsEntries(t *testing.T) {
-	var pb bytes.Buffer
-	r := runTiny(t, false, &telemetry.Config{ProfileW: &pb, ProfileMaxEntries: 8})
-	blocks, pcs, droppedBlocks, _ := r.Profile.Counts()
-	if blocks > 8 || pcs > 8 {
+	sys := mem.NewSystem(config.Small(), sim.NewEngine())
+	p := telemetry.NewProfiler(sys, 8)
+	// 20 distinct blocks, each from its own PC: the first 8 of each keep
+	// their slots, the other 12 are dropped.
+	for i := uint64(0); i < 20; i++ {
+		p.DemandComplete(&mem.Access{PC: 0x400 + i, PAddr: i * memunits.BlockSize}, stats.PathNMHit, 10)
+	}
+	blocks, pcs, droppedBlocks, droppedPCs := p.Counts()
+	if blocks != 8 || pcs != 8 {
 		t.Errorf("cap violated: %d blocks, %d pcs (max 8)", blocks, pcs)
 	}
-	if droppedBlocks == 0 {
-		t.Error("expected dropped block keys at cap 8")
+	if droppedBlocks != 12 || droppedPCs != 12 {
+		t.Errorf("dropped %d block and %d PC demands at cap 8, want 12 each", droppedBlocks, droppedPCs)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 	"silcfm/internal/stats"
 )
 
-// DefaultProfileMaxEntries bounds each profile table (blocks, PCs) when
-// Config.ProfileMaxEntries is zero. New keys arriving at the cap are counted
+// DefaultProfileMaxEntries bounds each profile table (blocks, PCs) of every
+// profiler telemetry attaches. New keys arriving at the cap are counted
 // as dropped rather than evicting old ones, so the set of profiled keys is a
 // deterministic function of the access stream.
 const DefaultProfileMaxEntries = 1 << 15

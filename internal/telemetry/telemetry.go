@@ -47,9 +47,6 @@ type Config struct {
 	// Profile collects the hotness profile without writing it (for callers
 	// that only render TopOffenders); implied by ProfileW != nil.
 	Profile bool
-	// ProfileMaxEntries bounds each profile table (default 1<<15 blocks and
-	// 1<<15 PCs; new keys past the cap are counted as dropped).
-	ProfileMaxEntries int
 	// OnEpoch, when non-nil, receives every epoch sample in memory — the
 	// feed for the health detector (internal/health) and the live
 	// observability server (internal/telemetry/live). It runs on the
@@ -126,7 +123,7 @@ func Attach(cfg *Config, sys *mem.System, ctl mem.Controller) *T {
 		sys.AttachObserver(t.tracer)
 	}
 	if t.cfg.ProfileW != nil || t.cfg.Profile {
-		t.prof = NewProfiler(sys, t.cfg.ProfileMaxEntries)
+		t.prof = NewProfiler(sys, 0)
 		sys.AttachObserver(t.prof)
 	}
 	return t

@@ -179,9 +179,6 @@ func (a *AddressSpace) PagesTouched() uint64 { return a.pagesTouched }
 // InNM reports whether physical address pa falls in the NM range.
 func (a *AddressSpace) InNM(pa uint64) bool { return pa>>11 < a.nmFrames }
 
-// NMFrames returns the number of NM frames.
-func (a *AddressSpace) NMFrames() uint64 { return a.nmFrames }
-
 // TotalFrames returns the total frame count.
 func (a *AddressSpace) TotalFrames() uint64 { return a.total }
 

@@ -149,10 +149,9 @@ type Options struct {
 
 	// MetricsOut streams epoch time-series metrics to a file: one sample
 	// per MetricsEpoch simulated cycles holding the stats counter deltas
-	// plus scheme gauges. JSONL by default; a path ending in ".csv" (or
-	// MetricsCSV) switches to CSV with a header row.
+	// plus scheme gauges. JSONL by default; a path ending in ".csv"
+	// switches to CSV with a header row.
 	MetricsOut   string
-	MetricsCSV   bool
 	MetricsEpoch uint64 // sampling period in cycles (default 200_000)
 
 	// TraceOut writes a Chrome trace-event JSON of semantic movement
@@ -468,7 +467,7 @@ func (o Options) telemetryConfig() (*telemetry.Config, func() error, error) {
 		return nil, noop, nil
 	}
 	cfg := &telemetry.Config{
-		MetricsCSV:  o.MetricsCSV || strings.HasSuffix(o.MetricsOut, ".csv"),
+		MetricsCSV:  strings.HasSuffix(o.MetricsOut, ".csv"),
 		EpochCycles: o.MetricsEpoch,
 		TraceLimit:  o.TraceLimit,
 		ProgressW:   o.ProgressOut,
