@@ -52,11 +52,11 @@ race_rest() {
 bench_smoke() {
 	go build -o /tmp/silcfm-bench ./cmd/silcfm-bench
 	/tmp/silcfm-bench -short -quiet -out /tmp/bench_smoke.json
-	/tmp/silcfm-bench -diff -subset -noise 0 BENCH_PR16.json /tmp/bench_smoke.json
+	/tmp/silcfm-bench -diff -subset -noise 0 BENCH_PR18.json /tmp/bench_smoke.json
 }
 
 # Perf-regression stage: rerun the short suite best-of-5 and gate the
-# direction-aware host metrics against the committed PR16 baseline. The speed
+# direction-aware host metrics against the committed PR18 baseline. The speed
 # band is generous (-speed-noise 0.6: CI machines differ and host timing
 # jitters ±50% even best-of-5) — it exists to catch order-of-magnitude
 # regressions like an allocation or scan creeping back into the inner loop,
@@ -67,7 +67,7 @@ perf_gate() {
 	go build -o /tmp/silcfm-bench ./cmd/silcfm-bench
 	/tmp/silcfm-bench -short -quiet -reps 5 -out /tmp/bench_perf.json
 	/tmp/silcfm-bench -diff -subset -noise 0 -speed-noise 0.6 -alloc-noise 0.25 \
-		BENCH_PR16.json /tmp/bench_perf.json
+		BENCH_PR18.json /tmp/bench_perf.json
 }
 
 # Live-observability stage: run a short simulation with the embedded HTTP
@@ -213,7 +213,7 @@ history_smoke() {
 		exit 1
 	fi
 	# Explicit ordered paths must agree with the glob expansion.
-	/tmp/silcfm-bench -history BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR9.json BENCH_PR10.json BENCH_PR13.json BENCH_PR16.json >/tmp/trajectory_explicit.md
+	/tmp/silcfm-bench -history BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR9.json BENCH_PR10.json BENCH_PR13.json BENCH_PR16.json BENCH_PR18.json >/tmp/trajectory_explicit.md
 	diff -u TRAJECTORY.md /tmp/trajectory_explicit.md
 }
 

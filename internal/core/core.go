@@ -573,9 +573,12 @@ func (c *Controller) HistoryStats() (stores, lookups, hits uint64) {
 // Gauges implements mem.GaugeProvider: the instantaneous scheme state the
 // epoch sampler reports alongside counter deltas (§III mechanisms: frame
 // residency, locking, the bypass governor, the history table, the
-// dedicated metadata channel).
+// dedicated metadata channel). It runs every epoch, so it fills only the
+// frame counts of a Snapshot, in place, and allocates only the returned
+// slice.
 func (c *Controller) Gauges() []mem.Gauge {
-	snap := c.Snapshot()
+	var snap Snapshot
+	c.countFrames(&snap)
 	used, total := c.hist.occupancy()
 	_, lookups, hits := c.HistoryStats()
 	histRate := 0.0

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"silcfm/internal/config"
 	"silcfm/internal/mem"
+	"silcfm/internal/memunits"
 	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 )
@@ -215,5 +217,56 @@ func TestSnapshot(t *testing.T) {
 	// Set occupancy: sets 1 and 2 have one interleaved way each.
 	if s.SetOccupancy[1] != 2 || s.SetOccupancy[0] != 30 {
 		t.Fatalf("occupancy: %v", s.SetOccupancy)
+	}
+}
+
+// TestGaugesCountInPlace drives a controller through interleaving, home and
+// interleaved locks, and checks at each step that the frame gauges Gauges
+// counts in place equal what Snapshot reports, and that Gauges allocates
+// nothing but the slice it returns.
+func TestGaugesCountInPlace(t *testing.T) {
+	r := newRig(func(c *config.SILCConfig) { c.HotThreshold = 3 })
+	gauge := func(gs []mem.Gauge, name string) float64 {
+		for _, g := range gs {
+			if g.Name == name {
+				return g.Value
+			}
+		}
+		t.Fatalf("no gauge %q", name)
+		return 0
+	}
+	rng := rand.New(rand.NewSource(5))
+	var sawHome, sawInterleavedLock bool
+	for step := 0; step < 400; step++ {
+		var pa uint64
+		if rng.Intn(3) == 0 { // an NM home block
+			pa = uint64(rng.Intn(8))*memunits.BlockSize + uint64(rng.Intn(32))*64
+		} else {
+			pa = fmBlockAddr(rng.Intn(64), uint(rng.Intn(32)))
+		}
+		r.access(uint64(rng.Intn(4)), pa, rng.Intn(4) == 0)
+		s, gs := r.c.Snapshot(), r.c.Gauges()
+		for _, c := range []struct {
+			name string
+			want float64
+		}{
+			{"locked_frames", float64(s.Locked)},
+			{"locked_home_frames", float64(s.LockedHome)},
+			{"interleaved_frames", float64(s.Interleaved)},
+			{"resident_subblocks", float64(s.ResidentSubblocks)},
+			{"mean_residency", s.MeanResidency()},
+		} {
+			if got := gauge(gs, c.name); got != c.want {
+				t.Fatalf("step %d: %s = %v, Snapshot says %v", step, c.name, got, c.want)
+			}
+		}
+		sawHome = sawHome || s.LockedHome > 0
+		sawInterleavedLock = sawInterleavedLock || s.Locked > s.LockedHome
+	}
+	if !sawHome || !sawInterleavedLock {
+		t.Fatalf("drive never locked both kinds (home %v, interleaved %v)", sawHome, sawInterleavedLock)
+	}
+	if avg := testing.AllocsPerRun(50, func() { r.c.Gauges() }); avg > 1 {
+		t.Fatalf("Gauges allocates %.1f objects per call, want at most its slice", avg)
 	}
 }

@@ -20,7 +20,8 @@ type Snapshot struct {
 	SetOccupancy []int
 }
 
-// Snapshot captures the current frame state.
+// Snapshot captures the current frame state. It allocates its per-set
+// tables on every call: it is the debugging view, not the epoch path.
 func (c *Controller) Snapshot() Snapshot {
 	s := Snapshot{
 		Frames:       len(c.fs.frames),
@@ -28,22 +29,15 @@ func (c *Controller) Snapshot() Snapshot {
 		Ways:         c.fs.ways,
 		SetOccupancy: make([]int, c.fs.ways+1),
 	}
+	c.countFrames(&s)
 	perSet := make([]int, c.fs.sets)
 	for i := range c.fs.frames {
 		fr := &c.fs.frames[i]
-		if fr.locked {
-			s.Locked++
-			if fr.lockHome {
-				s.LockedHome++
-			}
-		}
 		if fr.remap == noRemap {
 			continue
 		}
-		s.Interleaved++
 		perSet[c.fs.setOf(uint64(i))]++
 		n := fr.bits.Count()
-		s.ResidentSubblocks += n
 		s.BitsHistogram[n]++
 		if n == memunits.SubblocksPerBlock {
 			s.FullyResident++
@@ -53,6 +47,24 @@ func (c *Controller) Snapshot() Snapshot {
 		s.SetOccupancy[n]++
 	}
 	return s
+}
+
+// countFrames adds the locked, locked-home, interleaved and resident-subblock
+// counts to s without allocating; Gauges reports them every epoch.
+func (c *Controller) countFrames(s *Snapshot) {
+	for i := range c.fs.frames {
+		fr := &c.fs.frames[i]
+		if fr.locked {
+			s.Locked++
+			if fr.lockHome {
+				s.LockedHome++
+			}
+		}
+		if fr.remap != noRemap {
+			s.Interleaved++
+			s.ResidentSubblocks += fr.bits.Count()
+		}
+	}
 }
 
 // MeanResidency returns the average number of resident subblocks per

@@ -225,7 +225,8 @@ type Device struct {
 
 	// ops is the arena every queued op lives in, from Submit until issue;
 	// the channel queues hold indices into it. freeOps lists the vacant
-	// slots, so the arena stops growing at the peak queued count.
+	// slots, so the arena stops growing at the peak queued count. It grows
+	// by doubling (growOps) and never shrinks, so slots past len are zero.
 	ops     []op
 	freeOps []int32
 
@@ -420,11 +421,26 @@ func (d *Device) pushSlot(q *opQueue) *op {
 		i = d.freeOps[n-1]
 		d.freeOps = d.freeOps[:n-1]
 	} else {
-		d.ops = append(d.ops, op{})
-		i = int32(len(d.ops) - 1)
+		if len(d.ops) == cap(d.ops) {
+			d.growOps()
+		}
+		i = int32(len(d.ops))
+		d.ops = d.ops[:i+1] // a never-used slot, still zero
 	}
 	q.idx = append(q.idx, i)
 	return &d.ops[i]
+}
+
+// minOps is the op arena's first capacity.
+const minOps = 64
+
+// growOps doubles the op arena's capacity. append would grow a large arena
+// by about 1.25x per step, copying the wide ops each time; doubling keeps
+// the bytes ever allocated under twice the final arena.
+func (d *Device) growOps() {
+	ops := make([]op, len(d.ops), max(2*cap(d.ops), minOps))
+	copy(ops, d.ops)
+	d.ops = ops
 }
 
 // kick issues as many ops as the inflight bound allows on channel ch.

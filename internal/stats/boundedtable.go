@@ -12,8 +12,10 @@ import "math/bits"
 //   - bounded load: the slot index has a power-of-two size of at least twice
 //     the key bound, so it is never more than half full and a linear probe
 //     stops at an empty slot after a few steps;
-//   - dense storage: keys and values live in insertion order in slices grown
-//     by append, so Reset costs O(keys held), not O(slots).
+//   - dense storage: keys and values live in insertion order in slices
+//     grown by doubling and clamped at the key bound, so a full table has
+//     allocated less than twice its final storage and Reset costs O(keys
+//     held), not O(slots).
 //
 // The zero value is not usable; build one with NewBoundedTable.
 type BoundedTable[V any] struct {
@@ -57,6 +59,9 @@ func (t *BoundedTable[V]) Get(key uint64) *V {
 				t.dropped++
 				return nil
 			}
+			if len(t.keys) == cap(t.keys) {
+				t.grow() // so the appends below never reallocate
+			}
 			t.keys = append(t.keys, key)
 			var zero V
 			t.vals = append(t.vals, zero)
@@ -67,6 +72,30 @@ func (t *BoundedTable[V]) Get(key uint64) *V {
 			return &t.vals[pos-1]
 		}
 	}
+}
+
+// minDense bounds the dense storage's first capacity from below (unless
+// the key bound itself is smaller).
+const minDense = 16
+
+// grow doubles the dense storage's capacity up to max. append alone would
+// grow a large slice by about 1.25x per step and overshoot max. The first
+// capacity is max/2^k, so the doublings land on max and the capacities
+// before it sum to less than max: a full table has allocated under twice
+// its final storage.
+func (t *BoundedTable[V]) grow() {
+	c := 2 * cap(t.keys)
+	if c == 0 {
+		c = t.max >> max(bits.Len(uint(t.max/minDense))-1, 0)
+	}
+	if 2*c > t.max {
+		c = t.max
+	}
+	keys := make([]uint64, len(t.keys), c)
+	copy(keys, t.keys)
+	vals := make([]V, len(t.vals), c)
+	copy(vals, t.vals)
+	t.keys, t.vals = keys, vals
 }
 
 // Len reports the number of keys held.

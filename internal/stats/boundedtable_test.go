@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // capModel is the reference BoundedTable is checked against: a map with a
@@ -101,5 +102,46 @@ func TestBoundedTableFullDoesNotAllocate(t *testing.T) {
 		next++
 	}); avg != 0 {
 		t.Errorf("full-table Get allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestBoundedTableGrowthAllocatesUnderTwiceFinal fills tables to their key
+// bound and checks that the dense storage never grows past the bound and
+// that the storage every growth allocated, the final one included, sums to
+// at most twice the final keys+values bytes. Each growth allocates exactly
+// its new capacity of keys and of values, so the sum is taken over the
+// capacities seen; the allocator's own size-class rounding is not the
+// table's to bound.
+func TestBoundedTableGrowthAllocatesUnderTwiceFinal(t *testing.T) {
+	type val [3]uint64
+	entry := uint64(unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(val{}))
+	for _, max := range []int{1, 15, 16, 17, 1000, 1024, 5000, 32768, 40000} {
+		tb := NewBoundedTable[val](max)
+		var allocated uint64
+		for k := uint64(0); k < uint64(max); k++ {
+			c := cap(tb.keys)
+			tb.Get(k)[0] = k
+			if cap(tb.keys) != c {
+				allocated += uint64(cap(tb.keys)) * entry
+			}
+			if cap(tb.keys) > max || cap(tb.vals) != cap(tb.keys) {
+				t.Fatalf("max %d: capacity %d/%d, bound %d", max, cap(tb.keys), cap(tb.vals), max)
+			}
+		}
+		if tb.Len() != max {
+			t.Fatalf("max %d: holds %d keys", max, tb.Len())
+		}
+		if final := uint64(max) * entry; allocated > 2*final {
+			t.Errorf("max %d: growth allocated %d B, more than twice the final %d B", max, allocated, final)
+		}
+		for k, v := range tb.Values() {
+			if v[0] != tb.Keys()[k] {
+				t.Fatalf("max %d: value %d moved off its key", max, k)
+			}
+		}
+		tb.Reset()
+		if v := tb.Get(uint64(max) + 1); *v != (val{}) {
+			t.Fatalf("max %d: key added after Reset starts at %v, want zero", max, *v)
+		}
 	}
 }

@@ -38,7 +38,7 @@ func (t *Tracer) WriteReference(w io.Writer) error {
 		emit(&traceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: numEvKinds + i,
 			Args: map[string]any{"name": tr}})
 	}
-	for i := 0; i < t.n; i++ {
+	for i := range t.ring {
 		e := &t.ring[(t.next+i)%len(t.ring)]
 		emit(&traceEvent{
 			Name: evNames[e.kind], Ph: "i", Ts: e.cycle, Pid: 0, Tid: int(e.kind),
@@ -72,20 +72,20 @@ func referenceArgs(e *event) map[string]any {
 		if e.write {
 			op = "write"
 		}
-		return map[string]any{"pa": fmt.Sprintf("0x%x", e.pa), "loc": referenceLoc(e.a), "op": op}
+		return map[string]any{"pa": fmt.Sprintf("0x%x", e.pa), "loc": referenceLoc(e.a()), "op": op}
 	case evCapture:
-		return map[string]any{"loc": referenceLoc(e.a)}
+		return map[string]any{"loc": referenceLoc(e.a())}
 	case evDeliver, evRelocate:
-		return map[string]any{"src": referenceLoc(e.a), "dst": referenceLoc(e.b)}
+		return map[string]any{"src": referenceLoc(e.a()), "dst": referenceLoc(e.b())}
 	case evSwap:
-		return map[string]any{"a": referenceLoc(e.a), "b": referenceLoc(e.b)}
+		return map[string]any{"a": referenceLoc(e.a()), "b": referenceLoc(e.b())}
 	case evLock:
 		kind := "interleaved"
 		if e.write {
 			kind = "home"
 		}
-		return map[string]any{"frame": e.a.DevAddr, "block": e.pa, "kind": kind}
+		return map[string]any{"frame": e.aAddr, "block": e.pa, "kind": kind}
 	default: // evUnlock
-		return map[string]any{"frame": e.a.DevAddr, "block": e.pa}
+		return map[string]any{"frame": e.aAddr, "block": e.pa}
 	}
 }

@@ -27,14 +27,26 @@ var evNames = [numEvKinds]string{
 	"demand", "capture", "deliver", "relocate", "swap", "lock", "unlock",
 }
 
-// event is one recorded movement event, kept compact: the ring can hold
-// hundreds of thousands of these.
+// event is one recorded movement event, packed to 40 bytes: the ring holds
+// hundreds of thousands of these. The two locations are split into their
+// level bytes, which share a word with kind and write, and their addresses.
 type event struct {
-	kind  uint8
-	write bool // demand: write access; lock: home lock
-	cycle uint64
-	pa    uint64       // demand only
-	a, b  mem.Location // a = loc/src/frame, b = dst
+	kind           uint8
+	write          bool // demand: write access; lock: home lock
+	aLevel, bLevel uint8
+	cycle          uint64
+	pa             uint64 // demand: address; lock/unlock: flat block
+	aAddr, bAddr   uint64 // a = loc/src/frame, b = dst
+}
+
+// a returns the event's first location (loc, src or frame).
+func (e *event) a() mem.Location {
+	return mem.Location{Level: stats.MemLevel(e.aLevel), DevAddr: e.aAddr}
+}
+
+// b returns the event's second location (dst).
+func (e *event) b() mem.Location {
+	return mem.Location{Level: stats.MemLevel(e.bLevel), DevAddr: e.bAddr}
 }
 
 // Tracer records the semantic movement-event stream (mem.Observer plus the
@@ -45,11 +57,10 @@ type event struct {
 // keeps the tracks separable.
 type Tracer struct {
 	eng     *sim.Engine
-	ring    []event
-	next    int    // ring write position
-	n       int    // events currently held (<= len(ring))
-	total   uint64 // events ever observed
-	dropped uint64 // events evicted from the ring
+	ring    []event // arrival order from next, once full
+	next    int     // ring write position
+	total   uint64  // events ever observed
+	dropped uint64  // events evicted from the ring
 
 	// Synthetic duration spans injected after the run (exemplar span
 	// waterfalls), each on a named track appended after the per-kind
@@ -78,53 +89,59 @@ func NewTracer(eng *sim.Engine, limit int) *Tracer {
 	return &Tracer{eng: eng, ring: make([]event, 0, limit)}
 }
 
-func (t *Tracer) record(e event) {
-	e.cycle = t.eng.Now()
+// record stamps and stores one event, overwriting the oldest once the ring
+// is full.
+func (t *Tracer) record(kind uint8, write bool, pa uint64, a, b mem.Location) {
+	e := event{
+		kind: kind, write: write, aLevel: uint8(a.Level), bLevel: uint8(b.Level),
+		cycle: t.eng.Now(), pa: pa, aAddr: a.DevAddr, bAddr: b.DevAddr,
+	}
 	t.total++
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, e)
-		t.n++
 		return
 	}
 	t.ring[t.next] = e
-	t.next = (t.next + 1) % len(t.ring)
+	if t.next++; t.next == len(t.ring) {
+		t.next = 0
+	}
 	t.dropped++
 }
 
 // Demand implements mem.Observer.
 func (t *Tracer) Demand(pa uint64, loc mem.Location, write bool) {
-	t.record(event{kind: evDemand, write: write, pa: pa, a: loc})
+	t.record(evDemand, write, pa, loc, mem.Location{})
 }
 
 // Capture implements mem.Observer.
 func (t *Tracer) Capture(loc mem.Location) {
-	t.record(event{kind: evCapture, a: loc})
+	t.record(evCapture, false, 0, loc, mem.Location{})
 }
 
 // Deliver implements mem.Observer.
 func (t *Tracer) Deliver(src, dst mem.Location) {
-	t.record(event{kind: evDeliver, a: src, b: dst})
+	t.record(evDeliver, false, 0, src, dst)
 }
 
 // Relocate implements mem.Observer.
 func (t *Tracer) Relocate(src, dst mem.Location) {
-	t.record(event{kind: evRelocate, a: src, b: dst})
+	t.record(evRelocate, false, 0, src, dst)
 }
 
 // Swap implements mem.SchemeObserver.
 func (t *Tracer) Swap(a, b mem.Location) {
-	t.record(event{kind: evSwap, a: a, b: b})
+	t.record(evSwap, false, 0, a, b)
 }
 
 // Lock implements mem.SchemeObserver. The pinned flat block index rides in
 // the pa field.
 func (t *Tracer) Lock(frame, block uint64, home bool) {
-	t.record(event{kind: evLock, write: home, pa: block, a: mem.Location{DevAddr: frame}})
+	t.record(evLock, home, block, mem.Location{DevAddr: frame}, mem.Location{})
 }
 
 // Unlock implements mem.SchemeObserver.
 func (t *Tracer) Unlock(frame, block uint64) {
-	t.record(event{kind: evUnlock, pa: block, a: mem.Location{DevAddr: frame}})
+	t.record(evUnlock, false, block, mem.Location{DevAddr: frame}, mem.Location{})
 }
 
 // Events reports (recorded, dropped) counts.
@@ -204,7 +221,7 @@ func appendInstant(buf []byte, e *event) []byte {
 	switch e.kind {
 	case evDemand:
 		buf = append(buf, `"loc":`...)
-		buf = appendLoc(buf, e.a)
+		buf = appendLoc(buf, e.a())
 		if e.write {
 			buf = append(buf, `,"op":"write","pa":"0x`...)
 		} else {
@@ -214,22 +231,22 @@ func appendInstant(buf []byte, e *event) []byte {
 		buf = append(buf, '"')
 	case evCapture:
 		buf = append(buf, `"loc":`...)
-		buf = appendLoc(buf, e.a)
+		buf = appendLoc(buf, e.a())
 	case evDeliver, evRelocate:
 		buf = append(buf, `"dst":`...)
-		buf = appendLoc(buf, e.b)
+		buf = appendLoc(buf, e.b())
 		buf = append(buf, `,"src":`...)
-		buf = appendLoc(buf, e.a)
+		buf = appendLoc(buf, e.a())
 	case evSwap:
 		buf = append(buf, `"a":`...)
-		buf = appendLoc(buf, e.a)
+		buf = appendLoc(buf, e.a())
 		buf = append(buf, `,"b":`...)
-		buf = appendLoc(buf, e.b)
+		buf = appendLoc(buf, e.b())
 	default: // evLock, evUnlock
 		buf = append(buf, `"block":`...)
 		buf = strconv.AppendUint(buf, e.pa, 10)
 		buf = append(buf, `,"frame":`...)
-		buf = strconv.AppendUint(buf, e.a.DevAddr, 10)
+		buf = strconv.AppendUint(buf, e.aAddr, 10)
 		if e.kind == evLock {
 			if e.write {
 				buf = append(buf, `,"kind":"home"`...)
@@ -273,9 +290,11 @@ func (t *Tracer) Write(w io.Writer) error {
 		buf = appendThreadName(buf, numEvKinds+i, tr)
 	}
 	// Ring in arrival order: [next, len) then [0, next) once wrapped.
-	for i := 0; i < t.n; i++ {
-		next()
-		buf = appendInstant(buf, &t.ring[(t.next+i)%len(t.ring)])
+	for _, part := range [2][]event{t.ring[t.next:], t.ring[:t.next]} {
+		for i := range part {
+			next()
+			buf = appendInstant(buf, &part[i])
+		}
 	}
 	// Injected duration spans, in insertion order.
 	for i := range t.spans {

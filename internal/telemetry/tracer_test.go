@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"testing"
@@ -105,5 +106,60 @@ func TestTraceWriteMatchesReference(t *testing.T) {
 		}
 		lo := max(i-80, 0)
 		t.Fatalf("trace bytes differ at offset %d:\ngot  %q\nwant %q", i, g[lo:min(i+80, len(g))], w[lo:min(i+80, len(w))])
+	}
+}
+
+// TestTraceRingKeepsLastLimitInOrder overflows a ring whose limit is not a
+// power of two by more than two revolutions and checks that the written
+// trace holds exactly the last limit events, oldest first.
+func TestTraceRingKeepsLastLimitInOrder(t *testing.T) {
+	const limit, n = 37, 3*37 + 5
+	tr := telemetry.NewTracer(sim.NewEngine(), limit)
+	for i := uint64(0); i < n; i++ {
+		tr.Demand(i, mem.Location{Level: stats.MemLevel(i % 2), DevAddr: i * 64}, i%3 == 0)
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Args struct {
+				PA  string `json:"pa"`
+				Loc string `json:"loc"`
+				Op  string `json:"op"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+		OtherData struct {
+			Events, Dropped uint64
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	var got []string
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "i" {
+			got = append(got, e.Args.PA+" "+e.Args.Loc+" "+e.Args.Op)
+		}
+	}
+	var want []string
+	for i := uint64(n - limit); i < n; i++ {
+		loc, op := "NM", "read"
+		if i%2 == 1 {
+			loc = "FM"
+		}
+		if i%3 == 0 {
+			op = "write"
+		}
+		want = append(want, fmt.Sprintf("0x%x %s:0x%x %s", i, loc, i*64, op))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("kept events:\n got %v\nwant %v", got, want)
+	}
+	if doc.OtherData.Events != n || doc.OtherData.Dropped != n-limit {
+		t.Fatalf("otherData events %d dropped %d, want %d and %d",
+			doc.OtherData.Events, doc.OtherData.Dropped, n, n-limit)
 	}
 }

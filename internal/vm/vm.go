@@ -46,10 +46,15 @@ type AddressSpace struct {
 	nmFrames     uint64            // frames in [0, nmFrames) live in NM
 	total        uint64            // total frames (NM + FM)
 	pageTable    map[uint64]uint64 // vpage -> pframe
-	freeOrder    []uint64          // remaining frames in hand-out order
-	next         int
 	policy       Policy
-	pagesTouched uint64
+	pagesTouched uint64 // frames handed out
+
+	// The n-th frame handed out is base + (n*stride mod count): a stride
+	// walk over the frame range [base, base+count), with off = n*stride mod
+	// count kept incrementally. PolicyRandom has no closed form and keeps
+	// its shuffled order in randOrder instead.
+	base, count, stride, off uint64
+	randOrder                []uint64
 
 	// tlb is a direct-mapped software cache over pageTable. A translation
 	// is immutable once allocated (first touch, never remapped), so hits
@@ -97,32 +102,25 @@ func NewAddressSpace(nmBytes, fmBytes uint64, policy Policy, seed int64) *Addres
 	}
 	switch policy {
 	case PolicyFMFirst:
-		a.freeOrder = make([]uint64, 0, total-nmFrames)
-		for f := nmFrames; f < total; f++ {
-			a.freeOrder = append(a.freeOrder, f)
-		}
+		a.base, a.count, a.stride = nmFrames, total-nmFrames, 1
 	case PolicyRandom:
-		a.freeOrder = make([]uint64, total)
-		for f := range a.freeOrder {
-			a.freeOrder[f] = uint64(f)
+		a.count = total
+		a.randOrder = make([]uint64, total)
+		for f := range a.randOrder {
+			a.randOrder[f] = uint64(f)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		rng.Shuffle(len(a.freeOrder), func(i, j int) {
-			a.freeOrder[i], a.freeOrder[j] = a.freeOrder[j], a.freeOrder[i]
+		rng.Shuffle(len(a.randOrder), func(i, j int) {
+			a.randOrder[i], a.randOrder[j] = a.randOrder[j], a.randOrder[i]
 		})
 	default: // interleaved: spread consecutive allocations across the space
-		a.freeOrder = make([]uint64, 0, total)
 		// A stride walk with a stride coprime to the frame count visits
 		// every frame exactly once while giving early allocations a uniform
 		// NM/FM mix.
-		stride := total*2/5 | 1
-		for gcd(stride, total) != 1 {
-			stride += 2
-		}
-		f := uint64(0)
-		for seen := uint64(0); seen < total; seen++ {
-			a.freeOrder = append(a.freeOrder, f)
-			f = (f + stride) % total
+		a.count = total
+		a.stride = total*2/5 | 1
+		for gcd(a.stride, total) != 1 {
+			a.stride += 2
 		}
 	}
 	return a
@@ -152,16 +150,28 @@ func (a *AddressSpace) Translate(va uint64) (uint64, error) {
 	}
 	pf, ok := a.pageTable[vpage]
 	if !ok {
-		if a.next >= len(a.freeOrder) {
+		if a.pagesTouched >= a.count {
 			return 0, fmt.Errorf("vm: out of physical memory (%d frames)", a.total)
 		}
-		pf = a.freeOrder[a.next]
-		a.next++
+		pf = a.nextFrame()
 		a.pageTable[vpage] = pf
 		a.pagesTouched++
 	}
 	*e = tlbEntry{vpage: vpage, pf: pf, ok: true}
 	return pf<<pageShift | va&(memunits.BlockSize-1), nil
+}
+
+// nextFrame returns the next frame of the policy's hand-out order; the
+// caller has checked that one remains.
+func (a *AddressSpace) nextFrame() uint64 {
+	if a.randOrder != nil {
+		return a.randOrder[a.pagesTouched]
+	}
+	f := a.base + a.off
+	if a.off += a.stride; a.off >= a.count { // stride <= count
+		a.off -= a.count
+	}
+	return f
 }
 
 // MustTranslate is Translate for callers that have pre-sized memory.
@@ -183,7 +193,7 @@ func (a *AddressSpace) InNM(pa uint64) bool { return pa>>11 < a.nmFrames }
 func (a *AddressSpace) TotalFrames() uint64 { return a.total }
 
 // FramesFree returns how many frames remain unallocated.
-func (a *AddressSpace) FramesFree() uint64 { return uint64(len(a.freeOrder) - a.next) }
+func (a *AddressSpace) FramesFree() uint64 { return a.count - a.pagesTouched }
 
 func gcd(a, b uint64) uint64 {
 	for b != 0 {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -101,23 +102,39 @@ func TestRandomPolicyDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// Property: interleaved hand-out order is a permutation of all frames.
-func TestInterleavedPermutation(t *testing.T) {
-	f := func(nmKB, fmKB uint8) bool {
-		nmB := (uint64(nmKB%8) + 1) * 16 * memunits.BlockSize
-		fmB := (uint64(fmKB%8) + 1) * 64 * memunits.BlockSize
-		a := NewAddressSpace(nmB, fmB, PolicyInterleaved, 1)
-		seen := make([]bool, a.TotalFrames())
-		for _, f := range a.freeOrder {
-			if f >= a.TotalFrames() || seen[f] {
+// Property: each policy hands out a permutation of exactly its frame range
+// (every frame; FM frames only for FM-first), and the first page past the
+// range gets the out-of-memory error.
+func TestHandOutPermutation(t *testing.T) {
+	for _, pol := range []Policy{PolicyInterleaved, PolicyRandom, PolicyFMFirst} {
+		f := func(nmKB, fmKB uint8, seed int64) bool {
+			nmB := (uint64(nmKB%8) + 1) * 16 * memunits.BlockSize
+			fmB := (uint64(fmKB%8) + 1) * 64 * memunits.BlockSize
+			a := NewAddressSpace(nmB, fmB, pol, seed)
+			lo, hi := uint64(0), a.TotalFrames()
+			if pol == PolicyFMFirst {
+				lo = memunits.BlocksIn(nmB)
+			}
+			seen := make([]bool, hi)
+			for page := lo; page < hi; page++ {
+				pa, err := a.Translate(page * memunits.BlockSize)
+				f := pa >> pageShift
+				if err != nil || f < lo || f >= hi || seen[f] {
+					t.Logf("%v: page %d -> frame %d, err %v", pol, page, f, err)
+					return false
+				}
+				seen[f] = true
+			}
+			_, err := a.Translate(hi * memunits.BlockSize)
+			if err == nil || !strings.Contains(err.Error(), "out of physical memory") {
+				t.Logf("%v: page past %d frames: err %v", pol, hi-lo, err)
 				return false
 			}
-			seen[f] = true
+			return a.FramesFree() == 0 && a.PagesTouched() == hi-lo
 		}
-		return uint64(len(a.freeOrder)) == a.TotalFrames()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 64}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 64}); err != nil {
+			t.Fatalf("%v: %v", pol, err)
+		}
 	}
 }
 
