@@ -14,6 +14,20 @@
 #   ./ci.sh test     # only the race-detector suite outside the fast-fail packages
 set -eu
 
+# Every temporary file and built binary of one invocation lives under one
+# scratch directory (honouring TMPDIR), removed on exit together with any
+# live-smoke simulator still running, so concurrent runs never collide.
+work=$(mktemp -d)
+sim_pid=""
+cleanup() {
+	if [ -n "$sim_pid" ]; then
+		kill "$sim_pid" 2>/dev/null || true
+	fi
+	rm -rf "$work"
+}
+trap cleanup EXIT
+trap 'exit 1' INT TERM
+
 # The observability packages (stats counters, memory-system attribution,
 # manifest encoding, telemetry writers, health detector, live server) gate
 # everything downstream and their tests are quick.
@@ -50,9 +64,9 @@ race_rest() {
 # that runs before the slow race-detector suite. Host-timing metrics are
 # skipped (-noise 0): the baseline was produced on a different machine.
 bench_smoke() {
-	go build -o /tmp/silcfm-bench ./cmd/silcfm-bench
-	/tmp/silcfm-bench -short -quiet -out /tmp/bench_smoke.json
-	/tmp/silcfm-bench -diff -subset -noise 0 BENCH_PR18.json /tmp/bench_smoke.json
+	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
+	"$work"/silcfm-bench -short -quiet -out "$work"/bench_smoke.json
+	"$work"/silcfm-bench -diff -subset -noise 0 BENCH_PR18.json "$work"/bench_smoke.json
 }
 
 # Perf-regression stage: rerun the short suite best-of-5 and gate the
@@ -64,10 +78,10 @@ bench_smoke() {
 # allocation counts are nearly deterministic, so any real leak trips it.
 # -noise 0 still skips wall_seconds, and sim counters stay exact as always.
 perf_gate() {
-	go build -o /tmp/silcfm-bench ./cmd/silcfm-bench
-	/tmp/silcfm-bench -short -quiet -reps 5 -out /tmp/bench_perf.json
-	/tmp/silcfm-bench -diff -subset -noise 0 -speed-noise 0.6 -alloc-noise 0.25 \
-		BENCH_PR18.json /tmp/bench_perf.json
+	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
+	"$work"/silcfm-bench -short -quiet -reps 5 -out "$work"/bench_perf.json
+	"$work"/silcfm-bench -diff -subset -noise 0 -speed-noise 0.6 -alloc-noise 0.25 \
+		BENCH_PR18.json "$work"/bench_perf.json
 }
 
 # Live-observability stage: run a short simulation with the embedded HTTP
@@ -79,46 +93,44 @@ perf_gate() {
 # three legs — the observability layer, streaming included, must be
 # provably inert.
 live_smoke() {
-	go build -o /tmp/silcfm-bench ./cmd/silcfm-bench
-	go build -o /tmp/silcfm-sim ./cmd/silcfm-sim
-	go build -o /tmp/livecheck ./internal/tools/livecheck
-	rm -f /tmp/live_on.json /tmp/live_stderr.log
-	/tmp/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
+	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
+	go build -o "$work"/silcfm-sim ./cmd/silcfm-sim
+	go build -o "$work"/livecheck ./internal/tools/livecheck
+	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
 		-nm 8 -fm 32 -footscale 16 \
 		-listen 127.0.0.1:0 -listen-linger 60s \
-		-manifest-out /tmp/live_on.json >/dev/null 2>/tmp/live_stderr.log &
+		-manifest-out "$work"/live_on.json >/dev/null 2>"$work"/live_stderr.log &
 	sim_pid=$!
-	trap 'kill $sim_pid 2>/dev/null || true' EXIT
 	# The sim announces "live: http://ADDR" on stderr at startup and writes
 	# the manifest when the run completes (the server then lingers).
 	url=""
 	for _ in $(seq 1 300); do
-		url=$(sed -n 's/^live: //p' /tmp/live_stderr.log 2>/dev/null | head -1)
-		[ -n "$url" ] && [ -s /tmp/live_on.json ] && break
+		url=$(sed -n 's/^live: //p' "$work"/live_stderr.log 2>/dev/null | head -1)
+		[ -n "$url" ] && [ -s "$work"/live_on.json ] && break
 		url=""
 		sleep 0.1
 	done
 	if [ -z "$url" ]; then
 		echo "live_smoke: server never came up or run never finished" >&2
-		cat /tmp/live_stderr.log >&2
+		cat "$work"/live_stderr.log >&2
 		exit 1
 	fi
-	/tmp/livecheck "$url"
+	"$work"/livecheck "$url"
 	kill $sim_pid 2>/dev/null || true
 	wait $sim_pid 2>/dev/null || true
-	trap - EXIT
+	sim_pid=""
 	# No-server leg: identical flags minus -listen.
-	/tmp/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
+	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
 		-nm 8 -fm 32 -footscale 16 \
-		-manifest-out /tmp/live_off.json >/dev/null
-	/tmp/silcfm-bench -diff -noise 0 /tmp/live_off.json /tmp/live_on.json
+		-manifest-out "$work"/live_off.json >/dev/null
+	"$work"/silcfm-bench -diff -noise 0 "$work"/live_off.json "$work"/live_on.json
 	# Subscriber leg: same run with three /events streams attached before
 	# the first instruction dispatches.
-	/tmp/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
+	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
 		-nm 8 -fm 32 -footscale 16 \
 		-listen 127.0.0.1:0 -sse-subs 3 \
-		-manifest-out /tmp/live_subs.json >/dev/null 2>&1
-	/tmp/silcfm-bench -diff -noise 0 /tmp/live_off.json /tmp/live_subs.json
+		-manifest-out "$work"/live_subs.json >/dev/null 2>&1
+	"$work"/silcfm-bench -diff -noise 0 "$work"/live_off.json "$work"/live_subs.json
 }
 
 # Postmortem stage: run a thrashy configuration that opens incidents, and
@@ -129,32 +141,31 @@ live_smoke() {
 # byte-identical to a -flightrec=false run (the recorder may observe the
 # simulation but never perturb it).
 postmortem_smoke() {
-	go build -o /tmp/silcfm-sim ./cmd/silcfm-sim
-	go build -o /tmp/silcfm-postmortem ./cmd/silcfm-postmortem
-	rm -rf /tmp/pm_a /tmp/pm_b
-	/tmp/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
+	go build -o "$work"/silcfm-sim ./cmd/silcfm-sim
+	go build -o "$work"/silcfm-postmortem ./cmd/silcfm-postmortem
+	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
 		-nm 8 -fm 32 -footscale 16 \
-		-postmortem-out /tmp/pm_a -manifest-out /tmp/pm_on.json >/dev/null
-	if [ ! -s /tmp/pm_a/bundle-000.json ]; then
+		-postmortem-out "$work"/pm_a -manifest-out "$work"/pm_on.json >/dev/null
+	if [ ! -s "$work"/pm_a/bundle-000.json ]; then
 		echo "postmortem_smoke: thrash config produced no bundle" >&2
 		exit 1
 	fi
-	/tmp/silcfm-postmortem -o /tmp/pm_report.md /tmp/pm_a
-	grep -q '^# Postmortem: ' /tmp/pm_report.md
-	grep -q 'Evidence window' /tmp/pm_report.md
+	"$work"/silcfm-postmortem -o "$work"/pm_report.md "$work"/pm_a
+	grep -q '^# Postmortem: ' "$work"/pm_report.md
+	grep -q 'Evidence window' "$work"/pm_report.md
 	# Determinism: an identical rerun must reproduce every bundle byte.
-	/tmp/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
+	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
 		-nm 8 -fm 32 -footscale 16 \
-		-postmortem-out /tmp/pm_b >/dev/null
-	for f in /tmp/pm_a/bundle-*.json; do
-		cmp "$f" "/tmp/pm_b/$(basename "$f")"
+		-postmortem-out "$work"/pm_b >/dev/null
+	for f in "$work"/pm_a/bundle-*.json; do
+		cmp "$f" "$work/pm_b/$(basename "$f")"
 	done
 	# Inertness: recorder off must leave the simulation manifest untouched.
-	/tmp/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
+	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
 		-nm 8 -fm 32 -footscale 16 \
-		-flightrec=false -manifest-out /tmp/pm_off.json >/dev/null
-	go build -o /tmp/silcfm-bench ./cmd/silcfm-bench
-	/tmp/silcfm-bench -diff -noise 0 /tmp/pm_off.json /tmp/pm_on.json
+		-flightrec=false -manifest-out "$work"/pm_off.json >/dev/null
+	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
+	"$work"/silcfm-bench -diff -noise 0 "$work"/pm_off.json "$work"/pm_on.json
 }
 
 # Tail-exemplar stage: run the capacity-pressured thrash configuration and
@@ -165,26 +176,26 @@ postmortem_smoke() {
 # (3) it is inert — a -exemplars=false run's manifest is byte-identical to
 # the recorder-on manifest everywhere outside the sim.exemplars leaf itself.
 exemplars_smoke() {
-	go build -o /tmp/silcfm-sim ./cmd/silcfm-sim
-	/tmp/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
+	go build -o "$work"/silcfm-sim ./cmd/silcfm-sim
+	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
 		-nm 8 -fm 32 -footscale 16 \
-		-exemplars-out /tmp/ex_a.jsonl -manifest-out /tmp/ex_on.json >/tmp/ex_report.txt
-	grep -q '^tail exemplars:' /tmp/ex_report.txt
-	grep -q 'max=' /tmp/ex_report.txt
-	if [ ! -s /tmp/ex_a.jsonl ]; then
+		-exemplars-out "$work"/ex_a.jsonl -manifest-out "$work"/ex_on.json >"$work"/ex_report.txt
+	grep -q '^tail exemplars:' "$work"/ex_report.txt
+	grep -q 'max=' "$work"/ex_report.txt
+	if [ ! -s "$work"/ex_a.jsonl ]; then
 		echo "exemplars_smoke: run captured no exemplars" >&2
 		exit 1
 	fi
 	# Determinism: an identical rerun must reproduce every JSONL byte.
-	/tmp/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
+	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
 		-nm 8 -fm 32 -footscale 16 \
-		-exemplars-out /tmp/ex_b.jsonl >/dev/null
-	cmp /tmp/ex_a.jsonl /tmp/ex_b.jsonl
+		-exemplars-out "$work"/ex_b.jsonl >/dev/null
+	cmp "$work"/ex_a.jsonl "$work"/ex_b.jsonl
 	# Inertness: recorder off must change nothing but its own manifest leaf.
-	/tmp/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
+	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
 		-nm 8 -fm 32 -footscale 16 \
-		-exemplars=false -manifest-out /tmp/ex_off.json >/dev/null
-	python3 - /tmp/ex_on.json /tmp/ex_off.json <<'EOF'
+		-exemplars=false -manifest-out "$work"/ex_off.json >/dev/null
+	python3 - "$work"/ex_on.json "$work"/ex_off.json <<'EOF'
 import json, sys
 on, off = (json.load(open(p)) for p in sys.argv[1:3])
 for e in off["entries"]:
@@ -205,16 +216,16 @@ EOF
 # manifests, so any drift means either the baselines changed without the
 # report (regenerate it) or the report generator changed behavior.
 history_smoke() {
-	go build -o /tmp/silcfm-bench ./cmd/silcfm-bench
-	/tmp/silcfm-bench -history -history-md /tmp/trajectory.md 'BENCH_PR*.json' >/dev/null
-	if ! diff -u TRAJECTORY.md /tmp/trajectory.md; then
+	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
+	"$work"/silcfm-bench -history -history-md "$work"/trajectory.md 'BENCH_PR*.json' >/dev/null
+	if ! diff -u TRAJECTORY.md "$work"/trajectory.md; then
 		echo "history_smoke: TRAJECTORY.md is stale; regenerate with:" >&2
 		echo "  go run ./cmd/silcfm-bench -history -history-md TRAJECTORY.md 'BENCH_PR*.json'" >&2
 		exit 1
 	fi
 	# Explicit ordered paths must agree with the glob expansion.
-	/tmp/silcfm-bench -history BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR9.json BENCH_PR10.json BENCH_PR13.json BENCH_PR16.json BENCH_PR18.json >/tmp/trajectory_explicit.md
-	diff -u TRAJECTORY.md /tmp/trajectory_explicit.md
+	"$work"/silcfm-bench -history BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR9.json BENCH_PR10.json BENCH_PR13.json BENCH_PR16.json BENCH_PR18.json >"$work"/trajectory_explicit.md
+	diff -u TRAJECTORY.md "$work"/trajectory_explicit.md
 }
 
 case "${1:-}" in

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"silcfm/internal/health"
 	"silcfm/internal/telemetry"
@@ -167,36 +166,4 @@ func ReadFile(path string) (*Bundle, error) {
 	}
 	defer f.Close()
 	return Decode(f)
-}
-
-// BundleFileName is the canonical per-bundle file name inside a postmortem
-// output directory.
-func BundleFileName(seq int) string { return fmt.Sprintf("bundle-%03d.json", seq) }
-
-// WriteDir writes each bundle to dir (created if needed) under its
-// canonical file name and returns the written paths in order.
-func WriteDir(dir string, bundles []Bundle) ([]string, error) {
-	if len(bundles) == 0 {
-		return nil, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	paths := make([]string, 0, len(bundles))
-	for i := range bundles {
-		p := filepath.Join(dir, BundleFileName(bundles[i].Seq))
-		f, err := os.Create(p)
-		if err != nil {
-			return paths, err
-		}
-		err = bundles[i].Encode(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return paths, err
-		}
-		paths = append(paths, p)
-	}
-	return paths, nil
 }

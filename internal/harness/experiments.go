@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -25,14 +26,15 @@ type ExpConfig struct {
 	Parallelism  int
 	// ShadowCheck enables the continuous integrity checker on every run.
 	ShadowCheck bool
-	// Telemetry, when non-nil, builds a per-run telemetry config (the
-	// baseline leg gets label "baseline"). Writers in the returned config
-	// that implement io.Closer are closed when the run finishes, or at once
-	// when the factory also returns an error; that error fails the run
-	// without simulating it.
-	Telemetry func(label, wl string) (*telemetry.Config, error)
+	// Out names one directory per output kind; every cell writes its
+	// files there under its id (see Outputs.forCell).
+	Out Outputs
+	// EpochCycles and TraceLimit are every cell's telemetry sampling
+	// period and trace ring bound (telemetry defaults when zero).
+	EpochCycles uint64
+	TraceLimit  int
 	// Live, when non-nil, attaches every run in the sweep to a live
-	// observability server through AttachLive, under "<label>/<workload>".
+	// observability server through AttachLive, under its cell id.
 	Live *live.Server
 	// Progress, when non-nil, receives one completion line per finished run.
 	Progress io.Writer
@@ -97,6 +99,9 @@ func Figure7Variants() []Variant {
 // SweepResult holds a full (variant x workload) sweep plus the shared
 // no-NM baseline runs used for normalization.
 type SweepResult struct {
+	// Name prefixes every cell id: "<name>/<label>/<workload>", with
+	// label "baseline" for the no-NM leg.
+	Name     string
 	Cfg      ExpConfig
 	Variants []Variant
 	// Runs[variant label][workload]
@@ -140,6 +145,29 @@ func (s *SweepResult) WallFooter() string {
 	return b.String()
 }
 
+// Cell is one run of a sweep under its id.
+type Cell struct {
+	ID     string
+	Result *Result
+}
+
+// Cells lists every run of the sweep: per workload, the baseline leg and
+// then each variant in order.
+func (s *SweepResult) Cells() []Cell {
+	var out []Cell
+	for _, wl := range s.Cfg.workloads() {
+		out = append(out, Cell{cellID(s.Name, "baseline", wl), s.Baseline[wl]})
+		for _, v := range s.Variants {
+			out = append(out, Cell{cellID(s.Name, v.Label, wl), s.Runs[v.Label][wl]})
+		}
+	}
+	return out
+}
+
+// cellID names one sweep cell: the live-hub run, the output file stem and
+// the manifest entry all use it.
+func cellID(sweep, label, wl string) string { return sweep + "/" + label + "/" + wl }
+
 // Speedup returns a variant's speedup over the baseline for one workload.
 func (s *SweepResult) Speedup(label, wl string) float64 {
 	r := s.Runs[label][wl]
@@ -159,9 +187,19 @@ func (s *SweepResult) GeoMeanSpeedup(label string) float64 {
 	return stats.GeoMean(xs)
 }
 
-// Sweep runs every (variant, workload) pair plus baselines, in parallel.
-func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
+// Sweep runs every (variant, workload) pair plus baselines, in parallel,
+// under cell ids "<name>/<label>/<workload>".
+func Sweep(cfg ExpConfig, name string, variants []Variant) (*SweepResult, error) {
 	sweepStart := time.Now()
+	o := cfg.Out
+	for _, dir := range []string{o.Metrics, o.Trace, o.Profile, o.Health, o.Postmortem} {
+		if dir == "" {
+			continue
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("harness: output: %w", err)
+		}
+	}
 	type job struct {
 		label string
 		wl    string
@@ -180,6 +218,7 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 	}
 
 	res := &SweepResult{
+		Name:     name,
 		Cfg:      cfg,
 		Variants: variants,
 		Runs:     map[string]map[string]*Result{},
@@ -204,7 +243,8 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 			if label == "" {
 				label = "baseline"
 			}
-			r, err := runCell(cfg, label, j.wl, j.mach)
+			id := cellID(name, label, j.wl)
+			r, err := runCell(cfg, id, j.wl, j.mach)
 			if err == nil {
 				err = r.Err()
 			}
@@ -215,11 +255,11 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 				if err != nil {
 					status = "error: " + err.Error()
 				}
-				fmt.Fprintf(cfg.Progress, "done %s/%s: %s\n", label, j.wl, status)
+				fmt.Fprintf(cfg.Progress, "done %s: %s\n", id, status)
 			}
 			if err != nil {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("%s/%s: %w", label, j.wl, err)
+					firstErr = fmt.Errorf("%s: %w", id, err)
 				}
 				return
 			}
@@ -238,17 +278,9 @@ func Sweep(cfg ExpConfig, variants []Variant) (*SweepResult, error) {
 	return res, nil
 }
 
-// runCell runs one sweep cell on machine m with its per-run telemetry
-// outputs, attached to the live hub under "<label>/<wl>".
-func runCell(cfg ExpConfig, label, wl string, m config.Machine) (*Result, error) {
-	var tcfg *telemetry.Config
-	if cfg.Telemetry != nil {
-		var err error
-		if tcfg, err = cfg.Telemetry(label, wl); err != nil {
-			closeTelemetry(tcfg)
-			return nil, fmt.Errorf("telemetry output: %w", err)
-		}
-	}
+// runCell runs one sweep cell on machine m, writing its outputs and
+// attaching it to the live hub under id.
+func runCell(cfg ExpConfig, id, wl string, m config.Machine) (*Result, error) {
 	spec := Spec{
 		Machine:           m,
 		Workload:          wl,
@@ -257,13 +289,11 @@ func runCell(cfg ExpConfig, label, wl string, m config.Machine) (*Result, error)
 		FootScaleNum:      cfg.FootScaleNum,
 		FootScaleDen:      cfg.FootScaleDen,
 		ShadowCheck:       cfg.ShadowCheck,
-		Telemetry:         tcfg,
+		Telemetry:         &telemetry.Config{EpochCycles: cfg.EpochCycles, TraceLimit: cfg.TraceLimit},
+		Out:               cfg.Out.forCell(id),
 	}
-	done := AttachLive(&spec, cfg.Live.Registry(), label+"/"+wl)
+	done := AttachLive(&spec, cfg.Live.Registry(), id)
 	r, err := Run(spec)
-	if cerr := closeTelemetry(tcfg); err == nil && cerr != nil {
-		err = fmt.Errorf("telemetry output: %w", cerr)
-	}
 	done(r)
 	return r, err
 }
@@ -271,7 +301,7 @@ func runCell(cfg ExpConfig, label, wl string, m config.Machine) (*Result, error)
 // Figure6 regenerates the feature-breakdown figure: per-workload speedup of
 // each SILC-FM feature level over the no-NM baseline.
 func Figure6(cfg ExpConfig) (*SweepResult, *stats.Table, error) {
-	sw, err := Sweep(cfg, Figure6Variants())
+	sw, err := Sweep(cfg, "fig6", Figure6Variants())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -280,7 +310,7 @@ func Figure6(cfg ExpConfig) (*SweepResult, *stats.Table, error) {
 
 // Figure7 regenerates the scheme comparison figure.
 func Figure7(cfg ExpConfig) (*SweepResult, *stats.Table, error) {
-	sw, err := Sweep(cfg, Figure7Variants())
+	sw, err := Sweep(cfg, "fig7", Figure7Variants())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -314,50 +344,46 @@ func Figure8(sw *SweepResult) *stats.Table {
 }
 
 // Figure9 sweeps the NM:FM capacity ratio (1/16, 1/8, 1/4) for the
-// migrating schemes and reports geometric-mean speedups.
-func Figure9(cfg ExpConfig) (*stats.Table, map[uint64]map[string]float64, error) {
+// migrating schemes and reports geometric-mean speedups. It returns one
+// sweep per ratio, named "fig9-<N>" for NM = FM/N.
+func Figure9(cfg ExpConfig) (*stats.Table, []*SweepResult, error) {
 	schemes := []config.SchemeName{
 		config.SchemeCAMEO, config.SchemeCAMEOP, config.SchemeHMA,
 		config.SchemePoM, config.SchemeSILCFM,
 	}
-	ratios := []uint64{16, 8, 4}
+	var variants []Variant
 	t := &stats.Table{
 		Title:   "Figure 9: geomean speedup with various NM capacities (NM = FM/N)",
 		Columns: []string{"ratio"},
 	}
 	for _, s := range schemes {
+		variants = append(variants, SchemeVariant(s))
 		t.Columns = append(t.Columns, string(s))
 	}
-	out := map[uint64]map[string]float64{}
-	for _, den := range ratios {
+	var sweeps []*SweepResult
+	for _, den := range []uint64{16, 8, 4} {
 		c := cfg
 		c.Machine = cfg.Machine.WithNMRatio(den)
-		var variants []Variant
-		for _, s := range schemes {
-			variants = append(variants, SchemeVariant(s))
-		}
-		sw, err := Sweep(c, variants)
+		sw, err := Sweep(c, fmt.Sprintf("fig9-%d", den), variants)
 		if err != nil {
 			return nil, nil, fmt.Errorf("ratio 1/%d: %w", den, err)
 		}
 		row := []string{fmt.Sprintf("1/%d", den)}
-		out[den] = map[string]float64{}
 		for _, s := range schemes {
-			g := sw.GeoMeanSpeedup(string(s))
-			out[den][string(s)] = g
-			row = append(row, stats.F2(g))
+			row = append(row, stats.F2(sw.GeoMeanSpeedup(string(s))))
 		}
 		t.AddRow(row...)
+		sweeps = append(sweeps, sw)
 	}
-	return t, out, nil
+	return t, sweeps, nil
 }
 
 // TableIII reports each workload's measured per-core MPKI and footprint
-// through the cache hierarchy, using the baseline machine: a Sweep with no
-// variants, so its runs are the "baseline" legs of every other sweep and
-// honour the same per-run options.
-func TableIII(cfg ExpConfig) (*stats.Table, map[string]*Result, error) {
-	sw, err := Sweep(cfg, nil)
+// through the cache hierarchy, using the baseline machine: a Sweep named
+// "table3" with no variants, so its runs are the "baseline" legs of every
+// other sweep and honour the same per-run options.
+func TableIII(cfg ExpConfig) (*stats.Table, *SweepResult, error) {
+	sw, err := Sweep(cfg, "table3", nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -371,7 +397,7 @@ func TableIII(cfg ExpConfig) (*stats.Table, map[string]*Result, error) {
 		t.AddRow(wl, p.Class.String(), stats.F2(r.AvgMPKI()),
 			fmt.Sprintf("%.1f", float64(r.FootprintPages)*2048/(1<<20)))
 	}
-	return t, sw.Baseline, nil
+	return t, sw, nil
 }
 
 // Headline summarizes the paper's abstract numbers from Figure 6/7 sweeps:
@@ -449,25 +475,6 @@ func (h Headline) String() string {
 		h.SwapOverStatic*100, h.LockIncrement*100, h.AssocIncrement*100,
 		h.BypassIncrement*100, h.TotalOverStatic*100, h.BestAlt,
 		h.OverBestAlt*100, h.EDPReduction*100)
-}
-
-// closeTelemetry closes any per-run telemetry writers that are closable
-// (Sweep owns their lifecycle; single runs close their own files) and
-// returns the first close error: a writer that failed to flush left its
-// output truncated.
-func closeTelemetry(tcfg *telemetry.Config) error {
-	if tcfg == nil {
-		return nil
-	}
-	var first error
-	for _, w := range []io.Writer{tcfg.MetricsW, tcfg.TraceW, tcfg.ProgressW, tcfg.ProfileW} {
-		if c, ok := w.(io.Closer); ok {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
 }
 
 func variantLabels(vs []Variant) []string {

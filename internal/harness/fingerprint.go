@@ -11,8 +11,8 @@ import (
 
 // fingerprintView is the hashed identity of a run: the full machine plus
 // every spec field that changes simulated behavior. ShadowCheck, Telemetry,
-// Publish, Flightrec and Exemplars are deliberately absent — all of them are
-// provably inert.
+// Out, Publish, Flightrec and Exemplars are deliberately absent — all of
+// them are provably inert.
 //
 // The view's field set, names and order are load-bearing: the fingerprint is
 // a hash of the canonical JSON encoding, and committed baseline manifests

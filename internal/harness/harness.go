@@ -62,6 +62,10 @@ type Spec struct {
 	// internal/telemetry). Telemetry is read-only: it never changes Cycles
 	// or any counter.
 	Telemetry *telemetry.Config
+	// Out names the files the run writes (see Outputs); Run creates,
+	// writes and closes them. Its metrics, trace and profile files replace
+	// the matching Telemetry writers.
+	Out Outputs
 	// Publish, when set, is called once per telemetry epoch on the
 	// simulation goroutine with that epoch's state and the health status:
 	// the incidents currently open plus the open/close transitions since
@@ -117,7 +121,8 @@ type Result struct {
 	// Profile is the hotness profiler, when Spec.Telemetry requested one.
 	Profile *telemetry.Profiler
 	// Spec is the effective spec this run executed (InstrPerCore defaulted,
-	// Telemetry cleared), for manifest fingerprinting.
+	// Telemetry cleared, Out kept), for manifest fingerprinting and for
+	// listing the run's output files.
 	Spec Spec
 	// WallSeconds is host wall-clock time of the whole run, setup and
 	// audits included. Host-dependent: never compare exactly.
@@ -220,8 +225,10 @@ func NewController(m config.Machine, sys *mem.System) (mem.Controller, error) {
 	}
 }
 
-// Run executes one simulation to completion.
-func Run(spec Spec) (*Result, error) {
+// Run executes one simulation to completion. It creates every file
+// spec.Out names before the first cycle, writes them once the simulation
+// completes, closes them, and returns the first error.
+func Run(spec Spec) (res *Result, err error) {
 	wallStart := time.Now()
 	m := spec.Machine
 	if err := m.Validate(); err != nil {
@@ -305,6 +312,16 @@ func Run(spec Spec) (*Result, error) {
 			wlLabel, needBytes, total)
 	}
 
+	files, err := spec.Out.create()
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if cerr := files.close(); cerr != nil && err == nil {
+			res, err = nil, cerr
+		}
+	}()
+
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
 	ctl, err := NewController(m, sys)
@@ -369,6 +386,7 @@ func Run(spec Spec) (*Result, error) {
 	if spec.Telemetry != nil {
 		tcfg = *spec.Telemetry
 	}
+	files.attach(&tcfg, spec.Out.Metrics)
 	userEpoch := tcfg.OnEpoch
 	publish := spec.Publish
 	// prevOpen carries the previous epoch's open set so every epoch reports
@@ -422,7 +440,7 @@ func Run(spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("harness: telemetry: %w", err)
 	}
 
-	res := &Result{}
+	res = &Result{}
 	res.Health = det.Finish()
 	// Finish after telemetry Finish (the final partial epoch is pumped) so
 	// a capture still open at end of run flushes with the full window.
@@ -482,6 +500,9 @@ func Run(spec Spec) (*Result, error) {
 	res.ConservationErr = stats.CheckConservation(sys.Conservation(false, extraNM...))
 	res.WallSeconds = time.Since(wallStart).Seconds()
 	res.SimCyclesPerSec = stats.Ratio(float64(res.Cycles), loopSeconds)
+	if err := files.write(res); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

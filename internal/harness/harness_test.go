@@ -206,10 +206,11 @@ func TestFigure6VariantsOrdered(t *testing.T) {
 
 func TestTableIIISmall(t *testing.T) {
 	cfg := tinyExp()
-	tbl, runs, err := TableIII(cfg)
+	tbl, sw, err := TableIII(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs := sw.Baseline
 	if len(tbl.Rows) != 2 || len(runs) != 2 {
 		t.Fatalf("rows=%d runs=%d", len(tbl.Rows), len(runs))
 	}

@@ -2,11 +2,13 @@ package harness
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"silcfm/internal/config"
-	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/live"
 )
 
@@ -54,7 +56,8 @@ func thrashConfig() ExpConfig {
 
 // TestSweepFeedsLiveHub: a sweep attached to a live hub streams its
 // flight-recorder bundles into the incident store and its tail-exemplar
-// snapshots into the exemplar store, under "<label>/<workload>" run ids.
+// snapshots into the exemplar store, under "<sweep>/<label>/<workload>"
+// run ids.
 func TestSweepFeedsLiveHub(t *testing.T) {
 	srv, err := live.New("127.0.0.1:0")
 	if err != nil {
@@ -63,7 +66,7 @@ func TestSweepFeedsLiveHub(t *testing.T) {
 	defer srv.Close()
 	cfg := thrashConfig()
 	cfg.Live = srv
-	sw, err := Sweep(cfg, []Variant{SchemeVariant(config.SchemeSILCFM)})
+	sw, err := Sweep(cfg, "thrash", []Variant{SchemeVariant(config.SchemeSILCFM)})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -74,24 +77,24 @@ func TestSweepFeedsLiveHub(t *testing.T) {
 	reg := srv.Registry()
 	var refs int
 	for _, ref := range reg.Incidents() {
-		if ref.Run == "silc/milc" {
+		if ref.Run == "thrash/silc/milc" {
 			refs++
 		}
 	}
 	if refs != len(res.Bundles) {
-		t.Errorf("hub lists %d silc/milc incidents, run produced %d bundles", refs, len(res.Bundles))
+		t.Errorf("hub lists %d thrash/silc/milc incidents, run produced %d bundles", refs, len(res.Bundles))
 	}
 	var found bool
 	for _, set := range reg.Exemplars() {
-		if set.Run == "silc/milc" && len(set.Exemplars) > 0 {
+		if set.Run == "thrash/silc/milc" && len(set.Exemplars) > 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("hub holds no exemplars for silc/milc")
+		t.Error("hub holds no exemplars for thrash/silc/milc")
 	}
 	if runs := reg.Runs(); len(runs) != 2 {
-		t.Errorf("hub tracks %d runs, want baseline/milc and silc/milc", len(runs))
+		t.Errorf("hub tracks %d runs, want thrash/baseline/milc and thrash/silc/milc", len(runs))
 	}
 	for _, rs := range reg.Runs() {
 		if rs.State != "done" {
@@ -100,76 +103,63 @@ func TestSweepFeedsLiveHub(t *testing.T) {
 	}
 }
 
-// failCloser is a telemetry writer whose flush on Close fails.
-type failCloser struct{}
+// oneWorkload is tinyExp on milc alone, one cell at a time.
+func oneWorkload() ExpConfig {
+	cfg := tinyExp()
+	cfg.InstrPerCore = 20_000
+	cfg.Workloads = []string{"milc"}
+	cfg.Parallelism = 1
+	return cfg
+}
 
-var errFlush = errors.New("flush failed")
-
-func (failCloser) Write(p []byte) (int, error) { return len(p), nil }
-func (failCloser) Close() error                { return errFlush }
-
-// TestSweepReportsTelemetryCloseError: a per-run telemetry writer that
-// fails to close leaves its output truncated, so the sweep must fail.
+// TestSweepReportsTelemetryCloseError: a per-run output that fails to
+// flush (its metrics file is /dev/full) leaves that output truncated, so
+// the sweep must fail with the cell's telemetry error.
 func TestSweepReportsTelemetryCloseError(t *testing.T) {
-	cfg := ExpConfig{
-		Machine:      config.Small(),
-		InstrPerCore: 20_000,
-		Workloads:    []string{"milc"},
-		FootScaleNum: 1,
-		FootScaleDen: 16,
-		Parallelism:  1,
-		Telemetry: func(label, wl string) (*telemetry.Config, error) {
-			return &telemetry.Config{MetricsW: failCloser{}}, nil
-		},
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
 	}
-	_, err := Sweep(cfg, []Variant{SchemeVariant(config.SchemeSILCFM)})
-	if !errors.Is(err, errFlush) || !strings.Contains(err.Error(), "telemetry output") {
-		t.Fatalf("Sweep error = %v, want a telemetry output error wrapping %v", err, errFlush)
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "flush_silc_milc.jsonl")); err != nil {
+		t.Skip("symlink:", err)
+	}
+	cfg := oneWorkload()
+	cfg.Out.Metrics = dir
+	_, err := Sweep(cfg, "flush", []Variant{SchemeVariant(config.SchemeSILCFM)})
+	if !errors.Is(err, syscall.ENOSPC) || !strings.Contains(err.Error(), "flush/silc/milc") ||
+		!strings.Contains(err.Error(), "telemetry") {
+		t.Fatalf("Sweep error = %v, want flush/silc/milc failing with a telemetry ENOSPC error", err)
 	}
 }
 
-// closeCounter is a telemetry writer that counts its writes and closes.
-type closeCounter struct{ writes, closes int }
-
-func (c *closeCounter) Write(p []byte) (int, error) { c.writes++; return len(p), nil }
-func (c *closeCounter) Close() error                { c.closes++; return nil }
-
-// TestSweepFailsCellWhoseOutputCannotBeCreated: a telemetry factory error
-// (a per-run output file that could not be created) fails that cell and
-// the sweep instead of running the cell without its outputs, and the
-// writers the factory had already opened are closed unwritten.
+// TestSweepFailsCellWhoseOutputCannotBeCreated: a per-run output file that
+// cannot be created fails that cell and the sweep instead of running the
+// cell without its outputs; the files already opened for the cell stay
+// unwritten (TestRunFailsBeforeSimulatingOnUncreatableOutput checks that
+// they are closed).
 func TestSweepFailsCellWhoseOutputCannotBeCreated(t *testing.T) {
-	errCreate := errors.New("create failed")
-	opened := map[string]*closeCounter{}
-	cfg := ExpConfig{
-		Machine:      config.Small(),
-		InstrPerCore: 20_000,
-		Workloads:    []string{"milc"},
-		FootScaleNum: 1,
-		FootScaleDen: 16,
-		Parallelism:  1,
-		Telemetry: func(label, wl string) (*telemetry.Config, error) {
-			w := &closeCounter{}
-			opened[label] = w
-			tc := &telemetry.Config{MetricsW: w}
-			if label == "baseline" {
-				return tc, errCreate
-			}
-			return tc, nil
-		},
+	metrics, trace := t.TempDir(), t.TempDir()
+	// A directory where the baseline cell's trace file belongs.
+	if err := os.Mkdir(filepath.Join(trace, "create_baseline_milc.json"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	_, err := Sweep(cfg, []Variant{SchemeVariant(config.SchemeSILCFM)})
-	if !errors.Is(err, errCreate) || !strings.Contains(err.Error(), "baseline/milc") {
-		t.Fatalf("Sweep error = %v, want the baseline/milc cell failing with %v", err, errCreate)
+	cfg := oneWorkload()
+	cfg.Out = Outputs{Metrics: metrics, Trace: trace}
+	_, err := Sweep(cfg, "create", []Variant{SchemeVariant(config.SchemeSILCFM)})
+	if err == nil || !strings.Contains(err.Error(), "create/baseline/milc") {
+		t.Fatalf("Sweep error = %v, want the create/baseline/milc cell failing", err)
 	}
-	if w := opened["baseline"]; w == nil || w.closes != 1 || w.writes != 0 {
-		t.Fatalf("failed cell's writer = %+v, want closed once and never written", w)
+	if fi, err := os.Stat(filepath.Join(metrics, "create_baseline_milc.jsonl")); err != nil || fi.Size() != 0 {
+		t.Fatalf("failed cell's metrics file: %v, want created and never written", err)
+	}
+	if fi, err := os.Stat(filepath.Join(metrics, "create_silc_milc.jsonl")); err != nil || fi.Size() == 0 {
+		t.Errorf("healthy cell's metrics file: %v, want written", err)
 	}
 }
 
 // TestTableIIIHonoursPerRunOptions: Table III runs through Sweep, so every
-// workload gets its per-run telemetry outputs, progress line and live-hub
-// run, like any other sweep's baseline leg.
+// workload gets its per-run output files, progress line and live-hub run,
+// like any other sweep's baseline leg.
 func TestTableIIIHonoursPerRunOptions(t *testing.T) {
 	srv, err := live.New("127.0.0.1:0")
 	if err != nil {
@@ -177,32 +167,95 @@ func TestTableIIIHonoursPerRunOptions(t *testing.T) {
 	}
 	defer srv.Close()
 	var progress strings.Builder
-	metrics := map[string]*closeCounter{}
+	dir := t.TempDir()
 	cfg := tinyExp()
 	cfg.Parallelism = 1
 	cfg.Live = srv
 	cfg.Progress = &progress
-	cfg.Telemetry = func(label, wl string) (*telemetry.Config, error) {
-		w := &closeCounter{}
-		metrics[label+"/"+wl] = w
-		return &telemetry.Config{MetricsW: w}, nil
-	}
+	cfg.Out.Metrics = dir
 	if _, _, err := TableIII(cfg); err != nil {
 		t.Fatal(err)
 	}
 	for _, wl := range cfg.Workloads {
-		id := "baseline/" + wl
-		if w := metrics[id]; w == nil || w.writes == 0 || w.closes != 1 {
-			t.Errorf("%s metrics writer = %+v, want written and closed once", id, w)
+		id := "table3/baseline/" + wl
+		if fi, err := os.Stat(filepath.Join(dir, "table3_baseline_"+wl+".jsonl")); err != nil || fi.Size() == 0 {
+			t.Errorf("%s metrics file: %v, want written", id, err)
 		}
 		if !strings.Contains(progress.String(), "done "+id+": ok") {
 			t.Errorf("progress %q lacks %s", progress.String(), id)
 		}
 	}
-	if len(metrics) != len(cfg.Workloads) {
-		t.Errorf("factory built %d configs, want one per workload (%d)", len(metrics), len(cfg.Workloads))
+	if ents, _ := os.ReadDir(dir); len(ents) != len(cfg.Workloads) {
+		t.Errorf("%d metrics files, want one per workload (%d)", len(ents), len(cfg.Workloads))
 	}
 	if runs := srv.Registry().Runs(); len(runs) != len(cfg.Workloads) {
 		t.Errorf("live hub saw %d runs, want %d", len(runs), len(cfg.Workloads))
+	}
+}
+
+// TestFigure9KeepsEveryCellsOutputs: the three capacity sweeps of Figure 9
+// share labels and workloads, so only the sweep name in each cell id keeps
+// their output files apart: one metrics and one health file per cell.
+func TestFigure9KeepsEveryCellsOutputs(t *testing.T) {
+	metrics, healthDir := t.TempDir(), t.TempDir()
+	cfg := oneWorkload()
+	cfg.InstrPerCore = 5_000
+	cfg.Parallelism = 2
+	cfg.Out = Outputs{Metrics: metrics, Health: healthDir}
+	_, sweeps, err := Figure9(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells int
+	for _, sw := range sweeps {
+		for _, c := range sw.Cells() {
+			cells++
+			for _, p := range []string{c.Result.Spec.Out.Metrics, c.Result.Spec.Out.Health} {
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("%s: %v", c.ID, err)
+				}
+			}
+		}
+	}
+	if cells != 18 {
+		t.Fatalf("Figure 9 ran %d cells on one workload, want 18", cells)
+	}
+	for _, dir := range []string{metrics, healthDir} {
+		if ents, _ := os.ReadDir(dir); len(ents) != cells {
+			t.Errorf("%s holds %d files, want one per cell (%d)", dir, len(ents), cells)
+		}
+	}
+}
+
+// TestFiguresRegisterDistinctRunIDs: Figure 6 and Figure 7 on one live
+// hub register every cell under its own id, the no-NM legs included.
+func TestFiguresRegisterDistinctRunIDs(t *testing.T) {
+	srv, err := live.New("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("live.New: %v", err)
+	}
+	defer srv.Close()
+	cfg := oneWorkload()
+	cfg.InstrPerCore = 5_000
+	cfg.Parallelism = 2
+	cfg.Live = srv
+	distinct := func() int {
+		ids := map[string]bool{}
+		for _, rs := range srv.Registry().Runs() {
+			ids[rs.Run] = true
+		}
+		return len(ids)
+	}
+	if _, _, err := Figure6(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := distinct(); n != 1+5 {
+		t.Errorf("after Figure 6 the hub holds %d run ids, want 1+5", n)
+	}
+	if _, _, err := Figure7(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := distinct(); n != 1+5+1+6 {
+		t.Errorf("after Figure 7 the hub holds %d run ids, want 1+5 plus 1+6", n)
 	}
 }

@@ -46,6 +46,28 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// TestEmptyHubListsAreEmptyArrays: with no run registered, /progress is an
+// empty JSON array and /healthz lists its runs as one, never null, like
+// /api/incidents and /api/exemplars.
+func TestEmptyHubListsAreEmptyArrays(t *testing.T) {
+	srv, err := live.New("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("live.New: %v", err)
+	}
+	defer srv.Close()
+	if code, body := get(t, srv.URL()+"/progress"); code != http.StatusOK || strings.TrimSpace(string(body)) != "[]" {
+		t.Errorf("/progress on an empty hub = %d %s, want 200 []", code, body)
+	}
+	code, body := get(t, srv.URL()+"/healthz")
+	var hz map[string]json.RawMessage
+	if err := json.Unmarshal(body, &hz); err != nil {
+		t.Fatalf("/healthz: %v\n%s", err, body)
+	}
+	if code != http.StatusOK || string(hz["runs"]) != "[]" {
+		t.Errorf("/healthz on an empty hub = %d runs %s, want 200 runs []", code, hz["runs"])
+	}
+}
+
 func TestServerEndpointsAfterRealRun(t *testing.T) {
 	srv, err := live.New("127.0.0.1:0")
 	if err != nil {

@@ -326,7 +326,7 @@ type Healthz struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := Healthz{Status: "ok", Rules: health.Rules()}
+	body := Healthz{Status: "ok", Runs: []HealthzRun{}, Rules: health.Rules()}
 	s.reg.mu.Lock()
 	for _, rs := range s.reg.sortedLocked() {
 		hr := HealthzRun{
@@ -367,7 +367,7 @@ type ProgressRun struct {
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	var body []ProgressRun
+	body := []ProgressRun{}
 	for _, st := range s.reg.Runs() {
 		body = append(body, ProgressRun{
 			Run:            st.Run,

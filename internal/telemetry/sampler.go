@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -14,7 +15,8 @@ import (
 // Sample is one epoch's worth of activity. Counter fields are DELTAS over
 // the epoch (they sum to the end-of-run totals); Cycle, AccessRate, the
 // queue depths and the gauges are instantaneous at the epoch boundary.
-// Field order is fixed by the struct, so JSONL output is byte-deterministic.
+// Field order is fixed by the struct, so JSONL output is byte-deterministic;
+// the CSV columns are the scalar fields' json names in the same order.
 type Sample struct {
 	Epoch      uint64 `json:"epoch"`
 	Cycle      uint64 `json:"cycle"`
@@ -260,22 +262,19 @@ func csvField(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
-// csvFixed lists the non-gauge CSV columns, matching Sample field order.
-var csvFixed = []string{
-	"epoch", "cycle", "span_cycles",
-	"llc_misses", "serviced_nm", "serviced_fm", "access_rate",
-	"demand_bytes_nm", "demand_bytes_fm",
-	"migration_bytes_nm", "migration_bytes_fm",
-	"metadata_bytes_nm", "metadata_bytes_fm",
-	"swaps_in", "swaps_out", "locks", "unlocks", "migrations", "bypassed",
-	"predictor_hits", "predictor_misses",
-	"row_hits_nm", "row_misses_nm", "row_hits_fm", "row_misses_fm",
-	"row_conflicts_nm", "row_conflicts_fm",
-	"row_hit_rate_nm", "row_hit_rate_fm",
-	"bus_util_nm", "bus_util_fm",
-	"bank_imbalance_nm", "bank_imbalance_fm",
-	"queue_nm", "queue_fm", "peak_queue_nm", "peak_queue_fm",
-}
+// csvFields indexes Sample's scalar fields in struct order: their json
+// tags are the CSV header, their values the row. Gauge columns follow.
+var csvFields = func() []int {
+	var idx []int
+	t := reflect.TypeOf(Sample{})
+	for i := 0; i < t.NumField(); i++ {
+		switch t.Field(i).Type.Kind() {
+		case reflect.Uint64, reflect.Float64, reflect.Int:
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}()
 
 func (s *sampler) writeCSV(sm *Sample) error {
 	var b strings.Builder
@@ -283,7 +282,14 @@ func (s *sampler) writeCSV(sm *Sample) error {
 		for _, g := range sm.Gauges {
 			s.gaugeNames = append(s.gaugeNames, g.Name)
 		}
-		b.WriteString(strings.Join(csvFixed, ","))
+		t := reflect.TypeOf(*sm)
+		for i, fi := range csvFields {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			name, _, _ := strings.Cut(t.Field(fi).Tag.Get("json"), ",")
+			b.WriteString(name)
+		}
 		for _, n := range s.gaugeNames {
 			b.WriteByte(',')
 			b.WriteString(csvField("g:" + n))
@@ -291,49 +297,20 @@ func (s *sampler) writeCSV(sm *Sample) error {
 		b.WriteByte('\n')
 		s.wroteHeader = true
 	}
-	u := func(v uint64) { b.WriteString(strconv.FormatUint(v, 10)); b.WriteByte(',') }
-	u(sm.Epoch)
-	u(sm.Cycle)
-	u(sm.SpanCycles)
-	u(sm.LLCMisses)
-	u(sm.ServicedNM)
-	u(sm.ServicedFM)
-	b.WriteString(strconv.FormatFloat(sm.AccessRate, 'g', -1, 64))
-	b.WriteByte(',')
-	u(sm.DemandBytesNM)
-	u(sm.DemandBytesFM)
-	u(sm.MigrationBytesNM)
-	u(sm.MigrationBytesFM)
-	u(sm.MetadataBytesNM)
-	u(sm.MetadataBytesFM)
-	u(sm.SwapsIn)
-	u(sm.SwapsOut)
-	u(sm.Locks)
-	u(sm.Unlocks)
-	u(sm.Migrations)
-	u(sm.Bypassed)
-	u(sm.PredictorHits)
-	u(sm.PredictorMisses)
-	u(sm.RowHitsNM)
-	u(sm.RowMissesNM)
-	u(sm.RowHitsFM)
-	u(sm.RowMissesFM)
-	u(sm.RowConflictsNM)
-	u(sm.RowConflictsFM)
-	f := func(v float64) { b.WriteString(strconv.FormatFloat(v, 'g', -1, 64)); b.WriteByte(',') }
-	f(sm.RowHitRateNM)
-	f(sm.RowHitRateFM)
-	f(sm.BusUtilNM)
-	f(sm.BusUtilFM)
-	f(sm.BankImbalanceNM)
-	f(sm.BankImbalanceFM)
-	b.WriteString(strconv.Itoa(sm.QueueNM))
-	b.WriteByte(',')
-	b.WriteString(strconv.Itoa(sm.QueueFM))
-	b.WriteByte(',')
-	b.WriteString(strconv.Itoa(sm.PeakQueueNM))
-	b.WriteByte(',')
-	b.WriteString(strconv.Itoa(sm.PeakQueueFM))
+	v := reflect.ValueOf(sm).Elem()
+	for i, fi := range csvFields {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		switch f := v.Field(fi); f.Kind() {
+		case reflect.Uint64:
+			b.WriteString(strconv.FormatUint(f.Uint(), 10))
+		case reflect.Float64:
+			b.WriteString(strconv.FormatFloat(f.Float(), 'g', -1, 64))
+		case reflect.Int:
+			b.WriteString(strconv.Itoa(int(f.Int())))
+		}
+	}
 	// Gauge columns follow the header order; a scheme's gauge set is fixed,
 	// but guard against drift rather than misalign columns.
 	byName := make(map[string]float64, len(sm.Gauges))

@@ -21,7 +21,6 @@ package silcfm
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"silcfm/internal/config"
@@ -150,14 +149,15 @@ type Options struct {
 	// MetricsOut streams epoch time-series metrics to a file: one sample
 	// per MetricsEpoch simulated cycles holding the stats counter deltas
 	// plus scheme gauges. JSONL by default; a path ending in ".csv"
-	// switches to CSV with a header row.
+	// switches to CSV with a header row. Every *Out path is a
+	// harness.Outputs name: created before the run simulates, written after.
 	MetricsOut   string
 	MetricsEpoch uint64 // sampling period in cycles (default 200_000)
 
 	// TraceOut writes a Chrome trace-event JSON of semantic movement
 	// events (demand/capture/deliver/relocate/swap/lock), viewable in
-	// Perfetto. TraceLimit bounds the in-memory event ring (default 1<<18;
-	// oldest events drop first).
+	// Perfetto (harness.Outputs.Trace). TraceLimit bounds the in-memory
+	// event ring (default 1<<18; oldest events drop first).
 	TraceOut   string
 	TraceLimit int
 
@@ -167,8 +167,9 @@ type Options struct {
 	// ProfileOut writes the per-block / per-PC hotness profile as JSONL at
 	// end of run: demand counts and latency, subblock swap churn, lock
 	// transitions and bypass/mispredict pressure per flat 2 KB block and per
-	// program counter, plus a summary line. Profiling is passive (counter
-	// increments only) and cannot change Cycles or any counter.
+	// program counter, plus a summary line (harness.Outputs.Profile).
+	// Profiling is passive (counter increments only) and cannot change
+	// Cycles or any counter.
 	ProfileOut string
 	// ProfileTopK, when positive, collects the hotness profile (even
 	// without ProfileOut) and renders the K hottest blocks and PCs into
@@ -176,15 +177,16 @@ type Options struct {
 	ProfileTopK int
 
 	// HealthOut writes the run's health incidents (plus a summary line) as
-	// JSONL. The online detector itself is always on — Report.Health and
-	// the manifest carry its incidents regardless — this only selects the
-	// file output.
+	// JSONL (harness.Outputs.Health). The online detector itself is always
+	// on — Report.Health and the manifest carry its incidents regardless —
+	// this only selects the file output.
 	HealthOut string
 
 	// PostmortemOut names a directory receiving one JSON file per
-	// postmortem bundle the flight recorder emitted (bundle-NNN.json,
-	// created only when an incident opened). The recorder itself is always
-	// on — see DisableFlightrec — this only selects the file output.
+	// postmortem bundle the flight recorder emitted (bundle-NNN.json, one
+	// per incident; harness.Outputs.Postmortem creates the directory up
+	// front). The recorder itself is always on — see DisableFlightrec —
+	// this only selects the file output.
 	PostmortemOut string
 	// DisableFlightrec turns the incident flight recorder off entirely
 	// (internal/flightrec). The recorder is inert — counters and manifests
@@ -194,9 +196,9 @@ type Options struct {
 
 	// ExemplarsOut writes every captured tail exemplar — the worst-K
 	// slowest demand accesses per service path, with their full span
-	// decomposition and issue/completion context — as JSONL at end of run.
-	// The recorder itself is always on (see DisableExemplars); this only
-	// selects the file output. Report.Exemplars and the manifest carry the
+	// decomposition and issue/completion context — as JSONL at end of run
+	// (harness.Outputs.Exemplars). The recorder itself is always on (see
+	// DisableExemplars); this only selects the file output. Report.Exemplars and the manifest carry the
 	// per-path summary regardless.
 	ExemplarsOut string
 	// DisableExemplars turns the tail-exemplar recorder off entirely
@@ -408,16 +410,24 @@ func runResult(o Options) (*harness.Result, error) {
 		TracePath:         o.TracePath,
 		Mix:               o.Mix,
 		ShadowCheck:       o.ShadowCheck,
+		Telemetry: &telemetry.Config{
+			EpochCycles: o.MetricsEpoch,
+			TraceLimit:  o.TraceLimit,
+			ProgressW:   o.ProgressOut,
+			Profile:     o.ProfileTopK > 0,
+		},
+		Out: harness.Outputs{
+			Metrics:    o.MetricsOut,
+			Trace:      o.TraceOut,
+			Profile:    o.ProfileOut,
+			Health:     o.HealthOut,
+			Exemplars:  o.ExemplarsOut,
+			Postmortem: o.PostmortemOut,
+		},
 	}
 	if o.FootprintScaleDen > 1 {
 		spec.FootScaleNum, spec.FootScaleDen = 1, o.FootprintScaleDen
 	}
-
-	tcfg, cleanup, err := o.telemetryConfig()
-	if err != nil {
-		return nil, err
-	}
-	spec.Telemetry = tcfg
 	if o.DisableFlightrec {
 		spec.Flightrec = &flightrec.Config{Disabled: true}
 	}
@@ -431,123 +441,13 @@ func runResult(o Options) (*harness.Result, error) {
 	done := harness.AttachLive(&spec, o.Live.Registry(), id)
 	res, err := harness.Run(spec)
 	done(res)
-	if cerr := cleanup(); err == nil && cerr != nil {
-		err = fmt.Errorf("silcfm: telemetry output: %w", cerr)
-	}
 	if err != nil {
 		return nil, err
-	}
-	if o.HealthOut != "" {
-		if herr := writeHealthOut(o.HealthOut, res.Health); herr != nil {
-			return nil, herr
-		}
-	}
-	if o.PostmortemOut != "" {
-		if _, perr := flightrec.WriteDir(o.PostmortemOut, res.Bundles); perr != nil {
-			return nil, fmt.Errorf("silcfm: postmortem output: %w", perr)
-		}
-	}
-	if o.ExemplarsOut != "" {
-		if eerr := writeExemplarsOut(o.ExemplarsOut, res.Exemplars); eerr != nil {
-			return nil, eerr
-		}
 	}
 	if err := res.Err(); err != nil {
 		return nil, fmt.Errorf("silcfm: %w", err)
 	}
 	return res, nil
-}
-
-// telemetryConfig opens the requested telemetry outputs. cleanup closes
-// them and reports the first close error (flush failures matter for files).
-func (o Options) telemetryConfig() (*telemetry.Config, func() error, error) {
-	noop := func() error { return nil }
-	if o.MetricsOut == "" && o.TraceOut == "" && o.ProgressOut == nil &&
-		o.ProfileOut == "" && o.ProfileTopK <= 0 {
-		return nil, noop, nil
-	}
-	cfg := &telemetry.Config{
-		MetricsCSV:  strings.HasSuffix(o.MetricsOut, ".csv"),
-		EpochCycles: o.MetricsEpoch,
-		TraceLimit:  o.TraceLimit,
-		ProgressW:   o.ProgressOut,
-		Profile:     o.ProfileTopK > 0,
-	}
-	var files []*os.File
-	open := func(path string) (*os.File, error) {
-		f, err := os.Create(path)
-		if err != nil {
-			for _, g := range files {
-				g.Close()
-			}
-			return nil, fmt.Errorf("silcfm: %w", err)
-		}
-		files = append(files, f)
-		return f, nil
-	}
-	if o.MetricsOut != "" {
-		f, err := open(o.MetricsOut)
-		if err != nil {
-			return nil, noop, err
-		}
-		cfg.MetricsW = f
-	}
-	if o.TraceOut != "" {
-		f, err := open(o.TraceOut)
-		if err != nil {
-			return nil, noop, err
-		}
-		cfg.TraceW = f
-	}
-	if o.ProfileOut != "" {
-		f, err := open(o.ProfileOut)
-		if err != nil {
-			return nil, noop, err
-		}
-		cfg.ProfileW = f
-	}
-	cleanup := func() error {
-		var first error
-		for _, f := range files {
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	return cfg, cleanup, nil
-}
-
-// writeExemplarsOut writes the tail-exemplar JSONL file (Options.ExemplarsOut).
-func writeExemplarsOut(path string, es []exemplar.Exemplar) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("silcfm: %w", err)
-	}
-	werr := exemplar.WriteJSONL(f, es)
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("silcfm: exemplar output: %w", werr)
-	}
-	return nil
-}
-
-// writeHealthOut writes the incident JSONL file (Options.HealthOut).
-func writeHealthOut(path string, incidents []health.Incident) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("silcfm: %w", err)
-	}
-	werr := health.WriteJSONL(f, incidents)
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("silcfm: health output: %w", werr)
-	}
-	return nil
 }
 
 func reportOf(res *harness.Result, topK int) *Report {
