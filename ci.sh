@@ -1,31 +1,23 @@
 #!/bin/sh
-# Local CI gate: formatting, vet, build, bench-smoke regression diff,
-# live-observability endpoint checks, and the test suite under the race
-# detector. Run from the repo root.
+# Local CI gate: formatting, vet, build, bench-smoke regression diff, the
+# perf bands, the trajectory report, and the test suite under the race
+# detector. Every observability contract (plane inertness, hub endpoints,
+# postmortem rendering) is a Go test inside that suite. Run from the repo
+# root.
 #
 #   ./ci.sh          # every stage below, each once, in this order
 #   ./ci.sh fast     # only gofmt, vet, build, the perfbench module and the race-tested fast-fail packages
 #   ./ci.sh bench    # only the bench-smoke + manifest-diff stage
 #   ./ci.sh perf     # only the perf-regression stage (speed/alloc bands)
-#   ./ci.sh live     # only the live-server endpoint + inertness stage
-#   ./ci.sh postmortem # only the flight-recorder capture/determinism/inertness stage
-#   ./ci.sh exemplars # only the tail-exemplar capture/determinism/inertness stage
 #   ./ci.sh history  # only the cross-PR trajectory-report stage
 #   ./ci.sh test     # only the race-detector suite outside the fast-fail packages
 set -eu
 
 # Every temporary file and built binary of one invocation lives under one
-# scratch directory (honouring TMPDIR), removed on exit together with any
-# live-smoke simulator still running, so concurrent runs never collide.
+# scratch directory (honouring TMPDIR), removed on exit, so concurrent runs
+# never collide.
 work=$(mktemp -d)
-sim_pid=""
-cleanup() {
-	if [ -n "$sim_pid" ]; then
-		kill "$sim_pid" 2>/dev/null || true
-	fi
-	rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 trap 'exit 1' INT TERM
 
 # The observability packages (stats counters, memory-system attribution,
@@ -84,132 +76,6 @@ perf_gate() {
 		BENCH_PR18.json "$work"/bench_perf.json
 }
 
-# Live-observability stage: run a short simulation with the embedded HTTP
-# server, validate the dashboard, /api/runs, /events, /metrics, /healthz
-# and /progress while it lingers, then rerun the identical simulation (a)
-# with no server and (b) with the server plus three concurrent SSE
-# subscribers draining /events throughout the run, and assert every
-# deterministic counter (incidents included) is byte-identical across all
-# three legs — the observability layer, streaming included, must be
-# provably inert.
-live_smoke() {
-	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
-	go build -o "$work"/silcfm-sim ./cmd/silcfm-sim
-	go build -o "$work"/livecheck ./internal/tools/livecheck
-	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
-		-nm 8 -fm 32 -footscale 16 \
-		-listen 127.0.0.1:0 -listen-linger 60s \
-		-manifest-out "$work"/live_on.json >/dev/null 2>"$work"/live_stderr.log &
-	sim_pid=$!
-	# The sim announces "live: http://ADDR" on stderr at startup and writes
-	# the manifest when the run completes (the server then lingers).
-	url=""
-	for _ in $(seq 1 300); do
-		url=$(sed -n 's/^live: //p' "$work"/live_stderr.log 2>/dev/null | head -1)
-		[ -n "$url" ] && [ -s "$work"/live_on.json ] && break
-		url=""
-		sleep 0.1
-	done
-	if [ -z "$url" ]; then
-		echo "live_smoke: server never came up or run never finished" >&2
-		cat "$work"/live_stderr.log >&2
-		exit 1
-	fi
-	"$work"/livecheck "$url"
-	kill $sim_pid 2>/dev/null || true
-	wait $sim_pid 2>/dev/null || true
-	sim_pid=""
-	# No-server leg: identical flags minus -listen.
-	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
-		-nm 8 -fm 32 -footscale 16 \
-		-manifest-out "$work"/live_off.json >/dev/null
-	"$work"/silcfm-bench -diff -noise 0 "$work"/live_off.json "$work"/live_on.json
-	# Subscriber leg: same run with three /events streams attached before
-	# the first instruction dispatches.
-	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
-		-nm 8 -fm 32 -footscale 16 \
-		-listen 127.0.0.1:0 -sse-subs 3 \
-		-manifest-out "$work"/live_subs.json >/dev/null 2>&1
-	"$work"/silcfm-bench -diff -noise 0 "$work"/live_off.json "$work"/live_subs.json
-}
-
-# Postmortem stage: run a thrashy configuration that opens incidents, and
-# prove the flight recorder's three contracts end to end: (1) it captures —
-# a bundle file appears and silcfm-postmortem renders a report naming the
-# trigger; (2) it is deterministic — a repeat run produces a byte-identical
-# bundle; (3) it is inert — the manifest of a recorder-on run is
-# byte-identical to a -flightrec=false run (the recorder may observe the
-# simulation but never perturb it).
-postmortem_smoke() {
-	go build -o "$work"/silcfm-sim ./cmd/silcfm-sim
-	go build -o "$work"/silcfm-postmortem ./cmd/silcfm-postmortem
-	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
-		-nm 8 -fm 32 -footscale 16 \
-		-postmortem-out "$work"/pm_a -manifest-out "$work"/pm_on.json >/dev/null
-	if [ ! -s "$work"/pm_a/bundle-000.json ]; then
-		echo "postmortem_smoke: thrash config produced no bundle" >&2
-		exit 1
-	fi
-	"$work"/silcfm-postmortem -o "$work"/pm_report.md "$work"/pm_a
-	grep -q '^# Postmortem: ' "$work"/pm_report.md
-	grep -q 'Evidence window' "$work"/pm_report.md
-	# Determinism: an identical rerun must reproduce every bundle byte.
-	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
-		-nm 8 -fm 32 -footscale 16 \
-		-postmortem-out "$work"/pm_b >/dev/null
-	for f in "$work"/pm_a/bundle-*.json; do
-		cmp "$f" "$work/pm_b/$(basename "$f")"
-	done
-	# Inertness: recorder off must leave the simulation manifest untouched.
-	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
-		-nm 8 -fm 32 -footscale 16 \
-		-flightrec=false -manifest-out "$work"/pm_off.json >/dev/null
-	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
-	"$work"/silcfm-bench -diff -noise 0 "$work"/pm_off.json "$work"/pm_on.json
-}
-
-# Tail-exemplar stage: run the capacity-pressured thrash configuration and
-# prove the exemplar recorder's contracts end to end: (1) it captures — the
-# printed report closes with a "tail exemplars:" waterfall and
-# -exemplars-out writes the worst-K records as JSONL; (2) it is
-# deterministic — an identical rerun reproduces the JSONL byte-for-byte;
-# (3) it is inert — a -exemplars=false run's manifest is byte-identical to
-# the recorder-on manifest everywhere outside the sim.exemplars leaf itself.
-exemplars_smoke() {
-	go build -o "$work"/silcfm-sim ./cmd/silcfm-sim
-	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
-		-nm 8 -fm 32 -footscale 16 \
-		-exemplars-out "$work"/ex_a.jsonl -manifest-out "$work"/ex_on.json >"$work"/ex_report.txt
-	grep -q '^tail exemplars:' "$work"/ex_report.txt
-	grep -q 'max=' "$work"/ex_report.txt
-	if [ ! -s "$work"/ex_a.jsonl ]; then
-		echo "exemplars_smoke: run captured no exemplars" >&2
-		exit 1
-	fi
-	# Determinism: an identical rerun must reproduce every JSONL byte.
-	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
-		-nm 8 -fm 32 -footscale 16 \
-		-exemplars-out "$work"/ex_b.jsonl >/dev/null
-	cmp "$work"/ex_a.jsonl "$work"/ex_b.jsonl
-	# Inertness: recorder off must change nothing but its own manifest leaf.
-	"$work"/silcfm-sim -workload milc -instr 100000 -scale-instr=false \
-		-nm 8 -fm 32 -footscale 16 \
-		-exemplars=false -manifest-out "$work"/ex_off.json >/dev/null
-	python3 - "$work"/ex_on.json "$work"/ex_off.json <<'EOF'
-import json, sys
-on, off = (json.load(open(p)) for p in sys.argv[1:3])
-for e in off["entries"]:
-    if "exemplars" in e["sim"]:
-        sys.exit("exemplars_smoke: -exemplars=false manifest still has sim.exemplars")
-for m in (on, off):
-    for e in m["entries"]:
-        e["sim"].pop("exemplars", None)
-        e["host"] = {}
-if on != off:
-    sys.exit("exemplars_smoke: on/off manifests differ outside the exemplars leaf")
-EOF
-}
-
 # Trajectory stage: regenerate the cross-PR trajectory report from the
 # committed BENCH_PR*.json baselines and require it to match the committed
 # TRAJECTORY.md byte-for-byte. The report is a pure function of the input
@@ -232,18 +98,12 @@ case "${1:-}" in
 fast) fast_gate ;;
 bench) bench_smoke ;;
 perf) perf_gate ;;
-live) live_smoke ;;
-postmortem) postmortem_smoke ;;
-exemplars) exemplars_smoke ;;
 history) history_smoke ;;
 test) race_rest ;;
 "")
 	fast_gate
 	bench_smoke
 	perf_gate
-	live_smoke
-	postmortem_smoke
-	exemplars_smoke
 	history_smoke
 	race_rest
 	;;

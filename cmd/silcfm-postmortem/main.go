@@ -27,19 +27,29 @@ import (
 )
 
 func main() {
-	out := flag.String("o", "", "write the report here instead of stdout")
-	events := flag.Int("events", 12, "movement-event excerpt rows per end (head and tail)")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: silcfm-postmortem [-o report.md] <bundle.json | dir>...")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and streams injected; it returns
+// the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("silcfm-postmortem", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("o", "", "write the report here instead of stdout")
+	events := fs.Int("events", 12, "movement-event excerpt rows per end (head and tail)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: silcfm-postmortem [-o report.md] <bundle.json | dir>...")
+		return 2
 	}
 	var paths []string
-	for _, arg := range flag.Args() {
+	for _, arg := range fs.Args() {
 		fi, err := os.Stat(arg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "silcfm-postmortem:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "silcfm-postmortem:", err)
+			return 1
 		}
 		if fi.IsDir() {
 			matches, err := filepath.Glob(filepath.Join(arg, "bundle-*.json"))
@@ -52,16 +62,17 @@ func main() {
 		}
 	}
 	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "silcfm-postmortem: no bundles found")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "silcfm-postmortem: no bundles found")
+		return 1
 	}
 
-	w := io.Writer(os.Stdout)
+	w := stdout
+	var f *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "silcfm-postmortem:", err)
-			os.Exit(1)
+		var err error
+		if f, err = os.Create(*out); err != nil {
+			fmt.Fprintln(stderr, "silcfm-postmortem:", err)
+			return 1
 		}
 		defer f.Close()
 		w = f
@@ -69,20 +80,28 @@ func main() {
 	for i, p := range paths {
 		b, err := flightrec.ReadFile(p)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "silcfm-postmortem:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "silcfm-postmortem:", err)
+			return 1
 		}
 		if i > 0 {
 			fmt.Fprintln(w, "\n---")
 		}
 		render(w, b, p, *events)
 	}
+	if f != nil {
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(stderr, "silcfm-postmortem:", err)
+			return 1
+		}
+	}
+	return 0
 }
 
 // sparkRunes maps a normalized series onto eight block heights.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 
-// spark renders vals as a unicode sparkline normalized to its own max.
+// spark renders vals as a unicode sparkline normalized to its own max;
+// values at or below zero draw as the lowest bar.
 func spark(vals []float64) string {
 	var max float64
 	for _, v := range vals {
@@ -93,7 +112,7 @@ func spark(vals []float64) string {
 	var sb strings.Builder
 	for _, v := range vals {
 		i := 0
-		if max > 0 {
+		if v > 0 {
 			i = int(v / max * float64(len(sparkRunes)-1))
 		}
 		sb.WriteRune(sparkRunes[i])

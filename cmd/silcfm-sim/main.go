@@ -10,8 +10,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -52,12 +50,9 @@ func main() {
 		profileTopK  = flag.Int("profile-topk", 0, "print the K hottest blocks and PCs after the run (0 = off)")
 		healthOut    = flag.String("health-out", "", "write the run's health incidents to this file (JSONL)")
 		pmOut        = flag.String("postmortem-out", "", "write incident postmortem bundles into this directory (bundle-NNN.json; render with silcfm-postmortem)")
-		flightrecOn  = flag.Bool("flightrec", true, "run the incident flight recorder (inert; -flightrec=false proves it)")
 		exemplarsOut = flag.String("exemplars-out", "", "write the captured tail exemplars (worst-K accesses per path) to this file (JSONL)")
-		exemplarsOn  = flag.Bool("exemplars", true, "run the tail-exemplar recorder (inert; -exemplars=false proves it)")
 		listen       = flag.String("listen", "", "serve live observability HTTP on this address (dashboard, /api/runs, /events, /metrics, /healthz, /progress, /debug/pprof)")
 		linger       = flag.Duration("listen-linger", 0, "keep the -listen server up this long after the run completes")
-		sseSubs      = flag.Int("sse-subs", 0, "attach this many draining /events SSE subscribers before the run starts (inertness testing)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulator process to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile of the simulator process to this file")
@@ -129,9 +124,7 @@ func main() {
 		ProfileTopK:       *profileTopK,
 		HealthOut:         *healthOut,
 		PostmortemOut:     *pmOut,
-		DisableFlightrec:  !*flightrecOn,
 		ExemplarsOut:      *exemplarsOut,
-		DisableExemplars:  !*exemplarsOn,
 		Seed:              *seed,
 	}
 	if *progress {
@@ -151,24 +144,6 @@ func main() {
 			}
 			srv.Close()
 		}()
-		// Attach the subscribers synchronously (http.Get returns once the
-		// handler has subscribed and sent headers) so every epoch frame of
-		// the run flows through their bounded queues; the drain goroutines
-		// end when Close drops the streams.
-		for i := 0; i < *sseSubs; i++ {
-			resp, err := http.Get(srv.URL() + "/events")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "silcfm-sim: sse subscriber:", err)
-				os.Exit(1)
-			}
-			go func() {
-				defer resp.Body.Close()
-				io.Copy(io.Discard, resp.Body)
-			}()
-		}
-		if *sseSubs > 0 {
-			fmt.Fprintf(os.Stderr, "live: %d SSE subscribers attached\n", *sseSubs)
-		}
 	}
 	if *noLock || *noBypass || *ways != 4 {
 		f := silcfm.FullFeatures()

@@ -145,7 +145,8 @@ func (b *Bundle) Encode(w io.Writer) error {
 	return err
 }
 
-// Decode reads one bundle from r, rejecting unknown schemas.
+// Decode reads one bundle from r, rejecting unknown schemas and a
+// pre-trigger count outside the captured window.
 func Decode(r io.Reader) (*Bundle, error) {
 	var b Bundle
 	dec := json.NewDecoder(r)
@@ -154,6 +155,9 @@ func Decode(r io.Reader) (*Bundle, error) {
 	}
 	if b.Schema != BundleSchema {
 		return nil, fmt.Errorf("flightrec: unsupported bundle schema %q (want %q)", b.Schema, BundleSchema)
+	}
+	if b.PreEpochs < 0 || b.PreEpochs > len(b.Epochs) {
+		return nil, fmt.Errorf("flightrec: pre_epochs %d outside the %d captured epochs", b.PreEpochs, len(b.Epochs))
 	}
 	return &b, nil
 }

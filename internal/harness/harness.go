@@ -450,22 +450,7 @@ func Run(spec Spec) (res *Result, err error) {
 	res.Workload = wlLabel
 	res.Scheme = ctl.Name()
 	res.Cycles = cx.ExecutionCycles()
-	res.Mem = *sys.Stats
-	// DRAM introspection totals: reduce each device's per-bank/per-channel
-	// ledgers to the device-level counters stats.Memory (and the manifest)
-	// carry. Row conflicts count as row misses, as in dram.Stats.
-	for lv, dev := range [2]*dram.Device{sys.NM, sys.FM} {
-		bt := dev.TotalBankCounters()
-		ct := dev.TotalChannelCounters()
-		res.Mem.RowHits[lv] = bt.RowHits
-		res.Mem.RowMisses[lv] = bt.RowMisses + bt.RowConflicts
-		res.Mem.RowConflicts[lv] = bt.RowConflicts
-		res.Mem.RefreshCloses[lv] = bt.RefreshCloses
-		res.Mem.BankBusyCycles[lv] = bt.BusyCycles
-		res.Mem.BusBusyCycles[lv] = ct.BusBusyCycles
-		res.Mem.ReadQueueWaitCycles[lv] = ct.ReadQueueWait
-		res.Mem.WriteQueueWaitCycles[lv] = ct.WriteQueueWait
-	}
+	res.Mem = *sys.Totals()
 	for _, c := range cx.Cores {
 		res.Cores = append(res.Cores, c.Stats)
 	}

@@ -749,6 +749,28 @@ func (s *System) RelocateBlockDMA(src, dst Location, fin func()) {
 	s.ReadBackground(src, memunits.BlockSize, stats.Migration, s.getRelay(dst, memunits.BlockSize, fin).fn)
 }
 
+// Totals folds the NM and FM devices' per-bank and per-channel ledgers into
+// Stats' DRAM fields (row hits, misses and conflicts, refresh closes, bus
+// and bank busy cycles, queue waits) and returns Stats. The devices keep
+// those counters themselves, so Stats' DRAM fields hold the ledger totals
+// only as of the last Totals call. Row conflicts count as row misses, as in
+// dram.Stats.
+func (s *System) Totals() *stats.Memory {
+	for lv, dev := range [2]*dram.Device{s.NM, s.FM} {
+		bt := dev.TotalBankCounters()
+		ct := dev.TotalChannelCounters()
+		s.Stats.RowHits[lv] = bt.RowHits
+		s.Stats.RowMisses[lv] = bt.RowMisses + bt.RowConflicts
+		s.Stats.RowConflicts[lv] = bt.RowConflicts
+		s.Stats.RefreshCloses[lv] = bt.RefreshCloses
+		s.Stats.BankBusyCycles[lv] = bt.BusyCycles
+		s.Stats.BusBusyCycles[lv] = ct.BusBusyCycles
+		s.Stats.ReadQueueWaitCycles[lv] = ct.ReadQueueWait
+		s.Stats.WriteQueueWaitCycles[lv] = ct.WriteQueueWait
+	}
+	return s.Stats
+}
+
 // Conservation assembles the cross-counter invariant inputs for
 // stats.CheckConservation from one consistent instant between engine
 // events. quiesced marks a fully drained engine (strict equalities);

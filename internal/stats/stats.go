@@ -65,7 +65,7 @@ type Memory struct {
 	RowHits          [2]uint64
 	RowMisses        [2]uint64 // closed-bank misses + row conflicts
 	// DRAM introspection totals (internal/dram's per-bank/per-channel
-	// ledgers reduced to device level; [NM, FM]).
+	// ledgers reduced to device level by mem.System.Totals; [NM, FM]).
 	RowConflicts         [2]uint64 // precharge-then-activate row misses
 	RefreshCloses        [2]uint64 // rows force-closed by periodic refresh
 	BusBusyCycles        [2]uint64 // data-bus burst occupancy, summed over channels

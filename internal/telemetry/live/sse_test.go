@@ -168,8 +168,7 @@ func TestConcurrentSubscribersRaceClean(t *testing.T) {
 // TestManifestUnchangedBySubscribers is the streaming leg of the inertness
 // invariant at unit scope: the same simulation produces byte-identical
 // deterministic manifest sections with zero and with three concurrent
-// draining subscribers (ci.sh live asserts the same end-to-end across
-// processes).
+// draining subscribers.
 func TestManifestUnchangedBySubscribers(t *testing.T) {
 	runWithSubs := func(subs int) []byte {
 		reg := live.NewRegistry()
@@ -183,11 +182,13 @@ func TestManifestUnchangedBySubscribers(t *testing.T) {
 				}
 			}()
 		}
-		res, err := harness.Run(tinySpec(reg.Hook("cell")))
+		spec := tinySpec()
+		done := harness.AttachLive(&spec, reg, "cell")
+		res, err := harness.Run(spec)
+		done(res)
 		if err != nil {
 			t.Fatalf("run with %d subscribers: %v", subs, err)
 		}
-		reg.Done("cell", res.Health)
 		reg.Close()
 		wg.Wait()
 		e := manifest.FromResult("cell", res)

@@ -102,7 +102,6 @@ type sampler struct {
 	epoch     uint64
 	lastCycle uint64
 	prev      stats.Memory
-	prevRow   [2][2]uint64 // [level][hit/miss]
 
 	// DRAM introspection deltas: previous per-bank/per-channel ledger
 	// snapshots and the reused per-epoch output buffers, all allocated once
@@ -171,9 +170,7 @@ func (s *sampler) dramDelta(lv int, dev *dram.Device, span uint64) (conflicts ui
 // in-memory consumers (Config.OnEpoch).
 func (s *sampler) sample() (*Sample, error) {
 	now := s.sys.Eng.Now()
-	cur := *s.sys.Stats
-	nm, fm := s.sys.NM.Stats(), s.sys.FM.Stats()
-	row := [2][2]uint64{{nm.RowHits, nm.RowMisses}, {fm.RowHits, fm.RowMisses}}
+	cur := *s.sys.Totals()
 
 	sm := Sample{
 		Epoch:      s.epoch,
@@ -200,10 +197,10 @@ func (s *sampler) sample() (*Sample, error) {
 		PredictorHits:   cur.PredictorHits - s.prev.PredictorHits,
 		PredictorMisses: cur.PredictorMisses - s.prev.PredictorMisses,
 
-		RowHitsNM:   row[0][0] - s.prevRow[0][0],
-		RowMissesNM: row[0][1] - s.prevRow[0][1],
-		RowHitsFM:   row[1][0] - s.prevRow[1][0],
-		RowMissesFM: row[1][1] - s.prevRow[1][1],
+		RowHitsNM:   cur.RowHits[stats.NM] - s.prev.RowHits[stats.NM],
+		RowMissesNM: cur.RowMisses[stats.NM] - s.prev.RowMisses[stats.NM],
+		RowHitsFM:   cur.RowHits[stats.FM] - s.prev.RowHits[stats.FM],
+		RowMissesFM: cur.RowMisses[stats.FM] - s.prev.RowMisses[stats.FM],
 
 		QueueNM:     s.sys.NM.QueueDepth(),
 		QueueFM:     s.sys.FM.QueueDepth(),
@@ -225,7 +222,6 @@ func (s *sampler) sample() (*Sample, error) {
 	s.epoch++
 	s.lastCycle = now
 	s.prev = cur
-	s.prevRow = row
 
 	if s.w == nil {
 		return &sm, nil

@@ -208,7 +208,7 @@ func (t *T) emit(sm *Sample) {
 	if sm == nil || t.cfg.OnEpoch == nil {
 		return
 	}
-	st := EpochState{Sample: sm, Mem: t.sys.Stats, Lat: t.sys.Lat, Attr: t.sys.Attr, Dram: &t.sampler.dram}
+	st := EpochState{Sample: sm, Mem: t.sys.Totals(), Lat: t.sys.Lat, Attr: t.sys.Attr, Dram: &t.sampler.dram}
 	if t.progress != nil {
 		st.Done, st.Total = t.progress()
 	}

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"silcfm/internal/config"
-	"silcfm/internal/flightrec"
 	"silcfm/internal/harness"
 	"silcfm/internal/health"
 	"silcfm/internal/manifest"
@@ -185,27 +184,17 @@ type Options struct {
 	// PostmortemOut names a directory receiving one JSON file per
 	// postmortem bundle the flight recorder emitted (bundle-NNN.json, one
 	// per incident; harness.Outputs.Postmortem creates the directory up
-	// front). The recorder itself is always on — see DisableFlightrec —
-	// this only selects the file output.
+	// front). The recorder itself is always on; this only selects the
+	// file output.
 	PostmortemOut string
-	// DisableFlightrec turns the incident flight recorder off entirely
-	// (internal/flightrec). The recorder is inert — counters and manifests
-	// are byte-identical either way — so the switch exists for proving
-	// exactly that, and for shaving its fixed ring-buffer footprint.
-	DisableFlightrec bool
 
 	// ExemplarsOut writes every captured tail exemplar — the worst-K
 	// slowest demand accesses per service path, with their full span
 	// decomposition and issue/completion context — as JSONL at end of run
-	// (harness.Outputs.Exemplars). The recorder itself is always on (see
-	// DisableExemplars); this only selects the file output. Report.Exemplars and the manifest carry the
-	// per-path summary regardless.
+	// (harness.Outputs.Exemplars). The recorder itself is always on; this
+	// only selects the file output. Report.Exemplars and the manifest carry
+	// the per-path summary regardless.
 	ExemplarsOut string
-	// DisableExemplars turns the tail-exemplar recorder off entirely
-	// (internal/telemetry/exemplar). Like the flight recorder it is inert —
-	// cycles, counters and manifests are byte-identical either way — so the
-	// switch exists for proving exactly that.
-	DisableExemplars bool
 
 	// Live attaches this run to a live observability server (see Serve):
 	// every telemetry epoch publishes a snapshot, and the run is marked
@@ -427,12 +416,6 @@ func runResult(o Options) (*harness.Result, error) {
 	}
 	if o.FootprintScaleDen > 1 {
 		spec.FootScaleNum, spec.FootScaleDen = 1, o.FootprintScaleDen
-	}
-	if o.DisableFlightrec {
-		spec.Flightrec = &flightrec.Config{Disabled: true}
-	}
-	if o.DisableExemplars {
-		spec.Exemplars = &exemplar.Config{Disabled: true}
 	}
 	id := o.RunID
 	if id == "" {

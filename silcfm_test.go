@@ -1,6 +1,8 @@
 package silcfm
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -244,6 +246,36 @@ func TestReportKeepsRowThrashEvidence(t *testing.T) {
 	for _, want := range []string{`"row_conflicts": 41`, `"row_ops": 97`, `"bank_imbalance": 2.5`} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("report JSON missing %s:\n%s", want, b)
+		}
+	}
+}
+
+// TestThrashRunWritesTailEvidence: the thrash configuration (silcfm-sim
+// -workload milc -instr 100000 -scale-instr=false -nm 8 -fm 32 -footscale
+// 16) writes its exemplar JSONL and postmortem bundles through Options, and
+// its report carries the tail-exemplar waterfall that printReport closes
+// with.
+func TestThrashRunWritesTailEvidence(t *testing.T) {
+	dir := t.TempDir()
+	o := Options{
+		Workload:          "milc",
+		InstrPerCore:      100_000,
+		NMCapacity:        8 << 20,
+		FMCapacity:        32 << 20,
+		FootprintScaleDen: 16,
+		ExemplarsOut:      filepath.Join(dir, "exemplars.jsonl"),
+		PostmortemOut:     filepath.Join(dir, "pm"),
+	}
+	r, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(r.TailExemplars, "tail exemplars:\n") {
+		t.Errorf("report tail exemplars = %.80q, want the waterfall", r.TailExemplars)
+	}
+	for _, p := range []string{o.ExemplarsOut, filepath.Join(o.PostmortemOut, "bundle-000.json")} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty file", filepath.Base(p), err)
 		}
 	}
 }
