@@ -72,7 +72,7 @@ func main() {
 		seed  = flag.Int64("seed", 0, "random seed (0 = default)")
 		quiet = flag.Bool("quiet", false, "suppress the per-cell progress and summary table")
 
-		listen = flag.String("listen", "", "serve live observability HTTP on this address (dashboard, /api/runs, /events, /metrics, /healthz, /progress, /debug/pprof)")
+		listen = flag.String("listen", "", live.ListenUsage)
 
 		diff       = flag.Bool("diff", false, "diff mode: compare two manifests (old.json new.json)")
 		noise      = flag.Float64("noise", 0.10, "relative noise band for host-timing metrics (0 skips them)")

@@ -44,7 +44,7 @@ func main() {
 		progress     = flag.Bool("progress", false, "print one line per completed run to stderr")
 		shadowOn     = flag.Bool("shadow", false, "run the continuous shadow-data integrity checker on every run (slower)")
 		manifestOut  = flag.String("manifest-out", "", "write a run manifest covering every run to this file")
-		listen       = flag.String("listen", "", "serve live observability HTTP on this address (dashboard, /api/runs, /events, /metrics, /healthz, /progress, /debug/pprof)")
+		listen       = flag.String("listen", "", live.ListenUsage)
 	)
 	flag.Parse()
 

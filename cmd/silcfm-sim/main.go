@@ -20,6 +20,7 @@ import (
 	"silcfm/internal/health"
 	"silcfm/internal/manifest"
 	"silcfm/internal/stats"
+	"silcfm/internal/telemetry/live"
 )
 
 func main() {
@@ -51,7 +52,7 @@ func main() {
 		healthOut    = flag.String("health-out", "", "write the run's health incidents to this file (JSONL)")
 		pmOut        = flag.String("postmortem-out", "", "write incident postmortem bundles into this directory (bundle-NNN.json; render with silcfm-postmortem)")
 		exemplarsOut = flag.String("exemplars-out", "", "write the captured tail exemplars (worst-K accesses per path) to this file (JSONL)")
-		listen       = flag.String("listen", "", "serve live observability HTTP on this address (dashboard, /api/runs, /events, /metrics, /healthz, /progress, /debug/pprof)")
+		listen       = flag.String("listen", "", live.ListenUsage)
 		linger       = flag.Duration("listen-linger", 0, "keep the -listen server up this long after the run completes")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulator process to this file")

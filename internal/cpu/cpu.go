@@ -142,7 +142,14 @@ func (c *Core) run(top bool) {
 		c.instr += uint64(r.Gap)
 		c.Stats.Instructions += uint64(r.Gap)
 		c.Stats.MemRefs++
-		c.clock += sim.Cycle((r.Gap + uint32(c.cfg.IssueWidth) - 1) / uint32(c.cfg.IssueWidth))
+		// ceil(Gap/IssueWidth) as quotient plus remainder carry: adding
+		// IssueWidth-1 first would wrap for a gap near 2^32.
+		w := uint32(c.cfg.IssueWidth)
+		adv := sim.Cycle(r.Gap / w)
+		if r.Gap%w != 0 {
+			adv++
+		}
+		c.clock += adv
 
 		pa := c.xlate(c.id, r.VAddr)
 		outcome, _ := c.hier.Access(c.id, pa, r.Write)

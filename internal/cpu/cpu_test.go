@@ -251,3 +251,18 @@ func TestNestedResumeKeepsClock(t *testing.T) {
 		t.Fatalf("done=%v after %d misses", cx.AllDone(), ctl.handled)
 	}
 }
+
+// TestHugeGapAdvancesClock: a reference with the largest gap a trace can
+// carry advances the core's clock by ceil(gap/IssueWidth), with no 32-bit
+// wrap in the rounding.
+func TestHugeGapAdvancesClock(t *testing.T) {
+	const gap = 1<<32 - 1
+	g := &fixedGen{refs: []workload.Ref{{PC: 1, VAddr: 64, Gap: gap}}}
+	eng, cx, _ := newComplex(t, []workload.Generator{g}, 1)
+	cx.Start()
+	eng.Run()
+	w := uint64(config.Small().Core.IssueWidth)
+	if got, want := cx.Cores[0].Stats.FinishCycle, (gap+w-1)/w; got != want {
+		t.Fatalf("FinishCycle = %d after one gap-%d reference, want %d", got, gap, want)
+	}
+}

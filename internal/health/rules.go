@@ -5,8 +5,8 @@ import "fmt"
 // RuleInfo is one pathology rule's human-facing metadata: what the rule
 // means, the threshold it fires at (rendered from the detector's fixed
 // constants), and which counters to look at first when it opens. Surfaced
-// in the printed health report, the /healthz JSON body, the dashboard
-// tooltips and the postmortem renderer.
+// in the printed health report, the /healthz JSON body and the postmortem
+// renderer.
 type RuleInfo struct {
 	Kind        string `json:"kind"`
 	Description string `json:"description"`

@@ -1,33 +1,33 @@
-// Package live is the simulator's fleet observability hub: an HTTP-free
-// run Registry at the core, with an opt-in embedded HTTP Server
+// Package live is the simulator's observability hub for scrapers: an
+// HTTP-free run Registry at the core, with an opt-in embedded HTTP Server
 // (silcfm-sim/-experiments/-bench -listen) as a thin view over it.
 //
-//	/           embedded zero-dependency HTML dashboard: sweep progress
-//	            tree, fleet aggregate tiles, per-run sparklines, live over
-//	            /events with an /api/runs polling fallback.
-//	/api/runs   fleet aggregates plus every run's status as JSON, id-ordered.
-//	/events     SSE stream: one init snapshot, then per-epoch snapshots and
-//	            incident open/close transitions as they happen.
 //	/metrics    Prometheus text exposition: every stats.Memory counter,
-//	            scheme gauges, queue depths, per-path demand-latency
-//	            percentiles labeled by run id, plus unlabeled
-//	            silcfm_fleet_* aggregate families.
+//	            scheme gauges, queue depths, DRAM row-locality and per-bank
+//	            families, per-path demand-latency percentiles, all labeled
+//	            by run id.
 //	/healthz    open health incidents as JSON; non-200 while any run has
 //	            an active incident.
 //	/progress   per-run sweep status with instruction progress, host-side
 //	            simulation rate, elapsed wall time and wall-clock ETA.
-//	/debug/pprof/...  the standard net/http/pprof profiles.
+//	/api/incidents[/<id>]  postmortem bundle listing and full bundles.
+//	/api/exemplars         every run's worst-K tail-latency exemplars.
+//	/debug/pprof/...       the standard net/http/pprof profiles.
+//
+// Any other path, / included, is 404.
 //
 // The simulation goroutine publishes one snapshot per telemetry epoch
 // (harness.Spec.Publish -> Registry.Hook) under a short mutex; readers see
-// value copies under the same mutex and never touch live simulation state,
-// and event fan-out uses bounded per-subscriber queues that drop-and-count
-// rather than block. The hot loop therefore never waits on a slow client,
-// and cycles/counters/incidents are provably unchanged with the hub on or
-// off (asserted end-to-end by ci.sh's live stage).
+// value copies under the same mutex and never touch live simulation state.
+// The hot loop therefore never waits on a slow client, and
+// cycles/counters/incidents are provably unchanged with the hub on or off
+// (asserted by harness.TestPlanesAreInert).
 package live
 
 import "strings"
+
+// ListenUsage is the help text of the -listen flag every command shares.
+const ListenUsage = "serve live observability HTTP on this address (/metrics, /healthz, /progress, /api/incidents, /api/exemplars, /debug/pprof)"
 
 // escapeLabel escapes a Prometheus label value. Callers splice the result
 // directly between literal quotes — never re-quote it with %q, which would

@@ -1,18 +1,21 @@
 package live_test
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"silcfm/internal/config"
+	"silcfm/internal/dram"
 	"silcfm/internal/harness"
 	"silcfm/internal/health"
+	"silcfm/internal/mem"
+	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/exemplar"
@@ -78,9 +81,6 @@ var requiredFamilies = []string{
 	"silcfm_dram_row_hit_rate", "silcfm_dram_bus_util",
 	"silcfm_dram_bank_imbalance", "silcfm_dram_row_conflicts",
 	"silcfm_dram_bank_accesses",
-	"silcfm_fleet_runs", "silcfm_fleet_runs_done", "silcfm_fleet_mcyc_per_sec",
-	"silcfm_fleet_eta_seconds", "silcfm_fleet_open_incidents",
-	"silcfm_fleet_sse_subscribers", "silcfm_fleet_sse_dropped_total",
 }
 
 // TestServerEndpointsAfterRealRun checks every hub endpoint after a real
@@ -102,58 +102,18 @@ func TestServerEndpointsAfterRealRun(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 
-	// /: the embedded dashboard with its event wiring; other unknown
-	// paths 404 instead of falling through to it.
-	code, body := get(t, srv.URL()+"/")
-	if code != http.StatusOK {
-		t.Fatalf("/ status %d", code)
-	}
-	for _, want := range []string{"<title>silcfm fleet</title>", "EventSource", "/api/runs", "bank heat", "function heatmap"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("dashboard missing %q", want)
-		}
-	}
-	if code, _ := get(t, srv.URL()+"/no-such-page"); code != http.StatusNotFound {
-		t.Errorf("/no-such-page status %d, want 404", code)
-	}
-
-	// /api/runs: the fleet counts the run, and its DRAM snapshot is one
-	// [nm, fm] pair with a cell per bank.
-	code, body = get(t, srv.URL()+"/api/runs")
-	if code != http.StatusOK {
-		t.Fatalf("/api/runs status %d", code)
-	}
-	var api struct {
-		Fleet live.Fleet       `json:"fleet"`
-		Runs  []live.RunStatus `json:"runs"`
-	}
-	if err := json.Unmarshal(body, &api); err != nil {
-		t.Fatalf("/api/runs not JSON: %v", err)
-	}
-	if len(api.Runs) != 1 || api.Fleet.Runs != len(api.Runs) {
-		t.Fatalf("/api/runs: fleet.runs=%d, %d runs listed; want 1 and 1", api.Fleet.Runs, len(api.Runs))
-	}
-	dram := api.Runs[0].Dram
-	if len(dram) != 2 || dram[0].Device != "nm" || dram[1].Device != "fm" {
-		t.Fatalf("/api/runs dram = %+v, want [nm, fm]", dram)
-	}
-	for _, d := range dram {
-		cells := d.Channels * d.BanksPerChannel
-		if cells <= 0 || len(d.BankAccesses) != cells || len(d.BankConflicts) != cells {
-			t.Errorf("/api/runs %s: %dch x %dbk but %d/%d bank cells",
-				d.Device, d.Channels, d.BanksPerChannel, len(d.BankAccesses), len(d.BankConflicts))
+	// Nothing is served outside the named endpoints, / included.
+	for _, p := range []string{"/", "/no-such-page"} {
+		if code, _ := get(t, srv.URL()+p); code != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", p, code)
 		}
 	}
 
-	// /events: an SSE stream that opens with an init snapshot of the same
-	// runs.
-	checkEventsInit(t, srv.URL()+"/events", len(api.Runs))
-
-	// /metrics: valid exposition with every required family, and every
-	// cumulative counter equal to the run's final total (Done comes after
-	// the final partial epoch flush, so the last published snapshot is the
-	// end-of-run state).
-	code, body = get(t, srv.URL()+"/metrics")
+	// /metrics: valid exposition with every required family, per-bank
+	// lines inside each device's geometry, and every cumulative counter
+	// equal to the run's final total (Done comes after the final partial
+	// epoch flush, so the last published snapshot is the end-of-run state).
+	code, body := get(t, srv.URL()+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
@@ -166,6 +126,7 @@ func TestServerEndpointsAfterRealRun(t *testing.T) {
 			t.Errorf("/metrics missing family %s", family)
 		}
 	}
+	checkBankShape(t, metrics, id, res.Spec.Machine)
 	if res.Mem.RowHits[stats.NM] == 0 || res.Mem.BusBusyCycles[stats.FM] == 0 {
 		t.Fatalf("run has no DRAM activity (%+v); the counter check would be vacuous", res.Mem)
 	}
@@ -278,39 +239,37 @@ func TestServerEndpointsAfterRealRun(t *testing.T) {
 	}
 }
 
-// checkEventsInit opens the SSE stream at url and checks its content type
-// and that its first frame is an init snapshot listing runs runs.
-func checkEventsInit(t *testing.T, url string, runs int) {
+// checkBankShape requires /metrics to carry at least one nonzero
+// silcfm_dram_bank_accesses line per device for run, each labeled with a
+// channel and bank inside that device's geometry.
+func checkBankShape(t *testing.T, metrics, run string, m config.Machine) {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || !strings.HasPrefix(ct, "text/event-stream") {
-		t.Fatalf("/events: status %d, content type %q; want 200 text/event-stream", resp.StatusCode, ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(nil, 1<<20)
-	var event, data string
-	for sc.Scan() && sc.Text() != "" {
-		if v, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
-			event = v
-		} else if v, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
-			data = v
+	for _, dev := range []struct {
+		name string
+		cfg  config.DRAMConfig
+	}{{"nm", m.NM}, {"fm", m.FM}} {
+		channels, banks := dram.New(dev.cfg, sim.NewEngine()).Geometry()
+		prefix := `silcfm_dram_bank_accesses{run="` + run + `",device="` + dev.name + `",`
+		lines := 0
+		for _, line := range strings.Split(metrics, "\n") {
+			rest, ok := strings.CutPrefix(line, prefix)
+			if !ok {
+				continue
+			}
+			lines++
+			var ch, bk int
+			var v uint64
+			if _, err := fmt.Sscanf(rest, `channel="%d",bank="%d"} %d`, &ch, &bk, &v); err != nil {
+				t.Errorf("%s bank line %q: %v", dev.name, line, err)
+				continue
+			}
+			if ch < 0 || ch >= channels || bk < 0 || bk >= banks || v == 0 {
+				t.Errorf("%s bank line %q: want channel < %d, bank < %d and a nonzero count", dev.name, line, channels, banks)
+			}
 		}
-	}
-	if event != "init" {
-		t.Fatalf("/events: first frame is %q (%v), want init", event, sc.Err())
-	}
-	var init struct {
-		Runs []live.RunStatus `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(data), &init); err != nil {
-		t.Fatalf("/events init frame: %v", err)
-	}
-	if len(init.Runs) != runs {
-		t.Errorf("/events init lists %d runs, /api/runs %d", len(init.Runs), runs)
+		if lines == 0 {
+			t.Errorf("/metrics has no silcfm_dram_bank_accesses line for %s", dev.name)
+		}
 	}
 }
 
@@ -367,62 +326,82 @@ func TestHealthzGoesUnhealthyWhileIncidentOpen(t *testing.T) {
 	}
 }
 
-// TestServerDoesNotPerturbSimulation is the live-server leg of the
-// telemetry-inertness invariant: a run attached to the HTTP server finishes
-// at exactly the same cycle with exactly the same counters and health
-// incidents as the same run with no server.
-func TestServerDoesNotPerturbSimulation(t *testing.T) {
+func TestMetricsEscapesHardLabelValues(t *testing.T) {
 	srv, err := live.New("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("live.New: %v", err)
 	}
 	defer srv.Close()
+	hook := srv.Registry().Hook(`run"with\specials`)
+	hook(telemetry.EpochState{
+		Sample: &telemetry.Sample{
+			Cycle:  1000,
+			Gauges: []mem.Gauge{{Name: `gauge\name"quoted`, Value: 7}},
+		},
+		Mem:  &stats.Memory{},
+		Lat:  stats.NewPathLatencies(),
+		Done: 1, Total: 2,
+	}, health.Status{})
 
-	// Scrape concurrently while the run publishes, to exercise the mutex
-	// path rather than an idle server.
-	stop := make(chan struct{})
-	scraped := make(chan struct{})
+	code, body := get(t, srv.URL()+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics status %d", code)
+	}
+	if err := live.ValidateExposition(body); err != nil {
+		t.Fatalf("/metrics with special label values is not valid exposition: %v", err)
+	}
+	// Exactly one level of escaping: backslash doubled, quote escaped.
+	want := `silcfm_scheme_gauge{run="run\"with\\specials",name="gauge\\name\"quoted"} 7`
+	if !strings.Contains(string(body), want) {
+		t.Errorf("/metrics missing single-escaped line %q in:\n%s", want, body)
+	}
+}
+
+// TestCloseIsGracefulWithSlowClient: Close returns within its shutdown
+// bound while a long request is still in flight (a 30 s CPU profile, the
+// longest-lived handler the hub serves) and ends that request.
+func TestCloseIsGracefulWithSlowClient(t *testing.T) {
+	srv, err := live.New("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("live.New: %v", err)
+	}
+
+	// The profile handler sends nothing until its 30 s window ends, so the
+	// request stays in flight; wait until the server is handling it.
+	errc := make(chan error, 1)
 	go func() {
-		defer close(scraped)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				resp, err := http.Get(srv.URL() + "/metrics")
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-			}
+		resp, err := http.Get(srv.URL() + "/debug/pprof/profile?seconds=30")
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
 		}
+		errc <- err
 	}()
-
-	spec := tinySpec()
-	done := harness.AttachLive(&spec, srv.Registry(), "perturb")
-	with, err := harness.Run(spec)
-	done(with)
-	close(stop)
-	<-scraped
-	if err != nil {
-		t.Fatalf("run with server: %v", err)
+	deadline := time.Now().Add(5 * time.Second)
+	for !profiling() {
+		if time.Now().After(deadline) {
+			t.Fatal("profile request never started")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
-	without, err := harness.Run(tinySpec())
-	if err != nil {
-		t.Fatalf("run without server: %v", err)
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
+	if d := time.Since(start); d > 3*time.Second {
+		t.Errorf("Close took %v with a request in flight, want graceful shutdown under ~2s", d)
+	}
+	select {
+	case <-errc: // the in-flight request ended, with or without an error
+	case <-time.After(3 * time.Second):
+		t.Error("the in-flight profile request outlived Close")
+	}
+}
 
-	if with.Cycles != without.Cycles {
-		t.Errorf("live server changed Cycles: %d vs %d", with.Cycles, without.Cycles)
-	}
-	if with.Mem != without.Mem {
-		t.Errorf("live server changed memory counters:\nwith    %+v\nwithout %+v", with.Mem, without.Mem)
-	}
-	if !reflect.DeepEqual(with.Health, without.Health) {
-		t.Errorf("live server changed health incidents:\nwith    %+v\nwithout %+v", with.Health, without.Health)
-	}
-	if len(with.Health) == 0 {
-		t.Error("run raised no health incidents; the incident comparison is vacuous")
-	}
+// profiling reports whether the server is handling a /debug/pprof/profile
+// request: some goroutine is inside the handler.
+func profiling() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "net/http/pprof.Profile(")
 }

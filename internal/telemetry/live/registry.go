@@ -34,7 +34,7 @@ type runState struct {
 	// dram holds the latest per-device DRAM introspection slice ([nm, fm]).
 	// Entries are value copies built on the sim goroutine and never mutated
 	// after publish, so readers may share the slice.
-	dram []DramDeviceStatus
+	dram []dramDevice
 
 	// exemplars is the latest tail-exemplar snapshot (path-grouped,
 	// worst-first). The recorder hands over a freshly built slice each
@@ -53,22 +53,17 @@ type runState struct {
 	finalRate    float64
 }
 
-// Registry is the HTTP-free fleet store at the center of the observability
+// Registry is the HTTP-free run store at the center of the observability
 // hub: every run registers through Hook, publishes one snapshot per
 // telemetry epoch, and is marked complete with Done. Readers — the HTTP
-// Server, a sweep engine, a job API — take deterministic id-ordered
-// snapshots with Runs and Aggregate, or stream transitions with Subscribe.
+// Server and the sweep drivers — take deterministic id-ordered snapshots
+// with Runs.
 //
-// The publish path never blocks: snapshots are value copies taken under a
-// short mutex, and events fan out to subscribers through bounded queues
-// that drop-and-count rather than stall the simulation goroutine.
+// The publish path never blocks on a reader: snapshots are value copies
+// taken under a short mutex.
 type Registry struct {
-	mu      sync.Mutex
-	runs    map[string]*runState
-	subs    map[*Subscriber]struct{}
-	seq     uint64 // monotone event sequence, stamped under mu
-	dropped uint64 // drops accumulated from departed subscribers
-	closed  bool
+	mu   sync.Mutex
+	runs map[string]*runState
 
 	// bundles is the hub's postmortem store: finalized flight-recorder
 	// bundles in arrival order, bounded by maxStoredBundles (oldest drop
@@ -218,15 +213,11 @@ func (g *Registry) Exemplars() []ExemplarSet {
 
 // NewRegistry returns an empty run registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		runs: map[string]*runState{},
-		subs: map[*Subscriber]struct{}{},
-	}
+	return &Registry{runs: map[string]*runState{}}
 }
 
-// RunStatus is one run's public snapshot: the /api/runs row and the basis
-// of /progress and the fleet aggregates.
-type RunStatus struct {
+// ProgressRun is one run's public snapshot: the /progress row.
+type ProgressRun struct {
 	Run        string  `json:"run"`
 	State      string  `json:"state"` // "running" or "done"
 	Cycle      uint64  `json:"cycle"`
@@ -235,75 +226,41 @@ type RunStatus struct {
 	Pct        float64 `json:"pct"`
 	McycPerSec float64 `json:"mcyc_per_sec"`
 	EtaSeconds float64 `json:"eta_seconds"`
-	// ElapsedSeconds is host wall time since Hook; frozen at Done so a
-	// finished run reports the wall time of the whole run.
+	// ElapsedSeconds is wall time since the run registered; frozen at Done
+	// (finished runs report total wall time, and McycPerSec their final
+	// whole-run rate, rather than zeros).
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// AccessRate is the cumulative NM service fraction (paper Eq. 1).
-	AccessRate     float64 `json:"access_rate"`
-	QueueNM        int     `json:"queue_nm"`
-	QueueFM        int     `json:"queue_fm"`
-	OpenIncidents  int     `json:"open_incidents"`
-	TotalIncidents int     `json:"total_incidents"`
-	// Dram is the latest per-device DRAM introspection slice ([nm, fm]);
-	// absent until the run publishes its first epoch.
-	Dram []DramDeviceStatus `json:"dram,omitempty"`
 }
 
-// DramDeviceStatus is one DRAM device's epoch-windowed introspection view:
-// headline row-locality/bus figures plus the per-bank heatmap the dashboard
-// renders. BankAccesses/BankConflicts are epoch deltas flattened
-// channel-major (index = channel*BanksPerChannel + bank).
-type DramDeviceStatus struct {
-	Device          string  `json:"device"` // "nm" or "fm"
-	Channels        int     `json:"channels"`
-	BanksPerChannel int     `json:"banks_per_channel"`
-	RowHitRate      float64 `json:"row_hit_rate"`
-	// BusUtil is the epoch's data-bus busy share; bursts booked at issue can
-	// extend past the epoch boundary, so it may slightly exceed 1.
-	BusUtil       float64  `json:"bus_util"`
-	BankImbalance float64  `json:"bank_imbalance"`
-	RowConflicts  uint64   `json:"row_conflicts"`
-	BankAccesses  []uint64 `json:"bank_accesses"`
-	BankConflicts []uint64 `json:"bank_conflicts"`
+// dramDevice is one DRAM device's epoch-windowed introspection view, the
+// source of the silcfm_dram_* families: headline row-locality/bus figures
+// plus per-bank accesses, an epoch delta flattened channel-major (index =
+// channel*banksPerChannel + bank).
+type dramDevice struct {
+	device          string // "nm" or "fm"
+	banksPerChannel int
+	rowHitRate      float64
+	// busUtil is the epoch's data-bus busy share; bursts booked at issue
+	// can extend past the epoch boundary, so it may slightly exceed 1.
+	busUtil      float64
+	imbalance    float64
+	rowConflicts uint64
+	bankAccesses []uint64
 }
 
 // dramStatus copies one device's sampler-owned epoch buffers into an
 // immutable snapshot (the sampler reuses its buffers every epoch, so the
-// bank arrays must be copied before the callback returns).
-func dramStatus(dev string, de *telemetry.DramDeviceEpoch, hitRate, busUtil, imbalance float64, conflicts uint64) DramDeviceStatus {
-	return DramDeviceStatus{
-		Device:          dev,
-		Channels:        de.Channels,
-		BanksPerChannel: de.BanksPerChannel,
-		RowHitRate:      hitRate,
-		BusUtil:         busUtil,
-		BankImbalance:   imbalance,
-		RowConflicts:    conflicts,
-		BankAccesses:    append([]uint64(nil), de.BankAccesses...),
-		BankConflicts:   append([]uint64(nil), de.BankConflicts...),
+// bank array must be copied before the callback returns).
+func dramStatus(dev string, de *telemetry.DramDeviceEpoch, hitRate, busUtil, imbalance float64, conflicts uint64) dramDevice {
+	return dramDevice{
+		device:          dev,
+		banksPerChannel: de.BanksPerChannel,
+		rowHitRate:      hitRate,
+		busUtil:         busUtil,
+		imbalance:       imbalance,
+		rowConflicts:    conflicts,
+		bankAccesses:    append([]uint64(nil), de.BankAccesses...),
 	}
-}
-
-// Fleet is the cross-run aggregate view: the dashboard's headline tiles
-// and the silcfm_fleet_* metric families.
-type Fleet struct {
-	Runs          int `json:"runs"`
-	RunsDone      int `json:"runs_done"`
-	OpenIncidents int `json:"open_incidents"`
-	// TotalIncidents sums finished runs' closed-incident counts plus
-	// running runs' currently-open counts.
-	TotalIncidents int `json:"total_incidents"`
-	// McycPerSec is the aggregate simulation throughput of the running
-	// runs (finished runs no longer contribute).
-	McycPerSec float64 `json:"mcyc_per_sec"`
-	// EtaSeconds is the slowest running run's wall-clock ETA — when the
-	// whole fleet should be done if every run stays linear.
-	EtaSeconds float64 `json:"eta_seconds"`
-	// Subscribers counts the attached /events streams; DroppedEvents
-	// counts frames dropped across all subscribers (bounded queues drop
-	// rather than block the simulation).
-	Subscribers   int    `json:"subscribers"`
-	DroppedEvents uint64 `json:"dropped_events"`
 }
 
 // Hook registers run id and returns the per-epoch publish callback to
@@ -316,7 +273,6 @@ func (g *Registry) Hook(id string) func(telemetry.EpochState, health.Status) {
 	}
 	g.mu.Lock()
 	g.runs[id] = &runState{id: id, started: time.Now()}
-	g.emitLocked(Event{Type: EventRunStart, Run: id})
 	g.mu.Unlock()
 	return func(st telemetry.EpochState, hs health.Status) {
 		// Reduce the live state to value copies before taking the lock:
@@ -326,10 +282,10 @@ func (g *Registry) Hook(id string) func(telemetry.EpochState, health.Status) {
 		gauges := append([]mem.Gauge(nil), st.Sample.Gauges...)
 		memCopy := *st.Mem
 		openCopy := append([]health.Incident(nil), hs.Open...)
-		var dramCopy []DramDeviceStatus
+		var dramCopy []dramDevice
 		if st.Dram != nil {
 			sm := st.Sample
-			dramCopy = []DramDeviceStatus{
+			dramCopy = []dramDevice{
 				dramStatus("nm", &st.Dram.NM, sm.RowHitRateNM, sm.BusUtilNM, sm.BankImbalanceNM, sm.RowConflictsNM),
 				dramStatus("fm", &st.Dram.FM, sm.RowHitRateFM, sm.BusUtilFM, sm.BankImbalanceFM, sm.RowConflictsFM),
 			}
@@ -350,40 +306,13 @@ func (g *Registry) Hook(id string) func(telemetry.EpochState, health.Status) {
 		rs.done, rs.total = st.Done, st.Total
 		rs.dram = dramCopy
 		rs.open = openCopy
-
-		if len(g.subs) == 0 {
-			return
-		}
-		for i := range hs.Opened {
-			in := hs.Opened[i]
-			g.emitLocked(Event{Type: EventIncidentOpen, Run: id, Incident: &in})
-		}
-		for i := range hs.Closed {
-			in := hs.Closed[i]
-			g.emitLocked(Event{Type: EventIncidentClose, Run: id, Incident: &in})
-		}
-		ep := EpochEvent{
-			Cycle:         st.Sample.Cycle,
-			InstrDone:     st.Done,
-			InstrTotal:    st.Total,
-			Pct:           pct(st.Done, st.Total),
-			AccessRate:    st.Sample.AccessRate,
-			QueueNM:       st.Sample.QueueNM,
-			QueueFM:       st.Sample.QueueFM,
-			PeakQueueNM:   st.Sample.PeakQueueNM,
-			PeakQueueFM:   st.Sample.PeakQueueFM,
-			McycPerSec:    stats.Ratio(float64(rs.cycle), time.Since(rs.started).Seconds()) / 1e6,
-			OpenIncidents: len(openCopy),
-			Dram:          dramCopy,
-		}
-		g.emitLocked(Event{Type: EventEpoch, Run: id, Epoch: &ep})
 	}
 }
 
 // Done marks run id complete with its final incident list; open incidents
 // clear (the run can no longer be unhealthy), and the last published cycle
-// is frozen into a final elapsed/throughput figure so /progress and
-// /api/runs keep reporting it.
+// is frozen into a final elapsed/throughput figure so /progress keeps
+// reporting it.
 func (g *Registry) Done(id string, final []health.Incident) {
 	if g == nil {
 		return
@@ -402,72 +331,33 @@ func (g *Registry) Done(id string, final []health.Incident) {
 	rs.finished = true
 	rs.open = nil
 	rs.totalIncidents = len(final)
-	g.emitLocked(Event{Type: EventRunDone, Run: id})
 }
 
-// Runs returns every run's status in id order (deterministic reads).
-func (g *Registry) Runs() []RunStatus {
+// Runs returns every run's /progress row in id order (deterministic
+// reads).
+func (g *Registry) Runs() []ProgressRun {
 	if g == nil {
 		return nil
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]RunStatus, 0, len(g.runs))
+	out := make([]ProgressRun, 0, len(g.runs))
 	for _, rs := range g.sortedLocked() {
-		out = append(out, rs.status())
+		out = append(out, rs.progress())
 	}
 	return out
 }
 
-// Aggregate reduces the fleet to its headline numbers.
-func (g *Registry) Aggregate() Fleet {
-	if g == nil {
-		return Fleet{}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.aggregateLocked()
-}
-
-func (g *Registry) aggregateLocked() Fleet {
-	fl := Fleet{Subscribers: len(g.subs), DroppedEvents: g.dropped}
-	for sub := range g.subs {
-		fl.DroppedEvents += sub.dropped.Load()
-	}
-	for _, rs := range g.runs {
-		fl.Runs++
-		if rs.finished {
-			fl.RunsDone++
-			fl.TotalIncidents += rs.totalIncidents
-			continue
-		}
-		fl.OpenIncidents += len(rs.open)
-		fl.TotalIncidents += len(rs.open)
-		st := rs.status()
-		fl.McycPerSec += st.McycPerSec
-		if st.EtaSeconds > fl.EtaSeconds {
-			fl.EtaSeconds = st.EtaSeconds
-		}
-	}
-	return fl
-}
-
-// status reduces a runState to its public snapshot. Caller holds the
+// progress reduces a runState to its /progress row. Caller holds the
 // registry mutex.
-func (rs *runState) status() RunStatus {
-	st := RunStatus{
-		Run:            rs.id,
-		State:          "running",
-		Cycle:          rs.cycle,
-		InstrDone:      rs.done,
-		InstrTotal:     rs.total,
-		Pct:            pct(rs.done, rs.total),
-		AccessRate:     rs.mem.AccessRate(),
-		QueueNM:        rs.queueNM,
-		QueueFM:        rs.queueFM,
-		OpenIncidents:  len(rs.open),
-		TotalIncidents: rs.totalIncidents,
-		Dram:           rs.dram,
+func (rs *runState) progress() ProgressRun {
+	st := ProgressRun{
+		Run:        rs.id,
+		State:      "running",
+		Cycle:      rs.cycle,
+		InstrDone:  rs.done,
+		InstrTotal: rs.total,
+		Pct:        pct(rs.done, rs.total),
 	}
 	if rs.finished {
 		st.State = "done"

@@ -15,13 +15,14 @@ import (
 	"silcfm/internal/telemetry/exemplar"
 )
 
-// shutdownTimeout bounds how long Close waits for in-flight scrapes and
-// SSE streams to drain before resetting what's left.
+// shutdownTimeout bounds how long Close waits for in-flight requests (a
+// pprof profile or trace can run for many seconds) to drain before
+// resetting what's left.
 const shutdownTimeout = 2 * time.Second
 
 // Server is the thin HTTP view over a Registry: it owns the listener and
 // the endpoint handlers, and nothing else — all run state lives in the
-// registry, which sweep engines and job APIs can share without HTTP.
+// registry, which the sweep drivers share without HTTP.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
@@ -37,12 +38,9 @@ func New(addr string) (*Server, error) {
 	}
 	s := &Server{ln: ln, reg: NewRegistry()}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleDashboard)
-	mux.HandleFunc("/api/runs", s.handleRuns)
 	mux.HandleFunc("/api/incidents", s.handleIncidents)
 	mux.HandleFunc("/api/incidents/", s.handleIncident)
 	mux.HandleFunc("/api/exemplars", s.handleExemplars)
-	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/progress", s.handleProgress)
@@ -70,11 +68,9 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // URL returns the server's base URL.
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
-// Close stops the server gracefully: subscriber streams are closed (which
-// drains the /events handlers), then in-flight scrapes get shutdownTimeout
-// to finish before any stragglers are reset.
+// Close stops the server gracefully: in-flight requests get
+// shutdownTimeout to finish before any stragglers are reset.
 func (s *Server) Close() error {
-	s.reg.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := s.srv.Shutdown(ctx); err != nil {
@@ -121,15 +117,6 @@ func (s *Server) handleIncident(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	b.Encode(w)
-}
-
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc, _ := json.MarshalIndent(struct {
-		Fleet Fleet       `json:"fleet"`
-		Runs  []RunStatus `json:"runs"`
-	}{s.reg.Aggregate(), s.reg.Runs()}, "", "  ")
-	w.Write(append(enc, '\n'))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -189,36 +176,36 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("silcfm_queue_depth_peak{%s,device=\"fm\"} %d", runLabel(rs), rs.peakQueueFM),
 			}
 		})
-	// DRAM introspection families: per-device epoch-windowed gauges plus the
-	// per-bank access heatmap (the scrape-side view of the dashboard panel).
-	dramFamily := func(name, help string, value func(DramDeviceStatus) string) {
+	// DRAM introspection families: per-device epoch-windowed gauges plus
+	// per-bank accesses.
+	dramFamily := func(name, help string, value func(dramDevice) string) {
 		writeFamily(name, "gauge", help, func(rs *runState) []string {
 			var out []string
 			for _, d := range rs.dram {
-				out = append(out, fmt.Sprintf("%s{%s,device=\"%s\"} %s", name, runLabel(rs), d.Device, value(d)))
+				out = append(out, fmt.Sprintf("%s{%s,device=\"%s\"} %s", name, runLabel(rs), d.device, value(d)))
 			}
 			return out
 		})
 	}
 	dramFamily("silcfm_dram_row_hit_rate", "Epoch row-buffer hit rate per DRAM device.",
-		func(d DramDeviceStatus) string { return f(d.RowHitRate) })
+		func(d dramDevice) string { return f(d.rowHitRate) })
 	dramFamily("silcfm_dram_bus_util", "Epoch data-bus busy share per DRAM device (bursts booked at issue may push it slightly past 1).",
-		func(d DramDeviceStatus) string { return f(d.BusUtil) })
+		func(d dramDevice) string { return f(d.busUtil) })
 	dramFamily("silcfm_dram_bank_imbalance", "Epoch max-over-mean per-bank access imbalance per DRAM device.",
-		func(d DramDeviceStatus) string { return f(d.BankImbalance) })
+		func(d dramDevice) string { return f(d.imbalance) })
 	dramFamily("silcfm_dram_row_conflicts", "Epoch row-buffer conflicts per DRAM device (precharge-then-activate).",
-		func(d DramDeviceStatus) string { return u(d.RowConflicts) })
+		func(d dramDevice) string { return u(d.rowConflicts) })
 	writeFamily("silcfm_dram_bank_accesses", "gauge", "Epoch row activity per DRAM bank (hits+misses+conflicts).",
 		func(rs *runState) []string {
 			var out []string
 			for _, d := range rs.dram {
-				for i, v := range d.BankAccesses {
+				for i, v := range d.bankAccesses {
 					if v == 0 {
 						continue
 					}
-					ch, bk := i/d.BanksPerChannel, i%d.BanksPerChannel
+					ch, bk := i/d.banksPerChannel, i%d.banksPerChannel
 					out = append(out, fmt.Sprintf("silcfm_dram_bank_accesses{%s,device=\"%s\",channel=\"%d\",bank=\"%d\"} %s",
-						runLabel(rs), d.Device, ch, bk, u(v)))
+						runLabel(rs), d.device, ch, bk, u(v)))
 				}
 			}
 			return out
@@ -284,23 +271,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			return []string{fmt.Sprintf("silcfm_run_finished{%s} %d", runLabel(rs), v)}
 		})
-
-	// Fleet-level families: unlabeled aggregates over every run in the
-	// registry, the scrape-side view of the dashboard's headline tiles.
-	fl := g.aggregateLocked()
 	g.mu.Unlock()
-
-	fleetFamily := func(name, typ, help, value string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", name, help, name, typ, name, value)
-	}
-	fleetFamily("silcfm_fleet_runs", "gauge", "Runs registered on this hub.", strconv.Itoa(fl.Runs))
-	fleetFamily("silcfm_fleet_runs_done", "gauge", "Registered runs that have completed.", strconv.Itoa(fl.RunsDone))
-	fleetFamily("silcfm_fleet_open_incidents", "gauge", "Open health incidents across running runs.", strconv.Itoa(fl.OpenIncidents))
-	fleetFamily("silcfm_fleet_incidents_total", "counter", "Incidents across the fleet: closed totals of finished runs plus open counts of running ones.", strconv.Itoa(fl.TotalIncidents))
-	fleetFamily("silcfm_fleet_mcyc_per_sec", "gauge", "Aggregate simulation throughput of the running runs, in Mcyc/s.", f(fl.McycPerSec))
-	fleetFamily("silcfm_fleet_eta_seconds", "gauge", "Slowest running run's wall-clock ETA.", f(fl.EtaSeconds))
-	fleetFamily("silcfm_fleet_sse_subscribers", "gauge", "Attached /events streams.", strconv.Itoa(fl.Subscribers))
-	fleetFamily("silcfm_fleet_sse_dropped_total", "counter", "Event frames dropped by full subscriber queues.", u(fl.DroppedEvents))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, b.String())
@@ -321,7 +292,7 @@ type Healthz struct {
 	// Rules is the detector's rule metadata: what each incident kind
 	// means, the fixed threshold the detector fires it at (the same text
 	// the run report and silcfm-postmortem print), and which counters to
-	// read first (the dashboard's tooltip source).
+	// read first.
 	Rules []health.RuleInfo `json:"rules"`
 }
 
@@ -350,37 +321,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(enc, '\n'))
 }
 
-// ProgressRun is one run's slice of the /progress body.
-type ProgressRun struct {
-	Run        string  `json:"run"`
-	State      string  `json:"state"` // "running" or "done"
-	Cycle      uint64  `json:"cycle"`
-	InstrDone  uint64  `json:"instr_done"`
-	InstrTotal uint64  `json:"instr_total"`
-	Pct        float64 `json:"pct"`
-	McycPerSec float64 `json:"mcyc_per_sec"`
-	EtaSeconds float64 `json:"eta_seconds"`
-	// ElapsedSeconds is wall time since the run registered; frozen at Done
-	// (finished runs report total wall time, and McycPerSec their final
-	// whole-run rate, rather than zeros).
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-}
-
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	body := []ProgressRun{}
-	for _, st := range s.reg.Runs() {
-		body = append(body, ProgressRun{
-			Run:            st.Run,
-			State:          st.State,
-			Cycle:          st.Cycle,
-			InstrDone:      st.InstrDone,
-			InstrTotal:     st.InstrTotal,
-			Pct:            st.Pct,
-			McycPerSec:     st.McycPerSec,
-			EtaSeconds:     st.EtaSeconds,
-			ElapsedSeconds: st.ElapsedSeconds,
-		})
-	}
+	body := s.reg.Runs()
 	w.Header().Set("Content-Type", "application/json")
 	enc, _ := json.MarshalIndent(body, "", "  ")
 	w.Write(append(enc, '\n'))

@@ -17,7 +17,7 @@ var (
 // exposition format (version 0.0.4): every non-comment line is
 // `name{label="value",...} value` with well-formed names, quoting and a
 // float-parseable sample value, and every TYPE comment declares a valid
-// type. Used by the live-server tests and ci.sh's endpoint check.
+// type. Used by the live-server tests.
 func ValidateExposition(body []byte) error {
 	samples := 0
 	for i, line := range strings.Split(string(body), "\n") {

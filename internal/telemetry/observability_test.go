@@ -206,21 +206,6 @@ func TestEpochBoundaryExactMultiple(t *testing.T) {
 	}
 }
 
-func TestProfilerIsInert(t *testing.T) {
-	var pb bytes.Buffer
-	with := runTiny(t, false, &telemetry.Config{ProfileW: &pb})
-	without := runTiny(t, false, nil)
-	if with.Cycles != without.Cycles {
-		t.Errorf("profiling changed Cycles: %d vs %d", with.Cycles, without.Cycles)
-	}
-	if with.Mem != without.Mem {
-		t.Errorf("profiling changed memory counters:\nwith    %+v\nwithout %+v", with.Mem, without.Mem)
-	}
-	if pb.Len() == 0 {
-		t.Fatal("empty profile output")
-	}
-}
-
 func TestProfileOutputIsDeterministicAndWellFormed(t *testing.T) {
 	run := func() ([]byte, *telemetry.Profiler) {
 		var pb bytes.Buffer

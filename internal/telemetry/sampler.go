@@ -74,18 +74,17 @@ type Sample struct {
 }
 
 // DramDeviceEpoch is one device's per-bank DRAM activity over an epoch:
-// row operations and conflicts per bank, flat-indexed
-// [channel*BanksPerChannel + bank]. The slices are owned by the sampler and
-// overwritten each epoch; consumers must copy what they keep.
+// row operations per bank, flat-indexed [channel*BanksPerChannel + bank].
+// The slice is owned by the sampler and overwritten each epoch; consumers
+// must copy what they keep.
 type DramDeviceEpoch struct {
-	Channels        int
 	BanksPerChannel int
 	BankAccesses    []uint64 // row operations (hits+misses+conflicts) this epoch
-	BankConflicts   []uint64 // row conflicts this epoch
 }
 
-// DramEpoch carries both devices' per-bank epoch deltas (the bank-heatmap
-// feed); the device-level rates ride in Sample itself.
+// DramEpoch carries both devices' per-bank epoch deltas (the feed of the
+// hub's silcfm_dram_bank_accesses family); the device-level rates ride in
+// Sample itself.
 type DramEpoch struct {
 	NM DramDeviceEpoch
 	FM DramDeviceEpoch
@@ -124,9 +123,8 @@ func newSampler(w io.Writer, csv bool, sys *mem.System, gp mem.GaugeProvider) *s
 		if lv == 1 {
 			de = &s.dram.FM
 		}
-		de.Channels, de.BanksPerChannel = ch, bk
+		de.BanksPerChannel = bk
 		de.BankAccesses = make([]uint64, ch*bk)
-		de.BankConflicts = make([]uint64, ch*bk)
 	}
 	return s
 }
@@ -144,10 +142,8 @@ func (s *sampler) dramDelta(lv int, dev *dram.Device, span uint64) (conflicts ui
 	var total, maxAcc uint64
 	for i := range cur {
 		acc := cur[i].Accesses() - prev[i].Accesses()
-		conf := cur[i].RowConflicts - prev[i].RowConflicts
 		de.BankAccesses[i] = acc
-		de.BankConflicts[i] = conf
-		conflicts += conf
+		conflicts += cur[i].RowConflicts - prev[i].RowConflicts
 		total += acc
 		if acc > maxAcc {
 			maxAcc = acc

@@ -67,8 +67,8 @@ type EpochState struct {
 	// deltas difference it themselves (the flight recorder does).
 	Attr *stats.Attribution
 	// Dram points at the sampler-owned per-bank DRAM epoch deltas (the
-	// bank-heatmap feed). Like Mem/Lat/Attr it is valid only during the
-	// callback and its buffers are overwritten next epoch.
+	// live hub's per-bank feed). Like Mem/Lat/Attr it is valid only
+	// during the callback and its buffers are overwritten next epoch.
 	Dram *DramEpoch
 	// Done/Total are the instruction-progress probe's values (zero when
 	// no probe is installed; see T.SetProgress).

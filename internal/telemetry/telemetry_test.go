@@ -108,20 +108,6 @@ func TestEpochDeltasSumToRunTotals(t *testing.T) {
 	check("demand_bytes_fm", sums.DemandBytesFM, mem.Bytes[1][0])
 }
 
-func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
-	var mb, tb bytes.Buffer
-	with := runTiny(t, false, &telemetry.Config{
-		MetricsW: &mb, EpochCycles: 20_000, TraceW: &tb,
-	})
-	without := runTiny(t, false, nil)
-	if with.Cycles != without.Cycles {
-		t.Errorf("telemetry changed Cycles: %d vs %d", with.Cycles, without.Cycles)
-	}
-	if with.Mem != without.Mem {
-		t.Errorf("telemetry changed memory counters:\nwith    %+v\nwithout %+v", with.Mem, without.Mem)
-	}
-}
-
 func TestTraceRingBoundAndValidity(t *testing.T) {
 	var tb bytes.Buffer
 	const limit = 64

@@ -121,13 +121,18 @@ type Replay struct {
 	foot uint64
 }
 
-// NewReplay wraps a record slice as a looping generator.
+// NewReplay wraps a record slice as a looping generator. Every record
+// must have Gap >= 1: a core that retires no instruction per reference
+// never reaches its instruction target.
 func NewReplay(name string, refs []Ref) (*Replay, error) {
 	if len(refs) == 0 {
 		return nil, errors.New("trace: empty replay")
 	}
 	pages := map[uint64]bool{}
 	for i := range refs {
+		if refs[i].Gap == 0 {
+			return nil, fmt.Errorf("trace: record %d has gap 0, want >= 1", i)
+		}
 		pages[refs[i].VAddr>>11] = true
 	}
 	return &Replay{name: name, refs: refs, foot: uint64(len(pages)) * 2048}, nil

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -136,6 +137,17 @@ func TestReplayEmptyRejected(t *testing.T) {
 	}
 }
 
+// TestReplayZeroGapRejected: a record that retires no instruction would
+// leave a replaying core short of its target forever, so NewReplay
+// rejects it and names the record.
+func TestReplayZeroGapRejected(t *testing.T) {
+	refs := []Ref{{VAddr: 0x1000, Gap: 1}, {VAddr: 0x2000, Gap: 0}}
+	_, err := NewReplay("z", refs)
+	if err == nil || !strings.Contains(err.Error(), "record 1") {
+		t.Fatalf("NewReplay with a gap-0 record: err = %v, want one naming record 1", err)
+	}
+}
+
 func TestLoadReplay(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewTraceWriter(&buf, "gcc")
@@ -180,4 +192,64 @@ func TestReplayCloneAt(t *testing.T) {
 	if a.PC != 0 {
 		t.Fatalf("CloneAt(_, 0) moved the cursor: %d", a.PC)
 	}
+}
+
+// encodeReplay writes p's records through a TraceWriter.
+func encodeReplay(t *testing.T, p *Replay) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewTraceWriter(&buf, p.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range p.refs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzLoadReplay: LoadReplay never panics on any input, and every replay
+// it accepts has all gaps >= 1 and round-trips through TraceWriter: the
+// re-encoded trace loads to the same name and records and re-encodes to
+// the same bytes.
+func FuzzLoadReplay(f *testing.F) {
+	// A trace captured from a generator, the way silcfm-trace writes one.
+	var buf bytes.Buffer
+	w, _ := NewTraceWriter(&buf, "mcf")
+	g, _ := New("mcf", 1)
+	for i := 0; i < 64; i++ {
+		var r Ref
+		g.Next(&r)
+		w.Write(r)
+	}
+	w.Flush()
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := LoadReplay(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, r := range p.refs {
+			if r.Gap == 0 {
+				t.Fatalf("accepted record %d with gap 0", i)
+			}
+		}
+		enc := encodeReplay(t, p)
+		q, err := LoadReplay(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded replay does not load: %v", err)
+		}
+		if q.Name() != p.Name() || !slices.Equal(q.refs, p.refs) {
+			t.Fatalf("round trip changed the replay: %q %d records -> %q %d records",
+				p.Name(), len(p.refs), q.Name(), len(q.refs))
+		}
+		if !bytes.Equal(encodeReplay(t, q), enc) {
+			t.Fatal("re-encoding a round-tripped replay changed its bytes")
+		}
+	})
 }
