@@ -7,13 +7,17 @@
 //	silcfm-experiments -which fig7 -instr 1000000
 //	silcfm-experiments -which fig9 -workloads milc,lbm,mcf
 //
-// With -which all, the Figure 6 and Figure 7 sweeps are run once each and
-// shared by Figure 8 and the headline summary.
+// Everything selected comes from one plan (harness.RunFigures): a cell
+// several figures share, such as the no-NM baseline, simulates once under
+// the id of the first of fig7, fig6, table3, fig9-16, fig9-8, fig9-4 that
+// needs it, so -which all runs 22 cells per workload, not 32.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -26,27 +30,72 @@ import (
 )
 
 func main() {
-	var (
-		which = flag.String("which", "all", "experiment: table3, fig6, fig7, fig8, fig9, headline, all")
-		instr = flag.Uint64("instr", 1_000_000, "base instructions per core (scaled by MPKI class)")
-		wls   = flag.String("workloads", "", "comma-separated workload subset (default: all 14)")
-		par   = flag.Int("par", 0, "parallel simulations (default GOMAXPROCS)")
-		seed  = flag.Int64("seed", 0, "random seed")
-		csv   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		metricsDir   = flag.String("metrics-out", "", "write per-run epoch metrics into this directory as <sweep>_<label>_<workload>.jsonl")
-		metricsEpoch = flag.Uint64("metrics-epoch", 0, "metrics sampling period in cycles (0 = default 200000)")
-		traceDir     = flag.String("trace-out", "", "write per-run Perfetto movement traces into this directory as <sweep>_<label>_<workload>.json")
-		traceLimit   = flag.Int("trace-limit", 0, "movement-trace ring buffer size in events (0 = default 262144)")
-		profileDir   = flag.String("profile-out", "", "write per-run hotness profiles into this directory as <sweep>_<label>_<workload>.profile.jsonl")
-		healthDir    = flag.String("health-out", "", "write per-run health incidents into this directory as <sweep>_<label>_<workload>.health.jsonl (baseline included)")
-		pmDir        = flag.String("postmortem-out", "", "write per-run postmortem bundles into this directory under <sweep>_<label>_<workload>/ (bundles only from runs that opened an incident)")
-		progress     = flag.Bool("progress", false, "print one line per completed run to stderr")
-		shadowOn     = flag.Bool("shadow", false, "run the continuous shadow-data integrity checker on every run (slower)")
-		manifestOut  = flag.String("manifest-out", "", "write a run manifest covering every run to this file")
-		listen       = flag.String("listen", "", live.ListenUsage)
+// run is the command with its arguments and streams injected; it returns
+// the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("silcfm-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		which = fs.String("which", "all", "experiment: table3, fig6, fig7, fig8, fig9, headline, all")
+		instr = fs.Uint64("instr", 1_000_000, "base instructions per core (scaled by MPKI class)")
+		wls   = fs.String("workloads", "", "comma-separated workload subset (default: all 14)")
+		par   = fs.Int("par", 0, "parallel simulations (default GOMAXPROCS)")
+		seed  = fs.Int64("seed", 0, "random seed")
+		csv   = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+
+		metricsDir   = fs.String("metrics-out", "", "write per-run epoch metrics into this directory as <sweep>_<label>_<workload>.jsonl")
+		metricsEpoch = fs.Uint64("metrics-epoch", 0, "metrics sampling period in cycles (0 = default 200000)")
+		traceDir     = fs.String("trace-out", "", "write per-run Perfetto movement traces into this directory as <sweep>_<label>_<workload>.json")
+		traceLimit   = fs.Int("trace-limit", 0, "movement-trace ring buffer size in events (0 = default 262144)")
+		profileDir   = fs.String("profile-out", "", "write per-run hotness profiles into this directory as <sweep>_<label>_<workload>.profile.jsonl")
+		healthDir    = fs.String("health-out", "", "write per-run health incidents into this directory as <sweep>_<label>_<workload>.health.jsonl (baseline included)")
+		pmDir        = fs.String("postmortem-out", "", "write per-run postmortem bundles into this directory under <sweep>_<label>_<workload>/ (bundles only from runs that opened an incident)")
+		progress     = fs.Bool("progress", false, "print one line per completed run to stderr")
+		shadowOn     = fs.Bool("shadow", false, "run the continuous shadow-data integrity checker on every run (slower)")
+		manifestOut  = fs.String("manifest-out", "", "write a run manifest covering every run to this file")
+		listen       = fs.String("listen", "", live.ListenUsage)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	emit := func(t *stats.Table) {
+		if *csv {
+			fmt.Fprintf(stdout, "# %s\n%s\n", t.Title, t.CSV())
+		} else {
+			fmt.Fprintln(stdout, t)
+		}
+	}
+	// Each -which name in print order: the figure sweeps it reads and
+	// what it prints from them.
+	experiments := []struct {
+		name  string
+		reads []string
+		print func(*harness.Figures)
+	}{
+		{"table3", []string{"table3"}, func(f *harness.Figures) { emit(f.TableIII()) }},
+		{"fig6", []string{"fig6"}, func(f *harness.Figures) { emit(f.Figure6()); fmt.Fprintln(stdout, f.Fig6.WallFooter()) }},
+		{"fig7", []string{"fig7"}, func(f *harness.Figures) { emit(f.Figure7()); fmt.Fprintln(stdout, f.Fig7.WallFooter()) }},
+		{"fig8", []string{"fig7"}, func(f *harness.Figures) { emit(harness.Figure8(f.Fig7)) }},
+		{"fig9", []string{"fig9"}, func(f *harness.Figures) { emit(f.Figure9()) }},
+		{"headline", []string{"fig6", "fig7"}, func(f *harness.Figures) {
+			fmt.Fprintf(stdout, "Headline numbers (paper abstract):\n%s\n", harness.ComputeHeadline(f.Fig6, f.Fig7).Text)
+		}},
+	}
+	sel := strings.ToLower(*which)
+	var names, reads []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+		if sel == "all" || sel == e.name {
+			reads = append(reads, e.reads...)
+		}
+	}
+	if reads == nil {
+		fmt.Fprintf(stderr, "silcfm-experiments: unknown -which %q (valid: %s, all)\n", *which, strings.Join(names, ", "))
+		return 2
+	}
 
 	m := config.Default()
 	if *seed != 0 {
@@ -57,143 +106,78 @@ func main() {
 		InstrPerCore: *instr,
 		Parallelism:  *par,
 		ShadowCheck:  *shadowOn,
-		Out: harness.Outputs{
-			Metrics:    *metricsDir,
-			Trace:      *traceDir,
-			Profile:    *profileDir,
-			Health:     *healthDir,
-			Postmortem: *pmDir,
-		},
-		EpochCycles: *metricsEpoch,
-		TraceLimit:  *traceLimit,
+		Out:          harness.Outputs{Metrics: *metricsDir, Trace: *traceDir, Profile: *profileDir, Health: *healthDir, Postmortem: *pmDir},
+		EpochCycles:  *metricsEpoch,
+		TraceLimit:   *traceLimit,
 	}
 	if *wls != "" {
 		cfg.Workloads = strings.Split(*wls, ",")
 	}
 	if *progress {
-		cfg.Progress = os.Stderr
+		cfg.Progress = stderr
 	}
-	fail := func(name string, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "silcfm-experiments: %s: %v\n", name, err)
-			os.Exit(1)
-		}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "silcfm-experiments:", err)
+		return 1
 	}
 	if *listen != "" {
 		srv, err := live.New(*listen)
-		fail("listen", err)
-		fmt.Fprintln(os.Stderr, "live:", srv.URL())
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintln(stderr, "live:", srv.URL())
 		cfg.Live = srv
 		defer srv.Close()
 	}
-	emit := func(t *stats.Table) {
-		if *csv {
-			fmt.Printf("# %s\n%s\n", t.Title, t.CSV())
-		} else {
-			fmt.Println(t)
+	t0 := time.Now()
+	figs, err := harness.RunFigures(cfg, reads...)
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(stderr, "[%d runs done in %v]\n", len(figs.Cells), time.Since(t0).Round(time.Second))
+
+	for _, e := range experiments {
+		if sel == "all" || sel == e.name {
+			e.print(figs)
 		}
 	}
-	timed := func(name string, f func()) {
-		t0 := time.Now()
-		f()
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(t0).Round(time.Second))
-	}
 
-	// sweeps collects every sweep run, for the manifest and the per-run
-	// file table.
-	var sweeps []*harness.SweepResult
-	sel := strings.ToLower(*which)
-	all := sel == "all"
-
-	if all || sel == "table3" {
-		timed("table3", func() {
-			t, sw, err := harness.TableIII(cfg)
-			fail("table3", err)
-			emit(t)
-			sweeps = append(sweeps, sw)
-		})
-	}
-
-	var f6, f7 *harness.SweepResult
-	if all || sel == "fig6" || sel == "headline" {
-		timed("fig6", func() {
-			sw, t, err := harness.Figure6(cfg)
-			fail("fig6", err)
-			f6 = sw
-			if all || sel == "fig6" {
-				emit(t)
-				fmt.Println(sw.WallFooter())
-			}
-			sweeps = append(sweeps, sw)
-		})
-	}
-	if all || sel == "fig7" || sel == "fig8" || sel == "headline" {
-		timed("fig7", func() {
-			sw, t, err := harness.Figure7(cfg)
-			fail("fig7", err)
-			f7 = sw
-			if all || sel == "fig7" {
-				emit(t)
-				fmt.Println(sw.WallFooter())
-			}
-			sweeps = append(sweeps, sw)
-		})
-	}
-	if all || sel == "fig8" {
-		emit(harness.Figure8(f7))
-	}
-	if all || sel == "fig9" {
-		timed("fig9", func() {
-			t, sws, err := harness.Figure9(cfg)
-			fail("fig9", err)
-			emit(t)
-			sweeps = append(sweeps, sws...)
-		})
-	}
-	if all || sel == "headline" {
-		h := harness.ComputeHeadline(f6, f7)
-		fmt.Println("Headline numbers (paper abstract):")
-		fmt.Println(h.String())
-	}
-
-	// One loop over every cell: its manifest entry and its output files
-	// share the cell id.
+	// One loop over every distinct cell: its manifest entry and its output
+	// files share the cell id.
 	man := manifest.New("silcfm-experiments", "")
 	files := &stats.Table{
 		Title:   "Per-run output files",
 		Columns: []string{"run", "metrics", "trace", "profile", "health", "postmortem"},
 	}
-	for _, sw := range sweeps {
-		for _, c := range sw.Cells() {
-			man.Add(manifest.FromResult(c.ID, c.Result))
-			out := c.Result.Spec.Out
-			if out == (harness.Outputs{}) {
-				continue
-			}
-			// Run creates every postmortem directory up front; list only
-			// the ones that received a bundle, so the column still tells
-			// which cells opened an incident.
-			if len(c.Result.Bundles) == 0 {
-				out.Postmortem = ""
-			}
-			row := []string{c.ID}
-			for _, p := range []string{out.Metrics, out.Trace, out.Profile, out.Health, out.Postmortem} {
-				if p == "" {
-					p = "-"
-				}
-				row = append(row, p)
-			}
-			files.AddRow(row...)
+	for _, c := range figs.Cells {
+		man.Add(manifest.FromResult(c.ID, c.Result))
+		out := c.Result.Spec.Out
+		if out == (harness.Outputs{}) {
+			continue
 		}
+		// Run creates every postmortem directory up front; list only the
+		// ones that received a bundle, so the column still tells which
+		// cells opened an incident.
+		if len(c.Result.Bundles) == 0 {
+			out.Postmortem = ""
+		}
+		row := []string{c.ID}
+		for _, p := range []string{out.Metrics, out.Trace, out.Profile, out.Health, out.Postmortem} {
+			row = append(row, cmp.Or(p, "-"))
+		}
+		files.AddRow(row...)
 	}
 	if *manifestOut != "" {
-		fail("manifest", man.WriteFile(*manifestOut))
-		fmt.Printf("\nmanifest:           %s (%d entries)\n", *manifestOut, len(man.Entries))
+		if err := man.WriteFile(*manifestOut); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "\nmanifest:           %s (%d entries)\n", *manifestOut, len(man.Entries))
 	}
 	// Cross-link the per-run output files so offender/profile/metrics
 	// artifacts are discoverable from the summary itself.
 	if len(files.Rows) > 0 {
-		fmt.Println()
-		fmt.Println(files)
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, files)
 	}
+	return 0
 }

@@ -65,54 +65,43 @@ func (t *Table) String() string { return t.text }
 // CSV renders the table as comma-separated values (header row first).
 func (t *Table) CSV() string { return t.csv }
 
+// figure runs one figure's plan and renders its table.
+func figure(o ExperimentOptions, name string, table func(*harness.Figures) *stats.Table) (*Table, error) {
+	f, err := harness.RunFigures(o.expConfig(), name)
+	if err != nil {
+		return nil, err
+	}
+	return wrap(table(f)), nil
+}
+
 // Figure6 regenerates the paper's feature-breakdown figure: per-workload
 // speedups over the no-NM baseline for Random placement and for SILC-FM as
 // swap, locking, associativity and bypassing are enabled in turn.
 func Figure6(o ExperimentOptions) (*Table, error) {
-	_, tbl, err := harness.Figure6(o.expConfig())
-	if err != nil {
-		return nil, err
-	}
-	return wrap(tbl), nil
+	return figure(o, "fig6", (*harness.Figures).Figure6)
 }
 
 // Figure7 regenerates the scheme-comparison figure (rand, hma, cam, camp,
 // pom, silc speedups over the no-NM baseline).
 func Figure7(o ExperimentOptions) (*Table, error) {
-	_, tbl, err := harness.Figure7(o.expConfig())
-	if err != nil {
-		return nil, err
-	}
-	return wrap(tbl), nil
+	return figure(o, "fig7", (*harness.Figures).Figure7)
 }
 
 // Figure8 regenerates the demand-bandwidth-split figure: the fraction of
 // demand bytes serviced from NM per scheme (ideal 0.8 for the 4:1 machine).
 func Figure8(o ExperimentOptions) (*Table, error) {
-	sw, _, err := harness.Figure7(o.expConfig())
-	if err != nil {
-		return nil, err
-	}
-	return wrap(harness.Figure8(sw)), nil
+	return figure(o, "fig7", func(f *harness.Figures) *stats.Table { return harness.Figure8(f.Fig7) })
 }
 
 // Figure9 regenerates the capacity-sensitivity figure: geometric-mean
 // speedups at NM = FM/16, FM/8 and FM/4.
 func Figure9(o ExperimentOptions) (*Table, error) {
-	tbl, _, err := harness.Figure9(o.expConfig())
-	if err != nil {
-		return nil, err
-	}
-	return wrap(tbl), nil
+	return figure(o, "fig9", (*harness.Figures).Figure9)
 }
 
 // TableIII reports each workload's measured MPKI class and footprint.
 func TableIII(o ExperimentOptions) (*Table, error) {
-	tbl, _, err := harness.TableIII(o.expConfig())
-	if err != nil {
-		return nil, err
-	}
-	return wrap(tbl), nil
+	return figure(o, "table3", (*harness.Figures).TableIII)
 }
 
 // Headline summarizes the paper's abstract-level numbers: the per-feature
@@ -130,30 +119,15 @@ type Headline struct {
 	Text            string
 }
 
-// ComputeHeadline runs the Figure 6 and Figure 7 sweeps and derives the
-// headline numbers.
+// ComputeHeadline runs the Figure 6 and Figure 7 sweeps as one plan, so
+// their shared cells simulate once, and derives the headline numbers.
 func ComputeHeadline(o ExperimentOptions) (*Headline, error) {
-	cfg := o.expConfig()
-	f6, _, err := harness.Figure6(cfg)
+	f, err := harness.RunFigures(o.expConfig(), "fig6", "fig7")
 	if err != nil {
 		return nil, err
 	}
-	f7, _, err := harness.Figure7(cfg)
-	if err != nil {
-		return nil, err
-	}
-	h := harness.ComputeHeadline(f6, f7)
-	return &Headline{
-		SwapOverStatic:  h.SwapOverStatic,
-		LockIncrement:   h.LockIncrement,
-		AssocIncrement:  h.AssocIncrement,
-		BypassIncrement: h.BypassIncrement,
-		TotalOverStatic: h.TotalOverStatic,
-		OverBestAlt:     h.OverBestAlt,
-		BestAlt:         h.BestAlt,
-		EDPReduction:    h.EDPReduction,
-		Text:            h.String(),
-	}, nil
+	h := Headline(harness.ComputeHeadline(f.Fig6, f.Fig7))
+	return &h, nil
 }
 
 func wrap(t *stats.Table) *Table {

@@ -5,9 +5,9 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"silcfm/internal/config"
 	"silcfm/internal/stats"
@@ -47,6 +47,22 @@ func (c ExpConfig) workloads() []string {
 	return workload.Names
 }
 
+// checkWorkloads rejects unknown, empty and repeated workload names, all
+// of them in one error.
+func (c ExpConfig) checkWorkloads() error {
+	var bad []string
+	for i, wl := range c.Workloads {
+		if _, ok := workload.Spec(wl); !ok || slices.Index(c.Workloads, wl) < i {
+			bad = append(bad, fmt.Sprintf("%q", wl))
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("harness: workloads %s: each must be one of %s, at most once",
+			strings.Join(bad, ", "), strings.Join(workload.Names, ", "))
+	}
+	return nil
+}
+
 func (c ExpConfig) parallelism() int {
 	if c.Parallelism > 0 {
 		return c.Parallelism
@@ -65,6 +81,9 @@ type Variant struct {
 func SchemeVariant(s config.SchemeName) Variant {
 	return Variant{Label: string(s), Mutate: func(m *config.Machine) { m.Scheme = s }}
 }
+
+// baselineLeg is every sweep's no-NM leg.
+var baselineLeg = Variant{Label: "baseline", Mutate: func(m *config.Machine) { m.Scheme = config.SchemeBaseline }}
 
 // Figure6Variants returns the paper's breakdown stack: Random placement,
 // then SILC-FM gaining swap, locking, associativity and bypassing one at a
@@ -88,9 +107,11 @@ func Figure6Variants() []Variant {
 }
 
 // Figure7Variants returns the cross-scheme comparison set.
-func Figure7Variants() []Variant {
-	out := make([]Variant, 0, len(config.AllSchemes))
-	for _, s := range config.AllSchemes {
+func Figure7Variants() []Variant { return schemeVariants(config.AllSchemes) }
+
+func schemeVariants(schemes []config.SchemeName) []Variant {
+	out := make([]Variant, 0, len(schemes))
+	for _, s := range schemes {
 		out = append(out, SchemeVariant(s))
 	}
 	return out
@@ -108,30 +129,27 @@ type SweepResult struct {
 	Runs map[string]map[string]*Result
 	// Baseline[workload] is the system-without-NM run.
 	Baseline map[string]*Result
-	// WallSeconds is the host wall-clock time of the whole sweep
-	// (parallel legs overlap, so it is less than the per-leg sum).
-	WallSeconds float64
+}
+
+func (s *SweepResult) legs() []Variant { return append([]Variant{baselineLeg}, s.Variants...) }
+
+func (s *SweepResult) leg(label string) map[string]*Result {
+	if label == baselineLeg.Label {
+		return s.Baseline
+	}
+	return s.Runs[label]
 }
 
 // WallFooter renders host-side cost per sweep leg: each variant's summed
 // wall time over its workloads and its aggregate simulation throughput
 // (total simulated cycles per host second spent in the event loop).
 func (s *SweepResult) WallFooter() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "wall clock: sweep %.1fs", s.WallSeconds)
-	legs := append([]string{"baseline"}, variantLabels(s.Variants)...)
-	for _, label := range legs {
-		runs := s.Runs[label]
-		if label == "baseline" {
-			runs = s.Baseline
-		}
+	var legs []string
+	for _, v := range s.legs() {
 		var wall, loop float64
 		var cycles uint64
 		for _, wl := range s.Cfg.workloads() {
-			r := runs[wl]
-			if r == nil {
-				continue
-			}
+			r := s.leg(v.Label)[wl]
 			wall += r.WallSeconds
 			cycles += r.Cycles
 			loop += stats.Ratio(float64(r.Cycles), r.SimCyclesPerSec)
@@ -140,9 +158,9 @@ func (s *SweepResult) WallFooter() string {
 			continue
 		}
 		tput := stats.Ratio(float64(cycles), loop)
-		fmt.Fprintf(&b, "; %s %.1fs @ %.1f Mcyc/s", label, wall, tput/1e6)
+		legs = append(legs, fmt.Sprintf("%s %.1fs @ %.1f Mcyc/s", v.Label, wall, tput/1e6))
 	}
-	return b.String()
+	return "wall clock: " + strings.Join(legs, "; ")
 }
 
 // Cell is one run of a sweep under its id.
@@ -150,23 +168,6 @@ type Cell struct {
 	ID     string
 	Result *Result
 }
-
-// Cells lists every run of the sweep: per workload, the baseline leg and
-// then each variant in order.
-func (s *SweepResult) Cells() []Cell {
-	var out []Cell
-	for _, wl := range s.Cfg.workloads() {
-		out = append(out, Cell{cellID(s.Name, "baseline", wl), s.Baseline[wl]})
-		for _, v := range s.Variants {
-			out = append(out, Cell{cellID(s.Name, v.Label, wl), s.Runs[v.Label][wl]})
-		}
-	}
-	return out
-}
-
-// cellID names one sweep cell: the live-hub run, the output file stem and
-// the manifest entry all use it.
-func cellID(sweep, label, wl string) string { return sweep + "/" + label + "/" + wl }
 
 // Speedup returns a variant's speedup over the baseline for one workload.
 func (s *SweepResult) Speedup(label, wl string) float64 {
@@ -187,10 +188,18 @@ func (s *SweepResult) GeoMeanSpeedup(label string) float64 {
 	return stats.GeoMean(xs)
 }
 
-// Sweep runs every (variant, workload) pair plus baselines, in parallel,
-// under cell ids "<name>/<label>/<workload>".
-func Sweep(cfg ExpConfig, name string, variants []Variant) (*SweepResult, error) {
-	sweepStart := time.Now()
+// runPlan fills a set of sweeps from one pass over the union of their
+// cells. Each distinct Spec.Fingerprint runs once, in one worker pool, and
+// every sweep that needs it shares its *Result: equal fingerprints give
+// byte-identical counters, so a second run would add nothing. A shared
+// cell runs under the id of the first sweep listing it; that id names its
+// output files, live-hub run, progress line and error. runPlan returns the
+// distinct cells in that order, or the first failing cell's error. Each
+// sweep runs on its Cfg.Machine; every other option comes from cfg.
+func runPlan(cfg ExpConfig, sweeps []*SweepResult) ([]Cell, error) {
+	if err := cfg.checkWorkloads(); err != nil {
+		return nil, err
+	}
 	o := cfg.Out
 	for _, dir := range []string{o.Metrics, o.Trace, o.Profile, o.Health, o.Postmortem} {
 		if dir == "" {
@@ -201,120 +210,220 @@ func Sweep(cfg ExpConfig, name string, variants []Variant) (*SweepResult, error)
 		}
 	}
 	type job struct {
-		label string
-		wl    string
-		mach  config.Machine
+		Cell // every sweep leg holds Result, filled in place once the run ends
+		spec Spec
+		err  error
 	}
-	var jobs []job
-	for _, wl := range cfg.workloads() {
-		m := cfg.Machine
-		m.Scheme = config.SchemeBaseline
-		jobs = append(jobs, job{label: "", wl: wl, mach: m})
-		for _, v := range variants {
-			m := cfg.Machine
-			v.Mutate(&m)
-			jobs = append(jobs, job{label: v.Label, wl: wl, mach: m})
+	var jobs []*job
+	byFingerprint := map[string]*job{}
+	for _, sw := range sweeps {
+		sw.Baseline, sw.Runs = map[string]*Result{}, map[string]map[string]*Result{}
+		for _, v := range sw.Variants {
+			sw.Runs[v.Label] = map[string]*Result{}
+		}
+		for _, wl := range cfg.workloads() {
+			for _, v := range sw.legs() {
+				spec := Spec{
+					Machine:           sw.Cfg.Machine,
+					Workload:          wl,
+					InstrPerCore:      cfg.InstrPerCore,
+					ScaleInstrByClass: true,
+					FootScaleNum:      cfg.FootScaleNum,
+					FootScaleDen:      cfg.FootScaleDen,
+					ShadowCheck:       cfg.ShadowCheck,
+					Telemetry:         &telemetry.Config{EpochCycles: cfg.EpochCycles, TraceLimit: cfg.TraceLimit},
+				}
+				v.Mutate(&spec.Machine)
+				fp := spec.Fingerprint()
+				j := byFingerprint[fp]
+				if j == nil {
+					id := sw.Name + "/" + v.Label + "/" + wl
+					spec.Out = cfg.Out.forCell(id)
+					j = &job{Cell: Cell{id, new(Result)}, spec: spec}
+					byFingerprint[fp] = j
+					jobs = append(jobs, j)
+				}
+				sw.leg(v.Label)[wl] = j.Result
+			}
 		}
 	}
 
-	res := &SweepResult{
-		Name:     name,
-		Cfg:      cfg,
-		Variants: variants,
-		Runs:     map[string]map[string]*Result{},
-		Baseline: map[string]*Result{},
-	}
-	for _, v := range variants {
-		res.Runs[v.Label] = map[string]*Result{}
-	}
-
-	var mu sync.Mutex
-	var firstErr error
+	var progress sync.Mutex
 	sem := make(chan struct{}, cfg.parallelism())
 	var wg sync.WaitGroup
 	for _, j := range jobs {
-		j := j
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			label := j.label
-			if label == "" {
-				label = "baseline"
-			}
-			id := cellID(name, label, j.wl)
-			r, err := runCell(cfg, id, j.wl, j.mach)
+			done := AttachLive(&j.spec, cfg.Live.Registry(), j.ID)
+			r, err := Run(j.spec)
+			done(r)
 			if err == nil {
-				err = r.Err()
+				*j.Result, err = *r, r.Err()
 			}
-			mu.Lock()
-			defer mu.Unlock()
+			j.err = err
 			if cfg.Progress != nil {
 				status := "ok"
-				if err != nil {
-					status = "error: " + err.Error()
+				if j.err != nil {
+					status = "error: " + j.err.Error()
 				}
-				fmt.Fprintf(cfg.Progress, "done %s: %s\n", id, status)
-			}
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", id, err)
-				}
-				return
-			}
-			if j.label == "" {
-				res.Baseline[j.wl] = r
-			} else {
-				res.Runs[j.label][j.wl] = r
+				progress.Lock()
+				fmt.Fprintf(cfg.Progress, "done %s: %s\n", j.ID, status)
+				progress.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	cells := make([]Cell, len(jobs))
+	for i, j := range jobs {
+		if j.err != nil {
+			return nil, fmt.Errorf("%s: %w", j.ID, j.err)
+		}
+		cells[i] = j.Cell
 	}
-	res.WallSeconds = time.Since(sweepStart).Seconds()
-	return res, nil
+	return cells, nil
 }
 
-// runCell runs one sweep cell on machine m, writing its outputs and
-// attaching it to the live hub under id.
-func runCell(cfg ExpConfig, id, wl string, m config.Machine) (*Result, error) {
-	spec := Spec{
-		Machine:           m,
-		Workload:          wl,
-		InstrPerCore:      cfg.InstrPerCore,
-		ScaleInstrByClass: true,
-		FootScaleNum:      cfg.FootScaleNum,
-		FootScaleDen:      cfg.FootScaleDen,
-		ShadowCheck:       cfg.ShadowCheck,
-		Telemetry:         &telemetry.Config{EpochCycles: cfg.EpochCycles, TraceLimit: cfg.TraceLimit},
-		Out:               cfg.Out.forCell(id),
-	}
-	done := AttachLive(&spec, cfg.Live.Registry(), id)
-	r, err := Run(spec)
-	done(r)
-	return r, err
+// Figures is the evaluation matrix behind the paper's tables, filled by
+// one plan: the sweep each selected figure reads, nil when not selected.
+// Figure 8 and the headline read Fig7 (and Fig6).
+type Figures struct {
+	Table3, Fig6, Fig7 *SweepResult
+	// Fig9 holds one sweep per NM:FM ratio, named "fig9-<N>" for NM = FM/N.
+	Fig9 []*SweepResult
+	// Cells lists every distinct run once, under the id that owns it.
+	Cells []Cell
 }
 
-// Figure6 regenerates the feature-breakdown figure: per-workload speedup of
-// each SILC-FM feature level over the no-NM baseline.
+// RunFigures runs the sweeps behind the named figures ("table3", "fig6",
+// "fig7", "fig9") as one plan, so every distinct cell simulates once. A
+// cell several sweeps share takes the id of the first of fig7, fig6,
+// table3, fig9-16, fig9-8, fig9-4 that needs it: with all four selected
+// that is 22 runs per workload instead of 32.
+func RunFigures(cfg ExpConfig, names ...string) (*Figures, error) {
+	for _, n := range names {
+		switch n {
+		case "table3", "fig6", "fig7", "fig9":
+		default:
+			return nil, fmt.Errorf("harness: unknown figure %q (known: table3, fig6, fig7, fig9)", n)
+		}
+	}
+	f := &Figures{}
+	var plan []*SweepResult
+	add := func(fig, name string, c ExpConfig, vs []Variant) *SweepResult {
+		if !slices.Contains(names, fig) {
+			return nil
+		}
+		sw := &SweepResult{Name: name, Cfg: c, Variants: vs}
+		plan = append(plan, sw)
+		return sw
+	}
+	f.Fig7 = add("fig7", "fig7", cfg, Figure7Variants())
+	f.Fig6 = add("fig6", "fig6", cfg, Figure6Variants())
+	f.Table3 = add("table3", "table3", cfg, nil)
+	// Figure 9 compares the migrating schemes.
+	fig9 := schemeVariants([]config.SchemeName{config.SchemeCAMEO, config.SchemeCAMEOP,
+		config.SchemeHMA, config.SchemePoM, config.SchemeSILCFM})
+	for _, den := range []uint64{16, 8, 4} {
+		c := cfg
+		c.Machine = cfg.Machine.WithNMRatio(den)
+		if sw := add("fig9", fmt.Sprintf("fig9-%d", den), c, fig9); sw != nil {
+			f.Fig9 = append(f.Fig9, sw)
+		}
+	}
+	cells, err := runPlan(cfg, plan)
+	if err != nil {
+		return nil, err
+	}
+	f.Cells = cells
+	return f, nil
+}
+
+// TableIII reports each workload's measured per-core MPKI and footprint
+// through the cache hierarchy, from the no-NM runs of the "table3" sweep.
+func (f *Figures) TableIII() *stats.Table {
+	t := &stats.Table{
+		Title:   "Table III: workload characteristics (measured)",
+		Columns: []string{"benchmark", "class", "MPKI/core", "footprint MB"},
+	}
+	for _, wl := range f.Table3.Cfg.workloads() {
+		p, _ := workload.Spec(wl)
+		r := f.Table3.Baseline[wl]
+		t.AddRow(wl, p.Class.String(), stats.F2(r.AvgMPKI()),
+			fmt.Sprintf("%.1f", float64(r.FootprintPages)*2048/(1<<20)))
+	}
+	return t
+}
+
+// Figure6 renders the feature breakdown: per-workload speedup of each
+// SILC-FM feature level over the no-NM baseline.
+func (f *Figures) Figure6() *stats.Table {
+	return speedupTable("Figure 6: SILC-FM performance breakdown (speedup vs no-NM baseline)", f.Fig6)
+}
+
+// Figure7 renders the scheme comparison.
+func (f *Figures) Figure7() *stats.Table {
+	return speedupTable("Figure 7: performance comparison with other schemes (speedup vs no-NM baseline)", f.Fig7)
+}
+
+// Figure9 renders the capacity sensitivity: the migrating schemes'
+// geometric-mean speedups at each NM:FM ratio.
+func (f *Figures) Figure9() *stats.Table {
+	t := &stats.Table{
+		Title:   "Figure 9: geomean speedup with various NM capacities (NM = FM/N)",
+		Columns: append([]string{"ratio"}, variantLabels(f.Fig9[0].Variants)...),
+	}
+	for _, sw := range f.Fig9 {
+		row := []string{"1/" + strings.TrimPrefix(sw.Name, "fig9-")}
+		for _, v := range sw.Variants {
+			row = append(row, stats.F2(sw.GeoMeanSpeedup(v.Label)))
+		}
+		t.AddRow(row...)
+	}
+	return t
+}
+
+// Figure6 regenerates the feature-breakdown figure as a one-figure plan.
 func Figure6(cfg ExpConfig) (*SweepResult, *stats.Table, error) {
-	sw, err := Sweep(cfg, "fig6", Figure6Variants())
+	f, err := RunFigures(cfg, "fig6")
 	if err != nil {
 		return nil, nil, err
 	}
-	return sw, speedupTable("Figure 6: SILC-FM performance breakdown (speedup vs no-NM baseline)", sw), nil
+	return f.Fig6, f.Figure6(), nil
 }
 
-// Figure7 regenerates the scheme comparison figure.
+// Figure7 regenerates the scheme comparison figure as a one-figure plan.
 func Figure7(cfg ExpConfig) (*SweepResult, *stats.Table, error) {
-	sw, err := Sweep(cfg, "fig7", Figure7Variants())
+	f, err := RunFigures(cfg, "fig7")
 	if err != nil {
 		return nil, nil, err
 	}
-	return sw, speedupTable("Figure 7: performance comparison with other schemes (speedup vs no-NM baseline)", sw), nil
+	return f.Fig7, f.Figure7(), nil
+}
+
+// Figure9 sweeps the NM:FM capacity ratio (1/16, 1/8, 1/4) for the
+// migrating schemes as a one-figure plan. It returns one sweep per ratio,
+// named "fig9-<N>" for NM = FM/N.
+func Figure9(cfg ExpConfig) (*stats.Table, []*SweepResult, error) {
+	f, err := RunFigures(cfg, "fig9")
+	if err != nil {
+		return nil, nil, err
+	}
+	return f.Figure9(), f.Fig9, nil
+}
+
+// TableIII reports each workload's measured MPKI and footprint as a
+// one-figure plan: a sweep named "table3" with no variants, so its runs
+// are the "baseline" legs of every other sweep and honour the same
+// per-run options.
+func TableIII(cfg ExpConfig) (*stats.Table, *SweepResult, error) {
+	f, err := RunFigures(cfg, "table3")
+	if err != nil {
+		return nil, nil, err
+	}
+	return f.TableIII(), f.Table3, nil
 }
 
 // Figure8 derives the demand-bandwidth split from a Figure-7-style sweep:
@@ -343,63 +452,6 @@ func Figure8(sw *SweepResult) *stats.Table {
 	return t
 }
 
-// Figure9 sweeps the NM:FM capacity ratio (1/16, 1/8, 1/4) for the
-// migrating schemes and reports geometric-mean speedups. It returns one
-// sweep per ratio, named "fig9-<N>" for NM = FM/N.
-func Figure9(cfg ExpConfig) (*stats.Table, []*SweepResult, error) {
-	schemes := []config.SchemeName{
-		config.SchemeCAMEO, config.SchemeCAMEOP, config.SchemeHMA,
-		config.SchemePoM, config.SchemeSILCFM,
-	}
-	var variants []Variant
-	t := &stats.Table{
-		Title:   "Figure 9: geomean speedup with various NM capacities (NM = FM/N)",
-		Columns: []string{"ratio"},
-	}
-	for _, s := range schemes {
-		variants = append(variants, SchemeVariant(s))
-		t.Columns = append(t.Columns, string(s))
-	}
-	var sweeps []*SweepResult
-	for _, den := range []uint64{16, 8, 4} {
-		c := cfg
-		c.Machine = cfg.Machine.WithNMRatio(den)
-		sw, err := Sweep(c, fmt.Sprintf("fig9-%d", den), variants)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ratio 1/%d: %w", den, err)
-		}
-		row := []string{fmt.Sprintf("1/%d", den)}
-		for _, s := range schemes {
-			row = append(row, stats.F2(sw.GeoMeanSpeedup(string(s))))
-		}
-		t.AddRow(row...)
-		sweeps = append(sweeps, sw)
-	}
-	return t, sweeps, nil
-}
-
-// TableIII reports each workload's measured per-core MPKI and footprint
-// through the cache hierarchy, using the baseline machine: a Sweep named
-// "table3" with no variants, so its runs are the "baseline" legs of every
-// other sweep and honour the same per-run options.
-func TableIII(cfg ExpConfig) (*stats.Table, *SweepResult, error) {
-	sw, err := Sweep(cfg, "table3", nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	t := &stats.Table{
-		Title:   "Table III: workload characteristics (measured)",
-		Columns: []string{"benchmark", "class", "MPKI/core", "footprint MB"},
-	}
-	for _, wl := range cfg.workloads() {
-		p, _ := workload.Spec(wl)
-		r := sw.Baseline[wl]
-		t.AddRow(wl, p.Class.String(), stats.F2(r.AvgMPKI()),
-			fmt.Sprintf("%.1f", float64(r.FootprintPages)*2048/(1<<20)))
-	}
-	return t, sw, nil
-}
-
 // Headline summarizes the paper's abstract numbers from Figure 6/7 sweeps:
 // swap-only gain over static placement, the per-feature increments, the
 // gain over the best alternative scheme, and the EDP delta.
@@ -412,59 +464,39 @@ type Headline struct {
 	OverBestAlt     float64 // paper: +36%
 	BestAlt         string
 	EDPReduction    float64 // paper: 13% vs best alternative
+	// Text renders every number next to the paper's.
+	Text string
 }
 
 // ComputeHeadline derives Headline from Figure 6 and Figure 7 sweeps.
 func ComputeHeadline(f6, f7 *SweepResult) Headline {
-	h := Headline{}
-	rand := f6.GeoMeanSpeedup("rand")
-	swap := f6.GeoMeanSpeedup("swap")
-	lock := f6.GeoMeanSpeedup("+lock")
-	assoc := f6.GeoMeanSpeedup("+assoc")
-	byp := f6.GeoMeanSpeedup("+bypass")
-	if rand > 0 {
-		h.SwapOverStatic = swap/rand - 1
-		h.TotalOverStatic = byp/rand - 1
+	g := f6.GeoMeanSpeedup
+	rand, swap, lock, assoc, byp := g("rand"), g("swap"), g("+lock"), g("+assoc"), g("+bypass")
+	h := Headline{
+		SwapOverStatic:  gain(swap, rand),
+		LockIncrement:   gain(lock, swap),
+		AssocIncrement:  gain(assoc, lock),
+		BypassIncrement: gain(byp, assoc),
+		TotalOverStatic: gain(byp, rand),
 	}
-	if swap > 0 {
-		h.LockIncrement = lock/swap - 1
-	}
-	if lock > 0 {
-		h.AssocIncrement = assoc/lock - 1
-	}
-	if assoc > 0 {
-		h.BypassIncrement = byp/assoc - 1
-	}
-
-	silc := f7.GeoMeanSpeedup("silc")
-	best, bestLabel := 0.0, ""
+	best := 0.0
 	for _, v := range f7.Variants {
-		if v.Label == "silc" {
-			continue
-		}
-		if g := f7.GeoMeanSpeedup(v.Label); g > best {
-			best, bestLabel = g, v.Label
+		if g := f7.GeoMeanSpeedup(v.Label); v.Label != "silc" && g > best {
+			best, h.BestAlt = g, v.Label
 		}
 	}
-	if best > 0 {
-		h.OverBestAlt = silc/best - 1
-		h.BestAlt = bestLabel
-	}
+	h.OverBestAlt = gain(f7.GeoMeanSpeedup("silc"), best)
 
 	// EDP vs the best alternative, averaged over workloads.
 	var silcEDP, altEDP float64
 	for _, wl := range f7.Cfg.workloads() {
 		silcEDP += f7.Runs["silc"][wl].EDP()
-		altEDP += f7.Runs[bestLabel][wl].EDP()
+		altEDP += f7.Runs[h.BestAlt][wl].EDP()
 	}
 	if altEDP > 0 {
 		h.EDPReduction = 1 - silcEDP/altEDP
 	}
-	return h
-}
-
-func (h Headline) String() string {
-	return fmt.Sprintf(
+	h.Text = fmt.Sprintf(
 		"swap over static: %+.0f%% (paper +55%%)\n"+
 			"locking:          %+.0f%% (paper +11%%)\n"+
 			"associativity:    %+.0f%% (paper +8%%)\n"+
@@ -475,6 +507,15 @@ func (h Headline) String() string {
 		h.SwapOverStatic*100, h.LockIncrement*100, h.AssocIncrement*100,
 		h.BypassIncrement*100, h.TotalOverStatic*100, h.BestAlt,
 		h.OverBestAlt*100, h.EDPReduction*100)
+	return h
+}
+
+// gain is x's relative gain over base, 0 when base is not positive.
+func gain(x, base float64) float64 {
+	if base > 0 {
+		return x/base - 1
+	}
+	return 0
 }
 
 func variantLabels(vs []Variant) []string {

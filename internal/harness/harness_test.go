@@ -235,7 +235,7 @@ func TestHeadlineComputation(t *testing.T) {
 	if h.BestAlt == "" {
 		t.Fatal("no best alternative identified")
 	}
-	if h.String() == "" {
+	if h.Text == "" {
 		t.Fatal("empty headline")
 	}
 }

@@ -66,8 +66,8 @@ func TestSweepFeedsLiveHub(t *testing.T) {
 	defer srv.Close()
 	cfg := thrashConfig()
 	cfg.Live = srv
-	sw, err := Sweep(cfg, "thrash", []Variant{SchemeVariant(config.SchemeSILCFM)})
-	if err != nil {
+	sw := &SweepResult{Name: "thrash", Cfg: cfg, Variants: []Variant{SchemeVariant(config.SchemeSILCFM)}}
+	if _, err := runPlan(cfg, []*SweepResult{sw}); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
 	res := sw.Runs["silc"]["milc"]
@@ -125,7 +125,7 @@ func TestSweepReportsTelemetryCloseError(t *testing.T) {
 	}
 	cfg := oneWorkload()
 	cfg.Out.Metrics = dir
-	_, err := Sweep(cfg, "flush", []Variant{SchemeVariant(config.SchemeSILCFM)})
+	_, err := runPlan(cfg, []*SweepResult{{Name: "flush", Cfg: cfg, Variants: []Variant{SchemeVariant(config.SchemeSILCFM)}}})
 	if !errors.Is(err, syscall.ENOSPC) || !strings.Contains(err.Error(), "flush/silc/milc") ||
 		!strings.Contains(err.Error(), "telemetry") {
 		t.Fatalf("Sweep error = %v, want flush/silc/milc failing with a telemetry ENOSPC error", err)
@@ -145,7 +145,7 @@ func TestSweepFailsCellWhoseOutputCannotBeCreated(t *testing.T) {
 	}
 	cfg := oneWorkload()
 	cfg.Out = Outputs{Metrics: metrics, Trace: trace}
-	_, err := Sweep(cfg, "create", []Variant{SchemeVariant(config.SchemeSILCFM)})
+	_, err := runPlan(cfg, []*SweepResult{{Name: "create", Cfg: cfg, Variants: []Variant{SchemeVariant(config.SchemeSILCFM)}}})
 	if err == nil || !strings.Contains(err.Error(), "create/baseline/milc") {
 		t.Fatalf("Sweep error = %v, want the create/baseline/milc cell failing", err)
 	}
@@ -157,7 +157,7 @@ func TestSweepFailsCellWhoseOutputCannotBeCreated(t *testing.T) {
 	}
 }
 
-// TestTableIIIHonoursPerRunOptions: Table III runs through Sweep, so every
+// TestTableIIIHonoursPerRunOptions: Table III runs through the plan, so every
 // workload gets its per-run output files, progress line and live-hub run,
 // like any other sweep's baseline leg.
 func TestTableIIIHonoursPerRunOptions(t *testing.T) {
@@ -202,18 +202,15 @@ func TestFigure9KeepsEveryCellsOutputs(t *testing.T) {
 	cfg.InstrPerCore = 5_000
 	cfg.Parallelism = 2
 	cfg.Out = Outputs{Metrics: metrics, Health: healthDir}
-	_, sweeps, err := Figure9(cfg)
+	f, err := RunFigures(cfg, "fig9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cells int
-	for _, sw := range sweeps {
-		for _, c := range sw.Cells() {
-			cells++
-			for _, p := range []string{c.Result.Spec.Out.Metrics, c.Result.Spec.Out.Health} {
-				if _, err := os.Stat(p); err != nil {
-					t.Errorf("%s: %v", c.ID, err)
-				}
+	cells := len(f.Cells)
+	for _, c := range f.Cells {
+		for _, p := range []string{c.Result.Spec.Out.Metrics, c.Result.Spec.Out.Health} {
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("%s: %v", c.ID, err)
 			}
 		}
 	}

@@ -13,8 +13,10 @@ type RuleInfo struct {
 	// Threshold renders the firing condition with the detector's numeric
 	// thresholds filled in.
 	Threshold string `json:"threshold"`
-	// FirstLook lists the sample/evidence counters that most directly
-	// explain an incident of this kind, in suggested reading order.
+	// FirstLook lists the counters that most directly explain an incident
+	// of this kind, in suggested reading order. Each entry is a
+	// telemetry.Sample JSON field, "gauge <name>" for a scheme gauge,
+	// "attribution <span> span" for a latency span, or a /metrics family.
 	FirstLook []string `json:"first_look"`
 }
 
@@ -80,7 +82,7 @@ func Rules() []RuleInfo {
 				"most operations (what a row-locality-aware placement would avoid).",
 			Threshold: fmt.Sprintf("window row conflicts > %.2f x row ops with peak bank imbalance >= %.1f and >= %d row ops over %d epochs",
 				rowThrashConflictRatio, rowThrashImbalance, rowThrashMinOps, windowEpochs),
-			FirstLook: []string{"row_conflicts_nm", "row_conflicts_fm", "bank_imbalance_nm", "bank_imbalance_fm", "row_hit_rate_fm", "dashboard bank heatmap"},
+			FirstLook: []string{"row_conflicts_nm", "row_conflicts_fm", "bank_imbalance_nm", "bank_imbalance_fm", "row_hit_rate_fm", "silcfm_dram_bank_accesses"},
 		},
 	}
 }

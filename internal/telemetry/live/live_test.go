@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -236,6 +238,48 @@ func TestServerEndpointsAfterRealRun(t *testing.T) {
 	// pprof rides along.
 	if code, _ := get(t, srv.URL()+"/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline status %d", code)
+	}
+}
+
+// TestRuleFirstLookResolves: every health rule's FirstLook entry names
+// something a reader can find: a telemetry.Sample JSON field, "gauge X"
+// for a gauge a SILC-FM run exports, "attribution X span" for a latency
+// span, or a family a /metrics scrape of that run carries.
+func TestRuleFirstLookResolves(t *testing.T) {
+	srv, err := live.New("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("live.New: %v", err)
+	}
+	defer srv.Close()
+	spec := tinySpec()
+	done := harness.AttachLive(&spec, srv.Registry(), "firstlook")
+	res, err := harness.Run(spec)
+	done(res)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	_, body := get(t, srv.URL()+"/metrics")
+
+	known := map[string]bool{}
+	st := reflect.TypeOf(telemetry.Sample{})
+	for i := 0; i < st.NumField(); i++ {
+		known[strings.Split(st.Field(i).Tag.Get("json"), ",")[0]] = true
+	}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(string(body), -1) {
+		known[m[1]] = true
+	}
+	for _, m := range regexp.MustCompile(`silcfm_scheme_gauge\{[^}]*name="([^"]+)"\}`).FindAllStringSubmatch(string(body), -1) {
+		known["gauge "+m[1]] = true
+	}
+	for sp := stats.Span(0); sp < stats.NumSpans; sp++ {
+		known["attribution "+sp.String()+" span"] = true
+	}
+	for _, r := range health.Rules() {
+		for _, e := range r.FirstLook {
+			if !known[e] {
+				t.Errorf("rule %s: first-look entry %q names no sample field, gauge, span or /metrics family", r.Kind, e)
+			}
+		}
 	}
 }
 
