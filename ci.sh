@@ -58,13 +58,13 @@ race_rest() {
 bench_smoke() {
 	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
 	"$work"/silcfm-bench -short -quiet -out "$work"/bench_smoke.json
-	"$work"/silcfm-bench -diff -subset -noise 0 BENCH_PR18.json "$work"/bench_smoke.json
+	"$work"/silcfm-bench -diff -subset -noise 0 BENCH_PR23.json "$work"/bench_smoke.json
 }
 
 # Perf-regression stage: rerun the short suite best-of-5 and gate the
-# direction-aware host metrics against the committed PR18 baseline. The speed
-# band is generous (-speed-noise 0.6: CI machines differ and host timing
-# jitters ±50% even best-of-5) — it exists to catch order-of-magnitude
+# direction-aware host metrics against the committed baseline manifest.
+# The speed band is generous (-speed-noise 0.6: CI machines differ and host
+# timing jitters ±50% even best-of-5) — it exists to catch order-of-magnitude
 # regressions like an allocation or scan creeping back into the inner loop,
 # not 10% wobbles. The alloc band is tight (-alloc-noise 0.25): steady-state
 # allocation counts are nearly deterministic, so any real leak trips it.
@@ -73,7 +73,7 @@ perf_gate() {
 	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
 	"$work"/silcfm-bench -short -quiet -reps 5 -out "$work"/bench_perf.json
 	"$work"/silcfm-bench -diff -subset -noise 0 -speed-noise 0.6 -alloc-noise 0.25 \
-		BENCH_PR18.json "$work"/bench_perf.json
+		BENCH_PR23.json "$work"/bench_perf.json
 }
 
 # Trajectory stage: regenerate the cross-PR trajectory report from the
@@ -90,7 +90,7 @@ history_smoke() {
 		exit 1
 	fi
 	# Explicit ordered paths must agree with the glob expansion.
-	"$work"/silcfm-bench -history BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR9.json BENCH_PR10.json BENCH_PR13.json BENCH_PR16.json BENCH_PR18.json >"$work"/trajectory_explicit.md
+	"$work"/silcfm-bench -history BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR9.json BENCH_PR10.json BENCH_PR13.json BENCH_PR16.json BENCH_PR18.json BENCH_PR23.json >"$work"/trajectory_explicit.md
 	diff -u TRAJECTORY.md "$work"/trajectory_explicit.md
 }
 

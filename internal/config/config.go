@@ -7,6 +7,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 
 	"silcfm/internal/memunits"
 )
@@ -319,6 +320,21 @@ func (m Machine) Validate() error {
 	}
 	if m.FM.Capacity%m.NM.Capacity != 0 {
 		return fmt.Errorf("config: FM capacity %d not a multiple of NM capacity %d", m.FM.Capacity, m.NM.Capacity)
+	}
+	// HMA's remap tables and the VM page table hold block numbers (and
+	// frame+1) as uint32.
+	if blocks := memunits.BlocksIn(m.NM.Capacity) + memunits.BlocksIn(m.FM.Capacity); blocks > math.MaxUint32 {
+		return fmt.Errorf("config: %d blocks of %d B exceed the limit of 2^32-1", blocks, memunits.BlockSize)
+	}
+	// CAMEO holds each congruence-group member's location (1 NM slot plus
+	// FM/NM FM homes) in a uint8.
+	if r := m.FM.Capacity / m.NM.Capacity; r > 255 && (m.Scheme == SchemeCAMEO || m.Scheme == SchemeCAMEOP) {
+		return fmt.Errorf("config: %s needs FM/NM <= 255 (at most 256 lines per congruence group), got %d", m.Scheme, r)
+	}
+	// HMA's epoch loop advances by EpochCycles, and its hot scan visits
+	// only counters that were incremented.
+	if m.Scheme == SchemeHMA && (m.HMA.EpochCycles == 0 || m.HMA.HotThreshold == 0) {
+		return fmt.Errorf("config: HMA epoch %d cycles and hot threshold %d must be positive", m.HMA.EpochCycles, m.HMA.HotThreshold)
 	}
 	if w := m.SILC.Features.Ways; w != 1 && w != 2 && w != 4 {
 		return fmt.Errorf("config: SILC ways = %d, want 1, 2 or 4", w)

@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -155,5 +156,59 @@ func TestValidateRejectsPanickingGeometry(t *testing.T) {
 				t.Fatal("Validate accepted a geometry the simulator cannot build")
 			}
 		})
+	}
+}
+
+// TestValidateTableLimits pins the limits of the schemes' placement
+// tables. CAMEO holds a location in a uint8, so FM/NM = 256 (257 lines per
+// group) used to wrap and corrupt placement silently; FM/NM = 255 still
+// fits. HMA and the VM hold block numbers and frame+1 as uint32. An HMA
+// epoch of 0 cycles used to hang the epoch loop.
+func TestValidateTableLimits(t *testing.T) {
+	withRatio := func(s SchemeName, ratio uint64) Machine {
+		m := Default()
+		m.Scheme = s
+		m.NM = HBM(1 << 20)
+		m.FM = DDR3(ratio << 20)
+		return m
+	}
+	for _, s := range []SchemeName{SchemeCAMEO, SchemeCAMEOP} {
+		if err := withRatio(s, 255).Validate(); err != nil {
+			t.Errorf("%s at FM/NM 255: %v", s, err)
+		}
+		for _, r := range []uint64{256, 512} {
+			err := withRatio(s, r).Validate()
+			if err == nil || !strings.Contains(err.Error(), "FM/NM <= 255") {
+				t.Errorf("%s at FM/NM %d: err %v, want the 255 limit named", s, r, err)
+			}
+		}
+	}
+	for _, s := range []SchemeName{SchemeSILCFM, SchemeHMA, SchemePoM} {
+		if err := withRatio(s, 512).Validate(); err != nil {
+			t.Errorf("%s at FM/NM 512: %v", s, err)
+		}
+	}
+
+	huge := Default()
+	huge.NM = HBM(1 << 41) // 2^30 blocks
+	huge.FM = DDR3(3 << 41)
+	if err := huge.Validate(); err == nil || !strings.Contains(err.Error(), "2^32-1") {
+		t.Errorf("2^32 blocks: err %v, want the block limit named", err)
+	}
+	huge.FM = DDR3(2 << 41)
+	if err := huge.Validate(); err != nil {
+		t.Errorf("3*2^30 blocks: %v", err)
+	}
+
+	for name, mut := range map[string]func(*Machine){
+		"zero epoch":         func(m *Machine) { m.HMA.EpochCycles = 0 },
+		"zero hot threshold": func(m *Machine) { m.HMA.HotThreshold = 0 },
+	} {
+		m := Default()
+		m.Scheme = SchemeHMA
+		mut(&m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("HMA %s accepted", name)
+		}
 	}
 }

@@ -326,7 +326,7 @@ func (c *Controller) handleNMAddress(a *mem.Access, b uint64, idx uint, mispred 
 	}
 	// Swap the home subblock back from FM (Table I: mismatch / bit 1 / NM
 	// address). The interleaved block's subblock returns to its FM home.
-	fr.bits.Clear(idx)
+	c.fs.clearBit(b, idx)
 	st.SwapsOut++
 	c.moveBetween(a, c.fmHome(fr.remap, idx), c.nmLoc(b, idx), pathOr(stats.PathSwap, mispred))
 	c.writeMetaUpdate(c.fs.setOf(b))
@@ -354,7 +354,7 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 			c.serviceFM(a, c.fmHome(b, idx), pathOr(stats.PathBypass, mispred))
 			return
 		}
-		fr.bits.Set(idx)
+		c.fs.setBit(f, idx)
 		st.SwapsIn++
 		c.moveBetween(a, c.fmHome(b, idx), c.nmLoc(f, idx), pathOr(stats.PathSwap, mispred))
 		c.writeMetaUpdate(s)
@@ -387,7 +387,7 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 		c.Restores++
 	}
 	c.fs.setRemap(v, b)
-	vf.bits = 0
+	c.fs.clearBits(v)
 	vf.fmCtr = 1
 	vf.lastUse = c.sys.Eng.Now()
 	vf.firstPC = a.PC
@@ -395,7 +395,7 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 
 	// Swap in the requested subblock (demand already serviced from FM; the
 	// residual traffic is the install + eviction exchange).
-	vf.bits.Set(idx)
+	c.fs.setBit(v, idx)
 	st.SwapsIn++
 	c.sys.ExchangeSubblocks(c.fmHome(b, idx), c.nmLoc(v, idx), nil)
 
@@ -405,7 +405,7 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 		vec := c.hist.lookup(a.PC, a.PAddr)
 		for i := uint(0); i < memunits.SubblocksPerBlock; i++ {
 			if i != idx && vec.Test(i) {
-				vf.bits.Set(i)
+				c.fs.setBit(v, i)
 				st.SwapsIn++
 				c.HistoryPrefetches++
 				c.sys.ExchangeSubblocks(c.fmHome(b, i), c.nmLoc(v, i), nil)
@@ -431,10 +431,9 @@ func (c *Controller) restore(f uint64) {
 		}
 	}
 	c.fs.setRemap(f, noRemap)
-	fr.bits = 0
+	c.fs.clearBits(f)
 	fr.fmCtr = 0
-	fr.locked = false
-	fr.lockHome = false
+	c.fs.setLock(f, false, false)
 }
 
 // maybeLockRemap locks frame f's interleaved FM block when its counter
@@ -456,13 +455,12 @@ func (c *Controller) maybeLockRemap(f uint64) {
 	}
 	for i := uint(0); i < memunits.SubblocksPerBlock; i++ {
 		if !fr.bits.Test(i) {
-			fr.bits.Set(i)
+			c.fs.setBit(f, i)
 			c.sys.Stats.SwapsIn++
 			c.sys.ExchangeSubblocks(c.fmHome(fr.remap, i), c.nmLoc(f, i), nil)
 		}
 	}
-	fr.locked = true
-	fr.lockHome = false
+	c.fs.setLock(f, true, false)
 	c.sys.Stats.Locks++
 	c.sys.NoteLock(f, fr.remap, false)
 	c.writeMetaUpdate(c.fs.setOf(f))
@@ -488,8 +486,7 @@ func (c *Controller) maybeLockHome(b uint64) {
 		c.restore(b)
 		c.Restores++
 	}
-	fr.locked = true
-	fr.lockHome = true
+	c.fs.setLock(b, true, true)
 	c.sys.Stats.Locks++
 	c.sys.NoteLock(b, b, true)
 	c.writeMetaUpdate(c.fs.setOf(b))
@@ -521,8 +518,7 @@ func (c *Controller) ageAndUnlock() {
 			if fr.lockHome {
 				blk = uint64(i)
 			}
-			fr.locked = false
-			fr.lockHome = false
+			c.fs.setLock(uint64(i), false, false)
 			c.sys.Stats.Unlocks++
 			c.sys.NoteUnlock(uint64(i), blk)
 		}
@@ -573,12 +569,11 @@ func (c *Controller) HistoryStats() (stores, lookups, hits uint64) {
 // Gauges implements mem.GaugeProvider: the instantaneous scheme state the
 // epoch sampler reports alongside counter deltas (§III mechanisms: frame
 // residency, locking, the bypass governor, the history table, the
-// dedicated metadata channel). It runs every epoch, so it fills only the
-// frame counts of a Snapshot, in place, and allocates only the returned
-// slice.
+// dedicated metadata channel). It runs every epoch, so it reads the frame
+// counts the mutators keep current and allocates only the returned slice.
 func (c *Controller) Gauges() []mem.Gauge {
-	var snap Snapshot
-	c.countFrames(&snap)
+	n := c.fs.counts
+	snap := Snapshot{Interleaved: n.interleaved, ResidentSubblocks: n.resident}
 	used, total := c.hist.occupancy()
 	_, lookups, hits := c.HistoryStats()
 	histRate := 0.0
@@ -595,10 +590,10 @@ func (c *Controller) Gauges() []mem.Gauge {
 		metaRowRate = float64(ms.RowHits) / float64(t)
 	}
 	return []mem.Gauge{
-		{Name: "locked_frames", Value: float64(snap.Locked)},
-		{Name: "locked_home_frames", Value: float64(snap.LockedHome)},
-		{Name: "interleaved_frames", Value: float64(snap.Interleaved)},
-		{Name: "resident_subblocks", Value: float64(snap.ResidentSubblocks)},
+		{Name: "locked_frames", Value: float64(n.locked)},
+		{Name: "locked_home_frames", Value: float64(n.lockedHome)},
+		{Name: "interleaved_frames", Value: float64(n.interleaved)},
+		{Name: "resident_subblocks", Value: float64(n.resident)},
 		{Name: "mean_residency", Value: snap.MeanResidency()},
 		{Name: "bypassing", Value: bypassing},
 		{Name: "bypass_toggles", Value: float64(c.gov.toggles)},
@@ -629,12 +624,4 @@ func (c *Controller) LockState(pa uint64) (locked, home bool) {
 }
 
 // LockedFrames counts currently locked frames.
-func (c *Controller) LockedFrames() int {
-	n := 0
-	for i := range c.fs.frames {
-		if c.fs.frames[i].locked {
-			n++
-		}
-	}
-	return n
-}
+func (c *Controller) LockedFrames() int { return c.fs.recount().locked }

@@ -52,6 +52,19 @@ type frameSet struct {
 	// mirror packs a set's entries into one or two lines. All remap
 	// writes go through setRemap to keep the two in sync.
 	remapW []uint64
+
+	// counts are the frame totals Gauges reports every epoch. Every write
+	// to a frame's remap, bits, locked or lockHome goes through the
+	// mutators below, which keep them current, so no epoch walks the
+	// frame array; recount is the reference.
+	counts frameCounts
+}
+
+// frameCounts totals the frame state: locked frames, those of them
+// pinning their home block, interleaved frames (remap set), and the
+// resident subblocks of interleaved frames.
+type frameCounts struct {
+	locked, lockedHome, interleaved, resident int
 }
 
 func newFrameSet(nmBlocks uint64, ways int) *frameSet {
@@ -80,16 +93,90 @@ func newFrameSet(nmBlocks uint64, ways int) *frameSet {
 
 // setRemap updates frame f's remap entry and its mirror slot.
 func (fs *frameSet) setRemap(f, b uint64) {
-	fs.frames[f].remap = b
+	fr := &fs.frames[f]
+	switch {
+	case fr.remap == noRemap && b != noRemap:
+		fs.counts.interleaved++
+		fs.counts.resident += fr.bits.Count()
+	case fr.remap != noRemap && b == noRemap:
+		fs.counts.interleaved--
+		fs.counts.resident -= fr.bits.Count()
+	}
+	fr.remap = b
 	fs.remapW[(f%fs.sets)*uint64(fs.ways)+f/fs.sets] = b
 }
 
-// rebuildRemapW resyncs the mirror from the frame array (after a bulk
-// restore that bypassed setRemap).
-func (fs *frameSet) rebuildRemapW() {
+// setBit marks subblock idx of frame f resident.
+func (fs *frameSet) setBit(f uint64, idx uint) {
+	fr := &fs.frames[f]
+	if fr.remap != noRemap && !fr.bits.Test(idx) {
+		fs.counts.resident++
+	}
+	fr.bits.Set(idx)
+}
+
+// clearBit unmarks subblock idx of frame f.
+func (fs *frameSet) clearBit(f uint64, idx uint) {
+	fr := &fs.frames[f]
+	if fr.remap != noRemap && fr.bits.Test(idx) {
+		fs.counts.resident--
+	}
+	fr.bits.Clear(idx)
+}
+
+// clearBits empties frame f's bit vector.
+func (fs *frameSet) clearBits(f uint64) {
+	fr := &fs.frames[f]
+	if fr.remap != noRemap {
+		fs.counts.resident -= fr.bits.Count()
+	}
+	fr.bits = 0
+}
+
+// setLock sets frame f's lock state.
+func (fs *frameSet) setLock(f uint64, locked, home bool) {
+	fr := &fs.frames[f]
+	if fr.locked {
+		fs.counts.locked--
+		if fr.lockHome {
+			fs.counts.lockedHome--
+		}
+	}
+	if locked {
+		fs.counts.locked++
+		if home {
+			fs.counts.lockedHome++
+		}
+	}
+	fr.locked, fr.lockHome = locked, home
+}
+
+// recount totals the frame state by walking every frame.
+func (fs *frameSet) recount() frameCounts {
+	var n frameCounts
+	for i := range fs.frames {
+		fr := &fs.frames[i]
+		if fr.locked {
+			n.locked++
+			if fr.lockHome {
+				n.lockedHome++
+			}
+		}
+		if fr.remap != noRemap {
+			n.interleaved++
+			n.resident += fr.bits.Count()
+		}
+	}
+	return n
+}
+
+// rebuild resyncs the remap mirror and the counts from the frame array
+// (after a bulk restore that bypassed the mutators).
+func (fs *frameSet) rebuild() {
 	for f := range fs.frames {
 		fs.remapW[(uint64(f)%fs.sets)*uint64(fs.ways)+uint64(f)/fs.sets] = fs.frames[f].remap
 	}
+	fs.counts = fs.recount()
 }
 
 // setOf returns the congruence set of a flat block (NM or FM).

@@ -29,7 +29,9 @@ func (c *Controller) Snapshot() Snapshot {
 		Ways:         c.fs.ways,
 		SetOccupancy: make([]int, c.fs.ways+1),
 	}
-	c.countFrames(&s)
+	n := c.fs.recount()
+	s.Locked, s.LockedHome = n.locked, n.lockedHome
+	s.Interleaved, s.ResidentSubblocks = n.interleaved, n.resident
 	perSet := make([]int, c.fs.sets)
 	for i := range c.fs.frames {
 		fr := &c.fs.frames[i]
@@ -47,24 +49,6 @@ func (c *Controller) Snapshot() Snapshot {
 		s.SetOccupancy[n]++
 	}
 	return s
-}
-
-// countFrames adds the locked, locked-home, interleaved and resident-subblock
-// counts to s without allocating; Gauges reports them every epoch.
-func (c *Controller) countFrames(s *Snapshot) {
-	for i := range c.fs.frames {
-		fr := &c.fs.frames[i]
-		if fr.locked {
-			s.Locked++
-			if fr.lockHome {
-				s.LockedHome++
-			}
-		}
-		if fr.remap != noRemap {
-			s.Interleaved++
-			s.ResidentSubblocks += fr.bits.Count()
-		}
-	}
 }
 
 // MeanResidency returns the average number of resident subblocks per
@@ -101,5 +85,5 @@ func (c *Controller) RestoreState(st *State) {
 		panic("core: RestoreState with mismatched frame geometry")
 	}
 	copy(c.fs.frames, st.frames)
-	c.fs.rebuildRemapW()
+	c.fs.rebuild()
 }

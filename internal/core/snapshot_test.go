@@ -46,6 +46,11 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	}
 
 	r.c.RestoreState(saved)
+	// Gauges reads counts kept at the mutation sites; a restore bypasses
+	// those, so it must recount.
+	if got, want := r.c.fs.counts, r.c.fs.recount(); got != want {
+		t.Errorf("frame counts after restore %+v, recount %+v", got, want)
+	}
 	if got := r.c.Snapshot(); !reflect.DeepEqual(got, snapAt) {
 		t.Errorf("snapshot after restore differs:\n got %+v\nwant %+v", got, snapAt)
 	}

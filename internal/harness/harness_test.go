@@ -3,11 +3,15 @@ package harness
 import (
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"silcfm/internal/config"
+	"silcfm/internal/mem"
+	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry/exemplar"
+	"silcfm/internal/vm"
 	"silcfm/internal/workload"
 )
 
@@ -65,6 +69,42 @@ func TestRunRejectsBadInput(t *testing.T) {
 	s.FootScaleNum, s.FootScaleDen = 4, 1
 	if _, err := Run(s); err == nil {
 		t.Fatal("oversized footprint accepted")
+	}
+}
+
+// TestPlacementTablesCostWhatRunsTouch builds the default machine's CAMEO,
+// CAMEOP and HMA controllers and their address spaces. Each build must
+// allocate under 1 MiB: the placement tables are paged on first write, so
+// a full-size identity fill (CAMEO's table alone held 10 MiB) fails here.
+// The rand policy is not built: its shuffled hand-out order is 4 B a frame.
+func TestPlacementTablesCostWhatRunsTouch(t *testing.T) {
+	allocated := func(build func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, s := range []config.SchemeName{config.SchemeCAMEO, config.SchemeCAMEOP, config.SchemeHMA} {
+		m := config.Default()
+		m.Scheme = s
+		sys := mem.NewSystem(m, sim.NewEngine())
+		var ctl mem.Controller
+		if n := allocated(func() { ctl, _ = NewController(m, sys) }); n >= 1<<20 {
+			t.Errorf("%s: building the controller allocated %d B", s, n)
+		}
+		if ctl == nil {
+			t.Fatalf("%s: no controller", s)
+		}
+		var space *vm.AddressSpace
+		if n := allocated(func() {
+			space = vm.NewAddressSpace(m.NM.Capacity, m.FM.Capacity, placementFor(s), m.Seed)
+		}); n >= 1<<20 {
+			t.Errorf("%s: building the %v address space allocated %d B", s, placementFor(s), n)
+		}
+		if space.TotalFrames() == 0 {
+			t.Fatalf("%s: empty address space", s)
+		}
 	}
 }
 

@@ -27,9 +27,11 @@ type Controller struct {
 	members  int    // lines per group (1 NM + FM/NM ratio)
 	prefetch int    // extra sequential lines fetched on an FM hit (CAMEOP)
 
-	// perm[g*members+m] = location index of member m of group g:
-	// location 0 is the NM slot, location k>=1 is member k's FM home.
-	perm []uint8
+	// perm row g, entry m, holds member m of group g's location index
+	// XOR m: location 0 is the NM slot, location k>=1 is member k's FM
+	// home. The XOR makes the identity placement all zeros, so a group
+	// never swapped needs no page (see memunits.Paged).
+	perm memunits.Paged[uint8]
 
 	// nmForeign counts NM slots currently holding a line other than their
 	// own member 0 (maintained incrementally by swapIntoNM; a gauge).
@@ -102,23 +104,18 @@ func (o *swapOp) demandDone() {
 }
 
 // New builds a CAMEO controller. cfg.PrefetchLines = 0 gives original
-// CAMEO; 3 gives the paper's CAMEOP.
+// CAMEO; 3 gives the paper's CAMEOP. The machine must have at most 256
+// group members (config.Machine.Validate), so a location fits a uint8.
 func New(sys *mem.System, cfg config.CAMEOConfig) *Controller {
 	slots := memunits.SubblocksIn(sys.NMCap)
 	members := int(memunits.SubblocksIn(sys.NMCap+sys.FMCap) / slots)
-	c := &Controller{
+	return &Controller{
 		sys:      sys,
 		slots:    slots,
 		members:  members,
 		prefetch: cfg.PrefetchLines,
-		perm:     make([]uint8, slots*uint64(members)),
+		perm:     memunits.NewPaged[uint8](slots, members),
 	}
-	for g := uint64(0); g < slots; g++ {
-		for m := 0; m < members; m++ {
-			c.perm[g*uint64(members)+uint64(m)] = uint8(m)
-		}
-	}
-	return c
 }
 
 // Name implements mem.Controller.
@@ -136,7 +133,7 @@ func (c *Controller) group(sb uint64) (g uint64, member int) {
 
 // locationOf returns member m of group g's current location index.
 func (c *Controller) locationOf(g uint64, m int) int {
-	return int(c.perm[g*uint64(c.members)+uint64(m)])
+	return int(c.perm.Get(g, m)) ^ m
 }
 
 // locAddr converts a location index of group g to a device location.
@@ -160,11 +157,11 @@ func (c *Controller) Locate(pa uint64) mem.Location {
 // previous NM resident moves to m's old location. It returns m's old
 // location index.
 func (c *Controller) swapIntoNM(g uint64, m int) int {
-	base := g * uint64(c.members)
-	oldLoc := int(c.perm[base+uint64(m)])
-	for r := 0; r < c.members; r++ {
-		if c.perm[base+uint64(r)] == 0 {
-			c.perm[base+uint64(r)] = uint8(oldLoc)
+	row := c.perm.Row(g)
+	oldLoc := int(row[m]) ^ m
+	for r := range row {
+		if int(row[r]) == r { // member r is in the NM slot
+			row[r] = uint8(oldLoc ^ r)
 			if r == 0 && m != 0 {
 				c.nmForeign++ // the slot's own line is displaced
 			}
@@ -174,7 +171,7 @@ func (c *Controller) swapIntoNM(g uint64, m int) int {
 	if m == 0 && c.nmForeign > 0 {
 		c.nmForeign-- // member 0 returned home
 	}
-	c.perm[base+uint64(m)] = 0
+	row[m] = uint8(m)
 	return oldLoc
 }
 

@@ -205,3 +205,75 @@ func TestMetadataTrafficAccounted(t *testing.T) {
 		t.Fatalf("metadata bytes = %d, want %d", sys.Stats.Bytes[stats.NM][stats.Metadata], remapEntrySize)
 	}
 }
+
+// Property: the paged, XOR-encoded permutation agrees with a flat one.
+// Random swap streams, half of them aimed at groups next to page
+// boundaries, run through swapIntoNM and through a plain per-group
+// location array at 5 members (FM = 4 NM) and at 17 (FM = 16 NM); every
+// member of every touched group, and of a group on a page never written,
+// must Locate where the flat permutation says.
+func TestPagedPermMatchesFlat(t *testing.T) {
+	for _, ratio := range []uint64{4, 16} {
+		f := func(seed int64) bool {
+			m := config.Small()
+			m.NM = config.HBM(1 << 20) // 16384 groups: 4 pages
+			m.FM = config.DDR3(ratio << 20)
+			sys := mem.NewSystem(m, sim.NewEngine())
+			c := New(sys, config.CAMEOConfig{})
+			rng := rand.New(rand.NewSource(seed))
+			ref := map[uint64][]int{} // group -> location of each member
+			refLoc := func(g uint64) []int {
+				if ref[g] == nil {
+					ref[g] = make([]int, c.members)
+					for m := range ref[g] {
+						ref[g][m] = m
+					}
+				}
+				return ref[g]
+			}
+			// Swaps touch the first three pages only; the fourth stays
+			// unwritten.
+			for i := 0; i < 2000; i++ {
+				g := uint64(rng.Intn(2 * memunits.PageRows))
+				if i%2 == 0 { // within 3 groups of a page boundary
+					g = uint64(1+rng.Intn(2))*memunits.PageRows + uint64(rng.Intn(7)) - 3
+				}
+				mb := rng.Intn(c.members)
+				locs := refLoc(g)
+				old := locs[mb]
+				for r := range locs {
+					if locs[r] == 0 {
+						locs[r] = old
+						break
+					}
+				}
+				locs[mb] = 0
+				if got := c.swapIntoNM(g, mb); got != old {
+					t.Logf("ratio %d: swapIntoNM(%d, %d) = %d, flat %d", ratio, g, mb, got, old)
+					return false
+				}
+			}
+			if c.perm.Pages()[3] != nil {
+				t.Logf("ratio %d: a page no swap touched was allocated", ratio)
+				return false
+			}
+			refLoc(c.slots - 1) // on the unwritten page: identity
+			for g, locs := range ref {
+				for mb, loc := range locs {
+					want := mem.Location{Level: stats.NM, DevAddr: g * 64}
+					if loc != 0 {
+						want = mem.Location{Level: stats.FM, DevAddr: (uint64(loc-1)*c.slots + g) * 64}
+					}
+					if got := c.Locate((uint64(mb)*c.slots + g) * 64); got != want {
+						t.Logf("ratio %d: group %d member %d at %+v, flat %+v", ratio, g, mb, got, want)
+						return false
+					}
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+			t.Fatalf("FM/NM %d: %v", ratio, err)
+		}
+	}
+}

@@ -30,15 +30,20 @@ type Controller struct {
 	nmBlocks uint64
 	total    uint64
 
-	cur []uint32 // cur[flat block] = location block
-	inv []uint32 // inv[location block] = flat block
-	ctr []uint32 // per-flat-block access count within the epoch
+	// The tables are paged on first write (memunits.Paged), so each
+	// encodes its initial state as zero: cur and inv store the mapping
+	// XOR the index, which reads as identity on a page never written.
+	cur memunits.Paged[uint32] // flat block -> location block, XOR block
+	inv memunits.Paged[uint32] // location block -> flat block, XOR location
+	ctr memunits.Paged[uint32] // per-flat-block access count within the epoch
 	// used[flat block]: the block has been demand-accessed at least once.
 	// A "free" NM frame whose resident was used holds live data, so the
 	// one-way migration copy may not reuse it.
-	used []bool
+	used memunits.Paged[bool]
 
-	freeNM []uint32 // NM location blocks never yet filled
+	// NM location blocks [0, freeNM) were never yet filled; frames are
+	// taken from the top down.
+	freeNM uint64
 
 	nextEpoch    uint64
 	blockedUntil uint64
@@ -50,39 +55,51 @@ type Controller struct {
 	MaxMigratePerEpoch int
 }
 
-// New builds an HMA controller over sys.
+// New builds an HMA controller over sys. It relies on what
+// config.Machine.Validate checks: fewer than 2^32 blocks, so a block number
+// fits a uint32, and a positive epoch length and hot threshold.
 func New(sys *mem.System, cfg config.HMAConfig) *Controller {
 	nmBlocks := memunits.BlocksIn(sys.NMCap)
 	total := memunits.BlocksIn(sys.NMCap + sys.FMCap)
-	c := &Controller{
+	return &Controller{
 		sys:                sys,
 		cfg:                cfg,
 		nmBlocks:           nmBlocks,
 		total:              total,
-		cur:                make([]uint32, total),
-		inv:                make([]uint32, total),
-		ctr:                make([]uint32, total),
-		used:               make([]bool, total),
+		cur:                memunits.NewPaged[uint32](total, 1),
+		inv:                memunits.NewPaged[uint32](total, 1),
+		ctr:                memunits.NewPaged[uint32](total, 1),
+		used:               memunits.NewPaged[bool](total, 1),
+		freeNM:             nmBlocks,
 		nextEpoch:          cfg.EpochCycles,
 		MaxMigratePerEpoch: 8192,
 	}
-	for b := uint64(0); b < total; b++ {
-		c.cur[b] = uint32(b)
-		c.inv[b] = uint32(b)
-	}
-	c.freeNM = make([]uint32, 0, nmBlocks)
-	for f := uint64(0); f < nmBlocks; f++ {
-		c.freeNM = append(c.freeNM, uint32(f))
-	}
-	return c
 }
 
 // Name implements mem.Controller.
 func (c *Controller) Name() string { return "hma" }
 
+// curOf returns flat block b's location block.
+func (c *Controller) curOf(b uint64) uint64 { return uint64(c.cur.Get(b, 0)) ^ b }
+
+// invOf returns the flat block at location block loc.
+func (c *Controller) invOf(loc uint64) uint64 { return uint64(c.inv.Get(loc, 0)) ^ loc }
+
+// usable counts the never-filled NM frames whose resident flat block was
+// never demand-accessed: the free one-way migration targets.
+func (c *Controller) usable() int {
+	n := 0
+	for f := uint64(0); f < c.freeNM; f++ {
+		if !c.used.Get(c.invOf(f), 0) {
+			n++
+		}
+	}
+	return n
+}
+
 // Locate implements mem.Controller.
 func (c *Controller) Locate(pa uint64) mem.Location {
-	loc := uint64(c.cur[memunits.BlockOf(pa)])
+	loc := c.curOf(memunits.BlockOf(pa))
 	idx := memunits.SubblockIndex(pa)
 	if loc < c.nmBlocks {
 		return mem.Location{Level: stats.NM, DevAddr: memunits.SubblockAddr(loc, idx)}
@@ -94,8 +111,8 @@ func (c *Controller) Locate(pa uint64) mem.Location {
 func (c *Controller) Handle(a *mem.Access) {
 	c.sys.Stats.LLCMisses++
 	b := memunits.BlockOf(a.PAddr)
-	c.ctr[b]++
-	c.used[b] = true
+	c.ctr.Row(b)[0]++
+	c.used.Row(b)[0] = true
 
 	now := c.sys.Eng.Now()
 	if now >= c.nextEpoch {
@@ -128,19 +145,13 @@ func (c *Controller) service(a *mem.Access) {
 
 // Gauges implements mem.GaugeProvider.
 func (c *Controller) Gauges() []mem.Gauge {
-	usable := 0
-	for _, f := range c.freeNM {
-		if !c.used[c.inv[f]] {
-			usable++
-		}
-	}
 	blocked := 0.0
 	if c.blockedUntil > c.sys.Eng.Now() {
 		blocked = 1
 	}
 	return []mem.Gauge{
 		{Name: "epochs", Value: float64(c.epochs)},
-		{Name: "free_nm_frames", Value: float64(usable)},
+		{Name: "free_nm_frames", Value: float64(c.usable())},
 		{Name: "os_blocked", Value: blocked},
 		{Name: "stalled_demands", Value: float64(c.stalled)},
 	}
@@ -154,15 +165,20 @@ func (c *Controller) runEpoch(now uint64) {
 	}
 	c.epochs++
 
-	// Hot FM-resident pages, hottest first.
+	// Hot FM-resident pages, hottest first. HotThreshold is at least 1
+	// (config.Machine.Validate), so only counter pages written this run
+	// can hold a hot block; the sort fixes the order.
 	type cand struct {
 		blk uint32
 		cnt uint32
 	}
 	var hot []cand
-	for b := uint64(0); b < c.total; b++ {
-		if c.ctr[b] >= c.cfg.HotThreshold && uint64(c.cur[b]) >= c.nmBlocks {
-			hot = append(hot, cand{uint32(b), c.ctr[b]})
+	for k, pg := range c.ctr.Pages() {
+		for i, cnt := range pg {
+			b := uint64(k)*memunits.PageRows + uint64(i)
+			if cnt >= c.cfg.HotThreshold && c.curOf(b) >= c.nmBlocks {
+				hot = append(hot, cand{uint32(b), cnt})
+			}
 		}
 	}
 	sort.Slice(hot, func(i, j int) bool {
@@ -177,17 +193,11 @@ func (c *Controller) runEpoch(now uint64) {
 
 	// Cold NM residents, coldest first, for swap-out. Only frames whose
 	// resident was never touched are usable as free targets.
-	usable := 0
-	for _, f := range c.freeNM {
-		if !c.used[c.inv[f]] {
-			usable++
-		}
-	}
 	var cold []cand
-	if len(hot) > usable {
+	if len(hot) > c.usable() {
 		for loc := uint64(0); loc < c.nmBlocks; loc++ {
-			b := c.inv[loc]
-			cold = append(cold, cand{b, c.ctr[b]})
+			b := c.invOf(loc)
+			cold = append(cold, cand{uint32(b), c.ctr.Get(b, 0)})
 		}
 		sort.Slice(cold, func(i, j int) bool {
 			if cold[i].cnt != cold[j].cnt {
@@ -203,20 +213,20 @@ func (c *Controller) runEpoch(now uint64) {
 		if frame, ok := c.popFreeFrame(); ok {
 			// One-way copy: the displaced flat NM block holds no live data
 			// (never accessed), so nothing needs to move the other way.
-			c.sys.RelocateBlockDMA(c.locOf(uint64(c.cur[h.blk])), c.locOf(uint64(frame)), nil)
-			c.swapBlocks(uint64(h.blk), uint64(c.inv[frame]))
+			c.sys.RelocateBlockDMA(c.locOf(c.curOf(uint64(h.blk))), c.locOf(frame), nil)
+			c.swapBlocks(uint64(h.blk), c.invOf(frame))
 			migrated++
 			continue
 		}
 		// Swap with the coldest NM resident that is colder than h.
-		for coldIdx < len(cold) && uint64(c.cur[cold[coldIdx].blk]) >= c.nmBlocks {
+		for coldIdx < len(cold) && c.curOf(uint64(cold[coldIdx].blk)) >= c.nmBlocks {
 			coldIdx++ // already displaced this epoch
 		}
 		if coldIdx >= len(cold) || cold[coldIdx].cnt >= h.cnt {
 			break
 		}
 		x, y := uint64(h.blk), uint64(cold[coldIdx].blk)
-		c.sys.ExchangeBlocksDMA(c.locOf(uint64(c.cur[x])), c.locOf(uint64(c.cur[y])), nil)
+		c.sys.ExchangeBlocksDMA(c.locOf(c.curOf(x)), c.locOf(c.curOf(y)), nil)
 		c.swapBlocks(x, y)
 		coldIdx++
 		migrated++
@@ -230,8 +240,8 @@ func (c *Controller) runEpoch(now uint64) {
 	c.blockedUntil = now + os
 	c.sys.Stats.Migrations += uint64(migrated)
 
-	for i := range c.ctr {
-		c.ctr[i] = 0
+	for _, pg := range c.ctr.Pages() {
+		clear(pg)
 	}
 }
 
@@ -239,12 +249,11 @@ func (c *Controller) runEpoch(now uint64) {
 // frame whose resident flat block was never demand-accessed. Frames whose
 // resident has been touched hold live data and are discarded from the free
 // list (only a two-way swap may displace them).
-func (c *Controller) popFreeFrame() (uint32, bool) {
-	for n := len(c.freeNM); n > 0; n = len(c.freeNM) {
-		frame := c.freeNM[n-1]
-		c.freeNM = c.freeNM[:n-1]
-		if !c.used[c.inv[frame]] {
-			return frame, true
+func (c *Controller) popFreeFrame() (uint64, bool) {
+	for c.freeNM > 0 {
+		c.freeNM--
+		if !c.used.Get(c.invOf(c.freeNM), 0) {
+			return c.freeNM, true
 		}
 	}
 	return 0, false
@@ -260,7 +269,9 @@ func (c *Controller) locOf(loc uint64) mem.Location {
 
 // swapBlocks exchanges the locations of flat blocks x and y.
 func (c *Controller) swapBlocks(x, y uint64) {
-	lx, ly := c.cur[x], c.cur[y]
-	c.cur[x], c.cur[y] = ly, lx
-	c.inv[lx], c.inv[ly] = uint32(y), uint32(x)
+	lx, ly := c.curOf(x), c.curOf(y)
+	c.cur.Row(x)[0] = uint32(ly ^ x)
+	c.cur.Row(y)[0] = uint32(lx ^ y)
+	c.inv.Row(lx)[0] = uint32(y ^ lx)
+	c.inv.Row(ly)[0] = uint32(x ^ ly)
 }

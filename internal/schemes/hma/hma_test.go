@@ -2,6 +2,7 @@ package hma
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"silcfm/internal/config"
@@ -222,15 +223,13 @@ func TestCountersResetEachEpoch(t *testing.T) {
 // resident flat block has been demand-accessed holds live data and must not
 // be handed out as a one-way migration target.
 func TestPopFreeFrameSkipsUsedResidents(t *testing.T) {
-	eng, sys, c := newTest(1000, 1)
-	_ = eng
-	_ = sys
+	_, _, c := newTest(1000, 1)
 	// Touch the flat NM blocks resident in the two frames at the top of the
-	// free stack (pop order is LIFO).
-	n := len(c.freeNM)
-	top, next := c.freeNM[n-1], c.freeNM[n-2]
-	c.used[c.inv[top]] = true
-	c.used[c.inv[next]] = true
+	// free countdown (frames are taken from the top down).
+	n := c.freeNM
+	top, next := n-1, n-2
+	c.used.Row(c.invOf(top))[0] = true
+	c.used.Row(c.invOf(next))[0] = true
 	frame, ok := c.popFreeFrame()
 	if !ok {
 		t.Fatal("free frames exhausted")
@@ -238,17 +237,17 @@ func TestPopFreeFrameSkipsUsedResidents(t *testing.T) {
 	if frame == top || frame == next {
 		t.Fatalf("popFreeFrame returned frame %d with a live resident", frame)
 	}
-	if !c.used[c.inv[frame]] && len(c.freeNM) != n-3 {
-		t.Fatalf("used frames not discarded: %d left, want %d", len(c.freeNM), n-3)
+	if c.freeNM != n-3 {
+		t.Fatalf("used frames not discarded: %d left, want %d", c.freeNM, n-3)
 	}
-	// Exhaustion path: mark everything used.
-	for i := range c.used {
-		c.used[i] = true
+	// Exhaustion path: mark every NM resident used.
+	for f := uint64(0); f < c.nmBlocks; f++ {
+		c.used.Row(c.invOf(f))[0] = true
 	}
 	if _, ok := c.popFreeFrame(); ok {
 		t.Fatal("popFreeFrame handed out a live frame")
 	}
-	if len(c.freeNM) != 0 {
+	if c.freeNM != 0 {
 		t.Fatal("free list not drained on exhaustion")
 	}
 }
@@ -257,5 +256,152 @@ func TestName(t *testing.T) {
 	_, _, c := newTest(1000, 1)
 	if c.Name() != "hma" {
 		t.Fatal("name")
+	}
+}
+
+// flatHMA is the reference for TestPagedTablesMatchFlat: HMA's epoch
+// policy over full-size, identity-filled flat tables.
+type flatHMA struct {
+	nm             uint64
+	cur, inv, ctr  []uint32
+	used           []bool
+	free           uint64
+	migrated, cold int
+}
+
+func newFlatHMA(nm, total uint64) *flatHMA {
+	f := &flatHMA{nm: nm, cur: make([]uint32, total), inv: make([]uint32, total),
+		ctr: make([]uint32, total), used: make([]bool, total), free: nm}
+	for b := range f.cur {
+		f.cur[b], f.inv[b] = uint32(b), uint32(b)
+	}
+	return f
+}
+
+func (f *flatHMA) swap(x, y uint32) {
+	lx, ly := f.cur[x], f.cur[y]
+	f.cur[x], f.cur[y] = ly, lx
+	f.inv[lx], f.inv[ly] = y, x
+}
+
+func (f *flatHMA) epoch(thresh uint32, max int) {
+	type cand struct{ blk, cnt uint32 }
+	var hot []cand
+	for b, n := range f.ctr {
+		if n >= thresh && uint64(f.cur[b]) >= f.nm {
+			hot = append(hot, cand{uint32(b), n})
+		}
+	}
+	sort.Slice(hot, func(i, j int) bool {
+		if hot[i].cnt != hot[j].cnt {
+			return hot[i].cnt > hot[j].cnt
+		}
+		return hot[i].blk < hot[j].blk
+	})
+	if len(hot) > max {
+		hot = hot[:max]
+	}
+	usable := 0
+	for fr := uint64(0); fr < f.free; fr++ {
+		if !f.used[f.inv[fr]] {
+			usable++
+		}
+	}
+	var cold []cand
+	if len(hot) > usable {
+		for loc := uint64(0); loc < f.nm; loc++ {
+			cold = append(cold, cand{f.inv[loc], f.ctr[f.inv[loc]]})
+		}
+		sort.Slice(cold, func(i, j int) bool {
+			if cold[i].cnt != cold[j].cnt {
+				return cold[i].cnt < cold[j].cnt
+			}
+			return cold[i].blk < cold[j].blk
+		})
+	}
+	coldIdx := 0
+hot:
+	for _, h := range hot {
+		for f.free > 0 {
+			f.free--
+			if !f.used[f.inv[f.free]] {
+				f.swap(h.blk, f.inv[f.free])
+				f.migrated++
+				continue hot
+			}
+		}
+		for coldIdx < len(cold) && uint64(f.cur[cold[coldIdx].blk]) >= f.nm {
+			coldIdx++
+		}
+		if coldIdx >= len(cold) || cold[coldIdx].cnt >= h.cnt {
+			break
+		}
+		f.swap(h.blk, cold[coldIdx].blk)
+		coldIdx++
+		f.migrated++
+		f.cold++
+	}
+	clear(f.ctr)
+}
+
+// TestPagedTablesMatchFlat: HMA's paged, XOR-encoded tables and its
+// countdown free list agree with flat reference tables. Random access
+// streams, half of them aimed at blocks next to the page boundaries, run
+// through Handle and runEpoch and through flatHMA for 30 epochs; after
+// each epoch every block's location and resident, the migration count and
+// the free countdown must match, and every counter page must be zero.
+func TestPagedTablesMatchFlat(t *testing.T) {
+	m := config.Small()
+	m.NM = config.HBM(1 << 20)   // 512 blocks
+	m.FM = config.DDR3(16 << 20) // 8192 blocks: page boundaries at 4096 and 8192
+	for _, seed := range []int64{1, 2, 3} {
+		eng := sim.NewEngine()
+		sys := mem.NewSystem(m, eng)
+		const thresh = 2
+		c := New(sys, config.HMAConfig{EpochCycles: 1 << 60, HotThreshold: thresh,
+			PerPageOSOverhead: 10, EpochFixedOverhead: 100})
+		c.MaxMigratePerEpoch = 96
+		ref := newFlatHMA(c.nmBlocks, c.total)
+		rng := rand.New(rand.NewSource(seed))
+		for epoch := 0; epoch < 30; epoch++ {
+			for i := 0; i < 600; i++ {
+				var b uint64
+				switch i % 4 {
+				case 0, 1: // within 8 blocks of a page boundary
+					b = uint64(1+rng.Intn(2))*memunits.PageRows + uint64(rng.Intn(16)) - 8
+				case 2:
+					b = uint64(rng.Int63n(int64(c.total)))
+				case 3:
+					b = uint64(rng.Int63n(int64(c.nmBlocks)))
+				}
+				c.Handle(&mem.Access{PAddr: memunits.BlockBase(b)})
+				ref.ctr[b]++
+				ref.used[b] = true
+			}
+			eng.Run()
+			c.runEpoch(eng.Now())
+			ref.epoch(thresh, c.MaxMigratePerEpoch)
+			eng.Run()
+			for b := uint64(0); b < c.total; b++ {
+				if c.curOf(b) != uint64(ref.cur[b]) || c.invOf(b) != uint64(ref.inv[b]) {
+					t.Fatalf("seed %d epoch %d: block %d at %d (resident %d), flat %d (%d)",
+						seed, epoch, b, c.curOf(b), c.invOf(b), ref.cur[b], ref.inv[b])
+				}
+			}
+			if sys.Stats.Migrations != uint64(ref.migrated) || c.freeNM != ref.free {
+				t.Fatalf("seed %d epoch %d: %d migrations, %d free; flat %d, %d",
+					seed, epoch, sys.Stats.Migrations, c.freeNM, ref.migrated, ref.free)
+			}
+			for k, pg := range c.ctr.Pages() {
+				for i, n := range pg {
+					if n != 0 {
+						t.Fatalf("seed %d epoch %d: counter of block %d not reset", seed, epoch, k*memunits.PageRows+i)
+					}
+				}
+			}
+		}
+		if ref.cold == 0 || ref.free != 0 {
+			t.Fatalf("seed %d: %d cold swaps, %d free frames left; test is vacuous", seed, ref.cold, ref.free)
+		}
 	}
 }

@@ -31,9 +31,11 @@ type StressOptions struct {
 // RunStress drives one controller directly (no CPU model) with an
 // adversarial access mix — uniform noise, hot-block hammering, sequential
 // sweeps and congruence-set ping-pong, 30% writes — under the shadow
-// checker, with periodic mapping audits. It returns the first integrity
-// violation found, or nil. Aggressive scheme tunings (low thresholds, short
-// epochs) make every movement path fire within a short run.
+// checker, with periodic mapping audits and, for SILC-FM, checks that its
+// incrementally kept frame gauges equal a full recount. It returns the
+// first integrity violation found, or nil. Aggressive scheme tunings (low
+// thresholds, short epochs) make every movement path fire within a short
+// run.
 func RunStress(o StressOptions) error {
 	ops := o.Ops
 	if ops <= 0 {
@@ -103,6 +105,9 @@ func RunStress(o StressOptions) error {
 		if err := stats.CheckConservation(sys.Conservation(quiesced, extraNM...)); err != nil {
 			return fmt.Errorf("shadow stress [%s]: %w", ctl.Name(), err)
 		}
+		if sc, ok := ctl.(*core.Controller); ok {
+			return frameGaugesMatchSnapshot(sc)
+		}
 		return nil
 	}
 
@@ -154,4 +159,22 @@ func RunStress(o StressOptions) error {
 		return err
 	}
 	return chk.Check()
+}
+
+// frameGaugesMatchSnapshot checks the frame counts SILC-FM's Gauges report,
+// kept up to date at each state change, against Snapshot's full recount.
+func frameGaugesMatchSnapshot(sc *core.Controller) error {
+	snap := sc.Snapshot()
+	want := map[string]int{
+		"locked_frames":      snap.Locked,
+		"locked_home_frames": snap.LockedHome,
+		"interleaved_frames": snap.Interleaved,
+		"resident_subblocks": snap.ResidentSubblocks,
+	}
+	for _, g := range sc.Gauges() {
+		if w, ok := want[g.Name]; ok && g.Value != float64(w) {
+			return fmt.Errorf("shadow stress [silc]: gauge %s = %v, recount %d", g.Name, g.Value, w)
+		}
+	}
+	return nil
 }

@@ -10,6 +10,10 @@
 //     "Random" static-placement scheme, and the stacked baseline of Fig. 6).
 //   - PolicyFMFirst:     frames allocated from FM only (the no-NM baseline,
 //     and HMA's initial layout before epoch migration).
+//
+// The page table is sparse: 512-page chunks created on first touch, found
+// through a small direct-mapped chunk cache, so an address space costs what
+// its run touches rather than what the machine could hold.
 package vm
 
 import (
@@ -43,9 +47,8 @@ func (p Policy) String() string {
 // One AddressSpace serves all cores; virtual addresses are made private per
 // core by the caller embedding the core ID in high VA bits (see CoreVA).
 type AddressSpace struct {
-	nmFrames     uint64            // frames in [0, nmFrames) live in NM
-	total        uint64            // total frames (NM + FM)
-	pageTable    map[uint64]uint64 // vpage -> pframe
+	nmFrames     uint64 // frames in [0, nmFrames) live in NM
+	total        uint64 // total frames (NM + FM)
 	policy       Policy
 	pagesTouched uint64 // frames handed out
 
@@ -54,26 +57,39 @@ type AddressSpace struct {
 	// count kept incrementally. PolicyRandom has no closed form and keeps
 	// its shuffled order in randOrder instead.
 	base, count, stride, off uint64
-	randOrder                []uint64
+	randOrder                []uint32
 
-	// tlb is a direct-mapped software cache over pageTable. A translation
-	// is immutable once allocated (first touch, never remapped), so hits
-	// need no invalidation and the cache cannot change results — it only
-	// keeps the per-reference hot path off the map.
-	tlb []tlbEntry
+	// chunks is the page table: virtual chunk (vpage >> chunkShift) ->
+	// the chunk's frames, each stored as frame+1 so a zero entry is an
+	// unmapped page. Only chunks a run touches exist, and any VA works
+	// (replay traces use arbitrary ones).
+	chunks map[uint64]*chunk
+	// cache is a direct-mapped cache over chunks that keeps the
+	// per-reference hot path off the map. A chunk never moves once
+	// created, so entries need no invalidation and the cache cannot
+	// change results.
+	cache [chunkCacheSize]chunkRef
 }
 
-// tlbSize is the direct-mapped translation-cache size (power of two).
-// Sized to cover the largest bench footprint (~15k pages for mcf at the
-// suite's 1/8 scale) without conflict misses; at 24 B/entry the table is
-// well under 1 MiB.
-const tlbSize = 32768
+// chunkShift is log2 of the pages per page-table chunk.
+const chunkShift = 9
 
-// tlbCoreStride spreads cores across the translation cache: CoreVA puts
-// the core above bit coreShift, far above the index bits, so without it
-// one VA on every core would share a slot. Core c's pages are offset by
-// c*tlbCoreStride slots, giving 16 cores disjoint 2048-page regions.
-const tlbCoreStride = tlbSize / 16
+// chunk maps 512 consecutive virtual pages (1 MiB of VA) to frame+1.
+type chunk [1 << chunkShift]uint32
+
+type chunkRef struct {
+	vchunk uint64
+	c      *chunk
+}
+
+// chunkCacheSize is the chunk-cache size (power of two). Core c's chunks
+// are offset by c*chunkCoreStride slots, so 16 cores each get 32 slots
+// without conflicts: 32 MiB of VA per core, above the largest workload
+// footprint (15360 pages, 30 MiB).
+const (
+	chunkCacheSize  = 512
+	chunkCoreStride = chunkCacheSize / 16
+)
 
 // coreShift is the VA bit where CoreVA places the core ID; pageShift is
 // log2 of the 2 KB page.
@@ -82,32 +98,27 @@ const (
 	pageShift = 11
 )
 
-type tlbEntry struct {
-	vpage uint64
-	pf    uint64
-	ok    bool
-}
-
 // NewAddressSpace builds an allocator over nmBytes of NM followed by
-// fmBytes of FM (NM occupies the lower physical addresses, §III).
+// fmBytes of FM (NM occupies the lower physical addresses, §III). The
+// machine must have fewer than 2^32 frames (config.Machine.Validate), so
+// frame+1 fits a uint32.
 func NewAddressSpace(nmBytes, fmBytes uint64, policy Policy, seed int64) *AddressSpace {
 	nmFrames := memunits.BlocksIn(nmBytes)
 	total := nmFrames + memunits.BlocksIn(fmBytes)
 	a := &AddressSpace{
-		nmFrames:  nmFrames,
-		total:     total,
-		pageTable: make(map[uint64]uint64),
-		policy:    policy,
-		tlb:       make([]tlbEntry, tlbSize),
+		nmFrames: nmFrames,
+		total:    total,
+		policy:   policy,
+		chunks:   make(map[uint64]*chunk),
 	}
 	switch policy {
 	case PolicyFMFirst:
 		a.base, a.count, a.stride = nmFrames, total-nmFrames, 1
 	case PolicyRandom:
 		a.count = total
-		a.randOrder = make([]uint64, total)
+		a.randOrder = make([]uint32, total)
 		for f := range a.randOrder {
-			a.randOrder[f] = uint64(f)
+			a.randOrder[f] = uint32(f)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		rng.Shuffle(len(a.randOrder), func(i, j int) {
@@ -132,11 +143,21 @@ func CoreVA(core int, va uint64) uint64 {
 	return uint64(core)<<coreShift | va&(1<<coreShift-1)
 }
 
-// tlbSlot returns the translation-cache index of vpage, with the core bits
-// folded in (see tlbCoreStride).
-func tlbSlot(vpage uint64) uint64 {
-	core := vpage >> (coreShift - pageShift)
-	return (vpage ^ core*tlbCoreStride) & (tlbSize - 1)
+// chunkOf returns the page-table chunk covering vchunk, creating it on
+// first touch.
+func (a *AddressSpace) chunkOf(vchunk uint64) *chunk {
+	core := vchunk >> (coreShift - pageShift - chunkShift)
+	e := &a.cache[(vchunk+core*chunkCoreStride)&(chunkCacheSize-1)]
+	if e.c != nil && e.vchunk == vchunk {
+		return e.c
+	}
+	c := a.chunks[vchunk]
+	if c == nil {
+		c = new(chunk)
+		a.chunks[vchunk] = c
+	}
+	*e = chunkRef{vchunk: vchunk, c: c}
+	return c
 }
 
 // Translate maps a virtual address to a flat physical address, allocating a
@@ -144,28 +165,22 @@ func tlbSlot(vpage uint64) uint64 {
 // exhausted.
 func (a *AddressSpace) Translate(va uint64) (uint64, error) {
 	vpage := va >> pageShift
-	e := &a.tlb[tlbSlot(vpage)]
-	if e.ok && e.vpage == vpage {
-		return e.pf<<pageShift | va&(memunits.BlockSize-1), nil
-	}
-	pf, ok := a.pageTable[vpage]
-	if !ok {
+	e := &a.chunkOf(vpage >> chunkShift)[vpage&(1<<chunkShift-1)]
+	if *e == 0 {
 		if a.pagesTouched >= a.count {
 			return 0, fmt.Errorf("vm: out of physical memory (%d frames)", a.total)
 		}
-		pf = a.nextFrame()
-		a.pageTable[vpage] = pf
+		*e = uint32(a.nextFrame() + 1)
 		a.pagesTouched++
 	}
-	*e = tlbEntry{vpage: vpage, pf: pf, ok: true}
-	return pf<<pageShift | va&(memunits.BlockSize-1), nil
+	return uint64(*e-1)<<pageShift | va&(memunits.BlockSize-1), nil
 }
 
 // nextFrame returns the next frame of the policy's hand-out order; the
 // caller has checked that one remains.
 func (a *AddressSpace) nextFrame() uint64 {
 	if a.randOrder != nil {
-		return a.randOrder[a.pagesTouched]
+		return uint64(a.randOrder[a.pagesTouched])
 	}
 	f := a.base + a.off
 	if a.off += a.stride; a.off >= a.count { // stride <= count

@@ -171,27 +171,60 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-// TestTranslationCacheSpreadsCores pins the core fold of the translation
-// cache index: one page's CoreVA aliases on 16 cores must land in 16
-// distinct slots, and translation stays correct through the cache.
-func TestTranslationCacheSpreadsCores(t *testing.T) {
-	const va = 0x123456
-	seen := map[uint64]int{}
+// TestSparseTranslations drives the chunked page table with VAs far apart:
+// one page's CoreVA aliases on 16 cores (which share chunk-cache slots
+// only through the core fold), pages at the top of core 15's 2^44-byte
+// range, and pages a chunk apart that evict each other's cache slot. Every
+// repeat translation must return its first-touch frame, distinct pages
+// must get distinct frames, and the page past the last frame must get the
+// out-of-memory error and no frame.
+func TestSparseTranslations(t *testing.T) {
+	a := NewAddressSpace(nmBytes, fmBytes, PolicyInterleaved, 1)
+	var vas []uint64
 	for core := 0; core < 16; core++ {
-		slot := tlbSlot(CoreVA(core, va) >> pageShift)
-		if prev, dup := seen[slot]; dup {
-			t.Fatalf("cores %d and %d share translation-cache slot %d", prev, core, slot)
+		vas = append(vas, CoreVA(core, 0x123456))
+	}
+	top := uint64(1)<<coreShift - memunits.BlockSize
+	vas = append(vas, CoreVA(15, top), CoreVA(15, top-memunits.BlockSize)+7, CoreVA(15, top>>1))
+	for i := uint64(0); i < 64; i++ { // 64 chunks, one page each
+		vas = append(vas, CoreVA(3, i<<(chunkShift+pageShift)|0x40))
+	}
+	first := map[uint64]uint64{}
+	frames := map[uint64]uint64{}
+	for pass := 0; pass < 3; pass++ {
+		for _, va := range vas {
+			pa := a.MustTranslate(va)
+			if pa&(memunits.BlockSize-1) != va&(memunits.BlockSize-1) {
+				t.Fatalf("va %#x -> pa %#x: page offset not preserved", va, pa)
+			}
+			if pass == 0 {
+				if prev, dup := frames[pa>>pageShift]; dup && prev != va>>pageShift {
+					t.Fatalf("vpages %#x and %#x share frame %d", prev, va>>pageShift, pa>>pageShift)
+				}
+				frames[pa>>pageShift] = va >> pageShift
+				first[va] = pa
+			} else if pa != first[va] {
+				t.Fatalf("pass %d: va %#x -> %#x, first touch gave %#x", pass, va, pa, first[va])
+			}
 		}
-		seen[slot] = core
 	}
-	a := NewAddressSpace(1<<20, 4<<20, PolicyInterleaved, 1)
-	first := make([]uint64, 16)
-	for core := range first {
-		first[core] = a.MustTranslate(CoreVA(core, va))
+	if a.PagesTouched() != uint64(len(vas)) {
+		t.Fatalf("PagesTouched = %d, want %d", a.PagesTouched(), len(vas))
 	}
-	for core := range first {
-		if pa := a.MustTranslate(CoreVA(core, va)); pa != first[core] {
-			t.Fatalf("core %d: cached translation %#x, first touch %#x", core, pa, first[core])
+	// Fill the rest of memory, then one more page must fail cleanly and
+	// leave the old translations intact.
+	for i := uint64(0); a.FramesFree() > 0; i++ {
+		a.MustTranslate(CoreVA(7, i*memunits.BlockSize))
+	}
+	if _, err := a.Translate(CoreVA(15, top>>2)); err == nil || !strings.Contains(err.Error(), "out of physical memory") {
+		t.Fatalf("translate past the last frame: err %v", err)
+	}
+	if _, err := a.Translate(CoreVA(15, top>>2)); err == nil {
+		t.Fatal("a failed translation left a mapping behind")
+	}
+	for _, va := range vas {
+		if pa := a.MustTranslate(va); pa != first[va] {
+			t.Fatalf("after OOM: va %#x -> %#x, first touch gave %#x", va, pa, first[va])
 		}
 	}
 }
