@@ -339,6 +339,10 @@ func (m Machine) Validate() error {
 	if w := m.SILC.Features.Ways; w != 1 && w != 2 && w != 4 {
 		return fmt.Errorf("config: SILC ways = %d, want 1, 2 or 4", w)
 	}
+	// SILC-FM's frames hold each activity counter in a byte.
+	if b := m.SILC.CounterBits; b < 1 || b > 8 {
+		return fmt.Errorf("config: SILC counter bits = %d, want 1..8", b)
+	}
 	if m.SILC.BypassTarget <= 0 || m.SILC.BypassTarget > 1 {
 		return fmt.Errorf("config: bypass target %v out of (0,1]", m.SILC.BypassTarget)
 	}

@@ -159,6 +159,27 @@ func TestValidateRejectsPanickingGeometry(t *testing.T) {
 	}
 }
 
+// TestValidateCounterBits: SILC-FM's activity counters live in a byte of
+// the frame. A negative width used to pass Validate and panic with a
+// negative shift while the controller was built; a zero width froze the
+// counters, so locking silently never fired.
+func TestValidateCounterBits(t *testing.T) {
+	for _, bits := range []int{-1, 0, 9, 64} {
+		m := Default()
+		m.SILC.CounterBits = bits
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "counter bits") {
+			t.Errorf("counter bits %d: err %v, want the counter width named", bits, err)
+		}
+	}
+	for _, bits := range []int{1, 6, 8} {
+		m := Default()
+		m.SILC.CounterBits = bits
+		if err := m.Validate(); err != nil {
+			t.Errorf("counter bits %d: %v", bits, err)
+		}
+	}
+}
+
 // TestValidateTableLimits pins the limits of the schemes' placement
 // tables. CAMEO holds a location in a uint8, so FM/NM = 256 (257 lines per
 // group) used to wrap and corrupt placement silently; FM/NM = 255 still

@@ -113,7 +113,7 @@ func TestHomeLockDeferredUnderBypass(t *testing.T) {
 		t.Fatalf("home lock missing after bypass cleared: locked=%v home=%v",
 			fr.locked, fr.lockHome)
 	}
-	if fr.remap != noRemap {
+	if fr.interleaved() {
 		t.Fatal("home lock kept the interleaved block")
 	}
 }

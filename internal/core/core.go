@@ -53,7 +53,7 @@ type Controller struct {
 	// metadata access; §III-F).
 	metaLatency uint64
 
-	ctrMax   uint32
+	ctrMax   uint8
 	accesses uint64
 
 	// Restores counts full interleaved-block restorations (victimization).
@@ -120,8 +120,8 @@ func (c *Controller) Locate(pa uint64) mem.Location {
 	idx := memunits.SubblockIndex(pa)
 	if b < c.nmBlocks {
 		fr := &c.fs.frames[b]
-		if fr.remap != noRemap && fr.bits.Test(idx) {
-			return c.fmHome(fr.remap, idx)
+		if fr.interleaved() && fr.bits.Test(idx) {
+			return c.fmHome(fr.block(), idx)
 		}
 		return c.nmLoc(b, idx)
 	}
@@ -272,7 +272,7 @@ func (op *dispatchOp) run() {
 func (c *Controller) actualLocation(b uint64, idx uint) (inNM bool, way uint8) {
 	if b < c.nmBlocks {
 		fr := &c.fs.frames[b]
-		if fr.remap != noRemap && fr.bits.Test(idx) {
+		if fr.interleaved() && fr.bits.Test(idx) {
 			return false, 0
 		}
 		return true, uint8(c.fs.wayOf(b))
@@ -304,7 +304,7 @@ func (c *Controller) handleNMAddress(a *mem.Access, b uint64, idx uint, mispred 
 	bump(&fr.nmCtr, c.ctrMax)
 	st := c.sys.Stats
 
-	swappedOut := fr.remap != noRemap && fr.bits.Test(idx)
+	swappedOut := fr.interleaved() && fr.bits.Test(idx)
 	if !swappedOut {
 		// Home subblock resident: service from NM.
 		c.serviceNM(a, c.nmLoc(b, idx), pathOr(stats.PathNMHit, mispred))
@@ -320,7 +320,7 @@ func (c *Controller) handleNMAddress(a *mem.Access, b uint64, idx uint, mispred 
 			st.BypassedAccesses++
 			path = stats.PathBypass
 		}
-		c.serviceFM(a, c.fmHome(fr.remap, idx), pathOr(path, mispred))
+		c.serviceFM(a, c.fmHome(fr.block(), idx), pathOr(path, mispred))
 		c.maybeLockHome(b)
 		return
 	}
@@ -328,7 +328,7 @@ func (c *Controller) handleNMAddress(a *mem.Access, b uint64, idx uint, mispred 
 	// address). The interleaved block's subblock returns to its FM home.
 	c.fs.clearBit(b, idx)
 	st.SwapsOut++
-	c.moveBetween(a, c.fmHome(fr.remap, idx), c.nmLoc(b, idx), pathOr(stats.PathSwap, mispred))
+	c.moveBetween(a, c.fmHome(fr.block(), idx), c.nmLoc(b, idx), pathOr(stats.PathSwap, mispred))
 	c.writeMetaUpdate(c.fs.setOf(b))
 	c.maybeLockHome(b)
 }
@@ -382,7 +382,7 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 		return // every way locked
 	}
 	vf := &c.fs.frames[v]
-	if vf.remap != noRemap {
+	if vf.interleaved() {
 		c.restore(v)
 		c.Restores++
 	}
@@ -390,8 +390,7 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 	c.fs.clearBits(v)
 	vf.fmCtr = 1
 	vf.lastUse = c.sys.Eng.Now()
-	vf.firstPC = a.PC
-	vf.firstAddr = a.PAddr
+	vf.hist = histHash(a.PC, a.PAddr)
 
 	// Swap in the requested subblock (demand already serviced from FM; the
 	// residual traffic is the install + eviction exchange).
@@ -420,17 +419,17 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 // saving the bit vector in the history table.
 func (c *Controller) restore(f uint64) {
 	fr := &c.fs.frames[f]
-	if fr.remap == noRemap {
+	if !fr.interleaved() {
 		return
 	}
-	c.hist.save(fr.firstPC, fr.firstAddr, fr.bits)
+	c.hist.save(fr.hist, fr.bits)
 	for i := uint(0); i < memunits.SubblocksPerBlock; i++ {
 		if fr.bits.Test(i) {
 			c.sys.Stats.SwapsOut++
-			c.sys.ExchangeSubblocks(c.nmLoc(f, i), c.fmHome(fr.remap, i), nil)
+			c.sys.ExchangeSubblocks(c.nmLoc(f, i), c.fmHome(fr.block(), i), nil)
 		}
 	}
-	c.fs.setRemap(f, noRemap)
+	c.fs.clearRemap(f)
 	c.fs.clearBits(f)
 	fr.fmCtr = 0
 	c.fs.setLock(f, false, false)
@@ -444,7 +443,7 @@ func (c *Controller) maybeLockRemap(f uint64) {
 		return
 	}
 	fr := &c.fs.frames[f]
-	if fr.locked || fr.remap == noRemap || fr.fmCtr < c.cfg.HotThreshold || fr.fmCtr < fr.nmCtr {
+	if fr.locked || !fr.interleaved() || uint32(fr.fmCtr) < c.cfg.HotThreshold || fr.fmCtr < fr.nmCtr {
 		return
 	}
 	// §III-E: bandwidth balancing suppresses new swaps, and completing a
@@ -457,12 +456,12 @@ func (c *Controller) maybeLockRemap(f uint64) {
 		if !fr.bits.Test(i) {
 			c.fs.setBit(f, i)
 			c.sys.Stats.SwapsIn++
-			c.sys.ExchangeSubblocks(c.fmHome(fr.remap, i), c.nmLoc(f, i), nil)
+			c.sys.ExchangeSubblocks(c.fmHome(fr.block(), i), c.nmLoc(f, i), nil)
 		}
 	}
 	c.fs.setLock(f, true, false)
 	c.sys.Stats.Locks++
-	c.sys.NoteLock(f, fr.remap, false)
+	c.sys.NoteLock(f, fr.block(), false)
 	c.writeMetaUpdate(c.fs.setOf(f))
 }
 
@@ -474,10 +473,10 @@ func (c *Controller) maybeLockHome(b uint64) {
 		return
 	}
 	fr := &c.fs.frames[b]
-	if fr.locked || fr.nmCtr < c.cfg.HotThreshold || fr.nmCtr < fr.fmCtr {
+	if fr.locked || uint32(fr.nmCtr) < c.cfg.HotThreshold || fr.nmCtr < fr.fmCtr {
 		return
 	}
-	if fr.remap != noRemap {
+	if fr.interleaved() {
 		// Restoring the interleaved block is swap traffic; defer the lock
 		// while the governor is balancing bandwidth (§III-E).
 		if c.gov.bypassing() {
@@ -506,15 +505,15 @@ func (c *Controller) ageAndUnlock() {
 		if !fr.locked {
 			continue
 		}
-		hot := fr.fmCtr
+		hot := uint32(fr.fmCtr)
 		if fr.lockHome {
-			hot = fr.nmCtr
+			hot = uint32(fr.nmCtr)
 		}
 		// Unlock with hysteresis: a block must cool to half the locking
 		// threshold before it rejoins swapping, avoiding lock/unlock churn
 		// at the boundary.
 		if hot < c.cfg.HotThreshold/2 {
-			blk := fr.remap
+			blk := fr.block()
 			if fr.lockHome {
 				blk = uint64(i)
 			}

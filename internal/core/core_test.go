@@ -437,10 +437,11 @@ func TestAuditAfterRandomOps(t *testing.T) {
 		// No FM block may be remapped into two frames.
 		seen := map[uint64]bool{}
 		for i := range r.c.fs.frames {
-			rm := r.c.fs.frames[i].remap
-			if rm == noRemap {
+			fr := &r.c.fs.frames[i]
+			if !fr.interleaved() {
 				continue
 			}
+			rm := fr.block()
 			if seen[rm] {
 				t.Logf("block %d remapped twice", rm)
 				return false

@@ -81,7 +81,7 @@ func TestLockPreferenceFollowsHotterCounter(t *testing.T) {
 	if !fr.locked || !fr.lockHome {
 		t.Fatalf("expected home lock: locked=%v lockHome=%v", fr.locked, fr.lockHome)
 	}
-	if fr.remap != noRemap {
+	if fr.interleaved() {
 		t.Fatal("home lock kept a remap")
 	}
 	if loc := r.c.Locate(fmBlockAddr(0, 0)); loc.Level != stats.FM {

@@ -4,14 +4,14 @@ import (
 	"silcfm/internal/memunits"
 )
 
-// noRemap marks a frame with no interleaved FM block.
-const noRemap = ^uint64(0)
-
 // frame is the per-NM-large-block metadata of Figure 4: remap entry, bit
-// vector, NM/FM activity counters, lock and LRU state. Frame f is the home
-// of flat NM block f; set membership is f mod sets.
+// vector, NM/FM activity counters, lock and LRU state, in 32 bytes (two
+// frames per host cache line). Frame f is the home of flat NM block f; set
+// membership is f mod sets. The zero frame holds no interleaved block.
 type frame struct {
-	remap uint64 // flat FM block interleaved here, or noRemap
+	// remap is the flat FM block interleaved here plus one, or 0 for none
+	// (config.Validate bounds block numbers below 2^32-1).
+	remap uint32
 	// bits: bit i set means subblock i of this frame holds remap's
 	// subblock i, and the home block's subblock i sits at remap's FM home.
 	bits memunits.BitVector
@@ -20,20 +20,26 @@ type frame struct {
 	// home block is pinned and no interleaving is allowed.
 	locked   bool
 	lockHome bool
-	nmCtr    uint32 // accesses to the home block (aging, 6-bit)
-	fmCtr    uint32 // accesses to the remapped FM block
+	nmCtr    uint8  // accesses to the home block (aging, 6-bit)
+	fmCtr    uint8  // accesses to the remapped FM block
 	lastUse  uint64 // engine cycle of last access, for LRU
-	// firstPC/firstAddr identify the first swapped-in subblock, the bit
-	// vector history table's index (§III-A).
-	firstPC   uint64
-	firstAddr uint64
+	// hist is histHash of the first swapped-in subblock's PC and address,
+	// the bit vector history table's index (§III-A).
+	hist uint64
 }
 
-// counterMax is the 6-bit aging counter ceiling (§III-B).
-func counterMax(bits int) uint32 { return 1<<bits - 1 }
+// interleaved reports whether an FM block is interleaved in the frame.
+func (fr *frame) interleaved() bool { return fr.remap != 0 }
+
+// block returns the interleaved FM block; the frame must be interleaved.
+func (fr *frame) block() uint64 { return uint64(fr.remap) - 1 }
+
+// counterMax is the aging counter ceiling of a bits-wide counter (§III-B:
+// 6 bits; config.Validate bounds bits to the frame's 8).
+func counterMax(bits int) uint8 { return uint8(1<<bits - 1) }
 
 // bump increments a saturating counter.
-func bump(c *uint32, max uint32) {
+func bump(c *uint8, max uint8) {
 	if *c < max {
 		*c++
 	}
@@ -49,9 +55,9 @@ type frameSet struct {
 	// (remapW[s*ways+w] == frames[frameID(s,w)].remap). findRemap runs
 	// once per LLC miss, and the ways of a set sit sets*sizeof(frame)
 	// bytes apart in the frames array — a cache miss per way probed; the
-	// mirror packs a set's entries into one or two lines. All remap
-	// writes go through setRemap to keep the two in sync.
-	remapW []uint64
+	// mirror packs a set's entries into one line. All remap writes go
+	// through putRemap to keep the two in sync.
+	remapW []uint32
 
 	// counts are the frame totals Gauges reports every epoch. Every write
 	// to a frame's remap, bits, locked or lockHome goes through the
@@ -76,40 +82,39 @@ func newFrameSet(nmBlocks uint64, ways int) *frameSet {
 		sets = 1
 		ways = int(nmBlocks)
 	}
-	fs := &frameSet{
+	return &frameSet{
 		frames: make([]frame, nmBlocks),
 		sets:   sets,
 		ways:   ways,
-		remapW: make([]uint64, nmBlocks),
+		remapW: make([]uint32, nmBlocks),
 	}
-	for i := range fs.frames {
-		fs.frames[i].remap = noRemap
-	}
-	for i := range fs.remapW {
-		fs.remapW[i] = noRemap
-	}
-	return fs
 }
 
-// setRemap updates frame f's remap entry and its mirror slot.
-func (fs *frameSet) setRemap(f, b uint64) {
+// setRemap interleaves flat FM block b into frame f.
+func (fs *frameSet) setRemap(f, b uint64) { fs.putRemap(f, uint32(b+1)) }
+
+// clearRemap leaves frame f with no interleaved block.
+func (fs *frameSet) clearRemap(f uint64) { fs.putRemap(f, 0) }
+
+// putRemap updates frame f's encoded remap entry and its mirror slot.
+func (fs *frameSet) putRemap(f uint64, r uint32) {
 	fr := &fs.frames[f]
 	switch {
-	case fr.remap == noRemap && b != noRemap:
+	case !fr.interleaved() && r != 0:
 		fs.counts.interleaved++
 		fs.counts.resident += fr.bits.Count()
-	case fr.remap != noRemap && b == noRemap:
+	case fr.interleaved() && r == 0:
 		fs.counts.interleaved--
 		fs.counts.resident -= fr.bits.Count()
 	}
-	fr.remap = b
-	fs.remapW[(f%fs.sets)*uint64(fs.ways)+f/fs.sets] = b
+	fr.remap = r
+	fs.remapW[(f%fs.sets)*uint64(fs.ways)+f/fs.sets] = r
 }
 
 // setBit marks subblock idx of frame f resident.
 func (fs *frameSet) setBit(f uint64, idx uint) {
 	fr := &fs.frames[f]
-	if fr.remap != noRemap && !fr.bits.Test(idx) {
+	if fr.interleaved() && !fr.bits.Test(idx) {
 		fs.counts.resident++
 	}
 	fr.bits.Set(idx)
@@ -118,7 +123,7 @@ func (fs *frameSet) setBit(f uint64, idx uint) {
 // clearBit unmarks subblock idx of frame f.
 func (fs *frameSet) clearBit(f uint64, idx uint) {
 	fr := &fs.frames[f]
-	if fr.remap != noRemap && fr.bits.Test(idx) {
+	if fr.interleaved() && fr.bits.Test(idx) {
 		fs.counts.resident--
 	}
 	fr.bits.Clear(idx)
@@ -127,7 +132,7 @@ func (fs *frameSet) clearBit(f uint64, idx uint) {
 // clearBits empties frame f's bit vector.
 func (fs *frameSet) clearBits(f uint64) {
 	fr := &fs.frames[f]
-	if fr.remap != noRemap {
+	if fr.interleaved() {
 		fs.counts.resident -= fr.bits.Count()
 	}
 	fr.bits = 0
@@ -162,7 +167,7 @@ func (fs *frameSet) recount() frameCounts {
 				n.lockedHome++
 			}
 		}
-		if fr.remap != noRemap {
+		if fr.interleaved() {
 			n.interleaved++
 			n.resident += fr.bits.Count()
 		}
@@ -188,12 +193,12 @@ func (fs *frameSet) frameID(s uint64, w int) uint64 { return s + uint64(w)*fs.se
 // wayOf returns the way index of frame f within its set.
 func (fs *frameSet) wayOf(f uint64) int { return int(f / fs.sets) }
 
-// findRemap scans set s for the frame holding remap == b. Returns the frame
-// index and true, or 0 and false.
+// findRemap scans set s for the frame interleaving block b. Returns the
+// frame index and true, or 0 and false.
 func (fs *frameSet) findRemap(s, b uint64) (uint64, bool) {
-	base := s * uint64(fs.ways)
+	base, want := s*uint64(fs.ways), uint32(b+1)
 	for w, r := range fs.remapW[base : base+uint64(fs.ways)] {
-		if r == b {
+		if r == want {
 			return fs.frameID(s, w), true
 		}
 	}
@@ -215,7 +220,7 @@ func (fs *frameSet) victim(s uint64) (uint64, bool) {
 		if fr.locked {
 			continue
 		}
-		if fr.remap == noRemap {
+		if !fr.interleaved() {
 			return f, true
 		}
 		if !found || fr.lastUse < bestUse {

@@ -1,9 +1,51 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"silcfm/internal/memunits"
 )
+
+// TestFrameIs32Bytes pins the compact frame layout: two frames per
+// 64-byte host cache line.
+func TestFrameIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(frame{}); n != 32 {
+		t.Fatalf("sizeof(frame) = %d, want 32", n)
+	}
+}
+
+// TestZeroFrameHoldsNoRemap: a fresh frame set needs no fill to read as
+// empty, and the block+1 encoding covers block 0 and the largest block a
+// valid machine has (2^32-2).
+func TestZeroFrameHoldsNoRemap(t *testing.T) {
+	fs := newFrameSet(128, 4)
+	for f := range fs.frames {
+		if fs.frames[f].interleaved() {
+			t.Fatalf("fresh frame %d interleaved", f)
+		}
+	}
+	for _, b := range []uint64{0, 3, math.MaxUint32 - 1} {
+		s := fs.setOf(b)
+		if _, ok := fs.findRemap(s, b); ok {
+			t.Fatalf("block %d found in an empty set", b)
+		}
+		f := fs.frameID(s, 1)
+		fs.setRemap(f, b)
+		if got, ok := fs.findRemap(s, b); !ok || got != f || fs.frames[f].block() != b {
+			t.Fatalf("block %d: findRemap = %d %v, block() = %d", b, got, ok, fs.frames[f].block())
+		}
+		fs.clearRemap(f)
+		if _, ok := fs.findRemap(s, b); ok || fs.frames[f].interleaved() {
+			t.Fatalf("block %d still remapped after clearRemap", b)
+		}
+	}
+	if fs.counts != (frameCounts{}) {
+		t.Fatalf("counts after set/clear: %+v", fs.counts)
+	}
+}
 
 func TestFrameSetGeometry(t *testing.T) {
 	fs := newFrameSet(128, 4)
@@ -57,7 +99,7 @@ func TestVictimPreference(t *testing.T) {
 	}
 	// Fill ways 0-2 with remaps; way 3 empty -> prefer way 3.
 	for w := 0; w < 3; w++ {
-		fs.frames[fs.frameID(s, w)].remap = uint64(1000 + w)
+		fs.setRemap(fs.frameID(s, w), uint64(1000+w))
 		fs.frames[fs.frameID(s, w)].lastUse = uint64(10 + w)
 	}
 	v, ok = fs.victim(s)
@@ -65,7 +107,7 @@ func TestVictimPreference(t *testing.T) {
 		t.Fatalf("want empty way 3, got %d", v)
 	}
 	// All occupied: LRU (way 0, lastUse 10).
-	fs.frames[fs.frameID(s, 3)].remap = 1003
+	fs.setRemap(fs.frameID(s, 3), 1003)
 	fs.frames[fs.frameID(s, 3)].lastUse = 50
 	v, ok = fs.victim(s)
 	if !ok || v != fs.frameID(s, 0) {
@@ -97,7 +139,7 @@ func TestAgingShiftsCounters(t *testing.T) {
 }
 
 func TestSaturatingBump(t *testing.T) {
-	var c uint32 = 62
+	var c uint8 = 62
 	max := counterMax(6)
 	if max != 63 {
 		t.Fatalf("counterMax(6) = %d", max)
@@ -140,7 +182,7 @@ func TestHistoryTable(t *testing.T) {
 	if v := h.lookup(1, 2); v != 0 {
 		t.Fatal("cold lookup nonzero")
 	}
-	h.save(0xAB, 0x12345, 0b1010)
+	h.save(histHash(0xAB, 0x12345), 0b1010)
 	if v := h.lookup(0xAB, 0x12345); v != 0b1010 {
 		t.Fatalf("lookup = %b", v)
 	}
@@ -154,9 +196,28 @@ func TestHistoryTable(t *testing.T) {
 	}
 	// Zero vectors are not stored.
 	pre := h.stores
-	h.save(1, 2, 0)
+	h.save(histHash(1, 2), 0)
 	if h.stores != pre {
 		t.Fatal("zero vector stored")
+	}
+}
+
+// TestHistorySavedHashFindsLookup: a vector saved under a frame's stored
+// histHash is found by a lookup with the (PC, address) pair it was
+// computed from, from any subblock of the same large block.
+func TestHistorySavedHashFindsLookup(t *testing.T) {
+	f := func(pc, addr uint64, vec uint32, sub uint8) bool {
+		if vec == 0 {
+			vec = 1
+		}
+		h := newHistoryTable(1 << 12)
+		h.save(histHash(pc, addr), memunits.BitVector(vec))
+		sameBlock := memunits.AlignBlock(addr) + uint64(sub%memunits.SubblocksPerBlock)*memunits.SubblockSize
+		return h.lookup(pc, addr) == memunits.BitVector(vec) &&
+			h.lookup(pc, sameBlock) == memunits.BitVector(vec)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -30,20 +30,24 @@ func newHistoryTable(entries int) *historyTable {
 	}
 }
 
-// key hashes the PC and the first swapped-in subblock's large-block
+// histHash hashes the PC and the first swapped-in subblock's large-block
 // address; block granularity lets a recurring (PC, page) pair match even
-// when the visit starts at a different subblock.
-func (h *historyTable) key(pc, addr uint64) (idx uint64, tag uint32) {
-	x := (pc ^ (addr >> 11)) * 0x9e3779b97f4a7c15
+// when the visit starts at a different subblock. The table's index and tag
+// derive from the hash alone, so a frame keeps it in place of the pair.
+func histHash(pc, addr uint64) uint64 { return (pc ^ (addr >> 11)) * 0x9e3779b97f4a7c15 }
+
+// key returns the table index and tag of hash x.
+func (h *historyTable) key(x uint64) (idx uint64, tag uint32) {
 	return x & h.mask, uint32(x>>40) | 1 // non-zero tag
 }
 
-// save records a bit vector at restore time.
-func (h *historyTable) save(pc, addr uint64, vec memunits.BitVector) {
+// save records a bit vector at restore time under the frame's stored
+// histHash.
+func (h *historyTable) save(x uint64, vec memunits.BitVector) {
 	if vec == 0 {
 		return
 	}
-	idx, tag := h.key(pc, addr)
+	idx, tag := h.key(x)
 	h.tags[idx] = tag
 	h.vecs[idx] = vec
 	h.stores++
@@ -62,7 +66,7 @@ func (h *historyTable) occupancy() (used, total int) {
 // lookup returns the saved vector for (pc, addr), or 0.
 func (h *historyTable) lookup(pc, addr uint64) memunits.BitVector {
 	h.lookups++
-	idx, tag := h.key(pc, addr)
+	idx, tag := h.key(histHash(pc, addr))
 	if h.tags[idx] != tag {
 		return 0
 	}

@@ -35,7 +35,7 @@ func (c *Controller) Snapshot() Snapshot {
 	perSet := make([]int, c.fs.sets)
 	for i := range c.fs.frames {
 		fr := &c.fs.frames[i]
-		if fr.remap == noRemap {
+		if !fr.interleaved() {
 			continue
 		}
 		perSet[c.fs.setOf(uint64(i))]++

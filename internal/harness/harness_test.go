@@ -72,10 +72,34 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadCounterBits: an out-of-range SILC-FM counter width is a
+// config error from Run, not a panic while the controller is built.
+func TestRunRejectsBadCounterBits(t *testing.T) {
+	for _, bits := range []int{-1, 0, 9} {
+		s := tinySpec(config.SchemeSILCFM, "milc")
+		s.Machine.SILC.CounterBits = bits
+		s.FootScaleDen = 64
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("counter bits %d: Run panicked: %v", bits, p)
+				}
+			}()
+			if _, err := Run(s); err == nil {
+				t.Errorf("counter bits %d: Run accepted the machine", bits)
+			}
+		}()
+	}
+}
+
 // TestPlacementTablesCostWhatRunsTouch builds the default machine's CAMEO,
-// CAMEOP and HMA controllers and their address spaces. Each build must
-// allocate under 1 MiB: the placement tables are paged on first write, so
-// a full-size identity fill (CAMEO's table alone held 10 MiB) fails here.
+// CAMEOP, HMA and SILC-FM controllers and their address spaces. Each
+// address space, and each CAMEO or HMA controller, must allocate under
+// 1 MiB: the placement tables are paged on first write, so a full-size
+// identity fill (CAMEO's table alone held 10 MiB) fails here. SILC-FM
+// keeps the paper's metadata for each of its 65,536 NM frames, 32 B a
+// frame plus a 4 B remap mirror, next to a 512 KiB history table: it must
+// stay under 3 MiB (48 B frames and an 8 B mirror took 4.05 MiB in all).
 // The rand policy is not built: its shuffled hand-out order is 4 B a frame.
 func TestPlacementTablesCostWhatRunsTouch(t *testing.T) {
 	allocated := func(build func()) uint64 {
@@ -85,12 +109,16 @@ func TestPlacementTablesCostWhatRunsTouch(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	for _, s := range []config.SchemeName{config.SchemeCAMEO, config.SchemeCAMEOP, config.SchemeHMA} {
+	for _, s := range []config.SchemeName{config.SchemeCAMEO, config.SchemeCAMEOP, config.SchemeHMA, config.SchemeSILCFM} {
 		m := config.Default()
 		m.Scheme = s
 		sys := mem.NewSystem(m, sim.NewEngine())
+		limit := uint64(1 << 20)
+		if s == config.SchemeSILCFM {
+			limit = 3 << 20
+		}
 		var ctl mem.Controller
-		if n := allocated(func() { ctl, _ = NewController(m, sys) }); n >= 1<<20 {
+		if n := allocated(func() { ctl, _ = NewController(m, sys) }); n >= limit {
 			t.Errorf("%s: building the controller allocated %d B", s, n)
 		}
 		if ctl == nil {

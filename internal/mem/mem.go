@@ -8,6 +8,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"silcfm/internal/config"
 	"silcfm/internal/dram"
@@ -799,74 +800,119 @@ func (s *System) Conservation(quiesced bool, extraNM ...*dram.Device) stats.Cons
 
 // Audit verifies that ctl's Locate is a bijection over every flat subblock:
 // each maps to a unique in-range, aligned device location of the right
-// capacity. It is O(total subblocks) and intended for small test machines
-// and end-of-run checks.
+// capacity. It is AuditSample at stride 1.
 func Audit(ctl Controller, nmCap, fmCap uint64) error {
-	totalSubs := memunits.SubblocksIn(nmCap + fmCap)
-	seenNM := make([]bool, memunits.SubblocksIn(nmCap))
-	seenFM := make([]bool, memunits.SubblocksIn(fmCap))
-	for sb := uint64(0); sb < totalSubs; sb++ {
-		pa := memunits.SubblockBase(sb)
-		loc := ctl.Locate(pa)
-		if loc.DevAddr%memunits.SubblockSize != 0 {
-			return fmt.Errorf("audit: subblock %d maps to unaligned %s address %#x", sb, loc.Level, loc.DevAddr)
-		}
-		idx := loc.DevAddr / memunits.SubblockSize
-		var seen []bool
-		if loc.Level == stats.NM {
-			seen = seenNM
-		} else {
-			seen = seenFM
-		}
-		if idx >= uint64(len(seen)) {
-			return fmt.Errorf("audit: subblock %d maps beyond %s capacity: %#x", sb, loc.Level, loc.DevAddr)
-		}
-		if seen[idx] {
-			return fmt.Errorf("audit: two subblocks map to %s %#x (second: flat %#x)", loc.Level, loc.DevAddr, pa)
-		}
-		seen[idx] = true
-	}
-	return nil
+	return AuditSample(ctl, nmCap, fmCap, 1)
 }
 
 // AuditSample is a cheaper spot-check over a stride of subblocks, for
 // larger configurations: it verifies alignment and range, and injectivity
-// among the sampled set. Sampled device locations are marked in one bitset
-// per level; only a collision rescans the sample for the earlier flat
-// address it names.
+// among the sampled set. The home of flat address pa is NM pa below nmCap
+// and FM pa-nmCap above it. No two addresses share a home, so a collision
+// needs a sample away from its home: it lands on another sample's home, or
+// on the location of another sample away from home. The audit keeps one
+// key per sample away from home, not a bitset over the whole space, and
+// only a collision rescans the sample, once, for the pair it names.
 func AuditSample(ctl Controller, nmCap, fmCap uint64, stride uint64) error {
 	if stride == 0 {
 		stride = 1
 	}
-	bitset := func(cap uint64) []uint64 {
-		return make([]uint64, (memunits.SubblocksIn(cap+memunits.SubblockSize-1)+63)/64)
+	home := func(pa uint64) Location {
+		if pa < nmCap {
+			return Location{Level: stats.NM, DevAddr: pa}
+		}
+		return Location{Level: stats.FM, DevAddr: pa - nmCap}
 	}
-	seen := [2][]uint64{stats.NM: bitset(nmCap), stats.FM: bitset(fmCap)}
+	// Scan up to the first unaligned or out-of-range sample: a collision
+	// reported in its place involves only samples before it.
 	totalSubs := memunits.SubblocksIn(nmCap + fmCap)
+	end := totalSubs
+	var bad error
+	var moved []uint64 // auditKey of every sample away from home
 	for sb := uint64(0); sb < totalSubs; sb += stride {
 		pa := memunits.SubblockBase(sb)
 		loc := ctl.Locate(pa)
 		if loc.DevAddr%memunits.SubblockSize != 0 {
-			return fmt.Errorf("audit: unaligned %s address %#x", loc.Level, loc.DevAddr)
+			bad, end = fmt.Errorf("audit: unaligned %s address %#x", loc.Level, loc.DevAddr), sb
+			break
 		}
-		lv, cap := stats.NM, nmCap
+		size := nmCap
 		if loc.Level == stats.FM {
-			lv, cap = stats.FM, fmCap
+			size = fmCap
 		}
-		if loc.DevAddr >= cap {
-			return fmt.Errorf("audit: %s address %#x beyond capacity %#x", loc.Level, loc.DevAddr, cap)
+		if loc.DevAddr >= size {
+			bad, end = fmt.Errorf("audit: %s address %#x beyond capacity %#x", loc.Level, loc.DevAddr, size), sb
+			break
 		}
-		idx := loc.DevAddr / memunits.SubblockSize
-		word, bit := &seen[lv][idx/64], uint64(1)<<(idx%64)
-		if *word&bit != 0 {
-			for prev := uint64(0); prev < sb; prev += stride {
-				if ctl.Locate(memunits.SubblockBase(prev)) == loc {
-					return fmt.Errorf("audit: flat %#x and %#x collide at %s %#x",
-						memunits.SubblockBase(prev), pa, loc.Level, loc.DevAddr)
-				}
+		if loc != home(pa) {
+			// Grow by doubling: append's 1.25x steps on a large slice
+			// allocate about five times the final length in all.
+			if len(moved) == cap(moved) {
+				moved = append(make([]uint64, 0, max(2*len(moved), 1024)), moved...)
+			}
+			moved = append(moved, auditKey(loc))
+		}
+	}
+
+	// taken lists the locations two scanned samples share: a key moved
+	// holds twice, or one whose home sample is still at home.
+	slices.Sort(moved)
+	var taken []uint64
+	for i := 0; i < len(moved); {
+		k, j := moved[i], i+1
+		for j < len(moved) && moved[j] == k {
+			j++
+		}
+		if j-i > 1 {
+			taken = append(taken, k)
+		} else {
+			loc := keyLocation(k)
+			h := loc.DevAddr
+			if loc.Level == stats.FM {
+				h += nmCap
+			}
+			if sb := memunits.SubblocksIn(h); sb%stride == 0 && sb < end && ctl.Locate(h) == loc {
+				taken = append(taken, k)
 			}
 		}
-		*word |= bit
+		i = j
 	}
-	return nil
+	if len(taken) == 0 {
+		return bad
+	}
+	// The first sample in scan order to find its location taken names the
+	// collision, with the earliest sample at that location.
+	first := make([]uint64, len(taken)) // flat address+1 of the first sample there
+	for sb := uint64(0); sb < end; sb += stride {
+		pa := memunits.SubblockBase(sb)
+		loc := ctl.Locate(pa)
+		i, ok := slices.BinarySearch(taken, auditKey(loc))
+		if !ok {
+			continue
+		}
+		if first[i] != 0 {
+			return fmt.Errorf("audit: flat %#x and %#x collide at %s %#x", first[i]-1, pa, loc.Level, loc.DevAddr)
+		}
+		first[i] = pa + 1
+	}
+	return bad
+}
+
+// auditKey packs an aligned device location into one sortable word: the
+// level in the top bit, the subblock index below it.
+func auditKey(loc Location) uint64 {
+	k := loc.DevAddr / memunits.SubblockSize
+	if loc.Level == stats.FM {
+		k |= 1 << 63
+	}
+	return k
+}
+
+// keyLocation inverts auditKey.
+func keyLocation(k uint64) Location {
+	loc := Location{Level: stats.NM, DevAddr: memunits.SubblockBase(k &^ (1 << 63))}
+	if k>>63 != 0 {
+		loc.Level = stats.FM
+	}
+	return loc
 }
