@@ -50,15 +50,16 @@ race_rest() {
 	go test -race $(go list ./... | grep -vxF "$(go list $fast_pkgs)")
 }
 
-# Bench-smoke stage: rerun the short manifest suite and diff its
-# deterministic counters against the committed trajectory baseline. Any
-# counter drift fails here in seconds — a whole-system correctness tripwire
-# that runs before the slow race-detector suite. Host-timing metrics are
-# skipped (-noise 0): the baseline was produced on a different machine.
+# Bench-smoke stage: rerun the full manifest suite and diff its
+# deterministic counters against every cell of the committed trajectory
+# baseline. Any counter drift fails here in seconds — a whole-system
+# correctness tripwire that runs before the slow race-detector suite.
+# Host-timing metrics are skipped (-noise 0): the baseline was produced on a
+# different machine.
 bench_smoke() {
 	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
-	"$work"/silcfm-bench -short -quiet -out "$work"/bench_smoke.json
-	"$work"/silcfm-bench -diff -subset -noise 0 BENCH_PR24.json "$work"/bench_smoke.json
+	"$work"/silcfm-bench -quiet -out "$work"/bench_smoke.json
+	"$work"/silcfm-bench -diff -noise 0 BENCH_PR24.json "$work"/bench_smoke.json
 }
 
 # Perf-regression stage: rerun the short suite best-of-5 and gate the

@@ -3,7 +3,8 @@
 // set-associative with true-LRU replacement and write-back/write-allocate
 // semantics. The hierarchy's job in this reproduction is to filter the
 // reference stream into the LLC-miss stream that drives the flat-memory
-// schemes, and to account MPKI (Table III).
+// schemes; Access reports each outcome and victim, and the per-core cpu
+// counters account MPKI from them (Table III).
 //
 // Timing is additive hit latency; SRAM port contention is not modeled, as
 // in the paper's evaluation (which reports only cache latencies).
@@ -42,8 +43,6 @@ type Cache struct {
 	lineShift uint
 	setShift  uint
 	setMask   uint64
-
-	Hits, Misses, Writebacks uint64
 }
 
 // identityStack is the initial recency stack: nibble k holds way k.
@@ -135,7 +134,6 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victimAddr uint64, vi
 	victim := -1
 	for w, t := range tags {
 		if uint64(t) == want {
-			c.Hits++
 			if int(st&0xF) != w {
 				c.stack[set] = touch(st, w)
 			}
@@ -148,16 +146,12 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victimAddr uint64, vi
 			victim = w
 		}
 	}
-	c.Misses++
 
 	if victim < 0 {
 		victim = int(st>>(4*uint(c.ways-1))) & 0xF
 		victimValid = true
 		victimDirty = c.dirty[set]>>victim&1 != 0
 		victimAddr = ((uint64(tags[victim]-1)<<c.setShift | set) << c.lineShift)
-		if victimDirty {
-			c.Writebacks++
-		}
 	}
 	if want > 1<<32-1 {
 		panic(fmt.Sprintf("cache %s: address %#x overflows the 32-bit tag", c.name, addr))
@@ -182,33 +176,6 @@ func (c *Cache) Probe(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// Invalidate drops addr if present, returning whether it was dirty. The
-// way keeps its recency position: an invalid way is refilled before any
-// LRU eviction, and the refill moves it to the front.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, want := c.lookup(addr)
-	tags := c.setTags(set)
-	for w, t := range tags {
-		if uint64(t) == want {
-			bit := uint16(1) << w
-			dirty = c.dirty[set]&bit != 0
-			tags[w] = 0
-			c.dirty[set] &^= bit
-			return true, dirty
-		}
-	}
-	return false, false
-}
-
-// MissRate returns misses / accesses.
-func (c *Cache) MissRate() float64 {
-	t := c.Hits + c.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(t)
 }
 
 // Outcome describes where a hierarchy access was satisfied.

@@ -70,23 +70,11 @@ func (r *refCache) access(addr uint64, write bool) (hit bool, vAddr uint64, vVal
 	return false, vAddr, vValid, vDirty
 }
 
-func (r *refCache) invalidate(addr uint64) (present, dirty bool) {
-	ls, _, tag := r.set(addr)
-	for i := range ls {
-		if ls[i].valid && ls[i].tag == tag {
-			d := ls[i].dirty
-			ls[i] = refLine{used: ls[i].used}
-			return true, d
-		}
-	}
-	return false, false
-}
-
 // TestDifferentialRecencyStackVsTimestampLRU drives the packed cache and
-// the reference timestamp-LRU model with identical random read, write and
-// invalidate streams at every supported power-of-two associativity, and
-// requires identical hits, victims, dirty bits and writebacks, access for
-// access.
+// the reference timestamp-LRU model with identical random read and write
+// streams at every supported power-of-two associativity, and requires
+// identical hits, victims and dirty bits access for access, and identical
+// hit, miss and dirty-victim totals counted from Access's return values.
 func TestDifferentialRecencyStackVsTimestampLRU(t *testing.T) {
 	for _, ways := range []int{1, 2, 4, 8, 16} {
 		const sets, line = 8, 64
@@ -98,29 +86,28 @@ func TestDifferentialRecencyStackVsTimestampLRU(t *testing.T) {
 			// A footprint of 3x the capacity keeps every set under
 			// eviction pressure while still producing frequent hits.
 			lines := uint64(3 * sets * ways)
+			var hits, misses, writebacks uint64
 			for i := 0; i < 20000; i++ {
 				addr := uint64(rng.Int63n(int64(lines)))*line + uint64(rng.Intn(line))
-				switch op := rng.Intn(10); {
-				case op == 0:
-					gp, gd := c.Invalidate(addr)
-					wp, wd := ref.invalidate(addr)
-					if gp != wp || gd != wd {
-						t.Fatalf("ways=%d seed=%d op %d: Invalidate(%#x) = (%v,%v), reference (%v,%v)",
-							ways, seed, i, addr, gp, gd, wp, wd)
-					}
-				default:
-					write := op <= 3
-					gh, ga, gv, gdirty := c.Access(addr, write)
-					wh, wa, wv, wdirty := ref.access(addr, write)
-					if gh != wh || ga != wa || gv != wv || gdirty != wdirty {
-						t.Fatalf("ways=%d seed=%d op %d: Access(%#x, %v) = (%v,%#x,%v,%v), reference (%v,%#x,%v,%v)",
-							ways, seed, i, addr, write, gh, ga, gv, gdirty, wh, wa, wv, wdirty)
-					}
+				write := rng.Intn(10) <= 3
+				gh, ga, gv, gdirty := c.Access(addr, write)
+				wh, wa, wv, wdirty := ref.access(addr, write)
+				if gh != wh || ga != wa || gv != wv || gdirty != wdirty {
+					t.Fatalf("ways=%d seed=%d op %d: Access(%#x, %v) = (%v,%#x,%v,%v), reference (%v,%#x,%v,%v)",
+						ways, seed, i, addr, write, gh, ga, gv, gdirty, wh, wa, wv, wdirty)
+				}
+				if gh {
+					hits++
+				} else {
+					misses++
+				}
+				if gv && gdirty {
+					writebacks++
 				}
 			}
-			if c.Hits != ref.hits || c.Misses != ref.misses || c.Writebacks != ref.writebacks {
+			if hits != ref.hits || misses != ref.misses || writebacks != ref.writebacks {
 				t.Fatalf("ways=%d seed=%d: counters hits/misses/wb = %d/%d/%d, reference %d/%d/%d",
-					ways, seed, c.Hits, c.Misses, c.Writebacks, ref.hits, ref.misses, ref.writebacks)
+					ways, seed, hits, misses, writebacks, ref.hits, ref.misses, ref.writebacks)
 			}
 		}
 	}

@@ -146,7 +146,12 @@ func (c *Controller) Handle(a *mem.Access) {
 
 	// Way/location prediction decides whether the demand path waits for
 	// the serialized metadata fetch (§III-F).
-	actualNM, actualWay := c.actualLocation(b, idx)
+	loc := c.Locate(a.PAddr)
+	actualNM := loc.Level == stats.NM
+	var actualWay uint8
+	if actualNM {
+		actualWay = uint8(c.fs.wayOf(memunits.BlockOf(loc.DevAddr)))
+	}
 	serialized := true
 	mispred := false
 	if c.cfg.Features.Predictor {
@@ -265,23 +270,6 @@ func (op *dispatchOp) run() {
 	op.next = c.freeDispatch
 	c.freeDispatch = op
 	c.dispatch(a, b, idx, mispred)
-}
-
-// actualLocation computes where the requested subblock resides and, when in
-// NM, which way holds it.
-func (c *Controller) actualLocation(b uint64, idx uint) (inNM bool, way uint8) {
-	if b < c.nmBlocks {
-		fr := &c.fs.frames[b]
-		if fr.interleaved() && fr.bits.Test(idx) {
-			return false, 0
-		}
-		return true, uint8(c.fs.wayOf(b))
-	}
-	s := c.fs.setOf(b)
-	if f, ok := c.fs.findRemap(s, b); ok && c.fs.frames[f].bits.Test(idx) {
-		return true, uint8(c.fs.wayOf(f))
-	}
-	return false, 0
 }
 
 // dispatch runs the Table I state machine for one access. mispred records

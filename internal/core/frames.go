@@ -175,15 +175,6 @@ func (fs *frameSet) recount() frameCounts {
 	return n
 }
 
-// rebuild resyncs the remap mirror and the counts from the frame array
-// (after a bulk restore that bypassed the mutators).
-func (fs *frameSet) rebuild() {
-	for f := range fs.frames {
-		fs.remapW[(uint64(f)%fs.sets)*uint64(fs.ways)+uint64(f)/fs.sets] = fs.frames[f].remap
-	}
-	fs.counts = fs.recount()
-}
-
 // setOf returns the congruence set of a flat block (NM or FM).
 func (fs *frameSet) setOf(b uint64) uint64 { return b % fs.sets }
 

@@ -59,31 +59,3 @@ func (s Snapshot) MeanResidency() float64 {
 	}
 	return float64(s.ResidentSubblocks) / float64(s.Interleaved)
 }
-
-// State is a deep copy of the controller's mutable frame state — remap
-// entries, bit vectors, locks, activity counters, LRU and history-index
-// fields — for save/restore round-trips in checkpointing tests and
-// ablation drivers. It covers exactly the state Locate and the Table I
-// state machine read; auxiliary structures (history table, predictor,
-// governor) are not included.
-type State struct {
-	frames []frame
-}
-
-// SaveState deep-copies the frame state. The frame struct holds no
-// pointers, so a value copy of the slice is a full snapshot.
-func (c *Controller) SaveState() *State {
-	st := &State{frames: make([]frame, len(c.fs.frames))}
-	copy(st.frames, c.fs.frames)
-	return st
-}
-
-// RestoreState restores a previously saved frame state. The snapshot must
-// come from a controller with the same NM geometry.
-func (c *Controller) RestoreState(st *State) {
-	if len(st.frames) != len(c.fs.frames) {
-		panic("core: RestoreState with mismatched frame geometry")
-	}
-	copy(c.fs.frames, st.frames)
-	c.fs.rebuild()
-}

@@ -41,7 +41,9 @@ type Request struct {
 	Trace func(queue, service uint64)
 }
 
-// Stats holds per-device counters.
+// Stats holds the per-device traffic, refresh and energy totals. Row
+// outcomes and bank occupancy are kept in BankCounters, bus occupancy and
+// queue waits in ChannelCounters.
 type Stats struct {
 	Reads, Writes           uint64
 	BytesRead, BytesWritten uint64
@@ -51,35 +53,8 @@ type Stats struct {
 	// RowHits/RowMisses are the row-buffer outcome per access, derived by
 	// Stats from the per-bank ledger (conflicts count as misses).
 	RowHits, RowMisses uint64
-	Activations        uint64
 	Refreshes          uint64 // periodic all-bank refreshes applied
-	BusBusyCycles      uint64 // sum of burst occupancy over channels
 	DynamicEnergyPJ    float64
-	ReadLatency        LatencySummary
-}
-
-// LatencySummary accumulates request latencies without storing samples.
-type LatencySummary struct {
-	N   uint64
-	Sum uint64
-	Max uint64
-}
-
-// Add records one latency sample.
-func (l *LatencySummary) Add(v uint64) {
-	l.N++
-	l.Sum += v
-	if v > l.Max {
-		l.Max = v
-	}
-}
-
-// Mean returns the average latency.
-func (l *LatencySummary) Mean() float64 {
-	if l.N == 0 {
-		return 0
-	}
-	return float64(l.Sum) / float64(l.N)
 }
 
 // BankCounters is the cumulative microarchitectural ledger of one bank.
@@ -177,7 +152,6 @@ type completion struct {
 	done    sim.Cycle
 	arrival sim.Cycle
 	service sim.Cycle
-	isRead  bool
 	cb      func()
 	tr      func(queue, service uint64)
 	fireFn  func()
@@ -185,17 +159,14 @@ type completion struct {
 }
 
 // fire performs the op's completion: it releases the channel's inflight
-// slot, records read latency, reports the latency decomposition, chains the
-// request callback and re-kicks the channel — in exactly the order the
-// original closure did. The completion object is recycled before the
-// callbacks run, so a callback that submits new requests can reuse it.
+// slot, reports the latency decomposition, chains the request callback and
+// re-kicks the channel — in exactly the order the original closure did.
+// The completion object is recycled before the callbacks run, so a
+// callback that submits new requests can reuse it.
 func (c *completion) fire() {
 	d := c.d
 	ch := c.ch
 	d.chans[ch].inflight--
-	if c.isRead {
-		d.stats.ReadLatency.Add(c.done - c.arrival)
-	}
 	tr, cb := c.tr, c.cb
 	queue, service := uint64(c.done-c.arrival-c.service), uint64(c.service)
 	c.tr, c.cb = nil, nil
@@ -230,9 +201,9 @@ type Device struct {
 	ops     []op
 	freeOps []int32
 
-	// queued mirrors QueueDepth() incrementally (ops submitted but not
-	// yet issued, across all channels); peakQueued is its high-water mark
-	// since the last TakePeakQueueDepth, for the telemetry epoch sampler.
+	// queued counts the ops submitted but not yet issued, across all
+	// channels (QueueDepth); peakQueued is its high-water mark since the
+	// last TakePeakQueueDepth, for the telemetry epoch sampler.
 	queued     int
 	peakQueued int
 
@@ -556,7 +527,6 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 		colAt = start
 	case b.openRow < 0:
 		// Closed: activate then column.
-		d.stats.Activations++
 		d.stats.DynamicEnergyPJ += d.Cfg.ActivateEnergyPJ
 		bc.RowMisses++
 		rowPenalty = d.tRCD
@@ -565,7 +535,6 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 		b.openRow = int64(o.row)
 	default:
 		// Conflict: precharge (respecting tRAS), activate, column.
-		d.stats.Activations++
 		d.stats.DynamicEnergyPJ += d.Cfg.ActivateEnergyPJ
 		bc.RowConflicts++
 		rowPenalty = d.tRP + d.tRCD
@@ -608,7 +577,6 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 		b.readyAt += d.tRP
 	}
 	c.busFreeAt = dataAt + burst
-	d.stats.BusBusyCycles += burst
 	cc.BusBusyCycles += burst
 	// Bank occupancy: commands on one bank serialize through readyAt, so
 	// [start, readyAt) intervals never overlap and their lengths sum to the
@@ -653,7 +621,6 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	comp.done = done
 	comp.arrival = o.arrival
 	comp.service = service
-	comp.isRead = !o.req.Write
 	comp.cb = o.req.Done
 	comp.tr = o.req.Trace
 	d.bankQueued[ch*int(d.banksPerChan)+o.bank]--
@@ -693,14 +660,8 @@ func (d *Device) TakePeakQueueDepth() int {
 	return p
 }
 
-// QueueDepth reports total queued (not yet issued) requests, for tests.
-func (d *Device) QueueDepth() int {
-	n := 0
-	for i := range d.chans {
-		n += d.chans[i].readQ.len() + d.chans[i].writeQ.len()
-	}
-	return n
-}
+// QueueDepth reports total queued (submitted, not yet issued) requests.
+func (d *Device) QueueDepth() int { return d.queued }
 
 // UnloadedReadLatency returns the CPU-cycle latency of an isolated read that
 // misses the row buffer on an idle device (activate + column + burst).

@@ -214,18 +214,6 @@ func TestMetaBytesLengthenBurst(t *testing.T) {
 	}
 }
 
-func TestLatencySummary(t *testing.T) {
-	var l LatencySummary
-	if l.Mean() != 0 {
-		t.Fatal("empty mean")
-	}
-	l.Add(10)
-	l.Add(30)
-	if l.Mean() != 20 || l.Max != 30 || l.N != 2 {
-		t.Fatalf("summary: %+v", l)
-	}
-}
-
 func TestJoin(t *testing.T) {
 	fired := 0
 	cb := Join(3, func() { fired++ })
@@ -482,6 +470,50 @@ func TestNoLostWakeups(t *testing.T) {
 	}
 }
 
+// walkQueueDepth counts the queued ops by walking every channel queue, the
+// reference for the queued counter QueueDepth returns.
+func walkQueueDepth(d *Device) int {
+	n := 0
+	for i := range d.chans {
+		n += d.chans[i].readQ.len() + d.chans[i].writeQ.len()
+	}
+	return n
+}
+
+// TestQueueDepthMatchesQueueWalk checks QueueDepth against a walk of every
+// channel queue under a randomized stream of submits (reads, writes and
+// background reads) interleaved with partial drains of the event engine.
+func TestQueueDepthMatchesQueueWalk(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		eng, d := newFM(t)
+		rng := rand.New(rand.NewSource(seed))
+		deepest := 0
+		for i := 0; i < 3000; i++ {
+			if rng.Intn(30) == 0 {
+				// Drain up to a random horizon: some ops issue, some stay queued.
+				eng.RunUntil(eng.Now() + sim.Cycle(rng.Intn(1000)))
+			} else {
+				d.Submit(Request{
+					Addr:       uint64(rng.Intn(1<<20)) &^ 63,
+					Write:      rng.Intn(3) == 0,
+					Background: rng.Intn(8) == 0,
+				})
+			}
+			if got, want := d.QueueDepth(), walkQueueDepth(d); got != want {
+				t.Fatalf("seed %d step %d: QueueDepth = %d, queue walk %d", seed, i, got, want)
+			}
+			deepest = max(deepest, d.QueueDepth())
+		}
+		if deepest < 32 {
+			t.Fatalf("seed %d: the stream never queued more than %d ops; test is vacuous", seed, deepest)
+		}
+		eng.Run()
+		if got := d.QueueDepth(); got != 0 || walkQueueDepth(d) != 0 {
+			t.Fatalf("seed %d: drained device reports depth %d", seed, got)
+		}
+	}
+}
+
 func TestPeakQueueDepthHighWaterMark(t *testing.T) {
 	eng, d := newFM(t)
 	// Flood one instant with far more requests than the inflight window
@@ -712,8 +744,11 @@ func TestIntrospectionLedgersReconcile(t *testing.T) {
 	if bt.RowConflicts == 0 {
 		t.Fatal("conflict stride produced no per-bank conflicts")
 	}
-	if ct.BusBusyCycles != d.stats.BusBusyCycles {
-		t.Fatalf("per-channel bus busy %d != aggregate %d", ct.BusBusyCycles, d.stats.BusBusyCycles)
+	// Every request moved one 64-byte burst, so the channel ledger holds
+	// exactly one burst per issued read and write.
+	if want := (d.stats.Reads + d.stats.Writes) * uint64(d.burst64); ct.BusBusyCycles != want {
+		t.Fatalf("per-channel bus busy %d != %d bursts issued x %d cycles",
+			ct.BusBusyCycles, d.stats.Reads+d.stats.Writes, d.burst64)
 	}
 	if bt.BusyCycles == 0 || ct.ReadQueueWait == 0 || ct.WriteQueueWait == 0 {
 		t.Fatalf("ledger holes: busy=%d readWait=%d writeWait=%d",

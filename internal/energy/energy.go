@@ -1,7 +1,7 @@
-// Package energy computes the memory-system energy and the Energy-Delay
+// Package energy computes the memory-system energy behind the Energy-Delay
 // Product the paper reports (abstract, §V: SILC-FM reduces EDP by 13%
 // versus the best state-of-the-art scheme thanks to die-stacked DRAM's low
-// per-bit energy). Dynamic energy comes from the DRAM devices' per-access
+// per-bit energy); stats.Run.EDP multiplies it by the delay. Dynamic energy comes from the DRAM devices' per-access
 // accounting (bit transfer + row activations); background power is charged
 // per channel over the execution time; traffic accounted in aggregate by a
 // scheme (HMA's bulk migrations) arrives via stats.Memory.ExtraEnergyPJ.
@@ -40,9 +40,4 @@ func Compute(nmCfg, fmCfg config.DRAMConfig, nmStats, fmStats *dram.Stats,
 		BackgroundNJ: bgMW * 1e-3 * seconds * 1e9, // W * s -> J -> nJ
 		AggregateNJ:  memStats.ExtraEnergyPJ / 1e3,
 	}
-}
-
-// EDP returns the energy-delay product in nanojoule-cycles.
-func EDP(b Breakdown, cycles uint64) float64 {
-	return b.TotalNJ() * float64(cycles)
 }

@@ -31,16 +31,6 @@ func TestComputeComponents(t *testing.T) {
 	}
 }
 
-func TestEDPScalesWithDelay(t *testing.T) {
-	b := Breakdown{NMDynamicNJ: 10}
-	if EDP(b, 100) != 1000 {
-		t.Fatalf("EDP = %v", EDP(b, 100))
-	}
-	if EDP(b, 200) <= EDP(b, 100) {
-		t.Fatal("EDP must grow with delay")
-	}
-}
-
 func TestBackgroundDominatesLongIdleRuns(t *testing.T) {
 	nmCfg, fmCfg := config.HBM(1<<20), config.DDR3(4<<20)
 	short := Compute(nmCfg, fmCfg, &dram.Stats{}, &dram.Stats{}, &stats.Memory{}, 1000)

@@ -92,6 +92,18 @@ func TestRunAggregates(t *testing.T) {
 	}
 }
 
+func TestEDPScalesWithDelay(t *testing.T) {
+	r := Run{EnergyNJ: 10, Cycles: 100}
+	if r.EDP() != 1000 {
+		t.Fatalf("EDP = %v", r.EDP())
+	}
+	slow := r
+	slow.Cycles = 200
+	if slow.EDP() <= r.EDP() {
+		t.Fatal("EDP must grow with delay")
+	}
+}
+
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("GeoMean = %v, want 2", got)
