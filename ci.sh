@@ -59,7 +59,7 @@ race_rest() {
 bench_smoke() {
 	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
 	"$work"/silcfm-bench -quiet -out "$work"/bench_smoke.json
-	"$work"/silcfm-bench -diff -noise 0 BENCH_PR24.json "$work"/bench_smoke.json
+	"$work"/silcfm-bench -diff -noise 0 BENCH_PR26.json "$work"/bench_smoke.json
 }
 
 # Perf-regression stage: rerun the short suite best-of-5 and gate the
@@ -74,7 +74,7 @@ perf_gate() {
 	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
 	"$work"/silcfm-bench -short -quiet -reps 5 -out "$work"/bench_perf.json
 	"$work"/silcfm-bench -diff -subset -noise 0 -speed-noise 0.6 -alloc-noise 0.25 \
-		BENCH_PR24.json "$work"/bench_perf.json
+		BENCH_PR26.json "$work"/bench_perf.json
 }
 
 # Trajectory stage: regenerate the cross-PR trajectory report from the
@@ -91,7 +91,7 @@ history_smoke() {
 		exit 1
 	fi
 	# Explicit ordered paths must agree with the glob expansion.
-	"$work"/silcfm-bench -history BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR9.json BENCH_PR10.json BENCH_PR13.json BENCH_PR16.json BENCH_PR18.json BENCH_PR23.json BENCH_PR24.json >"$work"/trajectory_explicit.md
+	"$work"/silcfm-bench -history BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR9.json BENCH_PR10.json BENCH_PR13.json BENCH_PR16.json BENCH_PR18.json BENCH_PR23.json BENCH_PR24.json BENCH_PR26.json >"$work"/trajectory_explicit.md
 	diff -u TRAJECTORY.md "$work"/trajectory_explicit.md
 }
 

@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsDir   = fs.String("metrics-out", "", "write per-run epoch metrics into this directory as <sweep>_<label>_<workload>.jsonl")
 		metricsEpoch = fs.Uint64("metrics-epoch", 0, "metrics sampling period in cycles (0 = default 200000)")
 		traceDir     = fs.String("trace-out", "", "write per-run Perfetto movement traces into this directory as <sweep>_<label>_<workload>.json")
-		traceLimit   = fs.Int("trace-limit", 0, "movement-trace ring buffer size in events (0 = default 262144)")
+		traceLimit   = fs.Int("trace-limit", 0, "movement-trace ring size in events, oldest dropped first (0 = default 262144); memory grows with the events kept, 32 B each")
 		profileDir   = fs.String("profile-out", "", "write per-run hotness profiles into this directory as <sweep>_<label>_<workload>.profile.jsonl")
 		healthDir    = fs.String("health-out", "", "write per-run health incidents into this directory as <sweep>_<label>_<workload>.health.jsonl (baseline included)")
 		pmDir        = fs.String("postmortem-out", "", "write per-run postmortem bundles into this directory under <sweep>_<label>_<workload>/ (bundles only from runs that opened an incident)")
@@ -59,6 +59,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		listen       = fs.String("listen", "", live.ListenUsage)
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *traceLimit < 0 {
+		fmt.Fprintf(stderr, "silcfm-experiments: -trace-limit %d is negative (0 selects the default)\n", *traceLimit)
 		return 2
 	}
 	emit := func(t *stats.Table) {

@@ -30,6 +30,25 @@ func TestUnknownWhichIsUsageError(t *testing.T) {
 	}
 }
 
+// TestNegativeTraceLimitIsUsageError: a negative -trace-limit exits 2
+// before anything simulates, instead of silently meaning the default.
+func TestNegativeTraceLimitIsUsageError(t *testing.T) {
+	man := filepath.Join(t.TempDir(), "m.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-which", "fig7", "-instr", "2000", "-trace-limit", "-1", "-progress", "-manifest-out", man}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2; stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-trace-limit -1") {
+		t.Errorf("stderr %q does not name the bad -trace-limit", stderr.String())
+	}
+	if stdout.Len() != 0 || strings.Contains(stderr.String(), "done ") {
+		t.Errorf("ran or printed before rejecting: stdout %q, stderr %q", stdout.String(), stderr.String())
+	}
+	if _, err := os.Stat(man); !os.IsNotExist(err) {
+		t.Errorf("manifest: %v, want none written", err)
+	}
+}
+
 // TestBadWorkloadsFailBeforeAnyRun: a repeated, empty or unknown
 // -workloads name fails the command before its first cell runs.
 func TestBadWorkloadsFailBeforeAnyRun(t *testing.T) {

@@ -45,7 +45,7 @@ func main() {
 		metricsOut   = flag.String("metrics-out", "", "stream epoch time-series metrics to this file (JSONL; .csv extension switches to CSV)")
 		metricsEpoch = flag.Uint64("metrics-epoch", 0, "metrics sampling period in cycles (0 = default 200000)")
 		traceOut     = flag.String("trace-out", "", "write a Chrome/Perfetto trace of movement events to this file")
-		traceLimit   = flag.Int("trace-limit", 0, "movement-trace ring buffer size in events (0 = default 262144)")
+		traceLimit   = flag.Int("trace-limit", 0, "movement-trace ring size in events, oldest dropped first (0 = default 262144); memory grows with the events kept, 32 B each")
 		progress     = flag.Bool("progress", false, "print a progress line per metrics epoch to stderr")
 		profileOut   = flag.String("profile-out", "", "write the per-block/per-PC hotness profile to this file (JSONL)")
 		profileTopK  = flag.Int("profile-topk", 0, "print the K hottest blocks and PCs after the run (0 = off)")
@@ -62,6 +62,10 @@ func main() {
 		manifestOut = flag.String("manifest-out", "", "write a run manifest to this file (with -compare, both legs)")
 	)
 	flag.Parse()
+	if *traceLimit < 0 {
+		fmt.Fprintf(os.Stderr, "silcfm-sim: -trace-limit %d is negative (0 selects the default)\n", *traceLimit)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -101,5 +103,88 @@ func TestPrintReportLatencyLinesGolden(t *testing.T) {
 		if !strings.Contains(string(out), w) {
 			t.Fatalf("report output missing golden line %q:\n%s", w, out)
 		}
+	}
+}
+
+// runMain runs the command's main in a child copy of the test binary with
+// args, returning its exit code and combined output.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMainHelper$")
+	enc, err := json.Marshal(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Env = append(os.Environ(), "SILCFM_SIM_ARGS="+string(enc))
+	out, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode(), string(out)
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return 0, string(out)
+}
+
+// TestMainHelper is the child side of runMain; it does nothing when run
+// directly.
+func TestMainHelper(t *testing.T) {
+	enc, ok := os.LookupEnv("SILCFM_SIM_ARGS")
+	if !ok {
+		return
+	}
+	var args []string
+	if err := json.Unmarshal([]byte(enc), &args); err != nil {
+		t.Fatal(err)
+	}
+	os.Args = append([]string{"silcfm-sim"}, args...)
+	main()
+	os.Exit(0)
+}
+
+// TestNegativeTraceLimitIsUsageError: a negative -trace-limit exits 2
+// before anything simulates or writes, instead of silently meaning the
+// default.
+func TestNegativeTraceLimitIsUsageError(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "t.json")
+	code, out := runMain(t, "-scheme", "silc", "-workload", "mcf", "-instr", "2000", "-trace-out", trace, "-trace-limit", "-1")
+	if code != 2 || !strings.Contains(out, "-trace-limit -1") {
+		t.Fatalf("exit %d, output %q; want 2 and the bad -trace-limit named", code, out)
+	}
+	if _, err := os.Stat(trace); !os.IsNotExist(err) {
+		t.Errorf("trace: %v, want none written", err)
+	}
+}
+
+// TestHugeTraceLimitRecordsOnlyWhatRuns: a -trace-limit far beyond memory
+// runs, and the trace holds exactly the events the run recorded.
+func TestHugeTraceLimitRecordsOnlyWhatRuns(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "t.json")
+	code, out := runMain(t, "-scheme", "silc", "-workload", "mcf", "-instr", "2000", "-trace-out", trace, "-trace-limit", "1099511627776", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d, output %s", code, out)
+	}
+	b, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
+		OtherData struct {
+			Events, Dropped uint64
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	var instants uint64
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "i" {
+			instants++
+		}
+	}
+	if doc.OtherData.Events == 0 || doc.OtherData.Dropped != 0 || instants != doc.OtherData.Events {
+		t.Fatalf("trace holds %d events; otherData events %d dropped %d", instants, doc.OtherData.Events, doc.OtherData.Dropped)
 	}
 }

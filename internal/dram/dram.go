@@ -12,9 +12,11 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"silcfm/internal/config"
+	"silcfm/internal/memunits"
 	"silcfm/internal/sim"
 )
 
@@ -83,12 +85,22 @@ type ChannelCounters struct {
 	WriteQueueWait uint64 // cycles writes/background reads waited in the write queue
 }
 
+// op is one queued request at the width issue and PendingBytes read, 48
+// bytes: the queue and row-decode fields Submit settled (address,
+// Background) are not kept.
 type op struct {
-	req     Request
+	done    func()
+	trace   func(queue, service uint64)
 	bank    int // global bank index within channel (rank*banks + bank)
 	row     uint64
 	arrival sim.Cycle
+	bytes   uint32
+	meta    uint16 // Request.MetaBytes
+	write   bool
 }
+
+// total reports the op's transfer bytes, payload and metadata.
+func (o *op) total() uint64 { return uint64(o.bytes) + uint64(o.meta) }
 
 type bankState struct {
 	openRow int64     // -1 when precharged
@@ -120,9 +132,11 @@ func (q *opQueue) remove(i int) int32 {
 	if q.head == len(q.idx) {
 		q.idx = q.idx[:0]
 		q.head = 0
-	} else if q.head >= 1024 {
+	} else if q.head >= 1024 || q.head >= 64 && 2*q.head >= len(q.idx) {
 		// A queue that never fully drains would otherwise grow its dead
-		// prefix without bound; compact it occasionally.
+		// prefix without bound; compact it once the prefix reaches 1024
+		// entries, or earlier once it outgrows the live part, so a short
+		// queue's slice stays near twice its live length.
 		q.idx = q.idx[:copy(q.idx, q.idx[q.head:])]
 		q.head = 0
 	}
@@ -197,8 +211,8 @@ type Device struct {
 	// ops is the arena every queued op lives in, from Submit until issue;
 	// the channel queues hold indices into it. freeOps lists the vacant
 	// slots, so the arena stops growing at the peak queued count. It grows
-	// by doubling (growOps) and never shrinks, so slots past len are zero.
-	ops     []op
+	// by page and never shrinks or moves, so slots past its length are zero.
+	ops     memunits.Slab[op]
 	freeOps []int32
 
 	// queued counts the ops submitted but not yet issued, across all
@@ -364,6 +378,9 @@ func (d *Device) Submit(r Request) {
 	if r.Bytes == 0 {
 		r.Bytes = 64
 	}
+	if r.Bytes > math.MaxUint32 || r.MetaBytes > math.MaxUint16 {
+		panic(fmt.Sprintf("dram: request of %d+%d bytes exceeds the op's width", r.Bytes, r.MetaBytes))
+	}
 	ch, bank, row := d.mapAddr(r.Addr)
 	c := &d.chans[ch]
 	q := &c.readQ
@@ -371,10 +388,14 @@ func (d *Device) Submit(r Request) {
 		q = &c.writeQ
 	}
 	s := d.pushSlot(q)
-	s.req = r
+	s.done = r.Done
+	s.trace = r.Trace
 	s.bank = bank
 	s.row = row
 	s.arrival = d.eng.Now()
+	s.bytes = uint32(r.Bytes)
+	s.meta = uint16(r.MetaBytes)
+	s.write = r.Write
 	d.bankQueued[ch*int(d.banksPerChan)+bank]++
 	d.queued++
 	if d.queued > d.peakQueued {
@@ -384,34 +405,18 @@ func (d *Device) Submit(r Request) {
 }
 
 // pushSlot appends a zeroed arena op to q and returns it for in-place
-// fill, avoiding a pass-by-value copy of the wide op struct. The pointer
-// is valid until the next pushSlot.
+// fill, avoiding a pass-by-value copy of the op struct.
 func (d *Device) pushSlot(q *opQueue) *op {
 	var i int32
 	if n := len(d.freeOps); n > 0 {
 		i = d.freeOps[n-1]
 		d.freeOps = d.freeOps[:n-1]
 	} else {
-		if len(d.ops) == cap(d.ops) {
-			d.growOps()
-		}
-		i = int32(len(d.ops))
-		d.ops = d.ops[:i+1] // a never-used slot, still zero
+		p, _ := d.ops.Push() // a never-used slot, still zero
+		i = int32(p)
 	}
 	q.idx = append(q.idx, i)
-	return &d.ops[i]
-}
-
-// minOps is the op arena's first capacity.
-const minOps = 64
-
-// growOps doubles the op arena's capacity. append would grow a large arena
-// by about 1.25x per step, copying the wide ops each time; doubling keeps
-// the bytes ever allocated under twice the final arena.
-func (d *Device) growOps() {
-	ops := make([]op, len(d.ops), max(2*cap(d.ops), minOps))
-	copy(ops, d.ops)
-	d.ops = ops
+	return d.ops.At(int(i))
 }
 
 // kick issues as many ops as the inflight bound allows on channel ch.
@@ -460,7 +465,7 @@ func (d *Device) selectOp(c *channel) (*opQueue, int) {
 	// First ready (row hit) within the window, else oldest.
 	pick := 0
 	for i := 0; i < window; i++ {
-		o := &d.ops[q.slot(i)]
+		o := d.ops.At(int(q.slot(i)))
 		b := &c.banks[o.bank]
 		if b.openRow >= 0 && uint64(b.openRow) == o.row {
 			pick = i
@@ -506,7 +511,7 @@ func (d *Device) refreshCatchup(ch int, c *channel, now sim.Cycle) {
 // to the free list.
 func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	slot := q.remove(pick)
-	o := &d.ops[slot]
+	o := d.ops.At(int(slot))
 	b := &c.banks[o.bank]
 	bc := &d.bankCtr[ch*int(d.banksPerChan)+o.bank]
 	cc := &d.chanCtr[ch]
@@ -549,11 +554,11 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	}
 
 	burst := d.burst64
-	if n := o.req.Bytes + o.req.MetaBytes; n != 64 {
+	if n := o.total(); n != 64 {
 		burst = d.Cfg.BurstCPUCycles(n)
 	}
 	var dataAt sim.Cycle
-	if o.req.Write {
+	if o.write {
 		// Write data moves over the bus at the column command.
 		dataAt = colAt
 		if dataAt < c.busFreeAt {
@@ -590,22 +595,22 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	}
 
 	done := dataAt + burst
-	bits := float64((o.req.Bytes + o.req.MetaBytes) * 8)
-	d.stats.BytesMeta += o.req.MetaBytes
-	if o.req.Write {
+	bits := float64(o.total() * 8)
+	d.stats.BytesMeta += uint64(o.meta)
+	if o.write {
 		d.stats.Writes++
-		d.stats.BytesWritten += o.req.Bytes
+		d.stats.BytesWritten += uint64(o.bytes)
 		d.stats.DynamicEnergyPJ += bits * d.Cfg.WriteEnergyPJPerBit
 	} else {
 		d.stats.Reads++
-		d.stats.BytesRead += o.req.Bytes
+		d.stats.BytesRead += uint64(o.bytes)
 		d.stats.DynamicEnergyPJ += bits * d.Cfg.ReadEnergyPJPerBit
 	}
 
 	// Minimal service time for the observed row outcome; reads add the CAS
 	// latency, writes move data at the column command.
 	service := rowPenalty + burst
-	if !o.req.Write {
+	if !o.write {
 		service += d.tCAS
 	}
 
@@ -621,8 +626,8 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	comp.done = done
 	comp.arrival = o.arrival
 	comp.service = service
-	comp.cb = o.req.Done
-	comp.tr = o.req.Trace
+	comp.cb = o.done
+	comp.tr = o.trace
 	d.bankQueued[ch*int(d.banksPerChan)+o.bank]--
 	*o = op{} // release Done/Trace references
 	d.freeOps = append(d.freeOps, slot)
@@ -639,7 +644,7 @@ func (d *Device) PendingBytes() uint64 {
 	for i := range d.chans {
 		for _, q := range []*opQueue{&d.chans[i].readQ, &d.chans[i].writeQ} {
 			for _, i := range q.idx[q.head:] {
-				n += d.ops[i].req.Bytes + d.ops[i].req.MetaBytes
+				n += d.ops.At(int(i)).total()
 			}
 		}
 	}

@@ -368,9 +368,9 @@ func (r *Recorder) fillSlot(slot *epochSlot, st telemetry.EpochState, hs health.
 	slot.nOff = 0
 	slot.offTotal = r.off.Len()
 	slot.offDropped = r.off.Dropped()
-	vals := r.off.Values()
-	for i, b := range r.off.Keys() {
-		r.rankOffender(slot, Offender{Block: b, Demands: vals[i].demands, LatCycles: vals[i].lat})
+	for i := 0; i < r.off.Len(); i++ {
+		v := r.off.Value(i)
+		r.rankOffender(slot, Offender{Block: r.off.Key(i), Demands: v.demands, LatCycles: v.lat})
 	}
 	r.off.Reset()
 }

@@ -8,10 +8,12 @@
 //
 // The scheduler is a bucketed time wheel with a binary-heap fallback, built
 // for the simulator's hot path: almost every event lands within a few
-// hundred cycles of now (DRAM timing, core wakeups), so it goes into a
-// per-cycle wheel bucket with one slice append — no comparisons, no
-// container/heap interface boxing, and the bucket storage is reused across
-// wheel revolutions, so steady-state scheduling allocates nothing. Rare
+// hundred cycles of now (DRAM timing, core wakeups), so it is linked onto
+// the tail of a per-cycle wheel bucket's FIFO — no comparisons, no
+// container/heap interface boxing. Every wheel event lives in one slab of
+// nodes (memunits.Slab, grown by page) and a dispatched node goes on a free
+// list, so the wheel's storage stops growing at the peak pending count and
+// steady-state scheduling allocates nothing. Rare
 // far-future events (telemetry epoch pumps, refresh horizons) go to a
 // hand-rolled min-heap. Dispatch merges the two sources by exact
 // (when, seq) order, so the hybrid is observably identical — event for
@@ -39,7 +41,11 @@
 // is still running.
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"silcfm/internal/memunits"
+)
 
 // Cycle is a point in simulated time, measured in CPU clock cycles.
 type Cycle = uint64
@@ -64,19 +70,28 @@ type event struct {
 	fn   func()
 }
 
+// node is a wheel event in the slab, linked into its bucket's FIFO or, once
+// dispatched, into the free list. Slab entries never move, so the links
+// are plain pointers.
+type node struct {
+	event
+	next *node
+}
+
 // Engine is a discrete-event scheduler. The zero value is ready to use.
 type Engine struct {
 	now Cycle
 	seq uint64
 
-	// buckets[t&wheelMask] holds the events scheduled for cycle t, for t in
-	// [now, now+wheelSize), in seq (FIFO) order. heads[i] is the consume
-	// index into buckets[i]: drained prefixes are skipped rather than
-	// shifted, and a fully drained bucket resets to len 0 keeping its
-	// capacity. occ has bit i set while buckets[i] holds undispatched
-	// events; wheelCount totals them.
-	buckets    [][]event
-	heads      []int
+	// Bucket t&wheelMask holds the events scheduled for cycle t, for t in
+	// [now, now+wheelSize), as a FIFO of slab nodes in seq order from
+	// heads[b] to tails[b] (nil = empty). free heads the list of dispatched
+	// nodes. occ has bit b set while bucket b holds undispatched events;
+	// wheelCount totals them.
+	slab       memunits.Slab[node]
+	heads      [wheelSize]*node
+	tails      [wheelSize]*node
+	free       *node
 	occ        [wheelWords]uint64
 	wheelCount int
 
@@ -110,13 +125,22 @@ func (e *Engine) At(when Cycle, fn func()) {
 	}
 	e.seq++
 	if when-e.now < wheelSize {
-		if e.buckets == nil {
-			e.buckets = make([][]event, wheelSize)
-			e.heads = make([]int, wheelSize)
+		n := e.free
+		if n != nil {
+			e.free = n.next
+			n.next = nil
+		} else {
+			_, n = e.slab.Push()
 		}
+		n.event = event{when: when, seq: e.seq, fn: fn}
 		b := int(when & wheelMask)
-		e.buckets[b] = append(e.buckets[b], event{when: when, seq: e.seq, fn: fn})
-		e.occ[b>>6] |= 1 << (b & 63)
+		if t := e.tails[b]; t != nil {
+			t.next = n
+		} else {
+			e.heads[b] = n
+			e.occ[b>>6] |= 1 << (b & 63)
+		}
+		e.tails[b] = n
 		e.wheelCount++
 		return
 	}
@@ -163,19 +187,20 @@ func (e *Engine) dispatchUpTo(limit Cycle) bool {
 	t, wheelOK := e.nextWheel()
 	if wheelOK && t <= limit {
 		b := int(t & wheelMask)
+		n := e.heads[b]
 		if len(e.far) == 0 || t < e.far[0].when ||
-			(t == e.far[0].when && e.buckets[b][e.heads[b]].seq < e.far[0].seq) {
-			ev := e.buckets[b][e.heads[b]]
-			e.buckets[b][e.heads[b]] = event{} // release the fn reference
-			e.heads[b]++
-			if e.heads[b] == len(e.buckets[b]) {
-				e.buckets[b] = e.buckets[b][:0]
-				e.heads[b] = 0
+			(t == e.far[0].when && n.seq < e.far[0].seq) {
+			fn := n.fn
+			n.fn = nil // release the reference; At rewrites when and seq
+			if e.heads[b] = n.next; n.next == nil {
+				e.tails[b] = nil
 				e.occ[b>>6] &^= 1 << (b & 63)
 			}
+			n.next = e.free
+			e.free = n
 			e.wheelCount--
-			e.now = ev.when
-			ev.fn()
+			e.now = t
+			fn()
 			return true
 		}
 	}

@@ -5,6 +5,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"silcfm/internal/memunits"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -174,6 +177,46 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestWheelSlabReusesNodes schedules a burst of events into one wheel
+// bucket, drains it, and repeats the identical burst: the second burst must
+// allocate nothing, the slab must hold no more pages than the peak pending
+// count needs, and same-cycle events must still dispatch in FIFO order.
+func TestWheelSlabReusesNodes(t *testing.T) {
+	const burst = 3000
+	e := NewEngine()
+	var got []int
+	run := func() {
+		got = got[:0]
+		for i := 0; i < burst; i++ {
+			i := i
+			e.After(5, func() { got = append(got, i) })
+		}
+		e.Run()
+	}
+	run()
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("same-bucket events not FIFO: pos %d got %d", i, v)
+		}
+	}
+	if a := testing.AllocsPerRun(3, func() {
+		for i := 0; i < burst; i++ {
+			e.After(5, fn0)
+		}
+		e.Run()
+	}); a != 0 {
+		t.Fatalf("a repeated burst allocates %.1f objects, want 0", a)
+	}
+	const per = memunits.SlabPageLen
+	if pages := (burst + per - 1) / per; e.slab.Cap() != pages*per {
+		size := int(unsafe.Sizeof(node{}))
+		t.Fatalf("slab holds %d B for a peak of %d pending, want %d pages of %d B",
+			e.slab.Cap()*size, burst, pages, per*size)
+	}
+}
+
+func fn0() {}
 
 func BenchmarkEngineScheduleDispatch(b *testing.B) {
 	e := NewEngine()

@@ -1,6 +1,10 @@
 package stats
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"silcfm/internal/memunits"
+)
 
 // BoundedTable is a hash table from uint64 keys to values of type V that
 // holds at most a fixed number of distinct keys, for per-demand hotness
@@ -12,18 +16,24 @@ import "math/bits"
 //   - bounded load: the slot index has a power-of-two size of at least twice
 //     the key bound, so it is never more than half full and a linear probe
 //     stops at an empty slot after a few steps;
-//   - dense storage: keys and values live in insertion order in slices
-//     grown by doubling and clamped at the key bound, so a full table has
-//     allocated less than twice its final storage and Reset costs O(keys
-//     held), not O(slots).
+//   - tagged slots: a slot holds the key's dense position and, in the bits
+//     above it, a tag cut from the key's hash, so a probe reads a key only
+//     when the tags match and a full table refuses a new key without
+//     reading any;
+//   - dense storage: keys and values live in insertion order in two
+//     memunits.Slabs, which grow by fixed-size pages and never copy, so a
+//     full table has allocated its final storage plus at most one page of
+//     each, a value's pointer stays put, and Reset costs O(keys held), not
+//     O(slots).
 //
 // The zero value is not usable; build one with NewBoundedTable.
 type BoundedTable[V any] struct {
 	max     int
-	shift   uint     // 64 - log2(len(slots)): Fibonacci hash to a slot index
-	slots   []uint32 // dense position + 1; 0 = empty
-	keys    []uint64 // dense, insertion order
-	vals    []V      // aligned with keys
+	shift   uint                  // 64 - log2(len(slots)): Fibonacci hash to a slot index
+	posMask uint32                // slot bits holding the dense position + 1
+	slots   []uint32              // tag | dense position + 1; 0 = empty
+	keys    memunits.Slab[uint64] // dense, insertion order
+	vals    memunits.Slab[V]      // aligned with keys
 	dropped uint64
 }
 
@@ -35,97 +45,73 @@ func NewBoundedTable[V any](max int) *BoundedTable[V] {
 	}
 	logSlots := bits.Len(uint(2*max - 1)) // smallest power of two >= 2*max
 	return &BoundedTable[V]{
-		max:   max,
-		shift: uint(64 - logSlots),
-		slots: make([]uint32, 1<<logSlots),
+		max:     max,
+		shift:   uint(64 - logSlots),
+		posMask: uint32(1)<<bits.Len(uint(max)) - 1,
+		slots:   make([]uint32, 1<<logSlots),
 	}
 }
 
-// home is key's first probe position.
-func (t *BoundedTable[V]) home(key uint64) int {
-	return int((key * 0x9e3779b97f4a7c15) >> t.shift)
+// hash returns key's first probe position and its slot tag: the hash bits
+// just below those that pick the position, in the slot bits above posMask.
+func (t *BoundedTable[V]) hash(key uint64) (int, uint32) {
+	h := key * 0x9e3779b97f4a7c15
+	return int(h >> t.shift), uint32(h>>(t.shift-32)) &^ t.posMask
 }
 
 // Get returns a pointer to key's value, adding key with a zero value when
 // it is new and the table has room. When the table is full and key is new it
-// counts one drop and returns nil. The pointer is valid until the next Get
-// or Reset.
+// counts one drop and returns nil. The pointer is valid until the next
+// Reset.
 func (t *BoundedTable[V]) Get(key uint64) *V {
 	mask := len(t.slots) - 1
-	for i := t.home(key); ; i = (i + 1) & mask {
-		pos := t.slots[i]
-		if pos == 0 {
-			if len(t.keys) == t.max {
+	i, tag := t.hash(key)
+	for ; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			if t.keys.Len() == t.max {
 				t.dropped++
 				return nil
 			}
-			if len(t.keys) == cap(t.keys) {
-				t.grow() // so the appends below never reallocate
-			}
-			t.keys = append(t.keys, key)
-			var zero V
-			t.vals = append(t.vals, zero)
-			t.slots[i] = uint32(len(t.keys))
-			return &t.vals[len(t.vals)-1]
+			p, k := t.keys.Push()
+			*k = key
+			t.slots[i] = tag | uint32(p+1)
+			_, v := t.vals.Push()
+			return v
 		}
-		if t.keys[pos-1] == key {
-			return &t.vals[pos-1]
+		if p := int(s&t.posMask) - 1; s&^t.posMask == tag && *t.keys.At(p) == key {
+			return t.vals.At(p)
 		}
 	}
-}
-
-// minDense bounds the dense storage's first capacity from below (unless
-// the key bound itself is smaller).
-const minDense = 16
-
-// grow doubles the dense storage's capacity up to max. append alone would
-// grow a large slice by about 1.25x per step and overshoot max. The first
-// capacity is max/2^k, so the doublings land on max and the capacities
-// before it sum to less than max: a full table has allocated under twice
-// its final storage.
-func (t *BoundedTable[V]) grow() {
-	c := 2 * cap(t.keys)
-	if c == 0 {
-		c = t.max >> max(bits.Len(uint(t.max/minDense))-1, 0)
-	}
-	if 2*c > t.max {
-		c = t.max
-	}
-	keys := make([]uint64, len(t.keys), c)
-	copy(keys, t.keys)
-	vals := make([]V, len(t.vals), c)
-	copy(vals, t.vals)
-	t.keys, t.vals = keys, vals
 }
 
 // Len reports the number of keys held.
-func (t *BoundedTable[V]) Len() int { return len(t.keys) }
+func (t *BoundedTable[V]) Len() int { return t.keys.Len() }
 
 // Dropped reports the Get calls refused since the last Reset because the
 // table was full.
 func (t *BoundedTable[V]) Dropped() uint64 { return t.dropped }
 
-// Keys returns the held keys in insertion order. The slice aliases the
-// table's storage: read it before the next Get or Reset.
-func (t *BoundedTable[V]) Keys() []uint64 { return t.keys }
+// Key returns the key at position i in insertion order, for i < Len.
+func (t *BoundedTable[V]) Key(i int) uint64 { return *t.keys.At(i) }
 
-// Values returns the held values, index-aligned with Keys, with the same
-// aliasing rule.
-func (t *BoundedTable[V]) Values() []V { return t.vals }
+// Value returns the value at position i, aligned with Key(i). The pointer
+// is valid until the next Reset.
+func (t *BoundedTable[V]) Value(i int) *V { return t.vals.At(i) }
 
 // Reset empties the table and zeroes the drop count, touching only the
 // slots in use: each key's slot is found by walking its probe sequence to
 // the slot that holds its position, the same walk that inserted it.
 func (t *BoundedTable[V]) Reset() {
 	mask := len(t.slots) - 1
-	for p, key := range t.keys {
-		i := t.home(key)
-		for t.slots[i] != uint32(p+1) {
+	for p := 0; p < t.keys.Len(); p++ {
+		i, _ := t.hash(t.Key(p))
+		for t.slots[i]&t.posMask != uint32(p+1) {
 			i = (i + 1) & mask
 		}
 		t.slots[i] = 0
 	}
-	t.keys = t.keys[:0]
-	t.vals = t.vals[:0]
+	t.keys.Reset()
+	t.vals.Reset()
 	t.dropped = 0
 }

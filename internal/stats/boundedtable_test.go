@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"silcfm/internal/memunits"
 )
 
 // capModel is the reference BoundedTable is checked against: a map with a
@@ -59,10 +61,10 @@ func TestBoundedTableMatchesCapModel(t *testing.T) {
 				t.Fatalf("max %d round %d: len %d dropped %d, model len %d dropped %d",
 					max, round, tb.Len(), tb.Dropped(), len(m.order), m.dropped)
 			}
-			for i, k := range tb.Keys() {
-				if k != m.order[i] || tb.Values()[i] != m.vals[k] {
+			for i := 0; i < tb.Len(); i++ {
+				if k := tb.Key(i); k != m.order[i] || *tb.Value(i) != m.vals[k] {
 					t.Fatalf("max %d round %d: entry %d = %d:%d, model %d:%d",
-						max, round, i, k, tb.Values()[i], m.order[i], m.vals[m.order[i]])
+						max, round, i, k, *tb.Value(i), m.order[i], m.vals[m.order[i]])
 				}
 			}
 			tb.Reset()
@@ -105,38 +107,37 @@ func TestBoundedTableFullDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestBoundedTableGrowthAllocatesUnderTwiceFinal fills tables to their key
-// bound and checks that the dense storage never grows past the bound and
-// that the storage every growth allocated, the final one included, sums to
-// at most twice the final keys+values bytes. Each growth allocates exactly
-// its new capacity of keys and of values, so the sum is taken over the
-// capacities seen; the allocator's own size-class rounding is not the
-// table's to bound.
-func TestBoundedTableGrowthAllocatesUnderTwiceFinal(t *testing.T) {
+// TestBoundedTableFillAllocatesFinalPlusOnePage fills tables to their key
+// bound and checks that the entry bytes their dense storage allocated sum
+// to at most the final keys+values bytes plus one page, that no value moves
+// as later pages arrive, and that a key added after Reset starts at zero.
+// Storage grows only by whole pages, so the sum is read from the pages
+// held; the allocator's own size-class rounding is not the table's to
+// bound.
+func TestBoundedTableFillAllocatesFinalPlusOnePage(t *testing.T) {
 	type val [3]uint64
 	entry := uint64(unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(val{}))
 	for _, max := range []int{1, 15, 16, 17, 1000, 1024, 5000, 32768, 40000} {
 		tb := NewBoundedTable[val](max)
-		var allocated uint64
+		first := make([]*val, 0, max)
 		for k := uint64(0); k < uint64(max); k++ {
-			c := cap(tb.keys)
-			tb.Get(k)[0] = k
-			if cap(tb.keys) != c {
-				allocated += uint64(cap(tb.keys)) * entry
-			}
-			if cap(tb.keys) > max || cap(tb.vals) != cap(tb.keys) {
-				t.Fatalf("max %d: capacity %d/%d, bound %d", max, cap(tb.keys), cap(tb.vals), max)
-			}
+			v := tb.Get(k)
+			v[0] = k
+			first = append(first, v)
 		}
 		if tb.Len() != max {
 			t.Fatalf("max %d: holds %d keys", max, tb.Len())
 		}
-		if final := uint64(max) * entry; allocated > 2*final {
-			t.Errorf("max %d: growth allocated %d B, more than twice the final %d B", max, allocated, final)
+		if tb.vals.Cap() != tb.keys.Cap() {
+			t.Fatalf("max %d: value pages hold %d, key pages %d", max, tb.vals.Cap(), tb.keys.Cap())
 		}
-		for k, v := range tb.Values() {
-			if v[0] != tb.Keys()[k] {
-				t.Fatalf("max %d: value %d moved off its key", max, k)
+		page := uint64(memunits.SlabPageLen) * entry
+		if allocated, final := uint64(tb.keys.Cap())*entry, uint64(max)*entry; allocated > final+page {
+			t.Errorf("max %d: fill allocated %d B, more than the final %d B plus one %d B page", max, allocated, final, page)
+		}
+		for i := 0; i < max; i++ {
+			if v := tb.Value(i); v != first[i] || v[0] != tb.Key(i) {
+				t.Fatalf("max %d: value %d moved off its key", max, i)
 			}
 		}
 		tb.Reset()

@@ -38,8 +38,8 @@ func (t *Tracer) WriteReference(w io.Writer) error {
 		emit(&traceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: numEvKinds + i,
 			Args: map[string]any{"name": tr}})
 	}
-	for i := range t.ring {
-		e := &t.ring[(t.next+i)%len(t.ring)]
+	for i, n := 0, t.ring.Len(); i < n; i++ {
+		e := t.ring.At((t.next + i) % n)
 		emit(&traceEvent{
 			Name: evNames[e.kind], Ph: "i", Ts: e.cycle, Pid: 0, Tid: int(e.kind),
 			S: "t", Args: referenceArgs(e),
@@ -72,7 +72,7 @@ func referenceArgs(e *event) map[string]any {
 		if e.write {
 			op = "write"
 		}
-		return map[string]any{"pa": fmt.Sprintf("0x%x", e.pa), "loc": referenceLoc(e.a()), "op": op}
+		return map[string]any{"pa": fmt.Sprintf("0x%x", e.pa()), "loc": referenceLoc(e.a()), "op": op}
 	case evCapture:
 		return map[string]any{"loc": referenceLoc(e.a())}
 	case evDeliver, evRelocate:
@@ -84,8 +84,8 @@ func referenceArgs(e *event) map[string]any {
 		if e.write {
 			kind = "home"
 		}
-		return map[string]any{"frame": e.aAddr, "block": e.pa, "kind": kind}
+		return map[string]any{"frame": e.aAddr, "block": e.pa(), "kind": kind}
 	default: // evUnlock
-		return map[string]any{"frame": e.aAddr, "block": e.pa}
+		return map[string]any{"frame": e.aAddr, "block": e.pa()}
 	}
 }

@@ -172,11 +172,10 @@ func (p *Profiler) Counts() (blocks, pcs int, droppedBlocks, droppedPCs uint64) 
 // sortedBlocks returns the block profiles, key ascending. The table's
 // values carry no key until here, where Block is filled in from it.
 func (p *Profiler) sortedBlocks() []*BlockProfile {
-	vals := p.blocks.Values()
-	out := make([]*BlockProfile, len(vals))
-	for i, b := range p.blocks.Keys() {
-		vals[i].Block = b
-		out[i] = &vals[i]
+	out := make([]*BlockProfile, p.blocks.Len())
+	for i := range out {
+		out[i] = p.blocks.Value(i)
+		out[i].Block = p.blocks.Key(i)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Block < out[j].Block })
 	return out
@@ -185,11 +184,10 @@ func (p *Profiler) sortedBlocks() []*BlockProfile {
 // sortedPCs returns the PC profiles, key ascending, PC filled in as for
 // sortedBlocks.
 func (p *Profiler) sortedPCs() []*PCProfile {
-	vals := p.pcs.Values()
-	out := make([]*PCProfile, len(vals))
-	for i, pc := range p.pcs.Keys() {
-		vals[i].PC = pc
-		out[i] = &vals[i]
+	out := make([]*PCProfile, p.pcs.Len())
+	for i := range out {
+		out[i] = p.pcs.Value(i)
+		out[i].PC = p.pcs.Key(i)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
 	return out

@@ -37,7 +37,8 @@ type Config struct {
 	TraceW io.Writer
 	// TraceLimit bounds the trace ring buffer (default 1<<18 events); the
 	// oldest events are dropped first and the drop count is reported in the
-	// trace's otherData.
+	// trace's otherData. The ring grows as events arrive, 32 B per event
+	// kept.
 	TraceLimit int
 	// ProgressW receives a progress line each epoch.
 	ProgressW io.Writer

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"silcfm/internal/mem"
+	"silcfm/internal/memunits"
 	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 )
@@ -27,16 +28,19 @@ var evNames = [numEvKinds]string{
 	"demand", "capture", "deliver", "relocate", "swap", "lock", "unlock",
 }
 
-// event is one recorded movement event, packed to 40 bytes: the ring holds
-// hundreds of thousands of these. The two locations are split into their
-// level bytes, which share a word with kind and write, and their addresses.
+// event is one recorded movement event, 32 bytes: the ring holds hundreds
+// of thousands of these. No event kind carries both a flat address and a
+// second location, so one word holds either: x is the demand address or the
+// pinned flat block for demand, lock and unlock events, and the second
+// location's device address for the rest. The level bytes share a word with
+// kind and write.
 type event struct {
 	kind           uint8
 	write          bool // demand: write access; lock: home lock
 	aLevel, bLevel uint8
 	cycle          uint64
-	pa             uint64 // demand: address; lock/unlock: flat block
-	aAddr, bAddr   uint64 // a = loc/src/frame, b = dst
+	aAddr          uint64 // a = loc/src/frame
+	x              uint64 // demand: address; lock/unlock: flat block; else b's address
 }
 
 // a returns the event's first location (loc, src or frame).
@@ -46,8 +50,11 @@ func (e *event) a() mem.Location {
 
 // b returns the event's second location (dst).
 func (e *event) b() mem.Location {
-	return mem.Location{Level: stats.MemLevel(e.bLevel), DevAddr: e.bAddr}
+	return mem.Location{Level: stats.MemLevel(e.bLevel), DevAddr: e.x}
 }
+
+// pa returns a demand event's address, or a lock event's flat block.
+func (e *event) pa() uint64 { return e.x }
 
 // Tracer records the semantic movement-event stream (mem.Observer plus the
 // SchemeObserver extension) into a bounded ring buffer and serializes it as
@@ -57,10 +64,11 @@ func (e *event) b() mem.Location {
 // keeps the tracks separable.
 type Tracer struct {
 	eng     *sim.Engine
-	ring    []event // arrival order from next, once full
-	next    int     // ring write position
-	total   uint64  // events ever observed
-	dropped uint64  // events evicted from the ring
+	limit   int
+	ring    memunits.Slab[event] // arrival order from next, once full
+	next    int                  // ring write position
+	total   uint64               // events ever observed
+	dropped uint64               // events evicted from the ring
 
 	// Synthetic duration spans injected after the run (exemplar span
 	// waterfalls), each on a named track appended after the per-kind
@@ -81,67 +89,71 @@ type spanEvent struct {
 	args       map[string]any
 }
 
-// NewTracer builds a tracer holding at most limit events (oldest dropped).
+// NewTracer builds a tracer holding at most limit events (oldest dropped;
+// limit <= 0 selects DefaultTraceLimit). The ring costs memory only for the
+// events recorded: it fills page by page, so a limit far above the run's
+// event count allocates no more than the run records.
 func NewTracer(eng *sim.Engine, limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultTraceLimit
 	}
-	return &Tracer{eng: eng, ring: make([]event, 0, limit)}
+	return &Tracer{eng: eng, limit: limit}
 }
 
 // record stamps and stores one event, overwriting the oldest once the ring
-// is full.
-func (t *Tracer) record(kind uint8, write bool, pa uint64, a, b mem.Location) {
-	e := event{
-		kind: kind, write: write, aLevel: uint8(a.Level), bLevel: uint8(b.Level),
-		cycle: t.eng.Now(), pa: pa, aAddr: a.DevAddr, bAddr: b.DevAddr,
-	}
+// is full. x is the event's flat address or block, or b's device address.
+func (t *Tracer) record(kind uint8, write bool, a mem.Location, bLevel stats.MemLevel, x uint64) {
 	t.total++
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, e)
-		return
+	var e *event
+	if t.ring.Len() < t.limit {
+		_, e = t.ring.Push()
+	} else {
+		e = t.ring.At(t.next)
+		if t.next++; t.next == t.limit {
+			t.next = 0
+		}
+		t.dropped++
 	}
-	t.ring[t.next] = e
-	if t.next++; t.next == len(t.ring) {
-		t.next = 0
+	*e = event{
+		kind: kind, write: write, aLevel: uint8(a.Level), bLevel: uint8(bLevel),
+		cycle: t.eng.Now(), aAddr: a.DevAddr, x: x,
 	}
-	t.dropped++
 }
 
 // Demand implements mem.Observer.
 func (t *Tracer) Demand(pa uint64, loc mem.Location, write bool) {
-	t.record(evDemand, write, pa, loc, mem.Location{})
+	t.record(evDemand, write, loc, 0, pa)
 }
 
 // Capture implements mem.Observer.
 func (t *Tracer) Capture(loc mem.Location) {
-	t.record(evCapture, false, 0, loc, mem.Location{})
+	t.record(evCapture, false, loc, 0, 0)
 }
 
 // Deliver implements mem.Observer.
 func (t *Tracer) Deliver(src, dst mem.Location) {
-	t.record(evDeliver, false, 0, src, dst)
+	t.record(evDeliver, false, src, dst.Level, dst.DevAddr)
 }
 
 // Relocate implements mem.Observer.
 func (t *Tracer) Relocate(src, dst mem.Location) {
-	t.record(evRelocate, false, 0, src, dst)
+	t.record(evRelocate, false, src, dst.Level, dst.DevAddr)
 }
 
 // Swap implements mem.SchemeObserver.
 func (t *Tracer) Swap(a, b mem.Location) {
-	t.record(evSwap, false, 0, a, b)
+	t.record(evSwap, false, a, b.Level, b.DevAddr)
 }
 
 // Lock implements mem.SchemeObserver. The pinned flat block index rides in
-// the pa field.
+// the address word.
 func (t *Tracer) Lock(frame, block uint64, home bool) {
-	t.record(evLock, home, block, mem.Location{DevAddr: frame}, mem.Location{})
+	t.record(evLock, home, mem.Location{DevAddr: frame}, 0, block)
 }
 
 // Unlock implements mem.SchemeObserver.
 func (t *Tracer) Unlock(frame, block uint64) {
-	t.record(evUnlock, false, block, mem.Location{DevAddr: frame}, mem.Location{})
+	t.record(evUnlock, false, mem.Location{DevAddr: frame}, 0, block)
 }
 
 // Events reports (recorded, dropped) counts.
@@ -227,7 +239,7 @@ func appendInstant(buf []byte, e *event) []byte {
 		} else {
 			buf = append(buf, `,"op":"read","pa":"0x`...)
 		}
-		buf = strconv.AppendUint(buf, e.pa, 16)
+		buf = strconv.AppendUint(buf, e.pa(), 16)
 		buf = append(buf, '"')
 	case evCapture:
 		buf = append(buf, `"loc":`...)
@@ -244,7 +256,7 @@ func appendInstant(buf []byte, e *event) []byte {
 		buf = appendLoc(buf, e.b())
 	default: // evLock, evUnlock
 		buf = append(buf, `"block":`...)
-		buf = strconv.AppendUint(buf, e.pa, 10)
+		buf = strconv.AppendUint(buf, e.pa(), 10)
 		buf = append(buf, `,"frame":`...)
 		buf = strconv.AppendUint(buf, e.aAddr, 10)
 		if e.kind == evLock {
@@ -290,10 +302,10 @@ func (t *Tracer) Write(w io.Writer) error {
 		buf = appendThreadName(buf, numEvKinds+i, tr)
 	}
 	// Ring in arrival order: [next, len) then [0, next) once wrapped.
-	for _, part := range [2][]event{t.ring[t.next:], t.ring[:t.next]} {
-		for i := range part {
+	for _, r := range [2][2]int{{t.next, t.ring.Len()}, {0, t.next}} {
+		for i := r[0]; i < r[1]; i++ {
 			next()
-			buf = appendInstant(buf, &part[i])
+			buf = appendInstant(buf, t.ring.At(i))
 		}
 	}
 	// Injected duration spans, in insertion order.

@@ -156,7 +156,8 @@ type Options struct {
 	// TraceOut writes a Chrome trace-event JSON of semantic movement
 	// events (demand/capture/deliver/relocate/swap/lock), viewable in
 	// Perfetto (harness.Outputs.Trace). TraceLimit bounds the in-memory
-	// event ring (default 1<<18; oldest events drop first).
+	// event ring (default 1<<18; oldest events drop first); the ring grows
+	// as events arrive, 32 B per event kept.
 	TraceOut   string
 	TraceLimit int
 
