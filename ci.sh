@@ -50,6 +50,12 @@ race_rest() {
 	go test -race $(go list ./... | grep -vxF "$(go list $fast_pkgs)")
 }
 
+# The bench, perf and history stages share one silcfm-bench binary, built
+# into the scratch directory by whichever of them runs first.
+bench_bin() {
+	[ -x "$work"/silcfm-bench ] || go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
+}
+
 # Bench-smoke stage: rerun the full manifest suite and diff its
 # deterministic counters against every cell of the committed trajectory
 # baseline. Any counter drift fails here in seconds — a whole-system
@@ -57,7 +63,7 @@ race_rest() {
 # Host-timing metrics are skipped (-noise 0): the baseline was produced on a
 # different machine.
 bench_smoke() {
-	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
+	bench_bin
 	"$work"/silcfm-bench -quiet -out "$work"/bench_smoke.json
 	"$work"/silcfm-bench -diff -noise 0 BENCH_PR26.json "$work"/bench_smoke.json
 }
@@ -71,7 +77,7 @@ bench_smoke() {
 # allocation counts are nearly deterministic, so any real leak trips it.
 # -noise 0 still skips wall_seconds, and sim counters stay exact as always.
 perf_gate() {
-	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
+	bench_bin
 	"$work"/silcfm-bench -short -quiet -reps 5 -out "$work"/bench_perf.json
 	"$work"/silcfm-bench -diff -subset -noise 0 -speed-noise 0.6 -alloc-noise 0.25 \
 		BENCH_PR26.json "$work"/bench_perf.json
@@ -83,7 +89,7 @@ perf_gate() {
 # manifests, so any drift means either the baselines changed without the
 # report (regenerate it) or the report generator changed behavior.
 history_smoke() {
-	go build -o "$work"/silcfm-bench ./cmd/silcfm-bench
+	bench_bin
 	"$work"/silcfm-bench -history -history-md "$work"/trajectory.md 'BENCH_PR*.json' >/dev/null
 	if ! diff -u TRAJECTORY.md "$work"/trajectory.md; then
 		echo "history_smoke: TRAJECTORY.md is stale; regenerate with:" >&2

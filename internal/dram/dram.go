@@ -673,22 +673,3 @@ func (d *Device) QueueDepth() int { return d.queued }
 func (d *Device) UnloadedReadLatency() sim.Cycle {
 	return d.tRCD + d.tCAS + d.burst64
 }
-
-// Join returns a callback that invokes fn after being called n times. It is
-// the device-level fan-in helper for multi-subblock transfers. If n == 0,
-// fn runs immediately.
-func Join(n int, fn func()) func() {
-	if n <= 0 {
-		if fn != nil {
-			fn()
-		}
-		return func() {}
-	}
-	remaining := n
-	return func() {
-		remaining--
-		if remaining == 0 && fn != nil {
-			fn()
-		}
-	}
-}

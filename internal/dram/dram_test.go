@@ -214,26 +214,6 @@ func TestMetaBytesLengthenBurst(t *testing.T) {
 	}
 }
 
-func TestJoin(t *testing.T) {
-	fired := 0
-	cb := Join(3, func() { fired++ })
-	cb()
-	cb()
-	if fired != 0 {
-		t.Fatal("join fired early")
-	}
-	cb()
-	if fired != 1 {
-		t.Fatal("join did not fire")
-	}
-	// n == 0 fires immediately.
-	ran := false
-	Join(0, func() { ran = true })
-	if !ran {
-		t.Fatal("Join(0) must run immediately")
-	}
-}
-
 func TestEnergyAccumulates(t *testing.T) {
 	eng, d := newFM(t)
 	d.Submit(Request{Addr: 0})

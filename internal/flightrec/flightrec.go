@@ -197,7 +197,7 @@ func New(cfg Config, sys *mem.System, fingerprint, run string) *Recorder {
 // Demand/Capture/Deliver/Relocate are part of the raw dataflow stream; the
 // recorder keys its event record off the semantic SchemeObserver/
 // DemandObserver events instead, so these are no-ops (implementing the
-// base interface is what lets the recorder join the fanout).
+// base interface is what lets the recorder attach to the System).
 func (r *Recorder) Demand(pa uint64, loc mem.Location, write bool) {}
 func (r *Recorder) Capture(loc mem.Location)                       {}
 func (r *Recorder) Deliver(src, dst mem.Location)                  {}

@@ -344,9 +344,9 @@ func Run(spec Spec) (res *Result, err error) {
 		return space.MustTranslate(vm.CoreVA(c, va))
 	}
 
-	// Telemetry attaches after the shadow checker so the tracer joins the
-	// observer fanout without displacing it; gauges come from the raw
-	// controller (the checker wrapper does not forward them).
+	// Telemetry attaches after the shadow checker, so the tracer sees each
+	// movement only after the checker has validated it; gauges come from
+	// the raw controller (the checker wrapper does not forward them).
 	//
 	// The health detector rides the telemetry epoch pump, measuring queue
 	// saturation against each device's channels × (read+write queue
@@ -355,7 +355,7 @@ func Run(spec Spec) (res *Result, err error) {
 		QueueCapNM: m.NM.Channels * (m.NM.ReadQueueLen + m.NM.WriteQueueLen),
 		QueueCapFM: m.FM.Channels * (m.FM.ReadQueueLen + m.FM.WriteQueueLen),
 	})
-	// The exemplar recorder joins the observer fanout for demand
+	// The exemplar recorder attaches as an observer for demand
 	// issue/completion events and the OnEpoch chain (below) for epoch
 	// context. It is created before the flight recorder so incident
 	// captures can freeze its reservoirs at open.
@@ -367,7 +367,7 @@ func Run(spec Spec) (res *Result, err error) {
 	if exr != nil {
 		sys.AttachObserver(exr)
 	}
-	// The flight recorder joins the observer fanout for movement events and
+	// The flight recorder attaches as an observer for movement events and
 	// the OnEpoch chain (below) for epoch state + health status. It stamps
 	// bundles with the same fingerprint the run manifest will carry.
 	fcfg := flightrec.Config{}

@@ -180,6 +180,34 @@ func TestShadowAndAuditAcrossSchemesRandomized(t *testing.T) {
 	}
 }
 
+// TestHMAEpochsMigrate runs an HMA cell long enough for its epochs to fire
+// (config.Small's 2^18-cycle epoch; mcf at 100k base instructions per core
+// runs about 437k cycles), so the epoch sweep and its bulk block copies run
+// under the shadow checker and the end-of-run audits. No benchmark cell
+// reaches an HMA epoch boundary.
+func TestHMAEpochsMigrate(t *testing.T) {
+	m := config.Small()
+	m.Scheme = config.SchemeHMA
+	r, err := Run(Spec{
+		Machine:           m,
+		Workload:          "mcf",
+		InstrPerCore:      100_000,
+		ScaleInstrByClass: true,
+		FootScaleNum:      1,
+		FootScaleDen:      32,
+		ShadowCheck:       true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Mem.Migrations == 0 {
+		t.Fatalf("no HMA migrations in %d cycles (epoch %d cycles)", r.Cycles, m.HMA.EpochCycles)
+	}
+}
+
 func TestScaleInstrByClass(t *testing.T) {
 	s := tinySpec(config.SchemeBaseline, "bwaves") // low MPKI: x8
 	s.ScaleInstrByClass = true

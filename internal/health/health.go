@@ -166,24 +166,31 @@ func (in *Incident) String() string {
 		in.Epochs, in.PeakSeverity)
 }
 
-// obs is one epoch's detector-relevant reduction of a telemetry.Sample.
+// add folds o into e: counters sum, the queue and bank-imbalance peaks take
+// the max.
+func (e *Evidence) add(o *Evidence) {
+	e.SwapBytes += o.SwapBytes
+	e.DemandBytes += o.DemandBytes
+	e.Crossings += o.Crossings
+	e.BypassToggles += o.BypassToggles
+	e.Locks += o.Locks
+	e.Unlocks += o.Unlocks
+	e.PeakQueueNM = max(e.PeakQueueNM, o.PeakQueueNM)
+	e.PeakQueueFM = max(e.PeakQueueFM, o.PeakQueueFM)
+	e.PredictorHits += o.PredictorHits
+	e.PredictorMisses += o.PredictorMisses
+	e.RowConflicts += o.RowConflicts
+	e.RowOps += o.RowOps
+	e.BankImbalance = max(e.BankImbalance, o.BankImbalance)
+}
+
+// obs is one epoch's detector-relevant reduction of a telemetry.Sample:
+// its position, its LLC misses and every evidence counter. BankImbalance is
+// the max of the two devices' per-epoch bank imbalance.
 type obs struct {
 	epoch, cycle, span uint64
-
-	misses      uint64
-	swapBytes   uint64
-	demandBytes uint64
-	crossings   uint64
-	toggles     uint64
-	locks       uint64
-	unlocks     uint64
-	peakNM      int
-	peakFM      int
-	predHits    uint64
-	predMisses  uint64
-	rowOps      uint64
-	rowConf     uint64
-	imbalance   float64 // max of the two devices' per-epoch bank imbalance
+	misses             uint64
+	Evidence
 }
 
 // tracker is one kind's open-incident state machine.
@@ -218,24 +225,23 @@ func (d *Detector) Observe(s *telemetry.Sample) {
 		return
 	}
 	o := obs{
-		epoch:       s.Epoch,
-		cycle:       s.Cycle,
-		span:        s.SpanCycles,
-		misses:      s.LLCMisses,
-		swapBytes:   (s.SwapsIn + s.SwapsOut) * memunits.SubblockSize,
-		demandBytes: s.DemandBytesNM + s.DemandBytesFM,
-		locks:       s.Locks,
-		unlocks:     s.Unlocks,
-		peakNM:      s.PeakQueueNM,
-		peakFM:      s.PeakQueueFM,
-		predHits:    s.PredictorHits,
-		predMisses:  s.PredictorMisses,
-		rowOps:      s.RowHitsNM + s.RowMissesNM + s.RowHitsFM + s.RowMissesFM,
-		rowConf:     s.RowConflictsNM + s.RowConflictsFM,
-		imbalance:   s.BankImbalanceNM,
-	}
-	if s.BankImbalanceFM > o.imbalance {
-		o.imbalance = s.BankImbalanceFM
+		epoch:  s.Epoch,
+		cycle:  s.Cycle,
+		span:   s.SpanCycles,
+		misses: s.LLCMisses,
+		Evidence: Evidence{
+			SwapBytes:       (s.SwapsIn + s.SwapsOut) * memunits.SubblockSize,
+			DemandBytes:     s.DemandBytesNM + s.DemandBytesFM,
+			Locks:           s.Locks,
+			Unlocks:         s.Unlocks,
+			PeakQueueNM:     s.PeakQueueNM,
+			PeakQueueFM:     s.PeakQueueFM,
+			PredictorHits:   s.PredictorHits,
+			PredictorMisses: s.PredictorMisses,
+			RowOps:          s.RowHitsNM + s.RowMissesNM + s.RowHitsFM + s.RowMissesFM,
+			RowConflicts:    s.RowConflictsNM + s.RowConflictsFM,
+			BankImbalance:   max(s.BankImbalanceNM, s.BankImbalanceFM),
+		},
 	}
 	// Idle epochs report AccessRate 0; only epochs that actually serviced
 	// misses move the crossing detector, so bursts separated by silence do
@@ -243,7 +249,7 @@ func (d *Detector) Observe(s *telemetry.Sample) {
 	if s.LLCMisses > 0 {
 		if d.prevRateValid &&
 			(d.prevRate >= bypassTarget) != (s.AccessRate >= bypassTarget) {
-			o.crossings = 1
+			o.Crossings = 1
 		}
 		d.prevRate = s.AccessRate
 		d.prevRateValid = true
@@ -253,7 +259,7 @@ func (d *Detector) Observe(s *telemetry.Sample) {
 	for _, g := range s.Gauges {
 		if g.Name == "bypass_toggles" {
 			if delta := g.Value - d.prevToggles; delta > 0 {
-				o.toggles = uint64(delta)
+				o.BypassToggles = uint64(delta)
 			}
 			d.prevToggles = g.Value
 		}
@@ -270,27 +276,8 @@ func (d *Detector) Observe(s *telemetry.Sample) {
 func (d *Detector) window() obs {
 	var w obs
 	for i := range d.ring {
-		o := &d.ring[i]
-		w.misses += o.misses
-		w.swapBytes += o.swapBytes
-		w.demandBytes += o.demandBytes
-		w.crossings += o.crossings
-		w.toggles += o.toggles
-		w.locks += o.locks
-		w.unlocks += o.unlocks
-		if o.peakNM > w.peakNM {
-			w.peakNM = o.peakNM
-		}
-		if o.peakFM > w.peakFM {
-			w.peakFM = o.peakFM
-		}
-		w.predHits += o.predHits
-		w.predMisses += o.predMisses
-		w.rowOps += o.rowOps
-		w.rowConf += o.rowConf
-		if o.imbalance > w.imbalance {
-			w.imbalance = o.imbalance
-		}
+		w.misses += d.ring[i].misses
+		w.add(&d.ring[i].Evidence)
 	}
 	return w
 }
@@ -303,22 +290,22 @@ func (d *Detector) evaluate(o *obs) {
 	// swap-thrash: the window moved more bytes between levels than it
 	// served to the cores.
 	{
-		fire := w.misses >= minWindowMisses && w.demandBytes > 0 &&
-			float64(w.swapBytes) > swapThrashRatio*float64(w.demandBytes)
+		fire := w.misses >= minWindowMisses && w.DemandBytes > 0 &&
+			float64(w.SwapBytes) > swapThrashRatio*float64(w.DemandBytes)
 		sev := 0.0
 		if fire {
-			sev = float64(w.swapBytes) / float64(w.demandBytes) / swapThrashRatio
+			sev = float64(w.SwapBytes) / float64(w.DemandBytes) / swapThrashRatio
 		}
 		d.step(KindSwapThrash, fire, sev, o, Evidence{
-			SwapBytes: o.swapBytes, DemandBytes: o.demandBytes,
+			SwapBytes: o.SwapBytes, DemandBytes: o.DemandBytes,
 		})
 	}
 	// bypass-oscillation: the access rate keeps crossing the governor
 	// target, or the governor itself keeps toggling.
 	{
-		worst := w.crossings
-		if w.toggles > worst {
-			worst = w.toggles
+		worst := w.Crossings
+		if w.BypassToggles > worst {
+			worst = w.BypassToggles
 		}
 		fire := worst >= minCrossings
 		sev := float64(worst) / float64(minCrossings)
@@ -326,15 +313,15 @@ func (d *Detector) evaluate(o *obs) {
 			sev = 0
 		}
 		d.step(KindBypassOscillation, fire, sev, o, Evidence{
-			Crossings: o.crossings, BypassToggles: o.toggles,
+			Crossings: o.Crossings, BypassToggles: o.BypassToggles,
 		})
 	}
 	// lock-churn: locks and unlocks both high — residency decisions are
 	// being reversed as fast as they are made.
 	{
-		churn := w.locks
-		if w.unlocks < churn {
-			churn = w.unlocks
+		churn := w.Locks
+		if w.Unlocks < churn {
+			churn = w.Unlocks
 		}
 		fire := churn >= lockChurnMin
 		sev := float64(churn) / float64(lockChurnMin)
@@ -342,7 +329,7 @@ func (d *Detector) evaluate(o *obs) {
 			sev = 0
 		}
 		d.step(KindLockChurn, fire, sev, o, Evidence{
-			Locks: o.locks, Unlocks: o.unlocks,
+			Locks: o.Locks, Unlocks: o.Unlocks,
 		})
 	}
 	// queue-saturation: a device's per-epoch peak depth pinned near its
@@ -365,8 +352,8 @@ func (d *Detector) evaluate(o *obs) {
 			}
 			return n, worst
 		}
-		nNM, sevNM := sat(d.cfg.QueueCapNM, func(o *obs) int { return o.peakNM })
-		nFM, sevFM := sat(d.cfg.QueueCapFM, func(o *obs) int { return o.peakFM })
+		nNM, sevNM := sat(d.cfg.QueueCapNM, func(o *obs) int { return o.PeakQueueNM })
+		nFM, sevFM := sat(d.cfg.QueueCapFM, func(o *obs) int { return o.PeakQueueFM })
 		fire := nNM >= queueSatEpochs || nFM >= queueSatEpochs
 		sev := sevNM
 		if sevFM > sev {
@@ -376,16 +363,16 @@ func (d *Detector) evaluate(o *obs) {
 			sev = 0
 		}
 		d.step(KindQueueSaturation, fire, sev, o, Evidence{
-			PeakQueueNM: o.peakNM, PeakQueueFM: o.peakFM,
+			PeakQueueNM: o.PeakQueueNM, PeakQueueFM: o.PeakQueueFM,
 		})
 	}
 	// predictor-collapse: the way/location predictor is guessing worse
 	// than the floor over a meaningful sample.
 	{
-		samples := w.predHits + w.predMisses
+		samples := w.PredictorHits + w.PredictorMisses
 		acc := 0.0
 		if samples > 0 {
-			acc = float64(w.predHits) / float64(samples)
+			acc = float64(w.PredictorHits) / float64(samples)
 		}
 		fire := samples >= predictorMinSamples && acc < predictorFloor
 		sev := 0.0
@@ -393,7 +380,7 @@ func (d *Detector) evaluate(o *obs) {
 			sev = 1 - acc
 		}
 		d.step(KindPredictorCollapse, fire, sev, o, Evidence{
-			PredictorHits: o.predHits, PredictorMisses: o.predMisses,
+			PredictorHits: o.PredictorHits, PredictorMisses: o.PredictorMisses,
 		})
 	}
 	// row-thrash: row-buffer conflicts dominate the window's row activity
@@ -402,18 +389,18 @@ func (d *Detector) evaluate(o *obs) {
 	// row-locality-aware placement would steer around).
 	{
 		rate := 0.0
-		if w.rowOps > 0 {
-			rate = float64(w.rowConf) / float64(w.rowOps)
+		if w.RowOps > 0 {
+			rate = float64(w.RowConflicts) / float64(w.RowOps)
 		}
-		fire := w.rowOps >= rowThrashMinOps &&
+		fire := w.RowOps >= rowThrashMinOps &&
 			rate > rowThrashConflictRatio &&
-			w.imbalance >= rowThrashImbalance
+			w.BankImbalance >= rowThrashImbalance
 		sev := 0.0
 		if fire {
 			sev = rate / rowThrashConflictRatio
 		}
 		d.step(KindRowThrash, fire, sev, o, Evidence{
-			RowConflicts: o.rowConf, RowOps: o.rowOps, BankImbalance: o.imbalance,
+			RowConflicts: o.RowConflicts, RowOps: o.RowOps, BankImbalance: o.BankImbalance,
 		})
 	}
 }
@@ -447,25 +434,7 @@ func (d *Detector) step(kind string, fire bool, sev float64, o *obs, ev Evidence
 	if sev > in.PeakSeverity {
 		in.PeakSeverity = sev
 	}
-	in.Evidence.SwapBytes += ev.SwapBytes
-	in.Evidence.DemandBytes += ev.DemandBytes
-	in.Evidence.Crossings += ev.Crossings
-	in.Evidence.BypassToggles += ev.BypassToggles
-	in.Evidence.Locks += ev.Locks
-	in.Evidence.Unlocks += ev.Unlocks
-	if ev.PeakQueueNM > in.Evidence.PeakQueueNM {
-		in.Evidence.PeakQueueNM = ev.PeakQueueNM
-	}
-	if ev.PeakQueueFM > in.Evidence.PeakQueueFM {
-		in.Evidence.PeakQueueFM = ev.PeakQueueFM
-	}
-	in.Evidence.PredictorHits += ev.PredictorHits
-	in.Evidence.PredictorMisses += ev.PredictorMisses
-	in.Evidence.RowConflicts += ev.RowConflicts
-	in.Evidence.RowOps += ev.RowOps
-	if ev.BankImbalance > in.Evidence.BankImbalance {
-		in.Evidence.BankImbalance = ev.BankImbalance
-	}
+	in.Evidence.add(&ev)
 }
 
 // Open returns copies of the incidents currently firing (or inside their

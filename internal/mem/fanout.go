@@ -1,117 +1,28 @@
 package mem
 
-import "silcfm/internal/stats"
-
-// fanout tees every observer event to multiple Observers in attach order,
-// so independent consumers (the shadow integrity checker, the telemetry
-// movement tracer, the hotness profiler) compose instead of fighting over
-// the single Obs slot. It always implements SchemeObserver and
-// DemandObserver; which members handle those optional events is resolved
-// once at attach time into typed slices, so the per-event fanout is a plain
-// slice walk with no dynamic type assertions.
-type fanout struct {
-	obs    []Observer
-	scheme []SchemeObserver      // members implementing SchemeObserver, attach order
-	demand []DemandObserver      // members implementing DemandObserver, attach order
-	issue  []DemandIssueObserver // members implementing DemandIssueObserver, attach order
-}
-
-// add appends o and updates the typed views.
-func (f *fanout) add(o Observer) {
-	f.obs = append(f.obs, o)
-	if so, ok := o.(SchemeObserver); ok {
-		f.scheme = append(f.scheme, so)
-	}
-	if do, ok := o.(DemandObserver); ok {
-		f.demand = append(f.demand, do)
-	}
-	if io, ok := o.(DemandIssueObserver); ok {
-		f.issue = append(f.issue, io)
-	}
-}
-
-func (f *fanout) Demand(pa uint64, loc Location, write bool) {
-	for _, o := range f.obs {
-		o.Demand(pa, loc, write)
-	}
-}
-
-func (f *fanout) Capture(loc Location) {
-	for _, o := range f.obs {
-		o.Capture(loc)
-	}
-}
-
-func (f *fanout) Deliver(src, dst Location) {
-	for _, o := range f.obs {
-		o.Deliver(src, dst)
-	}
-}
-
-func (f *fanout) Relocate(src, dst Location) {
-	for _, o := range f.obs {
-		o.Relocate(src, dst)
-	}
-}
-
-func (f *fanout) Swap(a, b Location) {
-	for _, so := range f.scheme {
-		so.Swap(a, b)
-	}
-}
-
-func (f *fanout) Lock(frame, block uint64, home bool) {
-	for _, so := range f.scheme {
-		so.Lock(frame, block, home)
-	}
-}
-
-func (f *fanout) Unlock(frame, block uint64) {
-	for _, so := range f.scheme {
-		so.Unlock(frame, block)
-	}
-}
-
-func (f *fanout) DemandComplete(a *Access, path stats.DemandPath, lat uint64) {
-	for _, do := range f.demand {
-		do.DemandComplete(a, path, lat)
-	}
-}
-
-func (f *fanout) DemandIssue(a *Access, path stats.DemandPath, loc Location) {
-	for _, io := range f.issue {
-		io.DemandIssue(a, path, loc)
-	}
-}
-
-// AttachObserver adds o to the System's observer chain. The first attach
-// installs o directly; later attaches tee events to every observer in
-// attach order.
+// AttachObserver adds o to the System's observers. o joins the list of
+// every event interface it implements (Observer, and optionally
+// SchemeObserver, DemandObserver, DemandIssueObserver); each Note* call and
+// each demand issue or completion walks its list, so per-event dispatch is a
+// plain slice walk with no dynamic type assertions.
 //
 // Ordering guarantee: for every event, observers are notified
 // first-attached-first, synchronously, before the emitting operation
 // continues. Consumers may rely on this to compose — e.g. the shadow
 // integrity checker is attached before telemetry, so it has validated each
 // movement before the tracer or profiler consumes it. All observers see
-// the identical event stream; optional SchemeObserver / DemandObserver
-// events go only to members implementing those interfaces, still in attach
-// order.
+// the identical event stream; optional SchemeObserver / DemandObserver /
+// DemandIssueObserver events go only to members implementing those
+// interfaces, still in attach order.
 func (s *System) AttachObserver(o Observer) {
-	switch cur := s.Obs.(type) {
-	case nil:
-		s.Obs = o
-	case *fanout:
-		cur.add(o)
-	default:
-		f := &fanout{}
-		f.add(cur)
-		f.add(o)
-		s.Obs = f
+	s.observers = append(s.observers, o)
+	if so, ok := o.(SchemeObserver); ok {
+		s.schemeObs = append(s.schemeObs, so)
 	}
-	// Resolve the optional-interface views once per attach; the per-event
-	// NoteSwap/NoteLock/NoteUnlock and demand-completion paths then do a nil
-	// check instead of a dynamic type assertion.
-	s.obsScheme, _ = s.Obs.(SchemeObserver)
-	s.obsDemand, _ = s.Obs.(DemandObserver)
-	s.obsIssue, _ = s.Obs.(DemandIssueObserver)
+	if do, ok := o.(DemandObserver); ok {
+		s.demandObs = append(s.demandObs, do)
+	}
+	if io, ok := o.(DemandIssueObserver); ok {
+		s.issueObs = append(s.issueObs, io)
+	}
 }

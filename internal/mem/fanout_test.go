@@ -53,16 +53,10 @@ func emitAll(s *System) {
 	s.NoteUnlock(3, 7)
 }
 
-func TestAttachObserverSingle(t *testing.T) {
-	_, s := newSys()
-	a := &fanObs{}
-	s.AttachObserver(a)
-	if s.Obs != Observer(a) {
-		t.Fatal("single observer should attach directly, without a fanout")
-	}
-}
-
-func TestFanoutOrderingAndSchemeFiltering(t *testing.T) {
+// TestAttachObserverFiltersByInterface checks that optional SchemeObserver
+// events reach only members implementing it, while every member sees the
+// plain Observer stream.
+func TestAttachObserverFiltersByInterface(t *testing.T) {
 	_, s := newSys()
 	plain := &fanObs{}
 	scheme := &fanSchemeObs{}
@@ -90,13 +84,12 @@ func TestFanoutOrderingAndSchemeFiltering(t *testing.T) {
 	}
 }
 
-func TestFanoutBothSeeIdenticalStreams(t *testing.T) {
+func TestAttachObserverIdenticalStreams(t *testing.T) {
 	_, s := newSys()
 	a := &fanSchemeObs{}
 	b := &fanSchemeObs{}
 	s.AttachObserver(a)
 	s.AttachObserver(b)
-	// A third member joins an existing fanout rather than re-wrapping.
 	c := &fanSchemeObs{}
 	s.AttachObserver(c)
 
@@ -107,7 +100,7 @@ func TestFanoutBothSeeIdenticalStreams(t *testing.T) {
 		t.Fatal("no events recorded")
 	}
 	if !reflect.DeepEqual(a.events, b.events) || !reflect.DeepEqual(a.events, c.events) {
-		t.Errorf("fanout members diverged:\n a %q\n b %q\n c %q", a.events, b.events, c.events)
+		t.Errorf("observers diverged:\n a %q\n b %q\n c %q", a.events, b.events, c.events)
 	}
 }
 
@@ -131,10 +124,10 @@ func (o *taggedObs) DemandComplete(a *Access, path stats.DemandPath, lat uint64)
 	o.note("complete")
 }
 
-// TestFanoutFirstAttachedFirstNotified pins the documented AttachObserver
-// ordering guarantee: for every event, members are notified in attach
-// order before the emitting operation continues.
-func TestFanoutFirstAttachedFirstNotified(t *testing.T) {
+// TestAttachObserverFirstAttachedFirstNotified pins the documented
+// AttachObserver ordering guarantee: for every event, members are notified
+// in attach order before the emitting operation continues.
+func TestAttachObserverFirstAttachedFirstNotified(t *testing.T) {
 	_, s := newSys()
 	var log []string
 	s.AttachObserver(&taggedObs{tag: "first", log: &log})
@@ -155,10 +148,10 @@ func TestFanoutFirstAttachedFirstNotified(t *testing.T) {
 	}
 }
 
-// TestFanoutForwardsDemandComplete checks that demand completions reach
+// TestDemandCompleteInAttachOrder checks that demand completions reach
 // every DemandObserver member in attach order, with the span attribution
 // already final (residual folded into SpanOther).
-func TestFanoutForwardsDemandComplete(t *testing.T) {
+func TestDemandCompleteInAttachOrder(t *testing.T) {
 	eng, s := newSys()
 	var log []string
 	s.AttachObserver(&taggedObs{tag: "first", log: &log})
@@ -172,7 +165,7 @@ func TestFanoutForwardsDemandComplete(t *testing.T) {
 
 	want := []string{"first:demand", "second:demand", "first:complete", "second:complete"}
 	if !reflect.DeepEqual(log, want) {
-		t.Errorf("demand-complete fanout:\n got %q\nwant %q", log, want)
+		t.Errorf("demand completions:\n got %q\nwant %q", log, want)
 	}
 	total = eng.Now() - a.Start
 	for _, v := range a.Spans() {
@@ -183,7 +176,7 @@ func TestFanoutForwardsDemandComplete(t *testing.T) {
 	}
 }
 
-func TestFanoutViaCompoundOps(t *testing.T) {
+func TestCompoundOpsIdenticalStreams(t *testing.T) {
 	eng, s := newSys()
 	a := &fanSchemeObs{}
 	b := &fanSchemeObs{}
@@ -200,6 +193,80 @@ func TestFanoutViaCompoundOps(t *testing.T) {
 		t.Fatal("compound ops emitted no events")
 	}
 	if !reflect.DeepEqual(a.events, b.events) {
-		t.Errorf("fanout members diverged:\n a %q\n b %q", a.events, b.events)
+		t.Errorf("observers diverged:\n a %q\n b %q", a.events, b.events)
+	}
+}
+
+// nopObs ignores every plain Observer event.
+type nopObs struct{}
+
+func (*nopObs) Demand(pa uint64, loc Location, write bool) {}
+func (*nopObs) Capture(loc Location)                       {}
+func (*nopObs) Deliver(src, dst Location)                  {}
+func (*nopObs) Relocate(src, dst Location)                 {}
+
+// issueLog appends each DemandIssue notice to a log shared across
+// observers, with the demand bytes the System had accounted when it
+// arrived (those tick at device submission).
+type issueLog struct {
+	nopObs
+	tag string
+	s   *System
+	log *[]string
+}
+
+func (o *issueLog) DemandIssue(a *Access, path stats.DemandPath, loc Location) {
+	b := &o.s.Stats.Bytes
+	*o.log = append(*o.log, fmt.Sprintf("%s:issue %x %v %v submitted=%d",
+		o.tag, a.PAddr, path, loc, b[stats.NM][stats.Demand]+b[stats.FM][stats.Demand]))
+}
+
+// TestDemandIssueInAttachOrderBeforeSubmit checks that ServiceAccess and
+// SwapAccess notify only DemandIssueObserver members, in attach order, and
+// before the demand's device request is submitted.
+func TestDemandIssueInAttachOrderBeforeSubmit(t *testing.T) {
+	eng, s := newSys()
+	var log []string
+	s.AttachObserver(&issueLog{tag: "first", s: s, log: &log})
+	s.AttachObserver(&fanSchemeObs{}) // no DemandIssue: must be skipped
+	s.AttachObserver(&issueLog{tag: "second", s: s, log: &log})
+
+	nm := Location{Level: stats.NM, DevAddr: 0x40}
+	fm := Location{Level: stats.FM, DevAddr: 0x80}
+	s.ServiceAccess(&Access{PAddr: 0x40, Start: eng.Now()}, nm, stats.PathNMHit)
+	eng.Run()
+	s.SwapAccess(&Access{PAddr: 0x80, Start: eng.Now()}, fm, nm, stats.PathSwap)
+	eng.Run()
+
+	want := []string{
+		"first:issue 40 nm-hit {NM 64} submitted=0",
+		"second:issue 40 nm-hit {NM 64} submitted=0",
+		"first:issue 80 swap {FM 128} submitted=64",
+		"second:issue 80 swap {FM 128} submitted=64",
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("demand issues:\n got %q\nwant %q", log, want)
+	}
+	if got := s.Stats.Bytes[stats.NM][stats.Demand] + s.Stats.Bytes[stats.FM][stats.Demand]; got != 128 {
+		t.Errorf("demand bytes after both accesses = %d, want 128", got)
+	}
+}
+
+// BenchmarkNoteDeliver times one Deliver event through the System's
+// observer list with 0, 1 and 3 attached no-op observers.
+func BenchmarkNoteDeliver(b *testing.B) {
+	for _, n := range []int{0, 1, 3} {
+		b.Run(fmt.Sprintf("observers=%d", n), func(b *testing.B) {
+			_, s := newSys()
+			for i := 0; i < n; i++ {
+				s.AttachObserver(&nopObs{})
+			}
+			src := Location{Level: stats.FM, DevAddr: 64}
+			dst := Location{Level: stats.NM, DevAddr: 0}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.NoteDeliver(src, dst)
+			}
+		})
 	}
 }

@@ -238,20 +238,15 @@ type System struct {
 	// when balancing against device counters.
 	RideAlong [2]uint64
 
-	// Obs, when non-nil, receives semantic data-movement events from the
-	// compound operations below (and Note* calls from schemes with custom
-	// movement paths). Set it through AttachObserver, which also refreshes
-	// the cached optional-interface views below; assigning the field
-	// directly leaves the SchemeObserver/DemandObserver event streams
-	// unwired.
-	Obs Observer
-
-	// obsScheme/obsDemand/obsIssue are Obs's optional-interface views,
-	// resolved once in AttachObserver so per-event dispatch skips the type
-	// assertion.
-	obsScheme SchemeObserver
-	obsDemand DemandObserver
-	obsIssue  DemandIssueObserver
+	// observers receive semantic data-movement events from the compound
+	// operations below (and Note* calls from schemes with custom movement
+	// paths); schemeObs, demandObs and issueObs hold the members
+	// implementing each optional extension. All four are filled in attach
+	// order by AttachObserver.
+	observers []Observer
+	schemeObs []SchemeObserver
+	demandObs []DemandObserver
+	issueObs  []DemandIssueObserver
 
 	// FaultInjectSwapOrder reintroduces the pre-fix swapDemand write-path
 	// ordering bug (demand write submitted before dst's old contents are
@@ -300,7 +295,7 @@ func (op *exchOp) readADone() { op.s.Write(op.b, op.n, stats.Migration, op.joinF
 func (op *exchOp) readBDone() { op.s.Write(op.a, op.n, stats.Migration, op.joinFn) }
 
 // writeDone joins the two migration writes; the second one recycles the op
-// and then chains fin, exactly like the dram.Join(2, fin) it replaces.
+// and then chains fin.
 func (op *exchOp) writeDone() {
 	op.remaining--
 	if op.remaining > 0 {
@@ -436,40 +431,40 @@ func (s *System) Device(level stats.MemLevel) *dram.Device {
 	return s.FM
 }
 
-// NoteDemand reports a demand access to the observer, if any. Schemes with
+// NoteDemand reports a demand access to every attached observer. Schemes with
 // custom movement paths call this (and the other Note helpers) to describe
 // their data flow; the compound System operations call them internally.
 func (s *System) NoteDemand(pa uint64, loc Location, write bool) {
-	if s.Obs != nil {
-		s.Obs.Demand(pa, loc, write)
+	for _, o := range s.observers {
+		o.Demand(pa, loc, write)
 	}
 }
 
 // NoteCapture reports that loc's contents were read out for a later move.
 func (s *System) NoteCapture(loc Location) {
-	if s.Obs != nil {
-		s.Obs.Capture(loc)
+	for _, o := range s.observers {
+		o.Capture(loc)
 	}
 }
 
 // NoteDeliver reports that the oldest captured copy of src landed at dst.
 func (s *System) NoteDeliver(src, dst Location) {
-	if s.Obs != nil {
-		s.Obs.Deliver(src, dst)
+	for _, o := range s.observers {
+		o.Deliver(src, dst)
 	}
 }
 
 // NoteRelocate reports a one-way copy of src's contents over dst.
 func (s *System) NoteRelocate(src, dst Location) {
-	if s.Obs != nil {
-		s.Obs.Relocate(src, dst)
+	for _, o := range s.observers {
+		o.Relocate(src, dst)
 	}
 }
 
 // NoteSwap reports an initiated exchange to observers implementing
 // SchemeObserver.
 func (s *System) NoteSwap(a, b Location) {
-	if so := s.obsScheme; so != nil {
+	for _, so := range s.schemeObs {
 		so.Swap(a, b)
 	}
 }
@@ -477,7 +472,7 @@ func (s *System) NoteSwap(a, b Location) {
 // NoteLock reports a frame lock over flat block index block to observers
 // implementing SchemeObserver.
 func (s *System) NoteLock(frame, block uint64, home bool) {
-	if so := s.obsScheme; so != nil {
+	for _, so := range s.schemeObs {
 		so.Lock(frame, block, home)
 	}
 }
@@ -485,7 +480,7 @@ func (s *System) NoteLock(frame, block uint64, home bool) {
 // NoteUnlock reports a frame unlock to observers implementing
 // SchemeObserver; block is the flat block index the frame had pinned.
 func (s *System) NoteUnlock(frame, block uint64) {
-	if so := s.obsScheme; so != nil {
+	for _, so := range s.schemeObs {
 		so.Unlock(frame, block)
 	}
 }
@@ -531,7 +526,7 @@ func (a *Access) complete() {
 		s.Attr.Observe(a.path, &a.spans)
 	}
 	s.inflight--
-	if do := s.obsDemand; do != nil {
+	for _, do := range s.demandObs {
 		do.DemandComplete(a, a.path, total)
 	}
 	if a.Done != nil {
@@ -548,7 +543,7 @@ func (s *System) InflightDemands() uint64 { return s.inflight }
 // is dispatched (demand writes complete synchronously at submission, so
 // this is the last point the access is reliably in flight).
 func (s *System) ServiceAccess(a *Access, loc Location, path stats.DemandPath) {
-	if io := s.obsIssue; io != nil {
+	for _, io := range s.issueObs {
 		io.DemandIssue(a, path, loc)
 	}
 	s.serviceDemand(a.PAddr, loc, a.Write, a.SpanTrace(), s.DemandDone(a, path))
@@ -559,7 +554,7 @@ func (s *System) ServiceAccess(a *Access, loc Location, path stats.DemandPath) {
 // queue/service time to the access. Issue observers see the src side (where
 // the demand data currently resides) before dispatch.
 func (s *System) SwapAccess(a *Access, src, dst Location, path stats.DemandPath) {
-	if io := s.obsIssue; io != nil {
+	for _, io := range s.issueObs {
 		io.DemandIssue(a, path, src)
 	}
 	s.swapDemand(a.PAddr, src, dst, a.Write, a.SpanTrace(), s.DemandDone(a, path))
