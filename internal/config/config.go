@@ -8,6 +8,7 @@ package config
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"silcfm/internal/memunits"
 )
@@ -396,7 +397,38 @@ func (d DRAMConfig) validate() error {
 	if d.BusMHz == 0 || d.BusWidthBits == 0 {
 		return fmt.Errorf("config: %s bus %d MHz x %d bits must be nonzero", d.Name, d.BusMHz, d.BusWidthBits)
 	}
+	// An empty scheduling window never issues: the run would not end.
+	if d.ReadQueueLen < 1 || d.WriteQueueLen < 1 {
+		return fmt.Errorf("config: %s read/write queue lengths %d/%d must be at least 1", d.Name, d.ReadQueueLen, d.WriteQueueLen)
+	}
+	// The scheduler keys each queued request by its (row, bank) pair in a
+	// uint32.
+	if r := d.RowsPerChannel(); r > 1<<32 {
+		return fmt.Errorf("config: %s has %d (row, bank) pairs per channel, over the limit of 2^32", d.Name, r)
+	}
 	return nil
+}
+
+// RowsPerChannel returns the (row, bank) pairs one channel holds: its banks
+// times the rows of each bank, at least one row a bank. The DRAM scheduler
+// keys each queued request by its pair in 32 bits. The count saturates at
+// the largest uint64. Every geometry factor must be positive.
+func (d DRAMConfig) RowsPerChannel() uint64 {
+	ceil := func(x, y uint64) uint64 {
+		if x%y != 0 {
+			return x/y + 1
+		}
+		return x / y
+	}
+	hi, banks := bits.Mul64(uint64(d.RanksPerChan), uint64(d.BanksPerRank))
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	rows := max(1, ceil(ceil(ceil(d.Capacity, uint64(d.Channels)), banks), d.RowBufferSize))
+	if hi, n := bits.Mul64(rows, banks); hi == 0 {
+		return n
+	}
+	return math.MaxUint64
 }
 
 func isPow2(n uint64) bool { return n != 0 && n&(n-1) == 0 }

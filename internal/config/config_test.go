@@ -159,6 +159,68 @@ func TestValidateRejectsPanickingGeometry(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsEmptyQueues: a read or write scheduling window below
+// one entry never issues, so a run on such a device used to spin without
+// end; each must be a config error on either level.
+func TestValidateRejectsEmptyQueues(t *testing.T) {
+	for _, n := range []int{0, -4} {
+		for _, level := range []string{"NM", "FM"} {
+			for _, q := range []string{"read", "write"} {
+				m := Default()
+				d := &m.NM
+				if level == "FM" {
+					d = &m.FM
+				}
+				if q == "read" {
+					d.ReadQueueLen = n
+				} else {
+					d.WriteQueueLen = n
+				}
+				if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "queue lengths") {
+					t.Errorf("%s %s queue of %d: err %v, want the queue lengths named", level, q, n, err)
+				}
+			}
+		}
+	}
+	m := Default()
+	m.NM.ReadQueueLen, m.NM.WriteQueueLen, m.FM.ReadQueueLen, m.FM.WriteQueueLen = 1, 1, 1, 1
+	if err := m.Validate(); err != nil {
+		t.Errorf("one-entry queues rejected: %v", err)
+	}
+}
+
+// TestValidateRowKeyLimit: the DRAM scheduler keys a queued request by its
+// (row, bank) pair in 32 bits, so a channel may hold at most 2^32 pairs.
+// One channel of eight banks of 64-byte rows reaches the limit at 256 GiB,
+// inside the 2^32-1 block limit.
+func TestValidateRowKeyLimit(t *testing.T) {
+	geom := func(fm uint64) Machine {
+		m := Default()
+		m.NM = HBM(fm / 16)
+		m.FM = DDR3(fm)
+		m.FM.Channels = 1
+		m.FM.RowBufferSize = 64
+		return m
+	}
+	if m := geom(256 << 30); m.FM.RowsPerChannel() != 1<<32 {
+		t.Fatalf("RowsPerChannel = %d, want 2^32", m.FM.RowsPerChannel())
+	} else if err := m.Validate(); err != nil {
+		t.Errorf("2^32 rows per channel rejected: %v", err)
+	}
+	if err := geom(512 << 30).Validate(); err == nil || !strings.Contains(err.Error(), "2^32") {
+		t.Errorf("2^33 rows per channel: err %v, want the 2^32 row limit named", err)
+	}
+	// 2^33 banks of one row each, and a rank and bank count whose product
+	// overflows 64 bits.
+	for _, ranks := range []int{1 << 20, 1 << 40} {
+		m := Default()
+		m.FM.RanksPerChan, m.FM.BanksPerRank = ranks, 1<<30
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "2^32") {
+			t.Errorf("%d ranks of 2^30 banks: err %v, want the 2^32 row limit named", ranks, err)
+		}
+	}
+}
+
 // TestValidateCounterBits: SILC-FM's activity counters live in a byte of
 // the frame. A negative width used to pass Validate and panic with a
 // negative shift while the controller was built; a zero width froze the

@@ -39,14 +39,14 @@ type Controller struct {
 	// stored in a separate channel to increase the NM row buffer hit rate
 	// of accessing metadata"): one HBM channel holding one 64-byte line of
 	// remap entries per set. Same-set metadata operations coalesce at the
-	// controller the way demand misses coalesce in MSHRs.
+	// controller the way demand misses coalesce in MSHRs. The channel's
+	// completion hook (metaComplete) clears the set's pending flag, so a
+	// queued request needs no callback of its own.
 	meta          *dram.Device
 	metaBgPend    []bool // set -> metadata read queued
 	metaWritePend []bool // set -> dirty-update already queued
-	// freeMeta/freeDispatch recycle the metadata-completion and serialized
-	//-dispatch continuations so the per-miss control flow allocates
-	// nothing in steady state.
-	freeMeta     *metaOp
+	// freeDispatch recycles the serialized-dispatch continuations so the
+	// per-miss control flow allocates nothing in steady state.
 	freeDispatch *dispatchOp
 	// metaLatency is the serialized remap-entry check paid on the demand
 	// path without a correct way/location prediction (one unloaded NM
@@ -90,6 +90,7 @@ func New(sys *mem.System, cfg config.SILCConfig) *Controller {
 		ctrMax:        counterMax(cfg.CounterBits),
 	}
 	c.metaLatency = c.meta.UnloadedReadLatency()
+	c.meta.OnComplete(c.metaComplete)
 	return c
 }
 
@@ -216,40 +217,17 @@ func (c *Controller) readMeta(b uint64, n uint64) {
 	}
 	c.metaBgPend[s] = true
 	c.sys.Stats.AddBytes(stats.NM, stats.Metadata, n)
-	c.meta.Submit(dram.Request{Addr: s * 64, Bytes: n, Background: true,
-		Done: c.metaDone(s, c.metaBgPend)})
+	c.meta.Submit(dram.Request{Addr: s * 64, Bytes: n, Background: true})
 }
 
-// metaOp is a pooled metadata-request completion: it clears the set's
-// pending flag and recycles itself. fn is the method value bound once at
-// pool-object creation.
-type metaOp struct {
-	c    *Controller
-	s    uint64
-	pend []bool
-	fn   func()
-	next *metaOp
-}
-
-func (op *metaOp) run() {
-	c := op.c
-	op.pend[op.s] = false
-	op.pend = nil
-	op.next = c.freeMeta
-	c.freeMeta = op
-}
-
-// metaDone returns a pooled callback clearing pend[s] at completion.
-func (c *Controller) metaDone(s uint64, pend []bool) func() {
-	op := c.freeMeta
-	if op == nil {
-		op = &metaOp{c: c}
-		op.fn = op.run
+// metaComplete is the metadata channel's completion hook: the set's read
+// (background) or write-back is no longer queued.
+func (c *Controller) metaComplete(addr uint64, write bool) {
+	if write {
+		c.metaWritePend[addr/64] = false
 	} else {
-		c.freeMeta = op.next
+		c.metaBgPend[addr/64] = false
 	}
-	op.s, op.pend = s, pend
-	return op.fn
 }
 
 // dispatchOp is the pooled continuation of a serialized-metadata dispatch
@@ -540,8 +518,7 @@ func (c *Controller) writeMetaUpdate(s uint64) {
 	}
 	c.metaWritePend[s] = true
 	c.sys.Stats.AddBytes(stats.NM, stats.Metadata, metaEntrySize)
-	c.meta.Submit(dram.Request{Addr: s * 64, Bytes: metaEntrySize, Write: true,
-		Done: c.metaDone(s, c.metaWritePend)})
+	c.meta.Submit(dram.Request{Addr: s * 64, Bytes: metaEntrySize, Write: true})
 }
 
 // Bypassing reports whether the governor currently suppresses swaps.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -528,4 +529,42 @@ func BenchmarkSILCHandle(b *testing.B) {
 		}
 	}
 	r.eng.Run()
+}
+
+// TestMetaBacklogAllocatesOnlyPages pins the metadata channel's cost per
+// queued request. Queueing a read and a write-back for every set of a
+// 64 MiB near memory (16,384 requests, a backlog as deep as the one mcf
+// builds) allocates only the device's queue and arena pages, never a
+// per-request completion object; once that backlog has drained, building
+// it again allocates nothing.
+func TestMetaBacklogAllocatesOnlyPages(t *testing.T) {
+	m := config.Small()
+	m.NM = config.HBM(64 << 20)
+	m.FM = config.DDR3(256 << 20)
+	eng := sim.NewEngine()
+	c := New(mem.NewSystem(m, eng), config.DefaultSILC())
+	sets := c.fs.sets
+	fill := func() {
+		for s := uint64(0); s < sets; s++ {
+			c.readMeta(s, metaEntrySize)
+			c.writeMetaUpdate(s)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fill()
+	runtime.ReadMemStats(&after)
+	n := 2 * sets
+	if depth := uint64(c.meta.QueueDepth()); depth+64 < n {
+		t.Fatalf("backlog of %d requests, want about %d", depth, n)
+	}
+	pages := n/64 + n/memunits.SlabPageLen
+	if allocs := after.Mallocs - before.Mallocs; allocs > pages+64 {
+		t.Fatalf("queueing %d metadata requests allocated %d objects, want at most %d pages and a few directories",
+			n, allocs, pages)
+	}
+	eng.Run()
+	if avg := testing.AllocsPerRun(3, func() { fill(); eng.Run() }); avg != 0 {
+		t.Fatalf("refilling a drained backlog allocates %.1f objects, want 0", avg)
+	}
 }

@@ -85,14 +85,14 @@ type ChannelCounters struct {
 	WriteQueueWait uint64 // cycles writes/background reads waited in the write queue
 }
 
-// op is one queued request at the width issue and PendingBytes read, 48
-// bytes: the queue and row-decode fields Submit settled (address,
-// Background) are not kept.
+// op is one queued request's arena record, 40 bytes: what issue and
+// completion read. The bank and row the scheduler compares travel in the
+// request's queue entry, and the queue class is the queue it sits in. A
+// vacant op links the arena's free list through addr (see newOp).
 type op struct {
 	done    func()
 	trace   func(queue, service uint64)
-	bank    int // global bank index within channel (rank*banks + bank)
-	row     uint64
+	addr    uint64 // Request.Addr, for the completion hook
 	arrival sim.Cycle
 	bytes   uint32
 	meta    uint16 // Request.MetaBytes
@@ -102,45 +102,90 @@ type op struct {
 // total reports the op's transfer bytes, payload and metadata.
 func (o *op) total() uint64 { return uint64(o.bytes) + uint64(o.meta) }
 
+// entry is one FR-FCFS queue position, 8 bytes: the arena slot of the
+// queued op and its scan key, row<<bankShift | bank, so that a selection
+// step reads the queue and the bank state, never the arena.
+type entry struct {
+	slot int32
+	key  uint32
+}
+
+const (
+	qPageShift = 6
+	// qPageLen is the number of entries on one queue page (512 B).
+	qPageLen = 1 << qPageShift
+)
+
+type qPage [qPageLen]entry
+
 type bankState struct {
 	openRow int64     // -1 when precharged
 	actAt   sim.Cycle // when the open row was activated (for tRAS)
 	readyAt sim.Cycle // earliest start of the next command on this bank
 }
 
-// opQueue is a FIFO of indices into the device's op arena, with a
-// consumed-prefix head index. FR-FCFS only ever removes from within the
-// bounded scheduling window at the front, so removal shifts the short live
-// prefix [0, pick) right by one — O(window) 4-byte moves — instead of
-// shifting the unbounded tail left. The ops themselves never move: they
-// stay in their arena slot from submit to issue.
+// opQueue is a FIFO of entries stored in pages: the live entries sit at
+// positions [head, head+n) of the concatenated pages. FR-FCFS only ever
+// removes from within the bounded scheduling window at the front, so
+// removal shifts the short live prefix right by one, O(window) 8-byte
+// moves, and advances head. Once head leaves the first page, that page
+// goes back to the device's spare pages, where the tails of every queue
+// take new pages from. Entries are never copied by growth; only the page
+// directory, one pointer per page, moves.
 type opQueue struct {
-	idx  []int32
-	head int
+	pages []*qPage
+	head  int
+	n     int
 }
 
-func (q *opQueue) len() int         { return len(q.idx) - q.head }
-func (q *opQueue) slot(i int) int32 { return q.idx[q.head+i] }
+func (q *opQueue) len() int { return q.n }
+
+// at returns the entry at live position i.
+func (q *opQueue) at(i int) *entry {
+	p := q.head + i
+	return &q.pages[p>>qPageShift][p&(qPageLen-1)]
+}
+
+// push appends e to q.
+func (d *Device) push(q *opQueue, e entry) {
+	p := q.head + q.n
+	if p>>qPageShift == len(q.pages) {
+		var pg *qPage
+		if n := len(d.sparePages); n > 0 {
+			pg = d.sparePages[n-1]
+			d.sparePages = d.sparePages[:n-1]
+		} else {
+			pg = new(qPage)
+		}
+		q.pages = append(q.pages, pg)
+	}
+	q.pages[p>>qPageShift][p&(qPageLen-1)] = e
+	q.n++
+}
 
 // remove discards the entry at live position i, preserving the FIFO order
-// of the remainder exactly, and returns its arena slot.
-func (q *opQueue) remove(i int) int32 {
-	p := q.head + i
-	s := q.idx[p]
-	copy(q.idx[q.head+1:p+1], q.idx[q.head:p])
+// of the remainder exactly, and returns it.
+func (d *Device) remove(q *opQueue, i int) entry {
+	e := *q.at(i)
+	if p := q.head + i; p < qPageLen {
+		pg := q.pages[0]
+		copy(pg[q.head+1:p+1], pg[q.head:p])
+	} else {
+		for j := i; j > 0; j-- {
+			*q.at(j) = *q.at(j - 1)
+		}
+	}
 	q.head++
-	if q.head == len(q.idx) {
-		q.idx = q.idx[:0]
+	q.n--
+	if q.n == 0 {
+		// Empty: restart at the front of the page in hand.
 		q.head = 0
-	} else if q.head >= 1024 || q.head >= 64 && 2*q.head >= len(q.idx) {
-		// A queue that never fully drains would otherwise grow its dead
-		// prefix without bound; compact it once the prefix reaches 1024
-		// entries, or earlier once it outgrows the live part, so a short
-		// queue's slice stays near twice its live length.
-		q.idx = q.idx[:copy(q.idx, q.idx[q.head:])]
+	} else if q.head == qPageLen {
+		d.sparePages = append(d.sparePages, q.pages[0])
+		q.pages = q.pages[:copy(q.pages, q.pages[1:])]
 		q.head = 0
 	}
-	return s
+	return e
 }
 
 type channel struct {
@@ -166,6 +211,8 @@ type completion struct {
 	done    sim.Cycle
 	arrival sim.Cycle
 	service sim.Cycle
+	addr    uint64
+	write   bool
 	cb      func()
 	tr      func(queue, service uint64)
 	fireFn  func()
@@ -173,15 +220,16 @@ type completion struct {
 }
 
 // fire performs the op's completion: it releases the channel's inflight
-// slot, reports the latency decomposition, chains the request callback and
-// re-kicks the channel — in exactly the order the original closure did.
-// The completion object is recycled before the callbacks run, so a
-// callback that submits new requests can reuse it.
+// slot, reports the latency decomposition, runs the request callback and
+// then the device's completion hook, and re-kicks the channel. The
+// completion object is recycled before the callbacks run, so a callback
+// that submits new requests can reuse it.
 func (c *completion) fire() {
 	d := c.d
 	ch := c.ch
 	d.chans[ch].inflight--
 	tr, cb := c.tr, c.cb
+	addr, write := c.addr, c.write
 	queue, service := uint64(c.done-c.arrival-c.service), uint64(c.service)
 	c.tr, c.cb = nil, nil
 	c.next = d.freeComp
@@ -195,6 +243,9 @@ func (c *completion) fire() {
 	if cb != nil {
 		cb()
 	}
+	if d.onComplete != nil {
+		d.onComplete(addr, write)
+	}
 	d.kick(ch)
 }
 
@@ -207,13 +258,19 @@ type Device struct {
 
 	// freeComp is the completion free list (see completion).
 	freeComp *completion
+	// onComplete, when set, runs at every request's completion (see
+	// OnComplete).
+	onComplete func(addr uint64, write bool)
 
 	// ops is the arena every queued op lives in, from Submit until issue;
-	// the channel queues hold indices into it. freeOps lists the vacant
-	// slots, so the arena stops growing at the peak queued count. It grows
-	// by page and never shrinks or moves, so slots past its length are zero.
-	ops     memunits.Slab[op]
-	freeOps []int32
+	// the channel queues hold its slot numbers. freeOp is the first vacant
+	// slot plus one (0: none), the head of a list linked through the vacant
+	// ops themselves, so the arena stops growing at the peak queued count.
+	// It grows by page and never shrinks or moves.
+	ops    memunits.Slab[op]
+	freeOp int32
+	// sparePages holds the queue pages no queue is using (see opQueue).
+	sparePages []*qPage
 
 	// queued counts the ops submitted but not yet issued, across all
 	// channels (QueueDepth); peakQueued is its high-water mark since the
@@ -237,6 +294,10 @@ type Device struct {
 	chanShift    uint
 	bankShift    uint
 	rowShift     uint
+	// bankMask extracts the bank from a queue entry's key; rowLimit bounds
+	// the rows the key's remaining bits hold.
+	bankMask uint32
+	rowLimit uint64
 
 	// burst64 is the bus occupancy of one 64-byte transfer, the size of
 	// almost every request.
@@ -282,6 +343,11 @@ func New(cfg config.DRAMConfig, eng *sim.Engine) *Device {
 		// the bus streams; later arrivals still reorder within the window.
 		maxInflight: 2 * cfg.RanksPerChan * cfg.BanksPerRank,
 	}
+	if pairs := cfg.RowsPerChannel(); pairs > 1<<32 {
+		panic(fmt.Sprintf("dram: %s has %d (row, bank) pairs per channel, over the queue key's 2^32", cfg.Name, pairs))
+	}
+	d.bankMask = uint32(d.banksPerChan - 1)
+	d.rowLimit = 1 << (32 - d.bankShift)
 	d.chans = make([]channel, cfg.Channels)
 	for i := range d.chans {
 		d.chans[i].banks = make([]bankState, d.banksPerChan)
@@ -378,24 +444,24 @@ func (d *Device) Submit(r Request) {
 	if r.Bytes == 0 {
 		r.Bytes = 64
 	}
-	if r.Bytes > math.MaxUint32 || r.MetaBytes > math.MaxUint16 {
-		panic(fmt.Sprintf("dram: request of %d+%d bytes exceeds the op's width", r.Bytes, r.MetaBytes))
-	}
 	ch, bank, row := d.mapAddr(r.Addr)
+	if r.Bytes > math.MaxUint32 || r.MetaBytes > math.MaxUint16 || row >= d.rowLimit {
+		panic(fmt.Sprintf("dram: request of %d+%d bytes at %#x exceeds the op's width", r.Bytes, r.MetaBytes, r.Addr))
+	}
 	c := &d.chans[ch]
 	q := &c.readQ
 	if r.Write || r.Background {
 		q = &c.writeQ
 	}
-	s := d.pushSlot(q)
-	s.done = r.Done
-	s.trace = r.Trace
-	s.bank = bank
-	s.row = row
-	s.arrival = d.eng.Now()
-	s.bytes = uint32(r.Bytes)
-	s.meta = uint16(r.MetaBytes)
-	s.write = r.Write
+	slot, o := d.newOp()
+	o.done = r.Done
+	o.trace = r.Trace
+	o.addr = r.Addr
+	o.arrival = d.eng.Now()
+	o.bytes = uint32(r.Bytes)
+	o.meta = uint16(r.MetaBytes)
+	o.write = r.Write
+	d.push(q, entry{slot: slot, key: uint32(row)<<d.bankShift | uint32(bank)})
 	d.bankQueued[ch*int(d.banksPerChan)+bank]++
 	d.queued++
 	if d.queued > d.peakQueued {
@@ -404,20 +470,23 @@ func (d *Device) Submit(r Request) {
 	d.kick(ch)
 }
 
-// pushSlot appends a zeroed arena op to q and returns it for in-place
-// fill, avoiding a pass-by-value copy of the op struct.
-func (d *Device) pushSlot(q *opQueue) *op {
-	var i int32
-	if n := len(d.freeOps); n > 0 {
-		i = d.freeOps[n-1]
-		d.freeOps = d.freeOps[:n-1]
-	} else {
-		p, _ := d.ops.Push() // a never-used slot, still zero
-		i = int32(p)
+// newOp takes a vacant arena op, from the free list or a never-used slot,
+// and returns its slot for the caller to fill every field of.
+func (d *Device) newOp() (int32, *op) {
+	if f := d.freeOp; f != 0 {
+		o := d.ops.At(int(f - 1))
+		d.freeOp = int32(o.addr)
+		return f - 1, o
 	}
-	q.idx = append(q.idx, i)
-	return d.ops.At(int(i))
+	i, o := d.ops.Push()
+	return int32(i), o
 }
+
+// OnComplete sets fn to run at the completion of every request, after the
+// request's own Trace and Done, with its address and direction. A device
+// whose completions all do the same thing (SILC-FM's metadata channel)
+// needs no per-request Done closure.
+func (d *Device) OnComplete(fn func(addr uint64, write bool)) { d.onComplete = fn }
 
 // kick issues as many ops as the inflight bound allows on channel ch.
 func (d *Device) kick(ch int) {
@@ -433,8 +502,7 @@ func (d *Device) kick(ch int) {
 
 // selectOp implements FR-FCFS with write draining over the bounded
 // scheduling windows. It returns the queue and live position of the chosen
-// op (nil when nothing is queued); the caller consumes the op in place and
-// removes it, so selection never copies the wide op struct.
+// op (nil when nothing is queued).
 func (d *Device) selectOp(c *channel) (*opQueue, int) {
 	// Enter drain mode when the write queue saturates its window; drain a
 	// small batch so waiting reads are not starved. Reads otherwise have
@@ -462,17 +530,24 @@ func (d *Device) selectOp(c *channel) (*opQueue, int) {
 	if window > limit {
 		window = limit
 	}
-	// First ready (row hit) within the window, else oldest.
-	pick := 0
-	for i := 0; i < window; i++ {
-		o := d.ops.At(int(q.slot(i)))
-		b := &c.banks[o.bank]
-		if b.openRow >= 0 && uint64(b.openRow) == o.row {
-			pick = i
-			break
+	// First ready (row hit) within the window, else oldest. The window's
+	// entries are contiguous within each page; a key's row never equals a
+	// precharged bank's -1.
+	for i, p := 0, q.head; i < window; {
+		pg := q.pages[p>>qPageShift][p&(qPageLen-1):]
+		if len(pg) > window-i {
+			pg = pg[:window-i]
 		}
+		for j := range pg {
+			k := pg[j].key
+			if c.banks[k&d.bankMask].openRow == int64(k>>d.bankShift) {
+				return q, i + j
+			}
+		}
+		i += len(pg)
+		p += len(pg)
 	}
-	return q, pick
+	return q, 0
 }
 
 // refreshCatchup applies any periodic refreshes due since the channel was
@@ -510,10 +585,12 @@ func (d *Device) refreshCatchup(ch int, c *channel, now sim.Cycle) {
 // bank and bus, schedules its completion, and returns the op's arena slot
 // to the free list.
 func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
-	slot := q.remove(pick)
-	o := d.ops.At(int(slot))
-	b := &c.banks[o.bank]
-	bc := &d.bankCtr[ch*int(d.banksPerChan)+o.bank]
+	e := d.remove(q, pick)
+	bank := int(e.key & d.bankMask)
+	row := int64(e.key >> d.bankShift)
+	o := d.ops.At(int(e.slot))
+	b := &c.banks[bank]
+	bc := &d.bankCtr[ch*int(d.banksPerChan)+bank]
 	cc := &d.chanCtr[ch]
 	now := d.eng.Now()
 	d.refreshCatchup(ch, c, now)
@@ -526,7 +603,7 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	// service time; tRAS/bus/refresh waits count as queueing instead.
 	var rowPenalty sim.Cycle
 	switch {
-	case b.openRow >= 0 && uint64(b.openRow) == o.row:
+	case b.openRow == row:
 		// Row hit: column command only.
 		bc.RowHits++
 		colAt = start
@@ -537,7 +614,7 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 		rowPenalty = d.tRCD
 		colAt = start + d.tRCD
 		b.actAt = start
-		b.openRow = int64(o.row)
+		b.openRow = row
 	default:
 		// Conflict: precharge (respecting tRAS), activate, column.
 		d.stats.DynamicEnergyPJ += d.Cfg.ActivateEnergyPJ
@@ -550,7 +627,7 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 		actAt := preAt + d.tRP
 		colAt = actAt + d.tRCD
 		b.actAt = actAt
-		b.openRow = int64(o.row)
+		b.openRow = row
 	}
 
 	burst := d.burst64
@@ -626,11 +703,13 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 	comp.done = done
 	comp.arrival = o.arrival
 	comp.service = service
+	comp.addr = o.addr
+	comp.write = o.write
 	comp.cb = o.done
 	comp.tr = o.trace
-	d.bankQueued[ch*int(d.banksPerChan)+o.bank]--
-	*o = op{} // release Done/Trace references
-	d.freeOps = append(d.freeOps, slot)
+	d.bankQueued[ch*int(d.banksPerChan)+bank]--
+	*o = op{addr: uint64(d.freeOp)} // release Done/Trace; link the free list
+	d.freeOp = e.slot + 1
 	d.queued--
 	d.eng.At(done, comp.fireFn)
 }
@@ -642,9 +721,9 @@ func (d *Device) issue(ch int, c *channel, q *opQueue, pick int) {
 func (d *Device) PendingBytes() uint64 {
 	var n uint64
 	for i := range d.chans {
-		for _, q := range []*opQueue{&d.chans[i].readQ, &d.chans[i].writeQ} {
-			for _, i := range q.idx[q.head:] {
-				n += d.ops.At(int(i)).total()
+		for _, q := range [2]*opQueue{&d.chans[i].readQ, &d.chans[i].writeQ} {
+			for j := 0; j < q.n; j++ {
+				n += d.ops.At(int(q.at(j).slot)).total()
 			}
 		}
 	}

@@ -276,6 +276,34 @@ func BenchmarkDeviceRandomReads(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkDeviceBacklog measures one request through a device shaped like
+// SILC-FM's metadata channel (one HBM channel, one 64-byte line per set of
+// a 128 MiB near memory) that runs about 16k requests behind: 16-byte
+// write-backs and background reads to random sets, each op submitting one
+// and then completing requests until the backlog is back at its depth.
+func BenchmarkDeviceBacklog(b *testing.B) {
+	cfg := config.HBM(1 << 20)
+	cfg.Channels = 1
+	eng := sim.NewEngine()
+	d := New(cfg, eng)
+	rng := rand.New(rand.NewSource(1))
+	req := func() Request {
+		w := rng.Intn(2) == 0
+		return Request{Addr: uint64(rng.Intn(int(cfg.Capacity))) &^ 63, Bytes: 16, Write: w, Background: !w}
+	}
+	const depth = 16 << 10
+	for d.QueueDepth() < depth {
+		d.Submit(req())
+	}
+	behind := func() bool { return d.QueueDepth() >= depth }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Submit(req())
+		eng.RunWhile(behind)
+	}
+}
+
 func TestRefreshAppliesPeriodically(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(config.DDR3(64<<20), eng)
@@ -450,12 +478,30 @@ func TestNoLostWakeups(t *testing.T) {
 	}
 }
 
-// walkQueueDepth counts the queued ops by walking every channel queue, the
-// reference for the queued counter QueueDepth returns.
-func walkQueueDepth(d *Device) int {
+// walkQueueDepth counts the queued ops by walking every entry of every
+// channel queue, the reference for the queued counter QueueDepth returns.
+// On the way it checks each entry against the per-bank counts BankState
+// reports and each queue's pages against the entries they hold.
+func walkQueueDepth(t *testing.T, d *Device) int {
+	t.Helper()
 	n := 0
-	for i := range d.chans {
-		n += d.chans[i].readQ.len() + d.chans[i].writeQ.len()
+	perBank := make([]int32, len(d.bankQueued))
+	for ch := range d.chans {
+		for _, q := range [2]*opQueue{&d.chans[ch].readQ, &d.chans[ch].writeQ} {
+			for i := 0; i < q.len(); i++ {
+				perBank[ch*int(d.banksPerChan)+int(q.at(i).key&d.bankMask)]++
+			}
+			if want := max(1, (q.head+q.len()+qPageLen-1)/qPageLen); q.pages != nil && len(q.pages) != want {
+				t.Fatalf("channel %d queue of %d entries from %d holds %d pages, want %d",
+					ch, q.len(), q.head, len(q.pages), want)
+			}
+			n += q.len()
+		}
+	}
+	for i, k := range perBank {
+		if k != d.bankQueued[i] {
+			t.Fatalf("bank %d: %d queue entries, bank count %d", i, k, d.bankQueued[i])
+		}
 	}
 	return n
 }
@@ -479,7 +525,7 @@ func TestQueueDepthMatchesQueueWalk(t *testing.T) {
 					Background: rng.Intn(8) == 0,
 				})
 			}
-			if got, want := d.QueueDepth(), walkQueueDepth(d); got != want {
+			if got, want := d.QueueDepth(), walkQueueDepth(t, d); got != want {
 				t.Fatalf("seed %d step %d: QueueDepth = %d, queue walk %d", seed, i, got, want)
 			}
 			deepest = max(deepest, d.QueueDepth())
@@ -488,7 +534,7 @@ func TestQueueDepthMatchesQueueWalk(t *testing.T) {
 			t.Fatalf("seed %d: the stream never queued more than %d ops; test is vacuous", seed, deepest)
 		}
 		eng.Run()
-		if got := d.QueueDepth(); got != 0 || walkQueueDepth(d) != 0 {
+		if got := d.QueueDepth(); got != 0 || walkQueueDepth(t, d) != 0 {
 			t.Fatalf("seed %d: drained device reports depth %d", seed, got)
 		}
 	}
@@ -538,8 +584,8 @@ func TestPeakQueueDepthHighWaterMark(t *testing.T) {
 func TestSteadyStateRequestAllocs(t *testing.T) {
 	eng, d := newFM(t)
 	done := func() {}
-	// Warm up: grow every queue slice, the completion free list, and the
-	// scheduler's wheel buckets.
+	// Warm up: grow the queue pages and arena, the completion free list,
+	// and the scheduler's wheel buckets.
 	for i := 0; i < 2000; i++ {
 		d.Submit(Request{Addr: uint64(i%64) * 64, Done: done})
 		d.Submit(Request{Addr: uint64(i%64) * 64, Write: true, Done: done})
@@ -649,14 +695,13 @@ func TestMapAddrPartitionProperty(t *testing.T) {
 // TestSelectOpFRFCFS pins the scheduler's two-phase policy as a unit test
 // on hand-built channel state: a row hit inside the scheduling window wins
 // over the oldest op, the oldest op wins when no row hit exists, and a hit
-// beyond the window cannot jump the queue.
+// beyond the window cannot jump the queue, also when the window straddles
+// two queue pages.
 func TestSelectOpFRFCFS(t *testing.T) {
 	_, d := newFM(t)
 	c := &d.chans[0]
 	push := func(bank int, row uint64) {
-		s := d.pushSlot(&c.readQ)
-		s.bank = bank
-		s.row = row
+		d.push(&c.readQ, entry{key: uint32(row)<<d.bankShift | uint32(bank)})
 	}
 
 	// Bank 0 holds row 5 open; the oldest op wants row 7 (conflict), a
@@ -674,16 +719,32 @@ func TestSelectOpFRFCFS(t *testing.T) {
 		t.Fatalf("no-hit fallback: picked %d, want 0 (oldest)", pick)
 	}
 
-	// A row hit parked beyond the scheduling window must not be selected.
-	c.banks[0].openRow = 5
-	c.readQ.idx = c.readQ.idx[:0]
-	c.readQ.head = 0
-	for i := 0; i < d.Cfg.ReadQueueLen; i++ {
-		push(0, 7) // in-window: all conflicts
-	}
-	push(0, 5) // the hit, one past the window
-	if _, pick := d.selectOp(c); pick != 0 {
-		t.Fatalf("hit beyond window: picked %d, want 0 (oldest)", pick)
+	// A row hit parked beyond the scheduling window must not be selected,
+	// wherever the window starts on its page.
+	for _, head := range []int{0, qPageLen - d.Cfg.ReadQueueLen/2} {
+		c.readQ = opQueue{}
+		for i := 0; i < head; i++ {
+			push(1, 0)
+		}
+		c.banks[0].openRow = 5
+		for i := 0; i < d.Cfg.ReadQueueLen; i++ {
+			push(0, 7) // in-window: all conflicts
+		}
+		push(0, 5) // the hit, one past the window
+		for i := 0; i < head; i++ {
+			d.remove(&c.readQ, 0)
+		}
+		if c.readQ.head != head {
+			t.Fatalf("queue head %d, want %d", c.readQ.head, head)
+		}
+		if _, pick := d.selectOp(c); pick != 0 {
+			t.Fatalf("head %d: hit beyond window: picked %d, want 0 (oldest)", head, pick)
+		}
+		// The last in-window op becomes the hit: found across the page break.
+		c.readQ.at(d.Cfg.ReadQueueLen - 1).key = uint32(5) << d.bankShift
+		if _, pick := d.selectOp(c); pick != d.Cfg.ReadQueueLen-1 {
+			t.Fatalf("head %d: hit at the window's end: picked %d, want %d", head, pick, d.Cfg.ReadQueueLen-1)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"reflect"
 	"runtime"
@@ -10,6 +12,7 @@ import (
 	"silcfm/internal/mem"
 	"silcfm/internal/sim"
 	"silcfm/internal/stats"
+	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/exemplar"
 	"silcfm/internal/vm"
 	"silcfm/internal/workload"
@@ -205,6 +208,67 @@ func TestHMAEpochsMigrate(t *testing.T) {
 	}
 	if r.Mem.Migrations == 0 {
 		t.Fatalf("no HMA migrations in %d cycles (epoch %d cycles)", r.Cycles, m.HMA.EpochCycles)
+	}
+}
+
+// TestHMASwapsOutUnderTiming shrinks near memory to 128 frames, so HMA's
+// first epochs hand out every free frame and later epochs must swap a hot
+// FM page with a cold NM resident: mem.ExchangeBlocksDMA, the two-way
+// block exchange, runs inside a timed simulation under the shadow checker
+// and the end-of-run audits. Shorter epochs (config.Small's 2^18 cycles
+// is longer than this run) give it several. The movement trace counts the
+// exchanges: in an HMA run only ExchangeBlocksDMA reports a swap.
+func TestHMASwapsOutUnderTiming(t *testing.T) {
+	m := config.Small()
+	m.Scheme = config.SchemeHMA
+	m.NM = config.HBM(256 << 10)
+	m.HMA.EpochCycles = 1 << 16
+	var trace bytes.Buffer
+	r, err := Run(Spec{
+		Machine:           m,
+		Workload:          "mcf",
+		InstrPerCore:      50_000,
+		ScaleInstrByClass: true,
+		FootScaleNum:      1,
+		FootScaleDen:      32,
+		ShadowCheck:       true,
+		Telemetry:         &telemetry.Config{TraceW: &trace, TraceLimit: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []struct{ Name string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace.Bytes(), &tr); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, e := range tr.TraceEvents {
+		kinds[e.Name]++
+	}
+	if kinds["swap"] == 0 || kinds["relocate"] == 0 {
+		t.Fatalf("%d block exchanges and %d subblock relocations in %d cycles (%d migrations); want both paths to run",
+			kinds["swap"], kinds["relocate"], r.Cycles, r.Mem.Migrations)
+	}
+}
+
+// TestRunRejectsEmptyQueues: a DRAM scheduling window below one entry is a
+// config error from Run; such a run used to spin without end.
+func TestRunRejectsEmptyQueues(t *testing.T) {
+	for _, n := range []int{0, -4} {
+		s := tinySpec(config.SchemeSILCFM, "mcf")
+		s.InstrPerCore = 20_000
+		s.FootScaleDen = 32
+		for _, d := range []*config.DRAMConfig{&s.Machine.NM, &s.Machine.FM} {
+			d.ReadQueueLen, d.WriteQueueLen = n, n
+		}
+		if _, err := Run(s); err == nil {
+			t.Errorf("queues of %d entries accepted", n)
+		}
 	}
 }
 
