@@ -233,6 +233,16 @@ type PoMConfig struct {
 // DefaultPoM mirrors the PoM paper's threshold-triggered migration.
 func DefaultPoM() PoMConfig { return PoMConfig{MigrationThreshold: 16, Ways: 1} }
 
+// Geometry returns the congruence sets PoM builds over NM and FM: ways NM
+// frames per set (Ways clamped to 1..NM blocks), NM blocks / ways sets, and
+// members blocks per set (its NM frames and the FM blocks congruent to them).
+func (p PoMConfig) Geometry(nmCap, fmCap uint64) (ways int, sets, members uint64) {
+	nmBlks := memunits.BlocksIn(nmCap)
+	ways = int(min(uint64(max(p.Ways, 1)), nmBlks))
+	sets = nmBlks / uint64(ways)
+	return ways, sets, memunits.BlocksIn(nmCap+fmCap) / sets
+}
+
 // CAMEOConfig holds CAMEO parameters.
 type CAMEOConfig struct {
 	PrefetchLines int // 0 for original CAMEO; 3 for CAMEOP (paper §IV-A)
@@ -331,6 +341,10 @@ func (m Machine) Validate() error {
 	// FM/NM FM homes) in a uint8.
 	if r := m.FM.Capacity / m.NM.Capacity; r > 255 && (m.Scheme == SchemeCAMEO || m.Scheme == SchemeCAMEOP) {
 		return fmt.Errorf("config: %s needs FM/NM <= 255 (at most 256 lines per congruence group), got %d", m.Scheme, r)
+	}
+	// PoM holds each congruence-set member's location in a uint16.
+	if _, _, n := m.PoM.Geometry(m.NM.Capacity, m.FM.Capacity); n > 1<<16 && m.Scheme == SchemePoM {
+		return fmt.Errorf("config: pom needs at most 65536 blocks per congruence set (NM frames and their congruent FM blocks), got %d", n)
 	}
 	// HMA's epoch loop advances by EpochCycles, and its hot scan visits
 	// only counters that were incremented.

@@ -295,3 +295,48 @@ func TestValidateTableLimits(t *testing.T) {
 		}
 	}
 }
+
+// TestValidatePoMSetLimit: PoM holds a location index in a uint16, so a
+// congruence set of more than 65,536 blocks aliased two of them. NM 2 KiB
+// under FM 128 MiB is one set of 65,537; FM/NM = 32,768 and exactly 65,536
+// members still fit. With two ways a set also counts its second NM frame.
+func TestValidatePoMSetLimit(t *testing.T) {
+	pomMachine := func(nm, fm uint64, ways int) Machine {
+		m := Default()
+		m.Scheme = SchemePoM
+		m.NM = HBM(nm)
+		m.FM = DDR3(fm)
+		m.PoM.Ways = ways
+		return m
+	}
+	for _, c := range []struct {
+		nm, fm uint64
+		ways   int
+	}{
+		{2 << 10, 64 << 20, 1},
+		{2 << 10, 65535 * 2 << 10, 1},
+		{4 << 10, 65534 * 2 << 10, 2},
+	} {
+		if err := pomMachine(c.nm, c.fm, c.ways).Validate(); err != nil {
+			t.Errorf("NM %d FM %d ways %d: %v", c.nm, c.fm, c.ways, err)
+		}
+	}
+	for _, c := range []struct {
+		nm, fm uint64
+		ways   int
+	}{
+		{2 << 10, 128 << 20, 1},
+		{2 << 10, 65536 * 2 << 10, 1},
+		{4 << 10, 65536 * 2 << 10, 2},
+	} {
+		err := pomMachine(c.nm, c.fm, c.ways).Validate()
+		if err == nil || !strings.Contains(err.Error(), "at most 65536 blocks per congruence set") {
+			t.Errorf("NM %d FM %d ways %d: err %v, want the 65536 limit named", c.nm, c.fm, c.ways, err)
+		}
+	}
+	m := pomMachine(2<<10, 128<<20, 1)
+	m.Scheme = SchemeSILCFM
+	if err := m.Validate(); err != nil {
+		t.Errorf("silc at NM 2 KiB, FM 128 MiB: %v", err)
+	}
+}

@@ -105,14 +105,10 @@ func (c *Controller) MetaDevice() *dram.Device { return c.meta }
 // Name implements mem.Controller.
 func (c *Controller) Name() string { return "silc" }
 
-// nmLoc returns the device location of subblock idx of NM frame f.
-func (c *Controller) nmLoc(f uint64, idx uint) mem.Location {
-	return mem.Location{Level: stats.NM, DevAddr: memunits.SubblockAddr(f, idx)}
-}
-
-// fmHome returns the device location of subblock idx of flat FM block b.
-func (c *Controller) fmHome(b uint64, idx uint) mem.Location {
-	return mem.Location{Level: stats.FM, DevAddr: memunits.SubblockAddr(b-c.nmBlocks, idx)}
+// home returns the home location of subblock idx of flat block b. NM frame
+// f is flat block f's home.
+func (c *Controller) home(b uint64, idx uint) mem.Location {
+	return c.sys.HomeLocation(memunits.SubblockAddr(b, idx))
 }
 
 // Locate implements mem.Controller.
@@ -122,15 +118,15 @@ func (c *Controller) Locate(pa uint64) mem.Location {
 	if b < c.nmBlocks {
 		fr := &c.fs.frames[b]
 		if fr.interleaved() && fr.bits.Test(idx) {
-			return c.fmHome(fr.block(), idx)
+			return c.home(fr.block(), idx)
 		}
-		return c.nmLoc(b, idx)
+		return c.home(b, idx)
 	}
 	s := c.fs.setOf(b)
 	if f, ok := c.fs.findRemap(s, b); ok && c.fs.frames[f].bits.Test(idx) {
-		return c.nmLoc(f, idx)
+		return c.home(f, idx)
 	}
-	return c.fmHome(b, idx)
+	return c.home(b, idx)
 }
 
 // Handle implements mem.Controller.
@@ -273,7 +269,7 @@ func (c *Controller) handleNMAddress(a *mem.Access, b uint64, idx uint, mispred 
 	swappedOut := fr.interleaved() && fr.bits.Test(idx)
 	if !swappedOut {
 		// Home subblock resident: service from NM.
-		c.serviceNM(a, c.nmLoc(b, idx), pathOr(stats.PathNMHit, mispred))
+		c.serviceNM(a, c.home(b, idx), pathOr(stats.PathNMHit, mispred))
 		c.maybeLockHome(b)
 		return
 	}
@@ -286,7 +282,7 @@ func (c *Controller) handleNMAddress(a *mem.Access, b uint64, idx uint, mispred 
 			st.BypassedAccesses++
 			path = stats.PathBypass
 		}
-		c.serviceFM(a, c.fmHome(fr.block(), idx), pathOr(path, mispred))
+		c.serviceFM(a, c.home(fr.block(), idx), pathOr(path, mispred))
 		c.maybeLockHome(b)
 		return
 	}
@@ -294,7 +290,7 @@ func (c *Controller) handleNMAddress(a *mem.Access, b uint64, idx uint, mispred 
 	// address). The interleaved block's subblock returns to its FM home.
 	c.fs.clearBit(b, idx)
 	st.SwapsOut++
-	c.moveBetween(a, c.fmHome(fr.block(), idx), c.nmLoc(b, idx), pathOr(stats.PathSwap, mispred))
+	c.moveBetween(a, c.home(fr.block(), idx), c.home(b, idx), pathOr(stats.PathSwap, mispred))
 	c.writeMetaUpdate(c.fs.setOf(b))
 	c.maybeLockHome(b)
 }
@@ -310,19 +306,19 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 		bump(&fr.fmCtr, c.ctrMax)
 		if fr.bits.Test(idx) {
 			// Table I row 1: remap match, bit set -> service from NM.
-			c.serviceNM(a, c.nmLoc(f, idx), pathOr(stats.PathNMHit, mispred))
+			c.serviceNM(a, c.home(f, idx), pathOr(stats.PathNMHit, mispred))
 			c.maybeLockRemap(f)
 			return
 		}
 		// Table I row 2: remap match, bit clear -> swap subblock from FM.
 		if c.gov.bypassing() {
 			st.BypassedAccesses++
-			c.serviceFM(a, c.fmHome(b, idx), pathOr(stats.PathBypass, mispred))
+			c.serviceFM(a, c.home(b, idx), pathOr(stats.PathBypass, mispred))
 			return
 		}
 		c.fs.setBit(f, idx)
 		st.SwapsIn++
-		c.moveBetween(a, c.fmHome(b, idx), c.nmLoc(f, idx), pathOr(stats.PathSwap, mispred))
+		c.moveBetween(a, c.home(b, idx), c.home(f, idx), pathOr(stats.PathSwap, mispred))
 		c.writeMetaUpdate(s)
 		c.maybeLockRemap(f)
 		return
@@ -338,7 +334,7 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 	if bypassed {
 		path = stats.PathBypass
 	}
-	c.sys.ServiceAccess(a, c.fmHome(b, idx), pathOr(path, mispred))
+	c.sys.ServiceAccess(a, c.home(b, idx), pathOr(path, mispred))
 	if bypassed {
 		st.BypassedAccesses++
 		return
@@ -362,7 +358,7 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 	// residual traffic is the install + eviction exchange).
 	c.fs.setBit(v, idx)
 	st.SwapsIn++
-	c.sys.ExchangeSubblocks(c.fmHome(b, idx), c.nmLoc(v, idx), nil)
+	c.sys.ExchangeSubblocks(c.home(b, idx), c.home(v, idx))
 
 	// Replay the bit vector history: previously useful subblocks swap in
 	// together (§III-A), the scheme's spatial-locality edge over CAMEO.
@@ -373,7 +369,7 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 				c.fs.setBit(v, i)
 				st.SwapsIn++
 				c.HistoryPrefetches++
-				c.sys.ExchangeSubblocks(c.fmHome(b, i), c.nmLoc(v, i), nil)
+				c.sys.ExchangeSubblocks(c.home(b, i), c.home(v, i))
 			}
 		}
 	}
@@ -392,7 +388,7 @@ func (c *Controller) restore(f uint64) {
 	for i := uint(0); i < memunits.SubblocksPerBlock; i++ {
 		if fr.bits.Test(i) {
 			c.sys.Stats.SwapsOut++
-			c.sys.ExchangeSubblocks(c.nmLoc(f, i), c.fmHome(fr.block(), i), nil)
+			c.sys.ExchangeSubblocks(c.home(f, i), c.home(fr.block(), i))
 		}
 	}
 	c.fs.clearRemap(f)
@@ -422,7 +418,7 @@ func (c *Controller) maybeLockRemap(f uint64) {
 		if !fr.bits.Test(i) {
 			c.fs.setBit(f, i)
 			c.sys.Stats.SwapsIn++
-			c.sys.ExchangeSubblocks(c.fmHome(fr.block(), i), c.nmLoc(f, i), nil)
+			c.sys.ExchangeSubblocks(c.home(fr.block(), i), c.home(f, i))
 		}
 	}
 	c.fs.setLock(f, true, false)

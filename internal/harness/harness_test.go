@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"silcfm/internal/config"
@@ -269,6 +270,21 @@ func TestRunRejectsEmptyQueues(t *testing.T) {
 		if _, err := Run(s); err == nil {
 			t.Errorf("queues of %d entries accepted", n)
 		}
+	}
+}
+
+// TestRunRejectsOversizedPoMSet: NM 2 KiB under FM 128 MiB gives PoM one
+// congruence set of 65,537 blocks, more than its uint16 locations hold. Such
+// a run used to alias two blocks at one NM frame and still report no error,
+// because the end-of-run sampled audit missed the aliased block.
+func TestRunRejectsOversizedPoMSet(t *testing.T) {
+	s := tinySpec(config.SchemePoM, "mcf")
+	s.InstrPerCore = 20_000
+	s.FootScaleDen = 64
+	s.Machine.NM = config.HBM(2 << 10)
+	s.Machine.FM = config.DDR3(128 << 20)
+	if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "65536 blocks per congruence set") {
+		t.Fatalf("Run = %v, want the PoM set limit named", err)
 	}
 }
 

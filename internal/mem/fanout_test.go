@@ -185,8 +185,8 @@ func TestCompoundOpsIdenticalStreams(t *testing.T) {
 
 	nm := Location{Level: stats.NM, DevAddr: 0}
 	fm := Location{Level: stats.FM, DevAddr: 128}
-	s.ExchangeSubblocks(nm, fm, nil)
-	s.swapDemand(0x80, nm, fm, false, nil, nil)
+	s.ExchangeSubblocks(nm, fm)
+	s.SwapAccess(&Access{PAddr: 0x80, Start: eng.Now()}, nm, fm, stats.PathSwap)
 	eng.Run()
 
 	if len(a.events) == 0 {

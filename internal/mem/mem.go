@@ -248,132 +248,35 @@ type System struct {
 	demandObs []DemandObserver
 	issueObs  []DemandIssueObserver
 
-	// FaultInjectSwapOrder reintroduces the pre-fix swapDemand write-path
+	// FaultInjectSwapOrder reintroduces the pre-fix write-path SwapAccess
 	// ordering bug (demand write submitted before dst's old contents are
 	// read out, destroying them). Test-only: proves the shadow checker
 	// detects the hazard.
 	FaultInjectSwapOrder bool
 
-	// freeExch/freeSwap/freeRelay are free lists of pooled continuation
-	// objects for the compound movement operations below, so steady-state
-	// swaps and migrations schedule no closure allocations.
-	freeExch  *exchOp
-	freeSwap  *swapOp
+	// freeRelay is the free list of pooled relay continuations, so
+	// steady-state swaps and migrations schedule no closure allocations.
 	freeRelay *relayOp
 }
 
-// exchOp is the pooled continuation of one two-way exchange
-// (ExchangeSubblocks / ExchangeBlocksDMA): both read-completion callbacks
-// and the two-write join, method values bound once at pool-object creation.
-type exchOp struct {
-	s         *System
-	a, b      Location
-	n         uint64
-	remaining int
-	fin       func()
-
-	readAFn, readBFn, joinFn func()
-
-	next *exchOp
-}
-
-func (s *System) getExch(a, b Location, n uint64, fin func()) *exchOp {
-	op := s.freeExch
-	if op == nil {
-		op = &exchOp{s: s}
-		op.readAFn = op.readADone
-		op.readBFn = op.readBDone
-		op.joinFn = op.writeDone
-	} else {
-		s.freeExch = op.next
-	}
-	op.a, op.b, op.n, op.fin, op.remaining = a, b, n, fin, 2
-	return op
-}
-
-func (op *exchOp) readADone() { op.s.Write(op.b, op.n, stats.Migration, op.joinFn) }
-func (op *exchOp) readBDone() { op.s.Write(op.a, op.n, stats.Migration, op.joinFn) }
-
-// writeDone joins the two migration writes; the second one recycles the op
-// and then chains fin.
-func (op *exchOp) writeDone() {
-	op.remaining--
-	if op.remaining > 0 {
-		return
-	}
-	s, fin := op.s, op.fin
-	op.fin = nil
-	op.next = s.freeExch
-	s.freeExch = op
-	if fin != nil {
-		fin()
-	}
-}
-
-// swapOp is the pooled continuation of one read-path swapDemand: the demand
-// read's completion (chain done, then push src's new data to dst) and the
-// buffered migration read's completion (push dst's old data to src).
-type swapOp struct {
-	s        *System
-	src, dst Location
-	done     func()
-	pending  int
-
-	demandFn, migFn func()
-
-	next *swapOp
-}
-
-func (s *System) getSwap(src, dst Location, done func()) *swapOp {
-	op := s.freeSwap
-	if op == nil {
-		op = &swapOp{s: s}
-		op.demandFn = op.demandDone
-		op.migFn = op.migDone
-	} else {
-		s.freeSwap = op.next
-	}
-	op.src, op.dst, op.done, op.pending = src, dst, done, 2
-	return op
-}
-
-func (op *swapOp) demandDone() {
-	if op.done != nil {
-		op.done()
-	}
-	op.s.Write(op.dst, memunits.SubblockSize, stats.Migration, nil)
-	op.release()
-}
-
-func (op *swapOp) migDone() {
-	op.s.Write(op.src, memunits.SubblockSize, stats.Migration, nil)
-	op.release()
-}
-
-func (op *swapOp) release() {
-	op.pending--
-	if op.pending == 0 {
-		op.done = nil
-		op.next = op.s.freeSwap
-		op.s.freeSwap = op
-	}
-}
-
-// relayOp is the pooled continuation of a read-then-write copy: when the
-// read completes, write n bytes to dst (migration class) with fin chained
-// to the write. Used by the swapDemand write path and RelocateBlockDMA.
+// relayOp is the pooled continuation of one copy, the step every compound
+// move is built from: when the read at the source completes, run then (may
+// be nil), then write the n bytes at dst as migration traffic. Its callback
+// is a method value bound once at pool-object creation.
 type relayOp struct {
-	s   *System
-	dst Location
-	n   uint64
-	fin func()
+	s    *System
+	dst  Location
+	n    uint64
+	then func()
 
 	fn func()
 
 	next *relayOp
 }
 
-func (s *System) getRelay(dst Location, n uint64, fin func()) *relayOp {
+// relay submits read r of r.Bytes at src, accounted under class, and when
+// it completes runs then and writes the bytes at dst.
+func (s *System) relay(src, dst Location, class stats.TrafficClass, r dram.Request, then func()) {
 	op := s.freeRelay
 	if op == nil {
 		op = &relayOp{s: s}
@@ -381,16 +284,22 @@ func (s *System) getRelay(dst Location, n uint64, fin func()) *relayOp {
 	} else {
 		s.freeRelay = op.next
 	}
-	op.dst, op.n, op.fin = dst, n, fin
-	return op
+	op.dst, op.n, op.then = dst, r.Bytes, then
+	r.Done = op.fn
+	s.Submit(src, class, r)
 }
 
+// run recycles the op before it calls then, which may start new relays
+// synchronously.
 func (op *relayOp) run() {
-	s, dst, n, fin := op.s, op.dst, op.n, op.fin
-	op.fin = nil
+	s, dst, n, then := op.s, op.dst, op.n, op.then
+	op.then = nil
 	op.next = s.freeRelay
 	s.freeRelay = op
-	s.Write(dst, n, stats.Migration, fin)
+	if then != nil {
+		then()
+	}
+	s.Submit(dst, stats.Migration, dram.Request{Bytes: n, Write: true})
 }
 
 // NewSystem builds devices for machine m on engine eng. For the no-NM
@@ -409,18 +318,14 @@ func NewSystem(m config.Machine, eng *sim.Engine) *System {
 	}
 }
 
-// InNM reports whether flat address pa lies in the near-memory range.
-func (s *System) InNM(pa uint64) bool { return pa < s.NMCap }
-
-// FMDev converts a flat far-memory address to a device-local address.
-func (s *System) FMDev(pa uint64) uint64 { return pa - s.NMCap }
-
-// HomeLocation returns where pa lives with no remapping at all.
+// HomeLocation returns where pa lives with no remapping at all: NM below
+// NMCap, FM at pa-NMCap above it. Every scheme but CAMEO maps its blocks'
+// homes through it.
 func (s *System) HomeLocation(pa uint64) Location {
-	if s.InNM(pa) {
+	if pa < s.NMCap {
 		return Location{Level: stats.NM, DevAddr: pa}
 	}
-	return Location{Level: stats.FM, DevAddr: s.FMDev(pa)}
+	return Location{Level: stats.FM, DevAddr: pa - s.NMCap}
 }
 
 // Device returns the device backing a level.
@@ -537,75 +442,15 @@ func (a *Access) complete() {
 // InflightDemands reports demand accesses serviced but not yet completed.
 func (s *System) InflightDemands() uint64 { return s.inflight }
 
-// ServiceAccess is serviceDemand over a full Access, recording the demand
-// completion latency under path and attributing the device request's
-// queue/service time to the access. Issue observers fire before the demand
-// is dispatched (demand writes complete synchronously at submission, so
-// this is the last point the access is reliably in flight).
-func (s *System) ServiceAccess(a *Access, loc Location, path stats.DemandPath) {
-	for _, io := range s.issueObs {
-		io.DemandIssue(a, path, loc)
-	}
-	s.serviceDemand(a.PAddr, loc, a.Write, a.SpanTrace(), s.DemandDone(a, path))
-}
-
-// SwapAccess is swapDemand over a full Access, recording the demand
-// completion latency under path and attributing the demand leg's
-// queue/service time to the access. Issue observers see the src side (where
-// the demand data currently resides) before dispatch.
-func (s *System) SwapAccess(a *Access, src, dst Location, path stats.DemandPath) {
-	for _, io := range s.issueObs {
-		io.DemandIssue(a, path, src)
-	}
-	s.swapDemand(a.PAddr, src, dst, a.Write, a.SpanTrace(), s.DemandDone(a, path))
-}
-
-// Read submits a read of n bytes at loc, accounted under class, invoking
-// done at completion.
-func (s *System) Read(loc Location, n uint64, class stats.TrafficClass, done func()) {
-	s.readTraced(loc, n, class, nil, done)
-}
-
-// ReadDemand is Read with span attribution: the device charges a's
-// queue-wait and service time (stats.SpanQueue / stats.SpanService).
-func (s *System) ReadDemand(a *Access, loc Location, n uint64, class stats.TrafficClass, done func()) {
-	s.readTraced(loc, n, class, a.SpanTrace(), done)
-}
-
-func (s *System) readTraced(loc Location, n uint64, class stats.TrafficClass, trace func(queue, service uint64), done func()) {
-	s.Stats.AddBytes(loc.Level, class, n)
-	s.Device(loc.Level).Submit(dram.Request{Addr: loc.DevAddr, Bytes: n, Trace: trace, Done: done})
-}
-
-// ReadMeta submits a read with an extended burst carrying meta additional
-// metadata bytes (CAMEO's in-row remap entries).
-func (s *System) ReadMeta(loc Location, n, meta uint64, class stats.TrafficClass, done func()) {
-	s.readMetaTraced(loc, n, meta, class, nil, done)
-}
-
-// ReadMetaDemand is ReadMeta with span attribution for access a.
-func (s *System) ReadMetaDemand(a *Access, loc Location, n, meta uint64, class stats.TrafficClass, done func()) {
-	s.readMetaTraced(loc, n, meta, class, a.SpanTrace(), done)
-}
-
-func (s *System) readMetaTraced(loc Location, n, meta uint64, class stats.TrafficClass, trace func(queue, service uint64), done func()) {
-	s.Stats.AddBytes(loc.Level, class, n)
-	s.Stats.AddBytes(loc.Level, stats.Metadata, meta)
-	s.Device(loc.Level).Submit(dram.Request{Addr: loc.DevAddr, Bytes: n, MetaBytes: meta, Trace: trace, Done: done})
-}
-
-// ReadBackground submits a background-priority read (bulk migration DMA,
-// verification traffic): it never delays demand reads.
-func (s *System) ReadBackground(loc Location, n uint64, class stats.TrafficClass, done func()) {
-	s.Stats.AddBytes(loc.Level, class, n)
-	s.Device(loc.Level).Submit(dram.Request{Addr: loc.DevAddr, Bytes: n, Background: true, Done: done})
-}
-
-// Write submits a write of n bytes at loc accounted under class. done may
-// be nil.
-func (s *System) Write(loc Location, n uint64, class stats.TrafficClass, done func()) {
-	s.Stats.AddBytes(loc.Level, class, n)
-	s.Device(loc.Level).Submit(dram.Request{Addr: loc.DevAddr, Bytes: n, Write: true, Done: done})
+// Submit accounts r.Bytes under class and r.MetaBytes as metadata on loc's
+// level, addresses r at loc and submits it to that level's device. Reads,
+// writes, extended-burst reads (CAMEO's in-row remap entries), traced
+// demand reads and background DMA differ only in r's fields.
+func (s *System) Submit(loc Location, class stats.TrafficClass, r dram.Request) {
+	s.Stats.AddBytes(loc.Level, class, r.Bytes)
+	s.Stats.AddBytes(loc.Level, stats.Metadata, r.MetaBytes)
+	r.Addr = loc.DevAddr
+	s.Device(loc.Level).Submit(r)
 }
 
 // AddBytesRideAlong accounts traffic that rides an existing device request
@@ -617,100 +462,107 @@ func (s *System) AddBytesRideAlong(level stats.MemLevel, class stats.TrafficClas
 	s.RideAlong[level] += n
 }
 
-// serviceDemand accounts a demand access of flat address pa satisfied at
-// loc and performs it: reads invoke done at data return; writes complete
-// immediately after submission (write-release semantics at the memory
-// controller) while still occupying bandwidth. trace (may be nil) receives
-// the device's queue/service time.
-func (s *System) serviceDemand(pa uint64, loc Location, write bool, trace func(queue, service uint64), done func()) {
-	if loc.Level == stats.NM {
+// serviced counts one demand access serviced at level.
+func (s *System) serviced(level stats.MemLevel) {
+	if level == stats.NM {
 		s.Stats.ServicedNM++
 	} else {
 		s.Stats.ServicedFM++
 	}
-	s.NoteDemand(pa, loc, write)
-	if write {
+}
+
+// ServiceAccess services demand access a at loc, recording its completion
+// latency under path and attributing the device request's queue/service
+// time to it. Reads complete at data return; writes complete immediately
+// after submission (write-release semantics at the memory controller)
+// while still occupying bandwidth. Issue observers fire before the demand
+// is dispatched (demand writes complete synchronously at submission, so
+// this is the last point the access is reliably in flight).
+func (s *System) ServiceAccess(a *Access, loc Location, path stats.DemandPath) {
+	for _, io := range s.issueObs {
+		io.DemandIssue(a, path, loc)
+	}
+	done := s.DemandDone(a, path)
+	s.serviced(loc.Level)
+	s.NoteDemand(a.PAddr, loc, a.Write)
+	if a.Write {
 		// The demand write completes at submission, before the device
 		// issues it, so there is no device time to attribute: the access's
 		// end-to-end latency is exactly its pre-submission spans.
-		s.Write(loc, memunits.SubblockSize, stats.Demand, nil)
+		s.Submit(loc, stats.Demand, dram.Request{Bytes: memunits.SubblockSize, Write: true})
 		if done != nil {
 			done()
 		}
 		return
 	}
-	s.readTraced(loc, memunits.SubblockSize, stats.Demand, trace, done)
+	s.Submit(loc, stats.Demand, dram.Request{Bytes: memunits.SubblockSize, Trace: a.SpanTrace(), Done: done})
 }
 
 // ExchangeSubblocks models a hardware swap of one subblock between two
-// locations: both sides are read and rewritten at the opposite location.
-// The demand side is NOT included; callers account it separately. fin (may
-// be nil) runs when both writes complete.
-func (s *System) ExchangeSubblocks(a, b Location, fin func()) {
+// locations: two relays, each reading one side and rewriting it at the
+// other. The demand side is NOT included; callers account it separately.
+func (s *System) ExchangeSubblocks(a, b Location) {
 	s.NoteSwap(a, b)
 	s.NoteCapture(a)
 	s.NoteCapture(b)
 	s.NoteDeliver(a, b)
 	s.NoteDeliver(b, a)
-	op := s.getExch(a, b, memunits.SubblockSize, fin)
-	s.Read(a, memunits.SubblockSize, stats.Migration, op.readAFn)
-	s.Read(b, memunits.SubblockSize, stats.Migration, op.readBFn)
+	r := dram.Request{Bytes: memunits.SubblockSize}
+	s.relay(a, b, stats.Migration, r, nil)
+	s.relay(b, a, stats.Migration, r, nil)
 }
 
-// swapDemand services a demand access to flat address pa whose subblock
-// currently resides at src while exchanging it with dst's contents — the
-// interleaved swap of SILC-FM Figure 2, with the demand transfer doubling
-// as one of the migration transfers.
+// SwapAccess services demand access a, whose subblock currently resides at
+// src, while exchanging it with dst's contents — the interleaved swap of
+// SILC-FM Figure 2, with the demand transfer doubling as one of the
+// migration transfers. It records the completion latency under path and
+// attributes the demand leg's queue/service time to a. Issue observers see
+// the src side (where the demand data currently resides) before dispatch.
 //
-// Reads: the demand read at src returns the data and feeds the migration
-// write to dst; dst's old contents move to src.
+// Reads: two relays. The demand read at src completes the access and then
+// feeds the migration write to dst; dst's old contents move to src.
 //
 // Writes: the new data supersedes src's old contents entirely (a full
 // subblock LLC writeback), so only dst's old contents move. Ordering
 // matters here — dst must be read out BEFORE the demand write lands, or
-// the only copy of dst's data is destroyed. The buffered read is submitted
+// the only copy of dst's data is destroyed. The relay's read is submitted
 // first; FaultInjectSwapOrder reintroduces the reversed (buggy) order for
-// checker-validation tests. trace (may be nil) receives the demand leg's
-// queue/service time.
-func (s *System) swapDemand(pa uint64, src, dst Location, write bool, trace func(queue, service uint64), done func()) {
-	s.NoteSwap(src, dst)
-	if src.Level == stats.NM {
-		s.Stats.ServicedNM++
-	} else {
-		s.Stats.ServicedFM++
+// checker-validation tests.
+func (s *System) SwapAccess(a *Access, src, dst Location, path stats.DemandPath) {
+	for _, io := range s.issueObs {
+		io.DemandIssue(a, path, src)
 	}
-	if write {
-		if s.FaultInjectSwapOrder {
-			s.NoteDemand(pa, dst, true)
-			s.NoteCapture(dst)
-			s.NoteDeliver(dst, src)
-			s.Write(dst, memunits.SubblockSize, stats.Demand, nil)
-			s.Read(dst, memunits.SubblockSize, stats.Migration, func() {
-				s.Write(src, memunits.SubblockSize, stats.Migration, nil)
-			})
-			if done != nil {
-				done()
-			}
-			return
-		}
+	done := s.DemandDone(a, path)
+	s.NoteSwap(src, dst)
+	s.serviced(src.Level)
+	sub := dram.Request{Bytes: memunits.SubblockSize}
+	if !a.Write {
+		s.NoteDemand(a.PAddr, src, false)
+		s.NoteCapture(src)
 		s.NoteCapture(dst)
-		s.NoteDemand(pa, dst, true)
+		s.NoteDeliver(src, dst)
 		s.NoteDeliver(dst, src)
-		s.Read(dst, memunits.SubblockSize, stats.Migration, s.getRelay(src, memunits.SubblockSize, nil).fn)
-		s.Write(dst, memunits.SubblockSize, stats.Demand, nil)
-		if done != nil {
-			done()
-		}
+		s.relay(src, dst, stats.Demand, dram.Request{Bytes: memunits.SubblockSize, Trace: a.SpanTrace()}, done)
+		s.relay(dst, src, stats.Migration, sub, nil)
 		return
 	}
-	s.NoteDemand(pa, src, false)
-	s.NoteCapture(src)
-	s.NoteCapture(dst)
-	s.NoteDeliver(src, dst)
-	s.NoteDeliver(dst, src)
-	op := s.getSwap(src, dst, done)
-	s.readTraced(src, memunits.SubblockSize, stats.Demand, trace, op.demandFn)
-	s.Read(dst, memunits.SubblockSize, stats.Migration, op.migFn)
+	write := dram.Request{Bytes: memunits.SubblockSize, Write: true}
+	if s.FaultInjectSwapOrder {
+		s.NoteDemand(a.PAddr, dst, true)
+		s.NoteCapture(dst)
+		s.NoteDeliver(dst, src)
+		s.Submit(dst, stats.Demand, write)
+		s.relay(dst, src, stats.Migration, sub, nil)
+	} else {
+		s.NoteCapture(dst)
+		s.NoteDemand(a.PAddr, dst, true)
+		s.NoteDeliver(dst, src)
+		s.relay(dst, src, stats.Migration, sub, nil)
+		s.Submit(dst, stats.Demand, write)
+	}
+	if done != nil {
+		done()
+	}
 }
 
 // subblockAt returns the location of subblock i within the block at loc.
@@ -718,10 +570,10 @@ func subblockAt(loc Location, i uint) Location {
 	return Location{Level: loc.Level, DevAddr: loc.DevAddr + uint64(i)*memunits.SubblockSize}
 }
 
-// ExchangeBlocksDMA swaps the full 2 KB blocks at a and b with
-// background-priority reads (bulk migration DMA must not delay demand
-// traffic). fin (may be nil) runs when both writes complete.
-func (s *System) ExchangeBlocksDMA(a, b Location, fin func()) {
+// ExchangeBlocksDMA swaps the full 2 KB blocks at a and b with two relays
+// whose reads are background priority (bulk migration DMA must not delay
+// demand traffic).
+func (s *System) ExchangeBlocksDMA(a, b Location) {
 	s.NoteSwap(a, b)
 	for i := uint(0); i < memunits.SubblocksPerBlock; i++ {
 		s.NoteCapture(subblockAt(a, i))
@@ -729,20 +581,20 @@ func (s *System) ExchangeBlocksDMA(a, b Location, fin func()) {
 		s.NoteDeliver(subblockAt(a, i), subblockAt(b, i))
 		s.NoteDeliver(subblockAt(b, i), subblockAt(a, i))
 	}
-	op := s.getExch(a, b, memunits.BlockSize, fin)
-	s.ReadBackground(a, memunits.BlockSize, stats.Migration, op.readAFn)
-	s.ReadBackground(b, memunits.BlockSize, stats.Migration, op.readBFn)
+	r := dram.Request{Bytes: memunits.BlockSize, Background: true}
+	s.relay(a, b, stats.Migration, r, nil)
+	s.relay(b, a, stats.Migration, r, nil)
 }
 
-// RelocateBlockDMA copies the 2 KB block at src over dst one-way with a
-// background-priority read. dst's previous contents are dropped, so this is
-// only legal when they were never live demand data (e.g. a free NM frame
-// whose resident flat block was never accessed). fin may be nil.
-func (s *System) RelocateBlockDMA(src, dst Location, fin func()) {
+// RelocateBlockDMA copies the 2 KB block at src over dst one-way with one
+// background-priority relay. dst's previous contents are dropped, so this
+// is only legal when they were never live demand data (e.g. a free NM frame
+// whose resident flat block was never accessed).
+func (s *System) RelocateBlockDMA(src, dst Location) {
 	for i := uint(0); i < memunits.SubblocksPerBlock; i++ {
 		s.NoteRelocate(subblockAt(src, i), subblockAt(dst, i))
 	}
-	s.ReadBackground(src, memunits.BlockSize, stats.Migration, s.getRelay(dst, memunits.BlockSize, fin).fn)
+	s.relay(src, dst, stats.Migration, dram.Request{Bytes: memunits.BlockSize, Background: true}, nil)
 }
 
 // Totals folds the NM and FM devices' per-bank and per-channel ledgers into

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"silcfm/internal/config"
+	"silcfm/internal/dram"
 	"silcfm/internal/memunits"
 	"silcfm/internal/sim"
 	"silcfm/internal/stats"
@@ -19,25 +20,28 @@ func newSys() (*sim.Engine, *System) {
 
 func TestAddressHelpers(t *testing.T) {
 	_, s := newSys()
-	if !s.InNM(0) || !s.InNM(128<<10-1) || s.InNM(128<<10) {
-		t.Fatal("InNM boundary wrong")
+	cases := []struct {
+		pa   uint64
+		want Location
+	}{
+		{0, Location{Level: stats.NM, DevAddr: 0}},
+		{64, Location{Level: stats.NM, DevAddr: 64}},
+		{128<<10 - 64, Location{Level: stats.NM, DevAddr: 128<<10 - 64}},
+		{128 << 10, Location{Level: stats.FM, DevAddr: 0}},
+		{128<<10 + 64, Location{Level: stats.FM, DevAddr: 64}},
 	}
-	if s.FMDev(128<<10) != 0 {
-		t.Fatal("FMDev offset wrong")
-	}
-	if loc := s.HomeLocation(64); loc.Level != stats.NM || loc.DevAddr != 64 {
-		t.Fatalf("NM home: %+v", loc)
-	}
-	if loc := s.HomeLocation(128<<10 + 64); loc.Level != stats.FM || loc.DevAddr != 64 {
-		t.Fatalf("FM home: %+v", loc)
+	for _, c := range cases {
+		if got := s.HomeLocation(c.pa); got != c.want {
+			t.Errorf("HomeLocation(%#x) = %+v, want %+v", c.pa, got, c.want)
+		}
 	}
 }
 
 func TestReadWriteAccounting(t *testing.T) {
 	eng, s := newSys()
 	done := 0
-	s.Read(Location{Level: stats.NM, DevAddr: 0}, 64, stats.Demand, func() { done++ })
-	s.Write(Location{Level: stats.FM, DevAddr: 0}, 64, stats.Migration, nil)
+	s.Submit(Location{Level: stats.NM, DevAddr: 0}, stats.Demand, dram.Request{Bytes: 64, Done: func() { done++ }})
+	s.Submit(Location{Level: stats.FM, DevAddr: 0}, stats.Migration, dram.Request{Bytes: 64, Write: true})
 	eng.Run()
 	if done != 1 {
 		t.Fatal("read callback missing")
@@ -48,11 +52,14 @@ func TestReadWriteAccounting(t *testing.T) {
 	if s.Stats.Bytes[stats.FM][stats.Migration] != 64 {
 		t.Fatal("write bytes not accounted")
 	}
+	if s.NM.Stats().Reads != 1 || s.FM.Stats().Writes != 1 {
+		t.Fatalf("device ops: NM reads %d, FM writes %d", s.NM.Stats().Reads, s.FM.Stats().Writes)
+	}
 }
 
 func TestReadMetaAccountsBothClasses(t *testing.T) {
 	eng, s := newSys()
-	s.ReadMeta(Location{Level: stats.NM, DevAddr: 0}, 64, 8, stats.Demand, nil)
+	s.Submit(Location{Level: stats.NM, DevAddr: 0}, stats.Demand, dram.Request{Bytes: 64, MetaBytes: 8})
 	eng.Run()
 	if s.Stats.Bytes[stats.NM][stats.Demand] != 64 || s.Stats.Bytes[stats.NM][stats.Metadata] != 8 {
 		t.Fatalf("bytes: %+v", s.Stats.Bytes)
@@ -62,8 +69,8 @@ func TestReadMetaAccountsBothClasses(t *testing.T) {
 func TestServiceDemandCounts(t *testing.T) {
 	eng, s := newSys()
 	reads := 0
-	s.serviceDemand(0, Location{Level: stats.NM, DevAddr: 0}, false, nil, func() { reads++ })
-	s.serviceDemand(128<<10, Location{Level: stats.FM, DevAddr: 0}, true, nil, func() { reads++ })
+	s.ServiceAccess(&Access{PAddr: 0, Done: func() { reads++ }}, Location{Level: stats.NM, DevAddr: 0}, stats.PathNMHit)
+	s.ServiceAccess(&Access{PAddr: 128 << 10, Write: true, Done: func() { reads++ }}, Location{Level: stats.FM, DevAddr: 0}, stats.PathFM)
 	eng.Run()
 	if reads != 2 {
 		t.Fatal("callbacks")
@@ -73,22 +80,28 @@ func TestServiceDemandCounts(t *testing.T) {
 	}
 }
 
+// wroteOnce checks that a device took exactly one write of n bytes.
+func wroteOnce(t *testing.T, name string, d *dram.Device, n uint64) {
+	t.Helper()
+	if st := d.Stats(); st.Writes != 1 || st.BytesWritten != n {
+		t.Errorf("%s: %d writes of %d bytes, want 1 of %d", name, st.Writes, st.BytesWritten, n)
+	}
+}
+
 func TestExchangeSubblocksTraffic(t *testing.T) {
 	eng, s := newSys()
-	finished := false
 	s.ExchangeSubblocks(
 		Location{Level: stats.NM, DevAddr: 0},
-		Location{Level: stats.FM, DevAddr: 0},
-		func() { finished = true })
+		Location{Level: stats.FM, DevAddr: 0})
 	eng.Run()
-	if !finished {
-		t.Fatal("exchange completion callback missing")
-	}
+	// Both writes landed once the engine drained.
+	wroteOnce(t, "NM", s.NM, 64)
+	wroteOnce(t, "FM", s.FM, 64)
 	// 64B read + 64B write on each level.
 	if s.Stats.Bytes[stats.NM][stats.Migration] != 128 || s.Stats.Bytes[stats.FM][stats.Migration] != 128 {
 		t.Fatalf("exchange bytes: %+v", s.Stats.Bytes)
 	}
-	if s.NM.Stats().Reads != 1 || s.NM.Stats().Writes != 1 || s.FM.Stats().Reads != 1 || s.FM.Stats().Writes != 1 {
+	if s.NM.Stats().Reads != 1 || s.FM.Stats().Reads != 1 {
 		t.Fatal("device ops wrong")
 	}
 }
@@ -126,10 +139,10 @@ func eventsEqual(a, b []string) bool {
 func TestSwapDemandReadTraffic(t *testing.T) {
 	eng, s := newSys()
 	done := false
-	s.swapDemand(128<<10,
+	s.SwapAccess(&Access{PAddr: 128 << 10, Done: func() { done = true }},
 		Location{Level: stats.FM, DevAddr: 0},
 		Location{Level: stats.NM, DevAddr: 0},
-		false, nil, func() { done = true })
+		stats.PathSwap)
 	eng.Run()
 	if !done {
 		t.Fatal("demand callback missing")
@@ -147,6 +160,23 @@ func TestSwapDemandReadTraffic(t *testing.T) {
 	}
 }
 
+// TestSwapAccessCompletesBeforeWritingDst pins the read-path order: the
+// demand leg's completion runs before the relay submits its write to dst.
+// At completion dst has seen only the counterflow read of its old contents.
+func TestSwapAccessCompletesBeforeWritingDst(t *testing.T) {
+	eng, s := newSys()
+	src := Location{Level: stats.FM, DevAddr: 0}
+	dst := Location{Level: stats.NM, DevAddr: 0}
+	atDone := ^uint64(0)
+	s.SwapAccess(&Access{PAddr: 128 << 10, Done: func() { atDone = s.Stats.Bytes[stats.NM][stats.Migration] }},
+		src, dst, stats.PathSwap)
+	eng.Run()
+	if atDone != 64 {
+		t.Fatalf("NM migration bytes at demand completion = %d, want 64 (the read of dst only)", atDone)
+	}
+	wroteOnce(t, "NM", s.NM, 64)
+}
+
 // TestSwapDemandWriteOrdering pins the write-path ordering contract: the
 // destination's old contents must be captured before the demand write lands,
 // and the fault-injection hook must reproduce the reversed (buggy) order.
@@ -156,7 +186,7 @@ func TestSwapDemandWriteOrdering(t *testing.T) {
 	s.AttachObserver(obs)
 	src := Location{Level: stats.FM, DevAddr: 0}
 	dst := Location{Level: stats.NM, DevAddr: 0}
-	s.swapDemand(128<<10, src, dst, true, nil, nil)
+	s.SwapAccess(&Access{PAddr: 128 << 10, Write: true}, src, dst, stats.PathSwap)
 	eng.Run()
 	want := []string{"capture NM", "W demand NM", "deliver FM"}
 	if !eventsEqual(obs.events, want) {
@@ -172,7 +202,7 @@ func TestSwapDemandWriteOrdering(t *testing.T) {
 	obs2 := &recObs{}
 	s2.AttachObserver(obs2)
 	s2.FaultInjectSwapOrder = true
-	s2.swapDemand(128<<10, src, dst, true, nil, nil)
+	s2.SwapAccess(&Access{PAddr: 128 << 10, Write: true}, src, dst, stats.PathSwap)
 	eng2.Run()
 	bad := []string{"W demand NM", "capture NM", "deliver FM"}
 	if !eventsEqual(obs2.events, bad) {
@@ -186,7 +216,7 @@ func TestExchangeSubblocksEvents(t *testing.T) {
 	s.AttachObserver(obs)
 	s.ExchangeSubblocks(
 		Location{Level: stats.NM, DevAddr: 0},
-		Location{Level: stats.FM, DevAddr: 0}, nil)
+		Location{Level: stats.FM, DevAddr: 0})
 	eng.Run()
 	want := []string{"capture NM", "capture FM", "deliver FM", "deliver NM"}
 	if !eventsEqual(obs.events, want) {
@@ -198,19 +228,19 @@ func TestBlockDMATraffic(t *testing.T) {
 	eng, s := newSys()
 	obs := &recObs{}
 	s.AttachObserver(obs)
-	fin := 0
 	s.ExchangeBlocksDMA(
 		Location{Level: stats.NM, DevAddr: 0},
-		Location{Level: stats.FM, DevAddr: 0},
-		func() { fin++ })
+		Location{Level: stats.FM, DevAddr: 0})
 	s.RelocateBlockDMA(
 		Location{Level: stats.FM, DevAddr: 2048},
-		Location{Level: stats.NM, DevAddr: 2048},
-		func() { fin++ })
+		Location{Level: stats.NM, DevAddr: 2048})
 	eng.Run()
-	if fin != 2 {
-		t.Fatalf("fin callbacks = %d, want 2", fin)
+	// Every write landed: NM takes the exchange's and the relocation's
+	// 2 KB writes, FM the exchange's.
+	if st := s.NM.Stats(); st.Writes != 2 || st.BytesWritten != 2*2048 {
+		t.Errorf("NM: %d writes of %d bytes, want 2 of %d", st.Writes, st.BytesWritten, 2*2048)
 	}
+	wroteOnce(t, "FM", s.FM, 2048)
 	// Exchange: 2KB read+write on each level. Relocate: 2KB FM read + 2KB
 	// NM write.
 	if s.Stats.Bytes[stats.NM][stats.Migration] != 3*2048 || s.Stats.Bytes[stats.FM][stats.Migration] != 3*2048 {

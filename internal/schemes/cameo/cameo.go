@@ -12,6 +12,7 @@ package cameo
 
 import (
 	"silcfm/internal/config"
+	"silcfm/internal/dram"
 	"silcfm/internal/mem"
 	"silcfm/internal/memunits"
 	"silcfm/internal/stats"
@@ -19,6 +20,13 @@ import (
 
 // remapEntrySize is the per-group metadata carried in the extended burst.
 const remapEntrySize = 8
+
+// lineWrite is the device request of one 64 B line write; lineMetaRead
+// reads a line with its group's remap entry in the extended burst.
+var (
+	lineWrite    = dram.Request{Bytes: memunits.SubblockSize, Write: true}
+	lineMetaRead = dram.Request{Bytes: memunits.SubblockSize, MetaBytes: remapEntrySize}
+)
 
 // Controller is the CAMEO scheme.
 type Controller struct {
@@ -80,14 +88,14 @@ func (o *swapOp) metaDone() {
 		done := o.done
 		nmSlot, evictLoc := o.nmSlot, o.evictLoc
 		o.release()
-		c.sys.Write(nmSlot, memunits.SubblockSize, stats.Demand, nil)
-		c.sys.Write(evictLoc, memunits.SubblockSize, stats.Migration, nil)
+		c.sys.Submit(nmSlot, stats.Demand, lineWrite)
+		c.sys.Submit(evictLoc, stats.Migration, lineWrite)
 		if done != nil {
 			done()
 		}
 		return
 	}
-	c.sys.ReadDemand(a, o.fmLoc, memunits.SubblockSize, stats.Demand, o.demandFn)
+	c.sys.Submit(o.fmLoc, stats.Demand, dram.Request{Bytes: memunits.SubblockSize, Trace: a.SpanTrace(), Done: o.demandFn})
 }
 
 func (o *swapOp) demandDone() {
@@ -99,8 +107,8 @@ func (o *swapOp) demandDone() {
 	if done != nil {
 		done()
 	}
-	c.sys.Write(nmSlot, memunits.SubblockSize, stats.Migration, nil)
-	c.sys.Write(evictLoc, memunits.SubblockSize, stats.Migration, nil)
+	c.sys.Submit(nmSlot, stats.Migration, lineWrite)
+	c.sys.Submit(evictLoc, stats.Migration, lineWrite)
 }
 
 // New builds a CAMEO controller. cfg.PrefetchLines = 0 gives original
@@ -201,13 +209,15 @@ func (c *Controller) Handle(a *mem.Access) {
 			// The remap-entry update rides the demand write's burst: it is
 			// accounted as metadata bytes without a device request of its
 			// own (the write completes at submission either way).
-			c.sys.Write(nmSlot, memunits.SubblockSize, stats.Demand, nil)
+			c.sys.Submit(nmSlot, stats.Demand, lineWrite)
 			c.sys.AddBytesRideAlong(stats.NM, stats.Metadata, remapEntrySize)
 			if done != nil {
 				done()
 			}
 		} else {
-			c.sys.ReadMetaDemand(a, nmSlot, memunits.SubblockSize, remapEntrySize, stats.Demand, done)
+			r := lineMetaRead
+			r.Trace, r.Done = a.SpanTrace(), done
+			c.sys.Submit(nmSlot, stats.Demand, r)
 		}
 		return
 	}
@@ -249,7 +259,9 @@ func (c *Controller) Handle(a *mem.Access) {
 	op.fmLoc = fmLoc
 	op.nmSlot = nmSlot
 	op.evictLoc = evictLoc
-	c.sys.ReadMeta(nmSlot, memunits.SubblockSize, remapEntrySize, stats.Migration, op.metaFn)
+	r := lineMetaRead
+	r.Done = op.metaFn
+	c.sys.Submit(nmSlot, stats.Migration, r)
 	c.maybePrefetch(sb)
 }
 
@@ -274,7 +286,7 @@ func (c *Controller) maybePrefetch(sb uint64) {
 		nmSlot := c.locAddr(g, 0)
 		c.swapIntoNM(g, m)
 		// Prefetch swap traffic: read both sides, write both sides.
-		c.sys.ExchangeSubblocks(fmLoc, nmSlot, nil)
+		c.sys.ExchangeSubblocks(fmLoc, nmSlot)
 		c.sys.Stats.SwapsIn++
 	}
 }

@@ -99,12 +99,7 @@ func (c *Controller) usable() int {
 
 // Locate implements mem.Controller.
 func (c *Controller) Locate(pa uint64) mem.Location {
-	loc := c.curOf(memunits.BlockOf(pa))
-	idx := memunits.SubblockIndex(pa)
-	if loc < c.nmBlocks {
-		return mem.Location{Level: stats.NM, DevAddr: memunits.SubblockAddr(loc, idx)}
-	}
-	return mem.Location{Level: stats.FM, DevAddr: memunits.SubblockAddr(loc-c.nmBlocks, idx)}
+	return c.sys.HomeLocation(memunits.SubblockAddr(c.curOf(memunits.BlockOf(pa)), memunits.SubblockIndex(pa)))
 }
 
 // Handle implements mem.Controller.
@@ -213,7 +208,7 @@ func (c *Controller) runEpoch(now uint64) {
 		if frame, ok := c.popFreeFrame(); ok {
 			// One-way copy: the displaced flat NM block holds no live data
 			// (never accessed), so nothing needs to move the other way.
-			c.sys.RelocateBlockDMA(c.locOf(c.curOf(uint64(h.blk))), c.locOf(frame), nil)
+			c.sys.RelocateBlockDMA(c.Locate(memunits.BlockBase(uint64(h.blk))), c.sys.HomeLocation(memunits.BlockBase(frame)))
 			c.swapBlocks(uint64(h.blk), c.invOf(frame))
 			migrated++
 			continue
@@ -226,7 +221,7 @@ func (c *Controller) runEpoch(now uint64) {
 			break
 		}
 		x, y := uint64(h.blk), uint64(cold[coldIdx].blk)
-		c.sys.ExchangeBlocksDMA(c.locOf(c.curOf(x)), c.locOf(c.curOf(y)), nil)
+		c.sys.ExchangeBlocksDMA(c.Locate(memunits.BlockBase(x)), c.Locate(memunits.BlockBase(y)))
 		c.swapBlocks(x, y)
 		coldIdx++
 		migrated++
@@ -257,14 +252,6 @@ func (c *Controller) popFreeFrame() (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// locOf returns the device location of location-block loc.
-func (c *Controller) locOf(loc uint64) mem.Location {
-	if loc < c.nmBlocks {
-		return mem.Location{Level: stats.NM, DevAddr: memunits.BlockBase(loc)}
-	}
-	return mem.Location{Level: stats.FM, DevAddr: memunits.BlockBase(loc - c.nmBlocks)}
 }
 
 // swapBlocks exchanges the locations of flat blocks x and y.

@@ -42,33 +42,24 @@ type Controller struct {
 	decayAt  uint64
 }
 
-// New builds a PoM controller.
+// New builds a PoM controller. The machine must have at most 65536 blocks
+// per congruence set (config.Machine.Validate), so a location fits a uint16.
 func New(sys *mem.System, cfg config.PoMConfig) *Controller {
-	nmBlks := memunits.BlocksIn(sys.NMCap)
-	total := memunits.BlocksIn(sys.NMCap + sys.FMCap)
-	ways := cfg.Ways
-	if ways <= 0 {
-		ways = 1
-	}
-	if uint64(ways) > nmBlks {
-		ways = int(nmBlks)
-	}
-	sets := nmBlks / uint64(ways)
-	members := int(total / sets)
+	ways, sets, members := cfg.Geometry(sys.NMCap, sys.FMCap)
 	c := &Controller{
 		sys:     sys,
-		nmBlks:  nmBlks,
+		nmBlks:  memunits.BlocksIn(sys.NMCap),
 		sets:    sets,
 		ways:    ways,
-		members: members,
+		members: int(members),
 		thresh:  cfg.MigrationThreshold,
-		perm:    make([]uint16, sets*uint64(members)),
-		ctr:     make([]uint16, total),
+		perm:    make([]uint16, sets*members),
+		ctr:     make([]uint16, memunits.BlocksIn(sys.NMCap+sys.FMCap)),
 		decayAt: 1 << 18,
 	}
 	for s := uint64(0); s < sets; s++ {
-		for m := 0; m < members; m++ {
-			c.perm[s*uint64(members)+uint64(m)] = uint16(m)
+		for m := uint64(0); m < members; m++ {
+			c.perm[s*members+m] = uint16(m)
 		}
 	}
 	return c
@@ -88,19 +79,15 @@ func (c *Controller) locationOf(s uint64, m int) int {
 	return int(c.perm[s*uint64(c.members)+uint64(m)])
 }
 
-// blockOfLocation returns the flat block number whose home is location loc
-// of set s (the inverse of set()).
-func (c *Controller) blockOfLocation(s uint64, loc int) uint64 {
-	return uint64(loc)*c.sets + s
+// block returns the flat block whose home is location (or member) i of set
+// s, the inverse of set().
+func (c *Controller) block(s uint64, i int) uint64 {
+	return uint64(i)*c.sets + s
 }
 
 // locAddr converts (set, location, subblock index) to a device location.
 func (c *Controller) locAddr(s uint64, loc int, idx uint) mem.Location {
-	blk := c.blockOfLocation(s, loc)
-	if blk < c.nmBlks {
-		return mem.Location{Level: stats.NM, DevAddr: memunits.SubblockAddr(blk, idx)}
-	}
-	return mem.Location{Level: stats.FM, DevAddr: memunits.SubblockAddr(blk-c.nmBlks, idx)}
+	return c.sys.HomeLocation(memunits.SubblockAddr(c.block(s, loc), idx))
 }
 
 // inNM reports whether a location index is one of the set's NM frames.
@@ -180,7 +167,7 @@ func (c *Controller) migrate(s uint64, m, loc int) {
 		if !c.inNM(l) {
 			continue
 		}
-		cnt := c.ctr[c.memberBlock(s, r)]
+		cnt := c.ctr[c.block(s, r)]
 		if cnt < victimCnt {
 			victimCnt = cnt
 			victimLoc = l
@@ -196,16 +183,11 @@ func (c *Controller) migrate(s uint64, m, loc int) {
 	c.perm[base+uint64(m)] = uint16(victimLoc)
 
 	for idx := uint(0); idx < memunits.SubblocksPerBlock; idx++ {
-		c.sys.ExchangeSubblocks(c.locAddr(s, loc, idx), c.locAddr(s, victimLoc, idx), nil)
+		c.sys.ExchangeSubblocks(c.locAddr(s, loc, idx), c.locAddr(s, victimLoc, idx))
 	}
 	c.sys.Stats.Migrations++
 	c.sys.Stats.SwapsIn += memunits.SubblocksPerBlock
 	c.sys.Stats.SwapsOut += memunits.SubblocksPerBlock
-}
-
-// memberBlock returns the flat block number of member m of set s.
-func (c *Controller) memberBlock(s uint64, m int) uint64 {
-	return uint64(m)*c.sets + s
 }
 
 // maybeDecay halves all counters periodically so stale warmth does not

@@ -127,6 +127,23 @@ func TestPermutationAudit(t *testing.T) {
 	}
 }
 
+// TestLargestSetAudits: at config.Validate's limit of 65,536 blocks per
+// congruence set (one NM frame, 65,535 FM blocks) every location index fits
+// a uint16 and the mapping is a bijection.
+func TestLargestSetAudits(t *testing.T) {
+	m := config.Small()
+	m.Scheme = config.SchemePoM
+	m.NM = config.HBM(memunits.BlockSize)
+	m.FM = config.DDR3(65535 * memunits.BlockSize)
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	sys := mem.NewSystem(m, sim.NewEngine())
+	if err := mem.Audit(New(sys, m.PoM), sys.NMCap, sys.FMCap); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSubblockOffsetsPreserved(t *testing.T) {
 	eng, sys := newTestSystem()
 	c := New(sys, config.PoMConfig{MigrationThreshold: 1})

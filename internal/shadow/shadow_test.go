@@ -142,7 +142,7 @@ func TestCheckerLocateDisagreement(t *testing.T) {
 	// the shadow placement.
 	sys.ExchangeSubblocks(
 		mem.Location{Level: stats.NM, DevAddr: 3 * 64},
-		mem.Location{Level: stats.FM, DevAddr: 3 * 64}, nil)
+		mem.Location{Level: stats.FM, DevAddr: 3 * 64})
 	eng.Run()
 	chk.Handle(&mem.Access{PC: 1, PAddr: 5 * 64}) // any access triggers the check... of its own address
 	eng.Run()

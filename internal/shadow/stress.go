@@ -23,8 +23,11 @@ type StressOptions struct {
 	Seed   int64
 	// Ops is the number of demand accesses to drive (default 20000).
 	Ops int
-	// FaultInjectSwapOrder seeds the pre-fix swapDemand write-ordering bug
-	// so tests can prove the checker catches it.
+	// NMRatio is FM/NM over the 1 MiB FM (default 4; FuzzSchemes also
+	// drives 16).
+	NMRatio uint64
+	// FaultInjectSwapOrder seeds the pre-fix write-path SwapAccess ordering
+	// bug so tests can prove the checker catches it.
 	FaultInjectSwapOrder bool
 }
 
@@ -41,15 +44,22 @@ func RunStress(o StressOptions) error {
 	if ops <= 0 {
 		ops = 20000
 	}
+	ratio := o.NMRatio
+	if ratio == 0 {
+		ratio = 4
+	}
 	m := config.Small()
 	m.Scheme = o.Scheme
-	m.NM = config.HBM(256 << 10)
 	m.FM = config.DDR3(1 << 20)
+	m = m.WithNMRatio(ratio)
 	m.SILC.HotThreshold = 3
 	m.SILC.AgingInterval = 1 << 10
 	m.HMA.EpochCycles = 1 << 14
 	m.HMA.HotThreshold = 2
 	m.PoM.MigrationThreshold = 4
+	if err := m.Validate(); err != nil {
+		return err
+	}
 
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
