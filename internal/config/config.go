@@ -306,10 +306,11 @@ func (m Machine) WithNMRatio(den uint64) Machine {
 	return m
 }
 
-// TotalCapacity returns the OS-visible flat capacity (NM + FM for
-// part-of-memory schemes; FM alone for the no-NM baseline).
+// TotalCapacity returns the capacity first-touch allocation hands out: NM +
+// FM for part-of-memory schemes; FM alone for the no-NM baseline and for
+// HMA, whose OS places pages in FM and keeps NM for its migrator.
 func (m Machine) TotalCapacity() uint64 {
-	if m.Scheme == SchemeBaseline {
+	if m.Scheme == SchemeBaseline || m.Scheme == SchemeHMA {
 		return m.FM.Capacity
 	}
 	return m.NM.Capacity + m.FM.Capacity
@@ -342,9 +343,15 @@ func (m Machine) Validate() error {
 	if r := m.FM.Capacity / m.NM.Capacity; r > 255 && (m.Scheme == SchemeCAMEO || m.Scheme == SchemeCAMEOP) {
 		return fmt.Errorf("config: %s needs FM/NM <= 255 (at most 256 lines per congruence group), got %d", m.Scheme, r)
 	}
-	// PoM holds each congruence-set member's location in a uint16.
-	if _, _, n := m.PoM.Geometry(m.NM.Capacity, m.FM.Capacity); n > 1<<16 && m.Scheme == SchemePoM {
-		return fmt.Errorf("config: pom needs at most 65536 blocks per congruence set (NM frames and their congruent FM blocks), got %d", n)
+	// PoM splits NM into whole sets of ways frames, and holds each
+	// congruence-set member's location in a uint16.
+	if ways, _, n := m.PoM.Geometry(m.NM.Capacity, m.FM.Capacity); m.Scheme == SchemePoM {
+		if nmBlks := memunits.BlocksIn(m.NM.Capacity); nmBlks%uint64(ways) != 0 {
+			return fmt.Errorf("config: pom ways %d must divide the %d NM blocks", ways, nmBlks)
+		}
+		if n > 1<<16 {
+			return fmt.Errorf("config: pom needs at most 65536 blocks per congruence set (NM frames and their congruent FM blocks), got %d", n)
+		}
 	}
 	// HMA's epoch loop advances by EpochCycles, and its hot scan visits
 	// only counters that were incremented.

@@ -92,6 +92,10 @@ func TestTotalCapacity(t *testing.T) {
 	if m.TotalCapacity() != m.FM.Capacity {
 		t.Fatal("baseline exposes FM only")
 	}
+	m.Scheme = SchemeHMA
+	if m.TotalCapacity() != m.FM.Capacity {
+		t.Fatal("HMA places first touches in FM only")
+	}
 }
 
 func TestValidateRejections(t *testing.T) {
@@ -338,5 +342,37 @@ func TestValidatePoMSetLimit(t *testing.T) {
 	m.Scheme = SchemeSILCFM
 	if err := m.Validate(); err != nil {
 		t.Errorf("silc at NM 2 KiB, FM 128 MiB: %v", err)
+	}
+}
+
+// TestValidatePoMWaysDivideNM: PoM builds NM blocks / ways congruence sets,
+// so ways that do not divide the NM blocks leave the last blocks past
+// their set's row. NM 10 KiB (5 blocks) at 2 ways made two flat blocks
+// collide at one NM frame; NM 12 KiB (6 blocks) at 4 ways audited clean
+// but treated NM frames 4 and 5 as FM locations.
+func TestValidatePoMWaysDivideNM(t *testing.T) {
+	for _, c := range []struct {
+		nm   uint64
+		ways int
+		ok   bool
+	}{
+		{10 << 10, 2, false},
+		{12 << 10, 4, false},
+		{12 << 10, 3, true},
+		{12 << 10, 2, true},
+		{10 << 10, 8, true}, // clamped to the 5 NM blocks
+	} {
+		m := Small()
+		m.Scheme = SchemePoM
+		m.NM = HBM(c.nm)
+		m.FM = DDR3(4 * c.nm)
+		m.PoM.Ways = c.ways
+		err := m.Validate()
+		if c.ok && err != nil {
+			t.Errorf("NM %d KiB, %d ways: %v", c.nm>>10, c.ways, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "must divide the")) {
+			t.Errorf("NM %d KiB, %d ways: err %v, want the ways rule named", c.nm>>10, c.ways, err)
+		}
 	}
 }

@@ -99,14 +99,11 @@ type offCount struct {
 	lat     uint64
 }
 
-// epochSlot is one history-ring entry: a full value copy of the epoch's
-// telemetry sample (gauges rebound into a per-slot reusable buffer), the
-// attribution delta, the per-rule health trace and the epoch's offender
-// top-K.
+// epochSlot is one history-ring entry: the epoch's telemetry sample (kept,
+// never copied: samples are immutable), the per-rule health trace and the
+// epoch's offender top-K.
 type epochSlot struct {
-	sample     telemetry.Sample
-	gaugeBuf   []mem.Gauge
-	attr       stats.Attribution // per-epoch delta, not cumulative
+	sample     *telemetry.Sample
 	ruleOpen   [health.NumKinds]bool
 	ruleSev    [health.NumKinds]float64
 	off        [topK]Offender // count desc then block asc
@@ -139,8 +136,6 @@ type Recorder struct {
 	events [eventRing]event
 	evHead int
 	evN    int
-
-	prevAttr stats.Attribution
 
 	// Offender table for the current epoch.
 	off *stats.BoundedTable[offCount]
@@ -278,8 +273,8 @@ func (r *Recorder) push(ev event) {
 	}
 }
 
-// Observe feeds one telemetry epoch boundary: the sample (with gauges), the
-// live cumulative attribution, and the health status for the same boundary.
+// Observe feeds one telemetry epoch boundary: the sample (with gauges and
+// attribution delta) and the health status for the same boundary.
 // Called by the harness's OnEpoch chain after the detector has stepped.
 func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 	if r == nil || st.Sample == nil {
@@ -329,28 +324,9 @@ func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 	}
 }
 
-// fillSlot copies one epoch into a ring slot without allocating in steady
-// state (the gauge buffer is reused once it has grown to the gauge count).
+// fillSlot records one epoch into a ring slot without allocating.
 func (r *Recorder) fillSlot(slot *epochSlot, st telemetry.EpochState, hs health.Status) {
-	slot.sample = *st.Sample
-	slot.gaugeBuf = append(slot.gaugeBuf[:0], st.Sample.Gauges...)
-	slot.sample.Gauges = slot.gaugeBuf
-
-	// Attribution delta: cumulative minus previous cumulative.
-	if st.Attr != nil {
-		cur := *st.Attr
-		d := cur
-		for p := 0; p < int(stats.NumDemandPaths); p++ {
-			d.Count[p] -= r.prevAttr.Count[p]
-			for s := 0; s < int(stats.NumSpans); s++ {
-				d.Spans[p][s] -= r.prevAttr.Spans[p][s]
-			}
-		}
-		slot.attr = d
-		r.prevAttr = cur
-	} else {
-		slot.attr = stats.Attribution{}
-	}
+	slot.sample = st.Sample
 
 	// Per-rule trace: which kinds are open at this boundary, and the open
 	// incident's running peak severity.
@@ -443,25 +419,25 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 	if evStart < 0 {
 		evStart += len(r.events)
 	}
-	skip := 0
-	if r.evN > maxBundleEvents {
-		skip = r.evN - maxBundleEvents
-	}
+	at := func(i int) *event { return &r.events[(evStart+i)%len(r.events)] }
+	// Count the in-window events first: the ring may also hold older ones,
+	// and only the in-window excess over the bound is dropped.
+	inWindow := 0
 	for i := 0; i < r.evN; i++ {
-		j := evStart + i
-		if j >= len(r.events) {
-			j -= len(r.events)
+		if at(i).cycle >= firstCycle {
+			inWindow++
 		}
-		ev := &r.events[j]
-		if ev.cycle < firstCycle {
-			continue
+	}
+	skip := max(inWindow-maxBundleEvents, 0)
+	c.evDropped = uint64(skip)
+	for i := 0; i < r.evN; i++ {
+		if ev := at(i); ev.cycle >= firstCycle {
+			if skip > 0 {
+				skip--
+				continue
+			}
+			c.events = append(c.events, jsonEvent(ev))
 		}
-		if skip > 0 {
-			skip--
-			c.evDropped++
-			continue
-		}
-		c.events = append(c.events, jsonEvent(ev))
 	}
 	r.cap = c
 }
@@ -579,23 +555,26 @@ func sortOffenders(out []Offender) {
 }
 
 // recordOf converts a ring slot into the bundle's JSON-friendly epoch form
-// (fresh copies: bundles outlive the ring).
+// (fresh rows over the shared, immutable sample: bundles outlive the ring).
 func (r *Recorder) recordOf(slot *epochSlot) EpochRecord {
-	rec := EpochRecord{Sample: slot.sample}
-	rec.Sample.Gauges = append([]mem.Gauge(nil), slot.sample.Gauges...)
+	rec := EpochRecord{Sample: *slot.sample}
+	// Bundles outlive the run in the hub's store: keep only what they
+	// encode (Attr becomes the per-path rows below).
+	rec.Sample.Attr, rec.Sample.BankAccesses = stats.Attribution{}, [2][]uint64{}
+	attr := &slot.sample.Attr
 	for p := stats.DemandPath(0); p < stats.NumDemandPaths; p++ {
-		if slot.attr.Count[p] == 0 && slot.attr.PathTotal(p) == 0 {
+		if attr.Count[p] == 0 && attr.PathTotal(p) == 0 {
 			continue
 		}
 		rec.Attr = append(rec.Attr, PathDelta{
 			Path:       p.String(),
-			Count:      slot.attr.Count[p],
-			Queue:      slot.attr.Spans[p][stats.SpanQueue],
-			Service:    slot.attr.Spans[p][stats.SpanService],
-			MetaFetch:  slot.attr.Spans[p][stats.SpanMetaFetch],
-			SwapSerial: slot.attr.Spans[p][stats.SpanSwapSerial],
-			Mispredict: slot.attr.Spans[p][stats.SpanMispredict],
-			Other:      slot.attr.Spans[p][stats.SpanOther],
+			Count:      attr.Count[p],
+			Queue:      attr.Spans[p][stats.SpanQueue],
+			Service:    attr.Spans[p][stats.SpanService],
+			MetaFetch:  attr.Spans[p][stats.SpanMetaFetch],
+			SwapSerial: attr.Spans[p][stats.SpanSwapSerial],
+			Mispredict: attr.Spans[p][stats.SpanMispredict],
+			Other:      attr.Spans[p][stats.SpanOther],
 		})
 	}
 	for i, open := range slot.ruleOpen {

@@ -298,6 +298,40 @@ func TestEventExcerptBounds(t *testing.T) {
 	}
 }
 
+// TestPreWindowKeepsInWindowEventsBehindOlderOnes: when the event ring also
+// holds events older than the pre-window, only the in-window excess over
+// maxBundleEvents counts as dropped; the older events must not push the
+// in-window ones out.
+func TestPreWindowKeepsInWindowEventsBehindOlderOnes(t *testing.T) {
+	eng := sim.NewEngine()
+	r := flightrec.New(flightrec.Config{}, &mem.System{Eng: eng}, "test-fp", "test/run")
+	swaps := func(at sim.Cycle, n int) {
+		eng.At(at, func() {
+			for i := 0; i < n; i++ {
+				r.Swap(mem.Location{Level: stats.NM, DevAddr: uint64(i)}, mem.Location{Level: stats.FM, DevAddr: uint64(i)})
+			}
+		})
+		eng.Run()
+	}
+	swaps(10, 4096) // fills the ring, long before the pre-window
+	feed(r, 0, 20)
+	swaps(20_500, 100) // inside epoch 20, the trigger epoch
+	trigger(r, health.KindSwapThrash, 20)
+	b := r.Finish()[0]
+	if b.FirstCycle != 5000 {
+		t.Fatalf("FirstCycle = %d, want 5000 (epochs 5..20 in the window)", b.FirstCycle)
+	}
+	if len(b.Events) != 100 || b.EventsDropped != 0 {
+		t.Fatalf("bundle holds %d events with %d dropped, want all 100 in-window swaps and 0 dropped",
+			len(b.Events), b.EventsDropped)
+	}
+	for i, ev := range b.Events {
+		if ev.Kind != "swap" || ev.Cycle != 20_500 || ev.Src != uint64(i) {
+			t.Fatalf("event %d = %+v, want swap of subblock %d at cycle 20500", i, ev, i)
+		}
+	}
+}
+
 // TestOffenderTopK: per-epoch top-K selection is count desc then block asc,
 // and the table resets between epochs.
 func TestOffenderTopK(t *testing.T) {
@@ -360,14 +394,12 @@ func TestOffenderTopK(t *testing.T) {
 func TestSteadyStateObserveDoesNotAllocate(t *testing.T) {
 	r := newRec(t)
 	st := epochState(0)
-	attr := &stats.Attribution{}
-	st.Attr = attr
-	feed(r, 0, 32) // warm the gauge buffers through a full ring revolution
+	feed(r, 0, 32) // warm the ring through a full revolution
 	epoch := uint64(32)
 	avg := testing.AllocsPerRun(200, func() {
 		st.Sample.Epoch = epoch
 		st.Sample.Cycle = (epoch + 1) * 1000
-		attr.Count[stats.PathNMHit] += 10
+		st.Sample.Attr.Count[stats.PathNMHit] += 10
 		r.Observe(st, health.Status{})
 		epoch++
 	})

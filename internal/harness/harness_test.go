@@ -288,6 +288,21 @@ func TestRunRejectsOversizedPoMSet(t *testing.T) {
 	}
 }
 
+// TestRunRejectsPoMWaysNotDividingNM: 2 ways over NM 10 KiB (5 blocks)
+// leave PoM's last flat blocks past their set's row, where two of them
+// collided at one NM frame before any access.
+func TestRunRejectsPoMWaysNotDividingNM(t *testing.T) {
+	s := tinySpec(config.SchemePoM, "mcf")
+	s.InstrPerCore = 2_000
+	s.FootScaleDen = 4096 // mcf fits the 50 KiB machine
+	s.Machine.NM = config.HBM(10 << 10)
+	s.Machine.FM = config.DDR3(40 << 10)
+	s.Machine.PoM.Ways = 2
+	if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "pom ways 2 must divide the 5 NM blocks") {
+		t.Fatalf("Run = %v, want the PoM ways rule named", err)
+	}
+}
+
 func TestScaleInstrByClass(t *testing.T) {
 	s := tinySpec(config.SchemeBaseline, "bwaves") // low MPKI: x8
 	s.ScaleInstrByClass = true

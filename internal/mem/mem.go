@@ -201,7 +201,8 @@ type Gauge struct {
 }
 
 // GaugeProvider is implemented by controllers that expose internal state
-// (locked frames, governor state, table occupancies) as gauges.
+// (locked frames, governor state, table occupancies) as gauges. Gauges
+// returns a fresh slice on every call: the epoch sample keeps it.
 type GaugeProvider interface {
 	Gauges() []Gauge
 }

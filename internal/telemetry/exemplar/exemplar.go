@@ -12,10 +12,10 @@
 // simulation goroutine, never schedules events or touches simulation state,
 // so enabling it cannot change Cycles, any stats.Memory counter, or the
 // incident stream. Reservoirs are counted, never grown — K fixed-size slots
-// per path with per-slot reusable gauge buffers — so the steady-state
-// admission path allocates nothing. For a fixed seed its output is byte-
-// deterministic: admission uses a total order (latency, then issue cycle,
-// then completion sequence) with no maps in any ordered walk.
+// per path that share the epoch's immutable telemetry sample — so the
+// steady-state admission path allocates nothing. For a fixed seed its
+// output is byte-deterministic: admission uses a total order (latency, then
+// issue cycle, then completion sequence) with no maps in any ordered walk.
 package exemplar
 
 import (
@@ -103,9 +103,8 @@ type Exemplar struct {
 	Gauges        []mem.Gauge `json:"gauges,omitempty"`
 }
 
-// slot is one reservoir entry. The gauges buffer is allocated once per
-// slot and reused across evictions, so steady-state admission never
-// allocates.
+// slot is one reservoir entry. Admission overwrites it in place, so the
+// steady state never allocates.
 type slot struct {
 	seq      uint64
 	core     int
@@ -119,9 +118,8 @@ type slot struct {
 	hasIssue bool
 	issue    mem.DemandContext
 	done     mem.DemandContext
-	epoch    uint64
+	sample   *telemetry.Sample // last epoch boundary before completion; nil before the first
 	open     [health.NumKinds]bool
-	gauges   []mem.Gauge
 }
 
 // reservoir is one path's fixed-capacity worst-K min-heap, keyed by the
@@ -190,11 +188,10 @@ type Recorder struct {
 	res [stats.NumDemandPaths]reservoir
 	seq uint64
 
-	// Epoch context as of the last Observe: copied into slots at
-	// admission via per-slot buffers.
-	epoch       uint64
-	openNow     [health.NumKinds]bool
-	epochGauges []mem.Gauge
+	// Epoch context as of the last Observe, stamped into slots at
+	// admission (the sample is immutable, so slots share it).
+	sample  *telemetry.Sample
+	openNow [health.NumKinds]bool
 }
 
 // New builds a recorder over sys. ctl, when non-nil, provides completion-time
@@ -297,21 +294,19 @@ func (r *Recorder) fill(s *slot, a *mem.Access, lat uint64) {
 		loc = r.ctl.Locate(a.PAddr)
 	}
 	s.done = r.pointAt(a.PAddr, loc)
-	s.epoch = r.epoch
+	s.sample = r.sample
 	s.open = r.openNow
-	s.gauges = append(s.gauges[:0], r.epochGauges...)
 }
 
 // Observe feeds one telemetry epoch boundary: the recorder keeps the
-// epoch index, scheme gauges and open incident kinds as the context
-// stamped onto subsequently admitted exemplars. Called by the harness's
-// OnEpoch chain after the detector has stepped.
+// epoch's sample (index and scheme gauges) and open incident kinds as the
+// context stamped onto subsequently admitted exemplars. Called by the
+// harness's OnEpoch chain after the detector has stepped.
 func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 	if r == nil || st.Sample == nil {
 		return
 	}
-	r.epoch = st.Sample.Epoch
-	r.epochGauges = append(r.epochGauges[:0], st.Sample.Gauges...)
+	r.sample = st.Sample
 	r.openNow = [health.NumKinds]bool{}
 	for i := range hs.Open {
 		if k := health.KindIndex(hs.Open[i].Kind); k >= 0 {
@@ -339,7 +334,6 @@ func (r *Recorder) exemplarOf(s *slot, path stats.DemandPath) Exemplar {
 		CompleteCycle: s.complete,
 		Latency:       s.lat,
 		Complete:      jsonPoint(&s.done),
-		Epoch:         s.epoch,
 	}
 	for sp := stats.Span(0); sp < stats.NumSpans; sp++ {
 		e.Spans[sp] = SpanCycles{Span: sp.String(), Cycles: s.spans[sp]}
@@ -353,8 +347,8 @@ func (r *Recorder) exemplarOf(s *slot, path stats.DemandPath) Exemplar {
 			e.OpenIncidents = append(e.OpenIncidents, r.kinds[i])
 		}
 	}
-	if len(s.gauges) > 0 {
-		e.Gauges = append([]mem.Gauge(nil), s.gauges...)
+	if s.sample != nil {
+		e.Epoch, e.Gauges = s.sample.Epoch, s.sample.Gauges
 	}
 	return e
 }

@@ -8,33 +8,23 @@ import (
 
 	"silcfm/internal/flightrec"
 	"silcfm/internal/health"
-	"silcfm/internal/mem"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/exemplar"
 )
 
-// runState is the latest published snapshot of one run. All fields are
-// value copies taken on the simulation goroutine; readers only ever see
-// them under the registry mutex.
+// runState is the latest published snapshot of one run, taken on the
+// simulation goroutine; readers only ever see it under the registry mutex.
 type runState struct {
 	id      string
 	started time.Time
 
-	cycle       uint64
+	// sample is the latest epoch record. Samples are never mutated after
+	// they are emitted, so readers may share its slices.
+	sample      telemetry.Sample
 	mem         stats.Memory
-	gauges      []mem.Gauge
 	lat         []stats.PathSummary
-	queueNM     int
-	queueFM     int
-	peakQueueNM int
-	peakQueueFM int
 	done, total uint64
-
-	// dram holds the latest per-device DRAM introspection slice ([nm, fm]).
-	// Entries are value copies built on the sim goroutine and never mutated
-	// after publish, so readers may share the slice.
-	dram []dramDevice
 
 	// exemplars is the latest tail-exemplar snapshot (path-grouped,
 	// worst-first). The recorder hands over a freshly built slice each
@@ -232,37 +222,6 @@ type ProgressRun struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
 
-// dramDevice is one DRAM device's epoch-windowed introspection view, the
-// source of the silcfm_dram_* families: headline row-locality/bus figures
-// plus per-bank accesses, an epoch delta flattened channel-major (index =
-// channel*banksPerChannel + bank).
-type dramDevice struct {
-	device          string // "nm" or "fm"
-	banksPerChannel int
-	rowHitRate      float64
-	// busUtil is the epoch's data-bus busy share; bursts booked at issue
-	// can extend past the epoch boundary, so it may slightly exceed 1.
-	busUtil      float64
-	imbalance    float64
-	rowConflicts uint64
-	bankAccesses []uint64
-}
-
-// dramStatus copies one device's sampler-owned epoch buffers into an
-// immutable snapshot (the sampler reuses its buffers every epoch, so the
-// bank array must be copied before the callback returns).
-func dramStatus(dev string, de *telemetry.DramDeviceEpoch, hitRate, busUtil, imbalance float64, conflicts uint64) dramDevice {
-	return dramDevice{
-		device:          dev,
-		banksPerChannel: de.BanksPerChannel,
-		rowHitRate:      hitRate,
-		busUtil:         busUtil,
-		imbalance:       imbalance,
-		rowConflicts:    conflicts,
-		bankAccesses:    append([]uint64(nil), de.BankAccesses...),
-	}
-}
-
 // Hook registers run id and returns the per-epoch publish callback to
 // install as harness.Spec.Publish. Re-registering an id (bench reps) resets
 // its snapshot. Nil-safe: a nil registry returns a nil hook, which the
@@ -279,17 +238,8 @@ func (g *Registry) Hook(id string) func(telemetry.EpochState, health.Status) {
 		// summarizing histograms is the expensive part and needs no mutex
 		// (it runs on the sim goroutine that owns the state).
 		lat := st.Lat.Summaries()
-		gauges := append([]mem.Gauge(nil), st.Sample.Gauges...)
 		memCopy := *st.Mem
 		openCopy := append([]health.Incident(nil), hs.Open...)
-		var dramCopy []dramDevice
-		if st.Dram != nil {
-			sm := st.Sample
-			dramCopy = []dramDevice{
-				dramStatus("nm", &st.Dram.NM, sm.RowHitRateNM, sm.BusUtilNM, sm.BankImbalanceNM, sm.RowConflictsNM),
-				dramStatus("fm", &st.Dram.FM, sm.RowHitRateFM, sm.BusUtilFM, sm.BankImbalanceFM, sm.RowConflictsFM),
-			}
-		}
 
 		g.mu.Lock()
 		defer g.mu.Unlock()
@@ -297,14 +247,10 @@ func (g *Registry) Hook(id string) func(telemetry.EpochState, health.Status) {
 		if rs == nil || rs.finished {
 			return
 		}
-		rs.cycle = st.Sample.Cycle
+		rs.sample = *st.Sample
 		rs.mem = memCopy
-		rs.gauges = gauges
 		rs.lat = lat
-		rs.queueNM, rs.queueFM = st.Sample.QueueNM, st.Sample.QueueFM
-		rs.peakQueueNM, rs.peakQueueFM = st.Sample.PeakQueueNM, st.Sample.PeakQueueFM
 		rs.done, rs.total = st.Done, st.Total
-		rs.dram = dramCopy
 		rs.open = openCopy
 	}
 }
@@ -326,7 +272,7 @@ func (g *Registry) Done(id string, final []health.Incident) {
 	}
 	if !rs.finished {
 		rs.finalElapsed = time.Since(rs.started).Seconds()
-		rs.finalRate = stats.Ratio(float64(rs.cycle), rs.finalElapsed) / 1e6
+		rs.finalRate = stats.Ratio(float64(rs.sample.Cycle), rs.finalElapsed) / 1e6
 	}
 	rs.finished = true
 	rs.open = nil
@@ -354,7 +300,7 @@ func (rs *runState) progress() ProgressRun {
 	st := ProgressRun{
 		Run:        rs.id,
 		State:      "running",
-		Cycle:      rs.cycle,
+		Cycle:      rs.sample.Cycle,
 		InstrDone:  rs.done,
 		InstrTotal: rs.total,
 		Pct:        pct(rs.done, rs.total),
@@ -367,7 +313,7 @@ func (rs *runState) progress() ProgressRun {
 	}
 	elapsed := time.Since(rs.started).Seconds()
 	st.ElapsedSeconds = elapsed
-	st.McycPerSec = stats.Ratio(float64(rs.cycle), elapsed) / 1e6
+	st.McycPerSec = stats.Ratio(float64(rs.sample.Cycle), elapsed) / 1e6
 	if rs.done > 0 && rs.total > rs.done {
 		st.EtaSeconds = elapsed * float64(rs.total-rs.done) / float64(rs.done)
 	}

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"silcfm/internal/health"
+	"silcfm/internal/stats"
+	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/exemplar"
 )
 
@@ -145,7 +147,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	writeFamily("silcfm_cycle", "gauge", "Simulated cycle at the last published epoch.",
 		func(rs *runState) []string {
-			return []string{fmt.Sprintf("silcfm_cycle{%s} %s", runLabel(rs), u(rs.cycle))}
+			return []string{fmt.Sprintf("silcfm_cycle{%s} %s", runLabel(rs), u(rs.sample.Cycle))}
 		})
 	writeFamily("silcfm_access_rate", "gauge", "Fraction of LLC misses serviced from near memory (paper Eq. 1).",
 		func(rs *runState) []string {
@@ -165,47 +167,51 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeFamily("silcfm_queue_depth", "gauge", "Instantaneous device queue depth at the epoch boundary.",
 		func(rs *runState) []string {
 			return []string{
-				fmt.Sprintf("silcfm_queue_depth{%s,device=\"nm\"} %d", runLabel(rs), rs.queueNM),
-				fmt.Sprintf("silcfm_queue_depth{%s,device=\"fm\"} %d", runLabel(rs), rs.queueFM),
+				fmt.Sprintf("silcfm_queue_depth{%s,device=\"nm\"} %d", runLabel(rs), rs.sample.QueueNM),
+				fmt.Sprintf("silcfm_queue_depth{%s,device=\"fm\"} %d", runLabel(rs), rs.sample.QueueFM),
 			}
 		})
 	writeFamily("silcfm_queue_depth_peak", "gauge", "Per-epoch queue-depth high-water mark.",
 		func(rs *runState) []string {
 			return []string{
-				fmt.Sprintf("silcfm_queue_depth_peak{%s,device=\"nm\"} %d", runLabel(rs), rs.peakQueueNM),
-				fmt.Sprintf("silcfm_queue_depth_peak{%s,device=\"fm\"} %d", runLabel(rs), rs.peakQueueFM),
+				fmt.Sprintf("silcfm_queue_depth_peak{%s,device=\"nm\"} %d", runLabel(rs), rs.sample.PeakQueueNM),
+				fmt.Sprintf("silcfm_queue_depth_peak{%s,device=\"fm\"} %d", runLabel(rs), rs.sample.PeakQueueFM),
 			}
 		})
 	// DRAM introspection families: per-device epoch-windowed gauges plus
-	// per-bank accesses.
-	dramFamily := func(name, help string, value func(dramDevice) string) {
+	// per-bank accesses, published once a sample carries the bank feed.
+	devices := [2]string{"nm", "fm"}
+	dramFamily := func(name, help string, value func(*telemetry.Sample) [2]string) {
 		writeFamily(name, "gauge", help, func(rs *runState) []string {
+			if rs.sample.BankAccesses[stats.NM] == nil {
+				return nil
+			}
 			var out []string
-			for _, d := range rs.dram {
-				out = append(out, fmt.Sprintf("%s{%s,device=\"%s\"} %s", name, runLabel(rs), d.device, value(d)))
+			for lv, v := range value(&rs.sample) {
+				out = append(out, fmt.Sprintf("%s{%s,device=\"%s\"} %s", name, runLabel(rs), devices[lv], v))
 			}
 			return out
 		})
 	}
 	dramFamily("silcfm_dram_row_hit_rate", "Epoch row-buffer hit rate per DRAM device.",
-		func(d dramDevice) string { return f(d.rowHitRate) })
+		func(sm *telemetry.Sample) [2]string { return [2]string{f(sm.RowHitRateNM), f(sm.RowHitRateFM)} })
 	dramFamily("silcfm_dram_bus_util", "Epoch data-bus busy share per DRAM device (bursts booked at issue may push it slightly past 1).",
-		func(d dramDevice) string { return f(d.busUtil) })
+		func(sm *telemetry.Sample) [2]string { return [2]string{f(sm.BusUtilNM), f(sm.BusUtilFM)} })
 	dramFamily("silcfm_dram_bank_imbalance", "Epoch max-over-mean per-bank access imbalance per DRAM device.",
-		func(d dramDevice) string { return f(d.imbalance) })
+		func(sm *telemetry.Sample) [2]string { return [2]string{f(sm.BankImbalanceNM), f(sm.BankImbalanceFM)} })
 	dramFamily("silcfm_dram_row_conflicts", "Epoch row-buffer conflicts per DRAM device (precharge-then-activate).",
-		func(d dramDevice) string { return u(d.rowConflicts) })
+		func(sm *telemetry.Sample) [2]string { return [2]string{u(sm.RowConflictsNM), u(sm.RowConflictsFM)} })
 	writeFamily("silcfm_dram_bank_accesses", "gauge", "Epoch row activity per DRAM bank (hits+misses+conflicts).",
 		func(rs *runState) []string {
 			var out []string
-			for _, d := range rs.dram {
-				for i, v := range d.bankAccesses {
+			for lv, banks := range rs.sample.BankAccesses {
+				bpc := rs.sample.BanksPerChannel[lv]
+				for i, v := range banks {
 					if v == 0 {
 						continue
 					}
-					ch, bk := i/d.banksPerChannel, i%d.banksPerChannel
 					out = append(out, fmt.Sprintf("silcfm_dram_bank_accesses{%s,device=\"%s\",channel=\"%d\",bank=\"%d\"} %s",
-						runLabel(rs), d.device, ch, bk, u(v)))
+						runLabel(rs), devices[lv], i/bpc, i%bpc, u(v)))
 				}
 			}
 			return out
@@ -215,7 +221,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeFamily("silcfm_scheme_gauge", "gauge", "Scheme-internal instantaneous gauges (mem.GaugeProvider).",
 		func(rs *runState) []string {
 			var out []string
-			for _, g := range rs.gauges {
+			for _, g := range rs.sample.Gauges {
 				out = append(out, fmt.Sprintf("silcfm_scheme_gauge{%s,name=\"%s\"} %s",
 					runLabel(rs), escapeLabel(g.Name), f(g.Value)))
 			}

@@ -12,9 +12,12 @@ import (
 	"silcfm/internal/stats"
 )
 
-// Sample is one epoch's worth of activity. Counter fields are DELTAS over
-// the epoch (they sum to the end-of-run totals); Cycle, AccessRate, the
-// queue depths and the gauges are instantaneous at the epoch boundary.
+// Sample is one epoch's worth of activity: the one per-epoch record every
+// observability plane reads. Counter fields are DELTAS over the epoch (they
+// sum to the end-of-run totals); Cycle, AccessRate, the queue depths and the
+// gauges are instantaneous at the epoch boundary. The sampler builds a
+// fresh Sample every epoch and never mutates it after emitting it, so
+// consumers may keep it (and share its slices) instead of copying it.
 // Field order is fixed by the struct, so JSONL output is byte-deterministic;
 // the CSV columns are the scalar fields' json names in the same order.
 type Sample struct {
@@ -71,23 +74,17 @@ type Sample struct {
 	PeakQueueFM int `json:"peak_queue_fm"`
 
 	Gauges []mem.Gauge `json:"gauges,omitempty"`
-}
 
-// DramDeviceEpoch is one device's per-bank DRAM activity over an epoch:
-// row operations per bank, flat-indexed [channel*BanksPerChannel + bank].
-// The slice is owned by the sampler and overwritten each epoch; consumers
-// must copy what they keep.
-type DramDeviceEpoch struct {
-	BanksPerChannel int
-	BankAccesses    []uint64 // row operations (hits+misses+conflicts) this epoch
-}
-
-// DramEpoch carries both devices' per-bank epoch deltas (the feed of the
-// hub's silcfm_dram_bank_accesses family); the device-level rates ride in
-// Sample itself.
-type DramEpoch struct {
-	NM DramDeviceEpoch
-	FM DramDeviceEpoch
+	// The fields below stay out of the JSONL and CSV streams.
+	//
+	// Attr is the epoch's span attribution delta: demand completions and
+	// span cycles per path.
+	Attr stats.Attribution `json:"-"`
+	// BankAccesses holds each device's row operations (hits+misses+
+	// conflicts) per bank this epoch, indexed by stats.MemLevel and then
+	// flat [channel*BanksPerChannel + bank].
+	BankAccesses    [2][]uint64 `json:"-"`
+	BanksPerChannel [2]int      `json:"-"`
 }
 
 // sampler snapshots counters each epoch and streams deltas. w may be nil
@@ -101,13 +98,11 @@ type sampler struct {
 	epoch     uint64
 	lastCycle uint64
 	prev      stats.Memory
+	prevAttr  stats.Attribution
 
-	// DRAM introspection deltas: previous per-bank/per-channel ledger
-	// snapshots and the reused per-epoch output buffers, all allocated once
-	// here so the per-epoch path stays allocation-free.
+	// Previous per-bank/per-channel DRAM ledger snapshots, allocated once.
 	prevBank [2][]dram.BankCounters
 	prevChan [2][]dram.ChannelCounters
-	dram     DramEpoch
 
 	wroteHeader bool
 	gaugeNames  []string // CSV gauge column order, fixed at the first sample
@@ -119,30 +114,23 @@ func newSampler(w io.Writer, csv bool, sys *mem.System, gp mem.GaugeProvider) *s
 		ch, bk := dev.Geometry()
 		s.prevBank[lv] = make([]dram.BankCounters, ch*bk)
 		s.prevChan[lv] = make([]dram.ChannelCounters, ch)
-		de := &s.dram.NM
-		if lv == 1 {
-			de = &s.dram.FM
-		}
-		de.BanksPerChannel = bk
-		de.BankAccesses = make([]uint64, ch*bk)
 	}
 	return s
 }
 
-// dramDelta folds one device's ledger into the epoch buffers and returns
-// the device-level reductions: total conflicts, bus utilization over span,
-// and max-over-mean bank imbalance.
-func (s *sampler) dramDelta(lv int, dev *dram.Device, span uint64) (conflicts uint64, busUtil, imbalance float64) {
-	de := &s.dram.NM
-	if lv == 1 {
-		de = &s.dram.FM
-	}
+// dramDelta differences one device's ledger into sm's per-bank row
+// activity and returns the device-level reductions: total conflicts, bus
+// utilization over span, and max-over-mean bank imbalance.
+func (s *sampler) dramDelta(sm *Sample, lv int, dev *dram.Device) (conflicts uint64, busUtil, imbalance float64) {
 	cur := dev.BankCounters()
 	prev := s.prevBank[lv]
+	banks := make([]uint64, len(cur))
+	sm.BankAccesses[lv] = banks
+	_, sm.BanksPerChannel[lv] = dev.Geometry()
 	var total, maxAcc uint64
 	for i := range cur {
 		acc := cur[i].Accesses() - prev[i].Accesses()
-		de.BankAccesses[i] = acc
+		banks[i] = acc
 		conflicts += cur[i].RowConflicts - prev[i].RowConflicts
 		total += acc
 		if acc > maxAcc {
@@ -157,7 +145,7 @@ func (s *sampler) dramDelta(lv int, dev *dram.Device, span uint64) (conflicts ui
 		bus += curCh[i].BusBusyCycles - prevCh[i].BusBusyCycles
 		prevCh[i] = curCh[i]
 	}
-	busUtil = stats.Ratio(float64(bus), float64(len(curCh))*float64(span))
+	busUtil = stats.Ratio(float64(bus), float64(len(curCh))*float64(sm.SpanCycles))
 	imbalance = stats.Ratio(float64(maxAcc)*float64(len(cur)), float64(total))
 	return
 }
@@ -207,12 +195,22 @@ func (s *sampler) sample() (*Sample, error) {
 	// rate, not NaN (which would poison the JSONL/CSV streams and break
 	// manifest byte-determinism).
 	sm.AccessRate = stats.Ratio(float64(sm.ServicedNM), float64(sm.LLCMisses))
-	sm.RowConflictsNM, sm.BusUtilNM, sm.BankImbalanceNM = s.dramDelta(0, s.sys.NM, sm.SpanCycles)
-	sm.RowConflictsFM, sm.BusUtilFM, sm.BankImbalanceFM = s.dramDelta(1, s.sys.FM, sm.SpanCycles)
+	sm.RowConflictsNM, sm.BusUtilNM, sm.BankImbalanceNM = s.dramDelta(&sm, 0, s.sys.NM)
+	sm.RowConflictsFM, sm.BusUtilFM, sm.BankImbalanceFM = s.dramDelta(&sm, 1, s.sys.FM)
 	sm.RowHitRateNM = stats.Ratio(float64(sm.RowHitsNM), float64(sm.RowHitsNM+sm.RowMissesNM))
 	sm.RowHitRateFM = stats.Ratio(float64(sm.RowHitsFM), float64(sm.RowHitsFM+sm.RowMissesFM))
 	if s.gp != nil {
 		sm.Gauges = s.gp.Gauges()
+	}
+	if a := s.sys.Attr; a != nil {
+		sm.Attr = *a
+		for p := range sm.Attr.Count {
+			sm.Attr.Count[p] -= s.prevAttr.Count[p]
+			for sp := range sm.Attr.Spans[p] {
+				sm.Attr.Spans[p][sp] -= s.prevAttr.Spans[p][sp]
+			}
+		}
+		s.prevAttr = *a
 	}
 
 	s.epoch++

@@ -3,11 +3,14 @@ package telemetry_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"silcfm/internal/config"
 	"silcfm/internal/harness"
+	"silcfm/internal/mem"
+	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
 )
 
@@ -179,5 +182,70 @@ func TestCSVModeMatchesSampleCount(t *testing.T) {
 		if strings.Count(l, ",") != cols {
 			t.Fatalf("CSV row %d has %d separators, header has %d", i, strings.Count(l, ","), cols)
 		}
+	}
+}
+
+// TestRetainedSamplesAddUpToTheRun keeps every Sample OnEpoch hands over
+// (samples are never mutated after they are emitted) and checks that the
+// kept records still add up to the run: per-bank row activity to each
+// device's row operations, attribution deltas to the run's attribution,
+// and the first sample's gauges to a copy taken inside its own callback.
+// The record's non-stream fields stay out of the CSV header.
+func TestRetainedSamplesAddUpToTheRun(t *testing.T) {
+	var kept []*telemetry.Sample
+	var firstGauges []mem.Gauge
+	var cb bytes.Buffer
+	r := runTiny(t, false, &telemetry.Config{
+		MetricsW: &cb, MetricsCSV: true, EpochCycles: 20_000,
+		OnEpoch: func(st telemetry.EpochState) {
+			if kept == nil {
+				firstGauges = append([]mem.Gauge(nil), st.Sample.Gauges...)
+			}
+			kept = append(kept, st.Sample)
+		},
+	})
+	if len(kept) < 2 || len(firstGauges) == 0 {
+		t.Fatalf("kept %d samples, first with %d gauges; want several epochs with gauges", len(kept), len(firstGauges))
+	}
+	if !reflect.DeepEqual(kept[0].Gauges, firstGauges) {
+		t.Errorf("first sample's gauges changed after its callback:\n got %v\nwant %v", kept[0].Gauges, firstGauges)
+	}
+
+	var banks [2]uint64
+	var attr stats.Attribution
+	for _, sm := range kept {
+		for lv := range sm.BankAccesses {
+			if sm.BanksPerChannel[lv] == 0 || len(sm.BankAccesses[lv])%sm.BanksPerChannel[lv] != 0 {
+				t.Fatalf("epoch %d level %d: %d banks at %d per channel", sm.Epoch, lv, len(sm.BankAccesses[lv]), sm.BanksPerChannel[lv])
+			}
+			for _, v := range sm.BankAccesses[lv] {
+				banks[lv] += v
+			}
+		}
+		for p := range attr.Count {
+			attr.Count[p] += sm.Attr.Count[p]
+			for s := range attr.Spans[p] {
+				attr.Spans[p][s] += sm.Attr.Spans[p][s]
+			}
+		}
+	}
+	for _, lv := range []stats.MemLevel{stats.NM, stats.FM} {
+		if want := r.Mem.RowHits[lv] + r.Mem.RowMisses[lv]; banks[lv] != want || want == 0 {
+			t.Errorf("%s: per-bank epoch activity sums to %d, device row operations %d", lv, banks[lv], want)
+		}
+	}
+	if attr != *r.Attr {
+		t.Errorf("attribution deltas sum to %+v, run attribution %+v", attr, *r.Attr)
+	}
+
+	header, _, _ := strings.Cut(cb.String(), "\n")
+	const want = "epoch,cycle,span_cycles,llc_misses,serviced_nm,serviced_fm,access_rate," +
+		"demand_bytes_nm,demand_bytes_fm,migration_bytes_nm,migration_bytes_fm,metadata_bytes_nm,metadata_bytes_fm," +
+		"swaps_in,swaps_out,locks,unlocks,migrations,bypassed,predictor_hits,predictor_misses," +
+		"row_hits_nm,row_misses_nm,row_hits_fm,row_misses_fm,row_conflicts_nm,row_conflicts_fm," +
+		"row_hit_rate_nm,row_hit_rate_fm,bus_util_nm,bus_util_fm,bank_imbalance_nm,bank_imbalance_fm," +
+		"queue_nm,queue_fm,peak_queue_nm,peak_queue_fm,g:"
+	if !strings.HasPrefix(header, want) {
+		t.Errorf("CSV header = %q, want the scalar columns %q then the gauges", header, want)
 	}
 }
