@@ -110,7 +110,7 @@ func BenchmarkFigure6Breakdown(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tbl = wrap(t)
+		tbl = t
 		if r := f6.GeoMeanSpeedup("rand"); r > 0 {
 			b.ReportMetric(f6.GeoMeanSpeedup("+bypass")/r-1, "total-over-static")
 		}
@@ -128,7 +128,7 @@ func BenchmarkFigure7Schemes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tbl = wrap(t)
+		tbl = t
 		silc := sw.GeoMeanSpeedup("silc")
 		best := 0.0
 		for _, v := range harness.Figure7Variants() {
@@ -154,7 +154,7 @@ func BenchmarkFigure8BandwidthSplit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tbl = wrap(harness.Figure8(sw))
+		tbl = harness.Figure8(sw)
 		s := 0.0
 		for _, wl := range []string{"milc", "lbm"} {
 			s += sw.Runs["silc"][wl].Mem.DemandNMFraction()
@@ -173,7 +173,7 @@ func BenchmarkFigure9Capacity(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tbl = wrap(t)
+		tbl = t
 		// sweeps run at NM = FM/16, FM/8, FM/4 in that order.
 		b.ReportMetric(sweeps[0].GeoMeanSpeedup("silc"), "silc-geomean-1/16")
 		b.ReportMetric(sweeps[2].GeoMeanSpeedup("silc"), "silc-geomean-1/4")

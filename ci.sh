@@ -52,6 +52,15 @@ race_rest() {
 	go test -race $(go list ./... | grep -vxF "$(go list $fast_pkgs)")
 }
 
+# The bench and perf stages diff against the newest committed baseline: the
+# BENCH_PR<N>.json with the largest N (natural order, so PR10 follows PR9).
+newest_baseline() {
+	for f in BENCH_PR*.json; do
+		n=${f#BENCH_PR}
+		echo "${n%.json} $f"
+	done | sort -n | tail -n 1 | cut -d ' ' -f 2
+}
+
 # The bench, perf and history stages share one silcfm-bench binary, built
 # into the scratch directory by whichever of them runs first.
 bench_bin() {
@@ -67,7 +76,7 @@ bench_bin() {
 bench_smoke() {
 	bench_bin
 	"$work"/silcfm-bench -quiet -out "$work"/bench_smoke.json
-	"$work"/silcfm-bench -diff -noise 0 BENCH_PR26.json "$work"/bench_smoke.json
+	"$work"/silcfm-bench -diff -noise 0 "$(newest_baseline)" "$work"/bench_smoke.json
 }
 
 # Perf-regression stage: rerun the short suite best-of-5 and gate the
@@ -82,7 +91,7 @@ perf_gate() {
 	bench_bin
 	"$work"/silcfm-bench -short -quiet -reps 5 -out "$work"/bench_perf.json
 	"$work"/silcfm-bench -diff -subset -noise 0 -speed-noise 0.6 -alloc-noise 0.25 \
-		BENCH_PR26.json "$work"/bench_perf.json
+		"$(newest_baseline)" "$work"/bench_perf.json
 }
 
 # Trajectory stage: regenerate the cross-PR trajectory report from the

@@ -50,20 +50,10 @@ func (o ExperimentOptions) expConfig() harness.ExpConfig {
 	return cfg
 }
 
-// Table mirrors one rendered experiment table.
-type Table struct {
-	Title   string
-	Columns []string
-	Rows    [][]string
-	text    string
-	csv     string
-}
-
-// String renders the table with aligned columns.
-func (t *Table) String() string { return t.text }
-
-// CSV renders the table as comma-separated values (header row first).
-func (t *Table) CSV() string { return t.csv }
+// Table is one experiment table: a title, column headers and rows of
+// cells. String renders it with aligned columns, CSV as comma-separated
+// values (header row first).
+type Table = stats.Table
 
 // figure runs one figure's plan and renders its table.
 func figure(o ExperimentOptions, name string, table func(*harness.Figures) *stats.Table) (*Table, error) {
@@ -71,7 +61,7 @@ func figure(o ExperimentOptions, name string, table func(*harness.Figures) *stat
 	if err != nil {
 		return nil, err
 	}
-	return wrap(table(f)), nil
+	return table(f), nil
 }
 
 // Figure6 regenerates the paper's feature-breakdown figure: per-workload
@@ -106,18 +96,8 @@ func TableIII(o ExperimentOptions) (*Table, error) {
 
 // Headline summarizes the paper's abstract-level numbers: the per-feature
 // improvement stack, the gain over the best alternative scheme, and the
-// EDP delta.
-type Headline struct {
-	SwapOverStatic  float64 // paper: +55%
-	LockIncrement   float64 // paper: +11%
-	AssocIncrement  float64 // paper: +8%
-	BypassIncrement float64 // paper: +8%
-	TotalOverStatic float64 // paper: +82%
-	OverBestAlt     float64 // paper: +36%
-	BestAlt         string
-	EDPReduction    float64 // paper: 13%
-	Text            string
-}
+// EDP delta, each next to the paper's figure.
+type Headline = harness.Headline
 
 // ComputeHeadline runs the Figure 6 and Figure 7 sweeps as one plan, so
 // their shared cells simulate once, and derives the headline numbers.
@@ -126,10 +106,6 @@ func ComputeHeadline(o ExperimentOptions) (*Headline, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := Headline(harness.ComputeHeadline(f.Fig6, f.Fig7))
+	h := harness.ComputeHeadline(f.Fig6, f.Fig7)
 	return &h, nil
-}
-
-func wrap(t *stats.Table) *Table {
-	return &Table{Title: t.Title, Columns: t.Columns, Rows: t.Rows, text: t.String(), csv: t.CSV()}
 }

@@ -361,6 +361,11 @@ func (m Machine) Validate() error {
 	if w := m.SILC.Features.Ways; w != 1 && w != 2 && w != 4 {
 		return fmt.Errorf("config: SILC ways = %d, want 1, 2 or 4", w)
 	}
+	// SILC-FM stores its frames set-major: NM blocks / ways sets of ways
+	// adjacent frames (ways clamped to the NM blocks).
+	if nmBlks := memunits.BlocksIn(m.NM.Capacity); m.Scheme == SchemeSILCFM && nmBlks%min(uint64(m.SILC.Features.Ways), nmBlks) != 0 {
+		return fmt.Errorf("config: silc ways %d must divide the %d NM blocks", m.SILC.Features.Ways, nmBlks)
+	}
 	// SILC-FM's frames hold each activity counter in a byte.
 	if b := m.SILC.CounterBits; b < 1 || b > 8 {
 		return fmt.Errorf("config: SILC counter bits = %d, want 1..8", b)

@@ -113,6 +113,11 @@ func TestValidateRejections(t *testing.T) {
 		{"bad line size", func(m *Machine) { m.L1D.LineSize = 32 }},
 		{"indivisible cache", func(m *Machine) { m.L2.Size = 1<<20 + 64 }},
 		{"zero NM capacity", func(m *Machine) { m.NM.Capacity = 0 }},
+		{"silc ways not dividing NM", func(m *Machine) {
+			m.Scheme = SchemeSILCFM
+			m.NM, m.FM = HBM(10<<10), DDR3(40<<10)
+			m.SILC.Features.Ways = 2
+		}},
 	}
 	for _, c := range cases {
 		m := Default()
@@ -373,6 +378,40 @@ func TestValidatePoMWaysDivideNM(t *testing.T) {
 		}
 		if !c.ok && (err == nil || !strings.Contains(err.Error(), "must divide the")) {
 			t.Errorf("NM %d KiB, %d ways: err %v, want the ways rule named", c.nm>>10, c.ways, err)
+		}
+	}
+}
+
+// TestValidateSILCWaysDivideNM: SILC-FM stores its frames set-major, frame
+// f at (f mod sets)·ways + f/sets, which is a bijection only when the ways
+// (clamped to the NM blocks) divide the NM blocks. NM 10 KiB (5 blocks) at
+// 2 ways and NM 12 KiB (6 blocks) at 4 ways were accepted before; other
+// schemes ignore SILC's ways.
+func TestValidateSILCWaysDivideNM(t *testing.T) {
+	for _, c := range []struct {
+		nm     uint64
+		ways   int
+		scheme SchemeName
+		ok     bool
+	}{
+		{10 << 10, 2, SchemeSILCFM, false},
+		{12 << 10, 4, SchemeSILCFM, false},
+		{12 << 10, 2, SchemeSILCFM, true},
+		{6 << 10, 4, SchemeSILCFM, true}, // clamped to the 3 NM blocks
+		{2 << 10, 4, SchemeSILCFM, true}, // clamped to the one NM block
+		{10 << 10, 2, SchemeCAMEO, true},
+	} {
+		m := Small()
+		m.Scheme = c.scheme
+		m.NM = HBM(c.nm)
+		m.FM = DDR3(4 * c.nm)
+		m.SILC.Features.Ways = c.ways
+		err := m.Validate()
+		if c.ok && err != nil {
+			t.Errorf("%s at NM %d KiB, %d ways: %v", c.scheme, c.nm>>10, c.ways, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "must divide the")) {
+			t.Errorf("%s at NM %d KiB, %d ways: err %v, want the ways rule named", c.scheme, c.nm>>10, c.ways, err)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func TestLockedHomeAccessNotCountedAsBypassed(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.access(1, fmBlockAddr(0, 0), false)
 	}
-	if r.c.LockedFrames() != 1 {
+	if r.c.fs.recount().locked != 1 {
 		t.Fatal("setup: not locked")
 	}
 	pre := r.sys.Stats.BypassedAccesses
@@ -70,7 +70,7 @@ func TestRemapLockDeferredUnderBypass(t *testing.T) {
 
 	preIn := r.sys.Stats.SwapsIn
 	r.access(1, fmBlockAddr(0, 0), false) // fmCtr=3 crosses the threshold
-	if r.c.LockedFrames() != 0 {
+	if r.c.fs.recount().locked != 0 {
 		t.Fatal("lock completed while bypassing")
 	}
 	if r.sys.Stats.SwapsIn != preIn {
@@ -79,7 +79,7 @@ func TestRemapLockDeferredUnderBypass(t *testing.T) {
 
 	r.c.gov.active = false
 	r.access(1, fmBlockAddr(0, 0), false)
-	if r.c.LockedFrames() != 1 {
+	if r.c.fs.recount().locked != 1 {
 		t.Fatal("lock did not complete after bypassing cleared")
 	}
 	if r.sys.Stats.SwapsIn != preIn+31 { // the 31 missing subblocks
@@ -99,7 +99,7 @@ func TestHomeLockDeferredUnderBypass(t *testing.T) {
 	preOut := r.sys.Stats.SwapsOut
 	r.access(2, uint64(5*64), false) // home resident, nmCtr=1
 	r.access(2, uint64(5*64), false) // nmCtr=2 crosses the threshold
-	if r.c.LockedFrames() != 0 {
+	if r.c.fs.recount().locked != 0 {
 		t.Fatal("home lock completed while bypassing")
 	}
 	if r.sys.Stats.SwapsOut != preOut {
@@ -108,7 +108,7 @@ func TestHomeLockDeferredUnderBypass(t *testing.T) {
 
 	r.c.gov.active = false
 	r.access(2, uint64(5*64), false)
-	fr := &r.c.fs.frames[0]
+	fr := r.c.fs.get(0)
 	if !fr.locked || !fr.lockHome {
 		t.Fatalf("home lock missing after bypass cleared: locked=%v home=%v",
 			fr.locked, fr.lockHome)

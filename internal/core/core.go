@@ -56,20 +56,16 @@ type Controller struct {
 	ctrMax   uint8
 	accesses uint64
 
-	// Restores counts full interleaved-block restorations (victimization).
-	Restores uint64
-	// HistoryPrefetches counts subblocks swapped in by history replay.
-	HistoryPrefetches uint64
+	// restores counts full interleaved-block restorations (victimization).
+	restores uint64
+	// historyPrefetches counts subblocks swapped in by history replay.
+	historyPrefetches uint64
 }
 
 // New builds a SILC-FM controller over sys.
 func New(sys *mem.System, cfg config.SILCConfig) *Controller {
 	nmBlocks := memunits.BlocksIn(sys.NMCap)
-	ways := cfg.Features.Ways
-	if ways == 0 {
-		ways = 1
-	}
-	fs := newFrameSet(nmBlocks, ways)
+	fs := newFrameSet(nmBlocks, cfg.Features.Ways)
 	// One 64-byte line of remap entries per SET (all ways share the line),
 	// not per frame: sizing by frame count would over-provision the channel
 	// by the associativity factor and skew energy/row-buffer accounting.
@@ -115,18 +111,14 @@ func (c *Controller) home(b uint64, idx uint) mem.Location {
 func (c *Controller) Locate(pa uint64) mem.Location {
 	b := memunits.BlockOf(pa)
 	idx := memunits.SubblockIndex(pa)
-	if b < c.nmBlocks {
-		fr := &c.fs.frames[b]
-		if fr.interleaved() && fr.bits.Test(idx) {
-			return c.home(fr.block(), idx)
-		}
+	f, fr := c.fs.lookup(b)
+	switch {
+	case !fr.swapped(idx):
 		return c.home(b, idx)
+	case b < c.nmBlocks:
+		return c.home(fr.block(), idx)
 	}
-	s := c.fs.setOf(b)
-	if f, ok := c.fs.findRemap(s, b); ok && c.fs.frames[f].bits.Test(idx) {
-		return c.home(f, idx)
-	}
-	return c.home(b, idx)
+	return c.home(f, idx)
 }
 
 // Handle implements mem.Controller.
@@ -143,11 +135,13 @@ func (c *Controller) Handle(a *mem.Access) {
 
 	// Way/location prediction decides whether the demand path waits for
 	// the serialized metadata fetch (§III-F).
-	loc := c.Locate(a.PAddr)
-	actualNM := loc.Level == stats.NM
+	// An NM block's subblock is in NM unless swapped out; an FM block's
+	// only when swapped in.
+	f, fr := c.fs.lookup(b)
+	actualNM := (b < c.nmBlocks) != fr.swapped(idx)
 	var actualWay uint8
 	if actualNM {
-		actualWay = uint8(c.fs.wayOf(memunits.BlockOf(loc.DevAddr)))
+		actualWay = uint8(c.fs.wayOf(f))
 	}
 	serialized := true
 	mispred := false
@@ -261,16 +255,15 @@ func (c *Controller) dispatch(a *mem.Access, b uint64, idx uint, mispred bool) {
 // space (Table I rows with "NM Address = yes" plus the remap-match row for
 // the home block).
 func (c *Controller) handleNMAddress(a *mem.Access, b uint64, idx uint, mispred bool) {
-	fr := &c.fs.frames[b]
+	_, fr := c.fs.lookup(b)
 	fr.lastUse = c.sys.Eng.Now()
 	bump(&fr.nmCtr, c.ctrMax)
 	st := c.sys.Stats
 
-	swappedOut := fr.interleaved() && fr.bits.Test(idx)
-	if !swappedOut {
+	if !fr.swapped(idx) {
 		// Home subblock resident: service from NM.
 		c.serviceNM(a, c.home(b, idx), pathOr(stats.PathNMHit, mispred))
-		c.maybeLockHome(b)
+		c.maybeLockHome(b, fr)
 		return
 	}
 	// The home subblock currently sits at the remapped block's FM home.
@@ -283,31 +276,29 @@ func (c *Controller) handleNMAddress(a *mem.Access, b uint64, idx uint, mispred 
 			path = stats.PathBypass
 		}
 		c.serviceFM(a, c.home(fr.block(), idx), pathOr(path, mispred))
-		c.maybeLockHome(b)
+		c.maybeLockHome(b, fr)
 		return
 	}
 	// Swap the home subblock back from FM (Table I: mismatch / bit 1 / NM
 	// address). The interleaved block's subblock returns to its FM home.
-	c.fs.clearBit(b, idx)
+	c.fs.clearBit(fr, idx)
 	st.SwapsOut++
 	c.moveBetween(a, c.home(fr.block(), idx), c.home(b, idx), pathOr(stats.PathSwap, mispred))
 	c.writeMetaUpdate(c.fs.setOf(b))
-	c.maybeLockHome(b)
+	c.maybeLockHome(b, fr)
 }
 
 // handleFMAddress serves a request whose flat address belongs to FM space.
 func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred bool) {
 	s := c.fs.setOf(b)
 	st := c.sys.Stats
-	f, found := c.fs.findRemap(s, b)
-	if found {
-		fr := &c.fs.frames[f]
+	if f, fr := c.fs.lookup(b); fr != nil {
 		fr.lastUse = c.sys.Eng.Now()
 		bump(&fr.fmCtr, c.ctrMax)
 		if fr.bits.Test(idx) {
 			// Table I row 1: remap match, bit set -> service from NM.
 			c.serviceNM(a, c.home(f, idx), pathOr(stats.PathNMHit, mispred))
-			c.maybeLockRemap(f)
+			c.maybeLockRemap(f, fr)
 			return
 		}
 		// Table I row 2: remap match, bit clear -> swap subblock from FM.
@@ -316,11 +307,11 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 			c.serviceFM(a, c.home(b, idx), pathOr(stats.PathBypass, mispred))
 			return
 		}
-		c.fs.setBit(f, idx)
+		c.fs.setBit(fr, idx)
 		st.SwapsIn++
 		c.moveBetween(a, c.home(b, idx), c.home(f, idx), pathOr(stats.PathSwap, mispred))
 		c.writeMetaUpdate(s)
-		c.maybeLockRemap(f)
+		c.maybeLockRemap(f, fr)
 		return
 	}
 
@@ -339,51 +330,51 @@ func (c *Controller) handleFMAddress(a *mem.Access, b uint64, idx uint, mispred 
 		st.BypassedAccesses++
 		return
 	}
-	v, ok := c.fs.victim(s)
-	if !ok {
+	v, vf := c.fs.victim(s)
+	if vf == nil {
 		return // every way locked
 	}
-	vf := &c.fs.frames[v]
 	if vf.interleaved() {
-		c.restore(v)
-		c.Restores++
+		c.restore(v, vf)
 	}
-	c.fs.setRemap(v, b)
-	c.fs.clearBits(v)
+	c.fs.setRemap(vf, b)
+	c.fs.clearBits(vf)
 	vf.fmCtr = 1
 	vf.lastUse = c.sys.Eng.Now()
 	vf.hist = histHash(a.PC, a.PAddr)
 
 	// Swap in the requested subblock (demand already serviced from FM; the
-	// residual traffic is the install + eviction exchange).
-	c.fs.setBit(v, idx)
-	st.SwapsIn++
-	c.sys.ExchangeSubblocks(c.home(b, idx), c.home(v, idx))
-
-	// Replay the bit vector history: previously useful subblocks swap in
-	// together (§III-A), the scheme's spatial-locality edge over CAMEO.
+	// residual traffic is the install + eviction exchange), then replay the
+	// bit vector history: previously useful subblocks swap in together
+	// (§III-A), the scheme's spatial-locality edge over CAMEO.
+	c.swapIn(v, vf, 1<<idx)
 	if c.cfg.Features.BitVecHistory {
-		vec := c.hist.lookup(a.PC, a.PAddr)
-		for i := uint(0); i < memunits.SubblocksPerBlock; i++ {
-			if i != idx && vec.Test(i) {
-				c.fs.setBit(v, i)
-				st.SwapsIn++
-				c.HistoryPrefetches++
-				c.sys.ExchangeSubblocks(c.home(b, i), c.home(v, i))
-			}
-		}
+		c.historyPrefetches += c.swapIn(v, vf, c.hist.lookup(a.PC, a.PAddr))
 	}
 	c.writeMetaUpdate(s)
-	c.maybeLockRemap(v)
+	c.maybeLockRemap(v, vf)
 }
 
-// restore returns frame f's interleaved block to its FM home entirely,
-// saving the bit vector in the history table.
-func (c *Controller) restore(f uint64) {
-	fr := &c.fs.frames[f]
-	if !fr.interleaved() {
-		return
+// swapIn swaps each subblock of vec that frame f (fr) does not hold yet in
+// from the interleaved block's FM home, in ascending subblock order, and
+// returns how many it moved.
+func (c *Controller) swapIn(f uint64, fr *frame, vec memunits.BitVector) uint64 {
+	var n uint64
+	for i := uint(0); i < memunits.SubblocksPerBlock; i++ {
+		if vec.Test(i) && !fr.bits.Test(i) {
+			c.fs.setBit(fr, i)
+			c.sys.Stats.SwapsIn++
+			c.sys.ExchangeSubblocks(c.home(fr.block(), i), c.home(f, i))
+			n++
+		}
 	}
+	return n
+}
+
+// restore returns the block interleaved in frame f (fr) to its FM home
+// entirely, saving the bit vector in the history table.
+func (c *Controller) restore(f uint64, fr *frame) {
+	c.restores++
 	c.hist.save(fr.hist, fr.bits)
 	for i := uint(0); i < memunits.SubblocksPerBlock; i++ {
 		if fr.bits.Test(i) {
@@ -391,20 +382,19 @@ func (c *Controller) restore(f uint64) {
 			c.sys.ExchangeSubblocks(c.home(f, i), c.home(fr.block(), i))
 		}
 	}
-	c.fs.clearRemap(f)
-	c.fs.clearBits(f)
+	c.fs.clearRemap(fr)
+	c.fs.clearBits(fr)
 	fr.fmCtr = 0
-	c.fs.setLock(f, false, false)
+	c.fs.setLock(fr, false, false)
 }
 
-// maybeLockRemap locks frame f's interleaved FM block when its counter
-// crosses the hotness threshold, completing the large-block remap by
-// swapping in all missing subblocks (§III-C).
-func (c *Controller) maybeLockRemap(f uint64) {
+// maybeLockRemap locks the FM block interleaved in frame f (fr) when its
+// counter crosses the hotness threshold, completing the large-block remap
+// by swapping in all missing subblocks (§III-C).
+func (c *Controller) maybeLockRemap(f uint64, fr *frame) {
 	if !c.cfg.Features.Locking {
 		return
 	}
-	fr := &c.fs.frames[f]
 	if fr.locked || !fr.interleaved() || uint32(fr.fmCtr) < c.cfg.HotThreshold || fr.fmCtr < fr.nmCtr {
 		return
 	}
@@ -414,27 +404,20 @@ func (c *Controller) maybeLockRemap(f uint64) {
 	if c.gov.bypassing() {
 		return
 	}
-	for i := uint(0); i < memunits.SubblocksPerBlock; i++ {
-		if !fr.bits.Test(i) {
-			c.fs.setBit(f, i)
-			c.sys.Stats.SwapsIn++
-			c.sys.ExchangeSubblocks(c.home(fr.block(), i), c.home(f, i))
-		}
-	}
-	c.fs.setLock(f, true, false)
+	c.swapIn(f, fr, memunits.Full)
+	c.fs.setLock(fr, true, false)
 	c.sys.Stats.Locks++
 	c.sys.NoteLock(f, fr.block(), false)
 	c.writeMetaUpdate(c.fs.setOf(f))
 }
 
-// maybeLockHome locks frame b to protect a hot home block from being
+// maybeLockHome locks frame b (fr) to protect a hot home block from being
 // victimized by interleaving; any swapped-out home subblocks are restored
 // first.
-func (c *Controller) maybeLockHome(b uint64) {
+func (c *Controller) maybeLockHome(b uint64, fr *frame) {
 	if !c.cfg.Features.Locking {
 		return
 	}
-	fr := &c.fs.frames[b]
 	if fr.locked || uint32(fr.nmCtr) < c.cfg.HotThreshold || fr.nmCtr < fr.fmCtr {
 		return
 	}
@@ -444,44 +427,43 @@ func (c *Controller) maybeLockHome(b uint64) {
 		if c.gov.bypassing() {
 			return
 		}
-		c.restore(b)
-		c.Restores++
+		c.restore(b, fr)
 	}
-	c.fs.setLock(b, true, true)
+	c.fs.setLock(fr, true, true)
 	c.sys.Stats.Locks++
 	c.sys.NoteLock(b, b, true)
 	c.writeMetaUpdate(c.fs.setOf(b))
 }
 
-// ageAndUnlock right-shifts all activity counters and clears locks whose
-// block is no longer hot. An unlocked interleaved block keeps all its
-// subblocks resident (bits stay Full) and simply rejoins normal swapping
-// (§III-C).
+// ageAndUnlock right-shifts every activity counter (the paper's aging at
+// 1 M-access boundaries) and clears locks whose block is no longer hot. An
+// unlocked interleaved block keeps all its subblocks resident (bits stay
+// Full) and simply rejoins normal swapping (§III-C). Frames are visited in
+// frame-id order (way-major over the set-major table), so observers see
+// unlocks in ascending frame order.
 func (c *Controller) ageAndUnlock() {
-	c.fs.age()
-	if !c.cfg.Features.Locking {
-		return
-	}
-	for i := range c.fs.frames {
-		fr := &c.fs.frames[i]
-		if !fr.locked {
-			continue
-		}
-		hot := uint32(fr.fmCtr)
-		if fr.lockHome {
-			hot = uint32(fr.nmCtr)
-		}
-		// Unlock with hysteresis: a block must cool to half the locking
-		// threshold before it rejoins swapping, avoiding lock/unlock churn
-		// at the boundary.
-		if hot < c.cfg.HotThreshold/2 {
-			blk := fr.block()
-			if fr.lockHome {
-				blk = uint64(i)
+	fs := c.fs
+	for w := 0; w < fs.ways; w++ {
+		for s := uint64(0); s < fs.sets; s++ {
+			fr := &fs.set(s)[w]
+			fr.nmCtr >>= 1
+			fr.fmCtr >>= 1
+			if !fr.locked {
+				continue
 			}
-			c.fs.setLock(uint64(i), false, false)
-			c.sys.Stats.Unlocks++
-			c.sys.NoteUnlock(uint64(i), blk)
+			f := fs.frameID(s, w)
+			hot, blk := uint32(fr.fmCtr), fr.block()
+			if fr.lockHome {
+				hot, blk = uint32(fr.nmCtr), f
+			}
+			// Unlock with hysteresis: a block must cool to half the locking
+			// threshold before it rejoins swapping, avoiding lock/unlock
+			// churn at the boundary.
+			if hot < c.cfg.HotThreshold/2 {
+				fs.setLock(fr, false, false)
+				c.sys.Stats.Unlocks++
+				c.sys.NoteUnlock(f, blk)
+			}
 		}
 	}
 }
@@ -517,15 +499,6 @@ func (c *Controller) writeMetaUpdate(s uint64) {
 	c.meta.Submit(dram.Request{Addr: s * 64, Bytes: metaEntrySize, Write: true})
 }
 
-// Bypassing reports whether the governor currently suppresses swaps.
-func (c *Controller) Bypassing() bool { return c.gov.bypassing() }
-
-// HistoryStats returns (stores, lookups, hits) of the bit vector history
-// table.
-func (c *Controller) HistoryStats() (stores, lookups, hits uint64) {
-	return c.hist.stores, c.hist.lookups, c.hist.hits
-}
-
 // Gauges implements mem.GaugeProvider: the instantaneous scheme state the
 // epoch sampler reports alongside counter deltas (§III mechanisms: frame
 // residency, locking, the bypass governor, the history table, the
@@ -533,12 +506,10 @@ func (c *Controller) HistoryStats() (stores, lookups, hits uint64) {
 // counts the mutators keep current and allocates only the returned slice.
 func (c *Controller) Gauges() []mem.Gauge {
 	n := c.fs.counts
-	snap := Snapshot{Interleaved: n.interleaved, ResidentSubblocks: n.resident}
 	used, total := c.hist.occupancy()
-	_, lookups, hits := c.HistoryStats()
 	histRate := 0.0
-	if lookups > 0 {
-		histRate = float64(hits) / float64(lookups)
+	if c.hist.lookups > 0 {
+		histRate = float64(c.hist.hits) / float64(c.hist.lookups)
 	}
 	bypassing := 0.0
 	if c.gov.bypassing() {
@@ -554,13 +525,13 @@ func (c *Controller) Gauges() []mem.Gauge {
 		{Name: "locked_home_frames", Value: float64(n.lockedHome)},
 		{Name: "interleaved_frames", Value: float64(n.interleaved)},
 		{Name: "resident_subblocks", Value: float64(n.resident)},
-		{Name: "mean_residency", Value: snap.MeanResidency()},
+		{Name: "mean_residency", Value: n.meanResidency()},
 		{Name: "bypassing", Value: bypassing},
 		{Name: "bypass_toggles", Value: float64(c.gov.toggles)},
 		{Name: "history_occupancy", Value: float64(used) / float64(total)},
 		{Name: "history_hit_rate", Value: histRate},
-		{Name: "history_prefetches", Value: float64(c.HistoryPrefetches)},
-		{Name: "restores", Value: float64(c.Restores)},
+		{Name: "history_prefetches", Value: float64(c.historyPrefetches)},
+		{Name: "restores", Value: float64(c.restores)},
 		{Name: "meta_row_hit_rate", Value: metaRowRate},
 		{Name: "meta_queue_depth", Value: float64(c.meta.QueueDepth())},
 	}
@@ -571,17 +542,8 @@ func (c *Controller) Gauges() []mem.Gauge {
 // for an FM-range address it is the frame (if any) whose remap currently
 // interleaves the block. Pure and O(associativity).
 func (c *Controller) LockState(pa uint64) (locked, home bool) {
-	b := memunits.BlockOf(pa)
-	if b < c.nmBlocks {
-		fr := &c.fs.frames[b]
-		return fr.locked, fr.lockHome
-	}
-	if f, ok := c.fs.findRemap(c.fs.setOf(b), b); ok {
-		fr := &c.fs.frames[f]
+	if _, fr := c.fs.lookup(memunits.BlockOf(pa)); fr != nil {
 		return fr.locked, fr.lockHome
 	}
 	return false, false
 }
-
-// LockedFrames counts currently locked frames.
-func (c *Controller) LockedFrames() int { return c.fs.recount().locked }

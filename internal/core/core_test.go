@@ -132,8 +132,8 @@ func TestTableIRow5And6_RestoreOnVictim(t *testing.T) {
 	// Request to B maps to the same frame with a mismatching remap ->
 	// restore A, then interleave B.
 	r.access(101, b, false)
-	if r.c.Restores != 1 {
-		t.Fatalf("Restores = %d, want 1", r.c.Restores)
+	if r.c.restores != 1 {
+		t.Fatalf("Restores = %d, want 1", r.c.restores)
 	}
 	if loc := r.c.Locate(a); loc.Level != stats.FM {
 		t.Fatalf("A not fully restored: %+v", loc)
@@ -149,8 +149,8 @@ func TestAssociativityAvoidsRestore(t *testing.T) {
 	for k := 0; k < 4; k++ {
 		r.access(uint64(100+k), fmBlockAddr(k*32, 0), false)
 	}
-	if r.c.Restores != 0 {
-		t.Fatalf("restores with free ways: %d", r.c.Restores)
+	if r.c.restores != 0 {
+		t.Fatalf("restores with free ways: %d", r.c.restores)
 	}
 	for k := 0; k < 4; k++ {
 		if loc := r.c.Locate(fmBlockAddr(k*32, 0)); loc.Level != stats.NM {
@@ -159,8 +159,8 @@ func TestAssociativityAvoidsRestore(t *testing.T) {
 	}
 	// A fifth block forces an LRU restore.
 	r.access(200, fmBlockAddr(4*32, 0), false)
-	if r.c.Restores != 1 {
-		t.Fatalf("fifth block: Restores = %d, want 1", r.c.Restores)
+	if r.c.restores != 1 {
+		t.Fatalf("fifth block: Restores = %d, want 1", r.c.restores)
 	}
 	// LRU: block 0 (oldest untouched) must be the one evicted.
 	if loc := r.c.Locate(fmBlockAddr(0, 0)); loc.Level != stats.FM {
@@ -180,8 +180,8 @@ func TestLockingPinsHotBlock(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.access(100, hot, false)
 	}
-	if r.c.LockedFrames() != 1 {
-		t.Fatalf("LockedFrames = %d, want 1", r.c.LockedFrames())
+	if r.c.fs.recount().locked != 1 {
+		t.Fatalf("locked frames = %d, want 1", r.c.fs.recount().locked)
 	}
 	if r.sys.Stats.Locks != 1 {
 		t.Fatalf("Locks = %d", r.sys.Stats.Locks)
@@ -194,9 +194,9 @@ func TestLockingPinsHotBlock(t *testing.T) {
 	}
 	// A conflicting block cannot displace it (all ways locked).
 	conflict := fmBlockAddr(128, 0)
-	pre := r.c.Restores
+	pre := r.c.restores
 	r.access(200, conflict, false)
-	if r.c.Restores != pre {
+	if r.c.restores != pre {
 		t.Fatal("locked frame was restored")
 	}
 	if loc := r.c.Locate(hot); loc.Level != stats.NM {
@@ -217,7 +217,7 @@ func TestUnlockAfterAging(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.access(100, hot, false)
 	}
-	if r.c.LockedFrames() != 1 {
+	if r.c.fs.recount().locked != 1 {
 		t.Fatal("not locked")
 	}
 	// Advance the aging clock with cold traffic spread over many other
@@ -225,7 +225,7 @@ func TestUnlockAfterAging(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.access(300, fmBlockAddr(1+i%32, 0), false)
 	}
-	if r.c.LockedFrames() != 0 {
+	if r.c.fs.recount().locked != 0 {
 		t.Fatalf("lock survived aging: counters should have decayed below threshold")
 	}
 	if r.sys.Stats.Unlocks != 1 {
@@ -246,7 +246,7 @@ func TestLockHomeProtectsNMBlock(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.access(100, home, false)
 	}
-	if r.c.LockedFrames() != 1 {
+	if r.c.fs.recount().locked != 1 {
 		t.Fatal("hot home block not locked")
 	}
 	// FM block in the same set cannot interleave now.
@@ -269,19 +269,18 @@ func TestBitVectorHistoryReplay(t *testing.T) {
 	r.access(pc, fmBlockAddr(0, 20), false)
 	// Evict block 0 by touching the conflicting block 128.
 	r.access(500, fmBlockAddr(128, 0), false)
-	if r.c.Restores != 1 {
+	if r.c.restores != 1 {
 		t.Fatal("expected eviction")
 	}
-	stores, _, _ := r.c.HistoryStats()
-	if stores != 1 {
-		t.Fatalf("history stores = %d", stores)
+	if r.c.hist.stores != 1 {
+		t.Fatalf("history stores = %d", r.c.hist.stores)
 	}
 	// Re-access block 0 with the same PC and first address: the history
 	// vector brings 9 and 20 along immediately.
-	pre := r.c.HistoryPrefetches
+	pre := r.c.historyPrefetches
 	r.access(pc, first, false)
-	if r.c.HistoryPrefetches != pre+2 {
-		t.Fatalf("HistoryPrefetches = %d, want +2", r.c.HistoryPrefetches)
+	if r.c.historyPrefetches != pre+2 {
+		t.Fatalf("HistoryPrefetches = %d, want +2", r.c.historyPrefetches)
 	}
 	for _, idx := range []uint{4, 9, 20} {
 		if loc := r.c.Locate(fmBlockAddr(0, idx)); loc.Level != stats.NM {
@@ -304,7 +303,7 @@ func TestHistoryDisabledFetchesOnlyDemand(t *testing.T) {
 	r.access(pc, fmBlockAddr(0, 9), false)
 	r.access(500, fmBlockAddr(128, 0), false)
 	r.access(pc, first, false)
-	if r.c.HistoryPrefetches != 0 {
+	if r.c.historyPrefetches != 0 {
 		t.Fatal("history replay ran while disabled")
 	}
 	if loc := r.c.Locate(fmBlockAddr(0, 9)); loc.Level != stats.FM {
@@ -321,7 +320,7 @@ func TestBypassStopsSwaps(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		r.access(1, hot, false)
 	}
-	if !r.c.Bypassing() {
+	if !r.c.gov.bypassing() {
 		t.Fatalf("governor not bypassing at access rate %.2f", r.sys.Stats.AccessRate())
 	}
 	// A new FM block is serviced from FM without interleaving.
@@ -354,7 +353,7 @@ func TestBypassDisabledFeature(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		r.access(1, hot, false)
 	}
-	if r.c.Bypassing() {
+	if r.c.gov.bypassing() {
 		t.Fatal("bypass active with feature disabled")
 	}
 }
@@ -472,7 +471,7 @@ func TestDirectMappedVsAssociativeConflicts(t *testing.T) {
 			r.access(1, fmBlockAddr(0, uint(i%4)), false)
 			r.access(2, fmBlockAddr(128, uint(i%4)), false)
 		}
-		return r.c.Restores
+		return r.c.restores
 	}
 	dm, assoc := run(1), run(4)
 	if assoc != 0 {

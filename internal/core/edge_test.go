@@ -47,7 +47,7 @@ func TestLockedFrameServesHomeFromFM(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.access(1, fmBlockAddr(0, 0), false)
 	}
-	if r.c.LockedFrames() != 1 {
+	if r.c.fs.recount().locked != 1 {
 		t.Fatal("setup: not locked")
 	}
 	// A request to the home block must be serviced from FM (the full
@@ -61,7 +61,7 @@ func TestLockedFrameServesHomeFromFM(t *testing.T) {
 	if r.sys.Stats.SwapsOut != preSwaps {
 		t.Fatal("locked frame swapped")
 	}
-	if r.c.LockedFrames() != 1 {
+	if r.c.fs.recount().locked != 1 {
 		t.Fatal("lock lost")
 	}
 }
@@ -77,7 +77,7 @@ func TestLockPreferenceFollowsHotterCounter(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.access(2, uint64(1*64), false) // heat home block 0
 	}
-	fr := &r.c.fs.frames[0]
+	fr := r.c.fs.get(0)
 	if !fr.locked || !fr.lockHome {
 		t.Fatalf("expected home lock: locked=%v lockHome=%v", fr.locked, fr.lockHome)
 	}
@@ -99,7 +99,7 @@ func TestBypassLeavesLockedBlocksServed(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.access(1, fmBlockAddr(0, uint(i%32)), false)
 	}
-	if !r.c.Bypassing() {
+	if !r.c.gov.bypassing() {
 		t.Skip("access pattern did not trigger bypass at this scale")
 	}
 	pre := r.sys.Stats.ServicedNM
@@ -121,9 +121,9 @@ func TestVictimChurnBoundedByHistory(t *testing.T) {
 		r.access(pcA, fmBlockAddr(0, idx), false)
 	}
 	r.access(pcB, firstB, false)
-	pre := r.c.HistoryPrefetches
+	pre := r.c.historyPrefetches
 	r.access(pcA, firstA, false)
-	if r.c.HistoryPrefetches <= pre {
+	if r.c.historyPrefetches <= pre {
 		t.Fatal("history replay did not fire on re-interleave")
 	}
 	for _, idx := range []uint{5, 9, 13} {
@@ -141,11 +141,11 @@ func TestAgingDisabledWhenIntervalZero(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.access(1, fmBlockAddr(0, 0), false)
 	}
-	locked := r.c.LockedFrames()
+	locked := r.c.fs.recount().locked
 	for i := 0; i < 2000; i++ {
 		r.access(2, fmBlockAddr(1, 0), false)
 	}
-	if r.c.LockedFrames() < locked {
+	if r.c.fs.recount().locked < locked {
 		t.Fatal("unlock happened with aging disabled")
 	}
 }
@@ -183,10 +183,18 @@ func TestDirectMappedDegenerateSingleSet(t *testing.T) {
 	}
 }
 
+// meanResidency is s's mean resident subblocks per interleaved frame.
+func meanResidency(s Snapshot) float64 {
+	if s.Interleaved == 0 {
+		return 0
+	}
+	return float64(s.ResidentSubblocks) / float64(s.Interleaved)
+}
+
 func TestSnapshot(t *testing.T) {
 	r := newRig(func(c *config.SILCConfig) { c.HotThreshold = 3 })
 	s := r.c.Snapshot()
-	if s.Interleaved != 0 || s.Locked != 0 || s.MeanResidency() != 0 {
+	if s.Interleaved != 0 || s.Locked != 0 || meanResidency(s) != 0 {
 		t.Fatalf("fresh snapshot dirty: %+v", s)
 	}
 	if s.Frames != 128 || s.Sets != 32 || s.Ways != 4 {
@@ -211,8 +219,8 @@ func TestSnapshot(t *testing.T) {
 	if s.BitsHistogram[2] != 1 || s.BitsHistogram[32] != 1 {
 		t.Fatalf("histogram: %v", s.BitsHistogram)
 	}
-	if got := s.MeanResidency(); got != 17 { // (2+32)/2
-		t.Fatalf("MeanResidency = %v", got)
+	if got := meanResidency(s); got != 17 { // (2+32)/2
+		t.Fatalf("mean residency = %v", got)
 	}
 	// Set occupancy: sets 1 and 2 have one interleaved way each.
 	if s.SetOccupancy[1] != 2 || s.SetOccupancy[0] != 30 {
@@ -254,7 +262,7 @@ func TestGaugesCountInPlace(t *testing.T) {
 			{"locked_home_frames", float64(s.LockedHome)},
 			{"interleaved_frames", float64(s.Interleaved)},
 			{"resident_subblocks", float64(s.ResidentSubblocks)},
-			{"mean_residency", s.MeanResidency()},
+			{"mean_residency", meanResidency(s)},
 		} {
 			if got := gauge(gs, c.name); got != c.want {
 				t.Fatalf("step %d: %s = %v, Snapshot says %v", step, c.name, got, c.want)

@@ -45,19 +45,13 @@ func bump(c *uint8, max uint8) {
 	}
 }
 
-// frameSet provides set/way geometry over the frame array.
+// frameSet is the frame table with its set/way geometry. Frames are stored
+// set-major: frame f, way f/sets of set f mod sets, lives at frames[at(f)],
+// so the ways findRemap and victim scan sit in adjacent records.
 type frameSet struct {
 	frames []frame
 	sets   uint64
 	ways   int
-
-	// remapW mirrors frames[*].remap in per-set-contiguous layout
-	// (remapW[s*ways+w] == frames[frameID(s,w)].remap). findRemap runs
-	// once per LLC miss, and the ways of a set sit sets*sizeof(frame)
-	// bytes apart in the frames array — a cache miss per way probed; the
-	// mirror packs a set's entries into one line. All remap writes go
-	// through putRemap to keep the two in sync.
-	remapW []uint32
 
 	// counts are the frame totals Gauges reports every epoch. Every write
 	// to a frame's remap, bits, locked or lockHome goes through the
@@ -73,32 +67,103 @@ type frameCounts struct {
 	locked, lockedHome, interleaved, resident int
 }
 
-func newFrameSet(nmBlocks uint64, ways int) *frameSet {
-	if ways <= 0 {
-		ways = 1
+// meanResidency returns the average number of resident subblocks per
+// interleaved frame (0 when nothing is interleaved).
+func (n frameCounts) meanResidency() float64 {
+	if n.interleaved == 0 {
+		return 0
 	}
-	sets := nmBlocks / uint64(ways)
-	if sets == 0 {
-		sets = 1
-		ways = int(nmBlocks)
-	}
-	return &frameSet{
-		frames: make([]frame, nmBlocks),
-		sets:   sets,
-		ways:   ways,
-		remapW: make([]uint32, nmBlocks),
-	}
+	return float64(n.resident) / float64(n.interleaved)
 }
 
-// setRemap interleaves flat FM block b into frame f.
-func (fs *frameSet) setRemap(f, b uint64) { fs.putRemap(f, uint32(b+1)) }
+// newFrameSet builds the frame table of nmBlocks frames. Ways clamp to the
+// frame count; config.Validate requires the clamped ways (1, 2 or 4) to
+// divide nmBlocks, which makes at a bijection.
+func newFrameSet(nmBlocks uint64, ways int) *frameSet {
+	ways = int(min(uint64(ways), nmBlocks))
+	return &frameSet{frames: make([]frame, nmBlocks), sets: nmBlocks / uint64(ways), ways: ways}
+}
 
-// clearRemap leaves frame f with no interleaved block.
-func (fs *frameSet) clearRemap(f uint64) { fs.putRemap(f, 0) }
+// at returns the storage index of frame f.
+func (fs *frameSet) at(f uint64) uint64 { return f%fs.sets*uint64(fs.ways) + f/fs.sets }
 
-// putRemap updates frame f's encoded remap entry and its mirror slot.
-func (fs *frameSet) putRemap(f uint64, r uint32) {
-	fr := &fs.frames[f]
+// frameID returns the id of way w in set s.
+func (fs *frameSet) frameID(s uint64, w int) uint64 { return s + uint64(w)*fs.sets }
+
+// wayOf returns the way of frame f within its set.
+func (fs *frameSet) wayOf(f uint64) int { return int(f / fs.sets) }
+
+// setOf returns the congruence set of a flat block (NM or FM).
+func (fs *frameSet) setOf(b uint64) uint64 { return b % fs.sets }
+
+// set returns the ways of set s.
+func (fs *frameSet) set(s uint64) []frame {
+	base := s * uint64(fs.ways)
+	return fs.frames[base : base+uint64(fs.ways)]
+}
+
+// lookup returns the frame holding flat block b's placement state and its
+// id: an NM block's home frame, or the frame interleaving an FM block (fr
+// nil when none does).
+func (fs *frameSet) lookup(b uint64) (f uint64, fr *frame) {
+	if b < uint64(len(fs.frames)) {
+		return b, &fs.frames[fs.at(b)]
+	}
+	return fs.findRemap(fs.setOf(b), b)
+}
+
+// swapped reports whether subblock idx of a block looked up in frame fr (nil
+// for none) sits at the other block's home: an NM block's subblock swapped
+// out to the interleaved block's FM home, or an FM block's subblock swapped
+// into the frame.
+func (fr *frame) swapped(idx uint) bool { return fr != nil && fr.interleaved() && fr.bits.Test(idx) }
+
+// findRemap scans set s for the frame interleaving block b; fr is nil when
+// none does.
+func (fs *frameSet) findRemap(s, b uint64) (f uint64, fr *frame) {
+	want := uint32(b + 1)
+	ways := fs.set(s)
+	for w := range ways {
+		if ways[w].remap == want {
+			return fs.frameID(s, w), &ways[w]
+		}
+	}
+	return 0, nil
+}
+
+// victim picks the frame of set s to host a new interleaved block: an
+// unlocked frame without a remap if one exists, else the least recently
+// used unlocked frame. fr is nil when every way is locked (§III-C: locked
+// blocks make the rest of the set's FM blocks unswappable; associativity
+// reduces how often this happens).
+func (fs *frameSet) victim(s uint64) (f uint64, fr *frame) {
+	best := -1
+	ways := fs.set(s)
+	for w := range ways {
+		if ways[w].locked {
+			continue
+		}
+		if !ways[w].interleaved() {
+			return fs.frameID(s, w), &ways[w]
+		}
+		if best < 0 || ways[w].lastUse < ways[best].lastUse {
+			best = w
+		}
+	}
+	if best < 0 {
+		return 0, nil
+	}
+	return fs.frameID(s, best), &ways[best]
+}
+
+// setRemap interleaves flat FM block b into frame fr.
+func (fs *frameSet) setRemap(fr *frame, b uint64) { fs.putRemap(fr, uint32(b+1)) }
+
+// clearRemap leaves frame fr with no interleaved block.
+func (fs *frameSet) clearRemap(fr *frame) { fs.putRemap(fr, 0) }
+
+// putRemap updates frame fr's encoded remap entry.
+func (fs *frameSet) putRemap(fr *frame, r uint32) {
 	switch {
 	case !fr.interleaved() && r != 0:
 		fs.counts.interleaved++
@@ -108,39 +173,34 @@ func (fs *frameSet) putRemap(f uint64, r uint32) {
 		fs.counts.resident -= fr.bits.Count()
 	}
 	fr.remap = r
-	fs.remapW[(f%fs.sets)*uint64(fs.ways)+f/fs.sets] = r
 }
 
-// setBit marks subblock idx of frame f resident.
-func (fs *frameSet) setBit(f uint64, idx uint) {
-	fr := &fs.frames[f]
+// setBit marks subblock idx of frame fr resident.
+func (fs *frameSet) setBit(fr *frame, idx uint) {
 	if fr.interleaved() && !fr.bits.Test(idx) {
 		fs.counts.resident++
 	}
 	fr.bits.Set(idx)
 }
 
-// clearBit unmarks subblock idx of frame f.
-func (fs *frameSet) clearBit(f uint64, idx uint) {
-	fr := &fs.frames[f]
+// clearBit unmarks subblock idx of frame fr.
+func (fs *frameSet) clearBit(fr *frame, idx uint) {
 	if fr.interleaved() && fr.bits.Test(idx) {
 		fs.counts.resident--
 	}
 	fr.bits.Clear(idx)
 }
 
-// clearBits empties frame f's bit vector.
-func (fs *frameSet) clearBits(f uint64) {
-	fr := &fs.frames[f]
+// clearBits empties frame fr's bit vector.
+func (fs *frameSet) clearBits(fr *frame) {
 	if fr.interleaved() {
 		fs.counts.resident -= fr.bits.Count()
 	}
 	fr.bits = 0
 }
 
-// setLock sets frame f's lock state.
-func (fs *frameSet) setLock(f uint64, locked, home bool) {
-	fr := &fs.frames[f]
+// setLock sets frame fr's lock state.
+func (fs *frameSet) setLock(fr *frame, locked, home bool) {
 	if fr.locked {
 		fs.counts.locked--
 		if fr.lockHome {
@@ -173,59 +233,4 @@ func (fs *frameSet) recount() frameCounts {
 		}
 	}
 	return n
-}
-
-// setOf returns the congruence set of a flat block (NM or FM).
-func (fs *frameSet) setOf(b uint64) uint64 { return b % fs.sets }
-
-// frameID returns the frame index of way w in set s.
-func (fs *frameSet) frameID(s uint64, w int) uint64 { return s + uint64(w)*fs.sets }
-
-// wayOf returns the way index of frame f within its set.
-func (fs *frameSet) wayOf(f uint64) int { return int(f / fs.sets) }
-
-// findRemap scans set s for the frame interleaving block b. Returns the
-// frame index and true, or 0 and false.
-func (fs *frameSet) findRemap(s, b uint64) (uint64, bool) {
-	base, want := s*uint64(fs.ways), uint32(b+1)
-	for w, r := range fs.remapW[base : base+uint64(fs.ways)] {
-		if r == want {
-			return fs.frameID(s, w), true
-		}
-	}
-	return 0, false
-}
-
-// victim picks the frame of set s to host a new interleaved block: an
-// unlocked frame without a remap if one exists, else the least recently
-// used unlocked frame. ok is false when every way is locked (§III-C: locked
-// blocks make the rest of the set's FM blocks unswappable; associativity
-// reduces how often this happens).
-func (fs *frameSet) victim(s uint64) (uint64, bool) {
-	best := uint64(0)
-	found := false
-	var bestUse uint64
-	for w := 0; w < fs.ways; w++ {
-		f := fs.frameID(s, w)
-		fr := &fs.frames[f]
-		if fr.locked {
-			continue
-		}
-		if !fr.interleaved() {
-			return f, true
-		}
-		if !found || fr.lastUse < bestUse {
-			best, bestUse, found = f, fr.lastUse, true
-		}
-	}
-	return best, found
-}
-
-// age right-shifts every activity counter (the paper's aging at 1 M-access
-// boundaries; unlock decisions are taken by the controller afterwards).
-func (fs *frameSet) age() {
-	for i := range fs.frames {
-		fs.frames[i].nmCtr >>= 1
-		fs.frames[i].fmCtr >>= 1
-	}
 }

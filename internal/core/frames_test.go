@@ -2,10 +2,13 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
+	"silcfm/internal/mem"
 	"silcfm/internal/memunits"
 )
 
@@ -16,6 +19,9 @@ func TestFrameIs32Bytes(t *testing.T) {
 		t.Fatalf("sizeof(frame) = %d, want 32", n)
 	}
 }
+
+// get returns frame f.
+func (fs *frameSet) get(f uint64) *frame { return &fs.frames[fs.at(f)] }
 
 // TestZeroFrameHoldsNoRemap: a fresh frame set needs no fill to read as
 // empty, and the block+1 encoding covers block 0 and the largest block a
@@ -29,16 +35,16 @@ func TestZeroFrameHoldsNoRemap(t *testing.T) {
 	}
 	for _, b := range []uint64{0, 3, math.MaxUint32 - 1} {
 		s := fs.setOf(b)
-		if _, ok := fs.findRemap(s, b); ok {
+		if _, fr := fs.findRemap(s, b); fr != nil {
 			t.Fatalf("block %d found in an empty set", b)
 		}
 		f := fs.frameID(s, 1)
-		fs.setRemap(f, b)
-		if got, ok := fs.findRemap(s, b); !ok || got != f || fs.frames[f].block() != b {
-			t.Fatalf("block %d: findRemap = %d %v, block() = %d", b, got, ok, fs.frames[f].block())
+		fs.setRemap(fs.get(f), b)
+		if got, fr := fs.findRemap(s, b); fr != fs.get(f) || got != f || fr.block() != b {
+			t.Fatalf("block %d: findRemap = %d %p, want %d %p", b, got, fr, f, fs.get(f))
 		}
-		fs.clearRemap(f)
-		if _, ok := fs.findRemap(s, b); ok || fs.frames[f].interleaved() {
+		fs.clearRemap(fs.get(f))
+		if _, fr := fs.findRemap(s, b); fr != nil || fs.get(f).interleaved() {
 			t.Fatalf("block %d still remapped after clearRemap", b)
 		}
 	}
@@ -70,71 +76,195 @@ func TestFrameSetDegenerate(t *testing.T) {
 	if fs.sets != 1 || fs.ways != 2 {
 		t.Fatalf("degenerate: sets=%d ways=%d", fs.sets, fs.ways)
 	}
-	// Zero ways defaults to direct-mapped.
-	fs = newFrameSet(8, 0)
-	if fs.ways != 1 || fs.sets != 8 {
-		t.Fatalf("zero ways: sets=%d ways=%d", fs.sets, fs.ways)
+	// One way is direct-mapped: a set per frame, stored in frame order.
+	fs = newFrameSet(8, 1)
+	if fs.ways != 1 || fs.sets != 8 || fs.at(5) != 5 {
+		t.Fatalf("direct-mapped: sets=%d ways=%d at(5)=%d", fs.sets, fs.ways, fs.at(5))
 	}
 }
 
 func TestFindRemap(t *testing.T) {
 	fs := newFrameSet(128, 4)
-	if _, ok := fs.findRemap(3, 1000); ok {
+	if _, fr := fs.findRemap(3, 1000); fr != nil {
 		t.Fatal("found remap in empty set")
 	}
-	fs.setRemap(fs.frameID(3, 2), 1000)
-	f, ok := fs.findRemap(3, 1000)
-	if !ok || f != fs.frameID(3, 2) {
-		t.Fatalf("findRemap: %d %v", f, ok)
+	fs.setRemap(fs.get(fs.frameID(3, 2)), 1000)
+	f, fr := fs.findRemap(3, 1000)
+	if fr == nil || f != fs.frameID(3, 2) {
+		t.Fatalf("findRemap: %d %p", f, fr)
 	}
 }
 
 func TestVictimPreference(t *testing.T) {
 	fs := newFrameSet(128, 4)
 	s := uint64(7)
+	way := func(w int) *frame { return fs.get(fs.frameID(s, w)) }
 	// All empty: first way.
-	v, ok := fs.victim(s)
-	if !ok || v != fs.frameID(s, 0) {
-		t.Fatalf("empty set victim: %d %v", v, ok)
+	v, fr := fs.victim(s)
+	if fr != way(0) || v != fs.frameID(s, 0) {
+		t.Fatalf("empty set victim: %d %p", v, fr)
 	}
 	// Fill ways 0-2 with remaps; way 3 empty -> prefer way 3.
 	for w := 0; w < 3; w++ {
-		fs.setRemap(fs.frameID(s, w), uint64(1000+w))
-		fs.frames[fs.frameID(s, w)].lastUse = uint64(10 + w)
+		fs.setRemap(way(w), uint64(1000+w))
+		way(w).lastUse = uint64(10 + w)
 	}
-	v, ok = fs.victim(s)
-	if !ok || v != fs.frameID(s, 3) {
+	v, fr = fs.victim(s)
+	if fr != way(3) || v != fs.frameID(s, 3) {
 		t.Fatalf("want empty way 3, got %d", v)
 	}
 	// All occupied: LRU (way 0, lastUse 10).
-	fs.setRemap(fs.frameID(s, 3), 1003)
-	fs.frames[fs.frameID(s, 3)].lastUse = 50
-	v, ok = fs.victim(s)
-	if !ok || v != fs.frameID(s, 0) {
+	fs.setRemap(way(3), 1003)
+	way(3).lastUse = 50
+	v, fr = fs.victim(s)
+	if fr != way(0) || v != fs.frameID(s, 0) {
 		t.Fatalf("want LRU way 0, got %d", v)
 	}
 	// Locked frames are skipped.
-	fs.frames[fs.frameID(s, 0)].locked = true
-	v, ok = fs.victim(s)
-	if !ok || v != fs.frameID(s, 1) {
+	way(0).locked = true
+	v, fr = fs.victim(s)
+	if fr != way(1) || v != fs.frameID(s, 1) {
 		t.Fatalf("want way 1 after lock, got %d", v)
 	}
 	// Everything locked: no victim.
 	for w := 0; w < 4; w++ {
-		fs.frames[fs.frameID(s, w)].locked = true
+		way(w).locked = true
 	}
-	if _, ok = fs.victim(s); ok {
+	if _, fr = fs.victim(s); fr != nil {
 		t.Fatal("victim found in fully locked set")
 	}
 }
 
 func TestAgingShiftsCounters(t *testing.T) {
-	fs := newFrameSet(8, 1)
-	fs.frames[3].nmCtr = 40
-	fs.frames[3].fmCtr = 7
-	fs.age()
-	if fs.frames[3].nmCtr != 20 || fs.frames[3].fmCtr != 3 {
-		t.Fatalf("after age: nm=%d fm=%d", fs.frames[3].nmCtr, fs.frames[3].fmCtr)
+	r := newRig(nil)
+	fr := r.c.fs.get(3)
+	fr.nmCtr = 40
+	fr.fmCtr = 7
+	r.c.ageAndUnlock()
+	if fr.nmCtr != 20 || fr.fmCtr != 3 {
+		t.Fatalf("after age: nm=%d fm=%d", fr.nmCtr, fr.fmCtr)
+	}
+}
+
+// TestSetMajorLayout: for every associativity over several geometries, at
+// places each frame id at its own storage slot, with a set's ways adjacent
+// in way order, and findRemap and victim over the set-major storage agree
+// with a brute-force scan over frame ids.
+func TestSetMajorLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, ways := range []int{1, 2, 4} {
+		for _, nm := range []uint64{4, 8, 12, 20, 36, 64, 100} {
+			fs := newFrameSet(nm, ways)
+			seen := make([]bool, nm)
+			for f := uint64(0); f < nm; f++ {
+				i := fs.at(f)
+				if i >= nm || seen[i] {
+					t.Fatalf("ways %d, %d frames: at(%d) = %d repeats or overflows", ways, nm, f, i)
+				}
+				seen[i] = true
+				if want := fs.setOf(f)*uint64(ways) + uint64(fs.wayOf(f)); i != want {
+					t.Fatalf("ways %d, %d frames: at(%d) = %d, want set-major %d", ways, nm, f, i, want)
+				}
+			}
+			// Random remaps (FM blocks congruent to the frame's set, a few
+			// repeated across ways), locks and LRU stamps with ties.
+			for f := uint64(0); f < nm; f++ {
+				fr := fs.get(f)
+				if rng.Intn(3) > 0 {
+					fs.setRemap(fr, nm+fs.setOf(f)+uint64(rng.Intn(3))*fs.sets)
+				}
+				fr.locked = rng.Intn(4) == 0
+				fr.lastUse = uint64(rng.Intn(4))
+			}
+			for s := uint64(0); s < fs.sets; s++ {
+				// Brute force: the set's frame ids in ascending (way) order.
+				var ids []uint64
+				for f := uint64(0); f < nm; f++ {
+					if fs.setOf(f) == s {
+						ids = append(ids, f)
+					}
+				}
+				for k := uint64(0); k < 3; k++ {
+					b := nm + s + k*fs.sets
+					want, found := uint64(0), false
+					for _, f := range ids {
+						if fs.get(f).remap == uint32(b+1) {
+							want, found = f, true
+							break
+						}
+					}
+					if got, fr := fs.findRemap(s, b); (fr != nil) != found || got != want || (found && fr != fs.get(want)) {
+						t.Fatalf("ways %d, %d frames: findRemap(%d, %d) = %d %v, brute force %d %v", ways, nm, s, b, got, fr != nil, want, found)
+					}
+				}
+				want, found := uint64(0), false
+				for _, f := range ids {
+					fr := fs.get(f)
+					if fr.locked {
+						continue
+					}
+					if !fr.interleaved() {
+						want, found = f, true
+						break
+					}
+					if !found || fr.lastUse < fs.get(want).lastUse {
+						want, found = f, true
+					}
+				}
+				if got, fr := fs.victim(s); (fr != nil) != found || got != want || (found && fr != fs.get(want)) {
+					t.Fatalf("ways %d, %d frames: victim(%d) = %d %v, brute force %d %v", ways, nm, s, got, fr != nil, want, found)
+				}
+			}
+		}
+	}
+}
+
+// unlockLog records the frames of Unlock events.
+type unlockLog struct {
+	frames, blocks []uint64
+}
+
+func (*unlockLog) Demand(uint64, mem.Location, bool) {}
+func (*unlockLog) Capture(mem.Location)              {}
+func (*unlockLog) Deliver(_, _ mem.Location)         {}
+func (*unlockLog) Relocate(_, _ mem.Location)        {}
+func (*unlockLog) Swap(_, _ mem.Location)            {}
+func (*unlockLog) Lock(uint64, uint64, bool)         {}
+func (l *unlockLog) Unlock(frame, block uint64) {
+	l.frames = append(l.frames, frame)
+	l.blocks = append(l.blocks, block)
+}
+
+// TestAgingUnlocksInFrameOrder: one aging pass over a 4-way table that
+// unlocks several frames reports the unlocks in ascending frame id, not in
+// set-major storage order, each with the block it pinned.
+func TestAgingUnlocksInFrameOrder(t *testing.T) {
+	r := newRig(nil) // 128 frames, 32 sets of 4 ways
+	log := &unlockLog{}
+	r.sys.AttachObserver(log)
+	fs := r.c.fs
+	// Frame ids in storage order 32, 1, 65, 2 (slots 1, 4, 6, 8).
+	locks := []struct {
+		f    uint64
+		home bool
+	}{{65, false}, {2, true}, {32, true}, {1, false}}
+	for _, l := range locks {
+		fr := fs.get(l.f)
+		if !l.home {
+			fr.bits = memunits.Full
+			fs.setRemap(fr, rigNMBlocks+l.f)
+		}
+		fs.setLock(fr, true, l.home)
+	}
+	r.c.ageAndUnlock()
+	if want := []uint64{1, 2, 32, 65}; !slices.Equal(log.frames, want) {
+		t.Fatalf("unlocked frames %v, want ascending %v", log.frames, want)
+	}
+	if want := []uint64{rigNMBlocks + 1, 2, 32, rigNMBlocks + 65}; !slices.Equal(log.blocks, want) {
+		t.Fatalf("unlocked blocks %v, want %v", log.blocks, want)
+	}
+	if n := fs.recount(); n.locked != 0 || n != fs.counts {
+		t.Fatalf("after aging: counts %+v, recount %+v", fs.counts, n)
 	}
 }
 

@@ -20,42 +20,33 @@ type Snapshot struct {
 	SetOccupancy []int
 }
 
-// Snapshot captures the current frame state. It allocates its per-set
-// tables on every call: it is the debugging view, not the epoch path.
+// Snapshot captures the current frame state. It allocates its occupancy
+// table on every call: it is the debugging view, not the epoch path.
 func (c *Controller) Snapshot() Snapshot {
+	fs := c.fs
 	s := Snapshot{
-		Frames:       len(c.fs.frames),
-		Sets:         int(c.fs.sets),
-		Ways:         c.fs.ways,
-		SetOccupancy: make([]int, c.fs.ways+1),
+		Frames:       len(fs.frames),
+		Sets:         int(fs.sets),
+		Ways:         fs.ways,
+		SetOccupancy: make([]int, fs.ways+1),
 	}
-	n := c.fs.recount()
+	n := fs.recount()
 	s.Locked, s.LockedHome = n.locked, n.lockedHome
 	s.Interleaved, s.ResidentSubblocks = n.interleaved, n.resident
-	perSet := make([]int, c.fs.sets)
-	for i := range c.fs.frames {
-		fr := &c.fs.frames[i]
-		if !fr.interleaved() {
-			continue
+	for set := uint64(0); set < fs.sets; set++ {
+		occupied := 0
+		for _, fr := range fs.set(set) {
+			if !fr.interleaved() {
+				continue
+			}
+			occupied++
+			k := fr.bits.Count()
+			s.BitsHistogram[k]++
+			if k == memunits.SubblocksPerBlock {
+				s.FullyResident++
+			}
 		}
-		perSet[c.fs.setOf(uint64(i))]++
-		n := fr.bits.Count()
-		s.BitsHistogram[n]++
-		if n == memunits.SubblocksPerBlock {
-			s.FullyResident++
-		}
-	}
-	for _, n := range perSet {
-		s.SetOccupancy[n]++
+		s.SetOccupancy[occupied]++
 	}
 	return s
-}
-
-// MeanResidency returns the average number of resident subblocks per
-// interleaved frame (0 when nothing is interleaved).
-func (s Snapshot) MeanResidency() float64 {
-	if s.Interleaved == 0 {
-		return 0
-	}
-	return float64(s.ResidentSubblocks) / float64(s.Interleaved)
 }

@@ -56,6 +56,8 @@ func FuzzMachine(f *testing.F) {
 	f.Add(pom, uint8(1), uint16(5), uint16(4), int8(2), int8(4), int8(6), uint32(4096), int8(32), int8(32), uint8(1), uint8(1))
 	f.Add(pom, uint8(1), uint16(6), uint16(4), int8(4), int8(4), int8(6), uint32(4096), int8(32), int8(32), uint8(1), uint8(1))
 	silc := uint8(len(fuzzSchemes) - 1)
+	f.Add(silc, uint8(1), uint16(5), uint16(4), int8(1), int8(2), int8(6), uint32(4096), int8(32), int8(32), uint8(1), uint8(1))
+	f.Add(silc, uint8(1), uint16(6), uint16(4), int8(1), int8(4), int8(6), uint32(4096), int8(32), int8(32), uint8(1), uint8(1))
 	f.Add(silc, uint8(2), uint16(64), uint16(4), int8(1), int8(4), int8(-1), uint32(4096), int8(32), int8(32), uint8(8), uint8(4))
 	f.Add(silc, uint8(2), uint16(64), uint16(4), int8(1), int8(4), int8(9), uint32(4096), int8(32), int8(32), uint8(8), uint8(4))
 	f.Add(uint8(2), uint8(2), uint16(64), uint16(4), int8(1), int8(4), int8(6), uint32(0), int8(32), int8(32), uint8(8), uint8(4))

@@ -237,9 +237,9 @@ func Run(spec Spec) (res *Result, err error) {
 	if spec.InstrPerCore == 0 {
 		spec.InstrPerCore = 1 << 20
 	}
-	// Capture the effective spec before workload-class scaling mutates
-	// InstrPerCore: the manifest fingerprint hashes the declared run, and
-	// the Telemetry pointer must not outlive its writers.
+	// The manifest spec is the declared run (workload-class scaling applies
+	// to the per-core targets only), without the Telemetry pointer, which
+	// must not outlive its writers.
 	manifestSpec := spec
 	manifestSpec.Telemetry = nil
 	manifestSpec.Publish = nil
@@ -251,20 +251,7 @@ func Run(spec Spec) (res *Result, err error) {
 	var needBytes uint64
 	wlLabel := spec.Workload
 
-	// lookupParams resolves and scales one benchmark's parameters.
-	lookupParams := func(name string) (workload.Params, error) {
-		params, ok := workload.Spec(name)
-		if !ok {
-			return params, fmt.Errorf("harness: unknown workload %q", name)
-		}
-		if spec.FootScaleNum > 0 && spec.FootScaleDen > 0 {
-			params = workload.ScaleFootprint(params, spec.FootScaleNum, spec.FootScaleDen)
-		}
-		return params, nil
-	}
-
-	switch {
-	case spec.TracePath != "":
+	if spec.TracePath != "" {
 		rp, err := loadTrace(spec.TracePath)
 		if err != nil {
 			return nil, err
@@ -277,12 +264,21 @@ func Run(spec Spec) (res *Result, err error) {
 			targets[i] = spec.InstrPerCore
 		}
 		needBytes = rp.FootprintBytes() * uint64(m.Cores)
-	case len(spec.Mix) > 0:
-		wlLabel = "mix(" + strings.Join(spec.Mix, ",") + ")"
+	} else {
+		// A single benchmark runs as a mix of one: core i runs
+		// mix[i mod len(mix)].
+		mix := []string{spec.Workload}
+		if len(spec.Mix) > 0 {
+			mix = spec.Mix
+			wlLabel = "mix(" + strings.Join(mix, ",") + ")"
+		}
 		for i := range gens {
-			params, err := lookupParams(spec.Mix[i%len(spec.Mix)])
-			if err != nil {
-				return nil, err
+			params, ok := workload.Spec(mix[i%len(mix)])
+			if !ok {
+				return nil, fmt.Errorf("harness: unknown workload %q", mix[i%len(mix)])
+			}
+			if spec.FootScaleNum > 0 && spec.FootScaleDen > 0 {
+				params = workload.ScaleFootprint(params, spec.FootScaleNum, spec.FootScaleDen)
 			}
 			gens[i] = workload.NewSynthetic(params, m.Seed+int64(i)*7919)
 			targets[i] = spec.InstrPerCore
@@ -291,19 +287,6 @@ func Run(spec Spec) (res *Result, err error) {
 			}
 			needBytes += uint64(params.FootprintPages) * m.PageSize
 		}
-	default:
-		params, err := lookupParams(spec.Workload)
-		if err != nil {
-			return nil, err
-		}
-		if spec.ScaleInstrByClass {
-			spec.InstrPerCore *= params.Class.InstrScale()
-		}
-		for i := range gens {
-			gens[i] = workload.NewSynthetic(params, m.Seed+int64(i)*7919)
-			targets[i] = spec.InstrPerCore
-		}
-		needBytes = uint64(params.FootprintPages) * m.PageSize * uint64(m.Cores)
 	}
 
 	// Capacity check: rate mode must fit every instance.

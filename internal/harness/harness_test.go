@@ -102,8 +102,8 @@ func TestRunRejectsBadCounterBits(t *testing.T) {
 // 1 MiB: the placement tables are paged on first write, so a full-size
 // identity fill (CAMEO's table alone held 10 MiB) fails here. SILC-FM
 // keeps the paper's metadata for each of its 65,536 NM frames, 32 B a
-// frame plus a 4 B remap mirror, next to a 512 KiB history table: it must
-// stay under 3 MiB (48 B frames and an 8 B mirror took 4.05 MiB in all).
+// frame, next to a 512 KiB history table: it must stay under 3 MiB (48 B
+// frames and an 8 B remap mirror took 4.05 MiB in all).
 // The rand policy is not built: its shuffled hand-out order is 4 B a frame.
 func TestPlacementTablesCostWhatRunsTouch(t *testing.T) {
 	allocated := func(build func()) uint64 {
