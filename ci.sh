@@ -20,13 +20,14 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 trap 'exit 1' INT TERM
 
-# The observability packages (stats counters, memory-system attribution,
-# manifest encoding, telemetry writers, health detector, live server,
-# exemplar and flight recorders) gate everything downstream and their
-# tests are quick.
-fast_pkgs="./internal/stats ./internal/mem ./internal/telemetry ./internal/manifest
-./internal/health ./internal/telemetry/live ./internal/telemetry/exemplar
-./internal/flightrec"
+# The observability packages (stats counters and top-K tables, the
+# memunits slabs and rings that hold plane state, memory-system
+# attribution, manifest encoding, telemetry writers, health detector, live
+# server, exemplar and flight recorders) gate everything downstream and
+# their tests are quick.
+fast_pkgs="./internal/stats ./internal/memunits ./internal/mem ./internal/telemetry
+./internal/manifest ./internal/health ./internal/telemetry/live
+./internal/telemetry/exemplar ./internal/flightrec"
 
 # Fast-fail stage: formatting, vet and build over the whole module, vet and
 # tests of the nested perfbench module (the root ./... patterns skip it, and

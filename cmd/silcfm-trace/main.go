@@ -400,20 +400,17 @@ func printTopK(rp *workload.Replay, k int) {
 		pcs[r.PC]++
 	}
 	top := func(m map[uint64]uint64) []kc {
-		out := make([]kc, 0, len(m))
-		for key, c := range m {
-			out = append(out, kc{key, c})
-		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].count != out[j].count {
-				return out[i].count > out[j].count
+		t := stats.NewTopK(k, func(a, b *kc) bool {
+			if a.count != b.count {
+				return a.count > b.count
 			}
-			return out[i].key < out[j].key
+			return a.key < b.key
 		})
-		if len(out) > k {
-			out = out[:k]
+		var e kc
+		for e.key, e.count = range m {
+			t.Insert(&e)
 		}
-		return out
+		return t.Sorted()
 	}
 	fmt.Printf("top %d pages (of %d):\n", k, len(pages))
 	for _, e := range top(pages) {

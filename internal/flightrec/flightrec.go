@@ -106,10 +106,17 @@ type epochSlot struct {
 	sample     *telemetry.Sample
 	ruleOpen   [health.NumKinds]bool
 	ruleSev    [health.NumKinds]float64
-	off        [topK]Offender // count desc then block asc
-	nOff       int
-	offTotal   int    // distinct blocks seen this epoch
-	offDropped uint64 // table-overflow demands not attributed to a block
+	off        []Offender // hotter order; the buffer is reused with the slot
+	offTotal   int        // distinct blocks seen this epoch
+	offDropped uint64     // table-overflow demands not attributed to a block
+}
+
+// hotter ranks offenders: demand count desc, then block asc.
+func hotter(a, b *Offender) bool {
+	if a.Demands != b.Demands {
+		return a.Demands > b.Demands
+	}
+	return a.Block < b.Block
 }
 
 // Recorder is one run's flight recorder. It implements mem.Observer,
@@ -126,19 +133,14 @@ type Recorder struct {
 
 	kinds []string // health.Kinds(), index-aligned with slot rule traces
 
-	// Epoch history ring: last historyEpochs epochs, oldest at (head) when
-	// full. head is the next write position; n <= historyEpochs.
-	ring [historyEpochs]epochSlot
-	head int
-	n    int
+	epochs memunits.Ring[epochSlot] // the last historyEpochs epochs
+	events memunits.Ring[event]     // the last eventRing movement events
 
-	// Movement-event ring.
-	events [eventRing]event
-	evHead int
-	evN    int
-
-	// Offender table for the current epoch.
-	off *stats.BoundedTable[offCount]
+	// Offender table for the current epoch, and its top-K ranking with a
+	// reused candidate.
+	off  *stats.BoundedTable[offCount]
+	rank *stats.TopK[Offender]
+	cand Offender
 
 	cap          *capture
 	bundles      []*Bundle
@@ -183,7 +185,10 @@ func New(cfg Config, sys *mem.System, fingerprint, run string) *Recorder {
 		fingerprint: fingerprint,
 		run:         run,
 		kinds:       health.Kinds(),
+		epochs:      memunits.NewRing[epochSlot](historyEpochs),
+		events:      memunits.NewRing[event](eventRing),
 		off:         stats.NewBoundedTable[offCount](offenderTableMax),
+		rank:        stats.NewTopK(topK, hotter),
 	}
 }
 
@@ -256,14 +261,7 @@ func (r *Recorder) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint
 // push appends ev to the event ring (overwriting the oldest when full) and,
 // during a capture, to the capture's bounded event list.
 func (r *Recorder) push(ev event) {
-	r.events[r.evHead] = ev
-	r.evHead++
-	if r.evHead == len(r.events) {
-		r.evHead = 0
-	}
-	if r.evN < len(r.events) {
-		r.evN++
-	}
+	*r.events.Push() = ev
 	if c := r.cap; c != nil {
 		if len(c.events) < maxBundleEvents {
 			c.events = append(c.events, jsonEvent(&ev))
@@ -281,14 +279,7 @@ func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 		return
 	}
 	// Record the epoch into the history ring.
-	slot := &r.ring[r.head]
-	r.head++
-	if r.head == len(r.ring) {
-		r.head = 0
-	}
-	if r.n < len(r.ring) {
-		r.n++
-	}
+	slot := r.epochs.Push()
 	r.fillSlot(slot, st, hs)
 
 	// Advance the capture state machine.
@@ -339,39 +330,20 @@ func (r *Recorder) fillSlot(slot *epochSlot, st telemetry.EpochState, hs health.
 		}
 	}
 
-	// Offender top-K: deterministic selection (count desc, block asc) over
-	// the table, then clear it for the next epoch.
-	slot.nOff = 0
+	// Offender top-K: deterministic selection (hotter) over the table,
+	// then clear it for the next epoch.
 	slot.offTotal = r.off.Len()
 	slot.offDropped = r.off.Dropped()
+	r.rank.Reset()
 	for i := 0; i < r.off.Len(); i++ {
 		v := r.off.Value(i)
-		r.rankOffender(slot, Offender{Block: r.off.Key(i), Demands: v.demands, LatCycles: v.lat})
+		r.cand.Block, r.cand.Demands = r.off.Key(i), v.demands
+		if o := r.rank.Insert(&r.cand); o != nil {
+			o.LatCycles = v.lat
+		}
 	}
+	slot.off = append(slot.off[:0], r.rank.Sorted()...)
 	r.off.Reset()
-}
-
-// rankOffender insertion-sorts o into slot's fixed top-K array.
-func (r *Recorder) rankOffender(slot *epochSlot, o Offender) {
-	worse := func(a, b Offender) bool { // is a ranked below b?
-		if a.Demands != b.Demands {
-			return a.Demands < b.Demands
-		}
-		return a.Block > b.Block
-	}
-	if slot.nOff == len(slot.off) {
-		if worse(o, slot.off[slot.nOff-1]) {
-			return
-		}
-		slot.nOff--
-	}
-	i := slot.nOff
-	for i > 0 && worse(slot.off[i-1], o) {
-		slot.off[i] = slot.off[i-1]
-		i--
-	}
-	slot.off[i] = o
-	slot.nOff++
 }
 
 // openCapture freezes the history ring as the pre-trigger window and starts
@@ -388,19 +360,10 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 	for _, in := range hs.Open {
 		c.setOpen(in.Kind, true)
 	}
-	c.preEpochs = r.n - 1
-	c.epochs = make([]EpochRecord, 0, r.n+tailEpochs+4)
-	// Oldest-first walk of the ring.
-	start := r.head - r.n
-	if start < 0 {
-		start += len(r.ring)
-	}
-	for i := 0; i < r.n; i++ {
-		j := start + i
-		if j >= len(r.ring) {
-			j -= len(r.ring)
-		}
-		c.epochs = append(c.epochs, r.recordOf(&r.ring[j]))
+	c.preEpochs = r.epochs.Len() - 1
+	c.epochs = make([]EpochRecord, 0, r.epochs.Len()+tailEpochs+4)
+	for i := 0; i < r.epochs.Len(); i++ {
+		c.epochs = append(c.epochs, r.recordOf(r.epochs.At(i)))
 	}
 	if len(c.epochs) > 0 {
 		c.firstEpoch = c.epochs[0].Sample.Epoch
@@ -415,23 +378,18 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 		firstCycle = c.epochs[0].Sample.Cycle - c.epochs[0].Sample.SpanCycles
 	}
 	c.events = make([]EventRecord, 0, maxBundleEvents)
-	evStart := r.evHead - r.evN
-	if evStart < 0 {
-		evStart += len(r.events)
-	}
-	at := func(i int) *event { return &r.events[(evStart+i)%len(r.events)] }
 	// Count the in-window events first: the ring may also hold older ones,
 	// and only the in-window excess over the bound is dropped.
 	inWindow := 0
-	for i := 0; i < r.evN; i++ {
-		if at(i).cycle >= firstCycle {
+	for i := 0; i < r.events.Len(); i++ {
+		if r.events.At(i).cycle >= firstCycle {
 			inWindow++
 		}
 	}
 	skip := max(inWindow-maxBundleEvents, 0)
 	c.evDropped = uint64(skip)
-	for i := 0; i < r.evN; i++ {
-		if ev := at(i); ev.cycle >= firstCycle {
+	for i := 0; i < r.events.Len(); i++ {
+		if ev := r.events.At(i); ev.cycle >= firstCycle {
 			if skip > 0 {
 				skip--
 				continue
@@ -515,7 +473,7 @@ func (r *Recorder) ruleTraces(epochs []EpochRecord) []RuleTrace {
 }
 
 // aggregateOffenders merges every epoch's top-K into a window-wide top-K
-// (demand-count desc, block asc).
+// (hotter order).
 func aggregateOffenders(epochs []EpochRecord, k int) []Offender {
 	sum := map[uint64]*Offender{}
 	for e := range epochs {
@@ -529,29 +487,11 @@ func aggregateOffenders(epochs []EpochRecord, k int) []Offender {
 			}
 		}
 	}
-	out := make([]Offender, 0, len(sum))
+	top := stats.NewTopK(k, hotter)
 	for _, o := range sum {
-		out = append(out, *o)
+		top.Insert(o)
 	}
-	sortOffenders(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-func sortOffenders(out []Offender) {
-	// Insertion sort: the window-wide aggregation is tiny (<= epochs x K).
-	for i := 1; i < len(out); i++ {
-		o := out[i]
-		j := i
-		for j > 0 && (out[j-1].Demands < o.Demands ||
-			(out[j-1].Demands == o.Demands && out[j-1].Block > o.Block)) {
-			out[j] = out[j-1]
-			j--
-		}
-		out[j] = o
-	}
+	return top.Sorted()
 }
 
 // recordOf converts a ring slot into the bundle's JSON-friendly epoch form
@@ -582,7 +522,7 @@ func (r *Recorder) recordOf(slot *epochSlot) EpochRecord {
 			rec.Rules = append(rec.Rules, RuleState{Kind: r.kinds[i], Severity: slot.ruleSev[i]})
 		}
 	}
-	rec.Offenders = append(rec.Offenders, slot.off[:slot.nOff]...)
+	rec.Offenders = append(rec.Offenders, slot.off...)
 	rec.OffenderBlocks = slot.offTotal
 	rec.OffendersDropped = slot.offDropped
 	return rec

@@ -228,7 +228,7 @@ func BuildTrajectory(steps []HistoryStep) *Trajectory {
 		}
 		for _, tm := range trajMetrics {
 			mt := MetricTrajectory{Metric: tm.name, HigherIsBetter: tm.higherBetter, Exact: tm.exact, Direction: DirNone}
-			n := 0
+			n, changed := 0, false
 			for i, s := range steps {
 				pt := TrajectoryPoint{Step: s.Label}
 				if e, ok := byID[i][id]; ok {
@@ -243,6 +243,7 @@ func BuildTrajectory(steps []HistoryStep) *Trajectory {
 				if n == 0 {
 					mt.First, mt.Best, mt.BestStep = pt.Value, pt.Value, pt.Step
 				}
+				changed = changed || pt.Value != mt.First
 				mt.Last = pt.Value
 				if (tm.higherBetter && pt.Value > mt.Best) || (!tm.higherBetter && pt.Value < mt.Best) {
 					mt.Best, mt.BestStep = pt.Value, pt.Step
@@ -253,7 +254,14 @@ func BuildTrajectory(steps []HistoryStep) *Trajectory {
 				if mt.First != 0 {
 					mt.LastOverFirst = mt.Last / mt.First
 				}
-				mt.Direction = direction(tm, mt.Points)
+				switch {
+				case !tm.exact:
+					mt.Direction = direction(mt.First, mt.Last, tm.higherBetter)
+				case changed:
+					mt.Direction = DirChanged
+				default:
+					mt.Direction = DirFlat
+				}
 			}
 			cell.Metrics = append(cell.Metrics, mt)
 		}
@@ -264,48 +272,26 @@ func BuildTrajectory(steps []HistoryStep) *Trajectory {
 	return t
 }
 
-// direction reduces a metric's aligned points to a flag. Exact metrics flag
-// "changed" if any aligned value differs from the first; host metrics
-// compare last against first within the noise band.
-func direction(tm trajMetric, pts []TrajectoryPoint) string {
-	var first, last float64
-	n := 0
-	changed := false
-	for _, p := range pts {
-		if !p.Aligned {
-			continue
-		}
-		if n == 0 {
-			first = p.Value
-		} else if p.Value != first {
-			changed = true
-		}
-		last = p.Value
-		n++
-	}
-	if n < 2 {
-		return DirNone
-	}
-	if tm.exact {
-		if changed {
-			return DirChanged
-		}
-		return DirFlat
-	}
+// direction flags a host-side metric's move from first to last: flat when
+// last/first is within the noise band, else improved or regressed as
+// higherBetter orients it. A first value of 0 has no ratio: any nonzero
+// last then counts as a move up. Exact metrics use DirChanged instead:
+// any aligned value differing from the first is a behavior change.
+func direction(first, last float64, higherBetter bool) string {
+	var up bool
 	if first == 0 {
 		if last == 0 {
 			return DirFlat
 		}
-		if tm.higherBetter {
-			return DirImproved
+		up = true
+	} else {
+		ratio := last / first
+		if math.Abs(ratio-1) <= trajNoiseBand {
+			return DirFlat
 		}
-		return DirRegressed
+		up = ratio > 1
 	}
-	ratio := last / first
-	if math.Abs(ratio-1) <= trajNoiseBand {
-		return DirFlat
-	}
-	if (ratio > 1) == tm.higherBetter {
+	if up == higherBetter {
 		return DirImproved
 	}
 	return DirRegressed
@@ -349,16 +335,8 @@ func fleetSummary(t *Trajectory) []FleetTrajectory {
 			}
 			last = &ft.Points[i]
 		}
-		if first != nil && last != nil && first != last {
-			ratio := last.Ratio / first.Ratio
-			switch {
-			case math.Abs(ratio-1) <= trajNoiseBand:
-				ft.Direction = DirFlat
-			case (ratio > 1) == tm.higherBetter:
-				ft.Direction = DirImproved
-			default:
-				ft.Direction = DirRegressed
-			}
+		if first != last {
+			ft.Direction = direction(first.Ratio, last.Ratio, tm.higherBetter)
 		}
 		out = append(out, ft)
 	}

@@ -48,9 +48,6 @@ func SubblockAddr(b BlockID, idx uint) Addr {
 	return b<<blockShift | Addr(idx)<<subblockShift
 }
 
-// BlockOffset returns a's byte offset within its large block.
-func BlockOffset(a Addr) uint { return uint(a) & (BlockSize - 1) }
-
 // AlignBlock rounds a down to its block base.
 func AlignBlock(a Addr) Addr { return a &^ (BlockSize - 1) }
 
@@ -89,16 +86,5 @@ func (v BitVector) Count() int {
 
 // Full is the vector with all 32 subblocks marked.
 const Full BitVector = 1<<SubblocksPerBlock - 1
-
-// Indices returns the marked subblock indices in ascending order, appended
-// to dst (which may be nil).
-func (v BitVector) Indices(dst []uint) []uint {
-	for i := uint(0); i < SubblocksPerBlock; i++ {
-		if v.Test(i) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
 
 func (v BitVector) String() string { return fmt.Sprintf("%032b", uint32(v)) }

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -101,15 +100,6 @@ func (m *Memory) DemandNMFraction() float64 {
 		return 0
 	}
 	return float64(nm) / float64(nm+fm)
-}
-
-// TotalBytes returns all bytes moved at a level.
-func (m *Memory) TotalBytes(level MemLevel) uint64 {
-	t := uint64(0)
-	for _, b := range m.Bytes[level] {
-		t += b
-	}
-	return t
 }
 
 // MigrationOverheadRatio returns migration+metadata bytes per demand byte, a
@@ -517,16 +507,6 @@ func (t *Table) CSV() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys in sorted order, for deterministic output.
-func SortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 // F formats a float to 3 decimal places for table cells.

@@ -42,17 +42,7 @@ func TestMigrationOverheadRatio(t *testing.T) {
 	}
 }
 
-func TestTotalBytesAndLevels(t *testing.T) {
-	var m Memory
-	m.AddBytes(NM, Demand, 1)
-	m.AddBytes(NM, Migration, 2)
-	m.AddBytes(NM, Metadata, 4)
-	if m.TotalBytes(NM) != 7 {
-		t.Fatalf("TotalBytes = %d, want 7", m.TotalBytes(NM))
-	}
-	if m.TotalBytes(FM) != 0 {
-		t.Fatal("FM should be empty")
-	}
+func TestLevelAndClassNames(t *testing.T) {
 	if NM.String() != "NM" || FM.String() != "FM" {
 		t.Fatal("level names")
 	}
@@ -232,14 +222,6 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("want 4 lines, got %d:\n%s", len(lines), s)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	ks := SortedKeys(m)
-	if len(ks) != 3 || ks[0] != "a" || ks[1] != "b" || ks[2] != "c" {
-		t.Fatalf("SortedKeys = %v", ks)
 	}
 }
 

@@ -8,14 +8,16 @@
 // incidents).
 //
 // Like every observability layer in this repo the recorder is provably
-// inert: it only copies counters into preallocated reservoirs on the
-// simulation goroutine, never schedules events or touches simulation state,
-// so enabling it cannot change Cycles, any stats.Memory counter, or the
-// incident stream. Reservoirs are counted, never grown — K fixed-size slots
-// per path that share the epoch's immutable telemetry sample — so the
-// steady-state admission path allocates nothing. For a fixed seed its
-// output is byte-deterministic: admission uses a total order (latency, then
-// issue cycle, then completion sequence) with no maps in any ordered walk.
+// inert: it only copies counters into bounded reservoirs on the simulation
+// goroutine, never schedules events or touches simulation state, so
+// enabling it cannot change Cycles, any stats.Memory counter, or the
+// incident stream. Each path's reservoir is a stats.TopK of at most K slots
+// that share the epoch's immutable telemetry sample; a completion is ranked
+// through one reused candidate and only an admitted one samples its
+// context, so the steady-state admission path allocates nothing. For a
+// fixed seed its output is byte-deterministic: admission uses a total order
+// (latency, then issue cycle, then completion sequence) with no maps in any
+// ordered walk.
 package exemplar
 
 import (
@@ -103,8 +105,9 @@ type Exemplar struct {
 	Gauges        []mem.Gauge `json:"gauges,omitempty"`
 }
 
-// slot is one reservoir entry. Admission overwrites it in place, so the
-// steady state never allocates.
+// slot is one reservoir entry. Admission copies the candidate's rank keys
+// into a reservoir slot and fills in the rest there, so the steady state
+// never allocates.
 type slot struct {
 	seq      uint64
 	core     int
@@ -122,53 +125,18 @@ type slot struct {
 	open     [health.NumKinds]bool
 }
 
-// reservoir is one path's fixed-capacity worst-K min-heap, keyed by the
-// eviction order: the root is the entry closest to eviction (lowest
-// latency; among ties the latest issue, then the latest completion).
-type reservoir struct {
-	slots [K]slot
-	n     int
-}
-
-// evictsBefore reports whether a is evicted before b (a is "worse" to
-// keep). Total order: latency asc, start cycle desc, seq desc.
-func evictsBefore(a, b *slot) bool {
+// worseFirst ranks reservoir slots worst-first: latency desc, start cycle
+// asc, seq asc. Seq is unique, so the order is total, and a candidate,
+// whose seq is the largest yet, never displaces an incumbent that ties it
+// on latency and start cycle (first-come-keeps).
+func worseFirst(a, b *slot) bool {
 	if a.lat != b.lat {
-		return a.lat < b.lat
+		return a.lat > b.lat
 	}
 	if a.start != b.start {
-		return a.start > b.start
+		return a.start < b.start
 	}
-	return a.seq > b.seq
-}
-
-func (rv *reservoir) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !evictsBefore(&rv.slots[i], &rv.slots[p]) {
-			return
-		}
-		rv.slots[i], rv.slots[p] = rv.slots[p], rv.slots[i]
-		i = p
-	}
-}
-
-func (rv *reservoir) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < rv.n && evictsBefore(&rv.slots[l], &rv.slots[m]) {
-			m = l
-		}
-		if r < rv.n && evictsBefore(&rv.slots[r], &rv.slots[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		rv.slots[i], rv.slots[m] = rv.slots[m], rv.slots[i]
-		i = m
-	}
+	return a.seq < b.seq
 }
 
 // Recorder is one run's exemplar recorder. It implements mem.Observer,
@@ -185,8 +153,9 @@ type Recorder struct {
 
 	kinds []string // health.Kinds(), index-aligned with slot.open
 
-	res [stats.NumDemandPaths]reservoir
-	seq uint64
+	res  [stats.NumDemandPaths]*stats.TopK[slot]
+	seq  uint64
+	cand slot // ranking candidate, reused so admission does not allocate
 
 	// Epoch context as of the last Observe, stamped into slots at
 	// admission (the sample is immutable, so slots share it).
@@ -209,6 +178,9 @@ func New(cfg Config, sys *mem.System, ctl mem.Controller) *Recorder {
 		kinds: health.Kinds(),
 	}
 	r.lp, _ = ctl.(mem.LockProbe)
+	for p := range r.res {
+		r.res[p] = stats.NewTopK(K, worseFirst)
+	}
 	return r
 }
 
@@ -260,32 +232,18 @@ func (r *Recorder) DemandComplete(a *mem.Access, path stats.DemandPath, lat uint
 	if path < 0 || path >= stats.NumDemandPaths {
 		return
 	}
-	rv := &r.res[path]
-	if rv.n < len(rv.slots) {
-		s := &rv.slots[rv.n]
-		r.fill(s, a, lat)
-		rv.n++
-		rv.siftUp(rv.n - 1)
-		return
+	c := &r.cand
+	c.lat, c.start, c.seq = lat, a.Start, r.seq
+	if s := r.res[path].Insert(c); s != nil {
+		r.fill(s, a)
 	}
-	// Full reservoir: admit only if the candidate outranks the eviction
-	// root. The candidate's seq is always the largest, so on a full
-	// latency+issue tie the incumbent keeps its slot (first-come-keeps).
-	root := &rv.slots[0]
-	if lat < root.lat || (lat == root.lat && a.Start > root.start) || (lat == root.lat && a.Start == root.start) {
-		return
-	}
-	r.fill(root, a, lat)
-	rv.siftDown(0)
 }
 
-// fill overwrites s with the completed access, reusing s's buffers.
-func (r *Recorder) fill(s *slot, a *mem.Access, lat uint64) {
-	s.seq = r.seq
+// fill completes an admitted slot, already holding its rank keys (lat,
+// start, seq), with the rest of the access and its completion context.
+func (r *Recorder) fill(s *slot, a *mem.Access) {
 	s.core, s.pc, s.paddr, s.write = a.Core, a.PC, a.PAddr, a.Write
-	s.start = a.Start
 	s.complete = r.eng.Now()
-	s.lat = lat
 	s.spans = a.Spans()
 	s.hasIssue = a.HasIssue
 	s.issue = a.Issue
@@ -375,44 +333,17 @@ func (r *Recorder) Snapshot() []Exemplar {
 		return nil
 	}
 	var total int
-	for p := range r.res {
-		total += r.res[p].n
+	for _, rv := range r.res {
+		total += len(rv.Sorted())
 	}
 	out := make([]Exemplar, 0, total)
-	for p := stats.DemandPath(0); p < stats.NumDemandPaths; p++ {
-		rv := &r.res[p]
-		start := len(out)
-		for i := 0; i < rv.n; i++ {
-			out = append(out, r.exemplarOf(&rv.slots[i], p))
+	for p, rv := range r.res {
+		ss := rv.Sorted()
+		for i := range ss {
+			out = append(out, r.exemplarOf(&ss[i], stats.DemandPath(p)))
 		}
-		sortWorstFirst(out[start:])
 	}
 	return out
-}
-
-// sortWorstFirst insertion-sorts exemplars by latency desc, start cycle
-// asc, seq asc (the reservoirs are tiny).
-func sortWorstFirst(es []Exemplar) {
-	for i := 1; i < len(es); i++ {
-		e := es[i]
-		j := i
-		for j > 0 && rankedBelow(&es[j-1], &e) {
-			es[j] = es[j-1]
-			j--
-		}
-		es[j] = e
-	}
-}
-
-// rankedBelow reports whether a ranks below b in the worst-first order.
-func rankedBelow(a, b *Exemplar) bool {
-	if a.Latency != b.Latency {
-		return a.Latency < b.Latency
-	}
-	if a.StartCycle != b.StartCycle {
-		return a.StartCycle > b.StartCycle
-	}
-	return a.Seq > b.Seq
 }
 
 // Finish returns the final snapshot. Call once, after telemetry Finish has

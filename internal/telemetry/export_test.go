@@ -38,8 +38,8 @@ func (t *Tracer) WriteReference(w io.Writer) error {
 		emit(&traceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: numEvKinds + i,
 			Args: map[string]any{"name": tr}})
 	}
-	for i, n := 0, t.ring.Len(); i < n; i++ {
-		e := t.ring.At((t.next + i) % n)
+	for i := 0; i < t.ring.Len(); i++ {
+		e := t.ring.At(i)
 		emit(&traceEvent{
 			Name: evNames[e.kind], Ph: "i", Ts: e.cycle, Pid: 0, Tid: int(e.kind),
 			S: "t", Args: referenceArgs(e),
@@ -52,8 +52,9 @@ func (t *Tracer) WriteReference(w io.Writer) error {
 			Tid: numEvKinds + sp.track, Args: sp.args,
 		})
 	}
+	total, dropped := t.Events()
 	fmt.Fprintf(bw, "\n],\"otherData\":{\"events\":%d,\"dropped\":%d,\"spans\":%d,\"spans_dropped\":%d}}\n",
-		t.total, t.dropped, len(t.spans), t.spanDropped)
+		total, dropped, len(t.spans), t.spanDropped)
 	return bw.err
 }
 

@@ -179,3 +179,26 @@ func TestHealthzRuleMetadata(t *testing.T) {
 		}
 	}
 }
+
+// TestBundleStoreKeepsNewest overfills the hub's postmortem store: it keeps
+// the newest 256 bundles in arrival order under their arrival ids, and the
+// dropped ids resolve to nothing.
+func TestBundleStoreKeepsNewest(t *testing.T) {
+	g := live.NewRegistry()
+	const n = 300
+	for i := 0; i < n; i++ {
+		g.AddBundle("run", &flightrec.Bundle{Seq: i})
+	}
+	refs := g.Incidents()
+	if len(refs) != 256 {
+		t.Fatalf("store lists %d bundles, want 256", len(refs))
+	}
+	for j, ref := range refs {
+		if want := n - 256 + j; ref.ID != want || g.Bundle(ref.ID).Seq != want {
+			t.Fatalf("listing %d: id %d, want %d", j, ref.ID, want)
+		}
+	}
+	if g.Bundle(n-257) != nil || g.Bundle(n) != nil {
+		t.Error("a dropped or never-stored id resolves to a bundle")
+	}
+}

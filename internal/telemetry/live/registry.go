@@ -8,6 +8,7 @@ import (
 
 	"silcfm/internal/flightrec"
 	"silcfm/internal/health"
+	"silcfm/internal/memunits"
 	"silcfm/internal/stats"
 	"silcfm/internal/telemetry"
 	"silcfm/internal/telemetry/exemplar"
@@ -56,12 +57,9 @@ type Registry struct {
 	runs map[string]*runState
 
 	// bundles is the hub's postmortem store: finalized flight-recorder
-	// bundles in arrival order, bounded by maxStoredBundles (oldest drop
-	// first). Bundles are immutable, so entries share the pointer the
-	// recorder emitted.
-	bundles        []bundleEntry
-	bundleSeq      int
-	bundlesDropped uint64
+	// bundles in arrival order, the last maxStoredBundles kept. Bundles are
+	// immutable, so entries share the pointer the recorder emitted.
+	bundles memunits.Ring[bundleEntry]
 }
 
 // maxStoredBundles bounds the hub-wide postmortem store.
@@ -106,13 +104,8 @@ func (g *Registry) AddBundle(run string, b *flightrec.Bundle) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.bundles = append(g.bundles, bundleEntry{id: g.bundleSeq, run: run, b: b})
-	g.bundleSeq++
-	if len(g.bundles) > maxStoredBundles {
-		over := len(g.bundles) - maxStoredBundles
-		g.bundles = append(g.bundles[:0:0], g.bundles[over:]...)
-		g.bundlesDropped += uint64(over)
-	}
+	id := g.bundles.Len() + int(g.bundles.Dropped()) // bundles ever stored
+	*g.bundles.Push() = bundleEntry{id: id, run: run, b: b}
 }
 
 // Incidents lists the stored bundles in arrival order.
@@ -122,8 +115,9 @@ func (g *Registry) Incidents() []IncidentRef {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]IncidentRef, 0, len(g.bundles))
-	for _, e := range g.bundles {
+	out := make([]IncidentRef, 0, g.bundles.Len())
+	for i := 0; i < g.bundles.Len(); i++ {
+		e := g.bundles.At(i)
 		out = append(out, IncidentRef{
 			ID:         e.id,
 			Run:        e.run,
@@ -150,8 +144,8 @@ func (g *Registry) Bundle(id int) *flightrec.Bundle {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, e := range g.bundles {
-		if e.id == id {
+	for i := 0; i < g.bundles.Len(); i++ {
+		if e := g.bundles.At(i); e.id == id {
 			return e.b
 		}
 	}
@@ -203,7 +197,7 @@ func (g *Registry) Exemplars() []ExemplarSet {
 
 // NewRegistry returns an empty run registry.
 func NewRegistry() *Registry {
-	return &Registry{runs: map[string]*runState{}}
+	return &Registry{runs: map[string]*runState{}, bundles: memunits.NewRing[bundleEntry](maxStoredBundles)}
 }
 
 // ProgressRun is one run's public snapshot: the /progress row.

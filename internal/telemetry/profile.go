@@ -223,17 +223,27 @@ func (p *Profiler) WriteJSONL(w io.Writer) error {
 	}{"summary", p.blocks.Len(), p.pcs.Len(), p.blocks.Dropped(), p.pcs.Dropped()})
 }
 
-// hotter orders profiles for the top-offender tables: demand count
-// descending, then churn descending, then key ascending (a total,
-// deterministic order).
-func hotter(d1, c1, k1, d2, c2, k2 uint64) bool {
-	if d1 != d2 {
-		return d1 > d2
+// hotterBlock and hotterPC order profiles for the top-offender tables:
+// demand count descending, then churn descending, then key ascending (a
+// total, deterministic order).
+func hotterBlock(a, b *BlockProfile) bool {
+	if a.Demands != b.Demands {
+		return a.Demands > b.Demands
 	}
-	if c1 != c2 {
-		return c1 > c2
+	if ca, cb := a.SwapsIn+a.SwapsOut, b.SwapsIn+b.SwapsOut; ca != cb {
+		return ca > cb
 	}
-	return k1 < k2
+	return a.Block < b.Block
+}
+
+func hotterPC(a, b *PCProfile) bool {
+	if a.Demands != b.Demands {
+		return a.Demands > b.Demands
+	}
+	if a.Swaps != b.Swaps {
+		return a.Swaps > b.Swaps
+	}
+	return a.PC < b.PC
 }
 
 func meanLat(sum, n uint64) string {
@@ -248,14 +258,13 @@ func (p *Profiler) TopOffenders(k int) string {
 	if k <= 0 {
 		k = 10
 	}
-	blocks := p.sortedBlocks()
-	sort.SliceStable(blocks, func(i, j int) bool {
-		return hotter(blocks[i].Demands, blocks[i].SwapsIn+blocks[i].SwapsOut, blocks[i].Block,
-			blocks[j].Demands, blocks[j].SwapsIn+blocks[j].SwapsOut, blocks[j].Block)
-	})
-	if len(blocks) > k {
-		blocks = blocks[:k]
+	topBlocks := stats.NewTopK(k, hotterBlock)
+	for i := 0; i < p.blocks.Len(); i++ {
+		b := p.blocks.Value(i)
+		b.Block = p.blocks.Key(i)
+		topBlocks.Insert(b)
 	}
+	blocks := topBlocks.Sorted()
 	bt := &stats.Table{
 		Title:   fmt.Sprintf("top %d blocks by demand (of %d profiled, %d dropped)", len(blocks), p.blocks.Len(), p.blocks.Dropped()),
 		Columns: []string{"block", "demands", "writes", "mean_lat", "swaps_in", "swaps_out", "locks", "unlocks", "bypass", "mispred"},
@@ -266,14 +275,13 @@ func (p *Profiler) TopOffenders(k int) string {
 			u(b.SwapsIn), u(b.SwapsOut), u(b.Locks), u(b.Unlocks), u(b.Bypass), u(b.Mispred))
 	}
 
-	pcs := p.sortedPCs()
-	sort.SliceStable(pcs, func(i, j int) bool {
-		return hotter(pcs[i].Demands, pcs[i].Swaps, pcs[i].PC,
-			pcs[j].Demands, pcs[j].Swaps, pcs[j].PC)
-	})
-	if len(pcs) > k {
-		pcs = pcs[:k]
+	topPCs := stats.NewTopK(k, hotterPC)
+	for i := 0; i < p.pcs.Len(); i++ {
+		c := p.pcs.Value(i)
+		c.PC = p.pcs.Key(i)
+		topPCs.Insert(c)
 	}
+	pcs := topPCs.Sorted()
 	pt := &stats.Table{
 		Title:   fmt.Sprintf("top %d PCs by demand (of %d profiled, %d dropped)", len(pcs), p.pcs.Len(), p.pcs.Dropped()),
 		Columns: []string{"pc", "demands", "writes", "mean_lat", "swaps", "bypass", "mispred"},

@@ -63,12 +63,8 @@ func (e *event) pa() uint64 { return e.x }
 // microseconds (Perfetto's native unit); one trace "thread" per event kind
 // keeps the tracks separable.
 type Tracer struct {
-	eng     *sim.Engine
-	limit   int
-	ring    memunits.Slab[event] // arrival order from next, once full
-	next    int                  // ring write position
-	total   uint64               // events ever observed
-	dropped uint64               // events evicted from the ring
+	eng  *sim.Engine
+	ring memunits.Ring[event]
 
 	// Synthetic duration spans injected after the run (exemplar span
 	// waterfalls), each on a named track appended after the per-kind
@@ -97,24 +93,13 @@ func NewTracer(eng *sim.Engine, limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultTraceLimit
 	}
-	return &Tracer{eng: eng, limit: limit}
+	return &Tracer{eng: eng, ring: memunits.NewRing[event](limit)}
 }
 
 // record stamps and stores one event, overwriting the oldest once the ring
 // is full. x is the event's flat address or block, or b's device address.
 func (t *Tracer) record(kind uint8, write bool, a mem.Location, bLevel stats.MemLevel, x uint64) {
-	t.total++
-	var e *event
-	if t.ring.Len() < t.limit {
-		_, e = t.ring.Push()
-	} else {
-		e = t.ring.At(t.next)
-		if t.next++; t.next == t.limit {
-			t.next = 0
-		}
-		t.dropped++
-	}
-	*e = event{
+	*t.ring.Push() = event{
 		kind: kind, write: write, aLevel: uint8(a.Level), bLevel: uint8(bLevel),
 		cycle: t.eng.Now(), aAddr: a.DevAddr, x: x,
 	}
@@ -157,7 +142,9 @@ func (t *Tracer) Unlock(frame, block uint64) {
 }
 
 // Events reports (recorded, dropped) counts.
-func (t *Tracer) Events() (total, dropped uint64) { return t.total, t.dropped }
+func (t *Tracer) Events() (total, dropped uint64) {
+	return uint64(t.ring.Len()) + t.ring.Dropped(), t.ring.Dropped()
+}
 
 // AddSpan injects a synthetic duration span on the named track (created on
 // first use, after the per-kind instant tracks). Used after the run to lay
@@ -301,12 +288,10 @@ func (t *Tracer) Write(w io.Writer) error {
 		next()
 		buf = appendThreadName(buf, numEvKinds+i, tr)
 	}
-	// Ring in arrival order: [next, len) then [0, next) once wrapped.
-	for _, r := range [2][2]int{{t.next, t.ring.Len()}, {0, t.next}} {
-		for i := r[0]; i < r[1]; i++ {
-			next()
-			buf = appendInstant(buf, t.ring.At(i))
-		}
+	// Ring in arrival order.
+	for i := 0; i < t.ring.Len(); i++ {
+		next()
+		buf = appendInstant(buf, t.ring.At(i))
 	}
 	// Injected duration spans, in insertion order.
 	for i := range t.spans {
@@ -321,8 +306,9 @@ func (t *Tracer) Write(w io.Writer) error {
 		}
 		buf = append(buf, b...)
 	}
+	total, dropped := t.Events()
 	buf = fmt.Appendf(buf, "\n],\"otherData\":{\"events\":%d,\"dropped\":%d,\"spans\":%d,\"spans_dropped\":%d}}\n",
-		t.total, t.dropped, len(t.spans), t.spanDropped)
+		total, dropped, len(t.spans), t.spanDropped)
 	bw.Write(buf)
 	return bw.err
 }

@@ -1,6 +1,9 @@
 package workload
 
-import "silcfm/internal/memunits"
+import (
+	"silcfm/internal/memunits"
+	"silcfm/internal/stats"
+)
 
 // Profile summarizes a reference stream's memory behaviour: the knobs the
 // paper's evaluation discriminates on, measured rather than configured.
@@ -61,22 +64,16 @@ func Characterize(g Generator, n int) Profile {
 		p.SubblocksPerPage = float64(p.Subblocks) / float64(p.Pages)
 	}
 
-	// Top-64 page share via partial selection.
-	counts := make([]int, 0, len(pages))
-	for _, c := range pages {
-		counts = append(counts, c)
+	// Top-64 page share. Pages with equal counts are interchangeable here:
+	// only the sum of the kept counts is used.
+	top64 := stats.NewTopK(64, func(a, b *int) bool { return *a > *b })
+	var c int
+	for _, c = range pages {
+		top64.Insert(&c)
 	}
 	top := 0
-	for k := 0; k < 64 && len(counts) > 0; k++ {
-		best, bi := -1, -1
-		for i, c := range counts {
-			if c > best {
-				best, bi = c, i
-			}
-		}
-		top += best
-		counts[bi] = counts[len(counts)-1]
-		counts = counts[:len(counts)-1]
+	for _, c := range top64.Sorted() {
+		top += c
 	}
 	if p.Refs > 0 {
 		p.Top64Share = float64(top) / float64(p.Refs)

@@ -165,17 +165,6 @@ func New(name string, seed int64) (*Synthetic, bool) {
 	return NewSynthetic(p, seed), true
 }
 
-// ByClass returns benchmark names in a class, in Table III order.
-func ByClass(c MPKIClass) []string {
-	var out []string
-	for _, n := range Names {
-		if specs[n].Class == c {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // ScaleFootprint returns a copy of p with the footprint and hot-set sizes
 // multiplied by num/den, used when shrinking the machine for tests.
 func ScaleFootprint(p Params, num, den int) Params {

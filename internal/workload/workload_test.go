@@ -41,9 +41,12 @@ func TestUnknownBenchmark(t *testing.T) {
 }
 
 func TestClasses(t *testing.T) {
-	low, med, high := ByClass(LowMPKI), ByClass(MediumMPKI), ByClass(HighMPKI)
-	if len(low) != 4 || len(med) != 5 || len(high) != 5 {
-		t.Fatalf("class sizes %d/%d/%d, want 4/5/5 per Table III", len(low), len(med), len(high))
+	sizes := map[MPKIClass]int{}
+	for _, n := range Names {
+		sizes[specs[n].Class]++
+	}
+	if low, med, high := sizes[LowMPKI], sizes[MediumMPKI], sizes[HighMPKI]; low != 4 || med != 5 || high != 5 {
+		t.Fatalf("class sizes %d/%d/%d, want 4/5/5 per Table III", low, med, high)
 	}
 	if LowMPKI.String() != "low" || MediumMPKI.String() != "medium" || HighMPKI.String() != "high" {
 		t.Fatal("class names")
