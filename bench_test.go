@@ -106,11 +106,12 @@ func BenchmarkTableIIIWorkloads(b *testing.B) {
 func BenchmarkFigure6Breakdown(b *testing.B) {
 	var tbl *Table
 	for i := 0; i < b.N; i++ {
-		f6, t, err := harness.Figure6(benchExp("milc", "gems", "mcf", "xalanc").expConfig())
+		f, err := harness.RunFigures(benchExp("milc", "gems", "mcf", "xalanc").expConfig(), "fig6")
 		if err != nil {
 			b.Fatal(err)
 		}
-		tbl = t
+		f6 := f.Fig6
+		tbl = f.Figure6()
 		if r := f6.GeoMeanSpeedup("rand"); r > 0 {
 			b.ReportMetric(f6.GeoMeanSpeedup("+bypass")/r-1, "total-over-static")
 		}
@@ -169,11 +170,12 @@ func BenchmarkFigure8BandwidthSplit(b *testing.B) {
 func BenchmarkFigure9Capacity(b *testing.B) {
 	var tbl *Table
 	for i := 0; i < b.N; i++ {
-		t, sweeps, err := harness.Figure9(benchExp("milc", "lbm").expConfig())
+		f, err := harness.RunFigures(benchExp("milc", "lbm").expConfig(), "fig9")
 		if err != nil {
 			b.Fatal(err)
 		}
-		tbl = t
+		sweeps := f.Fig9
+		tbl = f.Figure9()
 		// sweeps run at NM = FM/16, FM/8, FM/4 in that order.
 		b.ReportMetric(sweeps[0].GeoMeanSpeedup("silc"), "silc-geomean-1/16")
 		b.ReportMetric(sweeps[2].GeoMeanSpeedup("silc"), "silc-geomean-1/4")

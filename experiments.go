@@ -1,7 +1,6 @@
 package silcfm
 
 import (
-	"silcfm/internal/config"
 	"silcfm/internal/harness"
 	"silcfm/internal/stats"
 )
@@ -25,21 +24,8 @@ type ExperimentOptions struct {
 }
 
 func (o ExperimentOptions) expConfig() harness.ExpConfig {
-	m := config.Default()
-	if o.Cores > 0 {
-		m.Cores = o.Cores
-	}
-	if o.NMCapacity > 0 {
-		m.NM = config.HBM(o.NMCapacity)
-	}
-	if o.FMCapacity > 0 {
-		m.FM = config.DDR3(o.FMCapacity)
-	}
-	if o.Seed != 0 {
-		m.Seed = o.Seed
-	}
 	cfg := harness.ExpConfig{
-		Machine:      m,
+		Machine:      tableII(o.Cores, o.NMCapacity, o.FMCapacity, o.Seed),
 		InstrPerCore: o.InstrPerCore,
 		Workloads:    o.Workloads,
 		Parallelism:  o.Parallelism,

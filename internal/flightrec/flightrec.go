@@ -40,8 +40,8 @@ const (
 	maxBundleEvents = 2048
 	// topK is how many offender blocks each epoch snapshot keeps.
 	topK = 8
-	// maxBundles bounds bundles per run; captures past the cap are counted
-	// as dropped.
+	// maxBundles bounds bundles per run; incident opens past the cap start
+	// no capture.
 	maxBundles = 8
 	// maxCaptureEpochs bounds one capture's epoch record (pre-window
 	// included) so a never-closing incident cannot grow a bundle without
@@ -99,16 +99,16 @@ type offCount struct {
 	lat     uint64
 }
 
-// epochSlot is one history-ring entry: the epoch's telemetry sample (kept,
-// never copied: samples are immutable), the per-rule health trace and the
-// epoch's offender top-K.
+// epochSlot is one history-ring entry: the epoch's telemetry sample and
+// the incidents open at its boundary (both kept, never copied: samples and
+// health statuses are immutable), and the epoch's offender top-K.
 type epochSlot struct {
 	sample     *telemetry.Sample
-	ruleOpen   [health.NumKinds]bool
-	ruleSev    [health.NumKinds]float64
-	off        []Offender // hotter order; the buffer is reused with the slot
-	offTotal   int        // distinct blocks seen this epoch
-	offDropped uint64     // table-overflow demands not attributed to a block
+	open       []health.Incident // detector order
+	off        [topK]Offender    // hotter order, the first nOff valid
+	nOff       int
+	offTotal   int    // distinct blocks seen this epoch
+	offDropped uint64 // table-overflow demands not attributed to a block
 }
 
 // hotter ranks offenders: demand count desc, then block asc.
@@ -131,10 +131,11 @@ type Recorder struct {
 	fingerprint string
 	run         string
 
-	kinds []string // health.Kinds(), index-aligned with slot rule traces
-
-	epochs memunits.Ring[epochSlot] // the last historyEpochs epochs
-	events memunits.Ring[event]     // the last eventRing movement events
+	// The last historyEpochs epochs, each slot allocated on its first use
+	// (a ring page of slots would hold 256, not 16), and the last eventRing
+	// movement events.
+	epochs memunits.Ring[*epochSlot]
+	events memunits.Ring[event]
 
 	// Offender table for the current epoch, and its top-K ranking with a
 	// reused candidate.
@@ -144,7 +145,6 @@ type Recorder struct {
 
 	cap          *capture
 	bundles      []*Bundle
-	dropped      int // captures refused past maxBundles
 	bundleAllocs int // monotone bundle sequence
 }
 
@@ -157,17 +157,9 @@ type capture struct {
 	events     []EventRecord
 	evDropped  uint64
 	epDropped  uint64
-	incidents  []health.Incident // closes observed during the capture
-	openKinds  [health.NumKinds]bool
+	incidents  []health.Incident   // closes observed during the capture
 	quiet      int                 // consecutive all-closed epochs (tail countdown)
 	exemplars  []exemplar.Exemplar // tail reservoirs frozen at open
-}
-
-// setOpen marks kind open or closed in the capture's open set.
-func (c *capture) setOpen(kind string, open bool) {
-	if k := health.KindIndex(kind); k >= 0 {
-		c.openKinds[k] = open
-	}
 }
 
 // New builds a recorder over sys. fingerprint is the run's config
@@ -184,8 +176,7 @@ func New(cfg Config, sys *mem.System, fingerprint, run string) *Recorder {
 		eng:         sys.Eng,
 		fingerprint: fingerprint,
 		run:         run,
-		kinds:       health.Kinds(),
-		epochs:      memunits.NewRing[epochSlot](historyEpochs),
+		epochs:      memunits.NewRing[*epochSlot](historyEpochs),
 		events:      memunits.NewRing[event](eventRing),
 		off:         stats.NewBoundedTable[offCount](offenderTableMax),
 		rank:        stats.NewTopK(topK, hotter),
@@ -280,22 +271,19 @@ func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 	}
 	// Record the epoch into the history ring.
 	slot := r.epochs.Push()
-	r.fillSlot(slot, st, hs)
+	if *slot == nil {
+		*slot = new(epochSlot)
+	}
+	r.fillSlot(*slot, st, hs)
 
 	// Advance the capture state machine.
 	if c := r.cap; c != nil {
 		if len(c.epochs) < maxCaptureEpochs {
-			c.epochs = append(c.epochs, r.recordOf(slot))
+			c.epochs = append(c.epochs, recordOf(*slot))
 		} else {
 			c.epDropped++
 		}
 		c.incidents = append(c.incidents, hs.Closed...)
-		for _, in := range hs.Opened {
-			c.setOpen(in.Kind, true)
-		}
-		for _, in := range hs.Closed {
-			c.setOpen(in.Kind, false)
-		}
 		if len(hs.Open) == 0 {
 			c.quiet++
 			if c.quiet >= tailEpochs {
@@ -306,11 +294,7 @@ func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 		}
 		return
 	}
-	if len(hs.Opened) > 0 {
-		if len(r.bundles) >= maxBundles {
-			r.dropped++
-			return
-		}
+	if len(hs.Opened) > 0 && len(r.bundles) < maxBundles {
 		r.openCapture(st.Sample.Epoch, hs)
 	}
 }
@@ -318,17 +302,7 @@ func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 // fillSlot records one epoch into a ring slot without allocating.
 func (r *Recorder) fillSlot(slot *epochSlot, st telemetry.EpochState, hs health.Status) {
 	slot.sample = st.Sample
-
-	// Per-rule trace: which kinds are open at this boundary, and the open
-	// incident's running peak severity.
-	slot.ruleOpen = [health.NumKinds]bool{}
-	slot.ruleSev = [health.NumKinds]float64{}
-	for i := range hs.Open {
-		if k := health.KindIndex(hs.Open[i].Kind); k >= 0 {
-			slot.ruleOpen[k] = true
-			slot.ruleSev[k] = hs.Open[i].PeakSeverity
-		}
-	}
+	slot.open = health.Ordered(hs.Open)
 
 	// Offender top-K: deterministic selection (hotter) over the table,
 	// then clear it for the next epoch.
@@ -342,7 +316,7 @@ func (r *Recorder) fillSlot(slot *epochSlot, st telemetry.EpochState, hs health.
 			o.LatCycles = v.lat
 		}
 	}
-	slot.off = append(slot.off[:0], r.rank.Sorted()...)
+	slot.nOff = copy(slot.off[:], r.rank.Sorted())
 	r.off.Reset()
 }
 
@@ -357,13 +331,10 @@ func (r *Recorder) openCapture(epoch uint64, hs health.Status) {
 	if r.cfg.Exemplars != nil {
 		c.exemplars = r.cfg.Exemplars()
 	}
-	for _, in := range hs.Open {
-		c.setOpen(in.Kind, true)
-	}
 	c.preEpochs = r.epochs.Len() - 1
 	c.epochs = make([]EpochRecord, 0, r.epochs.Len()+tailEpochs+4)
 	for i := 0; i < r.epochs.Len(); i++ {
-		c.epochs = append(c.epochs, r.recordOf(r.epochs.At(i)))
+		c.epochs = append(c.epochs, recordOf(*r.epochs.At(i)))
 	}
 	if len(c.epochs) > 0 {
 		c.firstEpoch = c.epochs[0].Sample.Epoch
@@ -429,13 +400,12 @@ func (r *Recorder) finalize(forced bool) {
 		b.FirstEpoch, b.LastEpoch = first.Epoch, last.Epoch
 		b.FirstCycle, b.LastCycle = first.Cycle-first.SpanCycles, last.Cycle
 	}
-	// Open kinds at finalize, in detector order (forced flushes only).
-	for i, k := range r.kinds {
-		if c.openKinds[i] {
-			b.OpenKinds = append(b.OpenKinds, k)
-		}
+	// Kinds open at the last boundary, in detector order (a capture ends
+	// unforced only after tailEpochs boundaries with none open).
+	for _, in := range (*r.epochs.At(r.epochs.Len() - 1)).open {
+		b.OpenKinds = append(b.OpenKinds, in.Kind)
 	}
-	b.Rules = r.ruleTraces(c.epochs)
+	b.Rules = ruleTraces(c.epochs)
 	b.Offenders = aggregateOffenders(c.epochs, topK)
 	r.bundles = append(r.bundles, b)
 	if r.cfg.OnBundle != nil {
@@ -444,10 +414,10 @@ func (r *Recorder) finalize(forced bool) {
 }
 
 // ruleTraces reduces the per-epoch rule columns into one trace per rule
-// that fired anywhere in the window.
-func (r *Recorder) ruleTraces(epochs []EpochRecord) []RuleTrace {
+// that fired anywhere in the window, in detector order.
+func ruleTraces(epochs []EpochRecord) []RuleTrace {
 	var out []RuleTrace
-	for _, kind := range r.kinds {
+	for _, kind := range health.Kinds() {
 		tr := RuleTrace{Kind: kind}
 		for e := range epochs {
 			for _, rs := range epochs[e].Rules {
@@ -496,7 +466,7 @@ func aggregateOffenders(epochs []EpochRecord, k int) []Offender {
 
 // recordOf converts a ring slot into the bundle's JSON-friendly epoch form
 // (fresh rows over the shared, immutable sample: bundles outlive the ring).
-func (r *Recorder) recordOf(slot *epochSlot) EpochRecord {
+func recordOf(slot *epochSlot) EpochRecord {
 	rec := EpochRecord{Sample: *slot.sample}
 	// Bundles outlive the run in the hub's store: keep only what they
 	// encode (Attr becomes the per-path rows below).
@@ -517,12 +487,10 @@ func (r *Recorder) recordOf(slot *epochSlot) EpochRecord {
 			Other:      attr.Spans[p][stats.SpanOther],
 		})
 	}
-	for i, open := range slot.ruleOpen {
-		if open {
-			rec.Rules = append(rec.Rules, RuleState{Kind: r.kinds[i], Severity: slot.ruleSev[i]})
-		}
+	for i := range slot.open {
+		rec.Rules = append(rec.Rules, RuleState{Kind: slot.open[i].Kind, Severity: slot.open[i].PeakSeverity})
 	}
-	rec.Offenders = append(rec.Offenders, slot.off...)
+	rec.Offenders = append(rec.Offenders, slot.off[:slot.nOff]...)
 	rec.OffenderBlocks = slot.offTotal
 	rec.OffendersDropped = slot.offDropped
 	return rec
@@ -553,21 +521,4 @@ func (r *Recorder) Finish() []Bundle {
 		out[i] = *b
 	}
 	return out
-}
-
-// Bundles returns pointers to the bundles emitted so far (immutable).
-func (r *Recorder) Bundles() []*Bundle {
-	if r == nil {
-		return nil
-	}
-	return append([]*Bundle(nil), r.bundles...)
-}
-
-// DroppedCaptures reports incident opens refused because maxBundles was
-// already reached.
-func (r *Recorder) DroppedCaptures() int {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
 }

@@ -2,6 +2,7 @@ package flightrec_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,15 +25,30 @@ const (
 	maxBundles      = 8
 )
 
+// rec is a recorder under test with the bundles its OnBundle hook has
+// received, in emission order.
+type rec struct {
+	*flightrec.Recorder
+	bundles []*flightrec.Bundle
+}
+
 // newRec builds a recorder over a bare system (engine only — the synthetic
 // tests feed Observe/DemandComplete directly, no simulation runs).
-func newRec(t *testing.T) *flightrec.Recorder {
+func newRec(t *testing.T) *rec {
 	t.Helper()
-	r := flightrec.New(flightrec.Config{}, &mem.System{Eng: sim.NewEngine()}, "test-fp", "test/run")
-	if r == nil {
+	r := &rec{}
+	onBundle := func(b *flightrec.Bundle) { r.bundles = append(r.bundles, b) }
+	r.Recorder = flightrec.New(flightrec.Config{OnBundle: onBundle},
+		&mem.System{Eng: sim.NewEngine()}, "test-fp", "test/run")
+	if r.Recorder == nil {
 		t.Fatal("New returned nil for an enabled config")
 	}
 	return r
+}
+
+// observer is what feed and trigger drive.
+type observer interface {
+	Observe(telemetry.EpochState, health.Status)
 }
 
 // epochState synthesizes one epoch boundary. Epoch e spans cycles
@@ -56,14 +72,14 @@ func incident(kind string, e uint64) health.Incident {
 }
 
 // feed observes epochs [from, to) with no incident activity.
-func feed(r *flightrec.Recorder, from, to uint64) {
+func feed(r observer, from, to uint64) {
 	for e := from; e < to; e++ {
 		r.Observe(epochState(e), health.Status{})
 	}
 }
 
 // trigger opens kind at epoch e (the incident appears in Opened and Open).
-func trigger(r *flightrec.Recorder, kind string, e uint64) {
+func trigger(r observer, kind string, e uint64) {
 	in := incident(kind, e)
 	r.Observe(epochState(e), health.Status{
 		Open:   []health.Incident{in},
@@ -80,12 +96,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Observe(epochState(0), health.Status{})
 	if b := r.Finish(); b != nil {
 		t.Errorf("nil recorder Finish = %v, want nil", b)
-	}
-	if b := r.Bundles(); b != nil {
-		t.Errorf("nil recorder Bundles = %v, want nil", b)
-	}
-	if d := r.DroppedCaptures(); d != 0 {
-		t.Errorf("nil recorder DroppedCaptures = %d, want 0", d)
 	}
 }
 
@@ -110,12 +120,12 @@ func TestCaptureLifecycle(t *testing.T) {
 	closed.LastEpoch = 19
 	r.Observe(epochState(19), health.Status{Closed: []health.Incident{closed}})
 	feed(r, 20, 22)
-	if n := len(r.Bundles()); n != 0 {
+	if n := len(r.bundles); n != 0 {
 		t.Fatalf("finalized after %d quiet epochs, want %d", tailEpochs-1, tailEpochs)
 	}
 	r.Observe(epochState(22), health.Status{})
 
-	bundles := r.Bundles()
+	bundles := r.bundles
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1 (tail should have finalized)", len(bundles))
 	}
@@ -158,7 +168,7 @@ func TestTriggerAtFirstEpochHasNoPreHistory(t *testing.T) {
 	r := newRec(t)
 	trigger(r, health.KindLockChurn, 0)
 	feed(r, 1, 1+tailEpochs)
-	bundles := r.Bundles()
+	bundles := r.bundles
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
@@ -178,7 +188,7 @@ func TestPreWindowShorterThanHistory(t *testing.T) {
 	feed(r, 0, 2)
 	trigger(r, health.KindQueueSaturation, 2)
 	feed(r, 3, 3+tailEpochs)
-	bundles := r.Bundles()
+	bundles := r.bundles
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
@@ -201,7 +211,7 @@ func TestRingExactWrap(t *testing.T) {
 	feed(r, 0, 2*historyEpochs) // two full revolutions; head back at slot 0
 	trigger(r, health.KindSwapThrash, 2*historyEpochs)
 	feed(r, 2*historyEpochs+1, 2*historyEpochs+1+tailEpochs)
-	bundles := r.Bundles()
+	bundles := r.bundles
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
@@ -247,8 +257,70 @@ func TestForcedFlushAtFinish(t *testing.T) {
 	}
 }
 
-// TestMaxBundlesDropsLaterCaptures: opens past the bundle cap are refused
-// and counted, never silently captured.
+// TestForcedOpenKindsAreTheLastOpenSet: a forced bundle's OpenKinds and its
+// last epoch record's rules name exactly the last boundary's open set, in
+// detector order, after a kind closed and reopened, once across boundaries
+// and once at a single boundary (one close plus one open of the same kind).
+func TestForcedOpenKindsAreTheLastOpenSet(t *testing.T) {
+	r := newRec(t)
+	trigger(r, health.KindSwapThrash, 0)
+	swap, lock := incident(health.KindSwapThrash, 0), incident(health.KindLockChurn, 1)
+	r.Observe(epochState(1), health.Status{Open: []health.Incident{swap, lock}, Opened: []health.Incident{lock}})
+	r.Observe(epochState(2), health.Status{Open: []health.Incident{lock}, Closed: []health.Incident{swap}})
+	swap2 := incident(health.KindSwapThrash, 3)
+	r.Observe(epochState(3), health.Status{Open: []health.Incident{swap2, lock}, Opened: []health.Incident{swap2}})
+	swap3 := incident(health.KindSwapThrash, 4)
+	last := []health.Incident{swap3, lock}
+	r.Observe(epochState(4), health.Status{Open: last, Opened: []health.Incident{swap3}, Closed: []health.Incident{swap2}})
+	out := r.Finish()
+	if len(out) != 1 || !out[0].Forced {
+		t.Fatalf("Finish returned %d bundles, want 1 forced", len(out))
+	}
+	b := out[0]
+	want := []string{health.KindSwapThrash, health.KindLockChurn}
+	if len(b.OpenKinds) != len(want) || b.OpenKinds[0] != want[0] || b.OpenKinds[1] != want[1] {
+		t.Errorf("open kinds = %v, want %v", b.OpenKinds, want)
+	}
+	rules := b.Epochs[len(b.Epochs)-1].Rules
+	if len(rules) != len(want) || rules[0].Kind != want[0] || rules[1].Kind != want[1] {
+		t.Errorf("last epoch rules = %+v, want %v", rules, want)
+	}
+	if len(b.Incidents) != 2 || b.Incidents[0].FirstEpoch != 0 || b.Incidents[1].FirstEpoch != 3 {
+		t.Errorf("incidents = %+v, want the two closed swap-thrash records", b.Incidents)
+	}
+}
+
+// TestHistoryRingAllocatesOnlyItsEpochs: filling the 16-epoch history ring
+// (each epoch with a full offender top-K) allocates one page of slot
+// pointers and 16 slots, not a page of 256 slots.
+func TestHistoryRingAllocatesOnlyItsEpochs(t *testing.T) {
+	r := newRec(t)
+	states := make([]telemetry.EpochState, 2*historyEpochs)
+	for e := range states {
+		states[e] = epochState(uint64(e))
+	}
+	a := &mem.Access{}
+	demands := func() {
+		for blk := uint64(0); blk < 2*topK; blk++ {
+			a.PAddr = blk << 11
+			r.DemandComplete(a, stats.PathNMHit, 10)
+		}
+	}
+	demands() // the offender table's first page, outside the ring
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for e := range states {
+		demands()
+		r.Observe(states[e], health.Status{})
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<10 {
+		t.Errorf("filling the history ring allocated %d bytes, want at most 8 KiB", got)
+	}
+}
+
+// TestMaxBundlesDropsLaterCaptures: opens past the bundle cap are refused:
+// they start no capture, so neither their tail nor Finish emits a bundle.
 func TestMaxBundlesDropsLaterCaptures(t *testing.T) {
 	r := newRec(t)
 	var e uint64
@@ -257,11 +329,11 @@ func TestMaxBundlesDropsLaterCaptures(t *testing.T) {
 		feed(r, e+1, e+1+tailEpochs) // tail -> bundle i, or nothing past the cap
 		e += 1 + tailEpochs
 	}
-	if n := len(r.Bundles()); n != maxBundles {
+	if n := len(r.bundles); n != maxBundles {
 		t.Errorf("got %d bundles, want %d", n, maxBundles)
 	}
-	if d := r.DroppedCaptures(); d != 1 {
-		t.Errorf("DroppedCaptures = %d, want 1", d)
+	if out := r.Finish(); len(out) != maxBundles {
+		t.Errorf("Finish returned %d bundles, want %d (the refused open flushed as forced)", len(out), maxBundles)
 	}
 }
 
@@ -279,7 +351,7 @@ func TestEventExcerptBounds(t *testing.T) {
 		r.Unlock(i, 100+i) // during capture, but the excerpt is already full
 	}
 	feed(r, 1, 1+tailEpochs)
-	bundles := r.Bundles()
+	bundles := r.bundles
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
@@ -352,7 +424,7 @@ func TestOffenderTopK(t *testing.T) {
 	trigger(r, health.KindSwapThrash, 0)
 	hit(42, 2) // next epoch's table starts clean
 	feed(r, 1, 1+tailEpochs)
-	bundles := r.Bundles()
+	bundles := r.bundles
 	if len(bundles) != 1 {
 		t.Fatalf("got %d bundles, want 1", len(bundles))
 	}
@@ -534,7 +606,7 @@ func TestOffenderTableSaturation(t *testing.T) {
 	trigger(r, health.KindSwapThrash, 0)
 	hit(1499, 1)
 	feed(r, 1, 1+tailEpochs)
-	b := r.Bundles()[0]
+	b := r.bundles[0]
 
 	ep0 := b.Epochs[0]
 	if ep0.OffenderBlocks != 1024 {

@@ -385,15 +385,6 @@ func (f *Figures) Figure9() *stats.Table {
 	return t
 }
 
-// Figure6 regenerates the feature-breakdown figure as a one-figure plan.
-func Figure6(cfg ExpConfig) (*SweepResult, *stats.Table, error) {
-	f, err := RunFigures(cfg, "fig6")
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.Fig6, f.Figure6(), nil
-}
-
 // Figure7 regenerates the scheme comparison figure as a one-figure plan.
 func Figure7(cfg ExpConfig) (*SweepResult, *stats.Table, error) {
 	f, err := RunFigures(cfg, "fig7")
@@ -401,29 +392,6 @@ func Figure7(cfg ExpConfig) (*SweepResult, *stats.Table, error) {
 		return nil, nil, err
 	}
 	return f.Fig7, f.Figure7(), nil
-}
-
-// Figure9 sweeps the NM:FM capacity ratio (1/16, 1/8, 1/4) for the
-// migrating schemes as a one-figure plan. It returns one sweep per ratio,
-// named "fig9-<N>" for NM = FM/N.
-func Figure9(cfg ExpConfig) (*stats.Table, []*SweepResult, error) {
-	f, err := RunFigures(cfg, "fig9")
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.Figure9(), f.Fig9, nil
-}
-
-// TableIII reports each workload's measured MPKI and footprint as a
-// one-figure plan: a sweep named "table3" with no variants, so its runs
-// are the "baseline" legs of every other sweep and honour the same
-// per-run options.
-func TableIII(cfg ExpConfig) (*stats.Table, *SweepResult, error) {
-	f, err := RunFigures(cfg, "table3")
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.TableIII(), f.Table3, nil
 }
 
 // Figure8 derives the demand-bandwidth split from a Figure-7-style sweep:

@@ -70,8 +70,9 @@ type Spec struct {
 	// simulation goroutine with that epoch's state and the health status:
 	// the incidents currently open plus the open/close transitions since
 	// the previous epoch. It is the hook the live observability hub
-	// (internal/telemetry/live.Registry) attaches through. The Sample may
-	// be kept; the rest of the referenced state is valid only in the call.
+	// (internal/telemetry/live.Registry) attaches through. The Sample and
+	// the health.Status slices may be kept; the rest of the referenced
+	// state is valid only in the call.
 	Publish func(telemetry.EpochState, health.Status)
 	// Flightrec configures the incident flight recorder
 	// (internal/flightrec). nil means enabled with defaults — every run

@@ -397,11 +397,11 @@ func TestFigure6VariantsOrdered(t *testing.T) {
 
 func TestTableIIISmall(t *testing.T) {
 	cfg := tinyExp()
-	tbl, sw, err := TableIII(cfg)
+	f, err := RunFigures(cfg, "table3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := sw.Baseline
+	tbl, runs := f.TableIII(), f.Table3.Baseline
 	if len(tbl.Rows) != 2 || len(runs) != 2 {
 		t.Fatalf("rows=%d runs=%d", len(tbl.Rows), len(runs))
 	}
@@ -414,7 +414,7 @@ func TestTableIIISmall(t *testing.T) {
 func TestHeadlineComputation(t *testing.T) {
 	cfg := tinyExp()
 	cfg.Workloads = []string{"milc"}
-	f6, _, err := Figure6(cfg)
+	f, err := RunFigures(cfg, "fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestHeadlineComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := ComputeHeadline(f6, f7)
+	h := ComputeHeadline(f.Fig6, f7)
 	if h.BestAlt == "" {
 		t.Fatal("no best alternative identified")
 	}

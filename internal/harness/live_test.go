@@ -173,7 +173,7 @@ func TestTableIIIHonoursPerRunOptions(t *testing.T) {
 	cfg.Live = srv
 	cfg.Progress = &progress
 	cfg.Out.Metrics = dir
-	if _, _, err := TableIII(cfg); err != nil {
+	if _, err := RunFigures(cfg, "table3"); err != nil {
 		t.Fatal(err)
 	}
 	for _, wl := range cfg.Workloads {
@@ -243,7 +243,7 @@ func TestFiguresRegisterDistinctRunIDs(t *testing.T) {
 		}
 		return len(ids)
 	}
-	if _, _, err := Figure6(cfg); err != nil {
+	if _, err := RunFigures(cfg, "fig6"); err != nil {
 		t.Fatal(err)
 	}
 	if n := distinct(); n != 1+5 {

@@ -26,22 +26,20 @@ func TestPlanMatchesSeparateFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, t6, err := Figure6(cfg)
-	if err != nil {
-		t.Fatal(err)
+	alone := func(name string, table func(*Figures) *stats.Table) *stats.Table {
+		one, err := RunFigures(cfg, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return table(one)
 	}
+	t6 := alone("fig6", (*Figures).Figure6)
 	_, t7, err := Figure7(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t9, _, err := Figure9(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, _, err := TableIII(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t9 := alone("fig9", (*Figures).Figure9)
+	t3 := alone("table3", (*Figures).TableIII)
 	for _, c := range []struct{ plan, alone *stats.Table }{
 		{f.TableIII(), t3}, {f.Figure6(), t6}, {f.Figure7(), t7}, {f.Figure9(), t9},
 	} {

@@ -23,7 +23,7 @@ import (
 	"silcfm/internal/telemetry"
 )
 
-// Incident kinds, in detector evaluation order.
+// Incident kinds. The rules table lists them in detector evaluation order.
 const (
 	KindSwapThrash        = "swap-thrash"
 	KindBypassOscillation = "bypass-oscillation"
@@ -32,27 +32,6 @@ const (
 	KindPredictorCollapse = "predictor-collapse"
 	KindRowThrash         = "row-thrash"
 )
-
-// kinds fixes the evaluation (and reporting) order of the detectors.
-var kinds = [...]string{
-	KindSwapThrash, KindBypassOscillation, KindLockChurn,
-	KindQueueSaturation, KindPredictorCollapse, KindRowThrash,
-}
-
-// NumKinds is the number of incident kinds; KindIndex maps each onto
-// 0..NumKinds-1, so per-kind state can live in fixed [NumKinds] arrays.
-const NumKinds = len(kinds)
-
-// KindIndex returns kind's position in detector evaluation order, or -1
-// for an unknown kind.
-func KindIndex(kind string) int {
-	for i, k := range kinds {
-		if k == kind {
-			return i
-		}
-	}
-	return -1
-}
 
 // The detector's sliding window and rule thresholds. They are fixed design
 // constants, not settings: Rules renders exactly these values, so every
@@ -210,13 +189,13 @@ type Detector struct {
 	prevRateValid bool
 	prevToggles   float64
 
-	track [NumKinds]tracker
+	track []tracker // one per rule, in rules order
 	done  []Incident
 }
 
 // NewDetector builds a detector for a machine with cfg's queue capacities.
 func NewDetector(cfg Config) *Detector {
-	return &Detector{cfg: cfg}
+	return &Detector{cfg: cfg, track: make([]tracker, len(rules))}
 }
 
 // Observe feeds one epoch sample (deltas plus gauges) to every detector.
@@ -282,133 +261,106 @@ func (d *Detector) window() obs {
 	return w
 }
 
-// evaluate runs every condition over the current window and advances the
+// evaluate runs every rule over the current window and advances the
 // per-kind incident state machines with this epoch's contribution o.
 func (d *Detector) evaluate(o *obs) {
 	w := d.window()
-
-	// swap-thrash: the window moved more bytes between levels than it
-	// served to the cores.
-	{
-		fire := w.misses >= minWindowMisses && w.DemandBytes > 0 &&
-			float64(w.SwapBytes) > swapThrashRatio*float64(w.DemandBytes)
-		sev := 0.0
-		if fire {
-			sev = float64(w.SwapBytes) / float64(w.DemandBytes) / swapThrashRatio
-		}
-		d.step(KindSwapThrash, fire, sev, o, Evidence{
-			SwapBytes: o.SwapBytes, DemandBytes: o.DemandBytes,
-		})
-	}
-	// bypass-oscillation: the access rate keeps crossing the governor
-	// target, or the governor itself keeps toggling.
-	{
-		worst := w.Crossings
-		if w.BypassToggles > worst {
-			worst = w.BypassToggles
-		}
-		fire := worst >= minCrossings
-		sev := float64(worst) / float64(minCrossings)
-		if !fire {
-			sev = 0
-		}
-		d.step(KindBypassOscillation, fire, sev, o, Evidence{
-			Crossings: o.Crossings, BypassToggles: o.BypassToggles,
-		})
-	}
-	// lock-churn: locks and unlocks both high — residency decisions are
-	// being reversed as fast as they are made.
-	{
-		churn := w.Locks
-		if w.Unlocks < churn {
-			churn = w.Unlocks
-		}
-		fire := churn >= lockChurnMin
-		sev := float64(churn) / float64(lockChurnMin)
-		if !fire {
-			sev = 0
-		}
-		d.step(KindLockChurn, fire, sev, o, Evidence{
-			Locks: o.Locks, Unlocks: o.Unlocks,
-		})
-	}
-	// queue-saturation: a device's per-epoch peak depth pinned near its
-	// queue capacity for much of the window.
-	{
-		sat := func(capacity int, peak func(*obs) int) (int, float64) {
-			if capacity <= 0 {
-				return 0, 0
-			}
-			limit := queueSatFraction * float64(capacity)
-			n, worst := 0, 0.0
-			for i := range d.ring {
-				p := peak(&d.ring[i])
-				if float64(p) >= limit {
-					n++
-				}
-				if f := float64(p) / float64(capacity); f > worst {
-					worst = f
-				}
-			}
-			return n, worst
-		}
-		nNM, sevNM := sat(d.cfg.QueueCapNM, func(o *obs) int { return o.PeakQueueNM })
-		nFM, sevFM := sat(d.cfg.QueueCapFM, func(o *obs) int { return o.PeakQueueFM })
-		fire := nNM >= queueSatEpochs || nFM >= queueSatEpochs
-		sev := sevNM
-		if sevFM > sev {
-			sev = sevFM
-		}
-		if !fire {
-			sev = 0
-		}
-		d.step(KindQueueSaturation, fire, sev, o, Evidence{
-			PeakQueueNM: o.PeakQueueNM, PeakQueueFM: o.PeakQueueFM,
-		})
-	}
-	// predictor-collapse: the way/location predictor is guessing worse
-	// than the floor over a meaningful sample.
-	{
-		samples := w.PredictorHits + w.PredictorMisses
-		acc := 0.0
-		if samples > 0 {
-			acc = float64(w.PredictorHits) / float64(samples)
-		}
-		fire := samples >= predictorMinSamples && acc < predictorFloor
-		sev := 0.0
-		if fire {
-			sev = 1 - acc
-		}
-		d.step(KindPredictorCollapse, fire, sev, o, Evidence{
-			PredictorHits: o.PredictorHits, PredictorMisses: o.PredictorMisses,
-		})
-	}
-	// row-thrash: row-buffer conflicts dominate the window's row activity
-	// while the pressure concentrates on few banks — the access stream keeps
-	// tearing down rows other accesses still want (the pathology a
-	// row-locality-aware placement would steer around).
-	{
-		rate := 0.0
-		if w.RowOps > 0 {
-			rate = float64(w.RowConflicts) / float64(w.RowOps)
-		}
-		fire := w.RowOps >= rowThrashMinOps &&
-			rate > rowThrashConflictRatio &&
-			w.BankImbalance >= rowThrashImbalance
-		sev := 0.0
-		if fire {
-			sev = rate / rowThrashConflictRatio
-		}
-		d.step(KindRowThrash, fire, sev, o, Evidence{
-			RowConflicts: o.RowConflicts, RowOps: o.RowOps, BankImbalance: o.BankImbalance,
-		})
+	for i := range rules {
+		fire, sev, ev := rules[i].eval(d, &w, o)
+		d.step(i, fire, sev, o, ev)
 	}
 }
 
-// step advances one kind's state machine: open or extend on fire, close
-// after closeAfter consecutive quiet evaluations.
-func (d *Detector) step(kind string, fire bool, sev float64, o *obs, ev Evidence) {
-	t := &d.track[KindIndex(kind)]
+// swapThrash: the window moved more bytes between levels than it served to
+// the cores.
+func swapThrash(_ *Detector, w, o *obs) (bool, float64, Evidence) {
+	fire := w.misses >= minWindowMisses && w.DemandBytes > 0 &&
+		float64(w.SwapBytes) > swapThrashRatio*float64(w.DemandBytes)
+	sev := 0.0
+	if fire {
+		sev = float64(w.SwapBytes) / float64(w.DemandBytes) / swapThrashRatio
+	}
+	return fire, sev, Evidence{SwapBytes: o.SwapBytes, DemandBytes: o.DemandBytes}
+}
+
+// bypassOscillation: the access rate keeps crossing the governor target, or
+// the governor itself keeps toggling.
+func bypassOscillation(_ *Detector, w, o *obs) (bool, float64, Evidence) {
+	worst := max(w.Crossings, w.BypassToggles)
+	return worst >= minCrossings, float64(worst) / float64(minCrossings),
+		Evidence{Crossings: o.Crossings, BypassToggles: o.BypassToggles}
+}
+
+// lockChurn: locks and unlocks both high — residency decisions are being
+// reversed as fast as they are made.
+func lockChurn(_ *Detector, w, o *obs) (bool, float64, Evidence) {
+	churn := min(w.Locks, w.Unlocks)
+	return churn >= lockChurnMin, float64(churn) / float64(lockChurnMin),
+		Evidence{Locks: o.Locks, Unlocks: o.Unlocks}
+}
+
+// queueSaturation: a device's per-epoch peak depth pinned near its queue
+// capacity for much of the window.
+func queueSaturation(d *Detector, _, o *obs) (bool, float64, Evidence) {
+	nNM, sevNM := d.saturated(d.cfg.QueueCapNM, func(o *obs) int { return o.PeakQueueNM })
+	nFM, sevFM := d.saturated(d.cfg.QueueCapFM, func(o *obs) int { return o.PeakQueueFM })
+	return nNM >= queueSatEpochs || nFM >= queueSatEpochs, max(sevNM, sevFM),
+		Evidence{PeakQueueNM: o.PeakQueueNM, PeakQueueFM: o.PeakQueueFM}
+}
+
+// saturated counts the ring's epochs whose peak queue depth reached
+// queueSatFraction of capacity, and returns the worst depth as a fraction
+// of capacity; a zero capacity disables the check.
+func (d *Detector) saturated(capacity int, peak func(*obs) int) (int, float64) {
+	if capacity <= 0 {
+		return 0, 0
+	}
+	limit := queueSatFraction * float64(capacity)
+	n, worst := 0, 0.0
+	for i := range d.ring {
+		p := peak(&d.ring[i])
+		if float64(p) >= limit {
+			n++
+		}
+		if f := float64(p) / float64(capacity); f > worst {
+			worst = f
+		}
+	}
+	return n, worst
+}
+
+// predictorCollapse: the way/location predictor is guessing worse than the
+// floor over a meaningful sample.
+func predictorCollapse(_ *Detector, w, o *obs) (bool, float64, Evidence) {
+	samples := w.PredictorHits + w.PredictorMisses
+	acc := 0.0
+	if samples > 0 {
+		acc = float64(w.PredictorHits) / float64(samples)
+	}
+	return samples >= predictorMinSamples && acc < predictorFloor, 1 - acc,
+		Evidence{PredictorHits: o.PredictorHits, PredictorMisses: o.PredictorMisses}
+}
+
+// rowThrash: row-buffer conflicts dominate the window's row activity while
+// the pressure concentrates on few banks — the access stream keeps tearing
+// down rows other accesses still want (the pathology a row-locality-aware
+// placement would steer around).
+func rowThrash(_ *Detector, w, o *obs) (bool, float64, Evidence) {
+	rate := 0.0
+	if w.RowOps > 0 {
+		rate = float64(w.RowConflicts) / float64(w.RowOps)
+	}
+	fire := w.RowOps >= rowThrashMinOps &&
+		rate > rowThrashConflictRatio &&
+		w.BankImbalance >= rowThrashImbalance
+	return fire, rate / rowThrashConflictRatio,
+		Evidence{RowConflicts: o.RowConflicts, RowOps: o.RowOps, BankImbalance: o.BankImbalance}
+}
+
+// step advances rule i's state machine: open or extend on fire (sev is read
+// only then), close after closeAfter consecutive quiet evaluations.
+func (d *Detector) step(i int, fire bool, sev float64, o *obs, ev Evidence) {
+	t := &d.track[i]
 	if !fire {
 		if t.open != nil {
 			t.quiet++
@@ -422,7 +374,7 @@ func (d *Detector) step(kind string, fire bool, sev float64, o *obs, ev Evidence
 	t.quiet = 0
 	if t.open == nil {
 		t.open = &Incident{
-			Kind:       kind,
+			Kind:       rules[i].Kind,
 			FirstEpoch: o.epoch,
 			FirstCycle: o.cycle - o.span,
 		}
@@ -438,7 +390,9 @@ func (d *Detector) step(kind string, fire bool, sev float64, o *obs, ev Evidence
 }
 
 // Open returns copies of the incidents currently firing (or inside their
-// closeAfter grace window), in kind order — the /healthz view.
+// closeAfter grace window), in detector order — the /healthz view. The
+// slice is freshly allocated (nil when nothing is open) and nothing
+// changes it later, so it may be kept.
 func (d *Detector) Open() []Incident {
 	var out []Incident
 	for i := range d.track {
@@ -449,12 +403,17 @@ func (d *Detector) Open() []Incident {
 	return out
 }
 
-// Status is the per-epoch health view handed to publish hooks
-// (harness.Spec.Publish): the incidents currently open plus the open/close
-// transitions that happened at this epoch boundary. Opened incidents carry
-// their initial snapshot; Closed incidents carry the last open snapshot
-// observed before the tracker released them (the definitive final record
-// still lands in Detector.Finish's list).
+// Status is the per-epoch health view handed to the recorders and publish
+// hooks (harness.Spec.Publish): the incidents currently open plus the
+// open/close transitions that happened at this epoch boundary. Opened
+// incidents carry their initial snapshot; Closed incidents carry the last
+// open snapshot observed before the tracker released them (the definitive
+// final record still lands in Detector.Finish's list).
+//
+// Like telemetry.Sample, a Status is the one record of its epoch: its
+// slices are built fresh for the boundary (Open is a Detector.Open result)
+// and never changed afterwards, so consumers keep them instead of copying
+// and must not modify them.
 type Status struct {
 	Open   []Incident
 	Opened []Incident
@@ -503,7 +462,7 @@ func (d *Detector) Finish() []Incident {
 		if d.done[i].FirstEpoch != d.done[j].FirstEpoch {
 			return d.done[i].FirstEpoch < d.done[j].FirstEpoch
 		}
-		return KindIndex(d.done[i].Kind) < KindIndex(d.done[j].Kind)
+		return kindIndex(d.done[i].Kind) < kindIndex(d.done[j].Kind)
 	})
 	return append([]Incident(nil), d.done...)
 }

@@ -673,17 +673,56 @@ func TestIncidentClosesAfterTwoQuietEpochs(t *testing.T) {
 	}
 }
 
-func TestKindIndex(t *testing.T) {
+// TestOpenIsFreshOrderedAndNeverChanged pins the contract the recorders and
+// the live hub rely on when they keep Status.Open: every Open result is a
+// fresh slice (nil when nothing is open) listing the open incidents in
+// detector order, and later epochs never change one already returned.
+func TestOpenIsFreshOrderedAndNeverChanged(t *testing.T) {
+	det := health.NewDetector(health.Config{QueueCapNM: 100})
 	kinds := health.Kinds()
-	if len(kinds) != health.NumKinds {
-		t.Fatalf("%d kinds, NumKinds = %d", len(kinds), health.NumKinds)
-	}
-	for i, k := range kinds {
-		if got := health.KindIndex(k); got != i {
-			t.Errorf("KindIndex(%q) = %d, want %d", k, got, i)
+	var kept, copies [][]health.Incident
+	for e := uint64(0); e < 40; e++ {
+		det.Observe(feed(e, func(s *telemetry.Sample) {
+			if e >= 2 && e < 20 { // lock churn, opening first
+				s.Locks, s.Unlocks = 16, 16
+			}
+			if e >= 5 && e < 30 { // then queue saturation
+				s.PeakQueueNM = 90
+			}
+			if e >= 10 && e < 25 { // then swap thrash, first in detector order
+				s.LLCMisses = 100
+				s.DemandBytesNM = 100 * memunits.SubblockSize
+				s.SwapsIn, s.SwapsOut = 100, 100
+			}
+		}))
+		open := det.Open()
+		if len(open) == 0 && open != nil {
+			t.Fatalf("epoch %d: empty open set is non-nil", e)
 		}
+		next := 0
+		for _, in := range open {
+			for next < len(kinds) && kinds[next] != in.Kind {
+				next++
+			}
+			if next == len(kinds) {
+				t.Fatalf("epoch %d: open set %+v is not in detector order %v", e, open, kinds)
+			}
+			next++
+		}
+		for _, prev := range kept {
+			if len(open) > 0 && len(prev) > 0 && &open[0] == &prev[0] {
+				t.Fatalf("epoch %d: Open reused an earlier result's array", e)
+			}
+		}
+		kept = append(kept, open)
+		copies = append(copies, append([]health.Incident(nil), open...))
 	}
-	if got := health.KindIndex("no-such-kind"); got != -1 {
-		t.Errorf("KindIndex of an unknown kind = %d, want -1", got)
+	if n := len(kept[15]); n != 3 {
+		t.Fatalf("epoch 15 holds %d open incidents, want all 3 rules firing", n)
+	}
+	for e := range kept {
+		if !reflect.DeepEqual(kept[e], copies[e]) {
+			t.Errorf("epoch %d's open set changed after it was returned:\n%+v\nwas\n%+v", e, kept[e], copies[e])
+		}
 	}
 }

@@ -122,7 +122,7 @@ type slot struct {
 	issue    mem.DemandContext
 	done     mem.DemandContext
 	sample   *telemetry.Sample // last epoch boundary before completion; nil before the first
-	open     [health.NumKinds]bool
+	open     []health.Incident // incidents open at that boundary, detector order
 }
 
 // worseFirst ranks reservoir slots worst-first: latency desc, start cycle
@@ -151,16 +151,15 @@ type Recorder struct {
 	ctl mem.Controller
 	lp  mem.LockProbe // ctl's optional lock probe, resolved once
 
-	kinds []string // health.Kinds(), index-aligned with slot.open
-
 	res  [stats.NumDemandPaths]*stats.TopK[slot]
 	seq  uint64
 	cand slot // ranking candidate, reused so admission does not allocate
 
 	// Epoch context as of the last Observe, stamped into slots at
-	// admission (the sample is immutable, so slots share it).
-	sample  *telemetry.Sample
-	openNow [health.NumKinds]bool
+	// admission (the sample and the open set are immutable, so slots share
+	// them).
+	sample *telemetry.Sample
+	open   []health.Incident
 }
 
 // New builds a recorder over sys. ctl, when non-nil, provides completion-time
@@ -171,11 +170,10 @@ func New(cfg Config, sys *mem.System, ctl mem.Controller) *Recorder {
 		return nil
 	}
 	r := &Recorder{
-		cfg:   cfg,
-		eng:   sys.Eng,
-		sys:   sys,
-		ctl:   ctl,
-		kinds: health.Kinds(),
+		cfg: cfg,
+		eng: sys.Eng,
+		sys: sys,
+		ctl: ctl,
 	}
 	r.lp, _ = ctl.(mem.LockProbe)
 	for p := range r.res {
@@ -253,24 +251,20 @@ func (r *Recorder) fill(s *slot, a *mem.Access) {
 	}
 	s.done = r.pointAt(a.PAddr, loc)
 	s.sample = r.sample
-	s.open = r.openNow
+	s.open = r.open
 }
 
 // Observe feeds one telemetry epoch boundary: the recorder keeps the
-// epoch's sample (index and scheme gauges) and open incident kinds as the
-// context stamped onto subsequently admitted exemplars. Called by the
-// harness's OnEpoch chain after the detector has stepped.
+// epoch's sample (index and scheme gauges) and open incidents as the
+// context stamped onto subsequently admitted exemplars. Both are kept, not
+// copied: samples and health statuses are never changed once emitted.
+// Called by the harness's OnEpoch chain after the detector has stepped.
 func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 	if r == nil || st.Sample == nil {
 		return
 	}
 	r.sample = st.Sample
-	r.openNow = [health.NumKinds]bool{}
-	for i := range hs.Open {
-		if k := health.KindIndex(hs.Open[i].Kind); k >= 0 {
-			r.openNow[k] = true
-		}
-	}
+	r.open = health.Ordered(hs.Open)
 	if r.cfg.OnSnapshot != nil {
 		r.cfg.OnSnapshot(r.Snapshot())
 	}
@@ -278,7 +272,7 @@ func (r *Recorder) Observe(st telemetry.EpochState, hs health.Status) {
 
 // exemplarOf converts a reservoir slot into its JSON form (fresh copies:
 // snapshots outlive the reservoir).
-func (r *Recorder) exemplarOf(s *slot, path stats.DemandPath) Exemplar {
+func exemplarOf(s *slot, path stats.DemandPath) Exemplar {
 	e := Exemplar{
 		Path:          path.String(),
 		Seq:           s.seq,
@@ -300,10 +294,8 @@ func (r *Recorder) exemplarOf(s *slot, path stats.DemandPath) Exemplar {
 		p := jsonPoint(&s.issue)
 		e.Issue = &p
 	}
-	for i, open := range s.open {
-		if open {
-			e.OpenIncidents = append(e.OpenIncidents, r.kinds[i])
-		}
+	for i := range s.open {
+		e.OpenIncidents = append(e.OpenIncidents, s.open[i].Kind)
 	}
 	if s.sample != nil {
 		e.Epoch, e.Gauges = s.sample.Epoch, s.sample.Gauges
@@ -340,7 +332,7 @@ func (r *Recorder) Snapshot() []Exemplar {
 	for p, rv := range r.res {
 		ss := rv.Sorted()
 		for i := range ss {
-			out = append(out, r.exemplarOf(&ss[i], stats.DemandPath(p)))
+			out = append(out, exemplarOf(&ss[i], stats.DemandPath(p)))
 		}
 	}
 	return out

@@ -222,6 +222,36 @@ func TestEpochContextStampsOpenIncidents(t *testing.T) {
 	}
 }
 
+// TestAdmittedExemplarKeepsItsIncidents: an exemplar admitted after one
+// boundary keeps that boundary's open incidents when the next boundary
+// opens others (the recorder keeps each boundary's open set, which the
+// next one never changes), and the recorder leaves the kept set as it was.
+func TestAdmittedExemplarKeepsItsIncidents(t *testing.T) {
+	eng, sys, r := newRecorder(t)
+	first := []health.Incident{{Kind: health.KindSwapThrash, FirstEpoch: 1}, {Kind: health.KindLockChurn, FirstEpoch: 2}}
+	r.Observe(telemetry.EpochState{Sample: &telemetry.Sample{Epoch: 3}}, health.Status{Open: first})
+	feed(eng, sys, r, stats.PathNMHit, 64, 100, 50)
+	eng.Run()
+	r.Observe(telemetry.EpochState{Sample: &telemetry.Sample{Epoch: 4}},
+		health.Status{Open: []health.Incident{{Kind: health.KindRowThrash, FirstEpoch: 4}}})
+	feed(eng, sys, r, stats.PathNMHit, 128, 200, 40)
+	eng.Run()
+	r.Observe(telemetry.EpochState{Sample: &telemetry.Sample{Epoch: 5}}, health.Status{})
+	es := r.Finish()
+	if len(es) != 2 {
+		t.Fatalf("captured %d, want 2", len(es))
+	}
+	if want := []string{health.KindSwapThrash, health.KindLockChurn}; es[0].Epoch != 3 || !reflect.DeepEqual(es[0].OpenIncidents, want) {
+		t.Errorf("first exemplar = epoch %d, open %v; want 3, %v", es[0].Epoch, es[0].OpenIncidents, want)
+	}
+	if want := []string{health.KindRowThrash}; es[1].Epoch != 4 || !reflect.DeepEqual(es[1].OpenIncidents, want) {
+		t.Errorf("second exemplar = epoch %d, open %v; want 4, %v", es[1].Epoch, es[1].OpenIncidents, want)
+	}
+	if first[0].Kind != health.KindSwapThrash || first[1].Kind != health.KindLockChurn {
+		t.Errorf("the recorder changed the open set it kept: %+v", first)
+	}
+}
+
 func TestSpanSumEqualsLatency(t *testing.T) {
 	eng, _, r := newRecorder(t)
 	eng.At(100, func() {

@@ -33,6 +33,8 @@ type runState struct {
 	// share it.
 	exemplars []exemplar.Exemplar
 
+	// open is the latest health.Status.Open, kept as published: statuses
+	// are never mutated after they are emitted, so readers may share it.
 	open           []health.Incident
 	finished       bool
 	totalIncidents int
@@ -233,7 +235,6 @@ func (g *Registry) Hook(id string) func(telemetry.EpochState, health.Status) {
 		// (it runs on the sim goroutine that owns the state).
 		lat := st.Lat.Summaries()
 		memCopy := *st.Mem
-		openCopy := append([]health.Incident(nil), hs.Open...)
 
 		g.mu.Lock()
 		defer g.mu.Unlock()
@@ -245,7 +246,7 @@ func (g *Registry) Hook(id string) func(telemetry.EpochState, health.Status) {
 		rs.mem = memCopy
 		rs.lat = lat
 		rs.done, rs.total = st.Done, st.Total
-		rs.open = openCopy
+		rs.open = hs.Open
 	}
 }
 

@@ -309,11 +309,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		hr := HealthzRun{
 			Run:            rs.id,
 			Finished:       rs.finished,
-			OpenIncidents:  append([]health.Incident{}, rs.open...),
+			OpenIncidents:  rs.open,
 			TotalIncidents: rs.totalIncidents,
 		}
 		if len(rs.open) > 0 {
 			body.Status = "incident"
+		} else {
+			hr.OpenIncidents = []health.Incident{} // encodes as [], not null
 		}
 		body.Runs = append(body.Runs, hr)
 	}

@@ -199,12 +199,14 @@ func (t *T) epochSample() {
 	t.emit(sm)
 }
 
-// emit hands one fresh sample to the OnEpoch consumer.
+// emit hands one fresh sample to the OnEpoch consumer. The sampler has just
+// folded the DRAM ledgers into sys.Stats to take it, so Mem needs no second
+// fold.
 func (t *T) emit(sm *Sample) {
 	if sm == nil || t.cfg.OnEpoch == nil {
 		return
 	}
-	st := EpochState{Sample: sm, Mem: t.sys.Totals(), Lat: t.sys.Lat}
+	st := EpochState{Sample: sm, Mem: t.sys.Stats, Lat: t.sys.Lat}
 	if t.progress != nil {
 		st.Done, st.Total = t.progress()
 	}

@@ -306,21 +306,28 @@ func (r *Report) SpeedupOver(base *Report) float64 {
 	return float64(base.Cycles) / float64(r.Cycles)
 }
 
+// tableII returns the Table II machine with the given core count, NM and
+// FM capacities and seed; a zero argument keeps the default.
+func tableII(cores int, nm, fm uint64, seed int64) config.Machine {
+	m := config.Default()
+	if cores > 0 {
+		m.Cores = cores
+	}
+	if nm > 0 {
+		m.NM = config.HBM(nm)
+	}
+	if fm > 0 {
+		m.FM = config.DDR3(fm)
+	}
+	if seed != 0 {
+		m.Seed = seed
+	}
+	return m
+}
+
 // machine converts Options into the internal machine description.
 func (o Options) machine() (config.Machine, error) {
-	m := config.Default()
-	if o.Cores > 0 {
-		m.Cores = o.Cores
-	}
-	if o.NMCapacity > 0 {
-		m.NM = config.HBM(o.NMCapacity)
-	}
-	if o.FMCapacity > 0 {
-		m.FM = config.DDR3(o.FMCapacity)
-	}
-	if o.Seed != 0 {
-		m.Seed = o.Seed
-	}
+	m := tableII(o.Cores, o.NMCapacity, o.FMCapacity, o.Seed)
 	switch o.Scheme {
 	case "", SILCFM:
 		m.Scheme = config.SchemeSILCFM
