@@ -6,7 +6,7 @@
 # root.
 #
 #   ./ci.sh          # every stage below, each once, in this order
-#   ./ci.sh fast     # only gofmt, vet, build, the perfbench module and the race-tested fast-fail packages
+#   ./ci.sh fast     # only gofmt, vet, build, the perfbench module, the race-tested fast-fail packages and the sim-exact pins
 #   ./ci.sh bench    # only the bench-smoke + manifest-diff stage
 #   ./ci.sh perf     # only the perf-regression stage (speed/alloc bands)
 #   ./ci.sh history  # only the cross-PR trajectory-report stage
@@ -33,7 +33,11 @@ fast_pkgs="./internal/stats ./internal/memunits ./internal/mem ./internal/teleme
 # tests of the nested perfbench module (the root ./... patterns skip it, and
 # it compiles against the simulator's plane constructors), then the
 # fast-fail packages under the race detector, so broken instrumentation
-# fails in seconds, not after the full sweep-driven suite.
+# fails in seconds, not after the full sweep-driven suite. Last come the
+# two harness tests that pin small cells' sim-exact counters and every
+# plane's output bytes (about a second without the race detector), so a
+# refactor that moves a counter or a plane output fails before
+# bench-smoke.
 fast_gate() {
 	fmt=$(gofmt -l .)
 	if [ -n "$fmt" ]; then
@@ -46,6 +50,7 @@ fast_gate() {
 	go -C perfbench vet .
 	go -C perfbench test .
 	go test -race $fast_pkgs
+	go test -run 'TestSmallCellsSimExact|TestPlaneOutputsPinned' ./internal/harness
 }
 
 # Race-detector stage: every package the fast-fail stage did not test.

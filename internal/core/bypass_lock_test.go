@@ -19,7 +19,7 @@ func TestBypassedHomeAccessCounted(t *testing.T) {
 	// Interleave FM block 0's subblock 3 into frame 0: home subblock 3 is
 	// now swapped out to FM.
 	r.access(1, fmBlockAddr(0, 3), false)
-	r.c.gov.active = true
+	r.c.place.gov.active = true
 
 	st := r.sys.Stats
 	preByp, preFM, preOut := st.BypassedAccesses, st.ServicedFM, st.SwapsOut
@@ -47,7 +47,7 @@ func TestLockedHomeAccessNotCountedAsBypassed(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.access(1, fmBlockAddr(0, 0), false)
 	}
-	if r.c.fs.recount().locked != 1 {
+	if r.c.place.fs.recount().locked != 1 {
 		t.Fatal("setup: not locked")
 	}
 	pre := r.sys.Stats.BypassedAccesses
@@ -66,20 +66,20 @@ func TestRemapLockDeferredUnderBypass(t *testing.T) {
 	r := newRig(func(c *config.SILCConfig) { c.HotThreshold = 3 })
 	r.access(1, fmBlockAddr(0, 0), false) // interleave, fmCtr=1
 	r.access(1, fmBlockAddr(0, 0), false) // row 1, fmCtr=2
-	r.c.gov.active = true
+	r.c.place.gov.active = true
 
 	preIn := r.sys.Stats.SwapsIn
 	r.access(1, fmBlockAddr(0, 0), false) // fmCtr=3 crosses the threshold
-	if r.c.fs.recount().locked != 0 {
+	if r.c.place.fs.recount().locked != 0 {
 		t.Fatal("lock completed while bypassing")
 	}
 	if r.sys.Stats.SwapsIn != preIn {
 		t.Fatal("lock-completion swaps issued while bypassing")
 	}
 
-	r.c.gov.active = false
+	r.c.place.gov.active = false
 	r.access(1, fmBlockAddr(0, 0), false)
-	if r.c.fs.recount().locked != 1 {
+	if r.c.place.fs.recount().locked != 1 {
 		t.Fatal("lock did not complete after bypassing cleared")
 	}
 	if r.sys.Stats.SwapsIn != preIn+31 { // the 31 missing subblocks
@@ -94,21 +94,21 @@ func TestRemapLockDeferredUnderBypass(t *testing.T) {
 func TestHomeLockDeferredUnderBypass(t *testing.T) {
 	r := newRig(func(c *config.SILCConfig) { c.HotThreshold = 2 })
 	r.access(1, fmBlockAddr(0, 0), false) // frame 0 interleaved, bit 0 set
-	r.c.gov.active = true
+	r.c.place.gov.active = true
 
 	preOut := r.sys.Stats.SwapsOut
 	r.access(2, uint64(5*64), false) // home resident, nmCtr=1
 	r.access(2, uint64(5*64), false) // nmCtr=2 crosses the threshold
-	if r.c.fs.recount().locked != 0 {
+	if r.c.place.fs.recount().locked != 0 {
 		t.Fatal("home lock completed while bypassing")
 	}
 	if r.sys.Stats.SwapsOut != preOut {
 		t.Fatal("restore issued while bypassing")
 	}
 
-	r.c.gov.active = false
+	r.c.place.gov.active = false
 	r.access(2, uint64(5*64), false)
-	fr := r.c.fs.get(0)
+	fr := r.c.place.fs.get(0)
 	if !fr.locked || !fr.lockHome {
 		t.Fatalf("home lock missing after bypass cleared: locked=%v home=%v",
 			fr.locked, fr.lockHome)

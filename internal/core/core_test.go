@@ -42,6 +42,14 @@ func (r *testRig) access(pc, pa uint64, write bool) {
 	r.eng.Run()
 }
 
+// age runs one aging pass now and replays its unlocks.
+func (r *testRig) age() {
+	p := r.c.place
+	p.moves = p.moves[:0]
+	p.age()
+	r.c.replay(nil, false, p.moves)
+}
+
 // nmBlocks in the rig.
 const rigNMBlocks = (256 << 10) / memunits.BlockSize // 128
 
@@ -132,8 +140,8 @@ func TestTableIRow5And6_RestoreOnVictim(t *testing.T) {
 	// Request to B maps to the same frame with a mismatching remap ->
 	// restore A, then interleave B.
 	r.access(101, b, false)
-	if r.c.restores != 1 {
-		t.Fatalf("Restores = %d, want 1", r.c.restores)
+	if r.c.place.restores != 1 {
+		t.Fatalf("Restores = %d, want 1", r.c.place.restores)
 	}
 	if loc := r.c.Locate(a); loc.Level != stats.FM {
 		t.Fatalf("A not fully restored: %+v", loc)
@@ -149,8 +157,8 @@ func TestAssociativityAvoidsRestore(t *testing.T) {
 	for k := 0; k < 4; k++ {
 		r.access(uint64(100+k), fmBlockAddr(k*32, 0), false)
 	}
-	if r.c.restores != 0 {
-		t.Fatalf("restores with free ways: %d", r.c.restores)
+	if r.c.place.restores != 0 {
+		t.Fatalf("restores with free ways: %d", r.c.place.restores)
 	}
 	for k := 0; k < 4; k++ {
 		if loc := r.c.Locate(fmBlockAddr(k*32, 0)); loc.Level != stats.NM {
@@ -159,8 +167,8 @@ func TestAssociativityAvoidsRestore(t *testing.T) {
 	}
 	// A fifth block forces an LRU restore.
 	r.access(200, fmBlockAddr(4*32, 0), false)
-	if r.c.restores != 1 {
-		t.Fatalf("fifth block: Restores = %d, want 1", r.c.restores)
+	if r.c.place.restores != 1 {
+		t.Fatalf("fifth block: Restores = %d, want 1", r.c.place.restores)
 	}
 	// LRU: block 0 (oldest untouched) must be the one evicted.
 	if loc := r.c.Locate(fmBlockAddr(0, 0)); loc.Level != stats.FM {
@@ -180,8 +188,8 @@ func TestLockingPinsHotBlock(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.access(100, hot, false)
 	}
-	if r.c.fs.recount().locked != 1 {
-		t.Fatalf("locked frames = %d, want 1", r.c.fs.recount().locked)
+	if r.c.place.fs.recount().locked != 1 {
+		t.Fatalf("locked frames = %d, want 1", r.c.place.fs.recount().locked)
 	}
 	if r.sys.Stats.Locks != 1 {
 		t.Fatalf("Locks = %d", r.sys.Stats.Locks)
@@ -194,9 +202,9 @@ func TestLockingPinsHotBlock(t *testing.T) {
 	}
 	// A conflicting block cannot displace it (all ways locked).
 	conflict := fmBlockAddr(128, 0)
-	pre := r.c.restores
+	pre := r.c.place.restores
 	r.access(200, conflict, false)
-	if r.c.restores != pre {
+	if r.c.place.restores != pre {
 		t.Fatal("locked frame was restored")
 	}
 	if loc := r.c.Locate(hot); loc.Level != stats.NM {
@@ -217,7 +225,7 @@ func TestUnlockAfterAging(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.access(100, hot, false)
 	}
-	if r.c.fs.recount().locked != 1 {
+	if r.c.place.fs.recount().locked != 1 {
 		t.Fatal("not locked")
 	}
 	// Advance the aging clock with cold traffic spread over many other
@@ -225,7 +233,7 @@ func TestUnlockAfterAging(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.access(300, fmBlockAddr(1+i%32, 0), false)
 	}
-	if r.c.fs.recount().locked != 0 {
+	if r.c.place.fs.recount().locked != 0 {
 		t.Fatalf("lock survived aging: counters should have decayed below threshold")
 	}
 	if r.sys.Stats.Unlocks != 1 {
@@ -246,7 +254,7 @@ func TestLockHomeProtectsNMBlock(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.access(100, home, false)
 	}
-	if r.c.fs.recount().locked != 1 {
+	if r.c.place.fs.recount().locked != 1 {
 		t.Fatal("hot home block not locked")
 	}
 	// FM block in the same set cannot interleave now.
@@ -269,18 +277,18 @@ func TestBitVectorHistoryReplay(t *testing.T) {
 	r.access(pc, fmBlockAddr(0, 20), false)
 	// Evict block 0 by touching the conflicting block 128.
 	r.access(500, fmBlockAddr(128, 0), false)
-	if r.c.restores != 1 {
+	if r.c.place.restores != 1 {
 		t.Fatal("expected eviction")
 	}
-	if r.c.hist.stores != 1 {
-		t.Fatalf("history stores = %d", r.c.hist.stores)
+	if r.c.place.hist.stores != 1 {
+		t.Fatalf("history stores = %d", r.c.place.hist.stores)
 	}
 	// Re-access block 0 with the same PC and first address: the history
 	// vector brings 9 and 20 along immediately.
-	pre := r.c.historyPrefetches
+	pre := r.c.place.historyPrefetches
 	r.access(pc, first, false)
-	if r.c.historyPrefetches != pre+2 {
-		t.Fatalf("HistoryPrefetches = %d, want +2", r.c.historyPrefetches)
+	if r.c.place.historyPrefetches != pre+2 {
+		t.Fatalf("HistoryPrefetches = %d, want +2", r.c.place.historyPrefetches)
 	}
 	for _, idx := range []uint{4, 9, 20} {
 		if loc := r.c.Locate(fmBlockAddr(0, idx)); loc.Level != stats.NM {
@@ -303,7 +311,7 @@ func TestHistoryDisabledFetchesOnlyDemand(t *testing.T) {
 	r.access(pc, fmBlockAddr(0, 9), false)
 	r.access(500, fmBlockAddr(128, 0), false)
 	r.access(pc, first, false)
-	if r.c.historyPrefetches != 0 {
+	if r.c.place.historyPrefetches != 0 {
 		t.Fatal("history replay ran while disabled")
 	}
 	if loc := r.c.Locate(fmBlockAddr(0, 9)); loc.Level != stats.FM {
@@ -313,14 +321,14 @@ func TestHistoryDisabledFetchesOnlyDemand(t *testing.T) {
 
 func TestBypassStopsSwaps(t *testing.T) {
 	r := newRig(func(c *config.SILCConfig) { c.Features.Ways = 1 })
-	r.c.gov.window = 64
+	r.c.place.gov.window = 64
 	// Drive the access rate to ~1.0 with a resident hot subblock.
 	hot := fmBlockAddr(0, 0)
 	r.access(1, hot, false)
 	for i := 0; i < 200; i++ {
 		r.access(1, hot, false)
 	}
-	if !r.c.gov.bypassing() {
+	if !r.c.place.gov.bypassing() {
 		t.Fatalf("governor not bypassing at access rate %.2f", r.sys.Stats.AccessRate())
 	}
 	// A new FM block is serviced from FM without interleaving.
@@ -348,12 +356,12 @@ func TestBypassStopsSwaps(t *testing.T) {
 
 func TestBypassDisabledFeature(t *testing.T) {
 	r := newRig(func(c *config.SILCConfig) { c.Features.Bypass = false })
-	r.c.gov.window = 64
+	r.c.place.gov.window = 64
 	hot := fmBlockAddr(0, 0)
 	for i := 0; i < 200; i++ {
 		r.access(1, hot, false)
 	}
-	if r.c.gov.bypassing() {
+	if r.c.place.gov.bypassing() {
 		t.Fatal("bypass active with feature disabled")
 	}
 }
@@ -416,7 +424,7 @@ func TestAuditAfterRandomOps(t *testing.T) {
 			c.HotThreshold = 6
 			c.AgingInterval = 512
 		})
-		r.c.gov.window = 128
+		r.c.place.gov.window = 128
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 4000; i++ {
 			pa := uint64(rng.Intn((256 << 10) + (1 << 20)))
@@ -436,8 +444,8 @@ func TestAuditAfterRandomOps(t *testing.T) {
 		}
 		// No FM block may be remapped into two frames.
 		seen := map[uint64]bool{}
-		for i := range r.c.fs.frames {
-			fr := &r.c.fs.frames[i]
+		for i := range r.c.place.fs.frames {
+			fr := &r.c.place.fs.frames[i]
 			if !fr.interleaved() {
 				continue
 			}
@@ -471,7 +479,7 @@ func TestDirectMappedVsAssociativeConflicts(t *testing.T) {
 			r.access(1, fmBlockAddr(0, uint(i%4)), false)
 			r.access(2, fmBlockAddr(128, uint(i%4)), false)
 		}
-		return r.c.restores
+		return r.c.place.restores
 	}
 	dm, assoc := run(1), run(4)
 	if assoc != 0 {
@@ -542,7 +550,7 @@ func TestMetaBacklogAllocatesOnlyPages(t *testing.T) {
 	m.FM = config.DDR3(256 << 20)
 	eng := sim.NewEngine()
 	c := New(mem.NewSystem(m, eng), config.DefaultSILC())
-	sets := c.fs.sets
+	sets := c.place.fs.sets
 	fill := func() {
 		for s := uint64(0); s < sets; s++ {
 			c.readMeta(s, metaEntrySize)

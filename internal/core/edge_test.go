@@ -47,7 +47,7 @@ func TestLockedFrameServesHomeFromFM(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.access(1, fmBlockAddr(0, 0), false)
 	}
-	if r.c.fs.recount().locked != 1 {
+	if r.c.place.fs.recount().locked != 1 {
 		t.Fatal("setup: not locked")
 	}
 	// A request to the home block must be serviced from FM (the full
@@ -61,7 +61,7 @@ func TestLockedFrameServesHomeFromFM(t *testing.T) {
 	if r.sys.Stats.SwapsOut != preSwaps {
 		t.Fatal("locked frame swapped")
 	}
-	if r.c.fs.recount().locked != 1 {
+	if r.c.place.fs.recount().locked != 1 {
 		t.Fatal("lock lost")
 	}
 }
@@ -77,7 +77,7 @@ func TestLockPreferenceFollowsHotterCounter(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.access(2, uint64(1*64), false) // heat home block 0
 	}
-	fr := r.c.fs.get(0)
+	fr := r.c.place.fs.get(0)
 	if !fr.locked || !fr.lockHome {
 		t.Fatalf("expected home lock: locked=%v lockHome=%v", fr.locked, fr.lockHome)
 	}
@@ -91,7 +91,7 @@ func TestLockPreferenceFollowsHotterCounter(t *testing.T) {
 
 func TestBypassLeavesLockedBlocksServed(t *testing.T) {
 	r := newRig(func(c *config.SILCConfig) { c.HotThreshold = 3 })
-	r.c.gov.window = 32
+	r.c.place.gov.window = 32
 	// Lock a block, then force bypassing with hot resident traffic.
 	for i := 0; i < 4; i++ {
 		r.access(1, fmBlockAddr(0, 0), false)
@@ -99,7 +99,7 @@ func TestBypassLeavesLockedBlocksServed(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.access(1, fmBlockAddr(0, uint(i%32)), false)
 	}
-	if !r.c.gov.bypassing() {
+	if !r.c.place.gov.bypassing() {
 		t.Skip("access pattern did not trigger bypass at this scale")
 	}
 	pre := r.sys.Stats.ServicedNM
@@ -121,9 +121,9 @@ func TestVictimChurnBoundedByHistory(t *testing.T) {
 		r.access(pcA, fmBlockAddr(0, idx), false)
 	}
 	r.access(pcB, firstB, false)
-	pre := r.c.historyPrefetches
+	pre := r.c.place.historyPrefetches
 	r.access(pcA, firstA, false)
-	if r.c.historyPrefetches <= pre {
+	if r.c.place.historyPrefetches <= pre {
 		t.Fatal("history replay did not fire on re-interleave")
 	}
 	for _, idx := range []uint{5, 9, 13} {
@@ -141,11 +141,11 @@ func TestAgingDisabledWhenIntervalZero(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.access(1, fmBlockAddr(0, 0), false)
 	}
-	locked := r.c.fs.recount().locked
+	locked := r.c.place.fs.recount().locked
 	for i := 0; i < 2000; i++ {
 		r.access(2, fmBlockAddr(1, 0), false)
 	}
-	if r.c.fs.recount().locked < locked {
+	if r.c.place.fs.recount().locked < locked {
 		t.Fatal("unlock happened with aging disabled")
 	}
 }
@@ -228,10 +228,22 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
+// historyOccupancy is the share of h's entries holding a saved vector,
+// counted by walking the table.
+func historyOccupancy(h *historyTable) float64 {
+	used := 0
+	for _, tag := range h.tags {
+		if tag != 0 {
+			used++
+		}
+	}
+	return float64(used) / float64(len(h.tags))
+}
+
 // TestGaugesCountInPlace drives a controller through interleaving, home and
-// interleaved locks, and checks at each step that the frame gauges Gauges
-// counts in place equal what Snapshot reports, and that Gauges allocates
-// nothing but the slice it returns.
+// interleaved locks, and checks at each step that the frame and history
+// gauges Gauges counts in place equal what walking the tables reports, and
+// that Gauges allocates nothing but the slice it returns.
 func TestGaugesCountInPlace(t *testing.T) {
 	r := newRig(func(c *config.SILCConfig) { c.HotThreshold = 3 })
 	gauge := func(gs []mem.Gauge, name string) float64 {
@@ -263,6 +275,7 @@ func TestGaugesCountInPlace(t *testing.T) {
 			{"interleaved_frames", float64(s.Interleaved)},
 			{"resident_subblocks", float64(s.ResidentSubblocks)},
 			{"mean_residency", meanResidency(s)},
+			{"history_occupancy", historyOccupancy(r.c.place.hist)},
 		} {
 			if got := gauge(gs, c.name); got != c.want {
 				t.Fatalf("step %d: %s = %v, Snapshot says %v", step, c.name, got, c.want)
@@ -273,6 +286,9 @@ func TestGaugesCountInPlace(t *testing.T) {
 	}
 	if !sawHome || !sawInterleavedLock {
 		t.Fatalf("drive never locked both kinds (home %v, interleaved %v)", sawHome, sawInterleavedLock)
+	}
+	if r.c.place.hist.used == 0 {
+		t.Fatal("drive never saved a history vector")
 	}
 	if avg := testing.AllocsPerRun(50, func() { r.c.Gauges() }); avg > 1 {
 		t.Fatalf("Gauges allocates %.1f objects per call, want at most its slice", avg)

@@ -53,10 +53,9 @@ type frameSet struct {
 	sets   uint64
 	ways   int
 
-	// counts are the frame totals Gauges reports every epoch. Every write
-	// to a frame's remap, bits, locked or lockHome goes through the
-	// mutators below, which keep them current, so no epoch walks the
-	// frame array; recount is the reference.
+	// counts are the frame totals Gauges reports every epoch, kept current
+	// by the mutators below (every write to a frame's remap, bits, locked
+	// or lockHome goes through them), so no epoch walks the frame array.
 	counts frameCounts
 }
 
@@ -65,15 +64,6 @@ type frameSet struct {
 // resident subblocks of interleaved frames.
 type frameCounts struct {
 	locked, lockedHome, interleaved, resident int
-}
-
-// meanResidency returns the average number of resident subblocks per
-// interleaved frame (0 when nothing is interleaved).
-func (n frameCounts) meanResidency() float64 {
-	if n.interleaved == 0 {
-		return 0
-	}
-	return float64(n.resident) / float64(n.interleaved)
 }
 
 // newFrameSet builds the frame table of nmBlocks frames. Ways clamp to the
@@ -113,9 +103,7 @@ func (fs *frameSet) lookup(b uint64) (f uint64, fr *frame) {
 }
 
 // swapped reports whether subblock idx of a block looked up in frame fr (nil
-// for none) sits at the other block's home: an NM block's subblock swapped
-// out to the interleaved block's FM home, or an FM block's subblock swapped
-// into the frame.
+// for none) sits at the other block's home: swapped out of or into fr.
 func (fr *frame) swapped(idx uint) bool { return fr != nil && fr.interleaved() && fr.bits.Test(idx) }
 
 // findRemap scans set s for the frame interleaving block b; fr is nil when
@@ -156,23 +144,23 @@ func (fs *frameSet) victim(s uint64) (f uint64, fr *frame) {
 	return fs.frameID(s, best), &ways[best]
 }
 
-// setRemap interleaves flat FM block b into frame fr.
+// setRemap interleaves flat FM block b into frame fr, none of whose
+// subblocks is resident yet.
 func (fs *frameSet) setRemap(fr *frame, b uint64) { fs.putRemap(fr, uint32(b+1)) }
 
 // clearRemap leaves frame fr with no interleaved block.
 func (fs *frameSet) clearRemap(fr *frame) { fs.putRemap(fr, 0) }
 
-// putRemap updates frame fr's encoded remap entry.
+// putRemap sets frame fr's encoded remap entry and empties its bit vector.
 func (fs *frameSet) putRemap(fr *frame, r uint32) {
-	switch {
-	case !fr.interleaved() && r != 0:
-		fs.counts.interleaved++
-		fs.counts.resident += fr.bits.Count()
-	case fr.interleaved() && r == 0:
+	if fr.interleaved() {
 		fs.counts.interleaved--
 		fs.counts.resident -= fr.bits.Count()
 	}
-	fr.remap = r
+	if r != 0 {
+		fs.counts.interleaved++
+	}
+	fr.remap, fr.bits = r, 0
 }
 
 // setBit marks subblock idx of frame fr resident.
@@ -191,14 +179,6 @@ func (fs *frameSet) clearBit(fr *frame, idx uint) {
 	fr.bits.Clear(idx)
 }
 
-// clearBits empties frame fr's bit vector.
-func (fs *frameSet) clearBits(fr *frame) {
-	if fr.interleaved() {
-		fs.counts.resident -= fr.bits.Count()
-	}
-	fr.bits = 0
-}
-
 // setLock sets frame fr's lock state.
 func (fs *frameSet) setLock(fr *frame, locked, home bool) {
 	if fr.locked {
@@ -214,23 +194,4 @@ func (fs *frameSet) setLock(fr *frame, locked, home bool) {
 		}
 	}
 	fr.locked, fr.lockHome = locked, home
-}
-
-// recount totals the frame state by walking every frame.
-func (fs *frameSet) recount() frameCounts {
-	var n frameCounts
-	for i := range fs.frames {
-		fr := &fs.frames[i]
-		if fr.locked {
-			n.locked++
-			if fr.lockHome {
-				n.lockedHome++
-			}
-		}
-		if fr.interleaved() {
-			n.interleaved++
-			n.resident += fr.bits.Count()
-		}
-	}
-	return n
 }

@@ -20,6 +20,26 @@ func TestFrameIs32Bytes(t *testing.T) {
 	}
 }
 
+// recount totals the frame state by walking every frame, the reference
+// for the counts the mutators keep.
+func (fs *frameSet) recount() frameCounts {
+	var n frameCounts
+	for i := range fs.frames {
+		fr := &fs.frames[i]
+		if fr.locked {
+			n.locked++
+			if fr.lockHome {
+				n.lockedHome++
+			}
+		}
+		if fr.interleaved() {
+			n.interleaved++
+			n.resident += fr.bits.Count()
+		}
+	}
+	return n
+}
+
 // get returns frame f.
 func (fs *frameSet) get(f uint64) *frame { return &fs.frames[fs.at(f)] }
 
@@ -137,10 +157,10 @@ func TestVictimPreference(t *testing.T) {
 
 func TestAgingShiftsCounters(t *testing.T) {
 	r := newRig(nil)
-	fr := r.c.fs.get(3)
+	fr := r.c.place.fs.get(3)
 	fr.nmCtr = 40
 	fr.fmCtr = 7
-	r.c.ageAndUnlock()
+	r.age()
 	if fr.nmCtr != 20 || fr.fmCtr != 3 {
 		t.Fatalf("after age: nm=%d fm=%d", fr.nmCtr, fr.fmCtr)
 	}
@@ -242,7 +262,7 @@ func TestAgingUnlocksInFrameOrder(t *testing.T) {
 	r := newRig(nil) // 128 frames, 32 sets of 4 ways
 	log := &unlockLog{}
 	r.sys.AttachObserver(log)
-	fs := r.c.fs
+	fs := r.c.place.fs
 	// Frame ids in storage order 32, 1, 65, 2 (slots 1, 4, 6, 8).
 	locks := []struct {
 		f    uint64
@@ -251,12 +271,14 @@ func TestAgingUnlocksInFrameOrder(t *testing.T) {
 	for _, l := range locks {
 		fr := fs.get(l.f)
 		if !l.home {
-			fr.bits = memunits.Full
 			fs.setRemap(fr, rigNMBlocks+l.f)
+			for i := uint(0); i < memunits.SubblocksPerBlock; i++ {
+				fs.setBit(fr, i)
+			}
 		}
 		fs.setLock(fr, true, l.home)
 	}
-	r.c.ageAndUnlock()
+	r.age()
 	if want := []uint64{1, 2, 32, 65}; !slices.Equal(log.frames, want) {
 		t.Fatalf("unlocked frames %v, want ascending %v", log.frames, want)
 	}
@@ -353,21 +375,25 @@ func TestHistorySavedHashFindsLookup(t *testing.T) {
 
 func TestPredictorTrainPredict(t *testing.T) {
 	p := newPredictor(128)
-	if _, _, ok := p.predict(5, 0x1000); ok {
-		t.Fatal("cold predictor claimed validity")
+	if p.check(5, 0x1000, true, 3) {
+		t.Fatal("cold predictor predicted")
 	}
-	p.update(5, 0x1000, true, 3)
-	inNM, way, ok := p.predict(5, 0x1000)
-	if !ok || !inNM || way != 3 {
-		t.Fatalf("predict: %v %d %v", inNM, way, ok)
+	if !p.check(5, 0x1000, true, 3) {
+		t.Fatal("trained entry mispredicted")
 	}
 	// Same block trains one entry (block-granular index).
-	inNM, way, ok = p.predict(5, 0x1000+512)
-	if !ok || !inNM || way != 3 {
+	if !p.check(5, 0x1000+512, true, 3) {
 		t.Fatal("block-granular prediction failed")
 	}
-	p.update(5, 0x1000, false, 0)
-	if inNM, _, _ := p.predict(5, 0x1000); inNM {
+	// An NM prediction names the way; an FM one does not.
+	if p.check(5, 0x1000, true, 1) {
+		t.Fatal("wrong way predicted")
+	}
+	p.check(5, 0x1000, false, 0)
+	if !p.check(5, 0x1000, false, 2) {
+		t.Fatal("FM prediction compared ways")
+	}
+	if p.check(5, 0x1000, true, 2) {
 		t.Fatal("retraining failed")
 	}
 }

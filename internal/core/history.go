@@ -14,6 +14,7 @@ type historyTable struct {
 	mask uint64
 
 	stores, hits, lookups uint64
+	used                  int // entries holding a saved vector
 }
 
 // newHistoryTable builds a table with entries rounded down to a power of
@@ -48,19 +49,12 @@ func (h *historyTable) save(x uint64, vec memunits.BitVector) {
 		return
 	}
 	idx, tag := h.key(x)
+	if h.tags[idx] == 0 {
+		h.used++
+	}
 	h.tags[idx] = tag
 	h.vecs[idx] = vec
 	h.stores++
-}
-
-// occupancy reports how many table entries hold a saved vector.
-func (h *historyTable) occupancy() (used, total int) {
-	for _, t := range h.tags {
-		if t != 0 {
-			used++
-		}
-	}
-	return used, len(h.tags)
 }
 
 // lookup returns the saved vector for (pc, addr), or 0.
@@ -105,14 +99,12 @@ func (p *predictor) index(pc, addr uint64) uint64 {
 	return (pc ^ (addr >> 11)) & p.mask
 }
 
-// predict returns the speculated (inNM, way); ok is false for a cold entry
-// (treated as a misprediction: the serialized path is taken).
-func (p *predictor) predict(pc, addr uint64) (inNM bool, way uint8, ok bool) {
-	e := p.entries[p.index(pc, addr)]
-	return e.inNM, e.way, e.valid
-}
-
-// update trains the entry with the access's true location.
-func (p *predictor) update(pc, addr uint64, inNM bool, way uint8) {
-	p.entries[p.index(pc, addr)] = predEntry{valid: true, inNM: inNM, way: way}
+// check reports whether the entry for (pc, addr) speculated the access's
+// true location (inNM, and the way when in NM), then trains the entry with
+// it. A cold entry mispredicts: the serialized path is taken.
+func (p *predictor) check(pc, addr uint64, inNM bool, way uint8) bool {
+	e := &p.entries[p.index(pc, addr)]
+	hit := e.valid && e.inNM == inNM && (!inNM || e.way == way)
+	*e = predEntry{valid: true, inNM: inNM, way: way}
+	return hit
 }

@@ -20,32 +20,38 @@ type Snapshot struct {
 	SetOccupancy []int
 }
 
-// Snapshot captures the current frame state. It allocates its occupancy
-// table on every call: it is the debugging view, not the epoch path.
+// Snapshot captures the current frame state by walking every frame, apart
+// from the counts Gauges reads. It allocates its occupancy table on every
+// call: it is the debugging view, not the epoch path.
 func (c *Controller) Snapshot() Snapshot {
-	fs := c.fs
+	fs := c.place.fs
 	s := Snapshot{
 		Frames:       len(fs.frames),
 		Sets:         int(fs.sets),
 		Ways:         fs.ways,
 		SetOccupancy: make([]int, fs.ways+1),
 	}
-	n := fs.recount()
-	s.Locked, s.LockedHome = n.locked, n.lockedHome
-	s.Interleaved, s.ResidentSubblocks = n.interleaved, n.resident
 	for set := uint64(0); set < fs.sets; set++ {
 		occupied := 0
 		for _, fr := range fs.set(set) {
+			if fr.locked {
+				s.Locked++
+				if fr.lockHome {
+					s.LockedHome++
+				}
+			}
 			if !fr.interleaved() {
 				continue
 			}
 			occupied++
 			k := fr.bits.Count()
+			s.ResidentSubblocks += k
 			s.BitsHistogram[k]++
 			if k == memunits.SubblocksPerBlock {
 				s.FullyResident++
 			}
 		}
+		s.Interleaved += occupied
 		s.SetOccupancy[occupied]++
 	}
 	return s

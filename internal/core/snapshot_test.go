@@ -37,7 +37,7 @@ func TestFrameCountsTrackChurn(t *testing.T) {
 	sawLock := false
 	for round := 0; round < 4; round++ {
 		churn(r, rng, 400)
-		if got, want := r.c.fs.counts, r.c.fs.recount(); got != want {
+		if got, want := r.c.place.fs.counts, r.c.place.fs.recount(); got != want {
 			t.Fatalf("round %d: frame counts %+v, recount %+v", round, got, want)
 		}
 		s := r.c.Snapshot()

@@ -424,28 +424,35 @@ type Status struct {
 // epochs' Open() snapshots. The detector keeps at most one open incident
 // per kind (one tracker each), so kinds key the diff; a kind reopening in
 // the same epoch its predecessor closed reports as one close plus one open
-// when the first epochs differ.
+// when the first epochs differ. Closes list reopened kinds in cur order,
+// then vanished ones in prev order. Both snapshots hold at most one
+// incident per kind, so a scan finds a kind without building an index, and
+// an unchanged open set allocates nothing.
 func DiffOpen(prev, cur []Incident) (opened, closed []Incident) {
-	prevByKind := make(map[string]Incident, len(prev))
-	for _, in := range prev {
-		prevByKind[in.Kind] = in
-	}
-	curByKind := make(map[string]Incident, len(cur))
-	for _, in := range cur {
-		curByKind[in.Kind] = in
-		if p, ok := prevByKind[in.Kind]; !ok {
-			opened = append(opened, in)
-		} else if p.FirstEpoch != in.FirstEpoch {
-			closed = append(closed, p)
-			opened = append(opened, in)
+	for i := range cur {
+		if p := openOf(prev, cur[i].Kind); p == nil {
+			opened = append(opened, cur[i])
+		} else if p.FirstEpoch != cur[i].FirstEpoch {
+			closed = append(closed, *p)
+			opened = append(opened, cur[i])
 		}
 	}
-	for _, in := range prev {
-		if _, ok := curByKind[in.Kind]; !ok {
-			closed = append(closed, in)
+	for i := range prev {
+		if openOf(cur, prev[i].Kind) == nil {
+			closed = append(closed, prev[i])
 		}
 	}
 	return opened, closed
+}
+
+// openOf returns the incident of kind in open, or nil.
+func openOf(open []Incident, kind string) *Incident {
+	for i := range open {
+		if open[i].Kind == kind {
+			return &open[i]
+		}
+	}
+	return nil
 }
 
 // Finish closes any still-open incidents and returns the run's complete

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -489,6 +490,88 @@ func TestDiffOpen(t *testing.T) {
 				t.Errorf("closed = %v, want %v", got, tc.wantClose)
 			}
 		})
+	}
+}
+
+// diffOpenByMap is DiffOpen as it was first written, indexing both
+// snapshots by kind in maps; the scan that replaced it must agree with it.
+func diffOpenByMap(prev, cur []health.Incident) (opened, closed []health.Incident) {
+	prevByKind := make(map[string]health.Incident, len(prev))
+	for _, in := range prev {
+		prevByKind[in.Kind] = in
+	}
+	curByKind := make(map[string]health.Incident, len(cur))
+	for _, in := range cur {
+		curByKind[in.Kind] = in
+		if p, ok := prevByKind[in.Kind]; !ok {
+			opened = append(opened, in)
+		} else if p.FirstEpoch != in.FirstEpoch {
+			closed = append(closed, p)
+			opened = append(opened, in)
+		}
+	}
+	for _, in := range prev {
+		if _, ok := curByKind[in.Kind]; !ok {
+			closed = append(closed, in)
+		}
+	}
+	return opened, closed
+}
+
+// TestDiffOpenMatchesMapReference: over random pairs of detector-ordered
+// open sets (at most one incident per kind, in Kinds order), including a
+// kind that reopens in the same epoch with a new first epoch, DiffOpen
+// returns exactly the map reference's opens and closes in the same order.
+func TestDiffOpenMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	kinds := health.Kinds()
+	open := func(epochs []uint64) []health.Incident {
+		var out []health.Incident
+		for k, e := range epochs {
+			if e != 0 {
+				out = append(out, health.Incident{Kind: kinds[k], FirstEpoch: e, LastEpoch: e + uint64(k)})
+			}
+		}
+		return out
+	}
+	for i := 0; i < 2000; i++ {
+		prevEpochs := make([]uint64, len(kinds))
+		curEpochs := make([]uint64, len(kinds))
+		for k := range kinds {
+			if rng.Intn(2) == 0 {
+				prevEpochs[k] = 1 + uint64(rng.Intn(3))
+			}
+			switch rng.Intn(3) {
+			case 0: // still open, or never opened
+				curEpochs[k] = prevEpochs[k]
+			case 1: // reopened in the same epoch, or newly opened
+				curEpochs[k] = 4 + uint64(rng.Intn(3))
+			}
+		}
+		prev, cur := open(prevEpochs), open(curEpochs)
+		opened, closed := health.DiffOpen(prev, cur)
+		wantOpened, wantClosed := diffOpenByMap(prev, cur)
+		if !reflect.DeepEqual(opened, wantOpened) || !reflect.DeepEqual(closed, wantClosed) {
+			t.Fatalf("DiffOpen(%v, %v) = %v, %v; reference %v, %v",
+				prev, cur, opened, closed, wantOpened, wantClosed)
+		}
+	}
+}
+
+// TestDiffOpenUnchangedAllocatesNothing: an epoch whose open set equals
+// the previous one, as most epochs with an open incident are, allocates
+// nothing.
+func TestDiffOpenUnchangedAllocatesNothing(t *testing.T) {
+	kinds := health.Kinds()
+	for _, n := range []int{1, 2, len(kinds)} {
+		var prev []health.Incident
+		for k := 0; k < n; k++ {
+			prev = append(prev, health.Incident{Kind: kinds[k], FirstEpoch: uint64(k + 1)})
+		}
+		cur := append([]health.Incident(nil), prev...)
+		if avg := testing.AllocsPerRun(100, func() { health.DiffOpen(prev, cur) }); avg != 0 {
+			t.Errorf("%d unchanged open incidents: %.1f allocations per diff, want 0", n, avg)
+		}
 	}
 }
 

@@ -50,9 +50,9 @@ type Controller struct {
 	epochs       uint64 // epoch sweeps run so far
 	stalled      uint64 // demands deferred behind OS epoch work
 
-	// MaxMigratePerEpoch caps the OS migration batch (a real OS bounds its
-	// stop-the-world work). Exported for tests.
-	MaxMigratePerEpoch int
+	// maxMigrate caps the OS migration batch (a real OS bounds its
+	// stop-the-world work).
+	maxMigrate int
 }
 
 // New builds an HMA controller over sys. It relies on what
@@ -62,17 +62,17 @@ func New(sys *mem.System, cfg config.HMAConfig) *Controller {
 	nmBlocks := memunits.BlocksIn(sys.NMCap)
 	total := memunits.BlocksIn(sys.NMCap + sys.FMCap)
 	return &Controller{
-		sys:                sys,
-		cfg:                cfg,
-		nmBlocks:           nmBlocks,
-		total:              total,
-		cur:                memunits.NewPaged[uint32](total, 1),
-		inv:                memunits.NewPaged[uint32](total, 1),
-		ctr:                memunits.NewPaged[uint32](total, 1),
-		used:               memunits.NewPaged[bool](total, 1),
-		freeNM:             nmBlocks,
-		nextEpoch:          cfg.EpochCycles,
-		MaxMigratePerEpoch: 8192,
+		sys:        sys,
+		cfg:        cfg,
+		nmBlocks:   nmBlocks,
+		total:      total,
+		cur:        memunits.NewPaged[uint32](total, 1),
+		inv:        memunits.NewPaged[uint32](total, 1),
+		ctr:        memunits.NewPaged[uint32](total, 1),
+		used:       memunits.NewPaged[bool](total, 1),
+		freeNM:     nmBlocks,
+		nextEpoch:  cfg.EpochCycles,
+		maxMigrate: 8192,
 	}
 }
 
@@ -182,8 +182,8 @@ func (c *Controller) runEpoch(now uint64) {
 		}
 		return hot[i].blk < hot[j].blk
 	})
-	if len(hot) > c.MaxMigratePerEpoch {
-		hot = hot[:c.MaxMigratePerEpoch]
+	if len(hot) > c.maxMigrate {
+		hot = hot[:c.maxMigrate]
 	}
 
 	// Cold NM residents, coldest first, for swap-out. Only frames whose

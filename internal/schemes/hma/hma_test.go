@@ -162,7 +162,7 @@ func TestSwapOutColdForHot(t *testing.T) {
 
 func TestMigrationCapRespected(t *testing.T) {
 	eng, sys, c := newTest(1000, 1)
-	c.MaxMigratePerEpoch = 5
+	c.maxMigrate = 5
 	for i := 0; i < 50; i++ {
 		c.Handle(&mem.Access{PAddr: fmAddr(i)})
 		c.Handle(&mem.Access{PAddr: fmAddr(i)})
@@ -360,7 +360,7 @@ func TestPagedTablesMatchFlat(t *testing.T) {
 		const thresh = 2
 		c := New(sys, config.HMAConfig{EpochCycles: 1 << 60, HotThreshold: thresh,
 			PerPageOSOverhead: 10, EpochFixedOverhead: 100})
-		c.MaxMigratePerEpoch = 96
+		c.maxMigrate = 96
 		ref := newFlatHMA(c.nmBlocks, c.total)
 		rng := rand.New(rand.NewSource(seed))
 		for epoch := 0; epoch < 30; epoch++ {
@@ -380,7 +380,7 @@ func TestPagedTablesMatchFlat(t *testing.T) {
 			}
 			eng.Run()
 			c.runEpoch(eng.Now())
-			ref.epoch(thresh, c.MaxMigratePerEpoch)
+			ref.epoch(thresh, c.maxMigrate)
 			eng.Run()
 			for b := uint64(0); b < c.total; b++ {
 				if c.curOf(b) != uint64(ref.cur[b]) || c.invOf(b) != uint64(ref.inv[b]) {
