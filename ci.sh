@@ -6,7 +6,7 @@
 # root.
 #
 #   ./ci.sh          # every stage below, each once, in this order
-#   ./ci.sh fast     # only gofmt, vet, build, the perfbench module, the race-tested fast-fail packages and the sim-exact pins
+#   ./ci.sh fast     # only gofmt, vet, build, the perfbench module, the race-tested fast-fail packages, the placement packages and the sim-exact pins
 #   ./ci.sh bench    # only the bench-smoke + manifest-diff stage
 #   ./ci.sh perf     # only the perf-regression stage (speed/alloc bands)
 #   ./ci.sh history  # only the cross-PR trajectory-report stage
@@ -34,10 +34,12 @@ fast_pkgs="./internal/stats ./internal/memunits ./internal/mem ./internal/teleme
 # it compiles against the simulator's plane constructors), then the
 # fast-fail packages under the race detector, so broken instrumentation
 # fails in seconds, not after the full sweep-driven suite. Last come the
-# two harness tests that pin small cells' sim-exact counters and every
-# plane's output bytes (about a second without the race detector), so a
-# refactor that moves a counter or a plane output fails before
-# bench-smoke.
+# placement packages (every scheme's controller, and SILC-FM's placement
+# machine) and the two harness tests that pin small cells' sim-exact
+# counters and every plane's output bytes, all without the race detector
+# (about a second each), so a refactor that moves a placement, a counter
+# or a plane output fails before bench-smoke. The race stage still runs
+# the placement packages under the race detector.
 fast_gate() {
 	fmt=$(gofmt -l .)
 	if [ -n "$fmt" ]; then
@@ -50,6 +52,7 @@ fast_gate() {
 	go -C perfbench vet .
 	go -C perfbench test .
 	go test -race $fast_pkgs
+	go test ./internal/schemes ./internal/core
 	go test -run 'TestSmallCellsSimExact|TestPlaneOutputsPinned' ./internal/harness
 }
 

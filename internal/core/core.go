@@ -182,8 +182,9 @@ func (op *dispatchOp) run() {
 func (op dispatchOp) dispatch() {
 	c, a := op.c, op.a
 	now, pc, pa := c.sys.Eng.Now(), a.PC, a.PAddr
-	c.replay(a, op.mispred, c.place.demand(op.b, op.idx, now))
-	c.replay(nil, false, c.place.settle(op.b, op.idx, pc, pa, now))
+	f, fr, moves := c.place.demand(op.b, op.idx, now)
+	c.replay(a, op.mispred, moves)
+	c.replay(nil, false, c.place.settle(op.b, f, fr, op.idx, pc, pa, now))
 }
 
 // replay issues a placement step's moves in order and counts them: a is

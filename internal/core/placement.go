@@ -140,10 +140,11 @@ func (m *placement) age() {
 // demand runs the first step of Table I for subblock idx of block b at
 // cycle now: it stamps and bumps the activity counter, updates the bit
 // vector of a demand swap and feeds the bypass governor, and returns the
-// demand move, followed by the metadata write-back a swap needs.
-func (m *placement) demand(b uint64, idx uint, now uint64) []move {
+// demand move, followed by the metadata write-back a swap needs. It also
+// returns b's frame and its id, as lookup does, for settle.
+func (m *placement) demand(b uint64, idx uint, now uint64) (f uint64, fr *frame, moves []move) {
 	m.moves = m.moves[:0]
-	f, fr := m.fs.lookup(b)
+	f, fr = m.fs.lookup(b)
 	if fr == nil {
 		// No frame in the set holds this FM block: serve it from FM; settle
 		// decides whether to start interleaving it (rows 5 and 6). Unlike
@@ -154,7 +155,7 @@ func (m *placement) demand(b uint64, idx uint, now uint64) []move {
 			path = stats.PathBypass
 		}
 		m.add(move{kind: moveServe, path: path, idx: idx, src: b})
-		return m.moves
+		return f, fr, m.moves
 	}
 	// The subblock sits either in NM, at near, or at far's FM home: an NM
 	// block's own subblock is near unless swapped out to the interleaved
@@ -185,7 +186,7 @@ func (m *placement) demand(b uint64, idx uint, now uint64) []move {
 		m.fs.setBit(fr, idx)
 		m.swap(moveDemandIn, idx, far, near)
 	}
-	return m.moves
+	return f, fr, m.moves
 }
 
 // serve records a demand served in place, from NM when nm is set.
@@ -203,11 +204,12 @@ func (m *placement) swap(kind moveKind, idx uint, src, dst uint64) {
 }
 
 // settle runs the second step of Table I for the access demand just
-// served: a block whose counter crossed the hot threshold locks, and an FM
-// block no frame holds is installed over a victim unless bypassing.
-func (m *placement) settle(b uint64, idx uint, pc, pa, now uint64) []move {
+// served, given the frame f (fr) demand returned: nothing runs between the
+// two steps but the demand's issue, so that is still b's frame. A block
+// whose counter crossed the hot threshold locks, and an FM block no frame
+// holds is installed over a victim unless bypassing.
+func (m *placement) settle(b, f uint64, fr *frame, idx uint, pc, pa, now uint64) []move {
 	m.moves = m.moves[:0]
-	f, fr := m.fs.lookup(b)
 	switch {
 	case b < m.nmBlocks:
 		m.lockHome(b, fr)

@@ -31,8 +31,9 @@ func machine(mut func(*config.SILCConfig)) *placement {
 // step runs both Table I steps for one access by pc to subblock idx of
 // block b at cycle now and returns copies of their moves.
 func step(m *placement, b uint64, idx uint, pc, now uint64) (demand, settle []move) {
-	demand = slices.Clone(m.demand(b, idx, now))
-	settle = slices.Clone(m.settle(b, idx, pc, memunits.SubblockAddr(b, idx), now))
+	f, fr, moves := m.demand(b, idx, now)
+	demand = slices.Clone(moves)
+	settle = slices.Clone(m.settle(b, f, fr, idx, pc, memunits.SubblockAddr(b, idx), now))
 	return demand, settle
 }
 

@@ -5,7 +5,7 @@ import (
 
 	"silcfm/internal/config"
 	"silcfm/internal/mem"
-	"silcfm/internal/schemes/flat"
+	"silcfm/internal/schemes"
 	"silcfm/internal/sim"
 	"silcfm/internal/workload"
 )
@@ -38,9 +38,13 @@ func newComplex(t *testing.T, gens []workload.Generator, target uint64) (*sim.En
 	t.Helper()
 	m := config.Small()
 	m.Cores = len(gens)
+	m.Scheme = config.SchemeRandom
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
-	ctl := flat.NewStatic(sys)
+	ctl, err := schemes.New(m, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cx := NewComplexTargets(m, eng, gens, ident, ctl, sameTargets(len(gens), target))
 	return eng, cx, sys
 }

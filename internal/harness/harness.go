@@ -18,10 +18,7 @@ import (
 	"silcfm/internal/flightrec"
 	"silcfm/internal/health"
 	"silcfm/internal/mem"
-	"silcfm/internal/schemes/cameo"
-	"silcfm/internal/schemes/flat"
-	"silcfm/internal/schemes/hma"
-	"silcfm/internal/schemes/pom"
+	"silcfm/internal/schemes"
 	"silcfm/internal/shadow"
 	"silcfm/internal/sim"
 	"silcfm/internal/stats"
@@ -202,28 +199,11 @@ func placementFor(s config.SchemeName) vm.Policy {
 	}
 }
 
-// NewController constructs the scheme named by m.Scheme over sys. Most
-// callers want Run; this is the assembly hook for custom drivers and
-// benchmarks.
+// NewController constructs the scheme named by m.Scheme over sys through
+// schemes.New. Most callers want Run; this is the assembly hook for custom
+// drivers and benchmarks.
 func NewController(m config.Machine, sys *mem.System) (mem.Controller, error) {
-	switch m.Scheme {
-	case config.SchemeBaseline:
-		return flat.NewBaseline(sys), nil
-	case config.SchemeRandom:
-		return flat.NewStatic(sys), nil
-	case config.SchemeHMA:
-		return hma.New(sys, m.HMA), nil
-	case config.SchemeCAMEO:
-		return cameo.New(sys, config.CAMEOConfig{}), nil
-	case config.SchemeCAMEOP:
-		return cameo.New(sys, config.CAMEOConfig{PrefetchLines: 3}), nil
-	case config.SchemePoM:
-		return pom.New(sys, m.PoM), nil
-	case config.SchemeSILCFM:
-		return core.New(sys, m.SILC), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown scheme %q", m.Scheme)
-	}
+	return schemes.New(m, sys)
 }
 
 // Run executes one simulation to completion. It creates every file

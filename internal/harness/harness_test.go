@@ -97,13 +97,14 @@ func TestRunRejectsBadCounterBits(t *testing.T) {
 }
 
 // TestPlacementTablesCostWhatRunsTouch builds the default machine's CAMEO,
-// CAMEOP, HMA and SILC-FM controllers and their address spaces. Each
-// address space, and each CAMEO or HMA controller, must allocate under
-// 1 MiB: the placement tables are paged on first write, so a full-size
-// identity fill (CAMEO's table alone held 10 MiB) fails here. SILC-FM
-// keeps the paper's metadata for each of its 65,536 NM frames, 32 B a
-// frame, next to a 512 KiB history table: it must stay under 3 MiB (48 B
-// frames and an 8 B remap mirror took 4.05 MiB in all).
+// CAMEOP, HMA, PoM and SILC-FM controllers and their address spaces. Each
+// address space, and each CAMEO, HMA or PoM controller, must allocate
+// under 1 MiB: the placement tables are paged on first write, so a
+// full-size identity fill (CAMEO's table alone held 10 MiB, PoM's dense
+// tables 1.25 MiB) fails here. SILC-FM keeps the paper's metadata for each
+// of its 65,536 NM frames, 32 B a frame, next to a 512 KiB history table:
+// it must stay under 3 MiB (48 B frames and an 8 B remap mirror took
+// 4.05 MiB in all).
 // The rand policy is not built: its shuffled hand-out order is 4 B a frame.
 func TestPlacementTablesCostWhatRunsTouch(t *testing.T) {
 	allocated := func(build func()) uint64 {
@@ -113,7 +114,7 @@ func TestPlacementTablesCostWhatRunsTouch(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	for _, s := range []config.SchemeName{config.SchemeCAMEO, config.SchemeCAMEOP, config.SchemeHMA, config.SchemeSILCFM} {
+	for _, s := range []config.SchemeName{config.SchemeCAMEO, config.SchemeCAMEOP, config.SchemeHMA, config.SchemePoM, config.SchemeSILCFM} {
 		m := config.Default()
 		m.Scheme = s
 		sys := mem.NewSystem(m, sim.NewEngine())

@@ -320,8 +320,8 @@ func NewSystem(m config.Machine, eng *sim.Engine) *System {
 }
 
 // HomeLocation returns where pa lives with no remapping at all: NM below
-// NMCap, FM at pa-NMCap above it. Every scheme but CAMEO maps its blocks'
-// homes through it.
+// NMCap, FM at pa-NMCap above it. Every scheme but the no-NM baseline, whose
+// flat space is FM alone, maps its lines' and blocks' homes through it.
 func (s *System) HomeLocation(pa uint64) Location {
 	if pa < s.NMCap {
 		return Location{Level: stats.NM, DevAddr: pa}

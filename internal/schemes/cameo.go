@@ -1,17 +1,6 @@
-// Package cameo implements CAMEO (§II-B): the near memory is organized as a
-// direct-mapped structure of 64 B lines; a requested far-memory line swaps
-// with the NM-resident line of its congruence group on every access, so the
-// OS sees NM+FM capacity while hot lines gravitate to NM. The remap entry
-// for a group is stored next to the data in the same NM row and fetched by
-// lengthening the burst, so each NM access needs a single memory request.
-//
-// CAMEOP is CAMEO plus a next-3-line prefetcher (§IV-A: the paper
-// additionally evaluates CAMEO with prefetching to expose spatial-locality
-// effects; 3 lines were found best).
-package cameo
+package schemes
 
 import (
-	"silcfm/internal/config"
 	"silcfm/internal/dram"
 	"silcfm/internal/mem"
 	"silcfm/internal/memunits"
@@ -28,22 +17,23 @@ var (
 	lineMetaRead = dram.Request{Bytes: memunits.SubblockSize, MetaBytes: remapEntrySize}
 )
 
-// Controller is the CAMEO scheme.
-type Controller struct {
+// cameo is CAMEO (§II-B): the near memory is organized as a direct-mapped
+// structure of 64 B lines; a requested far-memory line swaps with the
+// NM-resident line of its congruence group on every access, so the OS sees
+// NM+FM capacity while hot lines gravitate to NM. The remap entry for a
+// group is stored next to the data in the same NM row and fetched by
+// lengthening the burst, so each NM access needs a single memory request.
+//
+// CAMEOP is CAMEO plus a next-3-line prefetcher (§IV-A: the paper
+// additionally evaluates CAMEO with prefetching to expose spatial-locality
+// effects; 3 lines were found best).
+type cameo struct {
 	sys      *mem.System
-	slots    uint64 // NM lines = congruence groups
-	members  int    // lines per group (1 NM + FM/NM ratio)
-	prefetch int    // extra sequential lines fetched on an FM hit (CAMEOP)
+	prefetch int // extra sequential lines fetched on an FM hit (CAMEOP)
 
-	// perm row g, entry m, holds member m of group g's location index
-	// XOR m: location 0 is the NM slot, location k>=1 is member k's FM
-	// home. The XOR makes the identity placement all zeros, so a group
-	// never swapped needs no page (see memunits.Paged).
-	perm memunits.Paged[uint8]
-
-	// nmForeign counts NM slots currently holding a line other than their
-	// own member 0 (maintained incrementally by swapIntoNM; a gauge).
-	nmForeign uint64
+	// perm holds one congruence group per NM line: the line's NM slot is
+	// location 0, and the FM/NM lines congruent to it are homed in FM.
+	perm remap[uint8]
 
 	// freeSwap recycles swapOp continuation records so steady-state FM-hit
 	// swaps allocate nothing.
@@ -57,7 +47,7 @@ type Controller struct {
 // allocation; each terminal callback copies what it needs to locals and
 // recycles the record before issuing follow-on requests.
 type swapOp struct {
-	c         *Controller
+	c         *cameo
 	a         *mem.Access
 	done      func()
 	metaStart uint64
@@ -111,94 +101,52 @@ func (o *swapOp) demandDone() {
 	c.sys.Submit(evictLoc, stats.Migration, lineWrite)
 }
 
-// New builds a CAMEO controller. cfg.PrefetchLines = 0 gives original
-// CAMEO; 3 gives the paper's CAMEOP. The machine must have at most 256
-// group members (config.Machine.Validate), so a location fits a uint8.
-func New(sys *mem.System, cfg config.CAMEOConfig) *Controller {
+// newCAMEO builds a CAMEO controller: prefetch 0 gives original CAMEO, 3
+// the paper's CAMEOP.
+func newCAMEO(sys *mem.System, prefetch int) *cameo {
 	slots := memunits.SubblocksIn(sys.NMCap)
-	members := int(memunits.SubblocksIn(sys.NMCap+sys.FMCap) / slots)
-	return &Controller{
+	return &cameo{
 		sys:      sys,
-		slots:    slots,
-		members:  members,
-		prefetch: cfg.PrefetchLines,
-		perm:     memunits.NewPaged[uint8](slots, members),
+		prefetch: prefetch,
+		perm:     newRemap[uint8](slots, 1, int(memunits.SubblocksIn(sys.NMCap+sys.FMCap)/slots)),
 	}
 }
 
 // Name implements mem.Controller.
-func (c *Controller) Name() string {
+func (c *cameo) Name() string {
 	if c.prefetch > 0 {
 		return "camp"
 	}
 	return "cam"
 }
 
-// group decomposes a flat subblock number.
-func (c *Controller) group(sb uint64) (g uint64, member int) {
-	return sb % c.slots, int(sb / c.slots)
-}
-
-// locationOf returns member m of group g's current location index.
-func (c *Controller) locationOf(g uint64, m int) int {
-	return int(c.perm.Get(g, m)) ^ m
-}
-
-// locAddr converts a location index of group g to a device location.
-func (c *Controller) locAddr(g uint64, loc int) mem.Location {
-	if loc == 0 {
-		return mem.Location{Level: stats.NM, DevAddr: g * memunits.SubblockSize}
-	}
-	return mem.Location{
-		Level:   stats.FM,
-		DevAddr: (uint64(loc-1)*c.slots + g) * memunits.SubblockSize,
-	}
+// home returns where location l of group g sits.
+func (c *cameo) home(g uint64, l int) mem.Location {
+	return c.sys.HomeLocation(c.perm.unit(g, l) * memunits.SubblockSize)
 }
 
 // Locate implements mem.Controller.
-func (c *Controller) Locate(pa uint64) mem.Location {
-	g, m := c.group(memunits.SubblockOf(pa))
-	return c.locAddr(g, c.locationOf(g, m))
-}
-
-// swapIntoNM updates the permutation so member m occupies the NM slot; the
-// previous NM resident moves to m's old location. It returns m's old
-// location index.
-func (c *Controller) swapIntoNM(g uint64, m int) int {
-	row := c.perm.Row(g)
-	oldLoc := int(row[m]) ^ m
-	for r := range row {
-		if int(row[r]) == r { // member r is in the NM slot
-			row[r] = uint8(oldLoc ^ r)
-			if r == 0 && m != 0 {
-				c.nmForeign++ // the slot's own line is displaced
-			}
-			break
-		}
-	}
-	if m == 0 && c.nmForeign > 0 {
-		c.nmForeign-- // member 0 returned home
-	}
-	row[m] = uint8(m)
-	return oldLoc
+func (c *cameo) Locate(pa uint64) mem.Location {
+	g, m := c.perm.split(memunits.SubblockOf(pa))
+	return c.home(g, c.perm.loc(g, m))
 }
 
 // Gauges implements mem.GaugeProvider.
-func (c *Controller) Gauges() []mem.Gauge {
+func (c *cameo) Gauges() []mem.Gauge {
 	return []mem.Gauge{
-		{Name: "nm_foreign_lines", Value: float64(c.nmForeign)},
-		{Name: "nm_foreign_fraction", Value: float64(c.nmForeign) / float64(c.slots)},
+		{Name: "nm_foreign_lines", Value: float64(c.perm.foreign)},
+		{Name: "nm_foreign_fraction", Value: float64(c.perm.foreign) / float64(c.perm.sets)},
 	}
 }
 
 // Handle implements mem.Controller.
-func (c *Controller) Handle(a *mem.Access) {
+func (c *cameo) Handle(a *mem.Access) {
 	st := c.sys.Stats
 	st.LLCMisses++
 	sb := memunits.SubblockOf(a.PAddr)
-	g, m := c.group(sb)
-	loc := c.locationOf(g, m)
-	nmSlot := c.locAddr(g, 0)
+	g, m := c.perm.split(sb)
+	loc := c.perm.loc(g, m)
+	nmSlot := c.home(g, 0)
 
 	if loc == 0 {
 		// NM hit: one extended-burst access returns remap entry + data.
@@ -229,9 +177,9 @@ func (c *Controller) Handle(a *mem.Access) {
 	st.ServicedFM++
 	done := c.sys.DemandDone(a, stats.PathSwap)
 	metaStart := c.sys.Eng.Now()
-	fmLoc := c.locAddr(g, loc)
+	fmLoc := c.home(g, loc)
 	evictLoc := fmLoc // the victim moves to the requested line's old home
-	c.swapIntoNM(g, m)
+	c.perm.exchange(g, m, c.perm.at(g, 0))
 	// Dataflow: the victim is read out of the NM slot first (its extended
 	// burst proves the miss); reads pull the requested line through the NM
 	// slot while writes deposit the new data there directly; the victim
@@ -267,7 +215,7 @@ func (c *Controller) Handle(a *mem.Access) {
 
 // maybePrefetch swaps in the next lines after a demand miss to FM (CAMEOP:
 // "a prefetcher that fetches extra 3 lines along with the miss", §IV-A).
-func (c *Controller) maybePrefetch(sb uint64) {
+func (c *cameo) maybePrefetch(sb uint64) {
 	if c.prefetch == 0 {
 		return
 	}
@@ -277,14 +225,14 @@ func (c *Controller) maybePrefetch(sb uint64) {
 		if nsb >= total {
 			break
 		}
-		g, m := c.group(nsb)
-		loc := c.locationOf(g, m)
+		g, m := c.perm.split(nsb)
+		loc := c.perm.loc(g, m)
 		if loc == 0 {
 			continue // already NM resident
 		}
-		fmLoc := c.locAddr(g, loc)
-		nmSlot := c.locAddr(g, 0)
-		c.swapIntoNM(g, m)
+		fmLoc := c.home(g, loc)
+		nmSlot := c.home(g, 0)
+		c.perm.exchange(g, m, c.perm.at(g, 0))
 		// Prefetch swap traffic: read both sides, write both sides.
 		c.sys.ExchangeSubblocks(fmLoc, nmSlot)
 		c.sys.Stats.SwapsIn++

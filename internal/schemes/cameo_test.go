@@ -1,4 +1,4 @@
-package cameo
+package schemes
 
 import (
 	"math/rand"
@@ -12,15 +12,9 @@ import (
 	"silcfm/internal/stats"
 )
 
-func newTestSystem() (*sim.Engine, *mem.System) {
-	m := config.Small() // NM 4MB, FM 16MB
-	eng := sim.NewEngine()
-	return eng, mem.NewSystem(m, eng)
-}
-
 func TestInitialIdentityMapping(t *testing.T) {
 	_, sys := newTestSystem()
-	c := New(sys, config.CAMEOConfig{})
+	c := newCAMEO(sys, 0)
 	// NM addresses map to themselves in NM; FM addresses to their FM home.
 	for _, pa := range []uint64{0, 64, 4<<20 - 64, 4 << 20, 10 << 20} {
 		loc := c.Locate(pa)
@@ -33,7 +27,7 @@ func TestInitialIdentityMapping(t *testing.T) {
 
 func TestSwapOnFMAccess(t *testing.T) {
 	eng, sys := newTestSystem()
-	c := New(sys, config.CAMEOConfig{})
+	c := newCAMEO(sys, 0)
 	fmAddr := uint64(4 << 20) // first FM subblock: group 0, member 1
 	done := false
 	c.Handle(&mem.Access{PAddr: fmAddr, Done: func() { done = true }})
@@ -62,7 +56,7 @@ func TestSwapOnFMAccess(t *testing.T) {
 
 func TestAccessRateGrowsWithTemporalLocality(t *testing.T) {
 	eng, sys := newTestSystem()
-	c := New(sys, config.CAMEOConfig{})
+	c := newCAMEO(sys, 0)
 	rng := rand.New(rand.NewSource(2))
 	hot := make([]uint64, 64)
 	for i := range hot {
@@ -81,7 +75,7 @@ func TestConflictThrashing(t *testing.T) {
 	// Two FM lines in the same congruence group ping-pong: every access
 	// misses (CAMEO's direct-mapped weakness, §II-B).
 	eng, sys := newTestSystem()
-	c := New(sys, config.CAMEOConfig{})
+	c := newCAMEO(sys, 0)
 	slots := memunits.SubblocksIn(sys.NMCap)
 	a1 := uint64(4 << 20)          // group 0, member 1
 	a2 := uint64(4<<20) + slots*64 // group 0, member 2
@@ -98,7 +92,7 @@ func TestConflictThrashing(t *testing.T) {
 
 func TestWriteAllocatesInNM(t *testing.T) {
 	eng, sys := newTestSystem()
-	c := New(sys, config.CAMEOConfig{})
+	c := newCAMEO(sys, 0)
 	fmAddr := uint64(5 << 20)
 	done := false
 	c.Handle(&mem.Access{PAddr: fmAddr, Write: true, Done: func() { done = true }})
@@ -117,7 +111,7 @@ func TestWriteAllocatesInNM(t *testing.T) {
 
 func TestPrefetcherPullsNeighbors(t *testing.T) {
 	eng, sys := newTestSystem()
-	c := New(sys, config.CAMEOConfig{PrefetchLines: 3})
+	c := newCAMEO(sys, 3)
 	if c.Name() != "camp" {
 		t.Fatalf("Name = %s", c.Name())
 	}
@@ -145,7 +139,7 @@ func TestPrefetcherPullsNeighbors(t *testing.T) {
 
 func TestOriginalCAMEONoPrefetch(t *testing.T) {
 	eng, sys := newTestSystem()
-	c := New(sys, config.CAMEOConfig{})
+	c := newCAMEO(sys, 0)
 	if c.Name() != "cam" {
 		t.Fatalf("Name = %s", c.Name())
 	}
@@ -165,7 +159,7 @@ func TestMappingStaysBijective(t *testing.T) {
 		m.NM = config.HBM(1 << 20)
 		m.FM = config.DDR3(4 << 20)
 		sys := mem.NewSystem(m, eng)
-		c := New(sys, config.CAMEOConfig{PrefetchLines: int(seed % 4)})
+		c := newCAMEO(sys, int(seed%4))
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < int(n)+20; i++ {
 			pa := uint64(rng.Intn(5<<20)) &^ 63
@@ -185,7 +179,7 @@ func TestFullAuditSmall(t *testing.T) {
 	m.NM = config.HBM(256 << 10)
 	m.FM = config.DDR3(1 << 20)
 	sys := mem.NewSystem(m, eng)
-	c := New(sys, config.CAMEOConfig{PrefetchLines: 3})
+	c := newCAMEO(sys, 3)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 5000; i++ {
 		c.Handle(&mem.Access{PAddr: uint64(rng.Intn(1280<<10)) &^ 63, Write: rng.Intn(4) == 0})
@@ -198,82 +192,10 @@ func TestFullAuditSmall(t *testing.T) {
 
 func TestMetadataTrafficAccounted(t *testing.T) {
 	eng, sys := newTestSystem()
-	c := New(sys, config.CAMEOConfig{})
+	c := newCAMEO(sys, 0)
 	c.Handle(&mem.Access{PAddr: 0}) // NM hit: extended burst carries remap
 	eng.Run()
 	if sys.Stats.Bytes[stats.NM][stats.Metadata] != remapEntrySize {
 		t.Fatalf("metadata bytes = %d, want %d", sys.Stats.Bytes[stats.NM][stats.Metadata], remapEntrySize)
-	}
-}
-
-// Property: the paged, XOR-encoded permutation agrees with a flat one.
-// Random swap streams, half of them aimed at groups next to page
-// boundaries, run through swapIntoNM and through a plain per-group
-// location array at 5 members (FM = 4 NM) and at 17 (FM = 16 NM); every
-// member of every touched group, and of a group on a page never written,
-// must Locate where the flat permutation says.
-func TestPagedPermMatchesFlat(t *testing.T) {
-	for _, ratio := range []uint64{4, 16} {
-		f := func(seed int64) bool {
-			m := config.Small()
-			m.NM = config.HBM(1 << 20) // 16384 groups: 4 pages
-			m.FM = config.DDR3(ratio << 20)
-			sys := mem.NewSystem(m, sim.NewEngine())
-			c := New(sys, config.CAMEOConfig{})
-			rng := rand.New(rand.NewSource(seed))
-			ref := map[uint64][]int{} // group -> location of each member
-			refLoc := func(g uint64) []int {
-				if ref[g] == nil {
-					ref[g] = make([]int, c.members)
-					for m := range ref[g] {
-						ref[g][m] = m
-					}
-				}
-				return ref[g]
-			}
-			// Swaps touch the first three pages only; the fourth stays
-			// unwritten.
-			for i := 0; i < 2000; i++ {
-				g := uint64(rng.Intn(2 * memunits.PageRows))
-				if i%2 == 0 { // within 3 groups of a page boundary
-					g = uint64(1+rng.Intn(2))*memunits.PageRows + uint64(rng.Intn(7)) - 3
-				}
-				mb := rng.Intn(c.members)
-				locs := refLoc(g)
-				old := locs[mb]
-				for r := range locs {
-					if locs[r] == 0 {
-						locs[r] = old
-						break
-					}
-				}
-				locs[mb] = 0
-				if got := c.swapIntoNM(g, mb); got != old {
-					t.Logf("ratio %d: swapIntoNM(%d, %d) = %d, flat %d", ratio, g, mb, got, old)
-					return false
-				}
-			}
-			if c.perm.Pages()[3] != nil {
-				t.Logf("ratio %d: a page no swap touched was allocated", ratio)
-				return false
-			}
-			refLoc(c.slots - 1) // on the unwritten page: identity
-			for g, locs := range ref {
-				for mb, loc := range locs {
-					want := mem.Location{Level: stats.NM, DevAddr: g * 64}
-					if loc != 0 {
-						want = mem.Location{Level: stats.FM, DevAddr: (uint64(loc-1)*c.slots + g) * 64}
-					}
-					if got := c.Locate((uint64(mb)*c.slots + g) * 64); got != want {
-						t.Logf("ratio %d: group %d member %d at %+v, flat %+v", ratio, g, mb, got, want)
-						return false
-					}
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-			t.Fatalf("FM/NM %d: %v", ratio, err)
-		}
 	}
 }

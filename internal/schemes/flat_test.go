@@ -1,4 +1,4 @@
-package flat
+package schemes
 
 import (
 	"testing"
@@ -14,7 +14,7 @@ func TestBaselineAllFM(t *testing.T) {
 	m.Scheme = config.SchemeBaseline
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
-	b := NewBaseline(sys)
+	b := &baseline{sys}
 	if b.Name() != "base" {
 		t.Fatal("name")
 	}
@@ -41,7 +41,7 @@ func TestStaticRoutesByAddress(t *testing.T) {
 	m := config.Small() // NM 4MB
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
-	s := NewStatic(sys)
+	s := &static{sys}
 	if s.Name() != "rand" {
 		t.Fatal("name")
 	}

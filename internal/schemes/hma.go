@@ -1,17 +1,4 @@
-// Package hma implements the epoch-based OS-managed scheme the paper uses
-// as its software baseline (§II-C, HMA). The OS counts page accesses
-// through PTE reference bits; at each epoch boundary it sweeps the counters,
-// selects pages whose count crossed a threshold, and bulk-migrates them
-// into NM — paying per-page software costs (PTE updates, TLB shootdowns)
-// plus the bulk transfer itself, during which demand accesses stall. NM is
-// an OS-reserved region: first-touch allocation places application pages in
-// FM only (vm.PolicyFMFirst) and only epoch migration fills NM.
-//
-// The OS work (PTE updates, TLB shootdowns, counter sweep) stalls demand
-// for its duration; the bulk page copies themselves are issued as
-// background-priority DMA transfers that compete for device bandwidth
-// without ever delaying demand reads. See DESIGN.md.
-package hma
+package schemes
 
 import (
 	"sort"
@@ -22,8 +9,20 @@ import (
 	"silcfm/internal/stats"
 )
 
-// Controller is the epoch-based OS scheme.
-type Controller struct {
+// hma is the epoch-based OS-managed scheme the paper uses as its software
+// baseline (§II-C, HMA). The OS counts page accesses through PTE reference
+// bits; at each epoch boundary it sweeps the counters, selects pages whose
+// count crossed a threshold, and bulk-migrates them into NM — paying
+// per-page software costs (PTE updates, TLB shootdowns) plus the bulk
+// transfer itself, during which demand accesses stall. NM is an
+// OS-reserved region: first-touch allocation places application pages in
+// FM only (vm.PolicyFMFirst) and only epoch migration fills NM.
+//
+// The OS work (PTE updates, TLB shootdowns, counter sweep) stalls demand
+// for its duration; the bulk page copies themselves are issued as
+// background-priority DMA transfers that compete for device bandwidth
+// without ever delaying demand reads. See DESIGN.md.
+type hma struct {
 	sys *mem.System
 	cfg config.HMAConfig
 
@@ -55,13 +54,13 @@ type Controller struct {
 	maxMigrate int
 }
 
-// New builds an HMA controller over sys. It relies on what
+// newHMA builds an HMA controller over sys. It relies on what
 // config.Machine.Validate checks: fewer than 2^32 blocks, so a block number
 // fits a uint32, and a positive epoch length and hot threshold.
-func New(sys *mem.System, cfg config.HMAConfig) *Controller {
+func newHMA(sys *mem.System, cfg config.HMAConfig) *hma {
 	nmBlocks := memunits.BlocksIn(sys.NMCap)
 	total := memunits.BlocksIn(sys.NMCap + sys.FMCap)
-	return &Controller{
+	return &hma{
 		sys:        sys,
 		cfg:        cfg,
 		nmBlocks:   nmBlocks,
@@ -77,17 +76,17 @@ func New(sys *mem.System, cfg config.HMAConfig) *Controller {
 }
 
 // Name implements mem.Controller.
-func (c *Controller) Name() string { return "hma" }
+func (c *hma) Name() string { return "hma" }
 
 // curOf returns flat block b's location block.
-func (c *Controller) curOf(b uint64) uint64 { return uint64(c.cur.Get(b, 0)) ^ b }
+func (c *hma) curOf(b uint64) uint64 { return uint64(c.cur.Get(b, 0)) ^ b }
 
 // invOf returns the flat block at location block loc.
-func (c *Controller) invOf(loc uint64) uint64 { return uint64(c.inv.Get(loc, 0)) ^ loc }
+func (c *hma) invOf(loc uint64) uint64 { return uint64(c.inv.Get(loc, 0)) ^ loc }
 
 // usable counts the never-filled NM frames whose resident flat block was
 // never demand-accessed: the free one-way migration targets.
-func (c *Controller) usable() int {
+func (c *hma) usable() int {
 	n := 0
 	for f := uint64(0); f < c.freeNM; f++ {
 		if !c.used.Get(c.invOf(f), 0) {
@@ -98,12 +97,12 @@ func (c *Controller) usable() int {
 }
 
 // Locate implements mem.Controller.
-func (c *Controller) Locate(pa uint64) mem.Location {
+func (c *hma) Locate(pa uint64) mem.Location {
 	return c.sys.HomeLocation(memunits.SubblockAddr(c.curOf(memunits.BlockOf(pa)), memunits.SubblockIndex(pa)))
 }
 
 // Handle implements mem.Controller.
-func (c *Controller) Handle(a *mem.Access) {
+func (c *hma) Handle(a *mem.Access) {
 	c.sys.Stats.LLCMisses++
 	b := memunits.BlockOf(a.PAddr)
 	c.ctr.Row(b)[0]++
@@ -129,7 +128,7 @@ func (c *Controller) Handle(a *mem.Access) {
 }
 
 // service routes a demand to its current location.
-func (c *Controller) service(a *mem.Access) {
+func (c *hma) service(a *mem.Access) {
 	loc := c.Locate(a.PAddr)
 	path := stats.PathFM
 	if loc.Level == stats.NM {
@@ -139,7 +138,7 @@ func (c *Controller) service(a *mem.Access) {
 }
 
 // Gauges implements mem.GaugeProvider.
-func (c *Controller) Gauges() []mem.Gauge {
+func (c *hma) Gauges() []mem.Gauge {
 	blocked := 0.0
 	if c.blockedUntil > c.sys.Eng.Now() {
 		blocked = 1
@@ -154,7 +153,7 @@ func (c *Controller) Gauges() []mem.Gauge {
 
 // runEpoch sweeps counters, migrates hot FM pages into NM (possibly
 // swapping out cold NM residents) and charges software + transfer costs.
-func (c *Controller) runEpoch(now uint64) {
+func (c *hma) runEpoch(now uint64) {
 	for now >= c.nextEpoch {
 		c.nextEpoch += c.cfg.EpochCycles
 	}
@@ -244,7 +243,7 @@ func (c *Controller) runEpoch(now uint64) {
 // frame whose resident flat block was never demand-accessed. Frames whose
 // resident has been touched hold live data and are discarded from the free
 // list (only a two-way swap may displace them).
-func (c *Controller) popFreeFrame() (uint64, bool) {
+func (c *hma) popFreeFrame() (uint64, bool) {
 	for c.freeNM > 0 {
 		c.freeNM--
 		if !c.used.Get(c.invOf(c.freeNM), 0) {
@@ -255,7 +254,7 @@ func (c *Controller) popFreeFrame() (uint64, bool) {
 }
 
 // swapBlocks exchanges the locations of flat blocks x and y.
-func (c *Controller) swapBlocks(x, y uint64) {
+func (c *hma) swapBlocks(x, y uint64) {
 	lx, ly := c.curOf(x), c.curOf(y)
 	c.cur.Row(x)[0] = uint32(ly ^ x)
 	c.cur.Row(y)[0] = uint32(lx ^ y)

@@ -1,4 +1,4 @@
-package hma
+package schemes
 
 import (
 	"math/rand"
@@ -12,7 +12,7 @@ import (
 	"silcfm/internal/stats"
 )
 
-func newTest(epoch uint64, thresh uint32) (*sim.Engine, *mem.System, *Controller) {
+func newTestHMA(epoch uint64, thresh uint32) (*sim.Engine, *mem.System, *hma) {
 	m := config.Small() // NM 4MB, FM 16MB
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
@@ -22,19 +22,19 @@ func newTest(epoch uint64, thresh uint32) (*sim.Engine, *mem.System, *Controller
 		PerPageOSOverhead:  1000,
 		EpochFixedOverhead: 5000,
 	}
-	return eng, sys, New(sys, cfg)
+	return eng, sys, newHMA(sys, cfg)
 }
 
 // fmAddr returns the i-th FM page's base address.
-func fmAddr(i int) uint64 { return 4<<20 + uint64(i)*memunits.BlockSize }
+func fmPage(i int) uint64 { return 4<<20 + uint64(i)*memunits.BlockSize }
 
 func TestNoMigrationWithinEpoch(t *testing.T) {
-	eng, sys, c := newTest(1<<20, 4)
+	eng, sys, c := newTestHMA(1<<20, 4)
 	for i := 0; i < 100; i++ {
-		c.Handle(&mem.Access{PAddr: fmAddr(0)})
+		c.Handle(&mem.Access{PAddr: fmPage(0)})
 		eng.Run()
 	}
-	if loc := c.Locate(fmAddr(0)); loc.Level != stats.NM {
+	if loc := c.Locate(fmPage(0)); loc.Level != stats.NM {
 		// Still FM resident: migration only at epoch boundaries.
 		if sys.Stats.Migrations != 0 {
 			t.Fatal("migration before epoch boundary")
@@ -48,20 +48,20 @@ func TestNoMigrationWithinEpoch(t *testing.T) {
 }
 
 func TestEpochMigratesHotPages(t *testing.T) {
-	eng, sys, c := newTest(50000, 4)
+	eng, sys, c := newTestHMA(50000, 4)
 	// Heat up pages 0..9 within the first epoch.
 	for i := 0; i < 100; i++ {
-		c.Handle(&mem.Access{PAddr: fmAddr(i % 10)})
+		c.Handle(&mem.Access{PAddr: fmPage(i % 10)})
 		eng.Run()
 	}
 	if eng.Now() >= 50000 {
 		t.Fatal("warmup overran the first epoch; enlarge EpochCycles")
 	}
 	// Cross the epoch boundary and touch once to trigger the sweep.
-	eng.At(60000, func() { c.Handle(&mem.Access{PAddr: fmAddr(0)}) })
+	eng.At(60000, func() { c.Handle(&mem.Access{PAddr: fmPage(0)}) })
 	eng.Run()
 	for i := 0; i < 10; i++ {
-		if loc := c.Locate(fmAddr(i)); loc.Level != stats.NM {
+		if loc := c.Locate(fmPage(i)); loc.Level != stats.NM {
 			t.Fatalf("hot page %d not migrated: %+v", i, loc)
 		}
 	}
@@ -77,16 +77,16 @@ func TestEpochMigratesHotPages(t *testing.T) {
 }
 
 func TestColdPagesStayInFM(t *testing.T) {
-	eng, _, c := newTest(1000, 50)
+	eng, _, c := newTestHMA(1000, 50)
 	for i := 0; i < 200; i++ {
-		c.Handle(&mem.Access{PAddr: fmAddr(i)}) // each page touched once
+		c.Handle(&mem.Access{PAddr: fmPage(i)}) // each page touched once
 		eng.Run()
 	}
-	eng.At(5000, func() { c.Handle(&mem.Access{PAddr: fmAddr(0)}) })
+	eng.At(5000, func() { c.Handle(&mem.Access{PAddr: fmPage(0)}) })
 	eng.Run()
 	moved := 0
 	for i := 0; i < 200; i++ {
-		if c.Locate(fmAddr(i)).Level == stats.NM {
+		if c.Locate(fmPage(i)).Level == stats.NM {
 			moved++
 		}
 	}
@@ -96,9 +96,9 @@ func TestColdPagesStayInFM(t *testing.T) {
 }
 
 func TestMigrationStallsDemand(t *testing.T) {
-	eng, _, c := newTest(20000, 2)
+	eng, _, c := newTestHMA(20000, 2)
 	for i := 0; i < 50; i++ {
-		c.Handle(&mem.Access{PAddr: fmAddr(i % 5)})
+		c.Handle(&mem.Access{PAddr: fmPage(i % 5)})
 		eng.Run()
 	}
 	if eng.Now() >= 20000 {
@@ -107,7 +107,7 @@ func TestMigrationStallsDemand(t *testing.T) {
 	// Trigger the epoch: this access pays the migration stall.
 	var doneAt uint64
 	eng.At(25000, func() {
-		c.Handle(&mem.Access{PAddr: fmAddr(100), Done: func() { doneAt = eng.Now() }})
+		c.Handle(&mem.Access{PAddr: fmPage(100), Done: func() { doneAt = eng.Now() }})
 	})
 	eng.Run()
 	// 5 migrations x 1000 per-page + 5000 fixed = at least 10000 cycles.
@@ -124,7 +124,7 @@ func TestSwapOutColdForHot(t *testing.T) {
 	m.FM = config.DDR3(256 << 10)
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
-	c := New(sys, config.HMAConfig{EpochCycles: 1000, HotThreshold: 2, PerPageOSOverhead: 10, EpochFixedOverhead: 10})
+	c := newHMA(sys, config.HMAConfig{EpochCycles: 1000, HotThreshold: 2, PerPageOSOverhead: 10, EpochFixedOverhead: 10})
 
 	fmBase := uint64(64 << 10)
 	page := func(i int) uint64 { return fmBase + uint64(i)*memunits.BlockSize }
@@ -161,14 +161,14 @@ func TestSwapOutColdForHot(t *testing.T) {
 }
 
 func TestMigrationCapRespected(t *testing.T) {
-	eng, sys, c := newTest(1000, 1)
+	eng, sys, c := newTestHMA(1000, 1)
 	c.maxMigrate = 5
 	for i := 0; i < 50; i++ {
-		c.Handle(&mem.Access{PAddr: fmAddr(i)})
-		c.Handle(&mem.Access{PAddr: fmAddr(i)})
+		c.Handle(&mem.Access{PAddr: fmPage(i)})
+		c.Handle(&mem.Access{PAddr: fmPage(i)})
 	}
 	eng.Run()
-	eng.At(2000, func() { c.Handle(&mem.Access{PAddr: fmAddr(200)}) })
+	eng.At(2000, func() { c.Handle(&mem.Access{PAddr: fmPage(200)}) })
 	eng.Run()
 	if sys.Stats.Migrations != 5 {
 		t.Fatalf("Migrations = %d, want cap 5", sys.Stats.Migrations)
@@ -181,7 +181,7 @@ func TestAuditAfterRandomTraffic(t *testing.T) {
 	m.FM = config.DDR3(1 << 20)
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
-	c := New(sys, config.HMAConfig{EpochCycles: 5000, HotThreshold: 3, PerPageOSOverhead: 10, EpochFixedOverhead: 10})
+	c := newHMA(sys, config.HMAConfig{EpochCycles: 5000, HotThreshold: 3, PerPageOSOverhead: 10, EpochFixedOverhead: 10})
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 20000; i++ {
 		pa := uint64(256<<10) + uint64(rng.Intn(1<<20))&^63
@@ -200,19 +200,19 @@ func TestAuditAfterRandomTraffic(t *testing.T) {
 }
 
 func TestCountersResetEachEpoch(t *testing.T) {
-	eng, sys, c := newTest(1000, 10)
+	eng, sys, c := newTestHMA(1000, 10)
 	// 6 accesses in epoch 1, 6 in epoch 2: never crosses 10 in one epoch.
 	for i := 0; i < 6; i++ {
-		c.Handle(&mem.Access{PAddr: fmAddr(3)})
+		c.Handle(&mem.Access{PAddr: fmPage(3)})
 	}
 	eng.Run()
 	eng.At(1200, func() {
 		for i := 0; i < 6; i++ {
-			c.Handle(&mem.Access{PAddr: fmAddr(3)})
+			c.Handle(&mem.Access{PAddr: fmPage(3)})
 		}
 	})
 	eng.Run()
-	eng.At(2400, func() { c.Handle(&mem.Access{PAddr: fmAddr(3)}) })
+	eng.At(2400, func() { c.Handle(&mem.Access{PAddr: fmPage(3)}) })
 	eng.Run()
 	if sys.Stats.Migrations != 0 {
 		t.Fatal("stale counts accumulated across epochs")
@@ -223,7 +223,7 @@ func TestCountersResetEachEpoch(t *testing.T) {
 // resident flat block has been demand-accessed holds live data and must not
 // be handed out as a one-way migration target.
 func TestPopFreeFrameSkipsUsedResidents(t *testing.T) {
-	_, _, c := newTest(1000, 1)
+	_, _, c := newTestHMA(1000, 1)
 	// Touch the flat NM blocks resident in the two frames at the top of the
 	// free countdown (frames are taken from the top down).
 	n := c.freeNM
@@ -249,13 +249,6 @@ func TestPopFreeFrameSkipsUsedResidents(t *testing.T) {
 	}
 	if c.freeNM != 0 {
 		t.Fatal("free list not drained on exhaustion")
-	}
-}
-
-func TestName(t *testing.T) {
-	_, _, c := newTest(1000, 1)
-	if c.Name() != "hma" {
-		t.Fatal("name")
 	}
 }
 
@@ -358,7 +351,7 @@ func TestPagedTablesMatchFlat(t *testing.T) {
 		eng := sim.NewEngine()
 		sys := mem.NewSystem(m, eng)
 		const thresh = 2
-		c := New(sys, config.HMAConfig{EpochCycles: 1 << 60, HotThreshold: thresh,
+		c := newHMA(sys, config.HMAConfig{EpochCycles: 1 << 60, HotThreshold: thresh,
 			PerPageOSOverhead: 10, EpochFixedOverhead: 100})
 		c.maxMigrate = 96
 		ref := newFlatHMA(c.nmBlocks, c.total)

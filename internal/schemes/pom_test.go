@@ -1,4 +1,4 @@
-package pom
+package schemes
 
 import (
 	"math/rand"
@@ -12,15 +12,9 @@ import (
 	"silcfm/internal/stats"
 )
 
-func newTestSystem() (*sim.Engine, *mem.System) {
-	m := config.Small() // NM 4MB, FM 16MB
-	eng := sim.NewEngine()
-	return eng, mem.NewSystem(m, eng)
-}
-
 func TestNoMigrationBelowThreshold(t *testing.T) {
 	eng, sys := newTestSystem()
-	c := New(sys, config.PoMConfig{MigrationThreshold: 16})
+	c := newPoM(sys, config.PoMConfig{MigrationThreshold: 16})
 	fm := uint64(4 << 20)
 	for i := 0; i < 15; i++ {
 		c.Handle(&mem.Access{PAddr: fm})
@@ -39,7 +33,7 @@ func TestNoMigrationBelowThreshold(t *testing.T) {
 
 func TestMigrationAtThreshold(t *testing.T) {
 	eng, sys := newTestSystem()
-	c := New(sys, config.PoMConfig{MigrationThreshold: 16})
+	c := newPoM(sys, config.PoMConfig{MigrationThreshold: 16})
 	fm := uint64(4 << 20)
 	for i := 0; i < 16; i++ {
 		c.Handle(&mem.Access{PAddr: fm + uint64(i%32)*64})
@@ -73,7 +67,7 @@ func TestMigrationWastesBandwidthOnSparseUse(t *testing.T) {
 	// Accessing a single subblock repeatedly still moves all 32 subblocks:
 	// PoM's bandwidth waste on low spatial locality (§II-B).
 	eng, sys := newTestSystem()
-	c := New(sys, config.PoMConfig{MigrationThreshold: 4})
+	c := newPoM(sys, config.PoMConfig{MigrationThreshold: 4})
 	fm := uint64(4 << 20)
 	for i := 0; i < 4; i++ {
 		c.Handle(&mem.Access{PAddr: fm})
@@ -88,7 +82,7 @@ func TestMigrationWastesBandwidthOnSparseUse(t *testing.T) {
 
 func TestCounterDecay(t *testing.T) {
 	eng, sys := newTestSystem()
-	c := New(sys, config.PoMConfig{MigrationThreshold: 16})
+	c := newPoM(sys, config.PoMConfig{MigrationThreshold: 16})
 	c.decayAt = 8
 	fm := uint64(4 << 20)
 	// 7 accesses, then enough other traffic to trigger decay, then 8 more:
@@ -114,7 +108,7 @@ func TestPermutationAudit(t *testing.T) {
 		m.NM = config.HBM(256 << 10)
 		m.FM = config.DDR3(1 << 20)
 		sys := mem.NewSystem(m, eng)
-		c := New(sys, config.PoMConfig{MigrationThreshold: 3})
+		c := newPoM(sys, config.PoMConfig{MigrationThreshold: 3})
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 3000; i++ {
 			c.Handle(&mem.Access{PAddr: uint64(rng.Intn(1280<<10)) &^ 63, Write: rng.Intn(4) == 0})
@@ -139,14 +133,14 @@ func TestLargestSetAudits(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := mem.NewSystem(m, sim.NewEngine())
-	if err := mem.Audit(New(sys, m.PoM), sys.NMCap, sys.FMCap); err != nil {
+	if err := mem.Audit(newPoM(sys, m.PoM), sys.NMCap, sys.FMCap); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSubblockOffsetsPreserved(t *testing.T) {
 	eng, sys := newTestSystem()
-	c := New(sys, config.PoMConfig{MigrationThreshold: 1})
+	c := newPoM(sys, config.PoMConfig{MigrationThreshold: 1})
 	fm := uint64(4<<20) + 5*memunits.BlockSize + 17*64
 	c.Handle(&mem.Access{PAddr: fm})
 	eng.Run()
@@ -160,20 +154,13 @@ func TestSubblockOffsetsPreserved(t *testing.T) {
 	_ = sys
 }
 
-func TestName(t *testing.T) {
-	_, sys := newTestSystem()
-	if New(sys, config.DefaultPoM()).Name() != "pom" {
-		t.Fatal("name")
-	}
-}
-
 func TestAssociativePoMHoldsMultipleHotBlocks(t *testing.T) {
 	// With 4 ways, four hot FM blocks congruent to one set coexist in NM;
 	// direct-mapped PoM would thrash them through a single frame.
 	m := config.Small()
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
-	c := New(sys, config.PoMConfig{MigrationThreshold: 2, Ways: 4})
+	c := newPoM(sys, config.PoMConfig{MigrationThreshold: 2, Ways: 4})
 	// NM 4MB = 2048 blocks, 4 ways -> 512 sets. FM blocks congruent to set
 	// 0 are flat blocks 2048, 2560, 3072, ... (multiples of sets beyond NM).
 	fmBlock := func(k int) uint64 { return (2048 + uint64(k)*512) * memunits.BlockSize }
@@ -200,7 +187,7 @@ func TestAssociativePoMEvictsColdest(t *testing.T) {
 	m := config.Small()
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
-	c := New(sys, config.PoMConfig{MigrationThreshold: 2, Ways: 2})
+	c := newPoM(sys, config.PoMConfig{MigrationThreshold: 2, Ways: 2})
 	// 2 ways -> 1024 sets. Set 0's FM members: 2048, 3072, 4096...
 	fmBlock := func(k int) uint64 { return (2048 + uint64(k)*1024) * memunits.BlockSize }
 	// Heat block 0 a lot (migrates, stays hot) and block 1 just enough to

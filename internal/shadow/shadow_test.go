@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"silcfm/internal/config"
-	"silcfm/internal/core"
 	"silcfm/internal/mem"
+	"silcfm/internal/schemes"
 	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 )
@@ -17,12 +17,16 @@ func silcRig(t *testing.T, fault bool) (*sim.Engine, *mem.System, *Checker) {
 	m := config.Small()
 	m.NM = config.HBM(256 << 10)
 	m.FM = config.DDR3(1 << 20)
-	cfg := config.DefaultSILC()
-	cfg.Features.Predictor = false // keep the demand path synchronous-ish
+	m.Scheme = config.SchemeSILCFM
+	m.SILC = config.DefaultSILC()
+	m.SILC.Features.Predictor = false // keep the demand path synchronous-ish
 	eng := sim.NewEngine()
 	sys := mem.NewSystem(m, eng)
 	sys.FaultInjectSwapOrder = fault
-	ctl := core.New(sys, cfg)
+	ctl, err := schemes.New(m, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return eng, sys, New(ctl, sys, sys.NMCap, sys.FMCap)
 }
 

@@ -9,10 +9,7 @@ import (
 	"silcfm/internal/dram"
 	"silcfm/internal/mem"
 	"silcfm/internal/memunits"
-	"silcfm/internal/schemes/cameo"
-	"silcfm/internal/schemes/flat"
-	"silcfm/internal/schemes/hma"
-	"silcfm/internal/schemes/pom"
+	"silcfm/internal/schemes"
 	"silcfm/internal/sim"
 	"silcfm/internal/stats"
 )
@@ -65,24 +62,9 @@ func RunStress(o StressOptions) error {
 	sys := mem.NewSystem(m, eng)
 	sys.FaultInjectSwapOrder = o.FaultInjectSwapOrder
 
-	var ctl mem.Controller
-	switch o.Scheme {
-	case config.SchemeBaseline:
-		ctl = flat.NewBaseline(sys)
-	case config.SchemeRandom:
-		ctl = flat.NewStatic(sys)
-	case config.SchemeHMA:
-		ctl = hma.New(sys, m.HMA)
-	case config.SchemeCAMEO:
-		ctl = cameo.New(sys, config.CAMEOConfig{})
-	case config.SchemeCAMEOP:
-		ctl = cameo.New(sys, config.CAMEOConfig{PrefetchLines: 3})
-	case config.SchemePoM:
-		ctl = pom.New(sys, m.PoM)
-	case config.SchemeSILCFM:
-		ctl = core.New(sys, m.SILC)
-	default:
-		return fmt.Errorf("shadow: unknown scheme %q", o.Scheme)
+	ctl, err := schemes.New(m, sys)
+	if err != nil {
+		return err
 	}
 
 	nmFlat := sys.NMCap
