@@ -71,3 +71,43 @@ func TestHistoryExplicitPathsKeepOrder(t *testing.T) {
 		t.Errorf("mixed steps %q, want %q", got, want)
 	}
 }
+
+// TestKeepRepTakesFewestAllocations: the kept entry times the fastest rep
+// but counts the fewest allocation objects and bytes of any rep, each its
+// own minimum, whichever rep was fastest or first.
+func TestKeepRepTakesFewestAllocations(t *testing.T) {
+	rep := func(wall float64, objects, bytes uint64) manifest.Entry {
+		return manifest.Entry{ID: "cell", Host: manifest.Host{
+			WallSeconds: wall, SimCyclesPerSec: 1 / wall, AllocObjects: objects, AllocBytes: bytes}}
+	}
+	reps := []manifest.Entry{
+		rep(0.5, 1186, 90_000), // first and fastest: pays process start-up
+		rep(0.7, 541, 70_000),
+		rep(0.6, 530, 71_000),
+		rep(0.9, 543, 69_000),
+	}
+	var kept *manifest.Entry
+	var fastest []bool
+	for _, e := range reps {
+		var f bool
+		kept, f = keepRep(kept, e)
+		fastest = append(fastest, f)
+	}
+	if want := []bool{true, false, false, false}; !reflect.DeepEqual(fastest, want) {
+		t.Errorf("fastest flags %v, want %v", fastest, want)
+	}
+	want := manifest.Host{WallSeconds: 0.5, SimCyclesPerSec: 2, AllocObjects: 530, AllocBytes: 69_000}
+	if kept.Host != want {
+		t.Errorf("kept host %+v, want %+v", kept.Host, want)
+	}
+	if reps[0].Host.AllocObjects != 1186 {
+		t.Error("keepRep changed a rep's entry")
+	}
+
+	// A later, faster rep replaces the timing but keeps the minima.
+	kept, f := keepRep(kept, rep(0.4, 600, 80_000))
+	want = manifest.Host{WallSeconds: 0.4, SimCyclesPerSec: 2.5, AllocObjects: 530, AllocBytes: 69_000}
+	if !f || kept.Host != want {
+		t.Errorf("after a faster rep: fastest %v, kept host %+v, want true and %+v", f, kept.Host, want)
+	}
+}

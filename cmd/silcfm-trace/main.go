@@ -16,6 +16,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -267,29 +268,56 @@ type spanTree struct {
 	children []perfettoEvent
 }
 
-// inspectPerfetto summarizes a Perfetto trace and prints its injected
-// exemplar span trees, filtered by demand path substring and bounded to the
-// N slowest (by parent duration; ties broken by start then track for a
-// deterministic listing).
+// inspectPerfetto summarizes a Perfetto trace file and prints its injected
+// exemplar span trees (see parsePerfetto and perfettoTrace.print).
 func inspectPerfetto(path, pathFilter string, slowest int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var doc struct {
-		TraceEvents []perfettoEvent `json:"traceEvents"`
-		OtherData   struct {
-			Events       uint64 `json:"events"`
-			Dropped      uint64 `json:"dropped"`
-			Spans        uint64 `json:"spans"`
-			SpansDropped uint64 `json:"spans_dropped"`
-		} `json:"otherData"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
+	p, err := parsePerfetto(data)
+	if err != nil {
 		return fmt.Errorf("%s: not a Perfetto trace: %w", path, err)
 	}
+	p.print(os.Stdout, pathFilter, slowest)
+	return nil
+}
+
+// perfettoTrace is what -inspect reads from a Perfetto trace: the ring's
+// instant count, the trace's own otherData counts and the exemplar span
+// trees in trace order.
+type perfettoTrace struct {
+	instants int
+	other    traceCounts
+	trees    []spanTree
+}
+
+// traceCounts is a trace's otherData: movement events observed and
+// dropped, injected spans kept and dropped.
+type traceCounts struct {
+	Events       uint64 `json:"events"`
+	Dropped      uint64 `json:"dropped"`
+	Spans        uint64 `json:"spans"`
+	SpansDropped uint64 `json:"spans_dropped"`
+}
+
+// parsePerfetto decodes a Perfetto trace: a JSON object with a traceEvents
+// array. Exemplar parents are the "pa=0x..." spans on "exemplar:*" tracks;
+// a component span that follows a parent on its track joins the latest one
+// that contains it in time.
+func parsePerfetto(data []byte) (*perfettoTrace, error) {
+	var doc struct {
+		TraceEvents []perfettoEvent `json:"traceEvents"`
+		OtherData   traceCounts     `json:"otherData"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, err
+	}
+	if doc.TraceEvents == nil {
+		return nil, errors.New("no traceEvents array")
+	}
+	p := &perfettoTrace{other: doc.OtherData}
 	tracks := map[int]string{}
-	var instants int
 	for i := range doc.TraceEvents {
 		e := &doc.TraceEvents[i]
 		switch e.Ph {
@@ -300,32 +328,38 @@ func inspectPerfetto(path, pathFilter string, slowest int) error {
 				}
 			}
 		case "i":
-			instants++
+			p.instants++
 		}
 	}
-	// Exemplar parents are the "pa=0x..." spans on "exemplar:*" tracks;
-	// the component spans that follow a parent on its track nest inside it
-	// by time containment.
-	var trees []spanTree
 	for i := range doc.TraceEvents {
 		e := &doc.TraceEvents[i]
 		if e.Ph != "X" || !strings.HasPrefix(tracks[e.Tid], "exemplar:") {
 			continue
 		}
 		if strings.HasPrefix(e.Name, "pa=") {
-			trees = append(trees, spanTree{track: tracks[e.Tid], name: e.Name, ts: e.Ts, dur: e.Dur})
+			p.trees = append(p.trees, spanTree{track: tracks[e.Tid], name: e.Name, ts: e.Ts, dur: e.Dur})
 			continue
 		}
-		for j := len(trees) - 1; j >= 0; j-- {
-			t := &trees[j]
-			if t.track == tracks[e.Tid] && e.Ts >= t.ts && e.Ts+e.Dur <= t.ts+t.dur {
+		for j := len(p.trees) - 1; j >= 0; j-- {
+			t := &p.trees[j]
+			// Containment without forming either end, which can pass 2^64.
+			if t.track == tracks[e.Tid] && e.Ts >= t.ts && e.Dur <= t.dur && e.Ts-t.ts <= t.dur-e.Dur {
 				t.children = append(t.children, *e)
 				break
 			}
 		}
 	}
-	fmt.Printf("perfetto trace: %d movement events kept (%d observed, %d dropped), %d injected spans (%d dropped), %d exemplar span trees\n",
-		instants, doc.OtherData.Events, doc.OtherData.Dropped, doc.OtherData.Spans, doc.OtherData.SpansDropped, len(trees))
+	return p, nil
+}
+
+// print writes the trace summary and its span trees, filtered by demand
+// path substring and bounded to the N slowest (by parent duration; ties
+// broken by start then track for a deterministic listing). It filters and
+// sorts p.trees in place.
+func (p *perfettoTrace) print(w io.Writer, pathFilter string, slowest int) {
+	trees := p.trees
+	fmt.Fprintf(w, "perfetto trace: %d movement events kept (%d observed, %d dropped), %d injected spans (%d dropped), %d exemplar span trees\n",
+		p.instants, p.other.Events, p.other.Dropped, p.other.Spans, p.other.SpansDropped, len(trees))
 	if pathFilter != "" {
 		kept := trees[:0]
 		for _, t := range trees {
@@ -334,7 +368,7 @@ func inspectPerfetto(path, pathFilter string, slowest int) error {
 			}
 		}
 		trees = kept
-		fmt.Printf("path filter %q: %d span trees match\n", pathFilter, len(trees))
+		fmt.Fprintf(w, "path filter %q: %d span trees match\n", pathFilter, len(trees))
 	}
 	sort.SliceStable(trees, func(i, j int) bool {
 		if trees[i].dur != trees[j].dur {
@@ -346,16 +380,15 @@ func inspectPerfetto(path, pathFilter string, slowest int) error {
 		return trees[i].track < trees[j].track
 	})
 	if slowest > 0 && len(trees) > slowest {
-		fmt.Printf("showing the %d slowest of %d\n", slowest, len(trees))
+		fmt.Fprintf(w, "showing the %d slowest of %d\n", slowest, len(trees))
 		trees = trees[:slowest]
 	}
 	for _, t := range trees {
-		fmt.Printf("%s  %s  start=%d dur=%d\n", t.track, t.name, t.ts, t.dur)
+		fmt.Fprintf(w, "%s  %s  start=%d dur=%d\n", t.track, t.name, t.ts, t.dur)
 		for _, c := range t.children {
-			fmt.Printf("    %-12s +%-8d %d cycles\n", c.Name, c.Ts-t.ts, c.Dur)
+			fmt.Fprintf(w, "    %-12s +%-8d %d cycles\n", c.Name, c.Ts-t.ts, c.Dur)
 		}
 	}
-	return nil
 }
 
 func inspectFile(path string, topK int) error {

@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 
 	"silcfm/internal/mem"
 	"silcfm/internal/stats"
@@ -13,20 +15,20 @@ import (
 // byte for byte: every event, ring events included, goes through
 // encoding/json with its args as a map (encoding/json sorts map keys).
 func (t *Tracer) WriteReference(w io.Writer) error {
-	bw := &errWriter{w: w}
-	io.WriteString(bw, `{"displayTimeUnit":"ms","traceEvents":[`)
+	var bw bytes.Buffer
+	var err error
+	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
 	first := true
 	emit := func(ev *traceEvent) {
 		if !first {
-			io.WriteString(bw, ",\n")
+			bw.WriteString(",\n")
 		} else {
-			io.WriteString(bw, "\n")
+			bw.WriteString("\n")
 			first = false
 		}
-		b, err := json.Marshal(ev)
-		if err != nil {
-			bw.err = err
-			return
+		b, merr := json.Marshal(ev)
+		if merr != nil && err == nil {
+			err = merr
 		}
 		bw.Write(b)
 	}
@@ -53,9 +55,13 @@ func (t *Tracer) WriteReference(w io.Writer) error {
 		})
 	}
 	total, dropped := t.Events()
-	fmt.Fprintf(bw, "\n],\"otherData\":{\"events\":%d,\"dropped\":%d,\"spans\":%d,\"spans_dropped\":%d}}\n",
+	fmt.Fprintf(&bw, "\n],\"otherData\":{\"events\":%d,\"dropped\":%d,\"spans\":%d,\"spans_dropped\":%d}}\n",
 		total, dropped, len(t.spans), t.spanDropped)
-	return bw.err
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(bw.Bytes())
+	return err
 }
 
 func referenceLoc(l mem.Location) string {
@@ -89,4 +95,57 @@ func referenceArgs(e *event) map[string]any {
 	default: // evUnlock
 		return map[string]any{"frame": e.aAddr, "block": e.pa()}
 	}
+}
+
+// WriteJSONLReference is the reference profile encoder Profiler.WriteJSONL
+// must match byte for byte: every line goes through encoding/json, as the
+// kind followed by the embedded profile struct, entries sorted by key.
+func (p *Profiler) WriteJSONLReference(w io.Writer) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	blocks := make([]BlockProfile, p.blocks.Len())
+	for i := range blocks {
+		blocks[i] = *p.blocks.Value(i)
+		blocks[i].Block = p.blocks.Key(i)
+	}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Block < blocks[j].Block })
+	for i := range blocks {
+		if err := enc.Encode(struct {
+			Kind string `json:"kind"`
+			*BlockProfile
+		}{"block", &blocks[i]}); err != nil {
+			return err
+		}
+	}
+	pcs := make([]PCProfile, p.pcs.Len())
+	for i := range pcs {
+		pcs[i] = *p.pcs.Value(i)
+		pcs[i].PC = p.pcs.Key(i)
+	}
+	sort.Slice(pcs, func(i, j int) bool { return pcs[i].PC < pcs[j].PC })
+	for i := range pcs {
+		if err := enc.Encode(struct {
+			Kind string `json:"kind"`
+			*PCProfile
+		}{"pc", &pcs[i]}); err != nil {
+			return err
+		}
+	}
+	if err := enc.Encode(struct {
+		Kind          string `json:"kind"`
+		Blocks        int    `json:"blocks"`
+		PCs           int    `json:"pcs"`
+		DroppedBlocks uint64 `json:"dropped_blocks"`
+		DroppedPCs    uint64 `json:"dropped_pcs"`
+	}{"summary", p.blocks.Len(), p.pcs.Len(), p.blocks.Dropped(), p.pcs.Dropped()}); err != nil {
+		return err
+	}
+	_, err := w.Write(buf.Bytes())
+	return err
+}
+
+// ProfileEntries returns block's and pc's profiles, adding either key while
+// its table has room (nil once full), so tests can set counters directly.
+func (p *Profiler) ProfileEntries(block, pc uint64) (*BlockProfile, *PCProfile) {
+	return p.blocks.Get(block), p.pcs.Get(pc)
 }

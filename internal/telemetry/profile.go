@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"silcfm/internal/mem"
@@ -169,58 +167,90 @@ func (p *Profiler) Counts() (blocks, pcs int, droppedBlocks, droppedPCs uint64) 
 	return p.blocks.Len(), p.pcs.Len(), p.blocks.Dropped(), p.pcs.Dropped()
 }
 
-// sortedBlocks returns the block profiles, key ascending. The table's
-// values carry no key until here, where Block is filled in from it.
-func (p *Profiler) sortedBlocks() []*BlockProfile {
-	out := make([]*BlockProfile, p.blocks.Len())
-	for i := range out {
-		out[i] = p.blocks.Value(i)
-		out[i].Block = p.blocks.Key(i)
+// sortedPositions returns t's positions in key order, in buf or tmp, both
+// of length at least t.Len(). It is an LSD radix sort on the key bytes that
+// skips each byte all keys share, so a table of keys below 2^24 (blocks of
+// 32 GiB, PCs) takes at most three scatter passes. Keys are distinct, so
+// the order is total; positions fit in 32 bits, as in the table's slots.
+func sortedPositions[V any](t *stats.BoundedTable[V], buf, tmp []uint32) []uint32 {
+	n := t.Len()
+	buf, tmp = buf[:n], tmp[:n]
+	var counts [8][256]int
+	for i := range buf {
+		buf[i] = uint32(i)
+		k := t.Key(i)
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Block < out[j].Block })
-	return out
+	for d := range counts {
+		c := &counts[d]
+		if n == 0 || c[byte(t.Key(0)>>(8*d))] == n {
+			continue // every key has this byte
+		}
+		sum := 0
+		for b, m := range c {
+			c[b], sum = sum, sum+m
+		}
+		for _, p := range buf {
+			b := byte(t.Key(int(p)) >> (8 * d))
+			tmp[c[b]] = p
+			c[b]++
+		}
+		buf, tmp = tmp, buf
+	}
+	return buf
 }
 
-// sortedPCs returns the PC profiles, key ascending, PC filled in as for
-// sortedBlocks.
-func (p *Profiler) sortedPCs() []*PCProfile {
-	out := make([]*PCProfile, p.pcs.Len())
-	for i := range out {
-		out[i] = p.pcs.Value(i)
-		out[i].PC = p.pcs.Key(i)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PC < out[j].PC })
-	return out
+// appendField appends one `,"name":value` member; name carries the comma,
+// quotes and colon.
+func appendField(buf []byte, name string, v uint64) []byte {
+	return strconv.AppendUint(append(buf, name...), v, 10)
 }
 
 // WriteJSONL streams every profile entry as one JSON object per line —
 // block entries (key ascending), then PC entries (key ascending), then a
-// summary line — so output is byte-deterministic for a fixed run.
+// summary line — so output is byte-deterministic for a fixed run. Lines are
+// appended by hand in the member order and number format of encoding/json
+// on the kind followed by the struct's fields (the test-only reference
+// encoder).
 func (p *Profiler) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, bp := range p.sortedBlocks() {
-		if err := enc.Encode(struct {
-			Kind string `json:"kind"`
-			*BlockProfile
-		}{"block", bp}); err != nil {
-			return err
-		}
+	bw := newBufWriter(w)
+	n := max(p.blocks.Len(), p.pcs.Len())
+	buf, tmp := make([]uint32, n), make([]uint32, n)
+	for _, i := range sortedPositions(p.blocks, buf, tmp) {
+		b := p.blocks.Value(int(i))
+		bw.buf = appendField(bw.buf, `{"kind":"block","block":`, p.blocks.Key(int(i)))
+		bw.buf = appendField(bw.buf, `,"demands":`, b.Demands)
+		bw.buf = appendField(bw.buf, `,"writes":`, b.Writes)
+		bw.buf = appendField(bw.buf, `,"lat_cycles":`, b.LatSum)
+		bw.buf = appendField(bw.buf, `,"swaps_in":`, b.SwapsIn)
+		bw.buf = appendField(bw.buf, `,"swaps_out":`, b.SwapsOut)
+		bw.buf = appendField(bw.buf, `,"locks":`, b.Locks)
+		bw.buf = appendField(bw.buf, `,"unlocks":`, b.Unlocks)
+		bw.buf = appendField(bw.buf, `,"bypass":`, b.Bypass)
+		bw.buf = appendField(bw.buf, `,"mispredicts":`, b.Mispred)
+		bw.buf = append(bw.buf, "}\n"...)
+		bw.flushFull()
 	}
-	for _, pp := range p.sortedPCs() {
-		if err := enc.Encode(struct {
-			Kind string `json:"kind"`
-			*PCProfile
-		}{"pc", pp}); err != nil {
-			return err
-		}
+	for _, i := range sortedPositions(p.pcs, buf, tmp) {
+		c := p.pcs.Value(int(i))
+		bw.buf = appendField(bw.buf, `{"kind":"pc","pc":`, p.pcs.Key(int(i)))
+		bw.buf = appendField(bw.buf, `,"demands":`, c.Demands)
+		bw.buf = appendField(bw.buf, `,"writes":`, c.Writes)
+		bw.buf = appendField(bw.buf, `,"lat_cycles":`, c.LatSum)
+		bw.buf = appendField(bw.buf, `,"swaps":`, c.Swaps)
+		bw.buf = appendField(bw.buf, `,"bypass":`, c.Bypass)
+		bw.buf = appendField(bw.buf, `,"mispredicts":`, c.Mispred)
+		bw.buf = append(bw.buf, "}\n"...)
+		bw.flushFull()
 	}
-	return enc.Encode(struct {
-		Kind          string `json:"kind"`
-		Blocks        int    `json:"blocks"`
-		PCs           int    `json:"pcs"`
-		DroppedBlocks uint64 `json:"dropped_blocks"`
-		DroppedPCs    uint64 `json:"dropped_pcs"`
-	}{"summary", p.blocks.Len(), p.pcs.Len(), p.blocks.Dropped(), p.pcs.Dropped()})
+	bw.buf = appendField(bw.buf, `{"kind":"summary","blocks":`, uint64(p.blocks.Len()))
+	bw.buf = appendField(bw.buf, `,"pcs":`, uint64(p.pcs.Len()))
+	bw.buf = appendField(bw.buf, `,"dropped_blocks":`, p.blocks.Dropped())
+	bw.buf = appendField(bw.buf, `,"dropped_pcs":`, p.pcs.Dropped())
+	bw.buf = append(bw.buf, "}\n"...)
+	return bw.flush()
 }
 
 // hotterBlock and hotterPC order profiles for the top-offender tables:

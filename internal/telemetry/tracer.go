@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 
 	"silcfm/internal/mem"
@@ -185,16 +186,29 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
+// appendHex appends head, v in lowercase hexadecimal and a closing quote:
+// every address in the trace is a JSON string ending "0x<hex>", and head
+// carries everything before the digits.
+func appendHex(buf []byte, head string, v uint64) []byte {
+	buf = append(buf, head...)
+	// Reserve the n digits and the quote, then fill the digits from the
+	// right.
+	n := max((bits.Len64(v)+3)/4, 1)
+	buf = append(buf, `0000000000000000"`[16-n:]...)
+	for i := len(buf) - 2; n > 0; i, n = i-1, n-1 {
+		buf[i] = "0123456789abcdef"[v&15]
+		v >>= 4
+	}
+	return buf
+}
+
 // appendLoc appends a location as the JSON string "NM:0x<addr>" or
 // "FM:0x<addr>".
 func appendLoc(buf []byte, l mem.Location) []byte {
 	if l.Level == stats.FM {
-		buf = append(buf, `"FM:0x`...)
-	} else {
-		buf = append(buf, `"NM:0x`...)
+		return appendHex(buf, `"FM:0x`, l.DevAddr)
 	}
-	buf = strconv.AppendUint(buf, l.DevAddr, 16)
-	return append(buf, '"')
+	return appendHex(buf, `"NM:0x`, l.DevAddr)
 }
 
 // appendThreadName appends the metadata event naming track tid.
@@ -207,45 +221,47 @@ func appendThreadName(buf []byte, tid int, name string) []byte {
 	return append(buf, "}}"...)
 }
 
+// instantHead[k] is an instant event of kind k up to its timestamp, led by
+// the separator (track names always precede the ring's events), and
+// instantArgs[k] the text from after the timestamp through its first arg
+// key: the constant parts of every ring event, built once from evNames.
+var instantHead, instantArgs = instantPrefixes()
+
+func instantPrefixes() (head, args [numEvKinds]string) {
+	firstArg := [numEvKinds]string{"loc", "loc", "dst", "dst", "a", "block", "block"}
+	for k, name := range evNames {
+		head[k] = ",\n" + `{"name":"` + name + `","ph":"i","ts":`
+		args[k] = `,"pid":0,"tid":` + strconv.Itoa(k) + `,"s":"t","args":{"` + firstArg[k] + `":`
+	}
+	return head, args
+}
+
 // appendInstant appends one ring event as an instant event on its kind's
-// track. Arg keys per kind are fixed and written in sorted order.
+// track, with its separator. Arg keys per kind are fixed and written in
+// sorted order.
 func appendInstant(buf []byte, e *event) []byte {
-	buf = append(buf, `{"name":"`...)
-	buf = append(buf, evNames[e.kind]...)
-	buf = append(buf, `","ph":"i","ts":`...)
+	buf = append(buf, instantHead[e.kind]...)
 	buf = strconv.AppendUint(buf, e.cycle, 10)
-	buf = append(buf, `,"pid":0,"tid":`...)
-	buf = strconv.AppendInt(buf, int64(e.kind), 10)
-	buf = append(buf, `,"s":"t","args":{`...)
+	buf = append(buf, instantArgs[e.kind]...) // through the first arg's key
 	switch e.kind {
 	case evDemand:
-		buf = append(buf, `"loc":`...)
 		buf = appendLoc(buf, e.a())
 		if e.write {
-			buf = append(buf, `,"op":"write","pa":"0x`...)
+			buf = appendHex(buf, `,"op":"write","pa":"0x`, e.pa())
 		} else {
-			buf = append(buf, `,"op":"read","pa":"0x`...)
+			buf = appendHex(buf, `,"op":"read","pa":"0x`, e.pa())
 		}
-		buf = strconv.AppendUint(buf, e.pa(), 16)
-		buf = append(buf, '"')
 	case evCapture:
-		buf = append(buf, `"loc":`...)
 		buf = appendLoc(buf, e.a())
 	case evDeliver, evRelocate:
-		buf = append(buf, `"dst":`...)
 		buf = appendLoc(buf, e.b())
-		buf = append(buf, `,"src":`...)
-		buf = appendLoc(buf, e.a())
+		buf = appendLoc(append(buf, `,"src":`...), e.a())
 	case evSwap:
-		buf = append(buf, `"a":`...)
 		buf = appendLoc(buf, e.a())
-		buf = append(buf, `,"b":`...)
-		buf = appendLoc(buf, e.b())
+		buf = appendLoc(append(buf, `,"b":`...), e.b())
 	default: // evLock, evUnlock
-		buf = append(buf, `"block":`...)
 		buf = strconv.AppendUint(buf, e.pa(), 10)
-		buf = append(buf, `,"frame":`...)
-		buf = strconv.AppendUint(buf, e.aAddr, 10)
+		buf = strconv.AppendUint(append(buf, `,"frame":`...), e.aAddr, 10)
 		if e.kind == evLock {
 			if e.write {
 				buf = append(buf, `,"kind":"home"`...)
@@ -257,41 +273,30 @@ func appendInstant(buf []byte, e *event) []byte {
 	return append(buf, "}}"...)
 }
 
-// traceFlushBytes is the buffered output size at which Write hands the
-// buffer to the writer.
-const traceFlushBytes = 64 << 10
-
 // Write serializes the ring (oldest first) as a Chrome trace JSON object.
 func (t *Tracer) Write(w io.Writer) error {
-	bw := &errWriter{w: w}
-	buf := make([]byte, 0, traceFlushBytes+1024)
-	buf = append(buf, `{"displayTimeUnit":"ms","traceEvents":[`...)
-	first := true
-	next := func() { // separate events and flush a full buffer
-		if !first {
-			buf = append(buf, ',')
-		}
-		first = false
-		buf = append(buf, '\n')
-		if len(buf) >= traceFlushBytes {
-			bw.Write(buf)
-			buf = buf[:0]
-		}
+	bw := newBufWriter(w)
+	bw.buf = append(bw.buf, `{"displayTimeUnit":"ms","traceEvents":[`...)
+	sep := "\n" // before the first event; ",\n" before each later one
+	next := func() {
+		bw.buf = append(bw.buf, sep...)
+		sep = ",\n"
+		bw.flushFull()
 	}
 	// Name the per-kind tracks.
-	for k := 0; k < numEvKinds; k++ {
+	for k, name := range evNames {
 		next()
-		buf = appendThreadName(buf, k, evNames[k])
+		bw.buf = appendThreadName(bw.buf, k, name)
 	}
 	// Name the injected span tracks, after the per-kind tids.
 	for i, tr := range t.spanTracks {
 		next()
-		buf = appendThreadName(buf, numEvKinds+i, tr)
+		bw.buf = appendThreadName(bw.buf, numEvKinds+i, tr)
 	}
 	// Ring in arrival order.
 	for i := 0; i < t.ring.Len(); i++ {
-		next()
-		buf = appendInstant(buf, t.ring.At(i))
+		bw.buf = appendInstant(bw.buf, t.ring.At(i))
+		bw.flushFull()
 	}
 	// Injected duration spans, in insertion order.
 	for i := range t.spans {
@@ -304,26 +309,10 @@ func (t *Tracer) Write(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		buf = append(buf, b...)
+		bw.buf = append(bw.buf, b...)
 	}
 	total, dropped := t.Events()
-	buf = fmt.Appendf(buf, "\n],\"otherData\":{\"events\":%d,\"dropped\":%d,\"spans\":%d,\"spans_dropped\":%d}}\n",
+	bw.buf = fmt.Appendf(bw.buf, "\n],\"otherData\":{\"events\":%d,\"dropped\":%d,\"spans\":%d,\"spans_dropped\":%d}}\n",
 		total, dropped, len(t.spans), t.spanDropped)
-	bw.Write(buf)
-	return bw.err
-}
-
-// errWriter sticks at the first write error.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) Write(p []byte) (int, error) {
-	if e.err != nil {
-		return 0, e.err
-	}
-	n, err := e.w.Write(p)
-	e.err = err
-	return n, err
+	return bw.flush()
 }
